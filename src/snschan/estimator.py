@@ -23,6 +23,20 @@ Because the prior is shared across subcarriers and the sensing matrix is
 common, the joint posterior factorizes per subcarrier with one shared
 covariance; no MN x MN system is ever formed (this equals the naive
 Kronecker-structured computation, which the tests check).
+
+The learner holds its blocks stacked, not one by one. Every block but the
+last has length block_size, so the blocks form at most two size groups:
+the full blocks and a shorter final block. Each group keeps gamma as
+(G, U), P as (G, U, U), the ALM multipliers as (G,) and the active set as a
+boolean mask. Groups are not padded to one length, because the pooled
+variance, the ALM log-det target and the shrinkage of P read the true U.
+Each E-step builds K with one product over the active columns, takes one
+Cholesky factor K = L L^H, and reads every block's posterior mean,
+covariance and trace term from batched products of the Gram blocks of
+L^-1 Psi. The gamma, ALM-P and PD-floor steps take stacks over leading
+axes, so each is one LAPACK call per size group and step. The floor runs a
+batched eigvalsh and rebuilds from eigh only the blocks with an eigenvalue
+below eps_pd; on the others it is a no-op up to rounding.
 """
 
 from __future__ import annotations
@@ -121,30 +135,132 @@ class PosteriorState:
     history: list[np.ndarray] = field(default_factory=list)
 
 
-def _block_slices(n_sub: int, u: int) -> list[slice]:
-    """Contiguous blocks of length u; the final block may be shorter."""
-    edges = list(range(0, n_sub, u)) + [n_sub]
-    return [slice(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+@dataclass
+class _BlockStack:
+    """The blocks of one length U, with their hyperparameters stacked.
+
+    Every block but the final one has length cfg.block_size, so a run has at
+    most two stacks: the full blocks and the shorter final block.
+    """
+
+    first: int            # index of the stack's first block
+    start: int            # its first column of Psi
+    gamma: np.ndarray     # (G, U) per-entry variances
+    p: np.ndarray         # (G, U, U) intra-block correlations
+    lam: np.ndarray       # (G,) ALM multipliers
+    active: np.ndarray    # (G,) False once the block is pruned
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """The stack's rows of x (N_sub, ...) as a (G, U, ...) view."""
+        g_count, u = self.gamma.shape
+        return x[self.start:self.start + g_count * u].reshape(
+            g_count, u, *x.shape[1:])
+
+
+def _block_stacks(n_sub: int, u: int) -> list[_BlockStack]:
+    """Contiguous blocks of length u, the final one possibly shorter, grouped
+    by length, with gamma = 1, P = I and every block active."""
+    full, rest = divmod(n_sub, u)
+    return [
+        _BlockStack(first=first, start=first * u, gamma=np.ones((count, length)),
+                    p=np.tile(np.eye(length, dtype=complex), (count, 1, 1)),
+                    lam=np.zeros(count), active=np.ones(count, dtype=bool))
+        for first, count, length in ((0, full, u), (full, 1, rest))
+        if count and length
+    ]
+
+
+def _prior_cov(gamma: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """C = Q P Q with Q = diag(sqrt(gamma)), over any leading axes."""
+    root = np.sqrt(gamma)
+    return root[..., :, None] * p * root[..., None, :]
+
+
+def _posterior(
+    Y: np.ndarray, Psi: np.ndarray, stacks: list[_BlockStack], sigma2: float,
+) -> tuple[list[tuple[_BlockStack, np.ndarray, np.ndarray, np.ndarray]], float]:
+    """E-step over the active blocks with the shared covariance K.
+
+    K = sigma2 I + sum_g Psi_g C_g Psi_g^H is one product over the active
+    columns. With K = L L^H and W = L^-1 Psi, every block's
+    Psi_g^H K^-1 Psi_g is a Gram block W_g^H W_g and Psi^H K^-1 Y is
+    W^H L^-1 Y, so mu_g = C_g Psi_g^H K^-1 Y and
+    Sigma_g = C_g - C_g Psi_g^H K^-1 Psi_g C_g are batched products.
+
+    Returns, for each stack with an active block, the stack, the indices of
+    its active blocks, their posterior means (n, U, M) and covariances
+    (n, U, U), and the trace term sum_g M tr(Sigma_g C_g^-1).
+    """
+    p_eff, m_count = Y.shape
+    live = [(s, np.flatnonzero(s.active)) for s in stacks if s.active.any()]
+    cols = np.concatenate([np.repeat(s.active, s.gamma.shape[1]) for s in stacks])
+    psi_act = Psi if cols.all() else Psi[:, cols]
+    cs = [_prior_cov(s.gamma[idx], s.p[idx]) for s, idx in live]
+    edges = np.cumsum([0] + [c.shape[0] * c.shape[-1] for c in cs])
+
+    def blocks(a: np.ndarray, i: int) -> np.ndarray:
+        """The i-th live stack's columns of a (P, n_act) as (n, P, U)."""
+        n, _, u = cs[i].shape
+        return a[:, edges[i]:edges[i + 1]].reshape(a.shape[0], n, u).swapaxes(0, 1)
+
+    psi_c = np.empty_like(psi_act)
+    for i, c in enumerate(cs):
+        blocks(psi_c, i)[...] = blocks(psi_act, i) @ c
+    k_mat = psi_c @ psi_act.conj().T
+    del psi_c
+    k_mat.flat[::p_eff + 1] += sigma2
+    try:
+        chol = sla.cholesky(k_mat, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        # ridge fallback for a numerically singular posterior system; the
+        # products below then pair Psi with K^-1 Psi instead of W with W
+        k_mat += (1e-12 * np.trace(k_mat).real / p_eff) * np.eye(p_eff)
+        right = np.linalg.solve(k_mat, psi_act)
+        y_w = np.linalg.solve(k_mat, Y)
+        left_h = psi_act.conj()
+    else:
+        right = sla.solve_triangular(chol, psi_act, lower=True,
+                                     check_finite=False)
+        y_w = sla.solve_triangular(chol, Y, lower=True, check_finite=False)
+        left_h = right.conj()
+    proj = left_h.T @ y_w                                  # Psi^H K^-1 Y
+
+    parts = []
+    trace_term = 0.0
+    for i, ((s, idx), c) in enumerate(zip(live, cs)):
+        gram = blocks(left_h, i).swapaxes(-1, -2) @ blocks(right, i)
+        mu_g = c @ proj[edges[i]:edges[i + 1]].reshape(idx.size, -1, m_count)
+        sig_g = c - c @ gram @ c
+        sig_g = 0.5 * (sig_g + sig_g.conj().swapaxes(-1, -2))
+        # tr(Sigma_g C_g^-1) = U_g - tr(C_g Psi_g^H K^-1 Psi_g), C-inverse free
+        trace_term += m_count * (
+            c.shape[0] * c.shape[-1]
+            - float(np.real(np.sum(c * gram.swapaxes(-1, -2))))
+        )
+        parts.append((s, idx, mu_g, sig_g))
+    return parts, trace_term
 
 
 def _inverse_weighted(r_bar: np.ndarray, p_g: np.ndarray) -> np.ndarray:
     """terms_uj = Re[(P^-1)_uj (sum_m R_m)_ju], the statistics both gamma
     steps read; Q is real, so only real parts enter."""
-    return np.real(np.linalg.inv(p_g) * r_bar.T)
+    return np.real(np.linalg.inv(p_g) * np.swapaxes(r_bar, -1, -2))
 
 
-def _pooled_variance(terms: np.ndarray, m_count: int) -> float:
-    """One block's pooled variance tr(P^-1 sum_m R_m) / (M U).
+def _pooled_variance(terms: np.ndarray, m_count: int) -> np.ndarray:
+    """Each block's pooled variance tr(P^-1 sum_m R_m) / (M U).
 
     This is the type-II ML variance of the block under the prior gamma P
     (one scalar per block, as in conventional BSBL).
     """
-    return max(float(terms.sum()) / (m_count * terms.shape[0]), 0.0)
+    u = terms.shape[-1]
+    return np.maximum(terms.sum(axis=(-2, -1)) / (m_count * u), 0.0)
 
 
 def update_gamma(r_bar: np.ndarray, p_g: np.ndarray, gamma_g: np.ndarray,
                  m_count: int, prior_weight: float = 0.0) -> np.ndarray:
-    """Per-entry variance update of one block.
+    """Per-entry variance update of a block, or of a stack of equal-length
+    blocks: r_bar and p_g are (..., U, U), gamma_g is (..., U).
 
     gamma_u = (sqrt(B^2/(4M'^2) + A'/M') + B/(2M'))^2 with
     A_u = (P^-1)_uu (sum_m R_m)_uu and
@@ -165,71 +281,84 @@ def update_gamma(r_bar: np.ndarray, p_g: np.ndarray, gamma_g: np.ndarray,
     the mode is the entry's own ML value and the step is unchanged.
     """
     terms = _inverse_weighted(r_bar, p_g)
-    own = np.diag(terms)
+    own = np.diagonal(terms, axis1=-2, axis2=-1)
     a_vec = np.maximum(own, 0.0)
     sqrt_gamma = np.sqrt(np.maximum(gamma_g, 0.0))
     w_inv = np.divide(1.0, sqrt_gamma, out=np.zeros_like(sqrt_gamma),
                       where=sqrt_gamma > 0)
     # B_u = sum_{j != u} (P^-1)_{uj} R_ju / sqrt(gamma_j)
-    b_vec = terms @ w_inv - own * w_inv
+    b_vec = (terms @ w_inv[..., None])[..., 0] - own * w_inv
     m = float(m_count)
     if prior_weight > 0:
-        a_vec = a_vec + prior_weight * _pooled_variance(terms, m_count)
+        a_vec = a_vec + prior_weight * _pooled_variance(terms, m_count)[..., None]
         m += prior_weight
     root = np.sqrt(b_vec**2 / (4.0 * m**2) + a_vec / m)
     return (root + b_vec / (2.0 * m)) ** 2
 
 
 def _floor_pd(p: np.ndarray, eps_pd: float) -> np.ndarray:
-    """Hermitian part with eigenvalues floored at eps_pd."""
-    p = 0.5 * (p + p.conj().T)
-    vals, vecs = np.linalg.eigh(p)
-    vals = np.maximum(vals, eps_pd)
-    return (vecs * vals) @ vecs.conj().T
+    """Hermitian part with eigenvalues floored at eps_pd, over any leading axes.
+
+    Only the blocks with an eigenvalue below eps_pd are rebuilt from their
+    eigendecomposition; on the others the floor is a no-op up to rounding,
+    so they keep their Hermitian part.
+    """
+    p = 0.5 * (p + np.swapaxes(p.conj(), -1, -2))
+    low = np.linalg.eigvalsh(p)[..., 0] < eps_pd
+    if np.any(low):
+        vals, vecs = np.linalg.eigh(p[low])
+        vals = np.maximum(vals, eps_pd)
+        p[low] = (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    return p
 
 
 def update_p_alm(
     r_bars: list[np.ndarray],
     gammas: list[np.ndarray],
     p_blocks: list[np.ndarray],
-    lambdas: list[float],
+    lambdas: list[np.ndarray],
     m_count: int,
     cfg: EstimatorConfig,
-) -> tuple[list[np.ndarray], list[float]]:
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """ALM-corrected intra-block correlation update over the active blocks.
+
+    Each argument holds one stack per block length: r_bars[i] and
+    p_blocks[i] are (..., U_i, U_i), gammas[i] is (..., U_i) and
+    lambdas[i] is (...); a single block is a stack with no batch axis.
 
     Runs cfg.alm_iters inner iterations of
     P_g <- (Q^-1 sum_m R_m Q^-1) / (M [1 + 2 lambda_g + 2c term_g]),
     lambda_g <- lambda_g + alpha term_g,
     where term_g = M (ln|P_g| - U_g b) with b the per-dimension mean log-det
-    across blocks (the block-average target, well defined when the final
-    block is short), then shrinks toward the identity scale and floors
-    eigenvalues at eps_pd. The penalty and step are normalized by 4 M U_g:
-    the raw bracket has local slope -2 c M U in the log-det gap, which
-    diverges for any useful c.
+    across all blocks of all stacks (the block-average target, well defined
+    when the final block is short), then shrinks toward the identity scale
+    and floors eigenvalues at eps_pd. The penalty and step are normalized by
+    4 M U_g: the raw bracket has local slope -2 c M U in the log-det gap,
+    which diverges for any useful c.
     """
     m = float(m_count)
     raws = []
     for r_bar, gam in zip(r_bars, gammas):
         qi = 1.0 / np.maximum(np.sqrt(np.maximum(gam, 0.0)), 1e-150)
-        raws.append(qi[:, None] * r_bar * qi[None, :])
-    ps = [p.copy() for p in p_blocks]
-    lams = list(lambdas)
-    dims = [p.shape[0] for p in ps]
+        raws.append(qi[..., :, None] * r_bar * qi[..., None, :])
+    ps = list(p_blocks)
+    lams = [np.asarray(lam, dtype=float) for lam in lambdas]
+    dims = [np.shape(p)[-1] for p in ps]
+    total_dim = sum(u * lam.size for u, lam in zip(dims, lams))
     for _ in range(cfg.alm_iters):
         logdets = [np.linalg.slogdet(p)[1] for p in ps]
-        bar = sum(logdets) / sum(dims)
+        bar = sum(float(np.sum(ld)) for ld in logdets) / total_dim
         terms = [m * (ld - u * bar) for ld, u in zip(logdets, dims)]
         new_ps = []
         for raw, term, lam, u_len in zip(raws, terms, lams, dims):
             c_eff = cfg.alm_c / (4.0 * m * u_len)
-            denom = m * max(1.0 + 2.0 * lam + 2.0 * c_eff * term, 1e-2)
-            p_new = raw / denom
-            p_new = 0.5 * (p_new + p_new.conj().T)
+            denom = m * np.maximum(1.0 + 2.0 * lam + 2.0 * c_eff * term, 1e-2)
+            p_new = raw / denom[..., None, None]
+            p_new = 0.5 * (p_new + np.swapaxes(p_new.conj(), -1, -2))
             if cfg.p_shrink > 0:
-                scale = float(np.trace(p_new).real) / u_len
+                scale = np.trace(p_new, axis1=-2, axis2=-1).real / u_len
                 p_new = ((1.0 - cfg.p_shrink) * p_new
-                         + cfg.p_shrink * scale * np.eye(u_len))
+                         + cfg.p_shrink * scale[..., None, None] * np.eye(u_len))
             new_ps.append(_floor_pd(p_new, cfg.eps_pd))
         lams = [lam + cfg.alm_alpha / (4.0 * m * u) * term
                 for lam, term, u in zip(lams, terms, dims)]
@@ -286,19 +415,14 @@ def absbl_mmv(
     if Psi.shape[0] != p_eff or p_eff < 1:
         raise ValueError("Y and Psi shapes disagree")
 
-    blocks = _block_slices(n_sub, cfg.block_size)
-    g_total = len(blocks)
-    gammas = [np.ones(b.stop - b.start) for b in blocks]
-    p_blocks = [np.eye(b.stop - b.start, dtype=complex) for b in blocks]
-    lambdas = [0.0] * g_total
+    stacks = _block_stacks(n_sub, cfg.block_size)
     if sigma2 is None:
         sigma2 = max(float(np.var(Y)) * cfg.sigma2_init_scale, cfg.sigma2_floor)
     else:
         sigma2 = max(float(sigma2), cfg.sigma2_floor)
-    active = list(range(g_total))
 
     mu = np.zeros((n_sub, m_count), dtype=complex)
-    sigma_blocks: dict[int, np.ndarray] = {}
+    parts = []
     running_max_q = 0.0
     history: list[np.ndarray] = []
     converged = False
@@ -306,59 +430,33 @@ def absbl_mmv(
 
     for it in range(1, cfg.t_ite + 1):
         mu_prev = mu.copy()
-        # E-step: per-subcarrier posterior with shared covariance
-        cs = {g: (np.sqrt(gammas[g])[:, None] * p_blocks[g]
-                  * np.sqrt(gammas[g])[None, :]) for g in active}
-        k_mat = sigma2 * np.eye(p_eff, dtype=complex)
-        for g in active:
-            psi_g = Psi[:, blocks[g]]
-            k_mat += psi_g @ cs[g] @ psi_g.conj().T
-        try:
-            cho = sla.cho_factor(k_mat, lower=True, check_finite=False)
-            solve = lambda b: sla.cho_solve(cho, b, check_finite=False)
-        except np.linalg.LinAlgError:
-            # ridge fallback for a numerically singular posterior system
-            k_mat += (1e-12 * np.trace(k_mat).real / p_eff) * np.eye(p_eff)
-            solve = lambda b: np.linalg.solve(k_mat, b)
-        alpha = solve(Y)
+        parts, trace_term = _posterior(Y, Psi, stacks, sigma2)
         mu = np.zeros((n_sub, m_count), dtype=complex)
-        sigma_blocks = {}
-        r_bars = {}
-        trace_term = 0.0
-        for g in active:
-            psi_g = Psi[:, blocks[g]]
-            b_g = psi_g @ cs[g]                       # (P_eff, U_g)
-            kb_g = solve(b_g)
-            mu_g = b_g.conj().T @ alpha               # (U_g, M)
-            sig_g = cs[g] - b_g.conj().T @ kb_g
-            sig_g = 0.5 * (sig_g + sig_g.conj().T)
-            mu[blocks[g]] = mu_g
-            sigma_blocks[g] = sig_g
-            r_bars[g] = m_count * sig_g + mu_g @ mu_g.conj().T
-            # tr(Sigma_g C_g^-1) = U_g - tr(K^-1 Psi_g C_g Psi_g^H), C-inverse free
-            u_g = blocks[g].stop - blocks[g].start
-            trace_term += m_count * (
-                u_g - float(np.real(np.sum(kb_g * psi_g.conj())))
-            )
+        r_bars = []
+        for s, idx, mu_g, sig_g in parts:
+            s.rows(mu)[idx] = mu_g
+            r_bars.append(m_count * sig_g + mu_g @ mu_g.conj().swapaxes(-1, -2))
 
         # M-step: gamma, P (ALM), noise; both read the pre-update iterate,
         # so the P update inverts the old Q (keeping gamma's shrinkage
         # effective in the composite prior Q P Q)
-        gammas_old = {g: gammas[g] for g in active}
-        for g in active:
+        gammas_old = [s.gamma[idx] for s, idx, _, _ in parts]
+        ps_old = [s.p[idx] for s, idx, _, _ in parts]
+        gammas_new = []
+        for r_bar, p_g, gam in zip(r_bars, ps_old, gammas_old):
             if cfg.scalar_gamma:
-                gammas[g] = np.full(gammas[g].size, _pooled_variance(
-                    _inverse_weighted(r_bars[g], p_blocks[g]), m_count))
+                pooled = _pooled_variance(_inverse_weighted(r_bar, p_g), m_count)
+                gammas_new.append(np.repeat(pooled[:, None], gam.shape[1], axis=1))
             else:
-                gammas[g] = update_gamma(r_bars[g], p_blocks[g], gammas[g],
-                                         m_count, prior_weight=m_count)
-        if cfg.learn_p and active:
+                gammas_new.append(update_gamma(r_bar, p_g, gam, m_count,
+                                               prior_weight=m_count))
+        if cfg.learn_p:
             new_ps, new_lams = update_p_alm(
-                [r_bars[g] for g in active], [gammas_old[g] for g in active],
-                [p_blocks[g] for g in active], [lambdas[g] for g in active],
-                m_count, cfg,
+                r_bars, gammas_old, ps_old,
+                [s.lam[idx] for s, idx, _, _ in parts], m_count, cfg,
             )
-            for idx, g in enumerate(active):
+            for (s, idx, _, _), p_new, lam, gam in zip(parts, new_ps, new_lams,
+                                                       gammas_new):
                 # gauge fix: Q P Q is invariant under any diagonal rescale of
                 # (Q, P), so pin P at unit diagonal (a correlation matrix) and
                 # let gamma carry the per-entry variances; without this the
@@ -366,36 +464,38 @@ def absbl_mmv(
                 # composite prior. Conventional BSBL has no per-entry
                 # variances, so its single gamma absorbs only the mean of
                 # the diagonal it removes.
-                p_new = new_ps[idx]
-                d = np.maximum(np.real(np.diag(p_new)), cfg.eps_pd)
+                d = np.maximum(np.real(np.diagonal(p_new, axis1=-2, axis2=-1)),
+                               cfg.eps_pd)
                 root = np.sqrt(d)
-                p_blocks[g] = p_new / root[:, None] / root[None, :]
-                gammas[g] = gammas[g] * (np.mean(d) if cfg.scalar_gamma else d)
-                lambdas[g] = new_lams[idx]
+                s.p[idx] = p_new / root[:, :, None] / root[:, None, :]
+                gam *= d.mean(axis=-1, keepdims=True) if cfg.scalar_gamma else d
+                s.lam[idx] = lam
+        for (s, idx, _, _), gam in zip(parts, gammas_new):
+            s.gamma[idx] = gam
         if cfg.learn_noise:
             residual_sq = float(np.linalg.norm(Y - Psi @ mu) ** 2)
-            n_active_coeff = sum(blocks[g].stop - blocks[g].start for g in active)
+            n_active_coeff = sum(idx.size * s.gamma.shape[1]
+                                 for s, idx, _, _ in parts)
             sigma2 = update_noise(residual_sq, sigma2, trace_term,
                                   n_active_coeff, m_count, p_eff,
                                   cfg.sigma2_floor)
 
-        if not (np.all(np.isfinite(mu)) and all(np.all(np.isfinite(gammas[g]))
-                                                for g in active)):
+        if not (np.all(np.isfinite(mu))
+                and all(np.all(np.isfinite(gam)) for gam in gammas_new)):
             raise EstimatorDivergenceError(
                 f"non-finite update at iteration {it} (sigma2={sigma2:.3g})"
             )
 
         # permanent pruning against the running scale
-        mean_q = {g: float(np.mean(np.sqrt(np.maximum(gammas[g], 0.0))))
-                  for g in active}
-        if mean_q:
-            running_max_q = max(running_max_q, max(mean_q.values()))
+        mean_q = [np.mean(np.sqrt(np.maximum(gam, 0.0)), axis=-1)
+                  for gam in gammas_new]
+        running_max_q = max(running_max_q, max(float(q.max()) for q in mean_q))
         if cfg.prune_threshold > 0 and running_max_q > 0:
             cut = cfg.prune_threshold * running_max_q
-            for g in [g for g in active if mean_q[g] < cut]:
-                active.remove(g)
-                mu[blocks[g]] = 0.0
-                sigma_blocks.pop(g, None)
+            for (s, idx, _, _), q in zip(parts, mean_q):
+                drop = idx[q < cut]
+                s.active[drop] = False
+                s.rows(mu)[drop] = 0.0
 
         if cfg.track_history:
             history.append(mu.copy())
@@ -403,14 +503,20 @@ def absbl_mmv(
         if denom > 0 and np.linalg.norm(mu - mu_prev) / denom < cfg.delta1:
             converged = True
             break
-        if not active:
+        if not any(s.active.any() for s in stacks):
             converged = True
             break
 
+    sigma_blocks = {int(s.first + g): sig
+                    for s, idx, _, sig_g in parts
+                    for g, sig in zip(idx, sig_g) if s.active[g]}
     state = PosteriorState(
-        mu=mu, sigma_blocks=sigma_blocks, gamma=gammas, p_blocks=p_blocks,
-        sigma2=sigma2, active=sorted(active), iterations=it,
-        converged=converged, history=history,
+        mu=mu, sigma_blocks=sigma_blocks,
+        gamma=[gam for s in stacks for gam in s.gamma],
+        p_blocks=[p for s in stacks for p in s.p],
+        sigma2=sigma2,
+        active=[int(s.first + g) for s in stacks for g in np.flatnonzero(s.active)],
+        iterations=it, converged=converged, history=history,
     )
     return mu, state
 
