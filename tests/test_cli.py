@@ -1,0 +1,74 @@
+"""Exit codes and outputs of the command-line entry point."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from snschan import cli
+from snschan import experiments
+
+TINY_AUC = {"experiment": "auc_vs_snr", "sweep": [5.0], "trials": 2, "seed": 3,
+            "overrides": {"N": 64, "SI_min": 16, "K": 2}}
+
+
+def write_spec(tmp_path, doc) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_run_writes_results(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["run", write_spec(tmp_path, TINY_AUC), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    lines = (out / "results.csv").read_text().splitlines()
+    assert lines[0].startswith("sweep_param,")
+    assert sorted(line.split(",")[2] for line in lines[1:]) == ["afm", "pass", "rfem"]
+    assert json.loads((out / "meta.json").read_text())["trials_errored"] == 0
+    assert "wrote 3 rows" in capsys.readouterr().out
+
+
+def test_validate(tmp_path, capsys):
+    assert cli.main(["validate", write_spec(tmp_path, TINY_AUC)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("ok: auc_vs_snr")
+
+
+def test_list_experiments(capsys):
+    assert cli.main(["list-experiments"]) == cli.EXIT_OK
+    listed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == list(experiments.EXPERIMENTS)
+
+
+def test_seed_report(tmp_path, capsys):
+    assert cli.main(["seed-report", write_spec(tmp_path, TINY_AUC)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert "spawn_key=[0, 1]" in lines[1]
+
+
+@pytest.mark.parametrize("doc", [
+    None,                                               # no such file
+    dict(TINY_AUC, experiment="no_such_experiment"),
+    dict(TINY_AUC, algorithms=["ss_absbl_mmv"]),        # not a detector
+], ids=["unreadable", "unknown-experiment", "unknown-algorithm"])
+def test_config_errors(tmp_path, capsys, doc):
+    path = str(tmp_path / "missing.json") if doc is None else write_spec(tmp_path, doc)
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failing_trials_exit_3(tmp_path, capsys, monkeypatch):
+    def broken(spec, sweep_idx, trial):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(experiments, "run_single_trial", broken)
+    out = tmp_path / "out"
+    code = cli.main(["run", write_spec(tmp_path, TINY_AUC), "--out", str(out),
+                     "--workers", "1"])
+    assert code == cli.EXIT_FAILURE
+    assert "RuntimeError: boom" in capsys.readouterr().err
+    assert not out.exists()
