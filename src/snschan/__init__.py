@@ -19,7 +19,6 @@ from .channel import (
     nonideal_mask,
     sample_vr,
     steering_vector,
-    zero_padded_angular_spectrum,
 )
 from .diffraction import Obstacle, diffraction_gain, diffraction_geometry, fresnel_cs
 from .segmentation import (
@@ -30,7 +29,6 @@ from .segmentation import (
     pass_segment,
     reweight_mcd,
     rfem_segment,
-    score_distance,
 )
 from .dhbf import (
     MeasurementPlan,
@@ -58,10 +56,10 @@ from .experiments import ExperimentSpec, ResultTable, run_experiment
 __all__ = [
     "SystemConfig", "ChannelRealization", "PathParams", "VisibilityMask",
     "assemble_channel", "ideal_mask", "nonideal_mask", "sample_vr",
-    "steering_vector", "zero_padded_angular_spectrum",
+    "steering_vector",
     "Obstacle", "diffraction_gain", "diffraction_geometry", "fresnel_cs",
     "SegmentationResult", "afm_segment", "auc_score", "mcd_univariate",
-    "pass_segment", "reweight_mcd", "rfem_segment", "score_distance",
+    "pass_segment", "reweight_mcd", "rfem_segment",
     "MeasurementPlan", "RfAllocation", "build_combiners", "decouple",
     "mef_gaa", "prune_subarrays", "simulate_reception",
     "Codebook", "EstimatorConfig", "absbl_mmv", "bsbl_baseline",

@@ -83,32 +83,23 @@ class ChannelRealization:
         return self.H.shape[1]
 
 
-def element_distances(r: float, theta: float, cfg: SystemConfig,
-                      mode: str = "exact") -> np.ndarray:
-    """Distance from the source at (r, theta) to every array element.
-
-    exact: law of cosines sqrt(r^2 + (delta_n d)^2 - 2 delta_n d r sin(theta));
-    taylor: second-order expansion r - delta_n d sin(theta)
-    + (delta_n d cos(theta))^2 / (2 r), used by estimator-side dictionaries.
-    """
+def element_distances(r: float, theta: float, cfg: SystemConfig) -> np.ndarray:
+    """Distance from the source at (r, theta) to every array element, by the
+    law of cosines sqrt(r^2 + (delta_n d)^2 - 2 delta_n d r sin(theta))."""
     if r <= 0:
         raise ValueError(f"distance must be positive, got {r}")
     a = cfg.delta_n * cfg.d
-    if mode == "exact":
-        return np.sqrt(r**2 + a**2 - 2.0 * a * r * np.sin(theta))
-    if mode == "taylor":
-        return r - a * np.sin(theta) + (a * np.cos(theta)) ** 2 / (2.0 * r)
-    raise ValueError(f"unknown mode {mode!r}")
+    return np.sqrt(r**2 + a**2 - 2.0 * a * r * np.sin(theta))
 
 
 def steering_vector(r: float, theta: float, cfg: SystemConfig,
-                    mode: str = "exact", f: float | None = None) -> np.ndarray:
+                    f: float | None = None) -> np.ndarray:
     """Near-field array response, element n = exp(-j k_w (r_n - r)) / sqrt(N).
 
     f selects the subcarrier frequency for the wavenumber (defaults to the
-    carrier). The vector has unit l2 norm in both modes.
+    carrier). The vector has unit l2 norm.
     """
-    r_n = element_distances(r, theta, cfg, mode)
+    r_n = element_distances(r, theta, cfg)
     k_w = cfg.wavenumber(f)
     return np.exp(-1j * k_w * (r_n - r)) / np.sqrt(cfg.N)
 
@@ -117,7 +108,7 @@ def ideal_mask(path: PathParams, cfg: SystemConfig) -> np.ndarray:
     """Spherical-wave amplitude taper r / r_n for an unobstructed path."""
     if path.kind != IDEAL:
         raise ValueError("ideal_mask requires an ideal path")
-    r_n = element_distances(path.r, path.theta, cfg, "exact")
+    r_n = element_distances(path.r, path.theta, cfg)
     return path.r / r_n
 
 
@@ -137,7 +128,7 @@ def nonideal_mask(path: PathParams, cfg: SystemConfig,
         raise MaskConfigurationError(
             f"t_d = {path.t_d:.4g} violates the positivity bound {bound:.4g}"
         )
-    r_n = element_distances(path.r, path.theta, cfg, "exact")
+    r_n = element_distances(path.r, path.theta, cfg)
     s = (path.r / r_n) * (path.t_d * (np.sqrt(a_n) - 1.0) + 1.0)
     if return_geometry:
         return s, {"h": h, "d1": d1, "d2": d2, "nu": nu, "A": a_n}
@@ -217,7 +208,7 @@ def path_channel(path: PathParams, cfg: SystemConfig) -> np.ndarray:
     """(N, M) contribution of one path: g e^{-j k_m r} b(r, theta; f_m) .* s."""
     if path.mask is None:
         path.mask = _default_mask(path, cfg)
-    r_n = element_distances(path.r, path.theta, cfg, "exact")
+    r_n = element_distances(path.r, path.theta, cfg)
     k_m = np.asarray(cfg.wavenumber(cfg.subcarrier_freqs))
     # g e^{-j k_m r} exp(-j k_m (r_n - r)) / sqrt(N) = g exp(-j k_m r_n) / sqrt(N)
     phases = np.exp(-1j * np.outer(r_n, k_m))
@@ -257,46 +248,3 @@ def assemble_channel(cfg: SystemConfig, paths: list[PathParams]) -> ChannelReali
         H=H, paths=paths, power=power, freqs=cfg.subcarrier_freqs,
         truth_breakpoints=breakpoints_from_masks(paths, cfg),
     )
-
-
-def zero_padded_angular_spectrum(h_vr: np.ndarray, p0: int, r0: int) -> np.ndarray:
-    """Length-(p0 + Q + r0) unnormalized DFT of h_vr padded with zeros.
-
-    Energy convention: sum_k |out|^2 = S * sum_n |h_vr|^2 with S the padded
-    length (unnormalized forward transform).
-    """
-    h_vr = np.asarray(h_vr)
-    if h_vr.ndim != 1 or h_vr.size < 1:
-        raise ValueError("h_vr must be a non-empty 1-D sequence")
-    if p0 < 0 or r0 < 0:
-        raise ValueError("pad lengths must be non-negative")
-    padded = np.concatenate([
-        np.zeros(p0, dtype=complex), h_vr.astype(complex), np.zeros(r0, dtype=complex)
-    ])
-    return np.fft.fft(padded)
-
-
-def dirichlet_interpolation(h_vr: np.ndarray, p0: int, r0: int) -> np.ndarray:
-    """Angular spectrum of the padded sequence via Dirichlet-kernel interpolation.
-
-    Evaluates, for k = 0..S-1 with S = p0 + Q + r0,
-    e^{-j 2 pi k p0 / S} sum_m (h_a(m)/Q) (1 - e^{-j 2 pi k Q / S})
-    / (1 - e^{j (2 pi / Q)(m - k Q / S)}), where h_a is the length-Q DFT of
-    h_vr; removable singularities at m = k Q / S take their limit value h_a(m).
-    Equals the zero-padded DFT exactly; kept as the under-segmentation
-    diagnostic showing how padding interpolates the angular representation.
-    """
-    h_vr = np.asarray(h_vr, dtype=complex)
-    q = h_vr.size
-    s = p0 + q + r0
-    h_a = np.fft.fft(h_vr)                     # length-Q angular representation
-    k = np.arange(s)[:, None]                  # (S, 1)
-    m = np.arange(q)[None, :]                  # (1, Q)
-    x = m - k * q / s                          # argument of the kernel
-    denom = 1.0 - np.exp(1j * 2.0 * np.pi / q * x)
-    numer = 1.0 - np.exp(-1j * 2.0 * np.pi * k * q / s)
-    singular = np.isclose(denom, 0.0, atol=1e-12)
-    ratio = np.where(singular, float(q), np.divide(numer, np.where(singular, 1.0, denom)))
-    out = (np.exp(-1j * 2.0 * np.pi * k.ravel() * p0 / s)
-           * (ratio @ h_a) / q)
-    return out

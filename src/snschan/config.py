@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,18 +77,6 @@ class SystemConfig:
     def aperture(self) -> float:
         """Physical array length (N - 1) * d."""
         return (self.N - 1) * self.d
-
-    def fresnel_distance(self) -> float:
-        """0.62 * sqrt(D^3 / lambda) with D = (N-1)d, computed from first principles."""
-        return 0.62 * np.sqrt(self.aperture**3 / self.wavelength)
-
-    def rayleigh_distance(self) -> float:
-        """2 D^2 / lambda with D = (N-1)d, computed from first principles."""
-        return 2.0 * self.aperture**2 / self.wavelength
-
-    def with_overrides(self, **kwargs: Any) -> "SystemConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
         return {

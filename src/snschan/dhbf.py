@@ -51,10 +51,6 @@ class RfAllocation:
     def subarrays_per_chain(self) -> list[int]:
         return [len(cls) for cls in self.classes]
 
-    @property
-    def class_loads(self) -> list[int]:
-        return [sum(len(self.subarrays[j]) for j in cls) for cls in self.classes]
-
 
 @dataclass
 class MeasurementPlan:
@@ -239,14 +235,3 @@ def decouple(y: np.ndarray, plan: MeasurementPlan) -> list[SubarrayObservations]
         y_sub = np.array(obs) if obs else np.zeros((0, m), dtype=complex)
         out.append(SubarrayObservations(y=y_sub, phi=phi, elements=elems))
     return out
-
-
-def measurement_snr_sigma2(H: np.ndarray, snr_db: float) -> float:
-    """Noise variance giving the requested per-measurement SNR.
-
-    With unit-norm combiner rows of i.i.d. phases, the mean measurement
-    signal power equals the mean per-element channel power, so
-    sigma_n^2 = mean |H|^2 * 10^(-SNR/10).
-    """
-    mean_power = float(np.mean(np.abs(H) ** 2))
-    return mean_power * 10.0 ** (-snr_db / 10.0)

@@ -62,10 +62,6 @@ class Codebook:
     D: np.ndarray      # (N_sub, N_sub)
     grid: np.ndarray   # z_k = sin(theta_k)
 
-    @property
-    def angles(self) -> np.ndarray:
-        return np.arcsin(self.grid)
-
 
 def atom_response(n_sub: int, z: np.ndarray) -> np.ndarray:
     """Array response columns exp(j pi n z) / sqrt(N) for half-wavelength spacing."""
@@ -117,7 +113,6 @@ class EstimatorConfig:
     armijo_shrink: float = 0.5
     armijo_slope: float = 1e-4
     max_backtracks: int = 40
-    track_history: bool = False
 
 
 @dataclass
@@ -132,7 +127,7 @@ class PosteriorState:
     active: list[int]
     iterations: int
     converged: bool
-    history: list[np.ndarray] = field(default_factory=list)
+    history: list[np.ndarray] = field(default_factory=list)  # mu per iteration
 
 
 @dataclass
@@ -429,7 +424,6 @@ def absbl_mmv(
     it = 0
 
     for it in range(1, cfg.t_ite + 1):
-        mu_prev = mu.copy()
         parts, trace_term = _posterior(Y, Psi, stacks, sigma2)
         mu = np.zeros((n_sub, m_count), dtype=complex)
         r_bars = []
@@ -497,11 +491,11 @@ def absbl_mmv(
                 s.active[drop] = False
                 s.rows(mu)[drop] = 0.0
 
-        if cfg.track_history:
-            history.append(mu.copy())
-        denom = np.linalg.norm(mu_prev)
-        if denom > 0 and np.linalg.norm(mu - mu_prev) / denom < cfg.delta1:
-            converged = True
+        denom = np.linalg.norm(history[-1]) if history else 0.0
+        converged = bool(denom > 0 and
+                         np.linalg.norm(mu - history[-1]) / denom < cfg.delta1)
+        history.append(mu)
+        if converged:
             break
         if not any(s.active.any() for s in stacks):
             converged = True

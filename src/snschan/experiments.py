@@ -14,27 +14,32 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
+from .channel import ChannelRealization
 from .config import SystemConfig
-from .estimator import EstimatorConfig, nmse
+from .estimator import EstimatorConfig, dft_codebook, nmse
 from .pipeline import (
     ARCHITECTURES,
+    DETECTORS,
     ON_GRID_ALGORITHMS,
     OFF_GRID_ALGORITHMS,
     SEGMENTATION_VARIANTS,
     bcrb_nmse_bound,
     estimate_channel,
-    estimate_with_trace,
     measure_power,
     measure_scene,
-    run_segmentation_trial,
 )
 from .scenario import ScenarioOptions, generate_scenario
+from .segmentation import auc_score
+
+Record = tuple[str, str, float, float]   # (algorithm, metric, value, runtime_ms)
 
 
 class ConfigError(ValueError):
@@ -46,6 +51,139 @@ class ExperimentFailure(RuntimeError):
 
 
 @dataclass
+class _Cell:
+    """The inputs of one (sweep value, trial) cell."""
+
+    spec: ExperimentSpec
+    value: Any
+    cfg: SystemConfig
+    rng: np.random.Generator
+    snr_db: float
+    est_cfg: EstimatorConfig
+
+
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1e3
+
+
+def _scene(c: _Cell) -> ChannelRealization:
+    """The cell's scene, with the swept or configured t_d."""
+    t_d = c.spec.params.get("t_d", 1.0)
+    if EXPERIMENTS[c.spec.experiment].sweep_param == "t_d":
+        t_d = float(c.value)
+    opts = ScenarioOptions(t_d=t_d, p_nonideal=0.5 if t_d > 0 else 0.0)
+    return generate_scenario(c.cfg, c.rng, opts)
+
+
+def _nmse_rows(c: _Cell, chan: ChannelRealization, architecture: str) -> list[Record]:
+    """NMSE per estimator and the BCRB row, all on one measurement.
+
+    The bound reads the posteriors of the joint ABSBL fit that
+    ss_absbl_mmv or ss_og_absbl_mmv already made (both make the same
+    absbl_mmv call), so it comes last and fits its own only when neither
+    was requested.
+    """
+    meas = measure_scene(chan, c.cfg, c.rng, c.snr_db,
+                         architecture=c.spec.params.get("architecture", architecture))
+    records = []
+    states = None
+    for algo in sorted(c.spec.algorithms, key=lambda a: a == "bcrb"):
+        t0 = time.perf_counter()
+        if algo == "bcrb":
+            if states is None:
+                _, states = estimate_channel(meas, "ss_absbl_mmv", c.est_cfg)
+            records.append((algo, "nmse_bound", bcrb_nmse_bound(meas, states),
+                            _ms_since(t0)))
+            continue
+        h_hat, fit = estimate_channel(meas, algo, c.est_cfg)
+        if algo in ("ss_absbl_mmv", "ss_og_absbl_mmv"):
+            states = fit
+        records.append((algo, "nmse", nmse(h_hat, chan.H), _ms_since(t0)))
+    return records
+
+
+def _nmse_cell(c: _Cell) -> list[Record]:
+    return _nmse_rows(c, _scene(c), "dhbf_mef_gaa")
+
+
+def _distance_cell(c: _Cell) -> list[Record]:
+    """A fully visible scene at the swept distance, fully connected by
+    default."""
+    r = float(c.value)
+    opts = ScenarioOptions.full_visibility(r_range=(r, r))
+    return _nmse_rows(c, generate_scenario(c.cfg, c.rng, opts), "fully_connected")
+
+
+def _convergence_cell(c: _Cell) -> list[Record]:
+    """NMSE of the full-array iterate after each EM iteration; subarrays
+    that stop early hold their final estimate in later iterations."""
+    chan = _scene(c)
+    meas = measure_scene(chan, c.cfg, c.rng, c.snr_db)
+    records = []
+    for algo in c.spec.algorithms:
+        t0 = time.perf_counter()
+        _, states = estimate_channel(meas, algo, c.est_cfg)
+        fits = [(obs.elements, dft_codebook(obs.elements.size).D, state.history)
+                for obs, state in zip(meas.observations, states) if state is not None]
+        n_iter = max((len(hist) for _, _, hist in fits), default=0)
+        traces = []
+        for t in range(n_iter):
+            h_hat = np.zeros_like(chan.H)
+            for elements, d, hist in fits:
+                h_hat[elements] = d @ hist[min(t, len(hist) - 1)]
+            traces.append(h_hat)
+        dt = _ms_since(t0) / max(n_iter, 1)
+        records += [(algo, f"nmse_iter_{t:03d}", nmse(h_hat, chan.H), dt)
+                    for t, h_hat in enumerate(traces, start=1)]
+    return records
+
+
+def _architecture_cell(c: _Cell) -> list[Record]:
+    """NMSE of one estimator under each receiver architecture."""
+    chan = _scene(c)
+    estimator = c.spec.params.get("estimator", "ss_absbl_mmv")
+    records = []
+    for arch in c.spec.algorithms:
+        sub_rng = np.random.default_rng(c.rng.integers(2**63))
+        t0 = time.perf_counter()
+        meas = measure_scene(chan, c.cfg, sub_rng, c.snr_db, architecture=arch)
+        h_hat, _ = estimate_channel(meas, estimator, c.est_cfg)
+        records.append((arch, "nmse", nmse(h_hat, chan.H), _ms_since(t0)))
+    return records
+
+
+def _ablation_cell(c: _Cell) -> list[Record]:
+    """NMSE of one estimator under each segmentation variant of one power
+    profile."""
+    chan = _scene(c)
+    estimator = c.spec.params.get("estimator", "ss_absbl_mmv")
+    profile = measure_power(chan, c.rng, c.snr_db)
+    records = []
+    for variant in c.spec.algorithms:
+        sub_rng = np.random.default_rng(c.rng.integers(2**63))
+        t0 = time.perf_counter()
+        meas = measure_scene(chan, c.cfg, sub_rng, c.snr_db,
+                             seg_variant=variant, profile=profile)
+        h_hat, _ = estimate_channel(meas, estimator, c.est_cfg)
+        records.append((variant, "nmse", nmse(h_hat, chan.H), _ms_since(t0)))
+    return records
+
+
+def _auc_cell(c: _Cell) -> list[Record]:
+    """AUC of each detector against the truth, timed on its own."""
+    chan = _scene(c)
+    profile = measure_power(chan, c.rng, c.snr_db)
+    w = c.cfg.SI_min
+    records = []
+    for det in c.spec.algorithms:
+        t0 = time.perf_counter()
+        auc = auc_score(DETECTORS[det](profile, w), chan.truth_breakpoints,
+                        max(1, w // 8))
+        records.append((det, "auc", auc, _ms_since(t0)))
+    return records
+
+
+@dataclass
 class ExperimentDef:
     sweep_param: str
     default_sweep: tuple
@@ -53,9 +191,11 @@ class ExperimentDef:
     allowed: tuple[str, ...]
     overrides: dict
     params: dict
+    cell: Callable[[_Cell], list[Record]]
 
 
 _NMSE_ALGOS = ON_GRID_ALGORITHMS + OFF_GRID_ALGORITHMS
+_DETECTORS = tuple(DETECTORS)
 _DESK = {"N": 256, "M": 5, "K": 3, "L": 3, "SI_min": 32, "N_RF": 4, "P": 32}
 _SEG_SCENE = {"N": 512, "M": 5, "K": 6, "L": 3, "SI_min": 64, "N_RF": 4, "P": 32}
 
@@ -63,53 +203,52 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
     "nmse_vs_snr": ExperimentDef(
         "snr_db", (0.0, 5.0, 10.0, 15.0, 20.0),
         ("ss_absbl_mmv", "ss_absbl", "ss_bsbl", "ss_somp"), _NMSE_ALGOS,
-        dict(_DESK), {"t_d": 1.0},
+        dict(_DESK), {"t_d": 1.0}, _nmse_cell,
     ),
     "nmse_vs_pilots": ExperimentDef(
         "P", (16, 32, 64),
         ("ss_absbl_mmv", "ss_absbl", "ss_bsbl", "ss_somp"), _NMSE_ALGOS,
-        dict(_DESK), {"snr_db": 10.0, "t_d": 1.0},
+        dict(_DESK), {"snr_db": 10.0, "t_d": 1.0}, _nmse_cell,
     ),
     "nmse_vs_paths": ExperimentDef(
         "L", (2, 4, 6, 8, 10),
         ("ss_absbl_mmv", "ss_absbl", "ss_somp"), _NMSE_ALGOS,
-        dict(_DESK, P=64), {"snr_db": 15.0, "t_d": 1.0},
+        dict(_DESK, P=64), {"snr_db": 15.0, "t_d": 1.0}, _nmse_cell,
     ),
     "nmse_vs_distance": ExperimentDef(
         "distance_m", (1.5, 3.0, 6.0, 10.0, 20.0, 31.5),
         ("ss_absbl_mmv", "ss_absbl", "ss_somp", "bcrb"),
         _NMSE_ALGOS + ("bcrb",),
-        dict(_DESK, N=128, K=1, P=20), {"snr_db": 10.0},
+        dict(_DESK, N=128, K=1, P=20), {"snr_db": 10.0}, _distance_cell,
     ),
     "convergence": ExperimentDef(
         "snr_db", (10.0, 15.0),
         ("ss_absbl_mmv",), ("ss_absbl_mmv",),
-        dict(_DESK, P=40), {"t_d": 1.0},
+        dict(_DESK, P=40), {"t_d": 1.0}, _convergence_cell,
     ),
     "auc_vs_snr": ExperimentDef(
         "snr_db", (-5.0, 0.0, 5.0, 10.0, 15.0),
-        ("pass", "rfem", "afm"), ("pass", "rfem", "afm"),
-        dict(_SEG_SCENE), {"t_d": 1.5},
+        _DETECTORS, _DETECTORS, dict(_SEG_SCENE), {"t_d": 1.5}, _auc_cell,
     ),
     "auc_vs_K": ExperimentDef(
         "K", (2, 4, 6, 8),
-        ("pass", "rfem", "afm"), ("pass", "rfem", "afm"),
-        dict(_SEG_SCENE), {"snr_db": 5.0, "t_d": 1.5},
+        _DETECTORS, _DETECTORS, dict(_SEG_SCENE), {"snr_db": 5.0, "t_d": 1.5},
+        _auc_cell,
     ),
     "auc_vs_td": ExperimentDef(
         "t_d", (0.5, 1.0, 1.5, 2.0),
-        ("pass", "rfem", "afm"), ("pass", "rfem", "afm"),
-        dict(_SEG_SCENE), {"snr_db": 5.0},
+        _DETECTORS, _DETECTORS, dict(_SEG_SCENE), {"snr_db": 5.0}, _auc_cell,
     ),
     "architecture_compare": ExperimentDef(
         "P", (16, 32),
         ARCHITECTURES, ARCHITECTURES,
         dict(_DESK), {"snr_db": 10.0, "estimator": "ss_absbl_mmv", "t_d": 1.0},
+        _architecture_cell,
     ),
     "segmentation_ablation": ExperimentDef(
         "snr_db", (10.0,),
         SEGMENTATION_VARIANTS, SEGMENTATION_VARIANTS,
-        dict(_DESK), {"estimator": "ss_absbl_mmv", "t_d": 1.0},
+        dict(_DESK), {"estimator": "ss_absbl_mmv", "t_d": 1.0}, _ablation_cell,
     ),
 }
 
@@ -228,101 +367,22 @@ def _build_config(spec: ExperimentSpec, sweep_value) -> SystemConfig:
         raise ConfigError(str(err)) from err
 
 
-def _scenario_options(spec: ExperimentSpec, sweep_value) -> ScenarioOptions:
-    exp = EXPERIMENTS[spec.experiment]
-    t_d = spec.params.get("t_d", 1.0)
-    if exp.sweep_param == "t_d":
-        t_d = float(sweep_value)
-    if spec.experiment == "nmse_vs_distance":
-        r = float(sweep_value)
-        return ScenarioOptions.full_visibility(r_range=(r, r))
-    return ScenarioOptions(t_d=t_d, p_nonideal=0.5 if t_d > 0 else 0.0)
-
-
 def _estimator_config(spec: ExperimentSpec) -> EstimatorConfig:
     kwargs = spec.params.get("estimator_config", {})
     return EstimatorConfig(**kwargs)
 
 
 def run_single_trial(spec: ExperimentSpec, sweep_idx: int,
-                     trial: int) -> list[tuple[str, str, float, float]]:
+                     trial: int) -> list[Record]:
     """Execute one (sweep value, trial) cell; returns (algo, metric, value,
     runtime_ms) records."""
     exp = EXPERIMENTS[spec.experiment]
     value = spec.sweep[sweep_idx]
-    rng = spec.child_rng(sweep_idx, trial)
-    cfg = _build_config(spec, value)
-    opts = _scenario_options(spec, value)
     snr_db = float(value) if exp.sweep_param == "snr_db" else \
         float(spec.params.get("snr_db", 10.0))
-    est_cfg = _estimator_config(spec)
-    records: list[tuple[str, str, float, float]] = []
-
-    if spec.experiment in ("auc_vs_snr", "auc_vs_K", "auc_vs_td"):
-        t0 = time.perf_counter()
-        aucs = run_segmentation_trial(cfg, rng, snr_db, list(spec.algorithms),
-                                      opts=opts)
-        dt = (time.perf_counter() - t0) * 1e3 / max(len(aucs), 1)
-        for det, auc in aucs.items():
-            records.append((det, "auc", auc, dt))
-        return records
-
-    chan = generate_scenario(cfg, rng, opts)
-
-    if spec.experiment == "convergence":
-        meas = measure_scene(chan, cfg, rng, snr_db)
-        for algo in spec.algorithms:
-            t0 = time.perf_counter()
-            traces = estimate_with_trace(meas, est_cfg)
-            dt = (time.perf_counter() - t0) * 1e3
-            for t, h_hat in enumerate(traces, start=1):
-                records.append((algo, f"nmse_iter_{t:03d}",
-                                nmse(h_hat, chan.H), dt / max(len(traces), 1)))
-        return records
-
-    if spec.experiment == "architecture_compare":
-        estimator = spec.params.get("estimator", "ss_absbl_mmv")
-        for arch in spec.algorithms:
-            sub_rng = np.random.default_rng(rng.integers(2**63))
-            t0 = time.perf_counter()
-            meas = measure_scene(chan, cfg, sub_rng, snr_db, architecture=arch)
-            h_hat = estimate_channel(meas, estimator, est_cfg)
-            dt = (time.perf_counter() - t0) * 1e3
-            records.append((arch, "nmse", nmse(h_hat, chan.H), dt))
-        return records
-
-    if spec.experiment == "segmentation_ablation":
-        estimator = spec.params.get("estimator", "ss_absbl_mmv")
-        profile = measure_power(chan, rng, snr_db)
-        for variant in spec.algorithms:
-            sub_rng = np.random.default_rng(rng.integers(2**63))
-            t0 = time.perf_counter()
-            meas = measure_scene(chan, cfg, sub_rng, snr_db,
-                                 seg_variant=variant, profile=profile)
-            h_hat = estimate_channel(meas, estimator, est_cfg)
-            dt = (time.perf_counter() - t0) * 1e3
-            records.append((variant, "nmse", nmse(h_hat, chan.H), dt))
-        return records
-
-    # nmse_vs_snr / nmse_vs_pilots / nmse_vs_paths / nmse_vs_distance
-    architecture = spec.params.get(
-        "architecture",
-        "fully_connected" if spec.experiment == "nmse_vs_distance"
-        else "dhbf_mef_gaa",
-    )
-    meas = measure_scene(chan, cfg, rng, snr_db, architecture=architecture)
-    for algo in spec.algorithms:
-        t0 = time.perf_counter()
-        if algo == "bcrb":
-            val = bcrb_nmse_bound(meas, est_cfg)
-            metric = "nmse_bound"
-        else:
-            h_hat = estimate_channel(meas, algo, est_cfg)
-            val = nmse(h_hat, chan.H)
-            metric = "nmse"
-        dt = (time.perf_counter() - t0) * 1e3
-        records.append((algo, metric, val, dt))
-    return records
+    return exp.cell(_Cell(spec, value, _build_config(spec, value),
+                          spec.child_rng(sweep_idx, trial), snr_db,
+                          _estimator_config(spec)))
 
 
 def _trial_worker(payload: tuple[dict, int, int]):
@@ -346,15 +406,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
              for i in range(len(spec.sweep)) for t in range(spec.trials)]
     results = {}
     errors: list[str] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for sweep_idx, trial, recs, err in pool.map(_trial_worker, tasks):
-                results[(sweep_idx, trial)] = recs
-                if err:
-                    errors.append(f"sweep={spec.sweep[sweep_idx]} trial={trial}: {err}")
-    else:
-        for payload in tasks:
-            sweep_idx, trial, recs, err = _trial_worker(payload)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        for sweep_idx, trial, recs, err in (pool.map if pool else map)(
+                _trial_worker, tasks):
             results[(sweep_idx, trial)] = recs
             if err:
                 errors.append(f"sweep={spec.sweep[sweep_idx]} trial={trial}: {err}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,28 +22,34 @@ from .dhbf import (
     simulate_reception,
 )
 from .estimator import (
-    Codebook,
     EstimatorConfig,
     PosteriorState,
     absbl_mmv,
     bsbl_baseline,
     dft_codebook,
-    nmse,
     offgrid_refine,
     somp_baseline,
 )
-from .scenario import ScenarioOptions, generate_scenario
 from .segmentation import SegmentationResult, afm_segment, pass_segment, rfem_segment
 
-ON_GRID_ALGORITHMS = ("ss_absbl_mmv", "ss_absbl", "ss_bsbl", "ss_somp")
-OFF_GRID_ALGORITHMS = ("ss_og_absbl_mmv", "ss_og_absbl")
 ARCHITECTURES = ("dhbf_mef_gaa", "dhbf_random", "fully_connected")
 SEGMENTATION_VARIANTS = ("pass", "oracle", "equal4", "under", "over")
+# detector -> segmentation of a power profile under the window w
+DETECTORS: dict[str, Callable[[np.ndarray, int], SegmentationResult]] = {
+    "pass": lambda profile, w: pass_segment(profile, w),
+    "rfem": lambda profile, w: rfem_segment(profile),
+    "afm": lambda profile, w: afm_segment(profile, fit_width=w // 2),
+}
 
 
-def measurement_noise_variance(chan: ChannelRealization, snr_db: float) -> float:
-    """sigma_n^2 for a per-measurement SNR against the mean element power."""
-    mean_power = float(np.mean(np.abs(chan.H) ** 2))
+def measurement_noise_variance(H: np.ndarray, snr_db: float) -> float:
+    """Noise variance giving the requested per-measurement SNR.
+
+    With unit-norm combiner rows of i.i.d. phases, the mean measurement
+    signal power equals the mean per-element channel power, so
+    sigma_n^2 = mean |H|^2 * 10^(-SNR/10).
+    """
+    mean_power = float(np.mean(np.abs(H) ** 2))
     return mean_power * 10.0 ** (-snr_db / 10.0)
 
 
@@ -51,7 +58,7 @@ def measure_power(chan: ChannelRealization, rng: np.random.Generator,
     """Per-element power profile |sum_m (h_nm + w_nm)|^2 at the given SNR."""
     if snr_db is None:
         return chan.power.copy()
-    sigma2 = measurement_noise_variance(chan, snr_db)
+    sigma2 = measurement_noise_variance(chan.H, snr_db)
     noise = np.sqrt(sigma2 / 2.0) * (
         rng.standard_normal(chan.H.shape) + 1j * rng.standard_normal(chan.H.shape)
     )
@@ -134,7 +141,7 @@ def measure_scene(
     profile: np.ndarray | None = None,
 ) -> TrialMeasurement:
     """Run power measurement, segmentation, allocation, reception, decoupling."""
-    sigma2 = measurement_noise_variance(chan, snr_db)
+    sigma2 = measurement_noise_variance(chan.H, snr_db)
     if architecture == "fully_connected":
         n = cfg.N
         seg = SegmentationResult(breakpoints=np.array([1, n + 1]),
@@ -160,13 +167,57 @@ def measure_scene(
                             sigma2=sigma2)
 
 
+def _absbl(y, psi, cfg, sigma2):
+    return absbl_mmv(y, psi, cfg, sigma2=sigma2)
+
+
+def _bsbl(y, psi, cfg, sigma2):
+    return bsbl_baseline(y, psi, cfg, sigma2=sigma2)
+
+
+def _somp(y, psi, cfg, sigma2):
+    """SOMP stopped once the residual reaches the noise floor; no posterior."""
+    rel_noise = np.sqrt(y.size * sigma2) / max(np.linalg.norm(y), 1e-300)
+    x_hat = somp_baseline(y, psi, max_atoms=min(y.shape[0], psi.shape[1]),
+                          residual_tol=min(1.0, float(rel_noise)))
+    return x_hat, None
+
+
+class _Algorithm(NamedTuple):
+    """How an estimator name maps onto a learner.
+
+    learner(Y, Psi, cfg, sigma2) -> (X, PosteriorState | None); joint runs
+    it once over all subcarriers, otherwise once per subcarrier; off_grid
+    refines the selected grid angles afterwards.
+    """
+
+    learner: Callable
+    joint: bool
+    off_grid: bool
+
+
+# The learners look the estimators up by module-global name at call time,
+# so a wrapper installed on a module attribute sees every call.
+_ALGORITHMS: dict[str, _Algorithm] = {
+    "ss_absbl_mmv": _Algorithm(_absbl, joint=True, off_grid=False),
+    "ss_absbl": _Algorithm(_absbl, joint=False, off_grid=False),
+    "ss_bsbl": _Algorithm(_bsbl, joint=False, off_grid=False),
+    "ss_somp": _Algorithm(_somp, joint=True, off_grid=False),
+    "ss_og_absbl_mmv": _Algorithm(_absbl, joint=True, off_grid=True),
+    "ss_og_absbl": _Algorithm(_absbl, joint=False, off_grid=True),
+}
+ON_GRID_ALGORITHMS = tuple(a for a, spec in _ALGORITHMS.items() if not spec.off_grid)
+OFF_GRID_ALGORITHMS = tuple(a for a, spec in _ALGORITHMS.items() if spec.off_grid)
+
+
 def _estimate_subarray(
     obs: SubarrayObservations,
-    algorithm: str,
+    algo: _Algorithm,
     est_cfg: EstimatorConfig,
     sigma2: float,
 ) -> tuple[np.ndarray, PosteriorState | None]:
-    """Channel block estimate (N_sub, M) for one subarray.
+    """Channel block estimate (N_sub, M) for one subarray, and the posterior
+    of a joint learner (None otherwise).
 
     The receiver knows its own noise floor, so the Bayesian learners run
     with the true sigma2 fixed; EM noise learning stays available on the
@@ -178,26 +229,14 @@ def _estimate_subarray(
         return np.zeros((n_sub, m_count), dtype=complex), None
     book = dft_codebook(n_sub)
     psi = obs.phi @ book.D
-    if algorithm == "ss_somp":
-        rel_noise = np.sqrt(obs.y.size * sigma2) / max(np.linalg.norm(obs.y), 1e-300)
-        x_hat = somp_baseline(obs.y, psi,
-                              max_atoms=min(obs.y.shape[0], n_sub),
-                              residual_tol=min(1.0, float(rel_noise)))
-        return book.D @ x_hat, None
     cfg_fixed = replace(est_cfg, learn_noise=False)
-    if algorithm in ("ss_absbl_mmv", "ss_og_absbl_mmv"):
-        x_hat, state = absbl_mmv(obs.y, psi, cfg_fixed, sigma2=sigma2)
-    elif algorithm in ("ss_absbl", "ss_og_absbl", "ss_bsbl"):
-        runner = bsbl_baseline if algorithm == "ss_bsbl" else absbl_mmv
-        cols = []
-        state = None
-        for m in range(m_count):
-            x_m, state = runner(obs.y[:, m:m + 1], psi, cfg_fixed, sigma2=sigma2)
-            cols.append(x_m[:, 0])
-        x_hat = np.stack(cols, axis=1)
+    if algo.joint:
+        x_hat, state = algo.learner(obs.y, psi, cfg_fixed, sigma2)
     else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if algorithm in OFF_GRID_ALGORITHMS:
+        cols = [algo.learner(obs.y[:, m:m + 1], psi, cfg_fixed, sigma2)[0]
+                for m in range(m_count)]
+        x_hat, state = np.concatenate(cols, axis=1), None
+    if algo.off_grid:
         _, x_hat, h_hat = offgrid_refine(obs.y, obs.phi, book, x_hat, est_cfg)
         return h_hat, state
     return book.D @ x_hat, state
@@ -207,68 +246,40 @@ def estimate_channel(
     meas: TrialMeasurement,
     algorithm: str,
     est_cfg: EstimatorConfig | None = None,
-) -> np.ndarray:
-    """Assemble the full-array estimate from per-subarray runs."""
-    if est_cfg is None:
-        est_cfg = EstimatorConfig()
-    chan = meas.chan
-    h_hat = np.zeros_like(chan.H)
-    for obs in meas.observations:
-        block, _ = _estimate_subarray(obs, algorithm, est_cfg, meas.sigma2)
-        h_hat[obs.elements] = block
-    return h_hat
+) -> tuple[np.ndarray, list[PosteriorState | None]]:
+    """Assemble the full-array estimate from per-subarray runs.
 
-
-def estimate_with_trace(
-    meas: TrialMeasurement,
-    est_cfg: EstimatorConfig | None = None,
-) -> list[np.ndarray]:
-    """Per-iteration full-array estimates of the joint learner.
-
-    Subarrays that converge early hold their final estimate in later
-    iterations.
+    Also returns, per subarray, the posterior of the joint learner's single
+    run (None for empty subarrays and for SOMP and the per-subcarrier
+    learners), from which the convergence trace and the BCRB are read.
     """
+    algo = _ALGORITHMS.get(algorithm)
+    if algo is None:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     if est_cfg is None:
         est_cfg = EstimatorConfig()
-    est_cfg = replace(est_cfg, track_history=True, learn_noise=False)
-    chan = meas.chan
-    histories = []
+    h_hat = np.zeros_like(meas.chan.H)
+    states = []
     for obs in meas.observations:
-        n_sub = obs.elements.size
-        if obs.y.shape[0] == 0 or n_sub == 0:
-            histories.append((obs, None, []))
-            continue
-        book = dft_codebook(n_sub)
-        psi = obs.phi @ book.D
-        _, state = absbl_mmv(obs.y, psi, est_cfg, sigma2=meas.sigma2)
-        histories.append((obs, book, state.history))
-    n_iter = max((len(h) for _, _, h in histories), default=0)
-    traces = []
-    for t in range(n_iter):
-        h_hat = np.zeros_like(chan.H)
-        for obs, book, hist in histories:
-            if not hist:
-                continue
-            x_t = hist[min(t, len(hist) - 1)]
-            h_hat[obs.elements] = book.D @ x_t
-        traces.append(h_hat)
-    return traces
+        block, state = _estimate_subarray(obs, algo, est_cfg, meas.sigma2)
+        h_hat[obs.elements] = block
+        states.append(state)
+    return h_hat, states
 
 
-def bcrb_nmse_bound(meas: TrialMeasurement, est_cfg: EstimatorConfig | None = None) -> float:
-    """BCRB on the NMSE: per-subarray bounds with the learned prior, summed
-    and normalized by the realized channel energy."""
-    if est_cfg is None:
-        est_cfg = EstimatorConfig()
+def bcrb_nmse_bound(meas: TrialMeasurement,
+                    states: list[PosteriorState | None]) -> float:
+    """BCRB on the NMSE: per-subarray bounds with the learned prior of the
+    joint learner's posteriors `states` (as `estimate_channel` returns them),
+    summed and normalized by the realized channel energy."""
     total = 0.0
-    for obs in meas.observations:
+    for obs, state in zip(meas.observations, states, strict=True):
         n_sub = obs.elements.size
         if obs.y.shape[0] == 0 or n_sub == 0:
             continue
-        book = dft_codebook(n_sub)
-        psi = obs.phi @ book.D
-        _, state = absbl_mmv(obs.y, psi, replace(est_cfg, learn_noise=False),
-                             sigma2=meas.sigma2)
+        if state is None:
+            raise ValueError("the bound needs the joint learner's posterior")
+        psi = obs.phi @ dft_codebook(n_sub).D
         v_s = np.zeros((n_sub, n_sub), dtype=complex)
         edges = np.cumsum([0] + [g.size for g in state.gamma])
         for g, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
@@ -280,53 +291,3 @@ def bcrb_nmse_bound(meas: TrialMeasurement, est_cfg: EstimatorConfig | None = No
             total += bcrb_bound(psi, v_s, state.sigma2, m_count=obs.y.shape[1])
     denom = float(np.linalg.norm(meas.chan.H) ** 2)
     return total / denom if denom > 0 else float("nan")
-
-
-def run_trial(
-    cfg: SystemConfig,
-    rng: np.random.Generator,
-    snr_db: float,
-    algorithms: list[str],
-    opts: ScenarioOptions | None = None,
-    architecture: str = "dhbf_mef_gaa",
-    seg_variant: str = "pass",
-    est_cfg: EstimatorConfig | None = None,
-) -> dict[str, float]:
-    """One seeded end-to-end trial; NMSE per requested algorithm."""
-    chan = generate_scenario(cfg, rng, opts)
-    meas = measure_scene(chan, cfg, rng, snr_db, architecture=architecture,
-                         seg_variant=seg_variant)
-    out = {}
-    for algo in algorithms:
-        h_hat = estimate_channel(meas, algo, est_cfg)
-        out[algo] = nmse(h_hat, chan.H)
-    return out
-
-
-def run_segmentation_trial(
-    cfg: SystemConfig,
-    rng: np.random.Generator,
-    snr_db: float,
-    detectors: list[str],
-    opts: ScenarioOptions | None = None,
-    window: int | None = None,
-) -> dict[str, float]:
-    """One seeded segmentation trial; AUC per detector against truth."""
-    from .segmentation import auc_score
-
-    chan = generate_scenario(cfg, rng, opts)
-    profile = measure_power(chan, rng, snr_db)
-    w = cfg.SI_min if window is None else window
-    match_tol = max(1, w // 8)
-    out = {}
-    for det in detectors:
-        if det == "pass":
-            res = pass_segment(profile, w)
-        elif det == "rfem":
-            res = rfem_segment(profile)
-        elif det == "afm":
-            res = afm_segment(profile, fit_width=w // 2)
-        else:
-            raise ValueError(f"unknown detector {det!r}")
-        out[det] = auc_score(res, chan.truth_breakpoints, match_tol)
-    return out

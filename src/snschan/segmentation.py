@@ -23,19 +23,6 @@ _VAR_FLOOR_REL = 1e-12
 
 
 @dataclass
-class WindowStats:
-    """Raw and reweighted MCD location/scale of one window."""
-
-    mu0: float
-    sigma0: float
-    mu_mcd: float
-    sigma_mcd: float
-    h: int
-    c0: float
-    c1: float = _C1
-
-
-@dataclass
 class SegmentationResult:
     """Sorted breakpoints plus the per-element detection diagnostics."""
 
@@ -64,11 +51,6 @@ def mcd_consistency_c0(h: int, w: int) -> float:
     if alpha >= 1.0:
         return 1.0
     return alpha / float(stats.chi2.cdf(stats.chi2.ppf(alpha, 1), 3))
-
-
-def _variance_floor(window: np.ndarray) -> float:
-    mean = float(np.mean(window))
-    return max(_VAR_FLOOR_REL * mean * mean, 1e-300)
 
 
 def _mcd_batch(windows: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,24 +108,6 @@ def reweight_mcd(window: np.ndarray, mu0: float, sigma0: float) -> tuple[float, 
     window = np.asarray(window, dtype=float)
     mu, var = _reweight_batch(window[None, :], np.array([mu0]), np.array([sigma0]))
     return float(mu[0]), float(var[0])
-
-
-def window_stats(window: np.ndarray, h: int | None = None) -> WindowStats:
-    """Full R-MCD statistics of one window (h defaults to ceil(0.75 W))."""
-    window = np.asarray(window, dtype=float)
-    w = window.size
-    if h is None:
-        h = int(np.ceil(0.75 * w))
-    mu0, sigma0 = mcd_univariate(window, h)
-    mu_mcd, sigma_mcd = reweight_mcd(window, mu0, sigma0)
-    return WindowStats(mu0=mu0, sigma0=sigma0, mu_mcd=mu_mcd,
-                       sigma_mcd=sigma_mcd, h=h, c0=mcd_consistency_c0(h, w))
-
-
-def score_distance(p_last: float, stats_w: WindowStats, floor: float = 1e-300) -> float:
-    """Mahalanobis distance of a sample from the reweighted window statistics."""
-    sigma = max(stats_w.sigma_mcd, floor)
-    return abs(p_last - stats_w.mu_mcd) / np.sqrt(sigma)
 
 
 def pass_segment(profile: np.ndarray, w: int, h: int | None = None) -> SegmentationResult:

@@ -7,14 +7,12 @@ from snschan.channel import (
     VisibilityMask,
     assemble_channel,
     breakpoints_from_masks,
-    dirichlet_interpolation,
     element_distances,
     ideal_mask,
     nonideal_mask,
     path_channel,
     sample_vr,
     steering_vector,
-    zero_padded_angular_spectrum,
 )
 from snschan.config import SystemConfig
 from snschan.diffraction import Obstacle
@@ -37,39 +35,21 @@ class TestSteeringVector:
         b = steering_vector(12.0, 0.7, cfg)
         assert b[1] == pytest.approx(1 / np.sqrt(3))
 
-    def test_two_element_taylor_symmetry(self):
-        cfg = SystemConfig(N=2, fc=28e9, SI_min=1)
-        r = 5.0
-        b = steering_vector(r, 0.0, cfg, mode="taylor")
-        expected = np.exp(-1j * cfg.wavenumber() * cfg.d**2 / (8 * r)) / np.sqrt(2)
-        np.testing.assert_allclose(b, [expected, expected], rtol=1e-12)
-
     def test_exact_matches_coordinate_oracle(self):
         cfg = SystemConfig(N=4, fc=28e9, SI_min=1)
         r, theta = 10.0, np.pi / 6
-        b = steering_vector(r, theta, cfg, mode="exact")
+        b = steering_vector(r, theta, cfg)
         d_oracle = euclidean_distance_oracle(r, theta, cfg)
         expected = np.exp(-1j * cfg.wavenumber() * (d_oracle - r)) / 2.0
         np.testing.assert_allclose(b, expected, rtol=1e-10)
 
-    def test_taylor_error_bound(self):
-        cfg = SystemConfig(N=4, fc=28e9, SI_min=1)
-        r, theta = 10.0, np.pi / 6
-        exact = element_distances(r, theta, cfg, "exact")
-        taylor = element_distances(r, theta, cfg, "taylor")
-        a = np.abs(cfg.delta_n * cfg.d)
-        # third-order remainder of the binomial expansion
-        bound = 5.0 * a**3 / r**2
-        assert np.all(np.abs(exact - taylor) <= bound + 1e-15)
-
-    @pytest.mark.parametrize("mode", ["exact", "taylor"])
-    def test_unit_norm(self, mode):
+    def test_unit_norm(self):
         cfg = SystemConfig(N=64, SI_min=8)
         rng = np.random.default_rng(3)
         for _ in range(10):
             r = rng.uniform(1.0, 80.0)
             theta = rng.uniform(-1.4, 1.4)
-            assert np.linalg.norm(steering_vector(r, theta, cfg, mode)) == \
+            assert np.linalg.norm(steering_vector(r, theta, cfg)) == \
                 pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_nonpositive_distance(self):
@@ -106,7 +86,7 @@ class TestIdealMask:
         cfg = SystemConfig(N=32, SI_min=4)
         path = PathParams(g=1.0, r=22.0, theta=-0.8)
         mask = ideal_mask(path, cfg)
-        r_n = element_distances(path.r, path.theta, cfg, "exact")
+        r_n = element_distances(path.r, path.theta, cfg)
         np.testing.assert_allclose(mask * r_n, path.r, rtol=1e-12)
 
 
@@ -142,7 +122,7 @@ class TestNonidealMask:
                           t_d=1.0)
         mask = nonideal_mask(path, cfg)
         _, _, _, nu = diffraction_geometry(path.obstacle, path.theta, cfg)
-        r_n = element_distances(path.r, path.theta, cfg, "exact")
+        r_n = element_distances(path.r, path.theta, cfg)
         expected = (path.r / r_n) * np.sqrt(diffraction_gain(nu))
         np.testing.assert_allclose(mask, expected, rtol=1e-12)
         # nearest-to-grazing element: factor ~ sqrt(A(0)) = 0.5 up to the
@@ -266,33 +246,3 @@ class TestAssembleChannel:
             bp = assemble_channel(cfg, paths).truth_breakpoints
             assert bp[0] == 1 and bp[-1] == cfg.N + 1
             assert np.all(np.diff(bp) > 0)
-
-
-class TestAngularSpectrum:
-    def test_no_padding_equals_plain_dft(self):
-        rng = np.random.default_rng(2)
-        h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        np.testing.assert_allclose(zero_padded_angular_spectrum(h, 0, 0),
-                                   np.fft.fft(h), rtol=1e-12)
-
-    def test_front_padding_is_pure_phase(self):
-        rng = np.random.default_rng(3)
-        h = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        front = zero_padded_angular_spectrum(h, 4, 0)
-        back = zero_padded_angular_spectrum(h, 0, 4)
-        np.testing.assert_allclose(np.abs(front), np.abs(back), rtol=1e-10)
-
-    def test_matches_dirichlet_interpolation(self):
-        rng = np.random.default_rng(4)
-        h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        direct = zero_padded_angular_spectrum(h, 3, 5)
-        interp = dirichlet_interpolation(h, 3, 5)
-        np.testing.assert_allclose(direct, interp, atol=1e-10)
-
-    def test_parseval_with_padding(self):
-        rng = np.random.default_rng(5)
-        h = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        out = zero_padded_angular_spectrum(h, 2, 7)
-        s = 2 + 12 + 7
-        assert np.sum(np.abs(out) ** 2) == pytest.approx(
-            s * np.sum(np.abs(h) ** 2), rel=1e-12)

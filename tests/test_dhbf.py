@@ -13,12 +13,12 @@ from snschan.dhbf import (
     build_combiners,
     decouple,
     make_allocation,
-    measurement_snr_sigma2,
     mef_gaa,
     prune_subarrays,
     random_allocation,
     simulate_reception,
 )
+from snschan.pipeline import measurement_noise_variance
 from snschan.segmentation import SegmentationResult
 
 
@@ -216,7 +216,7 @@ class TestReceptionAndDecoupling:
         rng = np.random.default_rng(42)
         snr_db = 7.0
         h = np.exp(1j * rng.uniform(0, 2 * np.pi, (64, 1)))   # |h_n| = 1
-        sigma2 = measurement_snr_sigma2(h, snr_db)
+        sigma2 = measurement_noise_variance(h, snr_db)
         sig_pow, noise_pow = 0.0, 0.0
         for _ in range(10_000):
             plan = build_combiners(alloc, cfg, rng, sigma2)

@@ -331,7 +331,7 @@ class TestAbsblCore:
         s2_init = float(np.var(y)) * 1e-2
         cfg = EstimatorConfig(block_size=1, t_ite=iters, delta1=0.0,
                               prune_threshold=0.0, learn_p=False,
-                              track_history=True, sigma2_init_scale=1e-2)
+                              sigma2_init_scale=1e-2)
         _, st = absbl_mmv(y, phi, cfg)
         oracle = scalar_sbl_em(y, phi, s2_init, iters)
         assert len(st.history) == iters
@@ -362,8 +362,7 @@ class TestAbsblCore:
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(mod, "update_gamma", spy)
-        _, st = absbl_mmv(y, phi, EstimatorConfig(block_size=8, t_ite=300,
-                                                  track_history=True))
+        _, st = absbl_mmv(y, phi, EstimatorConfig(block_size=8, t_ite=300))
         assert len(counts) == st.iterations
         assert all(b <= a for a, b in zip(counts, counts[1:]))
         assert counts[-1] == len(st.active)

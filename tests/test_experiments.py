@@ -16,7 +16,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from snschan.config import SystemConfig
+from snschan.estimator import PosteriorState, dft_codebook
+from snschan.pipeline import bcrb_nmse_bound, estimate_channel, measure_scene
+from snschan.scenario import ScenarioOptions, generate_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -107,6 +113,25 @@ def test_worker_count_does_not_change_results(serial_csvs):
     pooled = run_specs({name: SPECS[name] for name in names}, workers=2)
     for name in names:
         assert pooled[name] == serial_csvs[name], name
+
+
+def test_one_posterior_per_subarray_and_only_from_joint_fits():
+    cfg = SystemConfig(N=32, SI_min=8, K=1, P=16)
+    rng = np.random.default_rng(0)
+    chan = generate_scenario(cfg, rng, ScenarioOptions.full_visibility())
+    meas = measure_scene(chan, cfg, rng, 10.0, architecture="fully_connected")
+    h_hat, states = estimate_channel(meas, "ss_absbl_mmv")
+    (state,) = states
+    assert isinstance(state, PosteriorState)
+    assert len(state.history) == state.iterations
+    # the estimate is the last iterate of the history the trace reads
+    np.testing.assert_array_equal(h_hat, dft_codebook(32).D @ state.history[-1])
+    assert np.isfinite(bcrb_nmse_bound(meas, states))
+    for algo in ("ss_absbl", "ss_bsbl", "ss_somp"):
+        _, none_states = estimate_channel(meas, algo)
+        assert none_states == [None]
+        with pytest.raises(ValueError, match="posterior"):
+            bcrb_nmse_bound(meas, none_states)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,6 @@ from snschan.segmentation import (
     pass_segment,
     reweight_mcd,
     rfem_segment,
-    score_distance,
-    window_stats,
 )
 
 
@@ -97,14 +95,20 @@ class TestReweight:
 
 
 class TestScoreDistance:
+    """PASS scores the last element of each window by its distance from the
+    window's reweighted MCD mean, in units of the reweighted scale."""
+
     def test_center_scores_zero(self):
-        ws = window_stats(np.array([1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.0, 1.0]))
-        assert score_distance(ws.mu_mcd, ws) == 0.0
+        # symmetric about 1 in dyadic values: the reweighted mean is exact
+        window = np.array([0.5, 1.5, 0.75, 1.25, 1.0, 1.0, 1.0, 1.0])
+        assert pass_segment(window, 8).scores[-1] == 0.0
 
     def test_unit_deviation(self):
-        ws = window_stats(np.array([1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.0, 1.0]))
-        p = ws.mu_mcd + np.sqrt(ws.sigma_mcd)
-        assert score_distance(p, ws) == pytest.approx(1.0)
+        window = np.array([1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.0, 1.3])
+        mu0, sigma0 = mcd_univariate(window, 6)         # h = ceil(0.75 W)
+        mu, var = reweight_mcd(window, mu0, sigma0)
+        assert pass_segment(window, 8).scores[-1] == pytest.approx(
+            abs(window[-1] - mu) / np.sqrt(var), rel=1e-12)
 
     def test_flag_threshold_matches_chi2_quantile(self):
         assert SCORE_THRESHOLD == pytest.approx(np.sqrt(stats.chi2.ppf(0.975, 1)))
