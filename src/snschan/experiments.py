@@ -138,35 +138,31 @@ def _convergence_cell(c: _Cell) -> list[Record]:
     return records
 
 
-def _architecture_cell(c: _Cell) -> list[Record]:
-    """NMSE of one estimator under each receiver architecture."""
-    chan = _scene(c)
+def _variant_rows(c: _Cell, chan: ChannelRealization, option: str,
+                  **fixed) -> list[Record]:
+    """NMSE of one estimator with each requested value of a measure_scene
+    option, each measured with its own RNG stream."""
     estimator = c.spec.params.get("estimator", "ss_absbl_mmv")
-    records = []
-    for arch in c.spec.algorithms:
-        sub_rng = np.random.default_rng(c.rng.integers(2**63))
-        t0 = time.perf_counter()
-        meas = measure_scene(chan, c.cfg, sub_rng, c.snr_db, architecture=arch)
-        h_hat, _ = estimate_channel(meas, estimator, c.est_cfg)
-        records.append((arch, "nmse", nmse(h_hat, chan.H), _ms_since(t0)))
-    return records
-
-
-def _ablation_cell(c: _Cell) -> list[Record]:
-    """NMSE of one estimator under each segmentation variant of one power
-    profile."""
-    chan = _scene(c)
-    estimator = c.spec.params.get("estimator", "ss_absbl_mmv")
-    profile = measure_power(chan, c.rng, c.snr_db)
     records = []
     for variant in c.spec.algorithms:
         sub_rng = np.random.default_rng(c.rng.integers(2**63))
         t0 = time.perf_counter()
-        meas = measure_scene(chan, c.cfg, sub_rng, c.snr_db,
-                             seg_variant=variant, profile=profile)
+        meas = measure_scene(chan, c.cfg, sub_rng, c.snr_db, **fixed,
+                             **{option: variant})
         h_hat, _ = estimate_channel(meas, estimator, c.est_cfg)
         records.append((variant, "nmse", nmse(h_hat, chan.H), _ms_since(t0)))
     return records
+
+
+def _architecture_cell(c: _Cell) -> list[Record]:
+    return _variant_rows(c, _scene(c), "architecture")
+
+
+def _ablation_cell(c: _Cell) -> list[Record]:
+    """Segmentation variants of one power profile."""
+    chan = _scene(c)
+    return _variant_rows(c, chan, "seg_variant",
+                         profile=measure_power(chan, c.rng, c.snr_db))
 
 
 def _auc_cell(c: _Cell) -> list[Record]:

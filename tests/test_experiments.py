@@ -21,6 +21,7 @@ import pytest
 
 from snschan.config import SystemConfig
 from snschan.estimator import PosteriorState, dft_codebook
+from snschan.experiments import ExperimentSpec, run_single_trial
 from snschan.pipeline import bcrb_nmse_bound, estimate_channel, measure_scene
 from snschan.scenario import ScenarioOptions, generate_scenario
 
@@ -132,6 +133,14 @@ def test_one_posterior_per_subarray_and_only_from_joint_fits():
         assert none_states == [None]
         with pytest.raises(ValueError, match="posterior"):
             bcrb_nmse_bound(meas, none_states)
+
+
+def test_auc_detectors_are_timed_one_by_one():
+    spec = ExperimentSpec(**SPECS["auc_vs_snr"])
+    records = run_single_trial(spec, 0, 0)
+    assert [r[:2] for r in records] == [("pass", "auc"), ("rfem", "auc"),
+                                        ("afm", "auc")]
+    assert len({runtime for *_, runtime in records}) == 3
 
 
 if __name__ == "__main__":
