@@ -27,21 +27,30 @@ Kronecker-structured computation, which the tests check).
 The learner holds its blocks stacked, not one by one. Every block but the
 last has length block_size, so the blocks form at most two size groups:
 the full blocks and a shorter final block. Each group keeps gamma as
-(G, U), P as (G, U, U), the ALM multipliers as (G,) and the active set as a
-boolean mask. Groups are not padded to one length, because the pooled
-variance, the ALM log-det target and the shrinkage of P read the true U.
-Each E-step builds K with one product over the active columns, takes one
-Cholesky factor K = L L^H, and reads every block's posterior mean,
-covariance and trace term from batched products of the Gram blocks of
-L^-1 Psi. The gamma, ALM-P and PD-floor steps take stacks over leading
-axes, so each is one LAPACK call per size group and step. The floor runs a
-batched eigvalsh and rebuilds from eigh only the blocks with an eigenvalue
-below eps_pd; on the others it is a no-op up to rounding.
+(R, G, U), P as (R, G, U, U), and the ALM multipliers and the active set as
+(R, G), where R counts independent runs that share Psi: one run for the
+joint learner (`absbl_mmv`), one run per column of Y for the per-subcarrier
+learners (`absbl_per_column`), which the same loop fits in one call. Each
+run has its own noise variance, pruning cut and delta1 stop; a run that
+stops keeps its last iterate while the others go on. Groups are not padded
+to one length, because the pooled variance, the ALM log-det target and the
+shrinkage of P read the true U. Each E-step builds every run's K with one
+batched product over the columns active in some run (a block a run has
+pruned enters it with a zero prior), takes one Cholesky factor K = L L^H
+per run, and reads every block's posterior mean, covariance and trace term
+from batched products of the Gram blocks of L^-1 Psi. The gamma, ALM-P and
+PD-floor steps take the active (run, block) pairs as one stack, so each is
+one LAPACK call per size group and step. The PD floor first tries a batched
+Cholesky factor of P - eps_pd I: when it exists, every block is already
+above the floor and only the Hermitian part is taken; otherwise a batched
+eigvalsh finds the blocks below eps_pd and only those are rebuilt from
+eigh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg as sla
@@ -132,34 +141,42 @@ class PosteriorState:
 
 @dataclass
 class _BlockStack:
-    """The blocks of one length U, with their hyperparameters stacked.
+    """The blocks of one length U, with their hyperparameters stacked over
+    the runs and the blocks.
 
-    Every block but the final one has length cfg.block_size, so a run has at
-    most two stacks: the full blocks and the shorter final block.
+    Every block but the final one has length cfg.block_size, so a fit has
+    at most two stacks: the full blocks and the shorter final block.
     """
 
     first: int            # index of the stack's first block
     start: int            # its first column of Psi
-    gamma: np.ndarray     # (G, U) per-entry variances
-    p: np.ndarray         # (G, U, U) intra-block correlations
-    lam: np.ndarray       # (G,) ALM multipliers
-    active: np.ndarray    # (G,) False once the block is pruned
+    gamma: np.ndarray     # (R, G, U) per-entry variances
+    p: np.ndarray         # (R, G, U, U) intra-block correlations
+    lam: np.ndarray       # (R, G) ALM multipliers
+    active: np.ndarray    # (R, G) False once the run has pruned the block
 
     def rows(self, x: np.ndarray) -> np.ndarray:
-        """The stack's rows of x (N_sub, ...) as a (G, U, ...) view."""
-        g_count, u = self.gamma.shape
-        return x[self.start:self.start + g_count * u].reshape(
-            g_count, u, *x.shape[1:])
+        """The stack's rows of x (R, N_sub, ...) as a (R, G, U, ...) view."""
+        _, g_count, u = self.gamma.shape
+        return x[:, self.start:self.start + g_count * u].reshape(
+            x.shape[0], g_count, u, *x.shape[2:])
+
+    def keep_runs(self, keep: np.ndarray) -> None:
+        """Drop the runs where keep is False."""
+        self.gamma, self.p = self.gamma[keep], self.p[keep]
+        self.lam, self.active = self.lam[keep], self.active[keep]
 
 
-def _block_stacks(n_sub: int, u: int) -> list[_BlockStack]:
+def _block_stacks(n_sub: int, u: int, n_runs: int = 1) -> list[_BlockStack]:
     """Contiguous blocks of length u, the final one possibly shorter, grouped
-    by length, with gamma = 1, P = I and every block active."""
+    by length, with gamma = 1, P = I and every block active in every run."""
     full, rest = divmod(n_sub, u)
     return [
-        _BlockStack(first=first, start=first * u, gamma=np.ones((count, length)),
-                    p=np.tile(np.eye(length, dtype=complex), (count, 1, 1)),
-                    lam=np.zeros(count), active=np.ones(count, dtype=bool))
+        _BlockStack(first=first, start=first * u,
+                    gamma=np.ones((n_runs, count, length)),
+                    p=np.tile(np.eye(length, dtype=complex), (n_runs, count, 1, 1)),
+                    lam=np.zeros((n_runs, count)),
+                    active=np.ones((n_runs, count), dtype=bool))
         for first, count, length in ((0, full, u), (full, 1, rest))
         if count and length
     ]
@@ -171,68 +188,103 @@ def _prior_cov(gamma: np.ndarray, p: np.ndarray) -> np.ndarray:
     return root[..., :, None] * p * root[..., None, :]
 
 
+class _Part(NamedTuple):
+    """The E-step's output for the active (run, block) pairs of one stack,
+    in run-major order."""
+
+    stack: _BlockStack
+    run: np.ndarray       # (n,) run of each pair
+    block: np.ndarray     # (n,) block of each pair within the stack
+    mu: np.ndarray        # (n, U, M) posterior means
+    sigma: np.ndarray     # (n, U, U) posterior covariances
+
+
 def _posterior(
-    Y: np.ndarray, Psi: np.ndarray, stacks: list[_BlockStack], sigma2: float,
-) -> tuple[list[tuple[_BlockStack, np.ndarray, np.ndarray, np.ndarray]], float]:
-    """E-step over the active blocks with the shared covariance K.
+    Y: np.ndarray, Psi: np.ndarray, stacks: list[_BlockStack],
+    sigma2: np.ndarray,
+) -> tuple[list[_Part], np.ndarray]:
+    """E-step of every run (Y is (R, P, M), sigma2 is (R,)) with its
+    shared covariance K_r.
 
-    K = sigma2 I + sum_g Psi_g C_g Psi_g^H is one product over the active
-    columns. With K = L L^H and W = L^-1 Psi, every block's
-    Psi_g^H K^-1 Psi_g is a Gram block W_g^H W_g and Psi^H K^-1 Y is
-    W^H L^-1 Y, so mu_g = C_g Psi_g^H K^-1 Y and
-    Sigma_g = C_g - C_g Psi_g^H K^-1 Psi_g C_g are batched products.
+    K_r = sigma2_r I + sum_g Psi_g C_rg Psi_g^H is one batched product over
+    the columns active in some run; C_rg is zero where run r has pruned
+    block g. With K_r = L_r L_r^H and W_r = L_r^-1 Psi, every block's
+    Psi_g^H K_r^-1 Psi_g is a Gram block W_rg^H W_rg and Psi^H K_r^-1 Y_r is
+    W_r^H L_r^-1 Y_r, so mu_rg = C_rg Psi_g^H K_r^-1 Y_r and
+    Sigma_rg = C_rg - C_rg Psi_g^H K_r^-1 Psi_g C_rg are batched products.
 
-    Returns, for each stack with an active block, the stack, the indices of
-    its active blocks, their posterior means (n, U, M) and covariances
-    (n, U, U), and the trace term sum_g M tr(Sigma_g C_g^-1).
+    Returns one part per stack with an active block, and each run's trace
+    term sum_g M tr(Sigma_rg C_rg^-1) over its active blocks.
     """
-    p_eff, m_count = Y.shape
-    live = [(s, np.flatnonzero(s.active)) for s in stacks if s.active.any()]
-    cols = np.concatenate([np.repeat(s.active, s.gamma.shape[1]) for s in stacks])
+    r_count, p_eff, m_count = Y.shape
+    union = [s.active.any(axis=0) for s in stacks]    # active in some run
+    cols = np.concatenate([np.repeat(un, s.gamma.shape[-1])
+                           for s, un in zip(stacks, union)])
     psi_act = Psi if cols.all() else Psi[:, cols]
-    cs = [_prior_cov(s.gamma[idx], s.p[idx]) for s, idx in live]
-    edges = np.cumsum([0] + [c.shape[0] * c.shape[-1] for c in cs])
+    live, cs = [], []
+    for s, un in zip(stacks, union):
+        if un.any():
+            idx = np.flatnonzero(un)
+            c = _prior_cov(s.gamma[:, idx], s.p[:, idx])  # (R, n, U, U)
+            c[~s.active[:, idx]] = 0.0
+            live.append((s, idx, s.active[:, idx]))
+            cs.append(c)
+    edges = np.cumsum([0] + [c.shape[1] * c.shape[-1] for c in cs])
 
     def blocks(a: np.ndarray, i: int) -> np.ndarray:
-        """The i-th live stack's columns of a (P, n_act) as (n, P, U)."""
-        n, _, u = cs[i].shape
-        return a[:, edges[i]:edges[i + 1]].reshape(a.shape[0], n, u).swapaxes(0, 1)
+        """The i-th live stack's columns of a (..., P, n_act) as (..., n, P, U)."""
+        _, n, _, u = cs[i].shape
+        return a[..., edges[i]:edges[i + 1]].reshape(
+            *a.shape[:-1], n, u).swapaxes(-3, -2)
 
-    psi_c = np.empty_like(psi_act)
+    psi_c = np.empty((r_count, *psi_act.shape), dtype=complex)
     for i, c in enumerate(cs):
         blocks(psi_c, i)[...] = blocks(psi_act, i) @ c
     k_mat = psi_c @ psi_act.conj().T
     del psi_c
-    k_mat.flat[::p_eff + 1] += sigma2
-    try:
-        chol = sla.cholesky(k_mat, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        # ridge fallback for a numerically singular posterior system; the
-        # products below then pair Psi with K^-1 Psi instead of W with W
-        k_mat += (1e-12 * np.trace(k_mat).real / p_eff) * np.eye(p_eff)
-        right = np.linalg.solve(k_mat, psi_act)
-        y_w = np.linalg.solve(k_mat, Y)
-        left_h = psi_act.conj()
-    else:
-        right = sla.solve_triangular(chol, psi_act, lower=True,
-                                     check_finite=False)
-        y_w = sla.solve_triangular(chol, Y, lower=True, check_finite=False)
-        left_h = right.conj()
-    proj = left_h.T @ y_w                                  # Psi^H K^-1 Y
+    diag = np.arange(p_eff)
+    k_mat[:, diag, diag] += sigma2[:, None]
+    # Fortran-ordered per run, as solve_triangular returns them, so the
+    # products below see the layout (and the rounding) of a single run
+    right = np.empty((r_count, psi_act.shape[1], p_eff), dtype=complex).swapaxes(1, 2)
+    y_w = np.empty((r_count, m_count, p_eff), dtype=complex).swapaxes(1, 2)
+    ridged = []
+    for r, (k_r, y_r) in enumerate(zip(k_mat, Y)):
+        try:
+            chol = sla.cholesky(k_r, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            # ridge fallback for a numerically singular posterior system; the
+            # products below then pair Psi with K^-1 Psi instead of W with W
+            k_r += (1e-12 * np.trace(k_r).real / p_eff) * np.eye(p_eff)
+            right[r] = np.linalg.solve(k_r, psi_act)
+            y_w[r] = np.linalg.solve(k_r, y_r)
+            ridged.append(r)
+        else:
+            right[r] = sla.solve_triangular(chol, psi_act, lower=True,
+                                            check_finite=False)
+            y_w[r] = sla.solve_triangular(chol, y_r, lower=True,
+                                          check_finite=False)
+    left_h = right.conj()
+    left_h[ridged] = psi_act.conj()
+    proj = left_h.swapaxes(-1, -2) @ y_w                   # Psi^H K^-1 Y
 
     parts = []
-    trace_term = 0.0
-    for i, ((s, idx), c) in enumerate(zip(live, cs)):
+    trace_term = np.zeros(r_count)
+    for i, ((s, idx, act), c) in enumerate(zip(live, cs)):
+        n, u = idx.size, c.shape[-1]
         gram = blocks(left_h, i).swapaxes(-1, -2) @ blocks(right, i)
-        mu_g = c @ proj[edges[i]:edges[i + 1]].reshape(idx.size, -1, m_count)
+        mu_g = c @ proj[:, edges[i]:edges[i + 1]].reshape(r_count, n, u, m_count)
         sig_g = c - c @ gram @ c
         sig_g = 0.5 * (sig_g + sig_g.conj().swapaxes(-1, -2))
         # tr(Sigma_g C_g^-1) = U_g - tr(C_g Psi_g^H K^-1 Psi_g), C-inverse free
-        trace_term += m_count * (
-            c.shape[0] * c.shape[-1]
-            - float(np.real(np.sum(c * gram.swapaxes(-1, -2))))
-        )
-        parts.append((s, idx, mu_g, sig_g))
+        prod = c * gram.swapaxes(-1, -2)
+        for r, (prod_r, act_r) in enumerate(zip(prod, act)):
+            trace_term[r] += m_count * (
+                np.count_nonzero(act_r) * u
+                - float(np.real(np.sum(prod_r[act_r])))
+            )
+        run, pos = np.nonzero(act)
+        parts.append(_Part(s, run, idx[pos], mu_g[act], sig_g[act]))
     return parts, trace_term
 
 
@@ -294,16 +346,21 @@ def update_gamma(r_bar: np.ndarray, p_g: np.ndarray, gamma_g: np.ndarray,
 def _floor_pd(p: np.ndarray, eps_pd: float) -> np.ndarray:
     """Hermitian part with eigenvalues floored at eps_pd, over any leading axes.
 
-    Only the blocks with an eigenvalue below eps_pd are rebuilt from their
-    eigendecomposition; on the others the floor is a no-op up to rounding,
-    so they keep their Hermitian part.
+    A Cholesky factor of P - eps_pd I exists only when every eigenvalue of
+    P exceeds eps_pd, so when one batched factorization succeeds the floor
+    is a no-op and the Hermitian part is returned. Otherwise only the
+    blocks with an eigenvalue below eps_pd are rebuilt from their
+    eigendecomposition; on the others the floor is a no-op up to rounding.
     """
     p = 0.5 * (p + np.swapaxes(p.conj(), -1, -2))
-    low = np.linalg.eigvalsh(p)[..., 0] < eps_pd
-    if np.any(low):
-        vals, vecs = np.linalg.eigh(p[low])
-        vals = np.maximum(vals, eps_pd)
-        p[low] = (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    try:
+        np.linalg.cholesky(p - eps_pd * np.eye(p.shape[-1]))
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(p)[..., 0] < eps_pd
+        if np.any(low):
+            vals, vecs = np.linalg.eigh(p[low])
+            vals = np.maximum(vals, eps_pd)
+            p[low] = (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
     return p
 
 
@@ -314,22 +371,25 @@ def update_p_alm(
     lambdas: list[np.ndarray],
     m_count: int,
     cfg: EstimatorConfig,
+    runs: list[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """ALM-corrected intra-block correlation update over the active blocks.
 
     Each argument holds one stack per block length: r_bars[i] and
     p_blocks[i] are (..., U_i, U_i), gammas[i] is (..., U_i) and
     lambdas[i] is (...); a single block is a stack with no batch axis.
+    runs[i], shaped like lambdas[i], labels each block with its run
+    0..R-1; without it every block belongs to one run.
 
     Runs cfg.alm_iters inner iterations of
     P_g <- (Q^-1 sum_m R_m Q^-1) / (M [1 + 2 lambda_g + 2c term_g]),
     lambda_g <- lambda_g + alpha term_g,
     where term_g = M (ln|P_g| - U_g b) with b the per-dimension mean log-det
-    across all blocks of all stacks (the block-average target, well defined
-    when the final block is short), then shrinks toward the identity scale
-    and floors eigenvalues at eps_pd. The penalty and step are normalized by
-    4 M U_g: the raw bracket has local slope -2 c M U in the log-det gap,
-    which diverges for any useful c.
+    across all blocks of all stacks of the block's run (the block-average
+    target, well defined when the final block is short), then shrinks
+    toward the identity scale and floors eigenvalues at eps_pd. The penalty
+    and step are normalized by 4 M U_g: the raw bracket has local slope
+    -2 c M U in the log-det gap, which diverges for any useful c.
     """
     m = float(m_count)
     raws = []
@@ -339,11 +399,21 @@ def update_p_alm(
     ps = list(p_blocks)
     lams = [np.asarray(lam, dtype=float) for lam in lambdas]
     dims = [np.shape(p)[-1] for p in ps]
-    total_dim = sum(u * lam.size for u, lam in zip(dims, lams))
+    if runs is None:
+        runs = [np.zeros(lam.shape, dtype=int) for lam in lams]
+    n_runs = 1 + max(int(np.max(run, initial=0)) for run in runs)
+    # each run's blocks per stack, and its dimension summed over them
+    members = [[run == r for r in range(n_runs)] for run in runs]
+    run_dim = np.array([sum(u * np.count_nonzero(member[r])
+                            for member, u in zip(members, dims))
+                        for r in range(n_runs)])
     for _ in range(cfg.alm_iters):
         logdets = [np.linalg.slogdet(p)[1] for p in ps]
-        bar = sum(float(np.sum(ld)) for ld in logdets) / total_dim
-        terms = [m * (ld - u * bar) for ld, u in zip(logdets, dims)]
+        bar = np.array([sum(float(np.sum(ld[member[r]]))
+                            for ld, member in zip(logdets, members))
+                        for r in range(n_runs)]) / run_dim
+        terms = [m * (ld - u * bar[run])
+                 for ld, u, run in zip(logdets, dims, runs)]
         new_ps = []
         for raw, term, lam, u_len in zip(raws, terms, lams, dims):
             c_eff = cfg.alm_c / (4.0 * m * u_len)
@@ -380,6 +450,159 @@ def update_noise(
     return max(float(sigma2), floor)
 
 
+def _checked(Y: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    Y = np.asarray(Y, dtype=complex)
+    Psi = np.asarray(Psi, dtype=complex)
+    if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(Psi))):
+        raise ValueError("observations and sensing matrix must be finite")
+    if Y.ndim != 2 or Psi.shape[0] != Y.shape[0] or Y.shape[0] < 1:
+        raise ValueError("Y and Psi shapes disagree")
+    return Y, Psi
+
+
+def _run_state(r: int, stacks: list[_BlockStack], parts: list[_Part],
+               mu: np.ndarray, sigma2: float, iterations: int,
+               converged: bool, history: list[np.ndarray]) -> PosteriorState:
+    """The posterior of run r after its last iteration."""
+    sigma_blocks = {}
+    for part in parts:
+        mine = (part.run == r) & part.stack.active[r, part.block]
+        sigma_blocks.update({int(part.stack.first + g): sig for g, sig
+                             in zip(part.block[mine], part.sigma[mine])})
+    return PosteriorState(
+        mu=mu[r], sigma_blocks=sigma_blocks,
+        gamma=[gam for s in stacks for gam in s.gamma[r]],
+        p_blocks=[p for s in stacks for p in s.p[r]],
+        sigma2=float(sigma2), iterations=iterations, converged=converged,
+        active=[int(s.first + g) for s in stacks
+                for g in np.flatnonzero(s.active[r])],
+        history=history,
+    )
+
+
+def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, cfg: EstimatorConfig,
+              sigma2: float | None) -> list[PosteriorState]:
+    """Independent block-sparse learners, one per Y[r] (R, P, M), that
+    share Psi, fitted in one batched EM loop; see `absbl_mmv`.
+
+    Each run has its own hyperparameters, noise variance, pruning scale and
+    delta1 stop. A run that stops leaves the stacks, so every step works
+    only on the runs still going.
+    """
+    r_count, p_eff, m_count = Y.shape
+    n_sub = Psi.shape[1]
+    stacks = _block_stacks(n_sub, cfg.block_size, r_count)
+    if sigma2 is None:
+        sigma2s = np.array([max(float(np.var(y)) * cfg.sigma2_init_scale,
+                                cfg.sigma2_floor) for y in Y])
+    else:
+        sigma2s = np.full(r_count, max(float(sigma2), cfg.sigma2_floor))
+
+    states: list[PosteriorState | None] = [None] * r_count
+    order = np.arange(r_count)           # the original index of each run
+    histories: list[list[np.ndarray]] = [[] for _ in range(r_count)]
+    running_max_q = np.zeros(r_count)
+    mu = np.zeros((r_count, n_sub, m_count), dtype=complex)
+    parts: list[_Part] = []
+    stop = np.zeros(r_count, dtype=bool)     # runs that stopped this step
+    it = 0
+
+    for it in range(1, cfg.t_ite + 1):
+        if stop.all():
+            break
+        if stop.any():
+            keep = ~stop
+            order, Y, sigma2s = order[keep], Y[keep], sigma2s[keep]
+            running_max_q, stop = running_max_q[keep], stop[keep]
+            for s in stacks:
+                s.keep_runs(keep)
+        parts, trace_term = _posterior(Y, Psi, stacks, sigma2s)
+        mu = np.zeros((order.size, n_sub, m_count), dtype=complex)
+        r_bars = []
+        for part in parts:
+            part.stack.rows(mu)[part.run, part.block] = part.mu
+            r_bars.append(m_count * part.sigma
+                          + part.mu @ part.mu.conj().swapaxes(-1, -2))
+
+        # M-step: gamma, P (ALM), noise; both read the pre-update iterate,
+        # so the P update inverts the old Q (keeping gamma's shrinkage
+        # effective in the composite prior Q P Q)
+        gammas_old = [part.stack.gamma[part.run, part.block] for part in parts]
+        ps_old = [part.stack.p[part.run, part.block] for part in parts]
+        gammas_new = []
+        for r_bar, p_g, gam in zip(r_bars, ps_old, gammas_old):
+            if cfg.scalar_gamma:
+                pooled = _pooled_variance(_inverse_weighted(r_bar, p_g), m_count)
+                gammas_new.append(np.repeat(pooled[:, None], gam.shape[1], axis=1))
+            else:
+                gammas_new.append(update_gamma(r_bar, p_g, gam, m_count,
+                                               prior_weight=m_count))
+        if cfg.learn_p:
+            new_ps, new_lams = update_p_alm(
+                r_bars, gammas_old, ps_old,
+                [part.stack.lam[part.run, part.block] for part in parts],
+                m_count, cfg, runs=[part.run for part in parts],
+            )
+            for part, p_new, lam, gam in zip(parts, new_ps, new_lams, gammas_new):
+                # gauge fix: Q P Q is invariant under any diagonal rescale of
+                # (Q, P), so pin P at unit diagonal (a correlation matrix) and
+                # let gamma carry the per-entry variances; without this the
+                # factor scales drift apart until the PD floor distorts the
+                # composite prior. Conventional BSBL has no per-entry
+                # variances, so its single gamma absorbs only the mean of
+                # the diagonal it removes.
+                d = np.maximum(np.real(np.diagonal(p_new, axis1=-2, axis2=-1)),
+                               cfg.eps_pd)
+                root = np.sqrt(d)
+                part.stack.p[part.run, part.block] = (
+                    p_new / root[:, :, None] / root[:, None, :])
+                gam *= d.mean(axis=-1, keepdims=True) if cfg.scalar_gamma else d
+                part.stack.lam[part.run, part.block] = lam
+        for part, gam in zip(parts, gammas_new):
+            part.stack.gamma[part.run, part.block] = gam
+        if cfg.learn_noise:
+            for r in range(order.size):
+                residual_sq = float(np.linalg.norm(Y[r] - Psi @ mu[r]) ** 2)
+                n_active_coeff = sum(np.count_nonzero(part.run == r)
+                                     * part.stack.gamma.shape[-1]
+                                     for part in parts)
+                sigma2s[r] = update_noise(residual_sq, sigma2s[r], trace_term[r],
+                                          n_active_coeff, m_count, p_eff,
+                                          cfg.sigma2_floor)
+
+        if not (np.all(np.isfinite(mu))
+                and all(np.all(np.isfinite(gam)) for gam in gammas_new)):
+            raise EstimatorDivergenceError(
+                f"non-finite update at iteration {it} "
+                f"(sigma2={', '.join(f'{v:.3g}' for v in sigma2s)})"
+            )
+
+        # permanent pruning against each run's running scale
+        mean_q = [np.mean(np.sqrt(np.maximum(gam, 0.0)), axis=-1)
+                  for gam in gammas_new]
+        for part, q in zip(parts, mean_q):
+            np.maximum.at(running_max_q, part.run, q)
+        for part, q in zip(parts, mean_q):
+            drop = q < cfg.prune_threshold * running_max_q[part.run]
+            part.stack.active[part.run[drop], part.block[drop]] = False
+            part.stack.rows(mu)[part.run[drop], part.block[drop]] = 0.0
+
+        for r, orig in enumerate(order):
+            history = histories[orig]
+            denom = np.linalg.norm(history[-1]) if history else 0.0
+            stop[r] = (denom > 0 and np.linalg.norm(mu[r] - history[-1]) / denom
+                       < cfg.delta1) or not any(s.active[r].any() for s in stacks)
+            history.append(mu[r])
+            if stop[r]:
+                states[orig] = _run_state(r, stacks, parts, mu, sigma2s[r], it,
+                                          True, history)
+
+    for r in np.flatnonzero(~stop):
+        states[order[r]] = _run_state(r, stacks, parts, mu, sigma2s[r], it,
+                                      False, histories[order[r]])
+    return states
+
+
 def absbl_mmv(
     Y: np.ndarray,
     Psi: np.ndarray,
@@ -399,120 +622,32 @@ def absbl_mmv(
     noise floor); otherwise it starts at var(Y) * cfg.sigma2_init_scale.
     Set cfg.learn_noise = False to keep it fixed.
     """
-    if cfg is None:
-        cfg = EstimatorConfig()
-    Y = np.asarray(Y, dtype=complex)
-    Psi = np.asarray(Psi, dtype=complex)
-    if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(Psi))):
-        raise ValueError("observations and sensing matrix must be finite")
-    p_eff, m_count = Y.shape
-    n_sub = Psi.shape[1]
-    if Psi.shape[0] != p_eff or p_eff < 1:
-        raise ValueError("Y and Psi shapes disagree")
+    Y, Psi = _checked(Y, Psi)
+    cfg = EstimatorConfig() if cfg is None else cfg
+    state, = _sbl_runs(Y[None], Psi, cfg, sigma2)
+    return state.mu, state
 
-    stacks = _block_stacks(n_sub, cfg.block_size)
-    if sigma2 is None:
-        sigma2 = max(float(np.var(Y)) * cfg.sigma2_init_scale, cfg.sigma2_floor)
-    else:
-        sigma2 = max(float(sigma2), cfg.sigma2_floor)
 
-    mu = np.zeros((n_sub, m_count), dtype=complex)
-    parts = []
-    running_max_q = 0.0
-    history: list[np.ndarray] = []
-    converged = False
-    it = 0
+def absbl_per_column(
+    Y: np.ndarray,
+    Psi: np.ndarray,
+    cfg: EstimatorConfig | None = None,
+    sigma2: float | None = None,
+) -> tuple[np.ndarray, list[PosteriorState]]:
+    """Each column of Y fitted on its own (one subcarrier, no prior shared
+    across subcarriers), all in one batched run.
 
-    for it in range(1, cfg.t_ite + 1):
-        parts, trace_term = _posterior(Y, Psi, stacks, sigma2)
-        mu = np.zeros((n_sub, m_count), dtype=complex)
-        r_bars = []
-        for s, idx, mu_g, sig_g in parts:
-            s.rows(mu)[idx] = mu_g
-            r_bars.append(m_count * sig_g + mu_g @ mu_g.conj().swapaxes(-1, -2))
-
-        # M-step: gamma, P (ALM), noise; both read the pre-update iterate,
-        # so the P update inverts the old Q (keeping gamma's shrinkage
-        # effective in the composite prior Q P Q)
-        gammas_old = [s.gamma[idx] for s, idx, _, _ in parts]
-        ps_old = [s.p[idx] for s, idx, _, _ in parts]
-        gammas_new = []
-        for r_bar, p_g, gam in zip(r_bars, ps_old, gammas_old):
-            if cfg.scalar_gamma:
-                pooled = _pooled_variance(_inverse_weighted(r_bar, p_g), m_count)
-                gammas_new.append(np.repeat(pooled[:, None], gam.shape[1], axis=1))
-            else:
-                gammas_new.append(update_gamma(r_bar, p_g, gam, m_count,
-                                               prior_weight=m_count))
-        if cfg.learn_p:
-            new_ps, new_lams = update_p_alm(
-                r_bars, gammas_old, ps_old,
-                [s.lam[idx] for s, idx, _, _ in parts], m_count, cfg,
-            )
-            for (s, idx, _, _), p_new, lam, gam in zip(parts, new_ps, new_lams,
-                                                       gammas_new):
-                # gauge fix: Q P Q is invariant under any diagonal rescale of
-                # (Q, P), so pin P at unit diagonal (a correlation matrix) and
-                # let gamma carry the per-entry variances; without this the
-                # factor scales drift apart until the PD floor distorts the
-                # composite prior. Conventional BSBL has no per-entry
-                # variances, so its single gamma absorbs only the mean of
-                # the diagonal it removes.
-                d = np.maximum(np.real(np.diagonal(p_new, axis1=-2, axis2=-1)),
-                               cfg.eps_pd)
-                root = np.sqrt(d)
-                s.p[idx] = p_new / root[:, :, None] / root[:, None, :]
-                gam *= d.mean(axis=-1, keepdims=True) if cfg.scalar_gamma else d
-                s.lam[idx] = lam
-        for (s, idx, _, _), gam in zip(parts, gammas_new):
-            s.gamma[idx] = gam
-        if cfg.learn_noise:
-            residual_sq = float(np.linalg.norm(Y - Psi @ mu) ** 2)
-            n_active_coeff = sum(idx.size * s.gamma.shape[1]
-                                 for s, idx, _, _ in parts)
-            sigma2 = update_noise(residual_sq, sigma2, trace_term,
-                                  n_active_coeff, m_count, p_eff,
-                                  cfg.sigma2_floor)
-
-        if not (np.all(np.isfinite(mu))
-                and all(np.all(np.isfinite(gam)) for gam in gammas_new)):
-            raise EstimatorDivergenceError(
-                f"non-finite update at iteration {it} (sigma2={sigma2:.3g})"
-            )
-
-        # permanent pruning against the running scale
-        mean_q = [np.mean(np.sqrt(np.maximum(gam, 0.0)), axis=-1)
-                  for gam in gammas_new]
-        running_max_q = max(running_max_q, max(float(q.max()) for q in mean_q))
-        if cfg.prune_threshold > 0 and running_max_q > 0:
-            cut = cfg.prune_threshold * running_max_q
-            for (s, idx, _, _), q in zip(parts, mean_q):
-                drop = idx[q < cut]
-                s.active[drop] = False
-                s.rows(mu)[drop] = 0.0
-
-        denom = np.linalg.norm(history[-1]) if history else 0.0
-        converged = bool(denom > 0 and
-                         np.linalg.norm(mu - history[-1]) / denom < cfg.delta1)
-        history.append(mu)
-        if converged:
-            break
-        if not any(s.active.any() for s in stacks):
-            converged = True
-            break
-
-    sigma_blocks = {int(s.first + g): sig
-                    for s, idx, _, sig_g in parts
-                    for g, sig in zip(idx, sig_g) if s.active[g]}
-    state = PosteriorState(
-        mu=mu, sigma_blocks=sigma_blocks,
-        gamma=[gam for s in stacks for gam in s.gamma],
-        p_blocks=[p for s in stacks for p in s.p],
-        sigma2=sigma2,
-        active=[int(s.first + g) for s in stacks for g in np.flatnonzero(s.active)],
-        iterations=it, converged=converged, history=history,
-    )
-    return mu, state
+    Equals one `absbl_mmv` call per column, up to rounding; sigma2, when
+    not given, starts from each column's own variance. Returns the
+    estimates side by side and each column's posterior.
+    """
+    Y, Psi = _checked(Y, Psi)
+    cfg = EstimatorConfig() if cfg is None else cfg
+    states = _sbl_runs(Y.T[:, :, None], Psi, cfg, sigma2)
+    x_hat = np.zeros((Psi.shape[1], Y.shape[1]), dtype=complex)
+    for m, state in enumerate(states):
+        x_hat[:, m:m + 1] = state.mu
+    return x_hat, states
 
 
 def bsbl_baseline(Y: np.ndarray, Psi: np.ndarray,

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -20,6 +22,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .channel import ChannelRealization
@@ -40,6 +43,7 @@ from .scenario import ScenarioOptions, generate_scenario
 from .segmentation import auc_score
 
 Record = tuple[str, str, float, float]   # (algorithm, metric, value, runtime_ms)
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -335,14 +339,25 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir: str | Path, include_runtime: bool = False) -> None:
+        """results.csv, results.json and meta.json; the JSON files also
+        record the environment of the writing process."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        meta = dict(self.meta, environment=_environment())
         (out / "results.csv").write_text(self.to_csv(include_runtime))
         (out / "results.json").write_text(
-            json.dumps({"rows": self.rows, "meta": self.meta}, indent=1,
+            json.dumps({"rows": self.rows, "meta": meta}, indent=1,
                        sort_keys=True))
-        (out / "meta.json").write_text(json.dumps(self.meta, indent=1,
-                                                  sort_keys=True))
+        (out / "meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+
+
+def _environment() -> dict:
+    """Library versions and the threading the results were computed with."""
+    return {
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "blas_thread_vars": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def _fmt(v) -> str:
@@ -382,12 +397,14 @@ def run_single_trial(spec: ExperimentSpec, sweep_idx: int,
 
 
 def _trial_worker(payload: tuple[dict, int, int]):
+    """(sweep_idx, trial, records, None) or, when the cell raised,
+    (sweep_idx, trial, None, (exception type name, message))."""
     doc, sweep_idx, trial = payload
     spec = ExperimentSpec.from_dict(doc)
     try:
         return sweep_idx, trial, run_single_trial(spec, sweep_idx, trial), None
     except Exception as err:  # noqa: BLE001 - per-trial errors are recorded
-        return sweep_idx, trial, None, f"{type(err).__name__}: {err}"
+        return sweep_idx, trial, None, (type(err).__name__, str(err))
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
@@ -402,13 +419,16 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
              for i in range(len(spec.sweep)) for t in range(spec.trials)]
     results = {}
     errors: list[str] = []
+    errors_by_type: Counter[str] = Counter()
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         for sweep_idx, trial, recs, err in (pool.map if pool else map)(
                 _trial_worker, tasks):
             results[(sweep_idx, trial)] = recs
             if err:
-                errors.append(f"sweep={spec.sweep[sweep_idx]} trial={trial}: {err}")
+                errors_by_type[err[0]] += 1
+                errors.append(f"sweep={spec.sweep[sweep_idx]} trial={trial}: "
+                              f"{err[0]}: {err[1]}")
 
     agg: dict[tuple[int, str, str], list[tuple[float, float]]] = {}
     for (sweep_idx, _trial), recs in sorted(results.items()):
@@ -443,6 +463,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
         "trials_requested": spec.trials * len(spec.sweep),
         "trials_errored": len(errors),
         "errors": errors[:20],
+        "errors_by_type": dict(sorted(errors_by_type.items())),
         "runtime_ms_total": wall_ms,
         "workers": workers,
     }

@@ -25,7 +25,7 @@ from .estimator import (
     EstimatorConfig,
     PosteriorState,
     absbl_mmv,
-    bsbl_baseline,
+    absbl_per_column,
     dft_codebook,
     offgrid_refine,
     somp_baseline,
@@ -171,8 +171,12 @@ def _absbl(y, psi, cfg, sigma2):
     return absbl_mmv(y, psi, cfg, sigma2=sigma2)
 
 
-def _bsbl(y, psi, cfg, sigma2):
-    return bsbl_baseline(y, psi, cfg, sigma2=sigma2)
+def _absbl_per_subcarrier(y, psi, cfg, sigma2):
+    return absbl_per_column(y, psi, cfg, sigma2=sigma2)[0], None
+
+
+def _bsbl_per_subcarrier(y, psi, cfg, sigma2):
+    return _absbl_per_subcarrier(y, psi, replace(cfg, scalar_gamma=True), sigma2)
 
 
 def _somp(y, psi, cfg, sigma2):
@@ -186,25 +190,26 @@ def _somp(y, psi, cfg, sigma2):
 class _Algorithm(NamedTuple):
     """How an estimator name maps onto a learner.
 
-    learner(Y, Psi, cfg, sigma2) -> (X, PosteriorState | None); joint runs
-    it once over all subcarriers, otherwise once per subcarrier; off_grid
-    refines the selected grid angles afterwards.
+    learner(Y, Psi, cfg, sigma2) -> (X, PosteriorState | None) is one call
+    over all subcarriers of a subarray. Only the joint learner returns its
+    posterior; the per-subcarrier learners fit every subcarrier on its own,
+    as one batched run, and return None. off_grid refines the selected grid
+    angles afterwards.
     """
 
     learner: Callable
-    joint: bool
     off_grid: bool
 
 
 # The learners look the estimators up by module-global name at call time,
 # so a wrapper installed on a module attribute sees every call.
 _ALGORITHMS: dict[str, _Algorithm] = {
-    "ss_absbl_mmv": _Algorithm(_absbl, joint=True, off_grid=False),
-    "ss_absbl": _Algorithm(_absbl, joint=False, off_grid=False),
-    "ss_bsbl": _Algorithm(_bsbl, joint=False, off_grid=False),
-    "ss_somp": _Algorithm(_somp, joint=True, off_grid=False),
-    "ss_og_absbl_mmv": _Algorithm(_absbl, joint=True, off_grid=True),
-    "ss_og_absbl": _Algorithm(_absbl, joint=False, off_grid=True),
+    "ss_absbl_mmv": _Algorithm(_absbl, off_grid=False),
+    "ss_absbl": _Algorithm(_absbl_per_subcarrier, off_grid=False),
+    "ss_bsbl": _Algorithm(_bsbl_per_subcarrier, off_grid=False),
+    "ss_somp": _Algorithm(_somp, off_grid=False),
+    "ss_og_absbl_mmv": _Algorithm(_absbl, off_grid=True),
+    "ss_og_absbl": _Algorithm(_absbl_per_subcarrier, off_grid=True),
 }
 ON_GRID_ALGORITHMS = tuple(a for a, spec in _ALGORITHMS.items() if not spec.off_grid)
 OFF_GRID_ALGORITHMS = tuple(a for a, spec in _ALGORITHMS.items() if spec.off_grid)
@@ -229,13 +234,8 @@ def _estimate_subarray(
         return np.zeros((n_sub, m_count), dtype=complex), None
     book = dft_codebook(n_sub)
     psi = obs.phi @ book.D
-    cfg_fixed = replace(est_cfg, learn_noise=False)
-    if algo.joint:
-        x_hat, state = algo.learner(obs.y, psi, cfg_fixed, sigma2)
-    else:
-        cols = [algo.learner(obs.y[:, m:m + 1], psi, cfg_fixed, sigma2)[0]
-                for m in range(m_count)]
-        x_hat, state = np.concatenate(cols, axis=1), None
+    x_hat, state = algo.learner(obs.y, psi, replace(est_cfg, learn_noise=False),
+                                sigma2)
     if algo.off_grid:
         _, x_hat, h_hat = offgrid_refine(obs.y, obs.phi, book, x_hat, est_cfg)
         return h_hat, state

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ import snschan.estimator as mod
 from snschan.estimator import (
     EstimatorConfig,
     absbl_mmv,
+    absbl_per_column,
     atom_response,
     bsbl_baseline,
     dft_codebook,
@@ -241,6 +244,45 @@ class TestBatchedHelpers:
         np.testing.assert_allclose(out, full, rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(out).min() >= eps - 1e-12
 
+    @staticmethod
+    def _eigh_floor(p, eps):
+        """The floor taken through every block's eigh: the reference."""
+        herm = 0.5 * (p + p.conj().swapaxes(-1, -2))
+        w, v = np.linalg.eigh(herm)
+        return (v * np.maximum(w, eps)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+    @given(hst.integers(1, 6), hst.integers(1, 8), hst.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_floor_pd_certificate_skips_eigvalsh(self, g, u, seed):
+        # no block below the floor: the Cholesky factor of P - eps I exists,
+        # so the stack is returned as its Hermitian part without eigvalsh
+        rng = np.random.default_rng(seed)
+        eps = 1e-6
+        skew = crandn(rng, g, u, u)
+        p = (hermitian_stack(rng, g, u, rng.uniform(0.5, 2.0, (g, u)))
+             + 1e-3 * (skew - skew.conj().swapaxes(-1, -2)))
+        with mock.patch.object(np.linalg, "eigvalsh",
+                               wraps=np.linalg.eigvalsh) as spy:
+            out = mod._floor_pd(p.copy(), eps)
+        assert spy.call_count == 0
+        np.testing.assert_array_equal(out, 0.5 * (p + p.conj().swapaxes(-1, -2)))
+        np.testing.assert_allclose(out, self._eigh_floor(p, eps), rtol=0, atol=1e-12)
+
+    @given(hst.integers(1, 6), hst.integers(1, 8), hst.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_floor_pd_at_the_floor_equals_eigh(self, g, u, seed):
+        # smallest eigenvalues a relative 1e-6 above or below eps_pd: the
+        # certificate and the eigvalsh test may disagree there, but the
+        # result is the eigh floor either way
+        rng = np.random.default_rng(seed)
+        eps = 1e-6
+        vals = rng.uniform(0.5, 2.0, (g, u))
+        vals[:, 0] = eps * (1.0 + rng.choice([-1e-6, 1e-6], g))
+        p = hermitian_stack(rng, g, u, vals)
+        out = mod._floor_pd(p.copy(), eps)
+        np.testing.assert_allclose(out, self._eigh_floor(p, eps), rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(out).min() >= eps - 1e-12
+
     @given(hst.integers(1, 4), hst.integers(2, 6), hst.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_update_p_alm_stacks_equal_single_blocks(self, g, u, seed):
@@ -374,35 +416,43 @@ class TestAbsblCore:
             assert nonzero <= n_active
 
     @pytest.mark.parametrize("n_sub, pruned, fail_cholesky", [
-        (16, None, False), (18, None, False), (18, 1, False), (18, None, True),
-    ], ids=["even", "ragged", "one-pruned", "ridge-fallback"])
+        (16, [None], False), (18, [None], False), (18, [1], False),
+        (18, [None], True), (18, [0, 2, 4], False), (18, [0, 2, 4], True),
+    ], ids=["even", "ragged", "one-pruned", "ridge-fallback", "three-runs",
+            "three-runs-first-ridged"])
     def test_kronecker_structure_matches_dense_posterior(
             self, monkeypatch, n_sub, pruned, fail_cholesky):
         # one E-step with fixed hyperparameters against the naive MN x MN
         # system built with Psi (x) I_M and blockdiag(C_g (x) I_M); n_sub=18
-        # with u=4 leaves a short final block of 2
+        # with u=4 leaves a short final block of 2. pruned holds one entry
+        # per run: the block that run has pruned, or None
         rng = np.random.default_rng(12)
         m_count, u, p_eff = 4, 4, 12
+        n_runs = len(pruned)
         psi = crandn(rng, p_eff, n_sub)
-        y = crandn(rng, p_eff, m_count)
-        sigma2 = 0.3
-        stacks = mod._block_stacks(n_sub, u)
-        blocks, covs = [], []
+        y = crandn(rng, n_runs, p_eff, m_count)
+        sigma2 = np.array([0.3, 0.5, 0.2])[:n_runs]
+        stacks = mod._block_stacks(n_sub, u, n_runs)
+        blocks, covs = [], []                    # covs[g][r]
         for s in stacks:
-            for g in range(s.lam.size):
-                u_g = s.gamma.shape[1]
-                s.gamma[g] = rng.uniform(0.2, 2.0, u_g)
-                a = crandn(rng, u_g, u_g)
-                p = a @ a.conj().T + u_g * np.eye(u_g)
-                d = np.sqrt(np.real(np.diag(p)))
-                s.p[g] = p / d[:, None] / d[None, :]
+            for g in range(s.lam.shape[1]):
+                u_g = s.gamma.shape[-1]
                 start = s.start + g * u_g
                 blocks.append(slice(start, start + u_g))
-                covs.append(np.sqrt(s.gamma[g])[:, None] * s.p[g]
-                            * np.sqrt(s.gamma[g])[None, :])
-        if pruned is not None:
-            stacks[0].active[pruned] = False
-            covs[pruned] = np.zeros_like(covs[pruned])
+                covs.append([])
+                for r in range(n_runs):
+                    s.gamma[r, g] = rng.uniform(0.2, 2.0, u_g)
+                    a = crandn(rng, u_g, u_g)
+                    p = a @ a.conj().T + u_g * np.eye(u_g)
+                    d = np.sqrt(np.real(np.diag(p)))
+                    s.p[r, g] = p / d[:, None] / d[None, :]
+                    covs[-1].append(np.sqrt(s.gamma[r, g])[:, None] * s.p[r, g]
+                                    * np.sqrt(s.gamma[r, g])[None, :])
+        for r, g in enumerate(pruned):
+            if g is not None:
+                s = next(s for s in stacks if g - s.first < s.lam.shape[1])
+                s.active[r, g - s.first] = False
+                covs[g][r] = np.zeros_like(covs[g][r])
         cholesky_calls = []
         if fail_cholesky:
             real_cholesky = sla.cholesky
@@ -416,38 +466,43 @@ class TestAbsblCore:
             monkeypatch.setattr(sla, "cholesky", fail_once)
 
         parts, trace_term = mod._posterior(y, psi, stacks, sigma2)
-        assert len(cholesky_calls) == int(fail_cholesky)
-        mu_structured = np.zeros((n_sub, m_count), complex)
-        sig_structured = {}
-        for s, idx, mu_g, sig_g in parts:
-            s.rows(mu_structured)[idx] = mu_g
-            sig_structured.update({s.first + g: sig for g, sig in zip(idx, sig_g)})
-        active = [g for g in range(len(blocks)) if g != pruned]
-        assert sorted(sig_structured) == active
+        assert len(cholesky_calls) == (n_runs if fail_cholesky else 0)
+        mu_structured = np.zeros((n_runs, n_sub, m_count), complex)
+        sig_structured = [{} for _ in range(n_runs)]
+        for part in parts:
+            part.stack.rows(mu_structured)[part.run, part.block] = part.mu
+            for r, g, sig in zip(part.run, part.block, part.sigma):
+                sig_structured[r][part.stack.first + g] = sig
 
-        # dense reference in the vec(X^T) ordering
-        psi_big = np.kron(psi, np.eye(m_count))
-        v_big = np.zeros((n_sub * m_count, n_sub * m_count), complex)
-        for b, c in zip(blocks, covs):
-            idx = np.arange(b.start * m_count, b.stop * m_count)
-            v_big[np.ix_(idx, idx)] = np.kron(c, np.eye(m_count))
-        y_big = y.flatten()                      # vec(Y^T): measurement-major
-        k_big = sigma2 * np.eye(p_eff * m_count) + psi_big @ v_big @ psi_big.conj().T
-        mu_big = v_big @ psi_big.conj().T @ np.linalg.solve(k_big, y_big)
-        sig_big = v_big - v_big @ psi_big.conj().T @ np.linalg.solve(k_big, psi_big) @ v_big
+        for r in range(n_runs):
+            active = [g for g in range(len(blocks)) if g != pruned[r]]
+            assert sorted(sig_structured[r]) == active
+            # dense reference in the vec(X^T) ordering
+            psi_big = np.kron(psi, np.eye(m_count))
+            v_big = np.zeros((n_sub * m_count, n_sub * m_count), complex)
+            for b, c in zip(blocks, covs):
+                idx = np.arange(b.start * m_count, b.stop * m_count)
+                v_big[np.ix_(idx, idx)] = np.kron(c[r], np.eye(m_count))
+            y_big = y[r].flatten()               # vec(Y^T): measurement-major
+            k_big = (sigma2[r] * np.eye(p_eff * m_count)
+                     + psi_big @ v_big @ psi_big.conj().T)
+            mu_big = v_big @ psi_big.conj().T @ np.linalg.solve(k_big, y_big)
+            sig_big = (v_big - v_big @ psi_big.conj().T
+                       @ np.linalg.solve(k_big, psi_big) @ v_big)
 
-        np.testing.assert_allclose(mu_structured.flatten(), mu_big, atol=1e-10)
-        dense_trace = 0.0
-        for g in active:
-            idx = np.arange(blocks[g].start * m_count, blocks[g].stop * m_count)
-            dense_block = sig_big[np.ix_(idx, idx)]
-            np.testing.assert_allclose(
-                dense_block, np.kron(sig_structured[g], np.eye(m_count)),
-                atol=1e-10)
-            c_inv = np.kron(np.linalg.inv(covs[g]), np.eye(m_count))
-            dense_trace += np.real(np.trace(dense_block @ c_inv))
-        # sum_g M tr(Sigma_g C_g^-1), read by the noise update
-        assert trace_term == pytest.approx(dense_trace, rel=1e-9)
+            np.testing.assert_allclose(mu_structured[r].flatten(), mu_big,
+                                       atol=1e-10)
+            dense_trace = 0.0
+            for g in active:
+                idx = np.arange(blocks[g].start * m_count, blocks[g].stop * m_count)
+                dense_block = sig_big[np.ix_(idx, idx)]
+                np.testing.assert_allclose(
+                    dense_block, np.kron(sig_structured[r][g], np.eye(m_count)),
+                    atol=1e-10)
+                c_inv = np.kron(np.linalg.inv(covs[g][r]), np.eye(m_count))
+                dense_trace += np.real(np.trace(dense_block @ c_inv))
+            # sum_g M tr(Sigma_g C_g^-1), read by the noise update
+            assert trace_term[r] == pytest.approx(dense_trace, rel=1e-9)
 
     def test_longer_runs_prune_empty_blocks_not_absorb_noise(self):
         # untied per-entry variances let a few noise-level entries hold an
@@ -474,6 +529,109 @@ class TestAbsblCore:
         for g in st.active:
             assert st.gamma[g].shape == (8,)
             assert st.p_blocks[g].shape == (8, 8)
+
+
+def distinct_support_instance(n_sub, seed=28, noise_std=0.01):
+    """(Phi, Y) with M=3 columns, each with its own active block of 8."""
+    rng = np.random.default_rng(seed)
+    phi = crandn(rng, 20, n_sub)
+    x = np.zeros((n_sub, 3), dtype=complex)
+    for m, g in enumerate((0, 1, 3)):
+        x[g * 8:(g + 1) * 8, m] = crandn(rng, min(8, n_sub - g * 8)) * 3
+    return phi, phi @ x + noise_std * crandn(rng, 20, 3)
+
+
+def assert_runs_match(batched, separate):
+    """absbl_per_column output against one absbl_mmv call per column."""
+    x_hat, states = batched
+    np.testing.assert_allclose(
+        x_hat, np.concatenate([x for x, _ in separate], axis=1),
+        rtol=1e-12, atol=1e-12 * np.abs(x_hat).max())
+    for mine, (_, ref) in zip(states, separate, strict=True):
+        assert mine.active == ref.active
+        assert mine.iterations == ref.iterations
+        assert mine.converged == ref.converged
+        assert mine.sigma2 == pytest.approx(ref.sigma2, rel=1e-12)
+
+
+class TestPerColumn:
+    """One batched run over the columns equals one run per column."""
+
+    @pytest.mark.parametrize("scalar_gamma", [False, True], ids=["absbl", "bsbl"])
+    @pytest.mark.parametrize("n_sub", [32, 30], ids=["even", "ragged"])
+    def test_equals_separate_runs(self, n_sub, scalar_gamma):
+        # each column prunes its own blocks and stops on delta1 at its own
+        # iteration, so the runs leave the batch at different steps
+        phi, y = distinct_support_instance(n_sub)
+        cfg = EstimatorConfig(block_size=8, t_ite=300, scalar_gamma=scalar_gamma)
+        batched = absbl_per_column(y, phi, cfg)
+        separate = [absbl_mmv(y[:, m:m + 1], phi, cfg) for m in range(3)]
+        assert_runs_match(batched, separate)
+        states = batched[1]
+        assert len({tuple(st.active) for st in states}) == 3
+        assert all(len(st.active) < len(st.gamma) for st in states)
+        assert len({st.iterations for st in states}) == 3
+        assert all(st.converged for st in states)
+
+    @pytest.mark.parametrize("sigma2, learn_noise", [(None, True), (1e-4, False)],
+                             ids=["learned-noise", "known-noise"])
+    def test_empty_column_prunes_every_block_alone(self, sigma2, learn_noise):
+        # an empty column prunes every block and stops at its own step; the
+        # known-noise case is the pipeline's setting
+        phi, y = distinct_support_instance(32)
+        y[:, 1] = 0.0
+        cfg = EstimatorConfig(block_size=8, t_ite=300, learn_noise=learn_noise)
+        batched = absbl_per_column(y, phi, cfg, sigma2=sigma2)
+        separate = [absbl_mmv(y[:, m:m + 1], phi, cfg, sigma2=sigma2)
+                    for m in range(3)]
+        assert_runs_match(batched, separate)
+        states = batched[1]
+        assert states[1].active == [] and states[1].converged
+        assert np.all(batched[0][:, 1] == 0)
+        assert len({st.iterations for st in states}) == 3
+
+    def test_ridge_fallback_stays_in_its_run(self, monkeypatch):
+        # K's Cholesky factor fails for run 1 only; that run alone takes the
+        # ridge fallback. No run stops early, so within each E-step the
+        # batched loop factors the runs in order 0, 1, 2
+        phi, y = distinct_support_instance(32, seed=30)
+        cfg = EstimatorConfig(block_size=8, t_ite=8)
+        real_cholesky = sla.cholesky
+        calls = []
+
+        def fail_run_1(*args, **kwargs):
+            calls.append(1)
+            if len(calls) % 3 == 2:
+                raise np.linalg.LinAlgError("forced")
+            return real_cholesky(*args, **kwargs)
+
+        def fail_always(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sla, "cholesky", fail_run_1)
+            batched = absbl_per_column(y, phi, cfg)
+        separate = []
+        for m in range(3):
+            with monkeypatch.context() as patch:
+                if m == 1:
+                    patch.setattr(sla, "cholesky", fail_always)
+                separate.append(absbl_mmv(y[:, m:m + 1], phi, cfg))
+        assert [st.iterations for st in batched[1]] == [8, 8, 8]
+        assert len(calls) == 3 * 8
+        assert_runs_match(batched, separate)
+        # the fallback is not a no-op, so run 1 really took it
+        plain = absbl_mmv(y[:, 1:2], phi, cfg)[0]
+        assert not np.array_equal(batched[0][:, 1:2], plain)
+
+    def test_columns_share_nothing(self):
+        # a column's estimate does not depend on the other columns
+        phi, y = distinct_support_instance(32, seed=31)
+        cfg = EstimatorConfig(block_size=8)
+        both, _ = absbl_per_column(y, phi, cfg)
+        alone, _ = absbl_per_column(y[:, :1], phi, cfg)
+        np.testing.assert_allclose(both[:, :1], alone, rtol=1e-12,
+                                   atol=1e-12 * np.abs(alone).max())
 
 
 class TestBsblBaseline:
@@ -532,6 +690,26 @@ def test_absbl_kernel_benchmark(benchmark):
                                   iterations=1)
     assert np.all(np.isfinite(x_hat))
     np.testing.assert_array_equal(x_hat, absbl_mmv(y, psi)[0])
+
+
+def test_per_column_kernel_benchmark(benchmark):
+    # the per-subcarrier learners at the fully connected fc_smv_bcrb shape
+    # (P=80, N=128, M=5, default config), timed by pytest-benchmark; the
+    # test asserts results, never timings
+    rng = np.random.default_rng(32)
+    p_eff, n_sub, m_count = 80, 128, 5
+    psi = crandn(rng, p_eff, n_sub) @ dft_codebook(n_sub).D
+    x = np.zeros((n_sub, m_count), dtype=complex)
+    for g in (2, 9):
+        x[g * 8:(g + 1) * 8] = crandn(rng, 8, m_count)
+    y = psi @ x + 0.05 * crandn(rng, p_eff, m_count)
+    x_hat, _ = benchmark.pedantic(absbl_per_column, args=(y, psi), rounds=3,
+                                  iterations=1)
+    assert np.all(np.isfinite(x_hat))
+    separate = np.concatenate([absbl_mmv(y[:, m:m + 1], psi)[0]
+                               for m in range(m_count)], axis=1)
+    np.testing.assert_allclose(x_hat, separate, rtol=1e-12,
+                               atol=1e-12 * np.abs(separate).max())
 
 
 class TestSomp:

@@ -21,7 +21,8 @@ import pytest
 
 from snschan.config import SystemConfig
 from snschan.estimator import PosteriorState, dft_codebook
-from snschan.experiments import ExperimentSpec, run_single_trial
+from snschan import experiments
+from snschan.experiments import ExperimentSpec, run_experiment, run_single_trial
 from snschan.pipeline import bcrb_nmse_bound, estimate_channel, measure_scene
 from snschan.scenario import ScenarioOptions, generate_scenario
 
@@ -141,6 +142,35 @@ def test_auc_detectors_are_timed_one_by_one():
     assert [r[:2] for r in records] == [("pass", "auc"), ("rfem", "auc"),
                                         ("afm", "auc")]
     assert len({runtime for *_, runtime in records}) == 3
+
+
+def test_meta_counts_errors_by_type_and_records_environment(tmp_path, monkeypatch):
+    # two failing cells of two exception types in 20, under the 10% limit
+    real = experiments.run_single_trial
+    failures = {(0, 0): ValueError("bad value"), (1, 3): KeyError("missing")}
+
+    def flaky(spec, sweep_idx, trial):
+        if (sweep_idx, trial) in failures:
+            raise failures[(sweep_idx, trial)]
+        return real(spec, sweep_idx, trial)
+
+    monkeypatch.setattr(experiments, "run_single_trial", flaky)
+    spec = ExperimentSpec(**dict(SPECS["auc_vs_snr"], trials=10))
+    table = run_experiment(spec, workers=1)
+    assert table.meta["trials_errored"] == 2
+    assert table.meta["errors_by_type"] == {"KeyError": 1, "ValueError": 1}
+    assert table.meta["errors"] == [
+        "sweep=0.0 trial=0: ValueError: bad value",
+        "sweep=10.0 trial=3: KeyError: 'missing'",
+    ]
+    table.write(tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    env = meta["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["scipy"]
+    assert set(env["blas_thread_vars"]) == set(BLAS_THREAD_VARS)
+    assert env["cpu_count"] == os.cpu_count()
+    assert json.loads((tmp_path / "results.json").read_text())["meta"] == meta
 
 
 if __name__ == "__main__":
