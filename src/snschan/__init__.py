@@ -18,16 +18,13 @@ from .channel import (
     ideal_mask,
     nonideal_mask,
     sample_vr,
-    steering_vector,
 )
 from .diffraction import Obstacle, diffraction_gain, diffraction_geometry, fresnel_cs
 from .segmentation import (
     SegmentationResult,
     afm_segment,
     auc_score,
-    mcd_univariate,
     pass_segment,
-    reweight_mcd,
     rfem_segment,
 )
 from .dhbf import (
@@ -56,10 +53,9 @@ from .experiments import ExperimentSpec, ResultTable, run_experiment
 __all__ = [
     "SystemConfig", "ChannelRealization", "PathParams", "VisibilityMask",
     "assemble_channel", "ideal_mask", "nonideal_mask", "sample_vr",
-    "steering_vector",
     "Obstacle", "diffraction_gain", "diffraction_geometry", "fresnel_cs",
-    "SegmentationResult", "afm_segment", "auc_score", "mcd_univariate",
-    "pass_segment", "reweight_mcd", "rfem_segment",
+    "SegmentationResult", "afm_segment", "auc_score", "pass_segment",
+    "rfem_segment",
     "MeasurementPlan", "RfAllocation", "build_combiners", "decouple",
     "mef_gaa", "prune_subarrays", "simulate_reception",
     "Codebook", "EstimatorConfig", "absbl_mmv", "bsbl_baseline",

@@ -92,18 +92,6 @@ def element_distances(r: float, theta: float, cfg: SystemConfig) -> np.ndarray:
     return np.sqrt(r**2 + a**2 - 2.0 * a * r * np.sin(theta))
 
 
-def steering_vector(r: float, theta: float, cfg: SystemConfig,
-                    f: float | None = None) -> np.ndarray:
-    """Near-field array response, element n = exp(-j k_w (r_n - r)) / sqrt(N).
-
-    f selects the subcarrier frequency for the wavenumber (defaults to the
-    carrier). The vector has unit l2 norm.
-    """
-    r_n = element_distances(r, theta, cfg)
-    k_w = cfg.wavenumber(f)
-    return np.exp(-1j * k_w * (r_n - r)) / np.sqrt(cfg.N)
-
-
 def ideal_mask(path: PathParams, cfg: SystemConfig) -> np.ndarray:
     """Spherical-wave amplitude taper r / r_n for an unobstructed path."""
     if path.kind != IDEAL:
@@ -205,7 +193,11 @@ def _default_mask(path: PathParams, cfg: SystemConfig) -> VisibilityMask:
 
 
 def path_channel(path: PathParams, cfg: SystemConfig) -> np.ndarray:
-    """(N, M) contribution of one path: g e^{-j k_m r} b(r, theta; f_m) .* s."""
+    """(N, M) contribution of one path: g e^{-j k_m r} b(r, theta; f_m) .* s.
+
+    b(r, theta; f) = exp(-j k_f (r_n - r)) / sqrt(N) is the unit-norm
+    near-field array response at frequency f.
+    """
     if path.mask is None:
         path.mask = _default_mask(path, cfg)
     r_n = element_distances(path.r, path.theta, cfg)

@@ -14,11 +14,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
-CHI2_975_1 = float(stats.chi2.ppf(0.975, 1))        # reweighting cutoff
-SCORE_THRESHOLD = float(np.sqrt(CHI2_975_1))        # c_SD ~= 2.2414
-_C1 = 0.975 / float(stats.chi2.cdf(CHI2_975_1, 3))  # reweighted consistency
+# The chi-square numbers come from scipy.special: importing SciPy's
+# statistics package would be the largest fixed cost of importing snschan. The
+# expressions are the ones SciPy's chi2 distribution evaluates (ppf(p, k) is
+# 2 * gammaincinv(k/2, p), cdf(x, k) is chdtr(k, x)), so every constant keeps
+# its bits. The closed forms (ndtri(...)**2, erf) are exact in theory but can
+# differ in the last ulp, which would move results.
+CHI2_975_1 = float(2 * special.gammaincinv(0.5, 0.975))  # chi2_1 0.975 quantile
+SCORE_THRESHOLD = float(np.sqrt(CHI2_975_1))             # c_SD ~= 2.2414
+_C1 = 0.975 / float(special.chdtr(3, CHI2_975_1))        # reweighted consistency
 _VAR_FLOOR_REL = 1e-12
 
 
@@ -50,7 +56,8 @@ def mcd_consistency_c0(h: int, w: int) -> float:
     alpha = h / w
     if alpha >= 1.0:
         return 1.0
-    return alpha / float(stats.chi2.cdf(stats.chi2.ppf(alpha, 1), 3))
+    # same special functions as the module constants, for the same bits
+    return alpha / float(special.chdtr(3, 2 * special.gammaincinv(0.5, alpha)))
 
 
 def _mcd_batch(windows: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,20 +101,6 @@ def _reweight_batch(
     ss = np.sum(keep * (windows - mu[:, None]) ** 2, axis=1)
     var = _C1 * ss / np.maximum(n_keep - 1, 1)
     return mu, var
-
-
-def mcd_univariate(window: np.ndarray, h: int) -> tuple[float, float]:
-    """Raw univariate MCD (mu0, sigma0) of one window with subset size h."""
-    window = np.asarray(window, dtype=float)
-    mu0, sigma0 = _mcd_batch(window[None, :], h)
-    return float(mu0[0]), float(sigma0[0])
-
-
-def reweight_mcd(window: np.ndarray, mu0: float, sigma0: float) -> tuple[float, float]:
-    """Reweighted MCD (mu_mcd, sigma_mcd) of one window."""
-    window = np.asarray(window, dtype=float)
-    mu, var = _reweight_batch(window[None, :], np.array([mu0]), np.array([sigma0]))
-    return float(mu[0]), float(var[0])
 
 
 def pass_segment(profile: np.ndarray, w: int, h: int | None = None) -> SegmentationResult:
@@ -217,11 +210,25 @@ def afm_segment(profile: np.ndarray, fit_width: int | None = None,
     return SegmentationResult(breakpoints=breakpoints, scores=scores, flags=flags)
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, each tie group given the mean of its ranks.
+
+    Equal to SciPy's rankdata(x, method="average"): the ranks are exact
+    integers or half-integers, so any exact computation gives the same bits.
+    """
+    order = np.argsort(x, kind="stable")
+    srt = x[order]
+    starts = np.flatnonzero(np.r_[True, srt[1:] != srt[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
+    return ranks
+
+
 def auc_score(
     predicted: SegmentationResult | np.ndarray,
     truth_bp: np.ndarray,
     match_tol: int,
-    n_elements: int | None = None,
 ) -> float:
     """AUC of the per-element score against the true breakpoint labels.
 
@@ -230,12 +237,15 @@ def auc_score(
     sequence) is threshold-swept; the rank-based AUC equals the Mann-Whitney
     statistic with midrank tie handling. Returns max(AUC, 1 - AUC) in
     [0.5, 1]; degenerate truth (no interior breakpoints) returns 0.5.
+    Raises ValueError if any score is not finite.
     """
     if isinstance(predicted, SegmentationResult):
         scores = predicted.auc_score_sequence()
     else:
         scores = np.asarray(predicted, dtype=float)
-    n = scores.size if n_elements is None else n_elements
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("AUC scores must be finite")
+    n = scores.size
     truth_bp = np.asarray(truth_bp, dtype=int)
     interior = truth_bp[(truth_bp > 1) & (truth_bp <= n)]
     if interior.size == 0:
@@ -248,6 +258,6 @@ def auc_score(
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    ranks = stats.rankdata(scores)
+    ranks = _midranks(scores)
     auc = (ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
     return float(np.clip(max(auc, 1.0 - auc), 0.5, 1.0))

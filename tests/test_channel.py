@@ -12,7 +12,6 @@ from snschan.channel import (
     nonideal_mask,
     path_channel,
     sample_vr,
-    steering_vector,
 )
 from snschan.config import SystemConfig
 from snschan.diffraction import Obstacle
@@ -28,20 +27,32 @@ def euclidean_distance_oracle(r, theta, cfg):
     return out
 
 
+def array_response(r, theta, cfg):
+    """(N, M) near-field array response b(r, theta; f_m), read off a unit-gain,
+    fully visible path: path_channel = e^{-j k_m r} b(r, theta; f_m)."""
+    mask = VisibilityMask(s=np.ones(cfg.N), support=np.ones(cfg.N, dtype=bool))
+    h = path_channel(PathParams(g=1.0, r=r, theta=theta, mask=mask), cfg)
+    return h * np.exp(1j * cfg.wavenumber(cfg.subcarrier_freqs) * r)
+
+
 class TestSteeringVector:
     def test_center_element_has_zero_phase(self):
         # delta = 0 at the center of an odd array -> r_n = r -> unit amplitude
         cfg = SystemConfig(N=3, SI_min=1)
-        b = steering_vector(12.0, 0.7, cfg)
-        assert b[1] == pytest.approx(1 / np.sqrt(3))
+        b = array_response(12.0, 0.7, cfg)
+        for m in range(cfg.M):
+            assert b[1, m] == pytest.approx(1 / np.sqrt(3))
 
     def test_exact_matches_coordinate_oracle(self):
         cfg = SystemConfig(N=4, fc=28e9, SI_min=1)
         r, theta = 10.0, np.pi / 6
-        b = steering_vector(r, theta, cfg)
         d_oracle = euclidean_distance_oracle(r, theta, cfg)
-        expected = np.exp(-1j * cfg.wavenumber() * (d_oracle - r)) / 2.0
-        np.testing.assert_allclose(b, expected, rtol=1e-10)
+        np.testing.assert_allclose(element_distances(r, theta, cfg), d_oracle,
+                                   rtol=1e-12)
+        k_m = cfg.wavenumber(cfg.subcarrier_freqs)
+        expected = np.exp(-1j * np.outer(d_oracle - r, k_m)) / 2.0
+        np.testing.assert_allclose(array_response(r, theta, cfg), expected,
+                                   rtol=1e-10)
 
     def test_unit_norm(self):
         cfg = SystemConfig(N=64, SI_min=8)
@@ -49,15 +60,15 @@ class TestSteeringVector:
         for _ in range(10):
             r = rng.uniform(1.0, 80.0)
             theta = rng.uniform(-1.4, 1.4)
-            assert np.linalg.norm(steering_vector(r, theta, cfg)) == \
-                pytest.approx(1.0, abs=1e-12)
+            norms = np.linalg.norm(array_response(r, theta, cfg), axis=0)
+            np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
 
     def test_rejects_nonpositive_distance(self):
         cfg = SystemConfig(N=8, SI_min=2)
         with pytest.raises(ValueError):
-            steering_vector(0.0, 0.1, cfg)
+            element_distances(0.0, 0.1, cfg)
         with pytest.raises(ValueError):
-            steering_vector(-3.0, 0.1, cfg)
+            element_distances(-3.0, 0.1, cfg)
 
 
 class TestIdealMask:

@@ -2,22 +2,69 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from snschan.segmentation import (
+    _C1,
     CHI2_975_1,
     SCORE_THRESHOLD,
     SegmentationResult,
+    _mcd_batch,
+    _midranks,
+    _reweight_batch,
     afm_segment,
     auc_score,
     mcd_consistency_c0,
-    mcd_univariate,
     pass_segment,
-    reweight_mcd,
     rfem_segment,
 )
+
+
+def mcd_row(window, h):
+    """Raw MCD (mu0, sigma0) of one window: a batch of one row."""
+    mu0, sigma0 = _mcd_batch(np.asarray(window, dtype=float)[None, :], h)
+    return mu0[0], sigma0[0]
+
+
+def reweight_row(window, mu0, sigma0):
+    """Reweighted MCD (mu, var) of one window: a batch of one row."""
+    mu, var = _reweight_batch(np.asarray(window, dtype=float)[None, :],
+                              np.array([mu0]), np.array([sigma0]))
+    return mu[0], var[0]
+
+
+class TestScipyStatsPins:
+    """The chi-square numbers and midranks are computed without scipy.stats;
+    they must equal its values bit for bit, or results.csv would move."""
+
+    def test_constants(self):
+        chi2 = float(stats.chi2.ppf(0.975, 1))
+        assert CHI2_975_1 == chi2
+        assert SCORE_THRESHOLD == float(np.sqrt(chi2))
+        assert _C1 == 0.975 / float(stats.chi2.cdf(chi2, 3))
+
+    def test_consistency_factor_on_every_valid_h(self):
+        for w in range(2, 65):
+            for h in range(int(np.ceil((w + 2) / 2)), w + 1):
+                alpha = h / w
+                expected = 1.0 if alpha >= 1.0 else alpha / float(
+                    stats.chi2.cdf(stats.chi2.ppf(alpha, 1), 3))
+                assert mcd_consistency_c0(h, w) == expected, (h, w)
+
+    @given(st.one_of(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(st.integers(0, k - 1), min_size=1, max_size=64)),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=1, max_size=64),
+    ))
+    @example([7])
+    @example([3, 3, 3, 3, 3])
+    @settings(max_examples=200, deadline=None)
+    def test_midranks_match_rankdata(self, values):
+        x = np.asarray(values, dtype=float)
+        np.testing.assert_array_equal(_midranks(x), stats.rankdata(x))
 
 
 def exhaustive_mcd(window, h):
@@ -36,18 +83,18 @@ def exhaustive_mcd(window, h):
 
 class TestMcdUnivariate:
     def test_all_equal_window(self):
-        mu, sig = mcd_univariate(np.full(8, 3.5), 6)
+        mu, sig = mcd_row(np.full(8, 3.5), 6)
         assert mu == 3.5
         assert sig == 0.0
 
     def test_outlier_excluded(self):
-        mu, sig = mcd_univariate(np.array([1.0, 1.0, 1.0, 1.0, 100.0]), 4)
+        mu, sig = mcd_row(np.array([1.0, 1.0, 1.0, 1.0, 100.0]), 4)
         assert mu == 1.0
         assert sig == 0.0
 
     def test_integers_window_matches_exhaustive(self):
         window = np.arange(1.0, 9.0)
-        mu, sig = mcd_univariate(window, 5)
+        mu, sig = mcd_row(window, 5)
         mu_ref, sig_ref = exhaustive_mcd(window, 5)
         assert mu == pytest.approx(mu_ref)
         assert sig == pytest.approx(sig_ref)
@@ -58,39 +105,38 @@ class TestMcdUnivariate:
         rng = np.random.default_rng(seed)
         window = rng.standard_normal(w) ** 2
         h = int(np.ceil(0.75 * w))
-        mu, sig = mcd_univariate(window, h)
+        mu, sig = mcd_row(window, h)
         mu_ref, sig_ref = exhaustive_mcd(window, h)
         assert mu == pytest.approx(mu_ref, rel=1e-10)
         assert sig == pytest.approx(sig_ref, rel=1e-10, abs=1e-12)
 
     def test_h_range_enforced(self):
         with pytest.raises(ValueError):
-            mcd_univariate(np.arange(8.0), 4)
+            mcd_row(np.arange(8.0), 4)
         with pytest.raises(ValueError):
-            mcd_univariate(np.arange(8.0), 9)
+            mcd_row(np.arange(8.0), 9)
 
 
 class TestReweight:
     def test_no_rejection_gives_plain_moments(self):
         window = np.array([2.0, 2.2, 1.9, 2.1, 2.05, 1.95])
-        mu0, sig0 = mcd_univariate(window, 5)
-        mu, sig = reweight_mcd(window, mu0, sig0)
+        mu0, sig0 = mcd_row(window, 5)
+        mu, sig = reweight_row(window, mu0, sig0)
         c1 = 0.975 / stats.chi2.cdf(stats.chi2.ppf(0.975, 1), 3)
         assert mu == pytest.approx(window.mean())
         assert sig == pytest.approx(c1 * window.var(ddof=1))
 
     def test_outlier_rejected_by_chi2_cutoff(self):
         window = np.array([1.0, 1.0, 1.0, 1.0, 100.0])
-        mu0, sig0 = mcd_univariate(window, 4)
-        mu, _ = reweight_mcd(window, mu0, sig0)
+        mu0, sig0 = mcd_row(window, 4)
+        mu, _ = reweight_row(window, mu0, sig0)
         assert mu == 1.0
-        assert CHI2_975_1 == pytest.approx(stats.chi2.ppf(0.975, 1))
         assert CHI2_975_1 == pytest.approx(5.0239, abs=1e-4)
 
     def test_symmetric_window_centered(self):
         window = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
-        mu0, sig0 = mcd_univariate(window, 5)
-        mu, _ = reweight_mcd(window, mu0, sig0)
+        mu0, sig0 = mcd_row(window, 5)
+        mu, _ = reweight_row(window, mu0, sig0)
         assert mu == pytest.approx(4.0)
 
 
@@ -105,13 +151,13 @@ class TestScoreDistance:
 
     def test_unit_deviation(self):
         window = np.array([1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.0, 1.3])
-        mu0, sigma0 = mcd_univariate(window, 6)         # h = ceil(0.75 W)
-        mu, var = reweight_mcd(window, mu0, sigma0)
+        mu0, sigma0 = mcd_row(window, 6)         # h = ceil(0.75 W)
+        mu, var = reweight_row(window, mu0, sigma0)
         assert pass_segment(window, 8).scores[-1] == pytest.approx(
             abs(window[-1] - mu) / np.sqrt(var), rel=1e-12)
 
     def test_flag_threshold_matches_chi2_quantile(self):
-        assert SCORE_THRESHOLD == pytest.approx(np.sqrt(stats.chi2.ppf(0.975, 1)))
+        assert SCORE_THRESHOLD == np.sqrt(CHI2_975_1)
         assert SCORE_THRESHOLD == pytest.approx(2.2414, abs=1e-4)
 
 
@@ -246,3 +292,13 @@ class TestAucScore:
             outlier_sums=np.array([0, 0, 0, 0, 3, 3, 1, 0, 0, 0.0]),
         )
         assert auc_score(res, np.array([1, 6, 11]), match_tol=1) == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            auc_score(np.r_[bad, np.zeros(63)], np.array([1, 20, 65]), 2)
+
+    def test_length_comes_from_the_scores(self):
+        # a separate element count used to index past the scores
+        with pytest.raises(TypeError):
+            auc_score(np.zeros(10), np.array([1, 5, 11]), 1, n_elements=12)
