@@ -4,8 +4,9 @@ pilot reception, and subarray decoupling.
 A chain serving several subarrays activates exactly one of them per pilot
 slot, cycling through its list; within one cycle the chain reuses one random
 unit-modulus analog row, masked to the active subarray and scaled to unit
-norm. Routing measurements back to the subarray active in their slot yields,
-per subarray, an uncoupled linear observation of its channel block.
+norm. Decoupling gathers, per subarray, the (chain, slot) entries of the
+schedule that activate it, which yields an uncoupled linear observation of
+its channel block.
 """
 
 from __future__ import annotations
@@ -32,24 +33,6 @@ class RfAllocation:
 
     subarrays: list[np.ndarray]   # 0-based element indices per on-mode subarray
     classes: list[list[int]]      # per chain, indices into subarrays
-    on_mode: list[int]            # original subarray ordinals that survived pruning
-
-    @property
-    def n_chains(self) -> int:
-        return len(self.classes)
-
-    @property
-    def chain_elements(self) -> list[np.ndarray]:
-        """J_nRF: union of element indices served by each chain."""
-        return [
-            np.unique(np.concatenate([self.subarrays[j] for j in cls]))
-            if cls else np.array([], dtype=int)
-            for cls in self.classes
-        ]
-
-    @property
-    def subarrays_per_chain(self) -> list[int]:
-        return [len(cls) for cls in self.classes]
 
 
 @dataclass
@@ -61,10 +44,6 @@ class MeasurementPlan:
     alloc: RfAllocation
     noise_variance: float
     effective_pilots: np.ndarray  # per subarray, total measurements
-
-    @property
-    def n_pilots(self) -> int:
-        return self.combiners.shape[0]
 
 
 @dataclass
@@ -140,7 +119,7 @@ def make_allocation(seg: SegmentationResult, on_mode: list[int],
         classes = random_allocation(sizes, n_rf, rng)
     else:
         raise ValueError(f"unknown allocation strategy {strategy!r}")
-    return RfAllocation(subarrays=subarrays, classes=classes, on_mode=list(on_mode))
+    return RfAllocation(subarrays=subarrays, classes=classes)
 
 
 def build_combiners(alloc: RfAllocation, cfg: SystemConfig,
@@ -153,36 +132,27 @@ def build_combiners(alloc: RfAllocation, cfg: SystemConfig,
     subarray and scales the row to unit l2 norm.
     """
     p_total = cfg.P
-    ks = alloc.subarrays_per_chain
-    if any(k > p_total for k in ks if k > 0):
+    ks = [len(cls) for cls in alloc.classes]
+    if max(ks) > p_total:
         raise InfeasiblePilotError(
             f"P={p_total} pilots cannot cover a chain serving {max(ks)} subarrays"
         )
-    n_rf = alloc.n_chains
-    combiners = np.zeros((p_total, n_rf, cfg.N), dtype=complex)
-    schedule = np.full((p_total, n_rf), -1, dtype=int)
+    combiners = np.zeros((p_total, len(ks), cfg.N), dtype=complex)
+    schedule = np.full((p_total, len(ks)), -1, dtype=int)
     for c, cls in enumerate(alloc.classes):
         if not cls:
             continue
-        k = len(cls)
-        elems_chain = alloc.chain_elements[c]
-        base = None
+        elems = np.unique(np.concatenate([alloc.subarrays[j] for j in cls]))  # J_c
+        masks = [np.isin(elems, alloc.subarrays[j]) for j in cls]
         for p in range(p_total):
-            j = p % k
+            j = p % len(cls)
             if j == 0:
-                phases = rng.uniform(0.0, 2.0 * np.pi, size=elems_chain.size)
-                base = np.exp(1j * phases)
-            sub = cls[j]
-            sub_elems = alloc.subarrays[sub]
-            mask = np.isin(elems_chain, sub_elems)
-            row = np.zeros(cfg.N, dtype=complex)
-            row[elems_chain[mask]] = base[mask] / np.sqrt(mask.sum())
-            combiners[p, c] = row
-            schedule[p, c] = sub
-    eff = np.zeros(len(alloc.subarrays), dtype=int)
-    for j in range(len(alloc.subarrays)):
-        eff[j] = int(np.sum(schedule == j))
-    if np.any(eff[np.array([len(s) > 0 for s in alloc.subarrays])] < 1):
+                base = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=elems.size))
+            combiners[p, c, elems[masks[j]]] = base[masks[j]] / np.sqrt(masks[j].sum())
+            schedule[p, c] = cls[j]
+    eff = np.bincount(schedule[schedule >= 0], minlength=len(alloc.subarrays))
+    sizes = np.array([s.size for s in alloc.subarrays])
+    if np.any(eff[sizes > 0] < 1):
         raise InfeasiblePilotError("some on-mode subarray receives no pilot")
     return MeasurementPlan(combiners=combiners, schedule=schedule, alloc=alloc,
                            noise_variance=noise_variance, effective_pilots=eff)
@@ -213,25 +183,19 @@ def simulate_reception(H: np.ndarray, plan: MeasurementPlan,
 
 
 def decouple(y: np.ndarray, plan: MeasurementPlan) -> list[SubarrayObservations]:
-    """Route measurements to the subarray active in their slot.
+    """Gather each subarray's measurements from the SS-SM schedule.
 
-    Returns one observation block per subarray in allocation order; rows are
-    ordered by (chain, slot). Noiseless round trips satisfy
-    y_sub = phi @ h_sub exactly.
+    Subarray j's rows are the (chain, slot) entries where the schedule
+    activates it, in (chain, slot) order: one lookup per subarray, in
+    allocation order. Noiseless round trips satisfy y_sub = phi @ h_sub.
     """
-    m, p_total, n_rf = y.shape
-    if (p_total, n_rf) != plan.schedule.shape:
+    if y.shape[1:] != plan.schedule.shape:
         raise ValueError("observations do not match the plan schedule")
     out: list[SubarrayObservations] = []
     for j, elems in enumerate(plan.alloc.subarrays):
-        rows = []
-        obs = []
-        for c in range(n_rf):
-            for p in range(p_total):
-                if plan.schedule[p, c] == j:
-                    rows.append(plan.combiners[p, c, elems])
-                    obs.append(y[:, p, c])
-        phi = np.array(rows) if rows else np.zeros((0, elems.size), dtype=complex)
-        y_sub = np.array(obs) if obs else np.zeros((0, m), dtype=complex)
-        out.append(SubarrayObservations(y=y_sub, phi=phi, elements=elems))
+        chain, slot = np.nonzero(plan.schedule.T == j)
+        out.append(SubarrayObservations(
+            y=y.transpose(1, 2, 0)[slot, chain],
+            phi=plan.combiners[slot[:, None], chain[:, None], elems],
+            elements=elems))
     return out

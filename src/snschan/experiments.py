@@ -253,6 +253,17 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
 }
 
 
+def _check_params(params: dict) -> None:
+    """Reject an architecture, estimator or estimator_config no cell knows."""
+    for key, known in (("architecture", ARCHITECTURES), ("estimator", _NMSE_ALGOS)):
+        if key in params and params[key] not in known:
+            raise ConfigError(f"unknown {key} {params[key]!r}; known: {list(known)}")
+    try:
+        _estimator_config(params)
+    except TypeError as err:
+        raise ConfigError(f"invalid estimator_config: {err}") from err
+
+
 @dataclass
 class ExperimentSpec:
     """One experiment request: what to sweep, how many trials, which seed."""
@@ -274,8 +285,8 @@ class ExperimentSpec:
             self.sweep = list(exp.default_sweep)
         if not self.algorithms:
             self.algorithms = list(exp.algorithms)
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if type(self.trials) is not int or self.trials < 1:
+            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         unknown = [a for a in self.algorithms if a not in exp.allowed]
         if unknown:
             raise ConfigError(f"algorithms {unknown} not valid for "
@@ -283,6 +294,7 @@ class ExperimentSpec:
         merged_params = dict(exp.params)
         merged_params.update(self.params)
         self.params = merged_params
+        _check_params(self.params)
         merged_over = dict(exp.overrides)
         merged_over.update(self.overrides)
         self.overrides = merged_over
@@ -378,9 +390,8 @@ def _build_config(spec: ExperimentSpec, sweep_value) -> SystemConfig:
         raise ConfigError(str(err)) from err
 
 
-def _estimator_config(spec: ExperimentSpec) -> EstimatorConfig:
-    kwargs = spec.params.get("estimator_config", {})
-    return EstimatorConfig(**kwargs)
+def _estimator_config(params: dict) -> EstimatorConfig:
+    return EstimatorConfig(**params.get("estimator_config", {}))
 
 
 def run_single_trial(spec: ExperimentSpec, sweep_idx: int,
@@ -393,7 +404,7 @@ def run_single_trial(spec: ExperimentSpec, sweep_idx: int,
         float(spec.params.get("snr_db", 10.0))
     return exp.cell(_Cell(spec, value, _build_config(spec, value),
                           spec.child_rng(sweep_idx, trial), snr_db,
-                          _estimator_config(spec)))
+                          _estimator_config(spec.params)))
 
 
 def _trial_worker(payload: tuple[dict, int, int]):

@@ -30,10 +30,21 @@ from .estimator import (
     offgrid_refine,
     somp_baseline,
 )
-from .segmentation import SegmentationResult, afm_segment, pass_segment, rfem_segment
+from .segmentation import (
+    SegmentationResult,
+    afm_segment,
+    from_breakpoints,
+    pass_segment,
+    rfem_segment,
+)
 
-ARCHITECTURES = ("dhbf_mef_gaa", "dhbf_random", "fully_connected")
-SEGMENTATION_VARIANTS = ("pass", "oracle", "equal4", "under", "over")
+# architecture -> RF-chain allocation strategy; None: one fully connected array
+_ALLOCATION: dict[str, str | None] = {
+    "dhbf_mef_gaa": "mef_gaa",
+    "dhbf_random": "random",
+    "fully_connected": None,
+}
+ARCHITECTURES = tuple(_ALLOCATION)
 # detector -> segmentation of a power profile under the window w
 DETECTORS: dict[str, Callable[[np.ndarray, int], SegmentationResult]] = {
     "pass": lambda profile, w: pass_segment(profile, w),
@@ -54,10 +65,8 @@ def measurement_noise_variance(H: np.ndarray, snr_db: float) -> float:
 
 
 def measure_power(chan: ChannelRealization, rng: np.random.Generator,
-                  snr_db: float | None) -> np.ndarray:
+                  snr_db: float) -> np.ndarray:
     """Per-element power profile |sum_m (h_nm + w_nm)|^2 at the given SNR."""
-    if snr_db is None:
-        return chan.power.copy()
     sigma2 = measurement_noise_variance(chan.H, snr_db)
     noise = np.sqrt(sigma2 / 2.0) * (
         rng.standard_normal(chan.H.shape) + 1j * rng.standard_normal(chan.H.shape)
@@ -65,26 +74,20 @@ def measure_power(chan: ChannelRealization, rng: np.random.Generator,
     return np.abs((chan.H + noise).sum(axis=1)) ** 2
 
 
-def _equal_breakpoints(n: int, parts: int) -> np.ndarray:
-    edges = np.linspace(0, n, parts + 1).round().astype(int)
-    return np.unique(edges + 1)
+def _quartered(truth: np.ndarray, n: int) -> np.ndarray:
+    """The truth with every segment cut at its rounded quarter points."""
+    quarters = np.round(np.arange(1, 4) * np.diff(truth)[:, None] / 4)
+    return np.concatenate([truth, (truth[:-1, None] + quarters.astype(int)).ravel()])
 
 
-def _merge_pairs(breakpoints: np.ndarray) -> np.ndarray:
-    interior = breakpoints[1:-1]
-    return np.concatenate(([1], interior[1::2], [breakpoints[-1]]))
-
-
-def _quarter_segments(breakpoints: np.ndarray) -> np.ndarray:
-    out = [1]
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        span = b - a
-        for q in range(1, 4):
-            cut = a + int(round(q * span / 4))
-            if a < cut < b:
-                out.append(cut)
-        out.append(b)
-    return np.unique(out)
+# fixed segmentation variant -> its candidate breakpoints from (truth, N)
+_FIXED_SPLITS: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
+    "oracle": lambda truth, n: truth,
+    "equal4": lambda truth, n: np.linspace(0, n, 5).round().astype(int) + 1,
+    "under": lambda truth, n: truth[2:-1:2],   # every other interior point
+    "over": _quartered,
+}
+SEGMENTATION_VARIANTS = ("pass", *_FIXED_SPLITS)
 
 
 def segment_scene(
@@ -92,7 +95,6 @@ def segment_scene(
     chan: ChannelRealization,
     cfg: SystemConfig,
     variant: str = "pass",
-    window: int | None = None,
 ) -> SegmentationResult:
     """Segmentation under one of the ablation variants.
 
@@ -100,22 +102,12 @@ def segment_scene(
     4-way split; under: oracle with every other interior point dropped;
     over: oracle with each segment quartered.
     """
-    w = cfg.SI_min if window is None else window
     if variant == "pass":
-        return pass_segment(profile, w)
-    if variant == "oracle":
-        bp = chan.truth_breakpoints.copy()
-    elif variant == "equal4":
-        bp = _equal_breakpoints(cfg.N, 4)
-    elif variant == "under":
-        bp = _merge_pairs(chan.truth_breakpoints)
-    elif variant == "over":
-        bp = _quarter_segments(chan.truth_breakpoints)
-    else:
+        return pass_segment(profile, cfg.SI_min)
+    split = _FIXED_SPLITS.get(variant)
+    if split is None:
         raise ValueError(f"unknown segmentation variant {variant!r}")
-    n = profile.size
-    return SegmentationResult(breakpoints=np.asarray(bp, dtype=int),
-                              scores=np.zeros(n), flags=np.zeros(n, dtype=int))
+    return from_breakpoints(split(chan.truth_breakpoints, cfg.N), cfg.N)
 
 
 @dataclass
@@ -136,29 +128,25 @@ def measure_scene(
     snr_db: float,
     architecture: str = "dhbf_mef_gaa",
     seg_variant: str = "pass",
-    window: int | None = None,
-    power_snr_db: float | None = None,
     profile: np.ndarray | None = None,
 ) -> TrialMeasurement:
     """Run power measurement, segmentation, allocation, reception, decoupling."""
+    if architecture not in _ALLOCATION:
+        raise ValueError(f"unknown architecture {architecture!r}")
+    strategy = _ALLOCATION[architecture]
     sigma2 = measurement_noise_variance(chan.H, snr_db)
-    if architecture == "fully_connected":
-        n = cfg.N
-        seg = SegmentationResult(breakpoints=np.array([1, n + 1]),
-                                 scores=np.zeros(n), flags=np.zeros(n, dtype=int))
+    if strategy is None:
+        seg = from_breakpoints([], cfg.N)
         alloc = make_allocation(seg, [0], cfg.N_RF, strategy="mef_gaa")
     else:
         if profile is None:
-            profile = measure_power(
-                chan, rng, snr_db if power_snr_db is None else power_snr_db
-            )
-        seg = segment_scene(profile, chan, cfg, seg_variant, window)
+            profile = measure_power(chan, rng, snr_db)
+        seg = segment_scene(profile, chan, cfg, seg_variant)
         # twice the power-profile noise floor, capped so the strongest
         # subarray always survives at low SNR
         strongest = max(float(np.mean(profile[e])) for e in seg.subarrays)
         eta = min(2.0 * cfg.M * sigma2, 0.5 * strongest)
         on_mode = prune_subarrays(profile, seg, eta)
-        strategy = "random" if architecture == "dhbf_random" else "mef_gaa"
         alloc = make_allocation(seg, on_mode, cfg.N_RF, strategy=strategy, rng=rng)
     plan = build_combiners(alloc, cfg, rng, sigma2)
     y = simulate_reception(chan.H, plan, rng)

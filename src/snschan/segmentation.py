@@ -4,8 +4,11 @@ PASS slides a window over the power sequence, estimates robust location and
 scale of each window with a reweighted minimum covariance determinant
 (univariate, exact via sorted contiguous subsets), scores the trailing
 element by its Mahalanobis distance, and filters the flagged elements with a
-W/4-of-W/2 persistence rule. RFEM and AFM are the two reference detectors,
-and detections are scored against ground truth with a threshold-swept AUC.
+W/4-of-W/2 persistence rule. RFEM and AFM are the two reference detectors;
+both flag the local maxima of their score above half its peak, through one
+vectorized picker. Every segmentation, detected or fixed, gets its
+breakpoints from one builder, ``from_breakpoints``, and detections are scored
+against ground truth with a threshold-swept AUC.
 """
 
 from __future__ import annotations
@@ -26,15 +29,19 @@ CHI2_975_1 = float(2 * special.gammaincinv(0.5, 0.975))  # chi2_1 0.975 quantile
 SCORE_THRESHOLD = float(np.sqrt(CHI2_975_1))             # c_SD ~= 2.2414
 _C1 = 0.975 / float(special.chdtr(3, CHI2_975_1))        # reweighted consistency
 _VAR_FLOOR_REL = 1e-12
+_PEAK_REL = 0.5   # RFEM/AFM keep local maxima above this share of the peak
 
 
 @dataclass
 class SegmentationResult:
-    """Sorted breakpoints plus the per-element detection diagnostics."""
+    """Sorted breakpoints plus the per-element detection diagnostics.
+
+    The program builds it only through ``from_breakpoints``, so every
+    segmentation shares one breakpoint format.
+    """
 
     breakpoints: np.ndarray     # 1-based, starts at 1, ends at N+1
-    scores: np.ndarray          # per-element score distance (or baseline score)
-    flags: np.ndarray           # d_n, 0/1
+    scores: np.ndarray | None = None  # per-element detector score; None if fixed
     outlier_sums: np.ndarray | None = None  # os_n (PASS only)
 
     @property
@@ -49,6 +56,20 @@ class SegmentationResult:
 
     def auc_score_sequence(self) -> np.ndarray:
         return self.outlier_sums if self.outlier_sums is not None else self.scores
+
+
+def from_breakpoints(candidates: np.ndarray | list[int], n: int,
+                     scores: np.ndarray | None = None,
+                     outlier_sums: np.ndarray | None = None) -> SegmentationResult:
+    """The segmentation of N elements at the given 1-based breakpoints.
+
+    Candidates outside 1 < i <= N are dropped; 1 and N+1 are added, and the
+    breakpoints are sorted and de-duplicated.
+    """
+    c = np.asarray(candidates, dtype=int)
+    bp = np.unique(np.concatenate(([1], c[(c > 1) & (c <= n)], [n + 1])))
+    return SegmentationResult(breakpoints=bp, scores=scores,
+                              outlier_sums=outlier_sums)
 
 
 def mcd_consistency_c0(h: int, w: int) -> float:
@@ -146,17 +167,29 @@ def pass_segment(profile: np.ndarray, w: int, h: int | None = None) -> Segmentat
     for idx in accepted:
         if not merged or idx - merged[-1] >= w / 4:
             merged.append(int(idx))
-    interior = [i for i in merged if 1 < i <= n]
-    breakpoints = np.array(sorted({1, *interior, n + 1}), dtype=int)
-    return SegmentationResult(breakpoints=breakpoints, scores=scores,
-                              flags=flags, outlier_sums=os_n.astype(float))
+    return from_breakpoints(merged, n, scores, os_n.astype(float))
 
 
-def rfem_segment(profile: np.ndarray, rel_threshold: float = 0.5) -> SegmentationResult:
+def _peak_breakpoints(scores: np.ndarray, last: bool) -> np.ndarray:
+    """1-based breakpoints (element + 1) at the elements 1..N-1 whose score
+    exceeds half the peak and is no smaller than either neighbour's.
+
+    The last element has -inf on its right; it can be a peak only if
+    ``last`` is set.
+    """
+    s = scores[1:]
+    right = np.append(scores[2:], -np.inf)
+    peaks = (s > _PEAK_REL * scores.max()) & (s >= scores[:-1]) & (s >= right)
+    if not last:
+        peaks[-1] = False
+    return np.flatnonzero(peaks) + 2
+
+
+def rfem_segment(profile: np.ndarray) -> SegmentationResult:
     """Rising-and-falling-edges method: peaks of the first-order difference.
 
-    The score at element n is |p_n - p_{n-1}|; local maxima above
-    rel_threshold * max score become breakpoints.
+    The score at element n is |p_n - p_{n-1}|; local maxima above half the
+    largest score become breakpoints, the last element included.
     """
     p = np.asarray(profile, dtype=float)
     n = p.size
@@ -164,50 +197,30 @@ def rfem_segment(profile: np.ndarray, rel_threshold: float = 0.5) -> Segmentatio
         raise ValueError("profile too short")
     scores = np.zeros(n)
     scores[1:] = np.abs(np.diff(p))
-    peak = scores.max()
-    flags = np.zeros(n, dtype=int)
-    if peak > 0:
-        thr = rel_threshold * peak
-        for i in range(1, n):
-            left = scores[i - 1] if i >= 1 else -np.inf
-            right = scores[i + 1] if i + 1 < n else -np.inf
-            if scores[i] > thr and scores[i] >= left and scores[i] >= right:
-                flags[i] = 1
-    interior = np.flatnonzero(flags) + 1
-    breakpoints = np.array(sorted({1, *(int(i) for i in interior if 1 < i <= n), n + 1}))
-    return SegmentationResult(breakpoints=breakpoints, scores=scores, flags=flags)
+    return from_breakpoints(_peak_breakpoints(scores, last=True), n, scores)
 
 
-def afm_segment(profile: np.ndarray, fit_width: int | None = None,
-                rel_threshold: float = 0.5) -> SegmentationResult:
+def afm_segment(profile: np.ndarray, fit_width: int) -> SegmentationResult:
     """Accumulation-function method: slope changes of the cumulative power.
 
     The score at element n is the difference of secant slopes of the
-    accumulation function over fit_width elements before and after n.
+    accumulation function over fit_width elements before and after n; local
+    maxima above half the largest score become breakpoints, the last element
+    excluded.
     """
     p = np.asarray(profile, dtype=float)
     n = p.size
     if n < 3:
         raise ValueError("profile too short")
-    if fit_width is None:
-        fit_width = max(2, min(16, n // 4))
+    if fit_width < 1:
+        raise ValueError(f"fit_width must be >= 1, got {fit_width}")
     acc = np.concatenate([[0.0], np.cumsum(p)])   # acc[i] = sum of first i
+    # candidate i: a new regime starts at 1-based element i+1
+    i = np.arange(fit_width, n - fit_width + 1)
     scores = np.zeros(n)
-    for i in range(fit_width, n - fit_width + 1):
-        # candidate: new regime starts at 1-based element i+1 -> 0-based i
-        left = (acc[i] - acc[i - fit_width]) / fit_width
-        right = (acc[i + fit_width] - acc[i]) / fit_width
-        scores[i] = abs(right - left)
-    peak = scores.max()
-    flags = np.zeros(n, dtype=int)
-    if peak > 0:
-        thr = rel_threshold * peak
-        for i in range(1, n - 1):
-            if scores[i] > thr and scores[i] >= scores[i - 1] and scores[i] >= scores[i + 1]:
-                flags[i] = 1
-    interior = np.flatnonzero(flags) + 1
-    breakpoints = np.array(sorted({1, *(int(i) for i in interior if 1 < i <= n), n + 1}))
-    return SegmentationResult(breakpoints=breakpoints, scores=scores, flags=flags)
+    scores[i] = np.abs((acc[i + fit_width] - acc[i]) / fit_width
+                       - (acc[i] - acc[i - fit_width]) / fit_width)
+    return from_breakpoints(_peak_breakpoints(scores, last=False), n, scores)
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:

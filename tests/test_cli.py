@@ -11,6 +11,10 @@ from snschan import experiments
 
 TINY_AUC = {"experiment": "auc_vs_snr", "sweep": [5.0], "trials": 2, "seed": 3,
             "overrides": {"N": 64, "SI_min": 16, "K": 2}}
+TINY_NMSE = {"experiment": "nmse_vs_snr", "sweep": [10.0], "trials": 1, "seed": 3,
+             "algorithms": ["ss_somp"], "overrides": {"N": 64, "SI_min": 16, "P": 16}}
+TINY_ABLATION = {"experiment": "segmentation_ablation", "trials": 1, "seed": 3,
+                 "algorithms": ["equal4"], "overrides": {"N": 64, "SI_min": 16, "P": 16}}
 
 
 def write_spec(tmp_path, doc) -> str:
@@ -52,7 +56,12 @@ def test_seed_report(tmp_path, capsys):
     None,                                               # no such file
     dict(TINY_AUC, experiment="no_such_experiment"),
     dict(TINY_AUC, algorithms=["ss_absbl_mmv"]),        # not a detector
-], ids=["unreadable", "unknown-experiment", "unknown-algorithm"])
+    dict(TINY_AUC, trials="2"),
+    dict(TINY_NMSE, params={"architecture": "fully-connected"}),
+    dict(TINY_ABLATION, params={"estimator": "ss_absbl_mm"}),
+    dict(TINY_ABLATION, params={"estimator_config": {"t_iter": 5}}),
+], ids=["unreadable", "unknown-experiment", "unknown-algorithm", "string-trials",
+        "unknown-architecture", "unknown-estimator", "unknown-estimator-config"])
 def test_config_errors(tmp_path, capsys, doc):
     path = str(tmp_path / "missing.json") if doc is None else write_spec(tmp_path, doc)
     assert cli.main(["validate", path]) == cli.EXIT_CONFIG

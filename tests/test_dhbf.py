@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from snschan.config import SystemConfig
@@ -19,12 +19,11 @@ from snschan.dhbf import (
     simulate_reception,
 )
 from snschan.pipeline import measurement_noise_variance
-from snschan.segmentation import SegmentationResult
+from snschan.segmentation import SegmentationResult, from_breakpoints
 
 
 def seg_with_breakpoints(bp, n):
-    return SegmentationResult(breakpoints=np.asarray(bp), scores=np.zeros(n),
-                              flags=np.zeros(n, dtype=int))
+    return SegmentationResult(breakpoints=np.asarray(bp), scores=np.zeros(n))
 
 
 class TestPrune:
@@ -100,7 +99,7 @@ class TestCombiners:
 
     def test_rows_unit_norm(self):
         _, _, plan = self._setup()
-        for p in range(plan.n_pilots):
+        for p in range(plan.combiners.shape[0]):
             for c in range(plan.combiners.shape[1]):
                 if plan.schedule[p, c] >= 0:
                     assert np.linalg.norm(plan.combiners[p, c]) == \
@@ -123,7 +122,7 @@ class TestCombiners:
 
     def test_row_support_stays_on_active_subarray(self):
         cfg, alloc, plan = self._setup()
-        for p in range(plan.n_pilots):
+        for p in range(plan.combiners.shape[0]):
             for c in range(plan.combiners.shape[1]):
                 sub = plan.schedule[p, c]
                 if sub < 0:
@@ -134,7 +133,7 @@ class TestCombiners:
     def test_disjoint_supports_within_slot(self):
         # holds whenever each subarray is served by a single chain
         cfg, alloc, plan = self._setup(bp=(1, 9, 21, 33), n_rf=2)
-        for p in range(plan.n_pilots):
+        for p in range(plan.combiners.shape[0]):
             supports = [np.flatnonzero(plan.combiners[p, c]) for c in range(2)]
             assert np.intersect1d(supports[0], supports[1]).size == 0
 
@@ -206,6 +205,39 @@ class TestReceptionAndDecoupling:
             key_b = np.lexsort(np.round(b.phi, 9).T.real)
             np.testing.assert_allclose(a.phi[key_a], b.phi[key_b], atol=1e-12)
             np.testing.assert_allclose(a.y[key_a], b.y[key_b], atol=1e-12)
+
+    @given(st.integers(8, 96), st.integers(0, 6), st.integers(1, 5),
+           st.integers(4, 39), st.sampled_from(["mef_gaa", "random"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_noiseless_round_trip_in_chain_slot_order(self, n, n_cuts, n_rf, p,
+                                                      strategy, seed):
+        rng = np.random.default_rng(seed)
+        cuts = rng.choice(np.arange(2, n + 1), size=n_cuts, replace=False)
+        seg = from_breakpoints(cuts, n)
+        alloc = make_allocation(seg, list(range(seg.n_subarrays)), n_rf,
+                                strategy=strategy, rng=rng)
+        assume(max(len(cls) for cls in alloc.classes) <= p)
+        cfg = SystemConfig(N=n, M=2, SI_min=1, N_RF=n_rf, P=p)
+        plan = build_combiners(alloc, cfg, rng, noise_variance=0.0)
+        h = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        y = simulate_reception(h, plan, rng)
+        obs = decouple(y, plan)
+        assert len(obs) == len(alloc.subarrays)
+        for j, block in enumerate(obs):
+            # every (chain, slot) that activates j, chain-major
+            rows = [(c, s) for c in range(n_rf) for s in range(p)
+                    if plan.schedule[s, c] == j]
+            assert len(rows) == plan.effective_pilots[j]
+            np.testing.assert_array_equal(block.elements, alloc.subarrays[j])
+            np.testing.assert_array_equal(
+                block.y, np.array([y[:, s, c] for c, s in rows]))
+            np.testing.assert_array_equal(
+                block.phi, np.array([plan.combiners[s, c, block.elements]
+                                     for c, s in rows]))
+            assert block.y.flags.c_contiguous
+            np.testing.assert_allclose(block.y, block.phi @ h[block.elements],
+                                       rtol=0, atol=1e-12)
 
     def test_measurement_snr_calibration(self):
         # unit mean per-element energy, sigma^2 = 10^(-snr/10): the empirical

@@ -136,6 +136,15 @@ def test_one_posterior_per_subarray_and_only_from_joint_fits():
             bcrb_nmse_bound(meas, none_states)
 
 
+def test_measure_scene_rejects_an_unknown_architecture():
+    # a misspelt architecture must not fall through to DHBF MEF-GAA
+    cfg = SystemConfig(N=32, SI_min=8, K=1, P=16)
+    rng = np.random.default_rng(0)
+    chan = generate_scenario(cfg, rng, ScenarioOptions.full_visibility())
+    with pytest.raises(ValueError, match="architecture"):
+        measure_scene(chan, cfg, rng, 10.0, architecture="fully-connected")
+
+
 def test_auc_detectors_are_timed_one_by_one():
     spec = ExperimentSpec(**SPECS["auc_vs_snr"])
     records = run_single_trial(spec, 0, 0)

@@ -236,7 +236,8 @@ class TestBaselines:
     def test_constant_profile(self):
         p = np.full(64, 3.0)
         np.testing.assert_array_equal(rfem_segment(p).breakpoints, [1, 65])
-        np.testing.assert_array_equal(afm_segment(p).breakpoints, [1, 65])
+        np.testing.assert_array_equal(afm_segment(p, fit_width=16).breakpoints,
+                                      [1, 65])
 
     def test_noiseless_step_found_exactly(self):
         p = np.where(np.arange(1, 257) <= 128, 1.0, 9.0)
@@ -246,6 +247,72 @@ class TestBaselines:
     def test_minimum_length(self):
         with pytest.raises(ValueError):
             rfem_segment(np.ones(2))
+
+    @pytest.mark.parametrize("fit_width", [0, -3])
+    def test_afm_rejects_a_width_below_one(self, fit_width):
+        # SI_min = 1 reaches fit_width = 0 through the detector's w // 2
+        with pytest.raises(ValueError, match="fit_width"):
+            afm_segment(np.arange(16.0), fit_width=fit_width)
+
+
+def reference_peaks(scores, last):
+    """0-based elements i >= 1 whose score exceeds half the peak and is no
+    smaller than either neighbour's (-inf right of the last element, which
+    counts only if `last`)."""
+    n = scores.size
+    thr = 0.5 * scores.max()
+    out = []
+    for i in range(1, n if last else n - 1):
+        right = scores[i + 1] if i + 1 < n else -np.inf
+        if scores[i] > thr and scores[i] >= scores[i - 1] and scores[i] >= right:
+            out.append(i)
+    return out
+
+
+# small integer alphabets give ties and plateaus; floats mostly untied profiles
+_PROFILES = st.one_of(
+    st.lists(st.integers(0, 3), min_size=3, max_size=80),
+    st.lists(st.floats(0.0, 1e6), min_size=3, max_size=80),
+)
+
+
+class TestPeakPicking:
+    """RFEM and AFM flag exactly the local maxima above half the peak score;
+    breakpoints are 1, the flagged elements + 1 (1-based), then N+1."""
+
+    @given(_PROFILES)
+    @example([2.0] * 12)
+    @example([0.0] * 5)
+    @example([0, 0, 0, 5])
+    @settings(max_examples=300, deadline=None)
+    def test_rfem(self, profile):
+        p = np.asarray(profile, dtype=float)
+        res = rfem_segment(p)
+        np.testing.assert_array_equal(res.scores, np.r_[0.0, np.abs(np.diff(p))])
+        peaks = reference_peaks(res.scores, last=True)
+        np.testing.assert_array_equal(res.breakpoints,
+                                      [1, *(i + 1 for i in peaks), p.size + 1])
+
+    @given(_PROFILES, st.integers(1, 40))
+    @example([2.0] * 12, 1)
+    @example([1, 1, 3, 3, 1, 1], 2)
+    # at width 1 the last element can be a peak; AFM must not flag it
+    @example([0, 0, 0, 5], 1)
+    @settings(max_examples=300, deadline=None)
+    def test_afm(self, profile, fit_width):
+        p = np.asarray(profile, dtype=float)
+        n = p.size
+        res = afm_segment(p, fit_width)
+        acc = np.r_[0.0, np.cumsum(p)]
+        expected = np.zeros(n)
+        for i in range(fit_width, n - fit_width + 1):
+            left = (acc[i] - acc[i - fit_width]) / fit_width
+            right = (acc[i + fit_width] - acc[i]) / fit_width
+            expected[i] = abs(right - left)
+        np.testing.assert_array_equal(res.scores, expected)
+        peaks = reference_peaks(expected, last=False)
+        np.testing.assert_array_equal(res.breakpoints,
+                                      [1, *(i + 1 for i in peaks), n + 1])
 
 
 def pairwise_auc(scores, labels):
@@ -288,7 +355,6 @@ class TestAucScore:
         res = SegmentationResult(
             breakpoints=np.array([1, 6, 11]),
             scores=np.zeros(10),
-            flags=np.zeros(10, dtype=int),
             outlier_sums=np.array([0, 0, 0, 0, 3, 3, 1, 0, 0, 0.0]),
         )
         assert auc_score(res, np.array([1, 6, 11]), match_tol=1) == 1.0
