@@ -16,7 +16,6 @@ import numpy as np
 
 from .config import SystemConfig
 from .diffraction import (
-    GeometryInfeasibleError,
     Obstacle,
     diffraction_gain,
     diffraction_geometry,
@@ -25,6 +24,7 @@ from .diffraction import (
 
 IDEAL = "ideal"
 NONIDEAL = "nonideal"
+_MAX_RESAMPLE = 100   # Markov redraws before one visible block is forced
 
 
 class MaskConfigurationError(ValueError):
@@ -33,12 +33,10 @@ class MaskConfigurationError(ValueError):
 
 @dataclass
 class VisibilityMask:
-    """Per-element mask of one path: weights, support, and provenance."""
+    """Per-element mask of one path: its weights and their support (the VR)."""
 
-    s: np.ndarray                          # non-negative weights, len N
-    support: np.ndarray                    # bool, len N; s == 0 outside
-    block_states: np.ndarray | None = None  # Markov block states (ideal paths)
-    geometry: dict | None = None           # h, d1, d2, nu, A (non-ideal paths)
+    s: np.ndarray         # non-negative weights, len N
+    support: np.ndarray   # bool, len N; s == 0 outside
 
 
 @dataclass
@@ -66,21 +64,11 @@ class PathParams:
 
 @dataclass
 class ChannelRealization:
-    """Channel matrix with per-path metadata and the derived power profile."""
+    """Channel matrix, the paths it superposes and their VR breakpoints."""
 
     H: np.ndarray                   # (N, M) complex, column m = subcarrier m
     paths: list[PathParams]
-    power: np.ndarray               # (N,) real, |sum_m H[n, m]|^2
-    freqs: np.ndarray               # (M,) subcarrier frequencies [Hz]
     truth_breakpoints: np.ndarray   # 1-based, sorted, starts at 1, ends at N+1
-
-    @property
-    def N(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def M(self) -> int:
-        return self.H.shape[1]
 
 
 def element_distances(r: float, theta: float, cfg: SystemConfig) -> np.ndarray:
@@ -100,8 +88,7 @@ def ideal_mask(path: PathParams, cfg: SystemConfig) -> np.ndarray:
     return path.r / r_n
 
 
-def nonideal_mask(path: PathParams, cfg: SystemConfig,
-                  return_geometry: bool = False):
+def nonideal_mask(path: PathParams, cfg: SystemConfig) -> np.ndarray:
     """Mask of a knife-edge-obstructed path: (r / r_n) [t_d (sqrt(A_n)-1) + 1].
 
     t_d scales the diffraction ripple and must satisfy
@@ -109,7 +96,7 @@ def nonideal_mask(path: PathParams, cfg: SystemConfig,
     """
     if path.kind != NONIDEAL or path.obstacle is None:
         raise ValueError("nonideal_mask requires a non-ideal path with an obstacle")
-    h, d1, d2, nu = diffraction_geometry(path.obstacle, path.theta, cfg)
+    _, _, _, nu = diffraction_geometry(path.obstacle, path.theta, cfg)
     a_n = diffraction_gain(nu)
     bound = max_diffraction_intensity(a_n)
     if path.t_d >= bound:
@@ -117,10 +104,7 @@ def nonideal_mask(path: PathParams, cfg: SystemConfig,
             f"t_d = {path.t_d:.4g} violates the positivity bound {bound:.4g}"
         )
     r_n = element_distances(path.r, path.theta, cfg)
-    s = (path.r / r_n) * (path.t_d * (np.sqrt(a_n) - 1.0) + 1.0)
-    if return_geometry:
-        return s, {"h": h, "d1": d1, "d2": d2, "nu": nu, "A": a_n}
-    return s
+    return (path.r / r_n) * (path.t_d * (np.sqrt(a_n) - 1.0) + 1.0)
 
 
 def _expand_blocks(states: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -137,7 +121,6 @@ def sample_vr(
     p_stay_blocked: float = 0.8,
     p_init_visible: float | None = None,
     power_threshold: float = 0.1,
-    max_resample: int = 100,
 ) -> VisibilityMask:
     """Draw the path's visibility region and build its mask.
 
@@ -150,10 +133,9 @@ def sample_vr(
         raise ValueError("Markov probabilities must lie in [0, 1]")
 
     if path.kind == NONIDEAL:
-        s_full, geometry = nonideal_mask(path, cfg, return_geometry=True)
+        s_full = nonideal_mask(path, cfg)
         support = s_full > power_threshold * np.max(s_full)
-        s = np.where(support, s_full, 0.0)
-        return VisibilityMask(s=s, support=support, geometry=geometry)
+        return VisibilityMask(s=np.where(support, s_full, 0.0), support=support)
 
     b_si = cfg.n_blocks_si
     p_vb = 1.0 - p_stay_visible
@@ -162,7 +144,7 @@ def sample_vr(
         p_init_visible = 0.5 if p_vb + p_bv == 0 else p_bv / (p_vb + p_bv)
 
     states = np.zeros(b_si, dtype=bool)
-    for _ in range(max_resample):
+    for _ in range(_MAX_RESAMPLE):
         states[0] = rng.random() < p_init_visible
         for b in range(1, b_si):
             stay = p_stay_visible if states[b - 1] else 1.0 - p_stay_blocked
@@ -177,29 +159,18 @@ def sample_vr(
         states[rng.integers(b_si)] = True
 
     support = _expand_blocks(states, cfg)
-    s = np.where(support, ideal_mask(path, cfg), 0.0)
-    return VisibilityMask(s=s, support=support, block_states=states.copy())
-
-
-def _default_mask(path: PathParams, cfg: SystemConfig) -> VisibilityMask:
-    """Deterministic fallback mask: full visibility (ideal) or threshold VR."""
-    if path.kind == IDEAL:
-        s = ideal_mask(path, cfg)
-        return VisibilityMask(s=s, support=np.ones(cfg.N, dtype=bool))
-    s_full, geometry = nonideal_mask(path, cfg, return_geometry=True)
-    support = s_full > 0.1 * np.max(s_full)
-    return VisibilityMask(s=np.where(support, s_full, 0.0), support=support,
-                          geometry=geometry)
+    return VisibilityMask(s=np.where(support, ideal_mask(path, cfg), 0.0),
+                          support=support)
 
 
 def path_channel(path: PathParams, cfg: SystemConfig) -> np.ndarray:
     """(N, M) contribution of one path: g e^{-j k_m r} b(r, theta; f_m) .* s.
 
     b(r, theta; f) = exp(-j k_f (r_n - r)) / sqrt(N) is the unit-norm
-    near-field array response at frequency f.
+    near-field array response at frequency f. The path must carry its mask.
     """
     if path.mask is None:
-        path.mask = _default_mask(path, cfg)
+        raise ValueError("path has no visibility mask; draw one with sample_vr")
     r_n = element_distances(path.r, path.theta, cfg)
     k_m = np.asarray(cfg.wavenumber(cfg.subcarrier_freqs))
     # g e^{-j k_m r} exp(-j k_m (r_n - r)) / sqrt(N) = g exp(-j k_m r_n) / sqrt(N)
@@ -209,34 +180,19 @@ def path_channel(path: PathParams, cfg: SystemConfig) -> np.ndarray:
 
 def breakpoints_from_masks(paths: list[PathParams], cfg: SystemConfig) -> np.ndarray:
     """1-based indices where the visible-path set changes, plus 1 and N+1."""
-    if paths:
-        supports = np.stack([
-            p.mask.support if p.mask is not None else np.ones(cfg.N, bool)
-            for p in paths
-        ])
-        changed = np.any(supports[:, 1:] != supports[:, :-1], axis=0)
-        interior = np.flatnonzero(changed) + 2  # change between n-1 and n -> n
-    else:
-        interior = np.array([], dtype=int)
+    supports = np.stack([p.mask.support for p in paths])
+    changed = np.any(supports[:, 1:] != supports[:, :-1], axis=0)
+    interior = np.flatnonzero(changed) + 2  # change between n-1 and n -> n
     return np.concatenate(([1], interior, [cfg.N + 1])).astype(int)
 
 
 def assemble_channel(cfg: SystemConfig, paths: list[PathParams]) -> ChannelRealization:
-    """Superpose per-path contributions and derive the power profile.
-
-    Column m of H is the channel at subcarrier f_m; the per-element power is
-    p_n = |sum_m H[n, m]|^2, the coherent wideband composite.
-    """
+    """Superpose the per-path contributions of masked paths; column m of H
+    is the channel at subcarrier f_m."""
     if not paths:
         raise ValueError("assemble_channel requires at least one path")
-    for p in paths:
-        if p.mask is None:
-            p.mask = _default_mask(p, cfg)
     H = np.zeros((cfg.N, cfg.M), dtype=complex)
     for p in paths:
         H += path_channel(p, cfg)
-    power = np.abs(H.sum(axis=1)) ** 2
-    return ChannelRealization(
-        H=H, paths=paths, power=power, freqs=cfg.subcarrier_freqs,
-        truth_breakpoints=breakpoints_from_masks(paths, cfg),
-    )
+    return ChannelRealization(H=H, paths=paths,
+                              truth_breakpoints=breakpoints_from_masks(paths, cfg))

@@ -35,8 +35,9 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
+        for name in ("M", "K", "L", "N_RF", "P"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.fc <= 0 or self.B < 0 or self.c <= 0:
             raise ValueError("fc and c must be positive, B non-negative")
         if not (1 <= self.SI_min <= self.N):

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -40,7 +40,7 @@ from .pipeline import (
     measure_scene,
 )
 from .scenario import ScenarioOptions, generate_scenario
-from .segmentation import auc_score
+from .segmentation import auc_score, check_window
 
 Record = tuple[str, str, float, float]   # (algorithm, metric, value, runtime_ms)
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -56,13 +56,14 @@ class ExperimentFailure(RuntimeError):
 
 @dataclass
 class _Cell:
-    """The inputs of one (sweep value, trial) cell."""
+    """The inputs of one (sweep value, trial) cell. params holds the spec's
+    params and, when it is not a SystemConfig field, the swept value (a
+    float) under its own name."""
 
     spec: ExperimentSpec
-    value: Any
+    params: dict
     cfg: SystemConfig
     rng: np.random.Generator
-    snr_db: float
     est_cfg: EstimatorConfig
 
 
@@ -72,11 +73,7 @@ def _ms_since(t0: float) -> float:
 
 def _scene(c: _Cell) -> ChannelRealization:
     """The cell's scene, with the swept or configured t_d."""
-    t_d = c.spec.params.get("t_d", 1.0)
-    if EXPERIMENTS[c.spec.experiment].sweep_param == "t_d":
-        t_d = float(c.value)
-    opts = ScenarioOptions(t_d=t_d, p_nonideal=0.5 if t_d > 0 else 0.0)
-    return generate_scenario(c.cfg, c.rng, opts)
+    return generate_scenario(c.cfg, c.rng, ScenarioOptions(t_d=c.params["t_d"]))
 
 
 def _nmse_rows(c: _Cell, chan: ChannelRealization, architecture: str) -> list[Record]:
@@ -87,8 +84,8 @@ def _nmse_rows(c: _Cell, chan: ChannelRealization, architecture: str) -> list[Re
     absbl_mmv call), so it comes last and fits its own only when neither
     was requested.
     """
-    meas = measure_scene(chan, c.cfg, c.rng, c.snr_db,
-                         architecture=c.spec.params.get("architecture", architecture))
+    meas = measure_scene(chan, c.cfg, c.rng, c.params["snr_db"],
+                         architecture=c.params.get("architecture", architecture))
     records = []
     states = None
     for algo in sorted(c.spec.algorithms, key=lambda a: a == "bcrb"):
@@ -113,7 +110,7 @@ def _nmse_cell(c: _Cell) -> list[Record]:
 def _distance_cell(c: _Cell) -> list[Record]:
     """A fully visible scene at the swept distance, fully connected by
     default."""
-    r = float(c.value)
+    r = c.params["distance_m"]
     opts = ScenarioOptions.full_visibility(r_range=(r, r))
     return _nmse_rows(c, generate_scenario(c.cfg, c.rng, opts), "fully_connected")
 
@@ -122,7 +119,7 @@ def _convergence_cell(c: _Cell) -> list[Record]:
     """NMSE of the full-array iterate after each EM iteration; subarrays
     that stop early hold their final estimate in later iterations."""
     chan = _scene(c)
-    meas = measure_scene(chan, c.cfg, c.rng, c.snr_db)
+    meas = measure_scene(chan, c.cfg, c.rng, c.params["snr_db"])
     records = []
     for algo in c.spec.algorithms:
         t0 = time.perf_counter()
@@ -146,12 +143,12 @@ def _variant_rows(c: _Cell, chan: ChannelRealization, option: str,
                   **fixed) -> list[Record]:
     """NMSE of one estimator with each requested value of a measure_scene
     option, each measured with its own RNG stream."""
-    estimator = c.spec.params.get("estimator", "ss_absbl_mmv")
+    estimator = c.params.get("estimator", "ss_absbl_mmv")
     records = []
     for variant in c.spec.algorithms:
         sub_rng = np.random.default_rng(c.rng.integers(2**63))
         t0 = time.perf_counter()
-        meas = measure_scene(chan, c.cfg, sub_rng, c.snr_db, **fixed,
+        meas = measure_scene(chan, c.cfg, sub_rng, c.params["snr_db"], **fixed,
                              **{option: variant})
         h_hat, _ = estimate_channel(meas, estimator, c.est_cfg)
         records.append((variant, "nmse", nmse(h_hat, chan.H), _ms_since(t0)))
@@ -166,13 +163,13 @@ def _ablation_cell(c: _Cell) -> list[Record]:
     """Segmentation variants of one power profile."""
     chan = _scene(c)
     return _variant_rows(c, chan, "seg_variant",
-                         profile=measure_power(chan, c.rng, c.snr_db))
+                         profile=measure_power(chan, c.rng, c.params["snr_db"]))
 
 
 def _auc_cell(c: _Cell) -> list[Record]:
     """AUC of each detector against the truth, timed on its own."""
     chan = _scene(c)
-    profile = measure_power(chan, c.rng, c.snr_db)
+    profile = measure_power(chan, c.rng, c.params["snr_db"])
     w = c.cfg.SI_min
     records = []
     for det in c.spec.algorithms:
@@ -275,6 +272,8 @@ class ExperimentSpec:
     overrides: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     seed: int = 0
+    # one SystemConfig per sweep point, built and checked at load time
+    configs: list[SystemConfig] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -298,6 +297,7 @@ class ExperimentSpec:
         merged_over = dict(exp.overrides)
         merged_over.update(self.overrides)
         self.overrides = merged_over
+        self.configs = [_build_config(self, v) for v in self.sweep]
 
     def to_dict(self) -> dict:
         return {
@@ -379,15 +379,19 @@ def _fmt(v) -> str:
 
 
 def _build_config(spec: ExperimentSpec, sweep_value) -> SystemConfig:
+    """The sweep point's config. PASS segments with W = SI_min wherever it
+    runs, so SI_min must satisfy PASS's window rule."""
     fields = dict(spec.overrides)
     exp = EXPERIMENTS[spec.experiment]
     if exp.sweep_param in SystemConfig.__dataclass_fields__:
         fields[exp.sweep_param] = sweep_value
     fields.setdefault("seed", spec.seed)
     try:
-        return SystemConfig(**fields)
+        cfg = SystemConfig(**fields)
+        check_window(cfg.SI_min)
     except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
+        raise ConfigError(f"sweep value {sweep_value!r}: {err}") from err
+    return cfg
 
 
 def _estimator_config(params: dict) -> EstimatorConfig:
@@ -399,11 +403,11 @@ def run_single_trial(spec: ExperimentSpec, sweep_idx: int,
     """Execute one (sweep value, trial) cell; returns (algo, metric, value,
     runtime_ms) records."""
     exp = EXPERIMENTS[spec.experiment]
-    value = spec.sweep[sweep_idx]
-    snr_db = float(value) if exp.sweep_param == "snr_db" else \
-        float(spec.params.get("snr_db", 10.0))
-    return exp.cell(_Cell(spec, value, _build_config(spec, value),
-                          spec.child_rng(sweep_idx, trial), snr_db,
+    params = dict(spec.params)
+    if exp.sweep_param not in SystemConfig.__dataclass_fields__:
+        params[exp.sweep_param] = float(spec.sweep[sweep_idx])
+    return exp.cell(_Cell(spec, params, spec.configs[sweep_idx],
+                          spec.child_rng(sweep_idx, trial),
                           _estimator_config(spec.params)))
 
 

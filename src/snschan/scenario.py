@@ -26,31 +26,31 @@ from .diffraction import (
 )
 
 
+_THETA_RANGE = (-2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0)
+_D1_FRAC_RANGE = (0.3, 0.7)   # edge plane at d1 = U(0.3, 0.7) r from the array
+_H_REF_LAMBDAS = 5.0          # h_ref ~ U(-5 lambda, 5 lambda)
+
+
 @dataclass(frozen=True)
 class ScenarioOptions:
     """Distributions used when drawing random scenarios."""
 
     r_range: tuple[float, float] = (10.0, 100.0)
-    theta_range: tuple[float, float] = (-2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0)
-    t_d: float = 1.0
+    t_d: float = 1.0               # 0: no path is obstructed
     p_nonideal: float = 0.5        # chance that a UE's first path is obstructed
     p_stay_visible: float = 0.8
     p_stay_blocked: float = 0.8
     p_init_visible: float | None = None   # None = stationary distribution
-    power_threshold: float = 0.1
-    d1_frac_range: tuple[float, float] = (0.3, 0.7)
-    h_ref_lambdas: float = 5.0     # h_ref ~ U(-5 lambda, 5 lambda)
+    power_threshold: float = 0.1   # the VR threshold of obstructed paths
 
     @classmethod
     def full_visibility(cls, **kwargs) -> "ScenarioOptions":
         """No spatial non-stationarity: every path sees the whole array."""
-        return cls(t_d=0.0, p_nonideal=0.0, p_stay_visible=1.0,
-                   p_init_visible=1.0, **kwargs)
+        return cls(t_d=0.0, p_stay_visible=1.0, p_init_visible=1.0, **kwargs)
 
 
 def _sample_obstacle(r: float, theta: float, cfg: SystemConfig,
-                     rng: np.random.Generator,
-                     opts: ScenarioOptions) -> tuple[Obstacle, float]:
+                     rng: np.random.Generator) -> tuple[Obstacle, float]:
     """Draw a knife edge on the path and the largest legal intensity for it.
 
     The requested t_d is capped just below the positivity bound
@@ -58,8 +58,8 @@ def _sample_obstacle(r: float, theta: float, cfg: SystemConfig,
     t_d > 1 because the per-element clearance sweeps into deep shadow.
     """
     for _ in range(50):
-        d1 = rng.uniform(*opts.d1_frac_range) * r
-        h_ref = rng.uniform(-opts.h_ref_lambdas, opts.h_ref_lambdas) * cfg.wavelength
+        d1 = rng.uniform(*_D1_FRAC_RANGE) * r
+        h_ref = rng.uniform(-_H_REF_LAMBDAS, _H_REF_LAMBDAS) * cfg.wavelength
         obstacle = Obstacle(h_ref=h_ref, d1_ref=d1, d2_ref=r - d1)
         try:
             _, _, _, nu = diffraction_geometry(obstacle, theta, cfg)
@@ -84,11 +84,11 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator,
         for l in range(cfg.L):
             g = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
             r = rng.uniform(*opts.r_range)
-            theta = rng.uniform(*opts.theta_range)
+            theta = rng.uniform(*_THETA_RANGE)
             nonideal = (l == 0 and opts.t_d > 0
                         and rng.random() < opts.p_nonideal)
             if nonideal:
-                obstacle, t_cap = _sample_obstacle(r, theta, cfg, rng, opts)
+                obstacle, t_cap = _sample_obstacle(r, theta, cfg, rng)
                 path = PathParams(g=g, r=r, theta=theta, kind=NONIDEAL,
                                   obstacle=obstacle,
                                   t_d=min(opts.t_d, t_cap))
@@ -130,8 +130,8 @@ def scenario_to_dict(cfg: SystemConfig, chan: ChannelRealization) -> dict:
                 "d1_ref": p.obstacle.d1_ref,
                 "d2_ref": p.obstacle.d2_ref,
             },
-            "mask_s": [float(v) for v in p.mask.s] if p.mask is not None else None,
-            "support": [int(v) for v in p.mask.support] if p.mask is not None else None,
+            "mask_s": [float(v) for v in p.mask.s],
+            "support": [int(v) for v in p.mask.support],
         }
         paths.append(entry)
     return {
@@ -142,26 +142,31 @@ def scenario_to_dict(cfg: SystemConfig, chan: ChannelRealization) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> tuple[SystemConfig, ChannelRealization]:
-    """Rebuild the scenario; the channel matrix is re-synthesized from paths."""
+    """Rebuild the scenario; the channel matrix and the truth breakpoints are
+    re-derived from the paths and their masks.
+
+    Raises ValueError when a path has no mask or the document's
+    truth_breakpoints disagree with the ones its masks give.
+    """
     cfg = SystemConfig.from_dict(doc["config"])
     paths = []
-    for entry in doc["paths"]:
+    for i, entry in enumerate(doc["paths"]):
+        if entry["mask_s"] is None:
+            raise ValueError(f"path {i} has no mask")
         obstacle = entry["obstacle"]
-        path = PathParams(
+        paths.append(PathParams(
             g=complex(entry["g"][0], entry["g"][1]),
             r=entry["r"],
             theta=entry["theta"],
             kind=entry["kind"],
             obstacle=None if obstacle is None else Obstacle(**obstacle),
             t_d=entry["t_d"],
-        )
-        if entry["mask_s"] is not None:
-            s = np.array(entry["mask_s"], dtype=float)
-            support = np.array(entry["support"], dtype=bool)
-            path.mask = VisibilityMask(s=s, support=support)
-        paths.append(path)
+            mask=VisibilityMask(s=np.array(entry["mask_s"], dtype=float),
+                                support=np.array(entry["support"], dtype=bool)),
+        ))
     chan = assemble_channel(cfg, paths)
-    chan.truth_breakpoints = np.array(doc["truth_breakpoints"], dtype=int)
+    if chan.truth_breakpoints.tolist() != list(doc["truth_breakpoints"]):
+        raise ValueError("truth_breakpoints disagree with the paths' masks")
     return cfg, chan
 
 

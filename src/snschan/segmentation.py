@@ -124,6 +124,12 @@ def _reweight_batch(
     return mu, var
 
 
+def check_window(w: int) -> None:
+    """PASS's window rule: W >= 8 and divisible by 4."""
+    if w < 8 or w % 4 != 0:
+        raise ValueError(f"W must be >= 8 and divisible by 4, got {w}")
+
+
 def pass_segment(profile: np.ndarray, w: int, h: int | None = None) -> SegmentationResult:
     """Power-adaptive subarray segmentation.
 
@@ -139,8 +145,7 @@ def pass_segment(profile: np.ndarray, w: int, h: int | None = None) -> Segmentat
     n = p.size
     if w > n:
         raise ValueError(f"window W={w} exceeds profile length N={n}")
-    if w < 8 or w % 4 != 0:
-        raise ValueError(f"W must be >= 8 and divisible by 4, got {w}")
+    check_window(w)
     if h is None:
         h = int(np.ceil(0.75 * w))
 

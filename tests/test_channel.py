@@ -27,11 +27,15 @@ def euclidean_distance_oracle(r, theta, cfg):
     return out
 
 
+def unit_mask(cfg):
+    """Full visibility with unit weights."""
+    return VisibilityMask(s=np.ones(cfg.N), support=np.ones(cfg.N, dtype=bool))
+
+
 def array_response(r, theta, cfg):
     """(N, M) near-field array response b(r, theta; f_m), read off a unit-gain,
     fully visible path: path_channel = e^{-j k_m r} b(r, theta; f_m)."""
-    mask = VisibilityMask(s=np.ones(cfg.N), support=np.ones(cfg.N, dtype=bool))
-    h = path_channel(PathParams(g=1.0, r=r, theta=theta, mask=mask), cfg)
+    h = path_channel(PathParams(g=1.0, r=r, theta=theta, mask=unit_mask(cfg)), cfg)
     return h * np.exp(1j * cfg.wavenumber(cfg.subcarrier_freqs) * r)
 
 
@@ -214,13 +218,13 @@ class TestAssembleChannel:
                                    support=np.zeros(cfg.N, dtype=bool))
         chan = assemble_channel(cfg, [path])
         assert np.all(chan.H == 0)
-        assert np.all(chan.power == 0)
 
     def test_superposition_linearity(self):
         cfg = self._cfg()
         rng = np.random.default_rng(5)
         paths = [PathParams(g=complex(*rng.standard_normal(2)),
-                            r=rng.uniform(10, 50), theta=rng.uniform(-1, 1))
+                            r=rng.uniform(10, 50), theta=rng.uniform(-1, 1),
+                            mask=unit_mask(cfg))
                  for _ in range(4)]
         h_all = assemble_channel(cfg, paths).H
         h_sum = sum(path_channel(p, cfg) for p in paths)
@@ -228,10 +232,21 @@ class TestAssembleChannel:
 
     def test_gain_scaling_is_exact(self):
         cfg = self._cfg()
-        p1 = PathParams(g=0.3 + 0.1j, r=15.0, theta=0.4)
-        p2 = PathParams(g=3 * (0.3 + 0.1j), r=15.0, theta=0.4)
+        p1 = PathParams(g=0.3 + 0.1j, r=15.0, theta=0.4, mask=unit_mask(cfg))
+        p2 = PathParams(g=3 * (0.3 + 0.1j), r=15.0, theta=0.4, mask=unit_mask(cfg))
         np.testing.assert_allclose(3 * path_channel(p1, cfg),
                                    path_channel(p2, cfg), rtol=1e-12)
+
+    def test_path_without_mask_is_rejected(self):
+        # sample_vr is the one mask builder; no stage invents a default mask
+        cfg = self._cfg()
+        bare = PathParams(g=1.0, r=20.0, theta=0.0)
+        with pytest.raises(ValueError, match="mask"):
+            path_channel(bare, cfg)
+        masked = PathParams(g=1.0, r=25.0, theta=0.2, mask=unit_mask(cfg))
+        with pytest.raises(ValueError, match="mask"):
+            assemble_channel(cfg, [masked, bare])
+        assert bare.mask is None
 
     def test_breakpoints_cover_support_edges(self):
         cfg = self._cfg()

@@ -136,6 +136,19 @@ def test_one_posterior_per_subarray_and_only_from_joint_fits():
             bcrb_nmse_bound(meas, none_states)
 
 
+@pytest.mark.parametrize("name", ["K", "L", "N_RF", "P"])
+def test_system_config_rejects_counts_below_one(name):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        SystemConfig(**{name: 0})
+
+
+def test_spec_builds_every_sweep_config_at_load():
+    spec = ExperimentSpec(**SPECS["nmse_vs_pilots"])
+    assert [cfg.P for cfg in spec.configs] == [16, 24]
+    with pytest.raises(experiments.ConfigError, match="sweep value 0"):
+        ExperimentSpec(**dict(SPECS["nmse_vs_pilots"], sweep=[16, 0]))
+
+
 def test_measure_scene_rejects_an_unknown_architecture():
     # a misspelt architecture must not fall through to DHBF MEF-GAA
     cfg = SystemConfig(N=32, SI_min=8, K=1, P=16)

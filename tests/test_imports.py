@@ -1,13 +1,16 @@
-"""Import hygiene: the package's import path must not load scipy.stats.
+"""Import hygiene.
 
-Importing scipy.stats would be the largest single cost of a cold
-`import snschan`, in time and in memory, and every CLI run and pool worker
-pays that cost. The check reads sys.modules in a fresh interpreter rather than
-a timing, so it cannot flake.
+The package's import path must not load scipy.stats. Importing scipy.stats
+would be the largest single cost of a cold `import snschan`, in time and in
+memory, and every CLI run and pool worker pays that cost. The check reads
+sys.modules in a fresh interpreter rather than a timing, so it cannot flake.
+
+No module but `__init__` (which re-exports) imports a name it never uses.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +32,32 @@ def test_import_does_not_load_scipy_stats(module):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module binds by import and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in used]
+
+
+def test_unused_imports_detected():
+    assert _unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
+        "os (line 1)", "b (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in (ROOT / "src" / "snschan").glob("*.py")
+    if p.name != "__init__.py"))
+def test_module_uses_every_name_it_imports(path):
+    source = (ROOT / "src" / "snschan" / path).read_text()
+    assert _unused_imports(source) == []

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snschan.channel import assemble_channel
 from snschan.config import SystemConfig
@@ -94,6 +96,40 @@ class TestSerialization:
         doc2 = scenario_to_dict(cfg, chan2)
         blob2 = json.dumps(doc2, sort_keys=True)
         assert blob1 == blob2
+
+    @given(st.data(), st.integers(2, 96), st.integers(1, 4), st.integers(1, 3),
+           st.integers(1, 3), st.sampled_from([0.0, 0.5, 1.5]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_json_roundtrip_is_bit_exact_for_any_scene(self, data, n, m, k, l,
+                                                       t_d, full, seed):
+        cfg = SystemConfig(N=n, M=m, K=k, L=l,
+                           SI_min=data.draw(st.integers(1, n), label="SI_min"))
+        opts = ScenarioOptions.full_visibility() if full else ScenarioOptions(t_d=t_d)
+        chan = generate_scenario(cfg, np.random.default_rng(seed), opts)
+        cfg2, chan2 = scenario_from_dict(json.loads(json.dumps(
+            scenario_to_dict(cfg, chan))))
+        assert cfg2 == cfg
+        assert chan2.H.tobytes() == chan.H.tobytes()
+        assert chan2.truth_breakpoints.tolist() == chan.truth_breakpoints.tolist()
+        for a, b in zip(chan.paths, chan2.paths, strict=True):
+            assert b.mask.s.tobytes() == a.mask.s.tobytes()
+            assert b.mask.support.tobytes() == a.mask.support.tobytes()
+
+    @pytest.mark.parametrize("tamper", ["truth", "mask"])
+    def test_tampered_document_is_rejected(self, tamper):
+        cfg, chan = self._scenario(4)
+        doc = json.loads(json.dumps(scenario_to_dict(cfg, chan)))
+        if tamper == "truth":
+            # a breakpoint the masks do not give must not overwrite theirs
+            doc["truth_breakpoints"].insert(1, 2)
+            match = "truth_breakpoints"
+        else:
+            # a path without a mask must not be filled in with a default one
+            doc["paths"][0]["mask_s"] = None
+            match = "mask"
+        with pytest.raises(ValueError, match=match):
+            scenario_from_dict(doc)
 
     def test_complex_values_stored_as_pairs(self):
         cfg, chan = self._scenario(2)
