@@ -38,22 +38,43 @@ shrinkage of P read the true U. Each E-step builds every run's K with one
 batched product over the columns active in some run (a block a run has
 pruned enters it with a zero prior), takes one Cholesky factor K = L L^H
 per run, and reads every block's posterior mean, covariance and trace term
-from batched products of the Gram blocks of L^-1 Psi. The gamma, ALM-P and
-PD-floor steps take the active (run, block) pairs as one stack, so each is
-one LAPACK call per size group and step. The PD floor first tries a batched
-Cholesky factor of P - eps_pd I: when it exists, every block is already
-above the floor and only the Hermitian part is taken; otherwise a batched
-eigvalsh finds the blocks below eps_pd and only those are rebuilt from
-eigh.
+from batched products of the Gram blocks of L^-1 Psi.
+
+The E-step keeps its operands block-major: each fit copies Psi^T once
+(again only when the union of active blocks shrinks), so a block's atoms
+are one contiguous (U, P) slab. The block products Psi_g C_g run on those
+slabs and land in rows of the same layout, K reads those rows as a
+transposed GEMM operand without a copy back to (P, N), and LAPACK's
+triangular solve (trtrs, called directly) overwrites each run's rows in
+place. Every product has the bits of its column-major form; the block
+products keep the Psi_g C_g orientation because BLAS rounds C_g^T Psi_g^T
+differently for some block lengths.
+
+The gamma, ALM-P and PD-floor steps take the active (run, block) pairs as
+one stack, so each is one LAPACK call per size group and step. The PD floor
+first tries a batched Cholesky factor of P - eps_pd I: when it exists,
+every block is already above the floor and only the Hermitian part is
+taken; otherwise a batched eigvalsh finds the blocks below eps_pd and only
+those are rebuilt from eigh. The ALM-P step leaves each stack exactly
+Hermitian, so the floor skips taking its Hermitian part there.
+
+SOMP (`somp_baseline`) keeps its residual orthogonal to the support by
+projecting out each new atom's component off the span of the atoms before
+it, and fits the coefficients by least squares once, on the final support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import get_lapack_funcs
+
+# complex triangular solve, called directly: the E-step makes two per run
+_trtrs, = get_lapack_funcs(("trtrs",), (np.zeros(1, dtype=complex),))
 
 
 class EstimatorDivergenceError(RuntimeError):
@@ -199,8 +220,30 @@ class _Part(NamedTuple):
     sigma: np.ndarray     # (n, U, U) posterior covariances
 
 
+class _Atoms(NamedTuple):
+    """The columns of Psi that are active in some run, stored block-major:
+    as the rows of a contiguous (n_act, P) array, so each block's atoms are
+    one contiguous (U, P) slab."""
+
+    mask: np.ndarray      # (N_sub,) columns active in some run
+    rows: np.ndarray      # (n_act, P) Psi[:, mask]^T
+    rows_conj: np.ndarray
+
+
+def _active_atoms(psi_rows: np.ndarray, stacks: list[_BlockStack],
+                  prev: _Atoms | None = None) -> _Atoms:
+    """The atoms of the blocks active in some run, taken from the rows of
+    psi_rows = Psi^T; prev is returned unchanged while the union holds."""
+    mask = np.concatenate([np.repeat(s.active.any(axis=0), s.gamma.shape[-1])
+                           for s in stacks])
+    if prev is not None and np.array_equal(mask, prev.mask):
+        return prev
+    rows = psi_rows[mask]
+    return _Atoms(mask, rows, rows.conj())
+
+
 def _posterior(
-    Y: np.ndarray, Psi: np.ndarray, stacks: list[_BlockStack],
+    Y: np.ndarray, atoms: _Atoms, stacks: list[_BlockStack],
     sigma2: np.ndarray,
 ) -> tuple[list[_Part], np.ndarray]:
     """E-step of every run (Y is (R, P, M), sigma2 is (R,)) with its
@@ -213,69 +256,78 @@ def _posterior(
     W_r^H L_r^-1 Y_r, so mu_rg = C_rg Psi_g^H K_r^-1 Y_r and
     Sigma_rg = C_rg - C_rg Psi_g^H K_r^-1 Psi_g C_rg are batched products.
 
+    Every operand stays block-major (transposed, atoms as rows): the block
+    products Psi_g C_rg run on contiguous slabs, K_r reads their rows as a
+    transposed GEMM operand, and each triangular solve works in place on a
+    Fortran-ordered view of its run's rows. The results are bit-identical
+    to the column-major products.
+
     Returns one part per stack with an active block, and each run's trace
     term sum_g M tr(Sigma_rg C_rg^-1) over its active blocks.
     """
     r_count, p_eff, m_count = Y.shape
-    union = [s.active.any(axis=0) for s in stacks]    # active in some run
-    cols = np.concatenate([np.repeat(un, s.gamma.shape[-1])
-                           for s, un in zip(stacks, union)])
-    psi_act = Psi if cols.all() else Psi[:, cols]
+    n_act = atoms.rows.shape[0]
     live, cs = [], []
-    for s, un in zip(stacks, union):
-        if un.any():
-            idx = np.flatnonzero(un)
+    for s in stacks:
+        idx = np.flatnonzero(s.active.any(axis=0))
+        if idx.size:
             c = _prior_cov(s.gamma[:, idx], s.p[:, idx])  # (R, n, U, U)
             c[~s.active[:, idx]] = 0.0
             live.append((s, idx, s.active[:, idx]))
             cs.append(c)
-    edges = np.cumsum([0] + [c.shape[1] * c.shape[-1] for c in cs])
+    edges = [0, *accumulate(c.shape[1] * c.shape[-1] for c in cs)]
 
-    def blocks(a: np.ndarray, i: int) -> np.ndarray:
-        """The i-th live stack's columns of a (..., P, n_act) as (..., n, P, U)."""
+    def slabs(a: np.ndarray, i: int) -> np.ndarray:
+        """The i-th live stack's rows of a (..., n_act, P) as (..., n, U, P)."""
         _, n, _, u = cs[i].shape
-        return a[..., edges[i]:edges[i + 1]].reshape(
-            *a.shape[:-1], n, u).swapaxes(-3, -2)
+        return a[..., edges[i]:edges[i + 1], :].reshape(
+            *a.shape[:-2], n, u, a.shape[-1])
 
-    psi_c = np.empty((r_count, *psi_act.shape), dtype=complex)
+    # rows (Psi C)^T of every run, then K = (Psi C) Psi^H. Each block
+    # product is taken as Psi_g C_g on the transposed slab and copied into
+    # the rows: C_g^T Psi_g^T rounds differently for some U (2, 3, 5, 6, 7)
+    psi_c = np.empty((r_count, n_act, p_eff), dtype=complex)
     for i, c in enumerate(cs):
-        blocks(psi_c, i)[...] = blocks(psi_act, i) @ c
-    k_mat = psi_c @ psi_act.conj().T
+        slabs(psi_c, i)[...] = (
+            slabs(atoms.rows, i).swapaxes(-1, -2) @ c).swapaxes(-1, -2)
+    k_mat = psi_c.swapaxes(-1, -2) @ atoms.rows_conj
     del psi_c
-    diag = np.arange(p_eff)
-    k_mat[:, diag, diag] += sigma2[:, None]
-    # Fortran-ordered per run, as solve_triangular returns them, so the
-    # products below see the layout (and the rounding) of a single run
-    right = np.empty((r_count, psi_act.shape[1], p_eff), dtype=complex).swapaxes(1, 2)
-    y_w = np.empty((r_count, m_count, p_eff), dtype=complex).swapaxes(1, 2)
+    k_mat.reshape(r_count, -1)[:, ::p_eff + 1] += sigma2[:, None]   # the diagonals
+    # W^T and (L^-1 Y)^T per run: the transposes are Fortran-ordered
+    # (P, .) matrices, which the solves overwrite in place
+    w_rows = np.empty((r_count, n_act, p_eff), dtype=complex)
+    w_rows[:] = atoms.rows
+    y_rows = np.array(Y.swapaxes(-1, -2), order="C")
     ridged = []
-    for r, (k_r, y_r) in enumerate(zip(k_mat, Y)):
+    for r, k_r in enumerate(k_mat):
         try:
             chol = sla.cholesky(k_r, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             # ridge fallback for a numerically singular posterior system; the
             # products below then pair Psi with K^-1 Psi instead of W with W
             k_r += (1e-12 * np.trace(k_r).real / p_eff) * np.eye(p_eff)
-            right[r] = np.linalg.solve(k_r, psi_act)
-            y_w[r] = np.linalg.solve(k_r, y_r)
+            w_rows[r] = np.linalg.solve(k_r, atoms.rows.T).T
+            y_rows[r] = np.linalg.solve(k_r, Y[r]).T
             ridged.append(r)
         else:
-            right[r] = sla.solve_triangular(chol, psi_act, lower=True,
-                                            check_finite=False)
-            y_w[r] = sla.solve_triangular(chol, y_r, lower=True,
-                                          check_finite=False)
-    left_h = right.conj()
-    left_h[ridged] = psi_act.conj()
-    proj = left_h.swapaxes(-1, -2) @ y_w                   # Psi^H K^-1 Y
+            for rhs in (w_rows[r].T, y_rows[r].T):
+                _, info = _trtrs(chol, rhs, lower=1, overwrite_b=1)
+                if info:
+                    raise np.linalg.LinAlgError("singular Cholesky factor")
+    left_h = w_rows.conj()
+    if ridged:
+        left_h[ridged] = atoms.rows_conj
+    proj = left_h @ y_rows.swapaxes(-1, -2)               # Psi^H K^-1 Y
 
     parts = []
     trace_term = np.zeros(r_count)
     for i, ((s, idx, act), c) in enumerate(zip(live, cs)):
         n, u = idx.size, c.shape[-1]
-        gram = blocks(left_h, i).swapaxes(-1, -2) @ blocks(right, i)
+        gram = slabs(left_h, i) @ slabs(w_rows, i).swapaxes(-1, -2)
         mu_g = c @ proj[:, edges[i]:edges[i + 1]].reshape(r_count, n, u, m_count)
         sig_g = c - c @ gram @ c
-        sig_g = 0.5 * (sig_g + sig_g.conj().swapaxes(-1, -2))
+        sig_g += sig_g.conj().swapaxes(-1, -2)
+        sig_g *= 0.5
         # tr(Sigma_g C_g^-1) = U_g - tr(C_g Psi_g^H K^-1 Psi_g), C-inverse free
         prod = c * gram.swapaxes(-1, -2)
         for r, (prod_r, act_r) in enumerate(zip(prod, act)):
@@ -343,7 +395,8 @@ def update_gamma(r_bar: np.ndarray, p_g: np.ndarray, gamma_g: np.ndarray,
     return (root + b_vec / (2.0 * m)) ** 2
 
 
-def _floor_pd(p: np.ndarray, eps_pd: float) -> np.ndarray:
+def _floor_pd(p: np.ndarray, eps_pd: float, hermitian: bool = False,
+              eye: np.ndarray | None = None) -> np.ndarray:
     """Hermitian part with eigenvalues floored at eps_pd, over any leading axes.
 
     A Cholesky factor of P - eps_pd I exists only when every eigenvalue of
@@ -351,10 +404,17 @@ def _floor_pd(p: np.ndarray, eps_pd: float) -> np.ndarray:
     is a no-op and the Hermitian part is returned. Otherwise only the
     blocks with an eigenvalue below eps_pd are rebuilt from their
     eigendecomposition; on the others the floor is a no-op up to rounding.
+
+    hermitian=True takes p as exactly Hermitian already, so its Hermitian
+    part is p itself, and floors p in place. eye, when given, is the
+    identity of p's size.
     """
-    p = 0.5 * (p + np.swapaxes(p.conj(), -1, -2))
+    if not hermitian:
+        p = 0.5 * (p + np.swapaxes(p.conj(), -1, -2))
+    if eye is None:
+        eye = np.eye(p.shape[-1])
     try:
-        np.linalg.cholesky(p - eps_pd * np.eye(p.shape[-1]))
+        np.linalg.cholesky(p - eps_pd * eye)
     except np.linalg.LinAlgError:
         low = np.linalg.eigvalsh(p)[..., 0] < eps_pd
         if np.any(low):
@@ -379,7 +439,8 @@ def update_p_alm(
     p_blocks[i] are (..., U_i, U_i), gammas[i] is (..., U_i) and
     lambdas[i] is (...); a single block is a stack with no batch axis.
     runs[i], shaped like lambdas[i], labels each block with its run
-    0..R-1; without it every block belongs to one run.
+    0..R-1 in non-decreasing order (run-major, as the E-step lists them);
+    without it every block belongs to one run.
 
     Runs cfg.alm_iters inner iterations of
     P_g <- (Q^-1 sum_m R_m Q^-1) / (M [1 + 2 lambda_g + 2c term_g]),
@@ -399,32 +460,37 @@ def update_p_alm(
     ps = list(p_blocks)
     lams = [np.asarray(lam, dtype=float) for lam in lambdas]
     dims = [np.shape(p)[-1] for p in ps]
+    eyes = [np.eye(u) for u in dims]
     if runs is None:
         runs = [np.zeros(lam.shape, dtype=int) for lam in lams]
     n_runs = 1 + max(int(np.max(run, initial=0)) for run in runs)
-    # each run's blocks per stack, and its dimension summed over them
-    members = [[run == r for r in range(n_runs)] for run in runs]
-    run_dim = np.array([sum(u * np.count_nonzero(member[r])
-                            for member, u in zip(members, dims))
+    # each run's blocks are one slice of every stack; its dimension summed
+    # over them
+    bounds = [np.searchsorted(np.ravel(run), np.arange(n_runs + 1)).tolist()
+              for run in runs]
+    run_dim = np.array([sum(u * (b[r + 1] - b[r]) for b, u in zip(bounds, dims))
                         for r in range(n_runs)])
     for _ in range(cfg.alm_iters):
         logdets = [np.linalg.slogdet(p)[1] for p in ps]
-        bar = np.array([sum(float(np.sum(ld[member[r]]))
-                            for ld, member in zip(logdets, members))
+        bar = np.array([sum(float(ld.reshape(-1)[b[r]:b[r + 1]].sum())
+                            for ld, b in zip(logdets, bounds))
                         for r in range(n_runs)]) / run_dim
         terms = [m * (ld - u * bar[run])
                  for ld, u, run in zip(logdets, dims, runs)]
         new_ps = []
-        for raw, term, lam, u_len in zip(raws, terms, lams, dims):
+        for raw, term, lam, u_len, eye in zip(raws, terms, lams, dims, eyes):
             c_eff = cfg.alm_c / (4.0 * m * u_len)
             denom = m * np.maximum(1.0 + 2.0 * lam + 2.0 * c_eff * term, 1e-2)
             p_new = raw / denom[..., None, None]
-            p_new = 0.5 * (p_new + np.swapaxes(p_new.conj(), -1, -2))
+            # the Hermitian part; exactly Hermitian from here on, since the
+            # shrink scales it by a real and adds a real diagonal
+            p_new += p_new.conj().swapaxes(-1, -2)
+            p_new *= 0.5
             if cfg.p_shrink > 0:
-                scale = np.trace(p_new, axis1=-2, axis2=-1).real / u_len
-                p_new = ((1.0 - cfg.p_shrink) * p_new
-                         + cfg.p_shrink * scale[..., None, None] * np.eye(u_len))
-            new_ps.append(_floor_pd(p_new, cfg.eps_pd))
+                scale = p_new.trace(axis1=-2, axis2=-1).real / u_len
+                p_new *= 1.0 - cfg.p_shrink
+                p_new += cfg.p_shrink * scale[..., None, None] * eye
+            new_ps.append(_floor_pd(p_new, cfg.eps_pd, hermitian=True, eye=eye))
         lams = [lam + cfg.alm_alpha / (4.0 * m * u) * term
                 for lam, term, u in zip(lams, terms, dims)]
         ps = new_ps
@@ -505,6 +571,8 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, cfg: EstimatorConfig,
     mu = np.zeros((r_count, n_sub, m_count), dtype=complex)
     parts: list[_Part] = []
     stop = np.zeros(r_count, dtype=bool)     # runs that stopped this step
+    psi_rows = np.ascontiguousarray(Psi.T)
+    atoms = None
     it = 0
 
     for it in range(1, cfg.t_ite + 1):
@@ -516,13 +584,15 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, cfg: EstimatorConfig,
             running_max_q, stop = running_max_q[keep], stop[keep]
             for s in stacks:
                 s.keep_runs(keep)
-        parts, trace_term = _posterior(Y, Psi, stacks, sigma2s)
+        atoms = _active_atoms(psi_rows, stacks, atoms)
+        parts, trace_term = _posterior(Y, atoms, stacks, sigma2s)
         mu = np.zeros((order.size, n_sub, m_count), dtype=complex)
         r_bars = []
         for part in parts:
             part.stack.rows(mu)[part.run, part.block] = part.mu
-            r_bars.append(m_count * part.sigma
-                          + part.mu @ part.mu.conj().swapaxes(-1, -2))
+            r_bar = part.mu @ part.mu.conj().swapaxes(-1, -2)
+            r_bar += m_count * part.sigma
+            r_bars.append(r_bar)
 
         # M-step: gamma, P (ALM), noise; both read the pre-update iterate,
         # so the P update inverts the old Q (keeping gamma's shrinkage
@@ -554,8 +624,9 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, cfg: EstimatorConfig,
                 d = np.maximum(np.real(np.diagonal(p_new, axis1=-2, axis2=-1)),
                                cfg.eps_pd)
                 root = np.sqrt(d)
-                part.stack.p[part.run, part.block] = (
-                    p_new / root[:, :, None] / root[:, None, :])
+                p_new /= root[:, :, None]
+                p_new /= root[:, None, :]
+                part.stack.p[part.run, part.block] = p_new
                 gam *= d.mean(axis=-1, keepdims=True) if cfg.scalar_gamma else d
                 part.stack.lam[part.run, part.block] = lam
         for part, gam in zip(parts, gammas_new):
@@ -578,14 +649,15 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, cfg: EstimatorConfig,
             )
 
         # permanent pruning against each run's running scale
-        mean_q = [np.mean(np.sqrt(np.maximum(gam, 0.0)), axis=-1)
+        mean_q = [np.sqrt(np.maximum(gam, 0.0)).sum(axis=-1) / gam.shape[-1]
                   for gam in gammas_new]
         for part, q in zip(parts, mean_q):
             np.maximum.at(running_max_q, part.run, q)
         for part, q in zip(parts, mean_q):
             drop = q < cfg.prune_threshold * running_max_q[part.run]
-            part.stack.active[part.run[drop], part.block[drop]] = False
-            part.stack.rows(mu)[part.run[drop], part.block[drop]] = 0.0
+            if drop.any():
+                part.stack.active[part.run[drop], part.block[drop]] = False
+                part.stack.rows(mu)[part.run[drop], part.block[drop]] = 0.0
 
         for r, orig in enumerate(order):
             history = histories[orig]
@@ -673,31 +745,48 @@ def somp_baseline(
 ) -> np.ndarray:
     """Simultaneous OMP over the measurement vectors (columns of Y).
 
-    Greedy selection by aggregate correlation, least-squares refit per
-    iteration, stopping on the atom budget or the relative residual norm.
+    Greedy selection by aggregate correlation, stopping on the atom budget
+    (1 <= max_atoms <= N_sub, by default min(P, N_sub)) or the relative
+    residual norm. The residual is kept orthogonal to the support by
+    projecting out each new atom's component orthogonal to the atoms before
+    it (Gram-Schmidt, applied twice), so one least-squares fit on the final
+    support gives the coefficients.
     """
     Y = np.asarray(Y, dtype=complex)
     Psi = np.asarray(Psi, dtype=complex)
     p_eff, n_sub = Psi.shape
     if max_atoms is None:
         max_atoms = min(p_eff, n_sub)
+    if not 1 <= max_atoms <= n_sub:
+        raise ValueError(f"max_atoms must lie in [1, {n_sub}], got {max_atoms}")
     col_norms = np.linalg.norm(Psi, axis=0)
     col_norms[col_norms == 0] = 1.0
     y_norm = np.linalg.norm(Y)
     x_hat = np.zeros((n_sub, Y.shape[1]), dtype=complex)
     if y_norm == 0:
         return x_hat
+    psi_h = Psi.conj().T
     support: list[int] = []
+    basis = np.zeros((max_atoms, p_eff), dtype=complex)   # orthonormal rows
     residual = Y.copy()
-    for _ in range(max_atoms):
-        corr = np.linalg.norm(Psi.conj().T @ residual, axis=1) / col_norms
+    # an atom whose component off the support's span is at rounding level
+    # adds nothing to the span, as lstsq's default cutoff would judge it
+    tiny = np.finfo(float).eps * max(p_eff, max_atoms)
+    for k in range(max_atoms):
+        corr = np.linalg.norm(psi_h @ residual, axis=1) / col_norms
         corr[support] = -1.0
         j = int(np.argmax(corr))
         support.append(j)
-        coef, *_ = np.linalg.lstsq(Psi[:, support], Y, rcond=None)
-        residual = Y - Psi[:, support] @ coef
+        q = Psi[:, j].copy()
+        for _ in range(2):
+            q -= basis[:k].T @ (basis[:k].conj() @ q)
+        norm = np.linalg.norm(q)
+        if norm > tiny * col_norms[j]:
+            basis[k] = q / norm
+            residual -= np.outer(basis[k], basis[k].conj() @ residual)
         if residual_tol is not None and np.linalg.norm(residual) / y_norm <= residual_tol:
             break
+    coef, *_ = np.linalg.lstsq(Psi[:, support], Y, rcond=None)
     x_hat[support] = coef
     return x_hat
 

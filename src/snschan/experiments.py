@@ -27,7 +27,7 @@ import scipy
 from . import __version__
 from .channel import ChannelRealization
 from .config import SystemConfig
-from .estimator import EstimatorConfig, dft_codebook, nmse
+from .estimator import EstimatorConfig, nmse
 from .pipeline import (
     ARCHITECTURES,
     DETECTORS,
@@ -124,8 +124,9 @@ def _convergence_cell(c: _Cell) -> list[Record]:
     for algo in c.spec.algorithms:
         t0 = time.perf_counter()
         _, states = estimate_channel(meas, algo, c.est_cfg)
-        fits = [(obs.elements, dft_codebook(obs.elements.size).D, state.history)
-                for obs, state in zip(meas.observations, states) if state is not None]
+        fits = [(obs.elements, meas.dictionary(k)[0].D, state.history)
+                for k, (obs, state) in enumerate(zip(meas.observations, states))
+                if state is not None]
         n_iter = max((len(hist) for _, _, hist in fits), default=0)
         traces = []
         for t in range(n_iter):
@@ -189,6 +190,9 @@ class ExperimentDef:
     overrides: dict
     params: dict
     cell: Callable[[_Cell], list[Record]]
+    # the params keys the cell reads; a spec may set any of them but the
+    # swept one, which the sweep value replaces
+    reads: tuple[str, ...]
 
 
 _NMSE_ALGOS = ON_GRID_ALGORITHMS + OFF_GRID_ALGORITHMS
@@ -196,62 +200,79 @@ _DETECTORS = tuple(DETECTORS)
 _DESK = {"N": 256, "M": 5, "K": 3, "L": 3, "SI_min": 32, "N_RF": 4, "P": 32}
 _SEG_SCENE = {"N": 512, "M": 5, "K": 6, "L": 3, "SI_min": 64, "N_RF": 4, "P": 32}
 
+# the params keys each cell reads
+_NMSE_READS = ("snr_db", "t_d", "architecture", "estimator_config")
+_VARIANT_READS = ("snr_db", "t_d", "estimator", "estimator_config")
+_AUC_READS = ("snr_db", "t_d")
+
 EXPERIMENTS: dict[str, ExperimentDef] = {
     "nmse_vs_snr": ExperimentDef(
         "snr_db", (0.0, 5.0, 10.0, 15.0, 20.0),
         ("ss_absbl_mmv", "ss_absbl", "ss_bsbl", "ss_somp"), _NMSE_ALGOS,
-        dict(_DESK), {"t_d": 1.0}, _nmse_cell,
+        dict(_DESK), {"t_d": 1.0}, _nmse_cell, _NMSE_READS,
     ),
     "nmse_vs_pilots": ExperimentDef(
         "P", (16, 32, 64),
         ("ss_absbl_mmv", "ss_absbl", "ss_bsbl", "ss_somp"), _NMSE_ALGOS,
-        dict(_DESK), {"snr_db": 10.0, "t_d": 1.0}, _nmse_cell,
+        dict(_DESK), {"snr_db": 10.0, "t_d": 1.0}, _nmse_cell, _NMSE_READS,
     ),
     "nmse_vs_paths": ExperimentDef(
         "L", (2, 4, 6, 8, 10),
         ("ss_absbl_mmv", "ss_absbl", "ss_somp"), _NMSE_ALGOS,
-        dict(_DESK, P=64), {"snr_db": 15.0, "t_d": 1.0}, _nmse_cell,
+        dict(_DESK, P=64), {"snr_db": 15.0, "t_d": 1.0}, _nmse_cell, _NMSE_READS,
     ),
     "nmse_vs_distance": ExperimentDef(
         "distance_m", (1.5, 3.0, 6.0, 10.0, 20.0, 31.5),
         ("ss_absbl_mmv", "ss_absbl", "ss_somp", "bcrb"),
         _NMSE_ALGOS + ("bcrb",),
         dict(_DESK, N=128, K=1, P=20), {"snr_db": 10.0}, _distance_cell,
+        ("distance_m", "snr_db", "architecture", "estimator_config"),
     ),
     "convergence": ExperimentDef(
         "snr_db", (10.0, 15.0),
         ("ss_absbl_mmv",), ("ss_absbl_mmv",),
         dict(_DESK, P=40), {"t_d": 1.0}, _convergence_cell,
+        ("snr_db", "t_d", "estimator_config"),
     ),
     "auc_vs_snr": ExperimentDef(
         "snr_db", (-5.0, 0.0, 5.0, 10.0, 15.0),
         _DETECTORS, _DETECTORS, dict(_SEG_SCENE), {"t_d": 1.5}, _auc_cell,
+        _AUC_READS,
     ),
     "auc_vs_K": ExperimentDef(
         "K", (2, 4, 6, 8),
         _DETECTORS, _DETECTORS, dict(_SEG_SCENE), {"snr_db": 5.0, "t_d": 1.5},
-        _auc_cell,
+        _auc_cell, _AUC_READS,
     ),
     "auc_vs_td": ExperimentDef(
         "t_d", (0.5, 1.0, 1.5, 2.0),
         _DETECTORS, _DETECTORS, dict(_SEG_SCENE), {"snr_db": 5.0}, _auc_cell,
+        _AUC_READS,
     ),
     "architecture_compare": ExperimentDef(
         "P", (16, 32),
         ARCHITECTURES, ARCHITECTURES,
         dict(_DESK), {"snr_db": 10.0, "estimator": "ss_absbl_mmv", "t_d": 1.0},
-        _architecture_cell,
+        _architecture_cell, _VARIANT_READS,
     ),
     "segmentation_ablation": ExperimentDef(
         "snr_db", (10.0,),
         SEGMENTATION_VARIANTS, SEGMENTATION_VARIANTS,
         dict(_DESK), {"estimator": "ss_absbl_mmv", "t_d": 1.0}, _ablation_cell,
+        _VARIANT_READS,
     ),
 }
 
 
-def _check_params(params: dict) -> None:
-    """Reject an architecture, estimator or estimator_config no cell knows."""
+def _check_params(params: dict, exp: ExperimentDef) -> None:
+    """Reject a key the experiment's cell does not read (or the swept one,
+    which the sweep value replaces), and an architecture, estimator or
+    estimator_config no cell knows."""
+    accepted = [key for key in exp.reads if key != exp.sweep_param]
+    unread = sorted(set(params) - set(accepted))
+    if unread:
+        raise ConfigError(f"params {unread} are not read by this experiment; "
+                          f"accepted: {accepted}")
     for key, known in (("architecture", ARCHITECTURES), ("estimator", _NMSE_ALGOS)):
         if key in params and params[key] not in known:
             raise ConfigError(f"unknown {key} {params[key]!r}; known: {list(known)}")
@@ -293,7 +314,7 @@ class ExperimentSpec:
         merged_params = dict(exp.params)
         merged_params.update(self.params)
         self.params = merged_params
-        _check_params(self.params)
+        _check_params(self.params, exp)
         merged_over = dict(exp.overrides)
         merged_over.update(self.overrides)
         self.overrides = merged_over

@@ -4,7 +4,7 @@ receive, decouple, estimate, score."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,6 +22,7 @@ from .dhbf import (
     simulate_reception,
 )
 from .estimator import (
+    Codebook,
     EstimatorConfig,
     PosteriorState,
     absbl_mmv,
@@ -119,6 +120,18 @@ class TrialMeasurement:
     plan: MeasurementPlan
     observations: list[SubarrayObservations]
     sigma2: float
+    _dictionaries: dict[int, tuple[Codebook, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def dictionary(self, k: int) -> tuple[Codebook, np.ndarray]:
+        """Subarray k's DFT codebook and its sensing matrix Psi = Phi D,
+        built on first use and then shared by every algorithm and the bound
+        that read this measurement."""
+        if k not in self._dictionaries:
+            obs = self.observations[k]
+            book = dft_codebook(obs.elements.size)
+            self._dictionaries[k] = (book, obs.phi @ book.D)
+        return self._dictionaries[k]
 
 
 def measure_scene(
@@ -204,26 +217,26 @@ OFF_GRID_ALGORITHMS = tuple(a for a, spec in _ALGORITHMS.items() if spec.off_gri
 
 
 def _estimate_subarray(
-    obs: SubarrayObservations,
+    meas: TrialMeasurement,
+    k: int,
     algo: _Algorithm,
     est_cfg: EstimatorConfig,
-    sigma2: float,
 ) -> tuple[np.ndarray, PosteriorState | None]:
-    """Channel block estimate (N_sub, M) for one subarray, and the posterior
+    """Channel block estimate (N_sub, M) for subarray k, and the posterior
     of a joint learner (None otherwise).
 
     The receiver knows its own noise floor, so the Bayesian learners run
     with the true sigma2 fixed; EM noise learning stays available on the
     estimator's standalone surface.
     """
+    obs = meas.observations[k]
     n_sub = obs.elements.size
     m_count = obs.y.shape[1]
     if obs.y.shape[0] == 0 or n_sub == 0:
         return np.zeros((n_sub, m_count), dtype=complex), None
-    book = dft_codebook(n_sub)
-    psi = obs.phi @ book.D
+    book, psi = meas.dictionary(k)
     x_hat, state = algo.learner(obs.y, psi, replace(est_cfg, learn_noise=False),
-                                sigma2)
+                                meas.sigma2)
     if algo.off_grid:
         _, x_hat, h_hat = offgrid_refine(obs.y, obs.phi, book, x_hat, est_cfg)
         return h_hat, state
@@ -248,8 +261,8 @@ def estimate_channel(
         est_cfg = EstimatorConfig()
     h_hat = np.zeros_like(meas.chan.H)
     states = []
-    for obs in meas.observations:
-        block, state = _estimate_subarray(obs, algo, est_cfg, meas.sigma2)
+    for k, obs in enumerate(meas.observations):
+        block, state = _estimate_subarray(meas, k, algo, est_cfg)
         h_hat[obs.elements] = block
         states.append(state)
     return h_hat, states
@@ -261,13 +274,13 @@ def bcrb_nmse_bound(meas: TrialMeasurement,
     joint learner's posteriors `states` (as `estimate_channel` returns them),
     summed and normalized by the realized channel energy."""
     total = 0.0
-    for obs, state in zip(meas.observations, states, strict=True):
+    for k, (obs, state) in enumerate(zip(meas.observations, states, strict=True)):
         n_sub = obs.elements.size
         if obs.y.shape[0] == 0 or n_sub == 0:
             continue
         if state is None:
             raise ValueError("the bound needs the joint learner's posterior")
-        psi = obs.phi @ dft_codebook(n_sub).D
+        _, psi = meas.dictionary(k)
         v_s = np.zeros((n_sub, n_sub), dtype=complex)
         edges = np.cumsum([0] + [g.size for g in state.gamma])
         for g, (a, b) in enumerate(zip(edges[:-1], edges[1:])):

@@ -15,6 +15,11 @@ TINY_NMSE = {"experiment": "nmse_vs_snr", "sweep": [10.0], "trials": 1, "seed": 
              "algorithms": ["ss_somp"], "overrides": {"N": 64, "SI_min": 16, "P": 16}}
 TINY_ABLATION = {"experiment": "segmentation_ablation", "trials": 1, "seed": 3,
                  "algorithms": ["equal4"], "overrides": {"N": 64, "SI_min": 16, "P": 16}}
+TINY_CONVERGENCE = {"experiment": "convergence", "sweep": [10.0], "trials": 1,
+                    "seed": 3, "overrides": {"N": 64, "SI_min": 16, "P": 16}}
+TINY_DISTANCE = {"experiment": "nmse_vs_distance", "sweep": [3.0], "trials": 1,
+                 "seed": 3, "algorithms": ["ss_somp"],
+                 "overrides": {"N": 64, "SI_min": 16}}
 
 
 def write_spec(tmp_path, doc) -> str:
@@ -72,6 +77,26 @@ def test_config_errors(tmp_path, capsys, doc):
     assert cli.main(["validate", path]) == cli.EXIT_CONFIG
     assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    dict(TINY_CONVERGENCE, params={"architecture": "fully_connected"}),
+    dict(TINY_ABLATION, params={"architecture": "fully_connected"}),
+    dict(TINY_AUC, params={"architecture": "fully_connected"}),
+    dict(TINY_AUC, params={"estimator_config": {"t_ite": 5}}),
+    dict(TINY_DISTANCE, params={"t_d": 2.0}),
+    dict(TINY_NMSE, params={"snr_db": 0.0}),            # the swept key
+    dict(TINY_NMSE, params={"no_such_key": 1}),
+], ids=["architecture-convergence", "architecture-ablation", "architecture-auc",
+        "estimator-config-auc", "t_d-distance", "swept-snr_db", "unknown-key"])
+def test_params_no_cell_reads_exit_2(tmp_path, capsys, doc):
+    # without the check each of these runs and silently ignores the key
+    path = write_spec(tmp_path, doc)
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "not read by this experiment" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -283,6 +283,26 @@ class TestBatchedHelpers:
         np.testing.assert_allclose(out, self._eigh_floor(p, eps), rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(out).min() >= eps - 1e-12
 
+    @given(hst.integers(1, 6), hst.integers(1, 8), hst.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_floor_pd_hermitian_input_skips_only_the_hermitian_part(self, g, u, seed):
+        # the ALM-P step hands the floor an exactly Hermitian stack (its
+        # Hermitian part, shrunk by a real scale plus a real diagonal); the
+        # floor may then skip taking the Hermitian part, bit for bit, below
+        # the floor as well as above it
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(0.5, 2.0, (g, u))
+        vals[0, 0] = -0.3
+        a = hermitian_stack(rng, g, u, vals) + 1e-3 * crandn(rng, g, u, u)
+        p = 0.5 * (a + a.conj().swapaxes(-1, -2))
+        scale = rng.uniform(0.5, 2.0, g)
+        scale[0] = 0.0                # block 0 stays below the floor
+        p = 0.1 * p + 0.9 * scale[:, None, None] * np.eye(u)
+        np.testing.assert_array_equal(p, p.conj().swapaxes(-1, -2))
+        np.testing.assert_array_equal(
+            mod._floor_pd(p.copy(), 1e-6, hermitian=True, eye=np.eye(u)),
+            mod._floor_pd(p.copy(), 1e-6))
+
     @given(hst.integers(1, 4), hst.integers(2, 6), hst.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_update_p_alm_stacks_equal_single_blocks(self, g, u, seed):
@@ -465,7 +485,8 @@ class TestAbsblCore:
 
             monkeypatch.setattr(sla, "cholesky", fail_once)
 
-        parts, trace_term = mod._posterior(y, psi, stacks, sigma2)
+        parts, trace_term = mod._posterior(
+            y, mod._active_atoms(psi.T, stacks), stacks, sigma2)
         assert len(cholesky_calls) == (n_runs if fail_cholesky else 0)
         mu_structured = np.zeros((n_runs, n_sub, m_count), complex)
         sig_structured = [{} for _ in range(n_runs)]
@@ -503,6 +524,62 @@ class TestAbsblCore:
                 dense_trace += np.real(np.trace(dense_block @ c_inv))
             # sum_g M tr(Sigma_g C_g^-1), read by the noise update
             assert trace_term[r] == pytest.approx(dense_trace, rel=1e-9)
+
+    @pytest.mark.parametrize("short", range(8))
+    @pytest.mark.parametrize("pruned", [False, True], ids=["all-active", "pruned"])
+    def test_block_major_e_step_keeps_column_major_bits(self, short, pruned):
+        # the block-major E-step against the same algebra on Psi's columns
+        # (block products Psi_g C_g, K = (Psi C) Psi^H, solve_triangular),
+        # bit for bit, for every length of the final block
+        rng = np.random.default_rng(35 + short)
+        n_sub, n_runs, p_eff, m_count = 32 + short, 2, 20, 3
+        psi = crandn(rng, p_eff, n_sub)
+        y = crandn(rng, n_runs, p_eff, m_count)
+        sigma2 = np.array([0.3, 0.5])
+        stacks = mod._block_stacks(n_sub, 8, n_runs)
+        for s in stacks:
+            s.gamma[...] = rng.uniform(0.2, 2.0, s.gamma.shape)
+            a = crandn(rng, *s.p.shape)
+            s.p[...] = a @ a.conj().swapaxes(-1, -2) + np.eye(s.p.shape[-1])
+        if pruned:
+            stacks[0].active[:, 1] = False         # out of the union
+            stacks[0].active[0, 2] = False         # pruned by run 0 only
+        parts, trace_term = mod._posterior(
+            y, mod._active_atoms(np.ascontiguousarray(psi.T), stacks), stacks,
+            sigma2)
+
+        cols = np.concatenate([np.repeat(s.active.any(axis=0), s.gamma.shape[-1])
+                               for s in stacks])
+        psi_act = psi[:, cols]
+        live = [(s, np.flatnonzero(s.active.any(axis=0))) for s in stacks
+                if s.active.any()]
+        cs = [mod._prior_cov(s.gamma[:, idx], s.p[:, idx]) for s, idx in live]
+        for (s, idx), c in zip(live, cs):
+            c[~s.active[:, idx]] = 0.0
+        edges = np.cumsum([0] + [c.shape[1] * c.shape[-1] for c in cs])
+        psi_c = np.empty((n_runs, *psi_act.shape), dtype=complex)
+        for c, a, b in zip(cs, edges[:-1], edges[1:]):
+            n, u = c.shape[1], c.shape[-1]
+            psi_c[:, :, a:b] = (psi_act[:, a:b].reshape(p_eff, n, u).swapaxes(0, 1)
+                                @ c).swapaxes(1, 2).reshape(n_runs, p_eff, b - a)
+        k_mat = psi_c @ psi_act.conj().T + sigma2[:, None, None] * np.eye(p_eff)
+        for r in range(n_runs):
+            chol = sla.cholesky(k_mat[r], lower=True, check_finite=False)
+            w = sla.solve_triangular(chol, psi_act, lower=True, check_finite=False)
+            y_w = sla.solve_triangular(chol, y[r], lower=True, check_finite=False)
+            proj = w.conj().T @ y_w
+            for part, c, a, b in zip(parts, cs, edges[:-1], edges[1:]):
+                n, u = c.shape[1], c.shape[-1]
+                w_g = w[:, a:b].reshape(p_eff, n, u).swapaxes(0, 1)
+                gram = w_g.conj().swapaxes(-1, -2) @ w_g
+                mu = c[r] @ proj[a:b].reshape(n, u, m_count)
+                sig = c[r] - c[r] @ gram @ c[r]
+                sig = 0.5 * (sig + sig.conj().swapaxes(-1, -2))
+                mine = part.run == r
+                act = part.stack.active[r, np.flatnonzero(part.stack.active.any(axis=0))]
+                np.testing.assert_array_equal(part.mu[mine], mu[act])
+                np.testing.assert_array_equal(part.sigma[mine], sig[act])
+        assert np.all(np.isfinite(trace_term))
 
     def test_longer_runs_prune_empty_blocks_not_absorb_noise(self):
         # untied per-entry variances let a few noise-level entries hold an
@@ -712,6 +789,26 @@ def test_per_column_kernel_benchmark(benchmark):
                                atol=1e-12 * np.abs(separate).max())
 
 
+def test_ragged_small_fit_kernel_benchmark(benchmark):
+    # a small PASS-subarray fit (P=32, N=58, M=5, default config): seven
+    # full blocks and a final block of 2, where the fixed cost of each EM
+    # iteration dominates; timed by pytest-benchmark, the test asserts
+    # results, never timings
+    rng = np.random.default_rng(34)
+    p_eff, n_sub, m_count = 32, 58, 5
+    psi = crandn(rng, p_eff, n_sub) @ dft_codebook(n_sub).D
+    x = np.zeros((n_sub, m_count), dtype=complex)
+    x[8:16] = crandn(rng, 8, m_count)
+    x[56:58] = crandn(rng, 2, m_count)
+    y = psi @ x + 0.05 * crandn(rng, p_eff, m_count)
+    cfg = EstimatorConfig(learn_noise=False)
+    x_hat, state = benchmark.pedantic(absbl_mmv, args=(y, psi, cfg, 0.0025),
+                                      rounds=3, iterations=1)
+    assert np.all(np.isfinite(x_hat))
+    assert len(state.gamma) == 8 and state.gamma[-1].shape == (2,)
+    np.testing.assert_array_equal(x_hat, absbl_mmv(y, psi, cfg, 0.0025)[0])
+
+
 class TestSomp:
     def test_single_on_grid_atom(self):
         rng = np.random.default_rng(17)
@@ -769,6 +866,72 @@ class TestSomp:
         psi = crandn(rng, 8, 16)
         out = somp_baseline(np.zeros((8, 2), complex), psi)
         assert np.all(out == 0)
+
+    @pytest.mark.parametrize("max_atoms", [0, -1, 7, 9])
+    def test_atom_budget_outside_one_to_n_rejected(self, max_atoms):
+        # no atom leaves no coefficients to fit, and more atoms than columns
+        # would select a column twice
+        rng = np.random.default_rng(21)
+        psi = crandn(rng, 8, 6)
+        with pytest.raises(ValueError, match="max_atoms"):
+            somp_baseline(crandn(rng, 8, 2), psi, max_atoms=max_atoms)
+
+    @pytest.mark.parametrize("max_atoms", [1, 6])
+    def test_atom_budget_bounds_accepted(self, max_atoms):
+        rng = np.random.default_rng(22)
+        psi = crandn(rng, 8, 6)
+        x_hat = somp_baseline(crandn(rng, 8, 2), psi, max_atoms=max_atoms)
+        assert np.count_nonzero(np.linalg.norm(x_hat, axis=1)) == max_atoms
+
+
+def somp_refit_every_atom(y, psi, max_atoms, residual_tol=None):
+    """SOMP as it was before the single refit: a least-squares fit on the
+    support after every atom, and the residual from that fit."""
+    col_norms = np.linalg.norm(psi, axis=0)
+    col_norms[col_norms == 0] = 1.0
+    y_norm = np.linalg.norm(y)
+    x_hat = np.zeros((psi.shape[1], y.shape[1]), dtype=complex)
+    support, residual = [], y.copy()
+    for _ in range(max_atoms):
+        corr = np.linalg.norm(psi.conj().T @ residual, axis=1) / col_norms
+        corr[support] = -1.0
+        support.append(int(np.argmax(corr)))
+        coef, *_ = np.linalg.lstsq(psi[:, support], y, rcond=None)
+        residual = y - psi[:, support] @ coef
+        if residual_tol is not None and np.linalg.norm(residual) / y_norm <= residual_tol:
+            break
+    x_hat[support] = coef
+    return x_hat, len(support)
+
+
+def somp_oracle_instances():
+    """60 seeded noisy instances: random and DFT-based Psi, P above and
+    below N, and stops on the atom budget and on the residual."""
+    rng = np.random.default_rng(33)
+    for i in range(60):
+        p_eff, n_sub = [(24, 40), (40, 24), (16, 64), (64, 48)][i % 4]
+        psi = crandn(rng, p_eff, n_sub)
+        if i % 3 == 0:
+            psi = psi @ dft_codebook(n_sub).D
+        k = int(rng.integers(1, 7))
+        x = np.zeros((n_sub, 3), dtype=complex)
+        x[rng.choice(n_sub, size=k, replace=False)] = crandn(rng, k, 3) * 3
+        y = psi @ x + 0.05 * crandn(rng, p_eff, 3)
+        if i % 2:
+            yield psi, y, min(p_eff, n_sub), 0.05    # stops on the residual
+        else:
+            yield psi, y, int(rng.integers(1, min(p_eff, n_sub) + 1)), None
+
+
+def test_somp_single_refit_equals_refit_every_atom():
+    stops = {"residual": 0, "budget": 0}
+    for psi, y, max_atoms, tol in somp_oracle_instances():
+        expected, picked = somp_refit_every_atom(y, psi, max_atoms, tol)
+        np.testing.assert_array_equal(somp_baseline(y, psi, max_atoms, tol),
+                                      expected)
+        stops["budget" if picked == max_atoms else "residual"] += 1
+    # both stops are exercised
+    assert min(stops.values()) >= 10
 
 
 class TestOffGrid:

@@ -136,6 +136,47 @@ def test_one_posterior_per_subarray_and_only_from_joint_fits():
             bcrb_nmse_bound(meas, none_states)
 
 
+class _RecordingParams(dict):
+    """A params dict that records the keys read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name", sorted(experiments.EXPERIMENTS))
+def test_each_experiment_names_the_params_its_cell_reads(monkeypatch, name):
+    # run one tiny cell the way run_single_trial does, recording the params
+    # keys it reads; estimator_config is read through the estimator config,
+    # so it counts as read when the cell estimates a channel
+    exp = experiments.EXPERIMENTS[name]
+    spec = ExperimentSpec(**SPECS[name])
+    params = _RecordingParams(spec.params)
+    if exp.sweep_param not in SystemConfig.__dataclass_fields__:
+        params[exp.sweep_param] = float(spec.sweep[0])
+    estimated = []
+    real_estimate = experiments.estimate_channel
+
+    def spy(*args, **kwargs):
+        estimated.append(1)
+        return real_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate_channel", spy)
+    exp.cell(experiments._Cell(spec, params, spec.configs[0],
+                               spec.child_rng(0, 0),
+                               experiments._estimator_config(spec.params)))
+    read = params.read | ({"estimator_config"} if estimated else set())
+    assert read == set(exp.reads)
+
+
 @pytest.mark.parametrize("name", ["K", "L", "N_RF", "P"])
 def test_system_config_rejects_counts_below_one(name):
     with pytest.raises(ValueError, match=f"{name} must be >= 1"):
