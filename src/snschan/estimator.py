@@ -51,12 +51,12 @@ products keep the Psi_g C_g orientation because BLAS rounds C_g^T Psi_g^T
 differently for some block lengths.
 
 The gamma, ALM-P and PD-floor steps take the active (run, block) pairs as
-one stack, so each is one LAPACK call per size group and step. The PD floor
-first tries a batched Cholesky factor of P - eps_pd I: when it exists,
-every block is already above the floor and only the Hermitian part is
-taken; otherwise a batched eigvalsh finds the blocks below eps_pd and only
-those are rebuilt from eigh. The ALM-P step leaves each stack exactly
-Hermitian, so the floor skips taking its Hermitian part there.
+one stack, so each is one LAPACK call per size group and step. The ALM-P
+step leaves each stack exactly Hermitian, and the PD floor takes it so,
+without forming a Hermitian part. The floor first tries a batched Cholesky
+factor of P - eps_pd I: when it exists, every block is already above the
+floor and the stack is returned as it is; otherwise a batched eigvalsh
+finds the blocks below eps_pd and only those are rebuilt from eigh.
 
 SOMP (`somp_baseline`) keeps its residual orthogonal to the support by
 projecting out each new atom's component off the span of the atoms before
@@ -395,26 +395,21 @@ def update_gamma(r_bar: np.ndarray, p_g: np.ndarray, gamma_g: np.ndarray,
     return (root + b_vec / (2.0 * m)) ** 2
 
 
-def _floor_pd(p: np.ndarray, eps_pd: float, hermitian: bool = False,
-              eye: np.ndarray | None = None) -> np.ndarray:
-    """Hermitian part with eigenvalues floored at eps_pd, over any leading axes.
+def _floor_pd(p: np.ndarray, eps_pd: float) -> np.ndarray:
+    """Eigenvalues of an exactly Hermitian stack floored at eps_pd, in place.
 
-    A Cholesky factor of P - eps_pd I exists only when every eigenvalue of
-    P exceeds eps_pd, so when one batched factorization succeeds the floor
-    is a no-op and the Hermitian part is returned. Otherwise only the
-    blocks with an eigenvalue below eps_pd are rebuilt from their
-    eigendecomposition; on the others the floor is a no-op up to rounding.
-
-    hermitian=True takes p as exactly Hermitian already, so its Hermitian
-    part is p itself, and floors p in place. eye, when given, is the
-    identity of p's size.
+    p is (..., U, U) and equal to its conjugate transpose. A Cholesky
+    factor of P - eps_pd I exists only when every eigenvalue of P exceeds
+    eps_pd, so when one batched factorization succeeds the floor is a no-op
+    and p is returned as it is. Otherwise only the blocks with an
+    eigenvalue below eps_pd are rebuilt from their eigendecomposition; on
+    the others the floor is a no-op up to rounding.
     """
-    if not hermitian:
-        p = 0.5 * (p + np.swapaxes(p.conj(), -1, -2))
-    if eye is None:
-        eye = np.eye(p.shape[-1])
+    shifted = p.copy()
+    # the diagonal of each block, as a strided view of the flat block
+    shifted.reshape(p.shape[:-2] + (-1,))[..., ::p.shape[-1] + 1] -= eps_pd
     try:
-        np.linalg.cholesky(p - eps_pd * eye)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         low = np.linalg.eigvalsh(p)[..., 0] < eps_pd
         if np.any(low):
@@ -490,7 +485,7 @@ def update_p_alm(
                 scale = p_new.trace(axis1=-2, axis2=-1).real / u_len
                 p_new *= 1.0 - cfg.p_shrink
                 p_new += cfg.p_shrink * scale[..., None, None] * eye
-            new_ps.append(_floor_pd(p_new, cfg.eps_pd, hermitian=True, eye=eye))
+            new_ps.append(_floor_pd(p_new, cfg.eps_pd))
         lams = [lam + cfg.alm_alpha / (4.0 * m * u) * term
                 for lam, term, u in zip(lams, terms, dims)]
         ps = new_ps
@@ -746,8 +741,8 @@ def somp_baseline(
     """Simultaneous OMP over the measurement vectors (columns of Y).
 
     Greedy selection by aggregate correlation, stopping on the atom budget
-    (1 <= max_atoms <= N_sub, by default min(P, N_sub)) or the relative
-    residual norm. The residual is kept orthogonal to the support by
+    (1 <= max_atoms <= min(P, N_sub), by default min(P, N_sub)) or the
+    relative residual norm. The residual is kept orthogonal to the support by
     projecting out each new atom's component orthogonal to the atoms before
     it (Gram-Schmidt, applied twice), so one least-squares fit on the final
     support gives the coefficients.
@@ -755,10 +750,13 @@ def somp_baseline(
     Y = np.asarray(Y, dtype=complex)
     Psi = np.asarray(Psi, dtype=complex)
     p_eff, n_sub = Psi.shape
+    # past P atoms the support spans the whole space and the residual is
+    # rounding noise, so no further atom could be chosen by its correlation
     if max_atoms is None:
         max_atoms = min(p_eff, n_sub)
-    if not 1 <= max_atoms <= n_sub:
-        raise ValueError(f"max_atoms must lie in [1, {n_sub}], got {max_atoms}")
+    if not 1 <= max_atoms <= min(p_eff, n_sub):
+        raise ValueError(f"max_atoms must lie in [1, {min(p_eff, n_sub)}], "
+                         f"got {max_atoms}")
     col_norms = np.linalg.norm(Psi, axis=0)
     col_norms[col_norms == 0] = 1.0
     y_norm = np.linalg.norm(Y)
@@ -769,8 +767,10 @@ def somp_baseline(
     support: list[int] = []
     basis = np.zeros((max_atoms, p_eff), dtype=complex)   # orthonormal rows
     residual = Y.copy()
-    # an atom whose component off the support's span is at rounding level
-    # adds nothing to the span, as lstsq's default cutoff would judge it
+    # an atom whose component off the support's span is at rounding level,
+    # relative to the atom's own norm, joins the support but not the basis:
+    # normalizing that component would project a direction of pure rounding
+    # noise out of the residual
     tiny = np.finfo(float).eps * max(p_eff, max_atoms)
     for k in range(max_atoms):
         corr = np.linalg.norm(psi_h @ residual, axis=1) / col_norms

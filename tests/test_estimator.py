@@ -202,6 +202,11 @@ def hermitian_stack(rng, g, u, eigvals):
     return (q * eigvals[:, None, :]) @ q.conj().swapaxes(-1, -2)
 
 
+def exactly_hermitian(p):
+    """p's Hermitian part, equal to its conjugate transpose bit for bit."""
+    return 0.5 * (p + p.conj().swapaxes(-1, -2))
+
+
 class TestBatchedHelpers:
     """A (G, U, U) stack gives what the per-block calls give, stacked."""
 
@@ -232,14 +237,12 @@ class TestBatchedHelpers:
         need = rng.random(g) < 0.5
         need[0], need[-1] = True, False
         vals[need, 0] = rng.choice([-0.3, 1e-9, 0.0], need.sum())
-        skew = crandn(rng, g, u, u)
-        p = hermitian_stack(rng, g, u, vals) + 1e-3 * (skew - skew.conj().swapaxes(-1, -2))
+        p = exactly_hermitian(hermitian_stack(rng, g, u, vals))
         out = mod._floor_pd(p.copy(), eps)
         ref = np.stack([mod._floor_pd(p[k].copy(), eps) for k in range(g)])
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-15)
         # and both equal the floor taken through every block's eigh
-        herm = 0.5 * (p + p.conj().swapaxes(-1, -2))
-        w, v = np.linalg.eigh(herm)
+        w, v = np.linalg.eigh(p)
         full = (v * np.maximum(w, eps)[:, None, :]) @ v.conj().swapaxes(-1, -2)
         np.testing.assert_allclose(out, full, rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(out).min() >= eps - 1e-12
@@ -247,25 +250,22 @@ class TestBatchedHelpers:
     @staticmethod
     def _eigh_floor(p, eps):
         """The floor taken through every block's eigh: the reference."""
-        herm = 0.5 * (p + p.conj().swapaxes(-1, -2))
-        w, v = np.linalg.eigh(herm)
+        w, v = np.linalg.eigh(p)
         return (v * np.maximum(w, eps)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
     @given(hst.integers(1, 6), hst.integers(1, 8), hst.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_floor_pd_certificate_skips_eigvalsh(self, g, u, seed):
         # no block below the floor: the Cholesky factor of P - eps I exists,
-        # so the stack is returned as its Hermitian part without eigvalsh
+        # so the stack is returned as it is without eigvalsh
         rng = np.random.default_rng(seed)
         eps = 1e-6
-        skew = crandn(rng, g, u, u)
-        p = (hermitian_stack(rng, g, u, rng.uniform(0.5, 2.0, (g, u)))
-             + 1e-3 * (skew - skew.conj().swapaxes(-1, -2)))
+        p = exactly_hermitian(hermitian_stack(rng, g, u, rng.uniform(0.5, 2.0, (g, u))))
         with mock.patch.object(np.linalg, "eigvalsh",
                                wraps=np.linalg.eigvalsh) as spy:
             out = mod._floor_pd(p.copy(), eps)
         assert spy.call_count == 0
-        np.testing.assert_array_equal(out, 0.5 * (p + p.conj().swapaxes(-1, -2)))
+        np.testing.assert_array_equal(out, p)
         np.testing.assert_allclose(out, self._eigh_floor(p, eps), rtol=0, atol=1e-12)
 
     @given(hst.integers(1, 6), hst.integers(1, 8), hst.integers(0, 2**32 - 1))
@@ -278,30 +278,37 @@ class TestBatchedHelpers:
         eps = 1e-6
         vals = rng.uniform(0.5, 2.0, (g, u))
         vals[:, 0] = eps * (1.0 + rng.choice([-1e-6, 1e-6], g))
-        p = hermitian_stack(rng, g, u, vals)
+        p = exactly_hermitian(hermitian_stack(rng, g, u, vals))
         out = mod._floor_pd(p.copy(), eps)
         np.testing.assert_allclose(out, self._eigh_floor(p, eps), rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(out).min() >= eps - 1e-12
 
-    @given(hst.integers(1, 6), hst.integers(1, 8), hst.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_floor_pd_hermitian_input_skips_only_the_hermitian_part(self, g, u, seed):
-        # the ALM-P step hands the floor an exactly Hermitian stack (its
-        # Hermitian part, shrunk by a real scale plus a real diagonal); the
-        # floor may then skip taking the Hermitian part, bit for bit, below
-        # the floor as well as above it
+    @given(hst.integers(1, 4), hst.integers(1, 6), hst.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_update_p_alm_floors_exactly_hermitian_stacks(self, g, u, seed):
+        # the floor takes its input as exactly Hermitian and never forms a
+        # Hermitian part, so every stack the ALM-P step hands it must be
+        # equal to its conjugate transpose bit for bit
         rng = np.random.default_rng(seed)
-        vals = rng.uniform(0.5, 2.0, (g, u))
-        vals[0, 0] = -0.3
-        a = hermitian_stack(rng, g, u, vals) + 1e-3 * crandn(rng, g, u, u)
-        p = 0.5 * (a + a.conj().swapaxes(-1, -2))
-        scale = rng.uniform(0.5, 2.0, g)
-        scale[0] = 0.0                # block 0 stays below the floor
-        p = 0.1 * p + 0.9 * scale[:, None, None] * np.eye(u)
-        np.testing.assert_array_equal(p, p.conj().swapaxes(-1, -2))
-        np.testing.assert_array_equal(
-            mod._floor_pd(p.copy(), 1e-6, hermitian=True, eye=np.eye(u)),
-            mod._floor_pd(p.copy(), 1e-6))
+        m = 3
+        z = crandn(rng, g, u, 2 * u)
+        r_bar = z @ z.conj().swapaxes(-1, -2)
+        gamma = rng.uniform(0.2, 3.0, (g, u))
+        p = exactly_hermitian(hermitian_stack(rng, g, u, rng.uniform(0.2, 2.0, (g, u))))
+        seen = []
+
+        def spy(p_in, eps_pd):
+            seen.append(p_in.copy())
+            return floor(p_in, eps_pd)
+
+        floor = mod._floor_pd
+        for shrink in (0.0, 0.3):
+            with mock.patch.object(mod, "_floor_pd", spy):
+                update_p_alm([r_bar], [gamma], [p], [np.zeros(g)], m,
+                             EstimatorConfig(p_shrink=shrink))
+        assert len(seen) == 2 * EstimatorConfig().alm_iters
+        for p_in in seen:
+            np.testing.assert_array_equal(p_in, p_in.conj().swapaxes(-1, -2))
 
     @given(hst.integers(1, 4), hst.integers(2, 6), hst.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -867,20 +874,24 @@ class TestSomp:
         out = somp_baseline(np.zeros((8, 2), complex), psi)
         assert np.all(out == 0)
 
-    @pytest.mark.parametrize("max_atoms", [0, -1, 7, 9])
-    def test_atom_budget_outside_one_to_n_rejected(self, max_atoms):
-        # no atom leaves no coefficients to fit, and more atoms than columns
-        # would select a column twice
+    @pytest.mark.parametrize("shape,max_atoms", [
+        ((8, 6), 0), ((8, 6), -1), ((8, 6), 7), ((8, 6), 9),
+        ((4, 6), 5), ((4, 6), 6)])
+    def test_atom_budget_outside_one_to_min_p_n_rejected(self, shape, max_atoms):
+        # no atom leaves no coefficients to fit, more atoms than columns
+        # would select a column twice, and past P atoms the residual is
+        # rounding noise
         rng = np.random.default_rng(21)
-        psi = crandn(rng, 8, 6)
+        psi = crandn(rng, *shape)
         with pytest.raises(ValueError, match="max_atoms"):
-            somp_baseline(crandn(rng, 8, 2), psi, max_atoms=max_atoms)
+            somp_baseline(crandn(rng, shape[0], 2), psi, max_atoms=max_atoms)
 
-    @pytest.mark.parametrize("max_atoms", [1, 6])
-    def test_atom_budget_bounds_accepted(self, max_atoms):
+    @pytest.mark.parametrize("shape,max_atoms", [
+        ((8, 6), 1), ((8, 6), 6), ((4, 6), 4)])
+    def test_atom_budget_bounds_accepted(self, shape, max_atoms):
         rng = np.random.default_rng(22)
-        psi = crandn(rng, 8, 6)
-        x_hat = somp_baseline(crandn(rng, 8, 2), psi, max_atoms=max_atoms)
+        psi = crandn(rng, *shape)
+        x_hat = somp_baseline(crandn(rng, shape[0], 2), psi, max_atoms=max_atoms)
         assert np.count_nonzero(np.linalg.norm(x_hat, axis=1)) == max_atoms
 
 
@@ -932,6 +943,34 @@ def test_somp_single_refit_equals_refit_every_atom():
         stops["budget" if picked == max_atoms else "residual"] += 1
     # both stops are exercised
     assert min(stops.values()) >= 10
+
+
+
+def test_somp_single_refit_equals_refit_every_atom_on_dependent_columns():
+    # a duplicated (scaled) column and a zero column: once the support holds
+    # both copies, or the zero column, the new atom adds nothing to its span
+    # and the residual stays as it was
+    rng = np.random.default_rng(34)
+    dependent = 0
+    for i in range(40):
+        p_eff, n_sub = [(8, 12), (12, 8), (6, 16), (16, 10)][i % 4]
+        psi = crandn(rng, p_eff, n_sub)
+        if i % 3 == 0:
+            psi = psi @ dft_codebook(n_sub).D
+        a, b, z = rng.choice(n_sub, 3, replace=False)
+        psi[:, b] = psi[:, a] * (1.0 if i % 2 else 2.0)
+        psi[:, z] = 0.0
+        k = int(rng.integers(1, 5))
+        x = np.zeros((n_sub, 3), dtype=complex)
+        x[rng.choice(n_sub, size=k, replace=False)] = crandn(rng, k, 3) * 3
+        y = psi @ x + 0.05 * crandn(rng, p_eff, 3)
+        for tol in (None, 0.05):
+            expected, _ = somp_refit_every_atom(y, psi, min(p_eff, n_sub), tol)
+            np.testing.assert_array_equal(
+                somp_baseline(y, psi, min(p_eff, n_sub), tol), expected)
+            support = set(np.flatnonzero(np.linalg.norm(expected, axis=1) > 0))
+            dependent += {a, b} <= support or z in support
+    assert dependent >= 10
 
 
 class TestOffGrid:
