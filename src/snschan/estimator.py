@@ -50,13 +50,22 @@ place. Every product has the bits of its column-major form; the block
 products keep the Psi_g C_g orientation because BLAS rounds C_g^T Psi_g^T
 differently for some block lengths.
 
-The gamma, ALM-P and PD-floor steps take the active (run, block) pairs as
-one stack, so each is one LAPACK call per size group and step. The ALM-P
-step leaves each stack exactly Hermitian, and the PD floor takes it so,
-without forming a Hermitian part. The floor first tries a batched Cholesky
-factor of P - eps_pd I: when it exists, every block is already above the
-floor and the stack is returned as it is; otherwise a batched eigvalsh
-finds the blocks below eps_pd and only those are rebuilt from eigh.
+The gamma and ALM-P steps take the active (run, block) pairs as one stack
+per size group. The ALM-P step's inner iterations all compute the same
+matrix A (the shrunk statistics) up to a per-block scalar, so it builds A
+once and runs the inner iterations as a scalar recursion on the log-dets
+of every block at once: one Cholesky factor per stack gives ln|A|, and one
+factor of A - eps_pd max(den) I after the recursion certifies that the PD
+floor bound at no inner step. Only a stack that fails the certificate
+takes its log-dets from eigenvalues and goes through the PD floor. After
+the gauge fix P is A's correlation matrix, so the ALM correction reaches
+the prior only as a per-block scale on gamma.
+
+The PD floor takes an exactly Hermitian stack and returns one. It first
+tries a batched Cholesky factor of P - eps_pd I: when it exists, every
+block is already above the floor and the stack is returned as it is;
+otherwise a batched eigvalsh finds the blocks below eps_pd and only those
+are rebuilt from eigh.
 
 SOMP (`somp_baseline`) keeps its residual orthogonal to the support by
 projecting out each new atom's component off the span of the atoms before
@@ -398,12 +407,13 @@ def update_gamma(r_bar: np.ndarray, p_g: np.ndarray, gamma_g: np.ndarray,
 def _floor_pd(p: np.ndarray, eps_pd: float) -> np.ndarray:
     """Eigenvalues of an exactly Hermitian stack floored at eps_pd, in place.
 
-    p is (..., U, U) and equal to its conjugate transpose. A Cholesky
-    factor of P - eps_pd I exists only when every eigenvalue of P exceeds
-    eps_pd, so when one batched factorization succeeds the floor is a no-op
-    and p is returned as it is. Otherwise only the blocks with an
-    eigenvalue below eps_pd are rebuilt from their eigendecomposition; on
-    the others the floor is a no-op up to rounding.
+    p is (..., U, U) and equal to its conjugate transpose, and so is the
+    result. A Cholesky factor of P - eps_pd I exists only when every
+    eigenvalue of P exceeds eps_pd, so when one batched factorization
+    succeeds the floor is a no-op and p is returned as it is. Otherwise only
+    the blocks with an eigenvalue below eps_pd are rebuilt from their
+    eigendecomposition (and symmetrized); on the others the floor is a
+    no-op up to rounding.
     """
     shifted = p.copy()
     # the diagonal of each block, as a strided view of the flat block
@@ -415,8 +425,27 @@ def _floor_pd(p: np.ndarray, eps_pd: float) -> np.ndarray:
         if np.any(low):
             vals, vecs = np.linalg.eigh(p[low])
             vals = np.maximum(vals, eps_pd)
-            p[low] = (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+            rebuilt = (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+            p[low] = 0.5 * (rebuilt + np.swapaxes(rebuilt.conj(), -1, -2))
     return p
+
+
+def _alm_target(r_bar: np.ndarray, gamma: np.ndarray,
+                p_shrink: float) -> np.ndarray:
+    """A = (1 - p_shrink) herm(Q^-1 sum_m R_m Q^-1) + p_shrink (tr/U) I for
+    a (..., U, U) stack, exactly Hermitian: the Hermitian part is scaled by
+    a real and gains a real diagonal."""
+    qi = 1.0 / np.maximum(np.sqrt(np.maximum(gamma, 0.0)), 1e-150)
+    a = qi[..., :, None] * r_bar * qi[..., None, :]
+    a += a.conj().swapaxes(-1, -2)
+    a *= 0.5
+    if p_shrink > 0:
+        u = a.shape[-1]
+        scale = a.trace(axis1=-2, axis2=-1).real / u
+        a *= 1.0 - p_shrink
+        a.reshape(a.shape[:-2] + (-1,))[..., ::u + 1] += (
+            p_shrink * scale[..., None])
+    return a
 
 
 def update_p_alm(
@@ -437,59 +466,106 @@ def update_p_alm(
     0..R-1 in non-decreasing order (run-major, as the E-step lists them);
     without it every block belongs to one run.
 
-    Runs cfg.alm_iters inner iterations of
-    P_g <- (Q^-1 sum_m R_m Q^-1) / (M [1 + 2 lambda_g + 2c term_g]),
+    The update is cfg.alm_iters inner iterations k = 0, 1, ... of
+    P_g <- floor(A_g / den_g), den_g = M max(1 + 2 lambda_g + 2c term_g, 1e-2),
     lambda_g <- lambda_g + alpha term_g,
-    where term_g = M (ln|P_g| - U_g b) with b the per-dimension mean log-det
-    across all blocks of all stacks of the block's run (the block-average
-    target, well defined when the final block is short), then shrinks
-    toward the identity scale and floors eigenvalues at eps_pd. The penalty
-    and step are normalized by 4 M U_g: the raw bracket has local slope
-    -2 c M U in the log-det gap, which diverges for any useful c.
+    where A_g = (1 - s) herm(Q^-1 sum_m R_m Q^-1) + s (tr/U_g) I is the
+    statistics matrix shrunk toward the identity scale by s = p_shrink,
+    floor() raises eigenvalues to eps_pd, and term_g = M (ln|P_g| - U_g b)
+    with b the per-dimension mean log-det across all blocks of all stacks
+    of the block's run (the block-average target, well defined when the
+    final block is short). The penalty and step are normalized by 4 M U_g:
+    the raw bracket has local slope -2 c M U in the log-det gap, which
+    diverges for any useful c. With no inner iteration P and lambda are
+    returned as given.
+
+    A_g is the same at every inner step; only the scalar den_g changes. So
+    A_g is built once, and while the floor does not bind,
+    ln|A_g / den| = ln|A_g| - U_g ln den: the inner loop is a scalar
+    recursion on the log-dets, seeded by ln|P_g| of the input, with ln|A_g|
+    from one Cholesky factor per stack. After it, one Cholesky factor of
+    A_g - eps_pd max_k(den_k) I certifies that the floor bound at no step.
+    A stack with a block that fails the certificate, or whose A has no
+    Cholesky factor, takes its log-dets from the eigenvalues of A,
+    sum_j ln max(lambda_j(A) / den, eps_pd), and the recursion is run
+    again; only such a stack hands its final A / den to `_floor_pd`.
+
+    After the caller's gauge fix, P_g = diag(A_g)^-1/2 A_g diag(A_g)^-1/2
+    is A_g's correlation matrix whatever den_g is (while neither floor
+    binds): the ALM correction acts on the learned prior only as a
+    per-block scale on gamma.
     """
-    m = float(m_count)
-    raws = []
-    for r_bar, gam in zip(r_bars, gammas):
-        qi = 1.0 / np.maximum(np.sqrt(np.maximum(gam, 0.0)), 1e-150)
-        raws.append(qi[..., :, None] * r_bar * qi[..., None, :])
-    ps = list(p_blocks)
     lams = [np.asarray(lam, dtype=float) for lam in lambdas]
-    dims = [np.shape(p)[-1] for p in ps]
-    eyes = [np.eye(u) for u in dims]
-    if runs is None:
-        runs = [np.zeros(lam.shape, dtype=int) for lam in lams]
-    n_runs = 1 + max(int(np.max(run, initial=0)) for run in runs)
-    # each run's blocks are one slice of every stack; its dimension summed
-    # over them
-    bounds = [np.searchsorted(np.ravel(run), np.arange(n_runs + 1)).tolist()
-              for run in runs]
-    run_dim = np.array([sum(u * (b[r + 1] - b[r]) for b, u in zip(bounds, dims))
-                        for r in range(n_runs)])
-    for _ in range(cfg.alm_iters):
-        logdets = [np.linalg.slogdet(p)[1] for p in ps]
-        bar = np.array([sum(float(ld.reshape(-1)[b[r]:b[r + 1]].sum())
-                            for ld, b in zip(logdets, bounds))
-                        for r in range(n_runs)]) / run_dim
-        terms = [m * (ld - u * bar[run])
-                 for ld, u, run in zip(logdets, dims, runs)]
-        new_ps = []
-        for raw, term, lam, u_len, eye in zip(raws, terms, lams, dims, eyes):
-            c_eff = cfg.alm_c / (4.0 * m * u_len)
-            denom = m * np.maximum(1.0 + 2.0 * lam + 2.0 * c_eff * term, 1e-2)
-            p_new = raw / denom[..., None, None]
-            # the Hermitian part; exactly Hermitian from here on, since the
-            # shrink scales it by a real and adds a real diagonal
-            p_new += p_new.conj().swapaxes(-1, -2)
-            p_new *= 0.5
-            if cfg.p_shrink > 0:
-                scale = p_new.trace(axis1=-2, axis2=-1).real / u_len
-                p_new *= 1.0 - cfg.p_shrink
-                p_new += cfg.p_shrink * scale[..., None, None] * eye
-            new_ps.append(_floor_pd(p_new, cfg.eps_pd))
-        lams = [lam + cfg.alm_alpha / (4.0 * m * u) * term
-                for lam, term, u in zip(lams, terms, dims)]
-        ps = new_ps
-    return ps, lams
+    if cfg.alm_iters < 1:
+        return list(p_blocks), lams
+    m = float(m_count)
+    a_mats = [_alm_target(r_bar, gam, cfg.p_shrink).reshape(-1, *r_bar.shape[-2:])
+              for r_bar, gam in zip(r_bars, gammas)]
+    dims = [a.shape[-1] for a in a_mats]
+    edges = [0, *accumulate(a.shape[0] for a in a_mats)]
+    spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    # every block of every stack in one flat vector, stack after stack
+    u_vec = np.repeat(np.array(dims, dtype=float), np.diff(edges))
+    run = (np.zeros(edges[-1], dtype=int) if runs is None
+           else np.concatenate([np.ravel(r) for r in runs]))
+    lam0 = np.concatenate([np.ravel(lam) for lam in lams])
+    ld0 = np.concatenate([np.linalg.slogdet(p)[1].ravel() for p in p_blocks])
+    log_a = np.zeros(edges[-1])
+    # eigenvalues of A, for the stacks that take their log-dets from them
+    eigs: list[np.ndarray | None] = []
+    for a, span in zip(a_mats, spans):
+        try:
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            eigs.append(np.linalg.eigvalsh(a))
+        else:
+            log_a[span] = 2.0 * np.log(
+                np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
+            eigs.append(None)
+
+    def logdets(den: np.ndarray) -> np.ndarray:
+        """ln|floor(A / den)| of every block."""
+        ld = log_a - u_vec * np.log(den)
+        for w, span in zip(eigs, spans):
+            if w is not None:
+                ld[span] = np.log(np.maximum(w / den[span, None],
+                                             cfg.eps_pd)).sum(axis=-1)
+        return ld
+
+    run_dim = np.bincount(run, weights=u_vec)
+    c_eff = cfg.alm_c / (4.0 * m * u_vec)
+    step = cfg.alm_alpha / (4.0 * m * u_vec)
+    certified = False
+    while not certified:
+        lam, ld = lam0, ld0
+        dens = np.empty((cfg.alm_iters, edges[-1]))
+        for k in range(cfg.alm_iters):
+            bar = np.bincount(run, weights=ld, minlength=run_dim.size) / run_dim
+            term = m * (ld - u_vec * bar[run])
+            dens[k] = m * np.maximum(1.0 + 2.0 * lam + 2.0 * c_eff * term, 1e-2)
+            lam = lam + step * term
+            if k + 1 < cfg.alm_iters:
+                ld = logdets(dens[k])
+        # one factor per stack certifies every step's floor at once
+        certified = True
+        top = cfg.eps_pd * dens.max(axis=0)
+        for i, (a, span) in enumerate(zip(a_mats, spans)):
+            if eigs[i] is None:
+                shifted = a.copy()
+                shifted.reshape(a.shape[0], -1)[:, ::dims[i] + 1] -= top[span, None]
+                try:
+                    np.linalg.cholesky(shifted)
+                except np.linalg.LinAlgError:
+                    eigs[i] = np.linalg.eigvalsh(a)
+                    certified = False
+
+    ps, out_lams = [], []
+    for a, span, w, p_in, lam_in in zip(a_mats, spans, eigs, p_blocks, lams):
+        a /= dens[-1, span, None, None]
+        ps.append((a if w is None else _floor_pd(a, cfg.eps_pd)).reshape(
+            np.shape(p_in)))
+        out_lams.append(lam[span].reshape(lam_in.shape))
+    return ps, out_lams
 
 
 def update_noise(
@@ -791,10 +867,20 @@ def somp_baseline(
     return x_hat
 
 
-def _offgrid_objective(Y: np.ndarray, Phi: np.ndarray, n_sub: int,
-                       z: np.ndarray, X: np.ndarray) -> float:
+def _offgrid_atoms(Phi: np.ndarray, n_sub: int,
+                   z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms D(z) and the measured atoms Phi D(z)."""
     d = atom_response(n_sub, z)
-    return float(np.linalg.norm(Y - Phi @ d @ X) ** 2)
+    return d, Phi @ d
+
+
+def _residual_gradient(Phi: np.ndarray, d: np.ndarray, resid: np.ndarray,
+                   X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient of `offgrid_gradient` from the atoms d = D(z) and the
+    residual Y - Phi D X, and the ramped atoms L .* D it reads."""
+    ramped = np.arange(d.shape[0])[:, None] * d
+    inner = X @ resid.conj().T @ Phi @ ramped
+    return -2.0 * np.pi * np.real(1j * np.diag(inner)), ramped
 
 
 def offgrid_gradient(Y: np.ndarray, Phi: np.ndarray, n_sub: int,
@@ -805,11 +891,8 @@ def offgrid_gradient(Y: np.ndarray, Phi: np.ndarray, n_sub: int,
     -2 Re{ j pi [X (Y - Phi D X)^H Phi (L .* D)]_kk } where the ramp matrix L
     has columns [0..N-1].
     """
-    d = atom_response(n_sub, z)
-    resid = Y - Phi @ d @ X
-    ramp = np.arange(n_sub)[:, None] * d
-    inner = X @ resid.conj().T @ Phi @ ramp
-    return -2.0 * np.pi * np.real(1j * np.diag(inner))
+    d, phi_d = _offgrid_atoms(Phi, n_sub, z)
+    return _residual_gradient(Phi, d, Y - phi_d @ X, X)[0]
 
 
 def offgrid_refine(
@@ -826,6 +909,10 @@ def offgrid_refine(
     residual never increases on an accepted step. Returns the refined
     codebook, the refined coefficients on the full grid, and the channel
     estimate D X.
+
+    Each iteration builds the atoms, their measurements and the residual
+    once, for the fit, the objective, the gradient and the curvature; an
+    accepted step hands the atoms it tried to the next iteration.
     """
     if cfg is None:
         cfg = EstimatorConfig()
@@ -842,11 +929,10 @@ def offgrid_refine(
         support = np.sort(support[order[: Phi.shape[0]]])
 
     z = codebook.grid[support].astype(float).copy()
+    d, a = _offgrid_atoms(Phi, n_sub, z)
     x_prev = None
     rho = 1.0
-    ramp = np.arange(n_sub)
     for _ in range(cfg.r_ite):
-        a = Phi @ atom_response(n_sub, z)
         x_s, *_ = np.linalg.lstsq(a, Y, rcond=None)
         if x_prev is not None:
             change = (np.linalg.norm(x_s - x_prev)
@@ -854,15 +940,15 @@ def offgrid_refine(
             if change < cfg.delta2:
                 break
         x_prev = x_s
-        f0 = float(np.linalg.norm(Y - a @ x_s) ** 2)
-        grad = offgrid_gradient(Y, Phi, n_sub, z, x_s)
+        resid = Y - a @ x_s
+        f0 = float(np.linalg.norm(resid) ** 2)
+        grad, ramped = _residual_gradient(Phi, d, resid, x_s)
         # diagonal curvature scaling: d2f/dz_k^2 ~ 2 pi^2 ||x_k||^2
         # ||Phi (l .* d_k)||^2; the raw objective is stiff enough that plain
         # Armijo steps stall at ~1/(pi n)^2 of a grid bin
-        ramped = Phi @ (ramp[:, None] * atom_response(n_sub, z))
         curv = (2.0 * np.pi**2
                 * np.sum(np.abs(x_s) ** 2, axis=1)
-                * np.sum(np.abs(ramped) ** 2, axis=0))
+                * np.sum(np.abs(Phi @ ramped) ** 2, axis=0))
         curv = np.maximum(curv, 1e-12 * max(curv.max(), 1.0))
         direction = grad / curv
         slope = float(np.dot(grad, direction))
@@ -871,9 +957,10 @@ def offgrid_refine(
             step = min(rho, 1.0)
             for _ in range(cfg.max_backtracks):
                 z_try = np.clip(z - step * direction, -1.0, 1.0)
-                f_try = _offgrid_objective(Y, Phi, n_sub, z_try, x_s)
+                d_try, a_try = _offgrid_atoms(Phi, n_sub, z_try)
+                f_try = float(np.linalg.norm(Y - a_try @ x_s) ** 2)
                 if f_try <= f0 - cfg.armijo_slope * step * slope:
-                    z = z_try
+                    z, d, a = z_try, d_try, a_try
                     rho = step * 2.0
                     accepted = True
                     break
@@ -881,10 +968,9 @@ def offgrid_refine(
             if not accepted:
                 rho = max(rho * cfg.armijo_shrink, 1e-16)
 
-    a = Phi @ atom_response(n_sub, z)
     x_s, *_ = np.linalg.lstsq(a, Y, rcond=None)
     d_refined = codebook.D.copy()
-    d_refined[:, support] = atom_response(n_sub, z)
+    d_refined[:, support] = d
     grid = codebook.grid.copy().astype(float)
     grid[support] = z
     x_full = np.zeros_like(x_on_grid, dtype=complex)

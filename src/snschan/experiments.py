@@ -446,13 +446,19 @@ def _trial_worker(payload: tuple[dict, int, int]):
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """Run all (sweep value, trial) cells and aggregate the metric rows.
 
-    Fails with ExperimentFailure when more than 10% of trials error; the
-    surviving trials are aggregated either way.
+    workers >= 1 is an upper bound: the pool never has more processes than
+    there are cells, one worker runs the cells in this process, and
+    meta.json records the count used. Fails with ExperimentFailure when
+    more than 10% of trials error; the surviving trials are aggregated
+    either way.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     exp = EXPERIMENTS[spec.experiment]
     t_start = time.perf_counter()
     tasks = [(spec.to_dict(), i, t)
              for i in range(len(spec.sweep)) for t in range(spec.trials)]
+    workers = min(workers, len(tasks))
     results = {}
     errors: list[str] = []
     errors_by_type: Counter[str] = Counter()

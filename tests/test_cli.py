@@ -100,6 +100,15 @@ def test_params_no_cell_reads_exit_2(tmp_path, capsys, doc):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_with_zero_workers_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["run", write_spec(tmp_path, TINY_AUC), "--out", str(out),
+                     "--workers", "0"])
+    assert code == cli.EXIT_CONFIG
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failing_trials_exit_3(tmp_path, capsys, monkeypatch):
     def broken(spec, sweep_idx, trial):
         raise RuntimeError("boom")

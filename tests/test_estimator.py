@@ -1,3 +1,5 @@
+from dataclasses import replace
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as hst
 from scipy import linalg as sla
 
 import snschan.estimator as mod
+from snschan.experiments import ExperimentSpec, run_single_trial
 from snschan.estimator import (
     EstimatorConfig,
     absbl_mmv,
@@ -207,6 +210,116 @@ def exactly_hermitian(p):
     return 0.5 * (p + p.conj().swapaxes(-1, -2))
 
 
+def alm_five_steps(r_bars, gammas, p_blocks, lambdas, m_count, cfg, runs=None):
+    """The ALM-P step as alm_iters full matrix steps, each with its own
+    log-dets and floor: the oracle for `update_p_alm`'s scalar recursion."""
+    m = float(m_count)
+    raws = []
+    for r_bar, gam in zip(r_bars, gammas):
+        qi = 1.0 / np.maximum(np.sqrt(np.maximum(gam, 0.0)), 1e-150)
+        raws.append(qi[..., :, None] * r_bar * qi[..., None, :])
+    ps = list(p_blocks)
+    lams = [np.asarray(lam, dtype=float) for lam in lambdas]
+    dims = [np.shape(p)[-1] for p in ps]
+    if runs is None:
+        runs = [np.zeros(lam.shape, dtype=int) for lam in lams]
+    n_runs = 1 + max(int(np.max(run, initial=0)) for run in runs)
+    bounds = [np.searchsorted(np.ravel(run), np.arange(n_runs + 1)).tolist()
+              for run in runs]
+    run_dim = np.array([sum(u * (b[r + 1] - b[r]) for b, u in zip(bounds, dims))
+                        for r in range(n_runs)])
+    for _ in range(cfg.alm_iters):
+        logdets = [np.linalg.slogdet(p)[1] for p in ps]
+        bar = np.array([sum(float(ld.reshape(-1)[b[r]:b[r + 1]].sum())
+                            for ld, b in zip(logdets, bounds))
+                        for r in range(n_runs)]) / run_dim
+        terms = [m * (ld - u * bar[run])
+                 for ld, u, run in zip(logdets, dims, runs)]
+        new_ps = []
+        for raw, term, lam, u_len in zip(raws, terms, lams, dims):
+            c_eff = cfg.alm_c / (4.0 * m * u_len)
+            denom = m * np.maximum(1.0 + 2.0 * lam + 2.0 * c_eff * term, 1e-2)
+            p_new = raw / denom[..., None, None]
+            p_new += p_new.conj().swapaxes(-1, -2)
+            p_new *= 0.5
+            if cfg.p_shrink > 0:
+                scale = p_new.trace(axis1=-2, axis2=-1).real / u_len
+                p_new *= 1.0 - cfg.p_shrink
+                p_new += cfg.p_shrink * scale[..., None, None] * np.eye(u_len)
+            new_ps.append(mod._floor_pd(p_new, cfg.eps_pd))
+        lams = [lam + cfg.alm_alpha / (4.0 * m * u) * term
+                for lam, term, u in zip(lams, terms, dims)]
+        ps = new_ps
+    return ps, lams
+
+
+class AlmCase(NamedTuple):
+    args: tuple        # r_bars, gammas, p_blocks, lambdas
+    runs: list
+    cfg: EstimatorConfig
+
+
+def alm_case(rng, n_runs, g, u_last, kind, p_shrink=0.0, alm_iters=5, m=3):
+    """ALM-P inputs: R runs, each with g blocks of length 8 and one of
+    length u_last (even), labelled run-major.
+
+    kind "free": full-rank statistics, so the floor never binds.
+    kind "every": every block's statistics have rank U/2 and p_shrink is 0,
+    so the eps_pd = 1e-6 floor binds at every step. (Blocks of different
+    rank fractions make the recursion amplify rounding by about the inverse
+    of its bracket per step, in either form, so they are kept equal here.)
+    kind "intermediate": the first block's input P is scaled by 1e100, so
+    step 0 gives it a large denominator, and eps_pd sits at twice the
+    smallest eigenvalue of its A over that denominator: the floor binds
+    after step 0 and not at the last step.
+    """
+    r_bars, gammas, ps, lams, runs = [], [], [], [], []
+    for count, u in ((g, 8), (1, u_last)):
+        n = count * n_runs
+        rank = u // 2 if kind == "every" else 2 * u
+        z = crandn(rng, n, u, rank)
+        r_bar = z @ z.conj().swapaxes(-1, -2)
+        if kind == "intermediate":
+            r_bar += 2 * u * np.eye(u)
+        r_bars.append(r_bar)
+        gammas.append(rng.uniform(0.2, 3.0, (n, u)))
+        ps.append(exactly_hermitian(
+            hermitian_stack(rng, n, u, rng.uniform(0.5, 2.0, (n, u)))))
+        lams.append(rng.uniform(-0.1, 0.1, n))
+        runs.append(np.repeat(np.arange(n_runs), count))
+    cfg = EstimatorConfig(p_shrink=p_shrink, alm_iters=alm_iters, eps_pd=1e-6)
+    if kind != "free":
+        cfg = replace(cfg, p_shrink=0.0)
+    if kind == "intermediate":
+        ps[0][0] *= 1e100
+        # step 0's denominator of the first block, from the inputs alone
+        lds = [np.linalg.slogdet(p)[1] for p in ps]
+        run_ld = sum(np.bincount(r, ld, n_runs) for r, ld in zip(runs, lds))
+        term = m * (lds[0][0] - 8 * run_ld[0] / (g * 8 + u_last))
+        den = m * max(1.0 + 2.0 * lams[0][0]
+                      + 2.0 * cfg.alm_c / (4.0 * m * 8) * term, 1e-2)
+        qi = 1.0 / np.sqrt(gammas[0][0])
+        a = qi[:, None] * r_bars[0][0] * qi[None, :]
+        low = np.linalg.eigvalsh(exactly_hermitian(a))[0]
+        cfg = replace(cfg, eps_pd=2.0 * low / den)
+    return AlmCase((r_bars, gammas, ps, lams), runs, cfg)
+
+
+def floor_binds(run_oracle, eps_pd):
+    """Whether any block fell below eps_pd, for each floor call the oracle
+    made, in order."""
+    calls = []
+    floor = mod._floor_pd
+
+    def spy(p_in, eps):
+        calls.append(bool(np.linalg.eigvalsh(p_in)[..., 0].min() < eps_pd))
+        return floor(p_in, eps)
+
+    with mock.patch.object(mod, "_floor_pd", spy):
+        run_oracle()
+    return calls
+
+
 class TestBatchedHelpers:
     """A (G, U, U) stack gives what the per-block calls give, stacked."""
 
@@ -283,18 +396,15 @@ class TestBatchedHelpers:
         np.testing.assert_allclose(out, self._eigh_floor(p, eps), rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(out).min() >= eps - 1e-12
 
-    @given(hst.integers(1, 4), hst.integers(1, 6), hst.integers(0, 2**32 - 1))
+    @given(hst.integers(1, 4), hst.integers(1, 6), hst.integers(0, 2**32 - 1),
+           hst.sampled_from(["free", "every", "intermediate"]))
     @settings(max_examples=25, deadline=None)
-    def test_update_p_alm_floors_exactly_hermitian_stacks(self, g, u, seed):
-        # the floor takes its input as exactly Hermitian and never forms a
-        # Hermitian part, so every stack the ALM-P step hands it must be
-        # equal to its conjugate transpose bit for bit
-        rng = np.random.default_rng(seed)
-        m = 3
-        z = crandn(rng, g, u, 2 * u)
-        r_bar = z @ z.conj().swapaxes(-1, -2)
-        gamma = rng.uniform(0.2, 3.0, (g, u))
-        p = exactly_hermitian(hermitian_stack(rng, g, u, rng.uniform(0.2, 2.0, (g, u))))
+    def test_update_p_alm_floors_each_stack_at_most_once(self, g, u, seed, kind):
+        # the inner steps share one matrix up to a scalar, so the floor runs
+        # at most once per stack, on the final step's exactly Hermitian
+        # matrix, and not at all where no block ever reaches it
+        case = alm_case(np.random.default_rng(seed), 2, g, 2 * ((u + 1) // 2),
+                        kind)
         seen = []
 
         def spy(p_in, eps_pd):
@@ -302,13 +412,51 @@ class TestBatchedHelpers:
             return floor(p_in, eps_pd)
 
         floor = mod._floor_pd
-        for shrink in (0.0, 0.3):
-            with mock.patch.object(mod, "_floor_pd", spy):
-                update_p_alm([r_bar], [gamma], [p], [np.zeros(g)], m,
-                             EstimatorConfig(p_shrink=shrink))
-        assert len(seen) == 2 * EstimatorConfig().alm_iters
+        with mock.patch.object(mod, "_floor_pd", spy):
+            update_p_alm(*case.args, 3, case.cfg, runs=case.runs)
+        assert len(seen) <= 2
+        if kind == "free":
+            assert not seen
+        elif kind == "every":
+            assert len(seen) == 2
         for p_in in seen:
             np.testing.assert_array_equal(p_in, p_in.conj().swapaxes(-1, -2))
+
+    @given(hst.integers(1, 5), hst.integers(1, 3), hst.sampled_from([2, 4, 6]),
+           hst.integers(0, 2**32 - 1),
+           hst.sampled_from(["free", "every", "intermediate"]),
+           hst.sampled_from([0.0, 0.9]), hst.sampled_from([0, 1, 5]))
+    @settings(max_examples=80, deadline=None)
+    def test_update_p_alm_matches_five_step_oracle(self, n_runs, g, u_last, seed,
+                                                   kind, shrink, iters):
+        case = alm_case(np.random.default_rng(seed), n_runs, g, u_last, kind,
+                        shrink, iters)
+        eps = case.cfg.eps_pd
+        ref = []
+        binds = floor_binds(lambda: ref.extend(alm_five_steps(
+            *case.args, 3, case.cfg, runs=case.runs)), eps)
+        ref_ps, ref_lams = ref
+        # the oracle floors both stacks at every step
+        steps = [binds[k:k + 2] for k in range(0, len(binds), 2)]
+        if kind == "free":
+            assert not any(binds)
+        elif kind == "every":
+            assert all(all(step) for step in steps)
+        elif iters == 5:
+            assert any(steps[0]) and not any(steps[-1])
+        ps, lams = update_p_alm(*case.args, 3, case.cfg, runs=case.runs)
+        for mine, want in zip(ps, ref_ps, strict=True):
+            np.testing.assert_allclose(mine, want, rtol=1e-10,
+                                       atol=1e-10 * np.abs(want).max())
+            np.testing.assert_array_equal(mine, mine.conj().swapaxes(-1, -2))
+            assert np.linalg.eigvalsh(mine).min() >= eps - 1e-12
+        for mine, want in zip(lams, ref_lams, strict=True):
+            np.testing.assert_allclose(mine, want, rtol=1e-10, atol=1e-12)
+        if iters == 0:
+            for mine, given_p in zip(ps, case.args[2]):
+                np.testing.assert_array_equal(mine, given_p)
+            for mine, given_lam in zip(lams, case.args[3]):
+                np.testing.assert_array_equal(mine, given_lam)
 
     @given(hst.integers(1, 4), hst.integers(2, 6), hst.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -335,6 +483,27 @@ class TestBatchedHelpers:
             np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(np.concatenate(out_lams), ref_lams,
                                    rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiment": "nmse_vs_snr", "sweep": [0.0, 20.0],
+     "algorithms": ["ss_absbl_mmv", "ss_absbl", "ss_bsbl", "ss_og_absbl_mmv"],
+     "overrides": {"N": 64, "SI_min": 16, "P": 16}},
+    {"experiment": "nmse_vs_distance", "sweep": [3.0, 20.0],
+     "overrides": {"N": 64, "SI_min": 16}},
+], ids=["nmse_vs_snr", "nmse_vs_distance"])
+def test_alm_recursion_keeps_every_trial_value(doc):
+    # every per-trial NMSE and bound, with the five-step oracle in the EM
+    # loop and with the scalar recursion, agree to a relative 1e-9
+    spec = ExperimentSpec.from_dict({**doc, "trials": 1, "seed": 3})
+    cells = [(i, t) for i in range(len(spec.sweep)) for t in range(spec.trials)]
+    with mock.patch.object(mod, "update_p_alm", alm_five_steps):
+        want = [run_single_trial(spec, i, t) for i, t in cells]
+    got = [run_single_trial(spec, i, t) for i, t in cells]
+    for mine, ref in zip(got, want, strict=True):
+        assert [r[:2] for r in mine] == [r[:2] for r in ref]
+        np.testing.assert_allclose([r[2] for r in mine], [r[2] for r in ref],
+                                   rtol=1e-9, atol=0)
 
 
 class TestUpdateNoise:
@@ -973,6 +1142,72 @@ def test_somp_single_refit_equals_refit_every_atom_on_dependent_columns():
     assert dependent >= 10
 
 
+def offgrid_refine_recomputing(Y, Phi, codebook, x_on_grid, cfg):
+    """`offgrid_refine` as it built the atoms three times and the residual
+    twice per iteration: the oracle for the shared builds."""
+
+    def gradient(z, X):
+        d = atom_response(n_sub, z)
+        resid = Y - Phi @ d @ X
+        ramp_d = np.arange(n_sub)[:, None] * d
+        inner = X @ resid.conj().T @ Phi @ ramp_d
+        return -2.0 * np.pi * np.real(1j * np.diag(inner))
+
+    Y = np.asarray(Y, dtype=complex)
+    n_sub = codebook.D.shape[0]
+    energy = np.sum(np.abs(x_on_grid) ** 2, axis=1)
+    support = np.flatnonzero(energy >= cfg.support_fraction * energy.max())
+    if support.size > Phi.shape[0]:
+        order = np.argsort(energy[support])[::-1]
+        support = np.sort(support[order[: Phi.shape[0]]])
+    z = codebook.grid[support].astype(float).copy()
+    x_prev = None
+    rho = 1.0
+    ramp = np.arange(n_sub)
+    for _ in range(cfg.r_ite):
+        a = Phi @ atom_response(n_sub, z)
+        x_s, *_ = np.linalg.lstsq(a, Y, rcond=None)
+        if x_prev is not None:
+            change = (np.linalg.norm(x_s - x_prev)
+                      / max(np.linalg.norm(x_prev), 1e-300))
+            if change < cfg.delta2:
+                break
+        x_prev = x_s
+        f0 = float(np.linalg.norm(Y - a @ x_s) ** 2)
+        grad = gradient(z, x_s)
+        ramped = Phi @ (ramp[:, None] * atom_response(n_sub, z))
+        curv = (2.0 * np.pi**2
+                * np.sum(np.abs(x_s) ** 2, axis=1)
+                * np.sum(np.abs(ramped) ** 2, axis=0))
+        curv = np.maximum(curv, 1e-12 * max(curv.max(), 1.0))
+        direction = grad / curv
+        slope = float(np.dot(grad, direction))
+        if slope > 0:
+            accepted = False
+            step = min(rho, 1.0)
+            for _ in range(cfg.max_backtracks):
+                z_try = np.clip(z - step * direction, -1.0, 1.0)
+                f_try = float(np.linalg.norm(
+                    Y - Phi @ atom_response(n_sub, z_try) @ x_s) ** 2)
+                if f_try <= f0 - cfg.armijo_slope * step * slope:
+                    z = z_try
+                    rho = step * 2.0
+                    accepted = True
+                    break
+                step *= cfg.armijo_shrink
+            if not accepted:
+                rho = max(rho * cfg.armijo_shrink, 1e-16)
+    a = Phi @ atom_response(n_sub, z)
+    x_s, *_ = np.linalg.lstsq(a, Y, rcond=None)
+    d_refined = codebook.D.copy()
+    d_refined[:, support] = atom_response(n_sub, z)
+    grid = codebook.grid.copy().astype(float)
+    grid[support] = z
+    x_full = np.zeros_like(x_on_grid, dtype=complex)
+    x_full[support] = x_s
+    return mod.Codebook(D=d_refined, grid=grid), x_full, d_refined @ x_full
+
+
 class TestOffGrid:
     def _instance(self, z_true, n=32, p_eff=24, m_count=2, seed=0, noise=0.0):
         rng = np.random.default_rng(seed)
@@ -1038,6 +1273,29 @@ class TestOffGrid:
         assert resid_off < 0.1 * resid_start
         # and the channel estimate improves by well over 3 dB
         assert nmse(h_off, h_true) < 0.5 * nmse(h_on, h_true)
+
+    def test_shared_builds_keep_every_bit(self):
+        # off-grid paths, noise, supports larger than P and a cut-short
+        # iteration budget, against the refinement that rebuilt its atoms
+        rng = np.random.default_rng(27)
+        for i in range(24):
+            n = int(rng.choice([16, 32, 64]))
+            p_eff = int(rng.integers(n // 4, n))
+            book = dft_codebook(n)
+            paths = int(rng.integers(1, 5))
+            z_true = rng.uniform(-0.95, 0.95, paths)
+            phi = crandn(rng, p_eff, n)
+            y = (phi @ atom_response(n, z_true) @ crandn(rng, paths, 2)
+                 + 0.05 * crandn(rng, p_eff, 2))
+            x_on = np.linalg.lstsq(phi @ book.D, y, rcond=None)[0]
+            cfg = EstimatorConfig(r_ite=int(rng.choice([3, 50])),
+                                  support_fraction=float(rng.choice([0.01, 0.15])))
+            got = offgrid_refine(y, phi, book, x_on, cfg)
+            want = offgrid_refine_recomputing(y, phi, book, x_on, cfg)
+            np.testing.assert_array_equal(got[0].D, want[0].D)
+            np.testing.assert_array_equal(got[0].grid, want[0].grid)
+            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(got[2], want[2])
 
     def test_empty_support_passthrough(self):
         n = 16

@@ -236,6 +236,50 @@ def test_meta_counts_errors_by_type_and_records_environment(tmp_path, monkeypatc
     assert json.loads((tmp_path / "results.json").read_text())["meta"] == meta
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's max_workers
+    and runs its cells in this process, so no process starts."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, sweep, trials, pools", [
+    (8, [0.0, 10.0], 1, [2]),     # two cells: never eight processes
+    (2, [0.0, 10.0], 2, [2]),
+    (3, [0.0], 1, []),            # one cell runs in this process
+    (1, [0.0, 10.0], 1, []),
+])
+def test_pool_never_outnumbers_the_cells(monkeypatch, workers, sweep, trials, pools):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "made", [])
+    spec = ExperimentSpec(**dict(SPECS["auc_vs_snr"], sweep=sweep, trials=trials))
+    table = run_experiment(spec, workers=workers)
+    assert RecordingPool.made == pools
+    assert table.meta["workers"] == min(workers, len(sweep) * trials)
+    assert table.to_csv() == run_experiment(spec, workers=1).to_csv()
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_fewer_than_one_worker_is_a_config_error(monkeypatch, workers):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "made", [])
+    with pytest.raises(experiments.ConfigError, match="workers"):
+        run_experiment(ExperimentSpec(**SPECS["auc_vs_snr"]), workers=workers)
+    assert RecordingPool.made == []
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, csv in run_specs(SPECS, workers=1).items():
