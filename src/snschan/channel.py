@@ -5,6 +5,13 @@ complex gain, a reference (distance, angle) seen from the array center, and
 a non-negative per-element mask that is zero outside the path's visibility
 region (BS-VR) and encodes spherical-wave amplitude taper plus, for paths
 obstructed by a knife edge, diffraction ripple.
+
+Synthesis does only the work its output needs. A path's contribution is
+evaluated on its VR alone: outside it the mask is zero, so the contribution
+is +-0 and adding it would leave every bit of H unchanged. The scenario
+sampler computes each path's element distances once and hands them, and an
+obstructed path's diffraction gains, to both the mask and the assembly;
+the element offsets and subcarrier grid are built once per `SystemConfig`.
 """
 
 from __future__ import annotations
@@ -80,37 +87,47 @@ def element_distances(r: float, theta: float, cfg: SystemConfig) -> np.ndarray:
     return np.sqrt(r**2 + a**2 - 2.0 * a * r * np.sin(theta))
 
 
-def ideal_mask(path: PathParams, cfg: SystemConfig) -> np.ndarray:
-    """Spherical-wave amplitude taper r / r_n for an unobstructed path."""
-    if path.kind != IDEAL:
-        raise ValueError("ideal_mask requires an ideal path")
-    r_n = element_distances(path.r, path.theta, cfg)
-    return path.r / r_n
-
-
-def nonideal_mask(path: PathParams, cfg: SystemConfig) -> np.ndarray:
-    """Mask of a knife-edge-obstructed path: (r / r_n) [t_d (sqrt(A_n)-1) + 1].
+def mask_weights(path: PathParams, r_n: np.ndarray,
+                 a_n: np.ndarray | None = None) -> np.ndarray:
+    """The path's mask before its VR is applied, from its element distances
+    r_n: the spherical-wave taper r / r_n of an ideal path, and
+    (r / r_n) [t_d (sqrt(A_n) - 1) + 1] for a knife-edge-obstructed path
+    with per-element diffraction gains a_n.
 
     t_d scales the diffraction ripple and must satisfy
     t_d < 1 / (1 - min_n A_n) so the mask stays positive.
     """
-    if path.kind != NONIDEAL or path.obstacle is None:
-        raise ValueError("nonideal_mask requires a non-ideal path with an obstacle")
-    _, _, _, nu = diffraction_geometry(path.obstacle, path.theta, cfg)
-    a_n = diffraction_gain(nu)
+    taper = path.r / r_n
+    if path.kind == IDEAL:
+        return taper
     bound = max_diffraction_intensity(a_n)
     if path.t_d >= bound:
         raise MaskConfigurationError(
             f"t_d = {path.t_d:.4g} violates the positivity bound {bound:.4g}"
         )
-    r_n = element_distances(path.r, path.theta, cfg)
-    return (path.r / r_n) * (path.t_d * (np.sqrt(a_n) - 1.0) + 1.0)
+    return taper * (path.t_d * (np.sqrt(a_n) - 1.0) + 1.0)
 
 
-def _expand_blocks(states: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+def ideal_mask(path: PathParams, cfg: SystemConfig) -> np.ndarray:
+    """Spherical-wave amplitude taper r / r_n for an unobstructed path."""
+    if path.kind != IDEAL:
+        raise ValueError("ideal_mask requires an ideal path")
+    return mask_weights(path, element_distances(path.r, path.theta, cfg))
+
+
+def nonideal_mask(path: PathParams, cfg: SystemConfig) -> np.ndarray:
+    """Mask of a knife-edge-obstructed path: (r / r_n) [t_d (sqrt(A_n)-1) + 1],
+    see `mask_weights`."""
+    if path.kind != NONIDEAL or path.obstacle is None:
+        raise ValueError("nonideal_mask requires a non-ideal path with an obstacle")
+    _, _, _, nu = diffraction_geometry(path.obstacle, path.theta, cfg)
+    return mask_weights(path, element_distances(path.r, path.theta, cfg),
+                        diffraction_gain(nu))
+
+
+def _expand_blocks(states: list[bool], cfg: SystemConfig) -> np.ndarray:
     """Repeat block states to element resolution (last block may be short)."""
-    full = np.repeat(states.astype(bool), cfg.SI_min)
-    return full[: cfg.N]
+    return np.repeat(states, cfg.SI_min)[: cfg.N]
 
 
 def sample_vr(
@@ -121,6 +138,7 @@ def sample_vr(
     p_stay_blocked: float = 0.8,
     p_init_visible: float | None = None,
     power_threshold: float = 0.1,
+    weights: np.ndarray | None = None,
 ) -> VisibilityMask:
     """Draw the path's visibility region and build its mask.
 
@@ -128,14 +146,17 @@ def sample_vr(
     blocks of SI_min elements, redrawn until at least one block is visible.
     Non-ideal paths: the VR is the set of elements whose mask exceeds
     power_threshold times the mask maximum (no stochastic birth-death).
+    weights is the path's mask before the VR is applied (`ideal_mask` or
+    `nonideal_mask`); it is computed here when the caller does not have it.
     """
     if not (0.0 <= p_stay_visible <= 1.0 and 0.0 <= p_stay_blocked <= 1.0):
         raise ValueError("Markov probabilities must lie in [0, 1]")
+    if weights is None:
+        weights = (nonideal_mask if path.kind == NONIDEAL else ideal_mask)(path, cfg)
 
     if path.kind == NONIDEAL:
-        s_full = nonideal_mask(path, cfg)
-        support = s_full > power_threshold * np.max(s_full)
-        return VisibilityMask(s=np.where(support, s_full, 0.0), support=support)
+        support = weights > power_threshold * np.max(weights)
+        return VisibilityMask(s=np.where(support, weights, 0.0), support=support)
 
     b_si = cfg.n_blocks_si
     p_vb = 1.0 - p_stay_visible
@@ -143,13 +164,15 @@ def sample_vr(
     if p_init_visible is None:
         p_init_visible = 0.5 if p_vb + p_bv == 0 else p_bv / (p_vb + p_bv)
 
-    states = np.zeros(b_si, dtype=bool)
+    # one uniform per block, in block order: one rng.random(b_si) call per
+    # attempt draws the same stream as one scalar call per block
+    stay = (1.0 - p_stay_blocked, p_stay_visible)   # by the previous state
     for _ in range(_MAX_RESAMPLE):
-        states[0] = rng.random() < p_init_visible
-        for b in range(1, b_si):
-            stay = p_stay_visible if states[b - 1] else 1.0 - p_stay_blocked
-            states[b] = rng.random() < stay
-        if states.any():
+        u = rng.random(b_si).tolist()
+        states = [u[0] < p_init_visible]
+        for u_b in u[1:]:
+            states.append(u_b < stay[states[-1]])
+        if any(states):
             break
     else:
         warnings.warn(
@@ -159,23 +182,7 @@ def sample_vr(
         states[rng.integers(b_si)] = True
 
     support = _expand_blocks(states, cfg)
-    return VisibilityMask(s=np.where(support, ideal_mask(path, cfg), 0.0),
-                          support=support)
-
-
-def path_channel(path: PathParams, cfg: SystemConfig) -> np.ndarray:
-    """(N, M) contribution of one path: g e^{-j k_m r} b(r, theta; f_m) .* s.
-
-    b(r, theta; f) = exp(-j k_f (r_n - r)) / sqrt(N) is the unit-norm
-    near-field array response at frequency f. The path must carry its mask.
-    """
-    if path.mask is None:
-        raise ValueError("path has no visibility mask; draw one with sample_vr")
-    r_n = element_distances(path.r, path.theta, cfg)
-    k_m = np.asarray(cfg.wavenumber(cfg.subcarrier_freqs))
-    # g e^{-j k_m r} exp(-j k_m (r_n - r)) / sqrt(N) = g exp(-j k_m r_n) / sqrt(N)
-    phases = np.exp(-1j * np.outer(r_n, k_m))
-    return (path.g / np.sqrt(cfg.N)) * phases * path.mask.s[:, None]
+    return VisibilityMask(s=np.where(support, weights, 0.0), support=support)
 
 
 def breakpoints_from_masks(paths: list[PathParams], cfg: SystemConfig) -> np.ndarray:
@@ -186,13 +193,30 @@ def breakpoints_from_masks(paths: list[PathParams], cfg: SystemConfig) -> np.nda
     return np.concatenate(([1], interior, [cfg.N + 1])).astype(int)
 
 
-def assemble_channel(cfg: SystemConfig, paths: list[PathParams]) -> ChannelRealization:
-    """Superpose the per-path contributions of masked paths; column m of H
-    is the channel at subcarrier f_m."""
+def assemble_channel(cfg: SystemConfig, paths: list[PathParams],
+                     distances: list[np.ndarray] | None = None,
+                     ) -> ChannelRealization:
+    """Superpose the masked paths; column m of H is the channel at
+    subcarrier f_m.
+
+    Path p adds g e^{-j k_m r} b(r, theta; f_m) .* s, which is
+    g exp(-j k_m r_n) s_n / sqrt(N), where b(r, theta; f) =
+    exp(-j k_f (r_n - r)) / sqrt(N) is the unit-norm near-field array
+    response at frequency f. The sum runs over the elements where s_n != 0
+    only. Every path must carry its mask; distances holds each path's
+    element distances r_n when the caller has computed them.
+    """
     if not paths:
         raise ValueError("assemble_channel requires at least one path")
     H = np.zeros((cfg.N, cfg.M), dtype=complex)
-    for p in paths:
-        H += path_channel(p, cfg)
+    k_m = cfg.wavenumber(cfg.subcarrier_freqs)
+    for i, p in enumerate(paths):
+        if p.mask is None:
+            raise ValueError("path has no visibility mask; draw one with sample_vr")
+        r_n = (element_distances(p.r, p.theta, cfg) if distances is None
+               else distances[i])
+        vis = np.flatnonzero(p.mask.s)
+        phases = np.exp(-1j * np.outer(r_n[vis], k_m))
+        H[vis] += (p.g / np.sqrt(cfg.N)) * phases * p.mask.s[vis, None]
     return ChannelRealization(H=H, paths=paths,
                               truth_breakpoints=breakpoints_from_masks(paths, cfg))

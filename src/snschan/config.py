@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,17 +52,19 @@ class SystemConfig:
     def wavelength(self) -> float:
         return self.c / self.fc
 
-    @property
+    # the two grids below are built once per config and shared read-only
+
+    @cached_property
     def delta_n(self) -> np.ndarray:
         """Centered element index offsets, (2n - N - 1)/2 for n = 1..N."""
         n = np.arange(1, self.N + 1)
-        return (2 * n - self.N - 1) / 2.0
+        return _read_only((2 * n - self.N - 1) / 2.0)
 
-    @property
+    @cached_property
     def subcarrier_freqs(self) -> np.ndarray:
         """Uniform symmetric grid f_m = fc + B(2m - M - 1)/(2M), m = 1..M."""
         m = np.arange(1, self.M + 1)
-        return self.fc + self.B * (2 * m - self.M - 1) / (2 * self.M)
+        return _read_only(self.fc + self.B * (2 * m - self.M - 1) / (2 * self.M))
 
     def wavenumber(self, f: float | np.ndarray | None = None) -> float | np.ndarray:
         """k_w = 2*pi*f/c (carrier frequency when f is omitted)."""
@@ -90,3 +93,8 @@ class SystemConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
         return cls(**data)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a

@@ -73,14 +73,14 @@ def diffraction_geometry(
     h_ref, d1_ref, d2_ref = obstacle.h_ref, obstacle.d1_ref, obstacle.d2_ref
     n = np.arange(1, cfg.N + 1)
     delta = (cfg.N - 2 * n - 1) / 2.0 * cfg.d
-    q = d1_ref + d2_ref + delta * np.sin(theta)
+    dsin = delta * np.sin(theta)
+    q = d1_ref + d2_ref + dsin
     dcos = delta * np.cos(theta)
     denom = np.sqrt(q**2 + dcos**2)
 
     h = (h_ref * q + d2_ref * dcos) / denom
     d2 = (d2_ref * q - h_ref * dcos) / denom
-    d1 = (d1_ref + d2_ref) + delta * np.sin(theta) \
-        + dcos**2 / (2.0 * (d1_ref + d2_ref)) - d2
+    d1 = (d1_ref + d2_ref) + dsin + dcos**2 / (2.0 * (d1_ref + d2_ref)) - d2
 
     if np.any(d1 <= 0) or np.any(d2 <= 0):
         raise GeometryInfeasibleError(

@@ -153,6 +153,39 @@ class EstimatorConfig:
     armijo_slope: float = 1e-4
     max_backtracks: int = 40
 
+    def __post_init__(self) -> None:
+        for names, ok, rule in _CONFIG_RULES:
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# (fields, test, rule) of every EstimatorConfig field; NaN fails every rule
+_CONFIG_RULES = (
+    (("block_size", "t_ite"), lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    (("alm_iters", "r_ite", "max_backtracks"), lambda v: _is_int(v) and v >= 0,
+     "an integer >= 0"),
+    (("delta1", "prune_threshold", "alm_c", "alm_alpha", "delta2"),
+     lambda v: _is_real(v) and v >= 0, "a number >= 0"),
+    (("eps_pd", "sigma2_init_scale", "sigma2_floor"),
+     lambda v: _is_real(v) and v > 0, "a number > 0"),
+    (("p_shrink", "support_fraction"), lambda v: _is_real(v) and 0 <= v <= 1,
+     "a number in [0, 1]"),
+    (("armijo_shrink",), lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)"),
+    (("armijo_slope",), lambda v: _is_real(v) and 0 <= v < 1, "a number in [0, 1)"),
+    (("learn_p", "learn_noise", "scalar_gamma"), lambda v: isinstance(v, bool),
+     "true or false"),
+)
+
 
 @dataclass
 class PosteriorState:

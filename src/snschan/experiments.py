@@ -264,10 +264,11 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
 }
 
 
-def _check_params(params: dict, exp: ExperimentDef) -> None:
+def _check_params(params: dict, exp: ExperimentDef) -> EstimatorConfig:
     """Reject a key the experiment's cell does not read (or the swept one,
-    which the sweep value replaces), and an architecture, estimator or
-    estimator_config no cell knows."""
+    which the sweep value replaces), an architecture or estimator no cell
+    knows, and an estimator_config with an unknown key or an invalid value;
+    returns the estimator config."""
     accepted = [key for key in exp.reads if key != exp.sweep_param]
     unread = sorted(set(params) - set(accepted))
     if unread:
@@ -277,8 +278,8 @@ def _check_params(params: dict, exp: ExperimentDef) -> None:
         if key in params and params[key] not in known:
             raise ConfigError(f"unknown {key} {params[key]!r}; known: {list(known)}")
     try:
-        _estimator_config(params)
-    except TypeError as err:
+        return EstimatorConfig(**params.get("estimator_config", {}))
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid estimator_config: {err}") from err
 
 
@@ -293,8 +294,11 @@ class ExperimentSpec:
     overrides: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     seed: int = 0
-    # one SystemConfig per sweep point, built and checked at load time
+    # one SystemConfig per sweep point and the estimator config, built and
+    # checked at load time
     configs: list[SystemConfig] = field(init=False, repr=False, compare=False)
+    estimator_config: EstimatorConfig = field(init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -314,7 +318,7 @@ class ExperimentSpec:
         merged_params = dict(exp.params)
         merged_params.update(self.params)
         self.params = merged_params
-        _check_params(self.params, exp)
+        self.estimator_config = _check_params(self.params, exp)
         merged_over = dict(exp.overrides)
         merged_over.update(self.overrides)
         self.overrides = merged_over
@@ -415,10 +419,6 @@ def _build_config(spec: ExperimentSpec, sweep_value) -> SystemConfig:
     return cfg
 
 
-def _estimator_config(params: dict) -> EstimatorConfig:
-    return EstimatorConfig(**params.get("estimator_config", {}))
-
-
 def run_single_trial(spec: ExperimentSpec, sweep_idx: int,
                      trial: int) -> list[Record]:
     """Execute one (sweep value, trial) cell; returns (algo, metric, value,
@@ -429,18 +429,30 @@ def run_single_trial(spec: ExperimentSpec, sweep_idx: int,
         params[exp.sweep_param] = float(spec.sweep[sweep_idx])
     return exp.cell(_Cell(spec, params, spec.configs[sweep_idx],
                           spec.child_rng(sweep_idx, trial),
-                          _estimator_config(spec.params)))
+                          spec.estimator_config))
 
 
-def _trial_worker(payload: tuple[dict, int, int]):
+def _trial_worker(spec: ExperimentSpec, sweep_idx: int, trial: int):
     """(sweep_idx, trial, records, None) or, when the cell raised,
     (sweep_idx, trial, None, (exception type name, message))."""
-    doc, sweep_idx, trial = payload
-    spec = ExperimentSpec.from_dict(doc)
     try:
         return sweep_idx, trial, run_single_trial(spec, sweep_idx, trial), None
     except Exception as err:  # noqa: BLE001 - per-trial errors are recorded
         return sweep_idx, trial, None, (type(err).__name__, str(err))
+
+
+# the spec a pool worker runs, handed over once per process by the pool's
+# initializer so that no cell re-parses it
+_pool_spec: ExperimentSpec | None = None
+
+
+def _init_pool_worker(spec: ExperimentSpec) -> None:
+    global _pool_spec
+    _pool_spec = spec
+
+
+def _pool_trial(task: tuple[int, int]):
+    return _trial_worker(_pool_spec, *task)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
@@ -456,16 +468,17 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     exp = EXPERIMENTS[spec.experiment]
     t_start = time.perf_counter()
-    tasks = [(spec.to_dict(), i, t)
-             for i in range(len(spec.sweep)) for t in range(spec.trials)]
+    tasks = [(i, t) for i in range(len(spec.sweep)) for t in range(spec.trials)]
     workers = min(workers, len(tasks))
     results = {}
     errors: list[str] = []
     errors_by_type: Counter[str] = Counter()
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker,
+                              initargs=(spec,)) if workers > 1
           else nullcontext()) as pool:
-        for sweep_idx, trial, recs, err in (pool.map if pool else map)(
-                _trial_worker, tasks):
+        outcomes = (pool.map(_pool_trial, tasks) if pool
+                    else (_trial_worker(spec, *task) for task in tasks))
+        for sweep_idx, trial, recs, err in outcomes:
             results[(sweep_idx, trial)] = recs
             if err:
                 errors_by_type[err[0]] += 1

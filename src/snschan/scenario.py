@@ -14,6 +14,8 @@ from .channel import (
     PathParams,
     VisibilityMask,
     assemble_channel,
+    element_distances,
+    mask_weights,
     sample_vr,
 )
 from .config import SystemConfig
@@ -50,13 +52,9 @@ class ScenarioOptions:
 
 
 def _sample_obstacle(r: float, theta: float, cfg: SystemConfig,
-                     rng: np.random.Generator) -> tuple[Obstacle, float]:
-    """Draw a knife edge on the path and the largest legal intensity for it.
-
-    The requested t_d is capped just below the positivity bound
-    1/(1 - min_n A_n), which random geometries frequently violate for
-    t_d > 1 because the per-element clearance sweeps into deep shadow.
-    """
+                     rng: np.random.Generator) -> tuple[Obstacle, np.ndarray]:
+    """Draw a knife edge on the path; returns it with its per-element
+    diffraction gains A_n."""
     for _ in range(50):
         d1 = rng.uniform(*_D1_FRAC_RANGE) * r
         h_ref = rng.uniform(-_H_REF_LAMBDAS, _H_REF_LAMBDAS) * cfg.wavelength
@@ -65,14 +63,15 @@ def _sample_obstacle(r: float, theta: float, cfg: SystemConfig,
             _, _, _, nu = diffraction_geometry(obstacle, theta, cfg)
         except GeometryInfeasibleError:
             continue
-        bound = max_diffraction_intensity(np.asarray(diffraction_gain(nu)))
-        return obstacle, 0.99 * bound
+        return obstacle, np.asarray(diffraction_gain(nu))
     raise GeometryInfeasibleError("could not place a knife edge on the path")
 
 
 def sample_paths(cfg: SystemConfig, rng: np.random.Generator,
-                 opts: ScenarioOptions | None = None) -> list[PathParams]:
-    """Draw K x L paths with gains CN(0,1) and sampled visibility regions.
+                 opts: ScenarioOptions | None = None,
+                 ) -> tuple[list[PathParams], list[np.ndarray]]:
+    """Draw K x L paths with gains CN(0,1) and sampled visibility regions;
+    returns them with each one's element distances r_n.
 
     At most one path per UE is non-ideal; its diffraction intensity is
     min(opts.t_d, cap) with cap just below the geometry's positivity bound.
@@ -80,6 +79,7 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator,
     if opts is None:
         opts = ScenarioOptions()
     paths: list[PathParams] = []
+    distances: list[np.ndarray] = []
     for _ in range(cfg.K):
         for l in range(cfg.L):
             g = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
@@ -87,28 +87,36 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator,
             theta = rng.uniform(*_THETA_RANGE)
             nonideal = (l == 0 and opts.t_d > 0
                         and rng.random() < opts.p_nonideal)
+            a_n = None
             if nonideal:
-                obstacle, t_cap = _sample_obstacle(r, theta, cfg, rng)
+                obstacle, a_n = _sample_obstacle(r, theta, cfg, rng)
+                # random geometries often violate the positivity bound
+                # 1/(1 - min_n A_n) for t_d > 1, since the per-element
+                # clearance sweeps into deep shadow: cap just below it
+                t_cap = 0.99 * max_diffraction_intensity(a_n)
                 path = PathParams(g=g, r=r, theta=theta, kind=NONIDEAL,
                                   obstacle=obstacle,
                                   t_d=min(opts.t_d, t_cap))
             else:
                 path = PathParams(g=g, r=r, theta=theta, kind=IDEAL)
+            r_n = element_distances(r, theta, cfg)
             path.mask = sample_vr(
                 path, cfg, rng,
                 p_stay_visible=opts.p_stay_visible,
                 p_stay_blocked=opts.p_stay_blocked,
                 p_init_visible=opts.p_init_visible,
                 power_threshold=opts.power_threshold,
+                weights=mask_weights(path, r_n, a_n),
             )
             paths.append(path)
-    return paths
+            distances.append(r_n)
+    return paths, distances
 
 
 def generate_scenario(cfg: SystemConfig, rng: np.random.Generator,
                       opts: ScenarioOptions | None = None) -> ChannelRealization:
     """Sample paths and assemble the channel realization."""
-    return assemble_channel(cfg, sample_paths(cfg, rng, opts))
+    return assemble_channel(cfg, *sample_paths(cfg, rng, opts))
 
 
 def _complex_pair(z: complex) -> list[float]:

@@ -92,12 +92,13 @@ def _mcd_batch(windows: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     if not (w + 2) / 2 <= h <= w:
         raise ValueError(f"h must satisfy (W+2)/2 <= h <= W, got h={h}, W={w}")
     srt = np.sort(windows, axis=1)
-    cs = np.concatenate([np.zeros((b, 1)), np.cumsum(srt, axis=1)], axis=1)
-    cs2 = np.concatenate([np.zeros((b, 1)), np.cumsum(srt**2, axis=1)], axis=1)
+    # running sums of the sorted values and of their squares, from 0; the
+    # (B, W) temporaries dominate the cost, so they are written in place
+    cs = np.zeros((2, b, w + 1))
+    np.cumsum(srt, axis=1, out=cs[0, :, 1:])
+    np.cumsum(np.square(srt, out=srt), axis=1, out=cs[1, :, 1:])
     n_runs = w - h + 1
-    starts = np.arange(n_runs)
-    sums = cs[:, starts + h] - cs[:, starts]          # (B, n_runs)
-    sqs = cs2[:, starts + h] - cs2[:, starts]
+    sums, sqs = cs[:, :, h:] - cs[:, :, :n_runs]      # (B, n_runs) each
     variances = (sqs - sums**2 / h) / (h - 1)
     variances = np.maximum(variances, 0.0)            # guard roundoff
     best = np.argmin(variances, axis=1)               # first minimum
@@ -111,17 +112,25 @@ def _mcd_batch(windows: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
 def _reweight_batch(
     windows: np.ndarray, mu0: np.ndarray, sigma0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reweighted MCD mean/variance over each row given raw estimates."""
+    """Reweighted MCD mean/variance over each row given raw estimates.
+
+    Both the raw and the reweighted variance are floored at a 1e-12 share of
+    the squared row mean.
+    """
     floors = np.maximum(_VAR_FLOOR_REL * np.mean(windows, axis=1) ** 2, 1e-300)
     sig = np.maximum(sigma0, floors)
-    d2 = (windows - mu0[:, None]) ** 2 / sig[:, None]
+    d2 = windows - mu0[:, None]
+    np.square(d2, out=d2)
+    d2 /= sig[:, None]
     keep = d2 < CHI2_975_1
     n_keep = keep.sum(axis=1)
     # every row keeps at least the h-subset core, so n_keep >= h >= 2
     mu = np.sum(windows * keep, axis=1) / n_keep
-    ss = np.sum(keep * (windows - mu[:, None]) ** 2, axis=1)
+    dev = windows - mu[:, None]
+    np.square(dev, out=dev)
+    ss = np.sum(np.multiply(keep, dev, out=dev), axis=1)
     var = _C1 * ss / np.maximum(n_keep - 1, 1)
-    return mu, var
+    return mu, np.maximum(var, floors)
 
 
 def check_window(w: int) -> None:
@@ -152,8 +161,6 @@ def pass_segment(profile: np.ndarray, w: int, h: int | None = None) -> Segmentat
     windows = np.lib.stride_tricks.sliding_window_view(p, w)  # (N-W+1, W)
     mu0, sigma0 = _mcd_batch(windows, h)
     mu_mcd, var_mcd = _reweight_batch(windows, mu0, sigma0)
-    floors = np.maximum(_VAR_FLOOR_REL * np.mean(windows, axis=1) ** 2, 1e-300)
-    var_mcd = np.maximum(var_mcd, floors)
 
     scores = np.zeros(n)
     scores[w - 1:] = np.abs(windows[:, -1] - mu_mcd) / np.sqrt(var_mcd)

@@ -10,7 +10,6 @@ from snschan.channel import (
     element_distances,
     ideal_mask,
     nonideal_mask,
-    path_channel,
     sample_vr,
 )
 from snschan.config import SystemConfig
@@ -32,10 +31,16 @@ def unit_mask(cfg):
     return VisibilityMask(s=np.ones(cfg.N), support=np.ones(cfg.N, dtype=bool))
 
 
+def single_path_channel(path, cfg):
+    """(N, M) channel of one masked path."""
+    return assemble_channel(cfg, [path]).H
+
+
 def array_response(r, theta, cfg):
     """(N, M) near-field array response b(r, theta; f_m), read off a unit-gain,
-    fully visible path: path_channel = e^{-j k_m r} b(r, theta; f_m)."""
-    h = path_channel(PathParams(g=1.0, r=r, theta=theta, mask=unit_mask(cfg)), cfg)
+    fully visible path, whose channel is e^{-j k_m r} b(r, theta; f_m)."""
+    h = single_path_channel(
+        PathParams(g=1.0, r=r, theta=theta, mask=unit_mask(cfg)), cfg)
     return h * np.exp(1j * cfg.wavenumber(cfg.subcarrier_freqs) * r)
 
 
@@ -227,22 +232,22 @@ class TestAssembleChannel:
                             mask=unit_mask(cfg))
                  for _ in range(4)]
         h_all = assemble_channel(cfg, paths).H
-        h_sum = sum(path_channel(p, cfg) for p in paths)
+        h_sum = sum(single_path_channel(p, cfg) for p in paths)
         np.testing.assert_allclose(h_all, h_sum, rtol=1e-12)
 
     def test_gain_scaling_is_exact(self):
         cfg = self._cfg()
         p1 = PathParams(g=0.3 + 0.1j, r=15.0, theta=0.4, mask=unit_mask(cfg))
         p2 = PathParams(g=3 * (0.3 + 0.1j), r=15.0, theta=0.4, mask=unit_mask(cfg))
-        np.testing.assert_allclose(3 * path_channel(p1, cfg),
-                                   path_channel(p2, cfg), rtol=1e-12)
+        np.testing.assert_allclose(3 * single_path_channel(p1, cfg),
+                                   single_path_channel(p2, cfg), rtol=1e-12)
 
     def test_path_without_mask_is_rejected(self):
         # sample_vr is the one mask builder; no stage invents a default mask
         cfg = self._cfg()
         bare = PathParams(g=1.0, r=20.0, theta=0.0)
         with pytest.raises(ValueError, match="mask"):
-            path_channel(bare, cfg)
+            assemble_channel(cfg, [bare])
         masked = PathParams(g=1.0, r=25.0, theta=0.2, mask=unit_mask(cfg))
         with pytest.raises(ValueError, match="mask"):
             assemble_channel(cfg, [masked, bare])

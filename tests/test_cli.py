@@ -65,12 +65,19 @@ def test_seed_report(tmp_path, capsys):
     dict(TINY_NMSE, params={"architecture": "fully-connected"}),
     dict(TINY_ABLATION, params={"estimator": "ss_absbl_mm"}),
     dict(TINY_ABLATION, params={"estimator_config": {"t_iter": 5}}),
+    # estimator_config values every trial would fail on, or silently misuse
+    dict(TINY_ABLATION, params={"estimator_config": {"block_size": 0}}),
+    dict(TINY_ABLATION, params={"estimator_config": {"t_ite": 0}}),
+    dict(TINY_ABLATION, params={"estimator_config": {"p_shrink": 1.5}}),
+    dict(TINY_ABLATION, params={"estimator_config": {"eps_pd": -1}}),
     # overrides every trial would fail on: PASS's window W = SI_min must be
     # >= 8 and divisible by 4, and MEF-GAA needs an RF chain
     dict(TINY_AUC, overrides=dict(TINY_AUC["overrides"], SI_min=10)),
     dict(TINY_NMSE, overrides=dict(TINY_NMSE["overrides"], N_RF=0)),
 ], ids=["unreadable", "unknown-experiment", "unknown-algorithm", "string-trials",
         "unknown-architecture", "unknown-estimator", "unknown-estimator-config",
+        "estimator-config-block_size", "estimator-config-t_ite",
+        "estimator-config-p_shrink", "estimator-config-eps_pd",
         "pass-window-SI_min", "no-rf-chain"])
 def test_config_errors(tmp_path, capsys, doc):
     path = str(tmp_path / "missing.json") if doc is None else write_spec(tmp_path, doc)

@@ -66,6 +66,43 @@ def scalar_sbl_em(y, phi, sigma2_init, iters):
     return mus
 
 
+# one invalid value per EstimatorConfig field
+INVALID_CONFIG_VALUES = {
+    "block_size": 0,             # every trial divided by zero
+    "t_ite": 0,                  # returned the zero estimate
+    "delta1": -1e-6,
+    "prune_threshold": -0.1,
+    "eps_pd": -1.0,
+    "alm_c": float("nan"),
+    "alm_alpha": -0.1,
+    "alm_iters": 2.5,
+    "p_shrink": 1.5,
+    "sigma2_init_scale": 0.0,
+    "sigma2_floor": 0.0,
+    "learn_p": "yes",
+    "learn_noise": 1,
+    "scalar_gamma": None,
+    "r_ite": -1,
+    "delta2": -1.0,
+    "support_fraction": 1.5,
+    "armijo_shrink": 1.0,
+    "armijo_slope": -1e-4,
+    "max_backtracks": True,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_CONFIG_VALUES))
+def test_estimator_config_rejects_invalid_value(name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        EstimatorConfig(**{name: INVALID_CONFIG_VALUES[name]})
+
+
+def test_every_estimator_config_field_is_checked():
+    assert set(INVALID_CONFIG_VALUES) == set(EstimatorConfig.__dataclass_fields__)
+    EstimatorConfig(p_shrink=0.0, alm_c=0.0, alm_alpha=0.0, alm_iters=0, r_ite=0,
+                    support_fraction=1.0, delta1=0.0, max_backtracks=0)
+
+
 class TestCodebook:
     def test_single_atom(self):
         book = dft_codebook(1)

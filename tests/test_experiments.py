@@ -172,7 +172,7 @@ def test_each_experiment_names_the_params_its_cell_reads(monkeypatch, name):
     monkeypatch.setattr(experiments, "estimate_channel", spy)
     exp.cell(experiments._Cell(spec, params, spec.configs[0],
                                spec.child_rng(0, 0),
-                               experiments._estimator_config(spec.params)))
+                               spec.estimator_config))
     read = params.read | ({"estimator_config"} if estimated else set())
     assert read == set(exp.reads)
 
@@ -238,12 +238,14 @@ def test_meta_counts_errors_by_type_and_records_environment(tmp_path, monkeypatc
 
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records each pool's max_workers
-    and runs its cells in this process, so no process starts."""
+    and runs its initializer and cells in this process, so no process
+    starts."""
 
     made: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.made.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -264,11 +266,38 @@ class RecordingPool:
 def test_pool_never_outnumbers_the_cells(monkeypatch, workers, sweep, trials, pools):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(experiments, "_pool_spec", None)
     spec = ExperimentSpec(**dict(SPECS["auc_vs_snr"], sweep=sweep, trials=trials))
     table = run_experiment(spec, workers=workers)
     assert RecordingPool.made == pools
     assert table.meta["workers"] == min(workers, len(sweep) * trials)
     assert table.to_csv() == run_experiment(spec, workers=1).to_csv()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cells_reuse_the_loaded_spec(monkeypatch, workers):
+    # a pool worker gets the spec once, from the pool's initializer, and the
+    # serial path hands it over as is: no cell rebuilds the spec, its
+    # SystemConfigs or its EstimatorConfig
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(experiments, "_pool_spec", None)
+    spec = ExperimentSpec(**dict(SPECS["auc_vs_snr"], trials=3))
+    built = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            built.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("_build_config", "EstimatorConfig"):
+        monkeypatch.setattr(experiments, name, counting(getattr(experiments, name)))
+    monkeypatch.setattr(ExperimentSpec, "from_dict",
+                        counting(ExperimentSpec.from_dict))
+    table = run_experiment(spec, workers=workers)
+    assert table.meta["workers"] == workers
+    assert built == []
 
 
 @pytest.mark.parametrize("workers", [0, -2])

@@ -20,7 +20,7 @@ class TestScenarioSampling:
     def test_path_counts_and_kinds(self):
         cfg = SystemConfig(N=64, M=3, K=3, L=2, SI_min=8)
         rng = np.random.default_rng(0)
-        paths = sample_paths(cfg, rng, ScenarioOptions(p_nonideal=1.0))
+        paths, _ = sample_paths(cfg, rng, ScenarioOptions(p_nonideal=1.0))
         assert len(paths) == cfg.K * cfg.L
         nonideal = [p for p in paths if p.kind == "nonideal"]
         # exactly one non-ideal path per UE when p_nonideal = 1
@@ -29,7 +29,7 @@ class TestScenarioSampling:
     def test_masks_attached_and_valid(self):
         cfg = SystemConfig(N=64, M=3, K=2, L=2, SI_min=8)
         rng = np.random.default_rng(1)
-        for p in sample_paths(cfg, rng):
+        for p in sample_paths(cfg, rng)[0]:
             assert p.mask is not None
             assert p.mask.support.any()
             assert np.all(p.mask.s >= 0)
@@ -41,7 +41,7 @@ class TestScenarioSampling:
         from snschan.diffraction import diffraction_gain, diffraction_geometry
         cfg = SystemConfig(N=256, M=3, K=4, L=2, SI_min=32)
         rng = np.random.default_rng(2)
-        paths = sample_paths(cfg, rng, ScenarioOptions(t_d=1.5, p_nonideal=1.0))
+        paths, _ = sample_paths(cfg, rng, ScenarioOptions(t_d=1.5, p_nonideal=1.0))
         for p in paths:
             if p.kind != "nonideal":
                 continue

@@ -1,0 +1,180 @@
+"""Scene synthesis against the per-path oracle, bit for bit.
+
+`generate_scenario` evaluates each path on its visibility region only,
+computes each path's element distances and an obstructed path's
+diffraction gains once, and draws each visibility-chain attempt as one
+vector of uniforms. The oracle below does none of that: it draws one scalar
+per block, computes the knife-edge geometry twice, and adds every path's
+contribution over the whole array (`path_channel`). Both must give the same
+bytes and leave the generator in the same state.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from snschan.channel import IDEAL, NONIDEAL, PathParams, VisibilityMask
+from snschan.config import SystemConfig
+from snschan.diffraction import (
+    GeometryInfeasibleError,
+    Obstacle,
+    diffraction_gain,
+    diffraction_geometry,
+    max_diffraction_intensity,
+)
+from snschan.experiments import _SEG_SCENE
+from snschan.scenario import ScenarioOptions, generate_scenario
+
+
+def oracle_distances(r, theta, cfg):
+    n = np.arange(1, cfg.N + 1)
+    a = (2 * n - cfg.N - 1) / 2.0 * cfg.d
+    return np.sqrt(r**2 + a**2 - 2.0 * a * r * np.sin(theta))
+
+
+def path_channel(path, cfg):
+    """(N, M) contribution of one path over the whole array:
+    g exp(-j k_m r_n) s_n / sqrt(N)."""
+    r_n = oracle_distances(path.r, path.theta, cfg)
+    k_m = np.asarray(cfg.wavenumber(cfg.subcarrier_freqs))
+    phases = np.exp(-1j * np.outer(r_n, k_m))
+    return (path.g / np.sqrt(cfg.N)) * phases * path.mask.s[:, None]
+
+
+def oracle_obstacle(r, theta, cfg, rng):
+    for _ in range(50):
+        d1 = rng.uniform(0.3, 0.7) * r
+        h_ref = rng.uniform(-5.0, 5.0) * cfg.wavelength
+        obstacle = Obstacle(h_ref=h_ref, d1_ref=d1, d2_ref=r - d1)
+        try:
+            _, _, _, nu = diffraction_geometry(obstacle, theta, cfg)
+        except GeometryInfeasibleError:
+            continue
+        return obstacle, 0.99 * max_diffraction_intensity(
+            np.asarray(diffraction_gain(nu)))
+    raise GeometryInfeasibleError("could not place a knife edge on the path")
+
+
+def oracle_vr(path, cfg, rng, opts):
+    r_n = oracle_distances(path.r, path.theta, cfg)
+    if path.kind == NONIDEAL:
+        _, _, _, nu = diffraction_geometry(path.obstacle, path.theta, cfg)
+        a_n = diffraction_gain(nu)
+        s_full = (path.r / r_n) * (path.t_d * (np.sqrt(a_n) - 1.0) + 1.0)
+        support = s_full > opts.power_threshold * np.max(s_full)
+        return VisibilityMask(s=np.where(support, s_full, 0.0), support=support)
+    b_si = cfg.n_blocks_si
+    p_vb, p_bv = 1.0 - opts.p_stay_visible, 1.0 - opts.p_stay_blocked
+    p_init = opts.p_init_visible
+    if p_init is None:
+        p_init = 0.5 if p_vb + p_bv == 0 else p_bv / (p_vb + p_bv)
+    states = np.zeros(b_si, dtype=bool)
+    for _ in range(100):
+        states[0] = rng.random() < p_init
+        for b in range(1, b_si):
+            stay = opts.p_stay_visible if states[b - 1] else 1.0 - opts.p_stay_blocked
+            states[b] = rng.random() < stay
+        if states.any():
+            break
+    else:
+        states[rng.integers(b_si)] = True
+    support = np.repeat(states, cfg.SI_min)[: cfg.N]
+    return VisibilityMask(s=np.where(support, path.r / r_n, 0.0), support=support)
+
+
+def oracle_scenario(cfg, rng, opts):
+    """(H, paths) drawn and summed path by path over the whole array."""
+    paths = []
+    for _ in range(cfg.K):
+        for l in range(cfg.L):
+            g = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
+            r = rng.uniform(*opts.r_range)
+            theta = rng.uniform(-2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0)
+            if l == 0 and opts.t_d > 0 and rng.random() < opts.p_nonideal:
+                obstacle, t_cap = oracle_obstacle(r, theta, cfg, rng)
+                path = PathParams(g=g, r=r, theta=theta, kind=NONIDEAL,
+                                  obstacle=obstacle, t_d=min(opts.t_d, t_cap))
+            else:
+                path = PathParams(g=g, r=r, theta=theta, kind=IDEAL)
+            path.mask = oracle_vr(path, cfg, rng, opts)
+            paths.append(path)
+    H = np.zeros((cfg.N, cfg.M), dtype=complex)
+    for p in paths:
+        H += path_channel(p, cfg)
+    return H, paths
+
+
+def outcome(make, cfg, seed, opts):
+    """(error type or None, result, generator state) of one draw."""
+    rng = np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return None, make(cfg, rng, opts), rng.bit_generator.state
+        except GeometryInfeasibleError:
+            return GeometryInfeasibleError, None, rng.bit_generator.state
+
+
+_VISIBILITY = {
+    "markov": {},
+    "sticky": {"p_stay_visible": 0.95, "p_stay_blocked": 0.6},
+    "full": {"p_stay_visible": 1.0, "p_init_visible": 1.0},
+    # no chain ever sees a block: every ideal path takes the forcing path
+    "all_blocked": {"p_stay_visible": 1.0, "p_stay_blocked": 1.0,
+                    "p_init_visible": 0.0},
+}
+
+
+@hst.composite
+def scenes(draw):
+    n = draw(hst.integers(2, 160))
+    cfg = SystemConfig(N=n, SI_min=draw(hst.integers(1, n)),
+                       K=draw(hst.integers(1, 4)), L=draw(hst.integers(1, 4)),
+                       M=draw(hst.integers(1, 6)))
+    opts = ScenarioOptions(
+        t_d=draw(hst.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])),
+        p_nonideal=draw(hst.sampled_from([0.5, 1.0])),
+        **_VISIBILITY[draw(hst.sampled_from(sorted(_VISIBILITY)))])
+    return cfg, opts, draw(hst.integers(0, 2**32 - 1))
+
+
+@given(scenes())
+@settings(max_examples=150, deadline=None)
+def test_generate_scenario_equals_the_per_path_oracle_bit_for_bit(scene):
+    cfg, opts, seed = scene
+    err, chan, state = outcome(generate_scenario, cfg, seed, opts)
+    want_err, want, want_state = outcome(oracle_scenario, cfg, seed, opts)
+    assert state == want_state
+    assert err is want_err
+    if err is not None:
+        return
+    want_h, want_paths = want
+    assert chan.H.tobytes() == want_h.tobytes()
+    assert len(chan.paths) == len(want_paths)
+    for got, exp in zip(chan.paths, want_paths):
+        assert (got.g, got.r, got.theta, got.kind, got.obstacle, got.t_d) == (
+            exp.g, exp.r, exp.theta, exp.kind, exp.obstacle, exp.t_d)
+        assert got.mask.s.tobytes() == exp.mask.s.tobytes()
+        assert got.mask.support.tobytes() == exp.mask.support.tobytes()
+    supports = np.stack([p.mask.support for p in want_paths])
+    edges = np.flatnonzero(np.any(supports[:, 1:] != supports[:, :-1], axis=0)) + 2
+    want_truth = np.concatenate(([1], edges, [cfg.N + 1])).astype(int)
+    assert chan.truth_breakpoints.tobytes() == want_truth.tobytes()
+
+
+def test_seg_scene_kernel_benchmark(benchmark):
+    # one auc_vs_snr scene (_SEG_SCENE: N=512, 18 paths, t_d=1.5), timed by
+    # pytest-benchmark; the test asserts results, never timings
+    cfg = SystemConfig(**_SEG_SCENE)
+    opts = ScenarioOptions(t_d=1.5)
+    chan = benchmark.pedantic(
+        lambda: generate_scenario(cfg, np.random.default_rng(41), opts),
+        rounds=20, iterations=1)
+    want_h, _ = oracle_scenario(cfg, np.random.default_rng(41), opts)
+    assert chan.H.tobytes() == want_h.tobytes()
+    assert len(chan.paths) == 18

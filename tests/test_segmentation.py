@@ -6,6 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from snschan.config import SystemConfig
+from snschan.experiments import _SEG_SCENE
+from snschan.pipeline import measure_power
+from snschan.scenario import ScenarioOptions, generate_scenario
 from snschan.segmentation import (
     _C1,
     CHI2_975_1,
@@ -33,6 +37,81 @@ def reweight_row(window, mu0, sigma0):
     mu, var = _reweight_batch(np.asarray(window, dtype=float)[None, :],
                               np.array([mu0]), np.array([sigma0]))
     return mu[0], var[0]
+
+
+def reference_mcd(windows, h):
+    """_mcd_batch with one fresh temporary per arithmetic step, as first
+    written: the byte oracle of its in-place arithmetic."""
+    b, w = windows.shape
+    srt = np.sort(windows, axis=1)
+    cs = np.concatenate([np.zeros((b, 1)), np.cumsum(srt, axis=1)], axis=1)
+    cs2 = np.concatenate([np.zeros((b, 1)), np.cumsum(srt**2, axis=1)], axis=1)
+    starts = np.arange(w - h + 1)
+    sums = cs[:, starts + h] - cs[:, starts]
+    sqs = cs2[:, starts + h] - cs2[:, starts]
+    variances = np.maximum((sqs - sums**2 / h) / (h - 1), 0.0)
+    best = np.argmin(variances, axis=1)
+    rows = np.arange(b)
+    return sums[rows, best] / h, mcd_consistency_c0(h, w) * variances[rows, best]
+
+
+def reference_reweight(windows, mu0, sigma0):
+    """_reweight_batch as first written, with the final floor that
+    pass_segment applied after it."""
+    floors = np.maximum(1e-12 * np.mean(windows, axis=1) ** 2, 1e-300)
+    sig = np.maximum(sigma0, floors)
+    keep = (windows - mu0[:, None]) ** 2 / sig[:, None] < CHI2_975_1
+    n_keep = keep.sum(axis=1)
+    mu = np.sum(windows * keep, axis=1) / n_keep
+    ss = np.sum(keep * (windows - mu[:, None]) ** 2, axis=1)
+    return mu, np.maximum(_C1 * ss / np.maximum(n_keep - 1, 1), floors)
+
+
+def reference_pass(profile, w):
+    """PASS on the two stages above: (accepted points, scores, outlier sums)."""
+    p = np.asarray(profile, dtype=float)
+    n, h = p.size, int(np.ceil(0.75 * w))
+    windows = np.lib.stride_tricks.sliding_window_view(p, w)
+    mu, var = reference_reweight(windows, *reference_mcd(windows, h))
+    scores = np.zeros(n)
+    scores[w - 1:] = np.abs(windows[:, -1] - mu) / np.sqrt(var)
+    flags = (scores > SCORE_THRESHOLD).astype(int)
+    half = w // 2
+    cs_f = np.concatenate([[0], np.cumsum(flags)])
+    idx = np.arange(n)
+    os_n = cs_f[np.minimum(idx + half, n)] - cs_f[idx]
+    threshold = (w / 4) * np.minimum(half, n - idx) / half
+    merged = []
+    for i in np.flatnonzero((flags == 1) & (os_n >= threshold)) + 1:
+        if not merged or i - merged[-1] >= w / 4:
+            merged.append(int(i))
+    return merged, scores, os_n.astype(float)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([8, 12, 16, 32, 64]),
+       st.integers(0, 600), st.sampled_from(["smooth", "ties", "flat_half"]))
+@settings(max_examples=120, deadline=None)
+def test_pass_segment_equals_the_reference_bit_for_bit(seed, w, extra, kind):
+    rng = np.random.default_rng(seed)
+    n = w + extra
+    p = rng.exponential(size=n) * np.repeat(rng.uniform(0.1, 3.0, n // 8 + 1), 8)[:n]
+    if kind == "ties":
+        p = np.round(p, 1)
+    elif kind == "flat_half":
+        p[: n // 2] = 1.0
+    windows = np.lib.stride_tricks.sliding_window_view(p, w)
+    h = int(np.ceil(0.75 * w))
+    raw = _mcd_batch(windows, h)
+    for got, want in zip(raw, reference_mcd(windows, h), strict=True):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(_reweight_batch(windows, *raw),
+                         reference_reweight(windows, *raw), strict=True):
+        assert got.tobytes() == want.tobytes()
+    merged, scores, os_n = reference_pass(p, w)
+    res = pass_segment(p, w)
+    assert res.breakpoints.tolist() == sorted({1, *merged, n + 1})
+    assert res.scores.tobytes() == scores.tobytes()
+    assert res.outlier_sums.tobytes() == os_n.tobytes()
 
 
 class TestScipyStatsPins:
@@ -368,3 +447,19 @@ class TestAucScore:
         # a separate element count used to index past the scores
         with pytest.raises(TypeError):
             auc_score(np.zeros(10), np.array([1, 5, 11]), 1, n_elements=12)
+
+
+def test_pass_segment_kernel_benchmark(benchmark):
+    # PASS on one auc_vs_snr power profile (_SEG_SCENE: N=512, W=64, 5 dB),
+    # timed by pytest-benchmark; the test asserts results, never timings
+    cfg = SystemConfig(**_SEG_SCENE)
+    rng = np.random.default_rng(43)
+    chan = generate_scenario(cfg, rng, ScenarioOptions(t_d=1.5))
+    profile = measure_power(chan, rng, 5.0)
+    seg = benchmark.pedantic(pass_segment, args=(profile, cfg.SI_min),
+                             rounds=20, iterations=1)
+    again = pass_segment(profile.copy(), cfg.SI_min)
+    np.testing.assert_array_equal(seg.breakpoints, again.breakpoints)
+    np.testing.assert_array_equal(seg.scores, again.scores)
+    assert seg.breakpoints[0] == 1 and seg.breakpoints[-1] == cfg.N + 1
+    assert np.all(np.isfinite(seg.scores)) and np.all(seg.scores[:cfg.SI_min - 1] == 0)
