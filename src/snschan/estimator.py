@@ -4,10 +4,11 @@ The on-grid estimator is a block-sparse Bayesian learner over a DFT
 codebook, run jointly across subcarriers (multiple measurement vectors with
 a shared block prior). Each length-U block g carries a diagonal factor Q_g =
 diag(sqrt(gamma_{g,u})) for per-entry variances and a Hermitian factor P_g
-for intra-block correlation; hyperparameters are learned by EM, with P_g
-corrected by an augmented-Lagrangian step that ties the block log-dets
-together. An off-grid module then refines the selected grid angles by
-alternating least squares with backtracking gradient descent.
+for intra-block correlation; hyperparameters are learned by EM. P_g is the
+correlation matrix of the shrunk block statistics, and the P step rescales
+gamma so that a run's blocks share one per-dimension log-det
+(`update_p_alm`). An off-grid module then refines the selected grid angles
+by alternating least squares with backtracking gradient descent.
 
 The per-entry variances are tied to their block: each gamma_{g,u} has an
 inverse-gamma hyperprior whose mode is the block's pooled variance
@@ -27,18 +28,19 @@ Kronecker-structured computation, which the tests check).
 The learner holds its blocks stacked, not one by one. Every block but the
 last has length block_size, so the blocks form at most two size groups:
 the full blocks and a shorter final block. Each group keeps gamma as
-(R, G, U), P as (R, G, U, U), and the ALM multipliers and the active set as
-(R, G), where R counts independent runs that share Psi: one run for the
-joint learner (`absbl_mmv`), one run per column of Y for the per-subcarrier
-learners (`absbl_per_column`), which the same loop fits in one call. Each
-run has its own noise variance, pruning cut and delta1 stop; a run that
-stops keeps its last iterate while the others go on. Groups are not padded
-to one length, because the pooled variance, the ALM log-det target and the
-shrinkage of P read the true U. Each E-step builds every run's K with one
-batched product over the columns active in some run (a block a run has
-pruned enters it with a zero prior), takes one Cholesky factor K = L L^H
-per run, and reads every block's posterior mean, covariance and trace term
-from batched products of the Gram blocks of L^-1 Psi.
+(R, G, U), P as (R, G, U, U) and the active set as (R, G), where R counts
+independent runs that share Psi: one run for the joint learner
+(`absbl_mmv`), one run per column of Y for the per-subcarrier learners
+(`absbl_per_column`), which the same loop fits in one call. Each run has
+its own noise variance, pruning cut and delta1 stop; a run that stops
+keeps its last iterate while the others go on. Groups are not padded to
+one length, because the pooled variance, the log-det constraint and the
+shrinkage of P read the true U; the gamma and P steps take each group's
+active (run, block) pairs as one stack. Each E-step builds every run's K
+with one batched product over the columns active in some run (a block a
+run has pruned enters it with a zero prior), takes one Cholesky factor
+K = L L^H per run, and reads every block's posterior mean, covariance and
+trace term from batched products of the Gram blocks of L^-1 Psi.
 
 The E-step keeps its operands block-major: each fit copies Psi^T once
 (again only when the union of active blocks shrinks), so a block's atoms
@@ -49,23 +51,6 @@ triangular solve (trtrs, called directly) overwrites each run's rows in
 place. Every product has the bits of its column-major form; the block
 products keep the Psi_g C_g orientation because BLAS rounds C_g^T Psi_g^T
 differently for some block lengths.
-
-The gamma and ALM-P steps take the active (run, block) pairs as one stack
-per size group. The ALM-P step's inner iterations all compute the same
-matrix A (the shrunk statistics) up to a per-block scalar, so it builds A
-once and runs the inner iterations as a scalar recursion on the log-dets
-of every block at once: one Cholesky factor per stack gives ln|A|, and one
-factor of A - eps_pd max(den) I after the recursion certifies that the PD
-floor bound at no inner step. Only a stack that fails the certificate
-takes its log-dets from eigenvalues and goes through the PD floor. After
-the gauge fix P is A's correlation matrix, so the ALM correction reaches
-the prior only as a per-block scale on gamma.
-
-The PD floor takes an exactly Hermitian stack and returns one. It first
-tries a batched Cholesky factor of P - eps_pd I: when it exists, every
-block is already above the floor and the stack is returned as it is;
-otherwise a batched eigvalsh finds the blocks below eps_pd and only those
-are rebuilt from eigh.
 
 SOMP (`somp_baseline`) keeps its residual orthogonal to the support by
 projecting out each new atom's component off the span of the atoms before
@@ -87,7 +72,7 @@ _trtrs, = get_lapack_funcs(("trtrs",), (np.zeros(1, dtype=complex),))
 
 
 class EstimatorDivergenceError(RuntimeError):
-    """A hyperparameter update produced non-finite values."""
+    """A hyperparameter update produced non-finite or indefinite values."""
 
 
 @dataclass(frozen=True)
@@ -131,11 +116,7 @@ class EstimatorConfig:
     t_ite: int = 30
     delta1: float = 1e-6
     prune_threshold: float = 1e-3     # relative to the running max mean diag(Q)
-    eps_pd: float = 1e-6
-    alm_c: float = 1.0
-    alm_alpha: float = 0.1
-    alm_iters: int = 5
-    p_shrink: float = 0.9             # identity shrinkage of the learned P
+    p_shrink: float = 0.9             # identity shrinkage of P, in (0, 1]
     # EM can shrink an overestimated noise variance but cannot escape an
     # underestimate once the residual is interpolated to zero, so start high
     sigma2_init_scale: float = 0.5
@@ -172,13 +153,14 @@ def _is_real(v) -> bool:
 # (fields, test, rule) of every EstimatorConfig field; NaN fails every rule
 _CONFIG_RULES = (
     (("block_size", "t_ite"), lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    (("alm_iters", "r_ite", "max_backtracks"), lambda v: _is_int(v) and v >= 0,
+    (("r_ite", "max_backtracks"), lambda v: _is_int(v) and v >= 0,
      "an integer >= 0"),
-    (("delta1", "prune_threshold", "alm_c", "alm_alpha", "delta2"),
+    (("delta1", "prune_threshold", "delta2"),
      lambda v: _is_real(v) and v >= 0, "a number >= 0"),
-    (("eps_pd", "sigma2_init_scale", "sigma2_floor"),
+    (("sigma2_init_scale", "sigma2_floor"),
      lambda v: _is_real(v) and v > 0, "a number > 0"),
-    (("p_shrink", "support_fraction"), lambda v: _is_real(v) and 0 <= v <= 1,
+    (("p_shrink",), lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"),
+    (("support_fraction",), lambda v: _is_real(v) and 0 <= v <= 1,
      "a number in [0, 1]"),
     (("armijo_shrink",), lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)"),
     (("armijo_slope",), lambda v: _is_real(v) and 0 <= v < 1, "a number in [0, 1)"),
@@ -215,7 +197,6 @@ class _BlockStack:
     start: int            # its first column of Psi
     gamma: np.ndarray     # (R, G, U) per-entry variances
     p: np.ndarray         # (R, G, U, U) intra-block correlations
-    lam: np.ndarray       # (R, G) ALM multipliers
     active: np.ndarray    # (R, G) False once the run has pruned the block
 
     def rows(self, x: np.ndarray) -> np.ndarray:
@@ -226,8 +207,8 @@ class _BlockStack:
 
     def keep_runs(self, keep: np.ndarray) -> None:
         """Drop the runs where keep is False."""
-        self.gamma, self.p = self.gamma[keep], self.p[keep]
-        self.lam, self.active = self.lam[keep], self.active[keep]
+        self.gamma, self.p, self.active = (
+            self.gamma[keep], self.p[keep], self.active[keep])
 
 
 def _block_stacks(n_sub: int, u: int, n_runs: int = 1) -> list[_BlockStack]:
@@ -238,7 +219,6 @@ def _block_stacks(n_sub: int, u: int, n_runs: int = 1) -> list[_BlockStack]:
         _BlockStack(first=first, start=first * u,
                     gamma=np.ones((n_runs, count, length)),
                     p=np.tile(np.eye(length, dtype=complex), (n_runs, count, 1, 1)),
-                    lam=np.zeros((n_runs, count)),
                     active=np.ones((n_runs, count), dtype=bool))
         for first, count, length in ((0, full, u), (full, 1, rest))
         if count and length
@@ -437,168 +417,61 @@ def update_gamma(r_bar: np.ndarray, p_g: np.ndarray, gamma_g: np.ndarray,
     return (root + b_vec / (2.0 * m)) ** 2
 
 
-def _floor_pd(p: np.ndarray, eps_pd: float) -> np.ndarray:
-    """Eigenvalues of an exactly Hermitian stack floored at eps_pd, in place.
-
-    p is (..., U, U) and equal to its conjugate transpose, and so is the
-    result. A Cholesky factor of P - eps_pd I exists only when every
-    eigenvalue of P exceeds eps_pd, so when one batched factorization
-    succeeds the floor is a no-op and p is returned as it is. Otherwise only
-    the blocks with an eigenvalue below eps_pd are rebuilt from their
-    eigendecomposition (and symmetrized); on the others the floor is a
-    no-op up to rounding.
-    """
-    shifted = p.copy()
-    # the diagonal of each block, as a strided view of the flat block
-    shifted.reshape(p.shape[:-2] + (-1,))[..., ::p.shape[-1] + 1] -= eps_pd
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(p)[..., 0] < eps_pd
-        if np.any(low):
-            vals, vecs = np.linalg.eigh(p[low])
-            vals = np.maximum(vals, eps_pd)
-            rebuilt = (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-            p[low] = 0.5 * (rebuilt + np.swapaxes(rebuilt.conj(), -1, -2))
-    return p
-
-
-def _alm_target(r_bar: np.ndarray, gamma: np.ndarray,
-                p_shrink: float) -> np.ndarray:
-    """A = (1 - p_shrink) herm(Q^-1 sum_m R_m Q^-1) + p_shrink (tr/U) I for
-    a (..., U, U) stack, exactly Hermitian: the Hermitian part is scaled by
-    a real and gains a real diagonal."""
-    qi = 1.0 / np.maximum(np.sqrt(np.maximum(gamma, 0.0)), 1e-150)
-    a = qi[..., :, None] * r_bar * qi[..., None, :]
-    a += a.conj().swapaxes(-1, -2)
-    a *= 0.5
-    if p_shrink > 0:
-        u = a.shape[-1]
-        scale = a.trace(axis1=-2, axis2=-1).real / u
-        a *= 1.0 - p_shrink
-        a.reshape(a.shape[:-2] + (-1,))[..., ::u + 1] += (
-            p_shrink * scale[..., None])
-    return a
-
-
 def update_p_alm(
     r_bars: list[np.ndarray],
     gammas: list[np.ndarray],
-    p_blocks: list[np.ndarray],
-    lambdas: list[np.ndarray],
     m_count: int,
-    cfg: EstimatorConfig,
+    p_shrink: float,
     runs: list[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """ALM-corrected intra-block correlation update over the active blocks.
+    """Intra-block correlations P_g and per-entry gamma scales of the active
+    blocks, one stack per block length: r_bars[i] is (..., U_i, U_i),
+    gammas[i] is (..., U_i) and runs[i] labels each block with its run (by
+    default, one run); a single block is a stack with no batch axis.
 
-    Each argument holds one stack per block length: r_bars[i] and
-    p_blocks[i] are (..., U_i, U_i), gammas[i] is (..., U_i) and
-    lambdas[i] is (...); a single block is a stack with no batch axis.
-    runs[i], shaped like lambdas[i], labels each block with its run
-    0..R-1 in non-decreasing order (run-major, as the E-step lists them);
-    without it every block belongs to one run.
-
-    The update is cfg.alm_iters inner iterations k = 0, 1, ... of
-    P_g <- floor(A_g / den_g), den_g = M max(1 + 2 lambda_g + 2c term_g, 1e-2),
-    lambda_g <- lambda_g + alpha term_g,
-    where A_g = (1 - s) herm(Q^-1 sum_m R_m Q^-1) + s (tr/U_g) I is the
-    statistics matrix shrunk toward the identity scale by s = p_shrink,
-    floor() raises eigenvalues to eps_pd, and term_g = M (ln|P_g| - U_g b)
-    with b the per-dimension mean log-det across all blocks of all stacks
-    of the block's run (the block-average target, well defined when the
-    final block is short). The penalty and step are normalized by 4 M U_g:
-    the raw bracket has local slope -2 c M U in the log-det gap, which
-    diverges for any useful c. With no inner iteration P and lambda are
-    returned as given.
-
-    A_g is the same at every inner step; only the scalar den_g changes. So
-    A_g is built once, and while the floor does not bind,
-    ln|A_g / den| = ln|A_g| - U_g ln den: the inner loop is a scalar
-    recursion on the log-dets, seeded by ln|P_g| of the input, with ln|A_g|
-    from one Cholesky factor per stack. After it, one Cholesky factor of
-    A_g - eps_pd max_k(den_k) I certifies that the floor bound at no step.
-    A stack with a block that fails the certificate, or whose A has no
-    Cholesky factor, takes its log-dets from the eigenvalues of A,
-    sum_j ln max(lambda_j(A) / den, eps_pd), and the recursion is run
-    again; only such a stack hands its final A / den to `_floor_pd`.
-
-    After the caller's gauge fix, P_g = diag(A_g)^-1/2 A_g diag(A_g)^-1/2
-    is A_g's correlation matrix whatever den_g is (while neither floor
-    binds): the ALM correction acts on the learned prior only as a
-    per-block scale on gamma.
+    The prior factor is A_g / den_g with the shrunk statistics
+    A_g = (1 - s) herm(Q^-1 sum_m R_m Q^-1) + s (tr/U_g) I, s = p_shrink,
+    and den_g = M exp(ln|A_g| / U_g - b_r), b_r = sum ln|A| / sum U over the
+    blocks of run r: a run's blocks share one per-dimension log-det, and a
+    lone block gets den = M. Q P Q is invariant under a diagonal rescale of
+    (Q, P), so the factor is returned as P_g = corr(A_g), whose lambda_min
+    is at least s / ((1 - s) U + s), and the gamma scale diag(A_g) / den_g.
+    ln|A| comes from one Cholesky factor per stack; a stack without one
+    raises EstimatorDivergenceError.
     """
-    lams = [np.asarray(lam, dtype=float) for lam in lambdas]
-    if cfg.alm_iters < 1:
-        return list(p_blocks), lams
-    m = float(m_count)
-    a_mats = [_alm_target(r_bar, gam, cfg.p_shrink).reshape(-1, *r_bar.shape[-2:])
-              for r_bar, gam in zip(r_bars, gammas)]
-    dims = [a.shape[-1] for a in a_mats]
-    edges = [0, *accumulate(a.shape[0] for a in a_mats)]
-    spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    # every block of every stack in one flat vector, stack after stack
-    u_vec = np.repeat(np.array(dims, dtype=float), np.diff(edges))
-    run = (np.zeros(edges[-1], dtype=int) if runs is None
-           else np.concatenate([np.ravel(r) for r in runs]))
-    lam0 = np.concatenate([np.ravel(lam) for lam in lams])
-    ld0 = np.concatenate([np.linalg.slogdet(p)[1].ravel() for p in p_blocks])
-    log_a = np.zeros(edges[-1])
-    # eigenvalues of A, for the stacks that take their log-dets from them
-    eigs: list[np.ndarray | None] = []
-    for a, span in zip(a_mats, spans):
+    ps, diags, log_a = [], [], []
+    for r_bar, gam in zip(r_bars, gammas):
+        u = r_bar.shape[-1]
+        qi = 1.0 / np.maximum(np.sqrt(np.maximum(gam, 0.0)), 1e-150)
+        a = (qi[..., :, None] * r_bar * qi[..., None, :]).reshape(-1, u, u)
+        a += a.conj().swapaxes(-1, -2)     # exactly Hermitian, real diagonal
+        a *= 0.5
+        trace = a.trace(axis1=-2, axis2=-1).real
+        a *= 1.0 - p_shrink
+        a.reshape(-1, u * u)[:, ::u + 1] += p_shrink * (trace / u)[:, None]
         try:
             chol = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
-            eigs.append(np.linalg.eigvalsh(a))
-        else:
-            log_a[span] = 2.0 * np.log(
-                np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
-            eigs.append(None)
-
-    def logdets(den: np.ndarray) -> np.ndarray:
-        """ln|floor(A / den)| of every block."""
-        ld = log_a - u_vec * np.log(den)
-        for w, span in zip(eigs, spans):
-            if w is not None:
-                ld[span] = np.log(np.maximum(w / den[span, None],
-                                             cfg.eps_pd)).sum(axis=-1)
-        return ld
-
-    run_dim = np.bincount(run, weights=u_vec)
-    c_eff = cfg.alm_c / (4.0 * m * u_vec)
-    step = cfg.alm_alpha / (4.0 * m * u_vec)
-    certified = False
-    while not certified:
-        lam, ld = lam0, ld0
-        dens = np.empty((cfg.alm_iters, edges[-1]))
-        for k in range(cfg.alm_iters):
-            bar = np.bincount(run, weights=ld, minlength=run_dim.size) / run_dim
-            term = m * (ld - u_vec * bar[run])
-            dens[k] = m * np.maximum(1.0 + 2.0 * lam + 2.0 * c_eff * term, 1e-2)
-            lam = lam + step * term
-            if k + 1 < cfg.alm_iters:
-                ld = logdets(dens[k])
-        # one factor per stack certifies every step's floor at once
-        certified = True
-        top = cfg.eps_pd * dens.max(axis=0)
-        for i, (a, span) in enumerate(zip(a_mats, spans)):
-            if eigs[i] is None:
-                shifted = a.copy()
-                shifted.reshape(a.shape[0], -1)[:, ::dims[i] + 1] -= top[span, None]
-                try:
-                    np.linalg.cholesky(shifted)
-                except np.linalg.LinAlgError:
-                    eigs[i] = np.linalg.eigvalsh(a)
-                    certified = False
-
-    ps, out_lams = [], []
-    for a, span, w, p_in, lam_in in zip(a_mats, spans, eigs, p_blocks, lams):
-        a /= dens[-1, span, None, None]
-        ps.append((a if w is None else _floor_pd(a, cfg.eps_pd)).reshape(
-            np.shape(p_in)))
-        out_lams.append(lam[span].reshape(lam_in.shape))
-    return ps, out_lams
+            raise EstimatorDivergenceError(
+                "shrunk block statistics are not positive definite") from None
+        log_a.append(2.0 * np.log(
+            np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1))
+        diag = np.diagonal(a, axis1=-2, axis2=-1).real
+        inv = 1.0 / np.sqrt(diag)
+        p = a * (inv[:, :, None] * inv[:, None, :])   # exactly Hermitian
+        p.reshape(-1, u * u)[:, ::u + 1] = 1.0
+        ps.append(p.reshape(r_bar.shape))
+        diags.append(diag)
+    # every block of every stack in one flat vector, stack after stack
+    ld = np.concatenate(log_a)
+    sizes = [len(d) for d in diags]
+    u_vec = np.repeat([float(d.shape[-1]) for d in diags], sizes)
+    run = (np.zeros(ld.size, dtype=int) if runs is None
+           else np.concatenate([np.ravel(r) for r in runs]))
+    bar = np.bincount(run, weights=ld) / np.bincount(run, weights=u_vec)
+    dens = np.split(m_count * np.exp(ld / u_vec - bar[run]), np.cumsum(sizes)[:-1])
+    return ps, [(d / den[:, None]).reshape(np.shape(gam))
+                for d, den, gam in zip(diags, dens, gammas)]
 
 
 def update_noise(
@@ -698,9 +571,9 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, cfg: EstimatorConfig,
             r_bar += m_count * part.sigma
             r_bars.append(r_bar)
 
-        # M-step: gamma, P (ALM), noise; both read the pre-update iterate,
-        # so the P update inverts the old Q (keeping gamma's shrinkage
-        # effective in the composite prior Q P Q)
+        # M-step: gamma, P, noise; gamma and P both read the pre-update
+        # iterate, so the P update inverts the old Q (keeping gamma's
+        # shrinkage effective in the composite prior Q P Q)
         gammas_old = [part.stack.gamma[part.run, part.block] for part in parts]
         ps_old = [part.stack.p[part.run, part.block] for part in parts]
         gammas_new = []
@@ -712,27 +585,13 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, cfg: EstimatorConfig,
                 gammas_new.append(update_gamma(r_bar, p_g, gam, m_count,
                                                prior_weight=m_count))
         if cfg.learn_p:
-            new_ps, new_lams = update_p_alm(
-                r_bars, gammas_old, ps_old,
-                [part.stack.lam[part.run, part.block] for part in parts],
-                m_count, cfg, runs=[part.run for part in parts],
-            )
-            for part, p_new, lam, gam in zip(parts, new_ps, new_lams, gammas_new):
-                # gauge fix: Q P Q is invariant under any diagonal rescale of
-                # (Q, P), so pin P at unit diagonal (a correlation matrix) and
-                # let gamma carry the per-entry variances; without this the
-                # factor scales drift apart until the PD floor distorts the
-                # composite prior. Conventional BSBL has no per-entry
-                # variances, so its single gamma absorbs only the mean of
-                # the diagonal it removes.
-                d = np.maximum(np.real(np.diagonal(p_new, axis1=-2, axis2=-1)),
-                               cfg.eps_pd)
-                root = np.sqrt(d)
-                p_new /= root[:, :, None]
-                p_new /= root[:, None, :]
+            new_ps, scales = update_p_alm(r_bars, gammas_old, m_count,
+                                          cfg.p_shrink,
+                                          runs=[part.run for part in parts])
+            for part, p_new, scale, gam in zip(parts, new_ps, scales, gammas_new):
+                # conventional BSBL's single gamma takes the mean scale
                 part.stack.p[part.run, part.block] = p_new
-                gam *= d.mean(axis=-1, keepdims=True) if cfg.scalar_gamma else d
-                part.stack.lam[part.run, part.block] = lam
+                gam *= scale.mean(axis=-1, keepdims=True) if cfg.scalar_gamma else scale
         for part, gam in zip(parts, gammas_new):
             part.stack.gamma[part.run, part.block] = gam
         if cfg.learn_noise:
@@ -789,10 +648,11 @@ def absbl_mmv(
     the columns of Y (subcarriers sharing one block prior).
 
     Each iteration computes the per-subcarrier posterior with the current
-    prior, then updates gamma, P (with the ALM correction), and the noise
-    variance, and finally prunes blocks whose mean diag(Q) has fallen below
-    the relative threshold. Stops on T_ite or when the posterior mean moves
-    less than delta1 in relative Frobenius norm.
+    prior, then updates gamma, P (which rescales gamma per entry, see
+    `update_p_alm`) and the noise variance, and finally prunes blocks whose
+    mean diag(Q) has fallen below the relative threshold. Stops on T_ite or
+    when the posterior mean moves less than delta1 in relative Frobenius
+    norm.
 
     sigma2, when given, seeds the noise variance (e.g. the receiver's known
     noise floor); otherwise it starts at var(Y) * cfg.sigma2_init_scale.
@@ -833,9 +693,8 @@ def bsbl_baseline(Y: np.ndarray, Psi: np.ndarray,
     """Conventional BSBL: one variance scalar per block (Q_g = sqrt(gamma_g) I).
 
     gamma_g is the block's pooled type-II ML variance and carries no
-    hyperprior. With cfg.learn_p, P_g is learned as in ABSBL and pinned to
-    unit diagonal, so it holds only the intra-block correlation and gamma_g
-    absorbs the mean of the diagonal removed.
+    hyperprior. With cfg.learn_p, P_g is learned as in ABSBL and gamma_g
+    takes the mean of ABSBL's per-entry gamma scale.
     """
     cfg = EstimatorConfig() if cfg is None else cfg
     return absbl_mmv(Y, Psi, replace(cfg, scalar_gamma=True), sigma2=sigma2)

@@ -69,7 +69,7 @@ def test_seed_report(tmp_path, capsys):
     dict(TINY_ABLATION, params={"estimator_config": {"block_size": 0}}),
     dict(TINY_ABLATION, params={"estimator_config": {"t_ite": 0}}),
     dict(TINY_ABLATION, params={"estimator_config": {"p_shrink": 1.5}}),
-    dict(TINY_ABLATION, params={"estimator_config": {"eps_pd": -1}}),
+    dict(TINY_ABLATION, params={"estimator_config": {"p_shrink": 0}}),
     # overrides every trial would fail on: PASS's window W = SI_min must be
     # >= 8 and divisible by 4, and MEF-GAA needs an RF chain
     dict(TINY_AUC, overrides=dict(TINY_AUC["overrides"], SI_min=10)),
@@ -77,7 +77,7 @@ def test_seed_report(tmp_path, capsys):
 ], ids=["unreadable", "unknown-experiment", "unknown-algorithm", "string-trials",
         "unknown-architecture", "unknown-estimator", "unknown-estimator-config",
         "estimator-config-block_size", "estimator-config-t_ite",
-        "estimator-config-p_shrink", "estimator-config-eps_pd",
+        "estimator-config-p_shrink", "estimator-config-p_shrink-zero",
         "pass-window-SI_min", "no-rf-chain"])
 def test_config_errors(tmp_path, capsys, doc):
     path = str(tmp_path / "missing.json") if doc is None else write_spec(tmp_path, doc)

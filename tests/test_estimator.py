@@ -1,7 +1,3 @@
-from dataclasses import replace
-from typing import NamedTuple
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +5,6 @@ from hypothesis import strategies as hst
 from scipy import linalg as sla
 
 import snschan.estimator as mod
-from snschan.experiments import ExperimentSpec, run_single_trial
 from snschan.estimator import (
     EstimatorConfig,
     absbl_mmv,
@@ -66,41 +61,38 @@ def scalar_sbl_em(y, phi, sigma2_init, iters):
     return mus
 
 
-# one invalid value per EstimatorConfig field
+# invalid values of every EstimatorConfig field
 INVALID_CONFIG_VALUES = {
-    "block_size": 0,             # every trial divided by zero
-    "t_ite": 0,                  # returned the zero estimate
-    "delta1": -1e-6,
-    "prune_threshold": -0.1,
-    "eps_pd": -1.0,
-    "alm_c": float("nan"),
-    "alm_alpha": -0.1,
-    "alm_iters": 2.5,
-    "p_shrink": 1.5,
-    "sigma2_init_scale": 0.0,
-    "sigma2_floor": 0.0,
-    "learn_p": "yes",
-    "learn_noise": 1,
-    "scalar_gamma": None,
-    "r_ite": -1,
-    "delta2": -1.0,
-    "support_fraction": 1.5,
-    "armijo_shrink": 1.0,
-    "armijo_slope": -1e-4,
-    "max_backtracks": True,
+    "block_size": (0,),          # every trial divided by zero
+    "t_ite": (0,),               # returned the zero estimate
+    "delta1": (-1e-6,),
+    "prune_threshold": (-0.1,),
+    "p_shrink": (1.5, 0.0),      # s = 0 can leave the shrunk statistics singular
+    "sigma2_init_scale": (0.0,),
+    "sigma2_floor": (0.0,),
+    "learn_p": ("yes",),
+    "learn_noise": (1,),
+    "scalar_gamma": (None,),
+    "r_ite": (-1,),
+    "delta2": (-1.0,),
+    "support_fraction": (1.5,),
+    "armijo_shrink": (1.0,),
+    "armijo_slope": (-1e-4,),
+    "max_backtracks": (True,),
 }
 
 
 @pytest.mark.parametrize("name", sorted(INVALID_CONFIG_VALUES))
 def test_estimator_config_rejects_invalid_value(name):
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        EstimatorConfig(**{name: INVALID_CONFIG_VALUES[name]})
+    for value in INVALID_CONFIG_VALUES[name]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            EstimatorConfig(**{name: value})
 
 
 def test_every_estimator_config_field_is_checked():
     assert set(INVALID_CONFIG_VALUES) == set(EstimatorConfig.__dataclass_fields__)
-    EstimatorConfig(p_shrink=0.0, alm_c=0.0, alm_alpha=0.0, alm_iters=0, r_ite=0,
-                    support_fraction=1.0, delta1=0.0, max_backtracks=0)
+    EstimatorConfig(p_shrink=1.0, r_ite=0, support_fraction=1.0, delta1=0.0,
+                    max_backtracks=0)
 
 
 class TestCodebook:
@@ -185,32 +177,46 @@ class TestUpdateGamma:
         np.testing.assert_allclose(out, gamma, rtol=1e-9)
 
 
-class TestUpdatePAlm:
-    def _cfg(self, **kw):
-        base = dict(p_shrink=0.0, eps_pd=1e-12, alm_iters=5, alm_c=1.0,
-                    alm_alpha=0.1)
-        base.update(kw)
-        return EstimatorConfig(**base)
+def shrunk(r_bar, gamma, s):
+    """(1 - s) herm(Q^-1 R Q^-1) + s (tr/U) I, written out per block."""
+    qi = np.diag(1.0 / np.sqrt(gamma))
+    h = qi @ r_bar @ qi
+    h = 0.5 * (h + h.conj().T)
+    u = len(gamma)
+    return (1.0 - s) * h + s * np.trace(h).real / u * np.eye(u)
 
+
+def prior_factor(p, scale):
+    """diag(scale)^1/2 P diag(scale)^1/2, the factor A / den of the prior."""
+    root = np.sqrt(scale)
+    return root[..., :, None] * p * root[..., None, :]
+
+
+def logdet_per_dim(p, scale):
+    """ln|A / den| / U of every block, from the returned P and scale."""
+    return (np.linalg.slogdet(p)[1] + np.log(scale).sum(axis=-1)) / scale.shape[-1]
+
+
+class TestUpdatePAlm:
     def test_single_block_reduces_to_unconstrained(self):
+        # one block is its run's mean, so den = M and the factor is A / M
         rng = np.random.default_rng(2)
-        u, m = 4, 3
+        u, m, s = 4, 3, 0.9
         a = crandn(rng, u, u)
         r_bar = a @ a.conj().T + np.eye(u)
-        gamma = np.ones(u)
-        ps, lams = update_p_alm([r_bar], [gamma], [np.eye(u, dtype=complex)],
-                                [0.0], m, self._cfg())
-        np.testing.assert_allclose(ps[0], r_bar / m, atol=1e-12)
-        assert lams[0] == 0.0
+        gamma = rng.uniform(0.5, 2.0, u)
+        (p,), (scale,) = update_p_alm([r_bar], [gamma], m, s)
+        np.testing.assert_allclose(prior_factor(p, scale),
+                                   shrunk(r_bar, gamma, s) / m, rtol=1e-12)
 
     def test_m1_identity_q_returns_r(self):
         rng = np.random.default_rng(3)
-        u = 4
+        u, s = 4, 1e-9
         a = crandn(rng, u, u)
         r_bar = a @ a.conj().T + np.eye(u)
-        ps, _ = update_p_alm([r_bar], [np.ones(u)], [np.eye(u, dtype=complex)],
-                             [0.0], 1, self._cfg())
-        np.testing.assert_allclose(ps[0], r_bar, atol=1e-12)
+        (p,), (scale,) = update_p_alm([r_bar], [np.ones(u)], 1, s)
+        np.testing.assert_allclose(prior_factor(p, scale), r_bar, rtol=1e-8,
+                                   atol=1e-8 * np.abs(r_bar).max())
 
     def test_identical_blocks_share_logdet(self):
         rng = np.random.default_rng(4)
@@ -218,143 +224,83 @@ class TestUpdatePAlm:
         a = crandn(rng, u, u)
         r_bar = a @ a.conj().T + np.eye(u)
         gamma = np.ones(u)
-        ps, _ = update_p_alm([r_bar, r_bar], [gamma, gamma],
-                             [np.eye(u, dtype=complex)] * 2, [0.0, 0.0], m,
-                             self._cfg(alm_iters=20))
-        ld = [np.linalg.slogdet(p)[1] for p in ps]
-        assert ld[0] == pytest.approx(ld[1], abs=1e-9)
-        np.testing.assert_allclose(ps[0], ps[1], atol=1e-10)
+        ps, scales = update_p_alm([r_bar, r_bar], [gamma, gamma], m, 0.9)
+        np.testing.assert_array_equal(ps[0], ps[1])
+        np.testing.assert_array_equal(scales[0], scales[1])
+        # equal log-dets need no rescale: each block gets den = M
+        np.testing.assert_allclose(prior_factor(ps[0], scales[0]),
+                                   shrunk(r_bar, gamma, 0.9) / m, rtol=1e-12)
 
     def test_output_positive_definite(self):
         rng = np.random.default_rng(5)
-        u, m = 5, 2
-        # rank-deficient statistics still give a PD result via the floor
+        u, m, s = 5, 2, 0.3
+        # rank-one statistics: the shrinkage alone keeps P positive definite
         v = crandn(rng, u, 1)
-        r_bar = v @ v.conj().T
-        ps, _ = update_p_alm([r_bar], [np.ones(u)], [np.eye(u, dtype=complex)],
-                             [0.0], m, self._cfg(eps_pd=1e-6))
-        assert np.linalg.eigvalsh(ps[0]).min() >= 1e-6 - 1e-12
+        (p,), _ = update_p_alm([v @ v.conj().T], [np.ones(u)], m, s)
+        assert np.linalg.eigvalsh(p).min() >= s / ((1 - s) * u + s) - 1e-12
+
+    def test_statistics_without_cholesky_factor_raise(self):
+        # an all-zero block has a zero trace, so no shrinkage makes it
+        # positive definite, and the step raises
+        r_bars = [np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex)]
+        with pytest.raises(mod.EstimatorDivergenceError):
+            update_p_alm(r_bars, [np.ones(4), np.ones(4)], 3, 0.9)
+
+    @given(hst.integers(1, 4), hst.integers(1, 3), hst.integers(1, 8),
+           hst.floats(0.0, 1.0, exclude_min=True), hst.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_properties(self, n_runs, g, u_last, s, seed):
+        # R runs of g blocks of 8 and one (possibly short) block of u_last,
+        # labelled run-major, as the E-step lists them; full-rank statistics
+        # keep the log-dets well conditioned for any s
+        rng = np.random.default_rng(seed)
+        m = 3
+        r_bars, gammas, runs = [], [], []
+        for count, u in ((g, 8), (1, u_last)):
+            n = count * n_runs
+            z = crandn(rng, n, u, 2 * u)
+            r_bars.append(z @ z.conj().swapaxes(-1, -2))
+            gammas.append(rng.uniform(0.2, 3.0, (n, u)))
+            runs.append(np.repeat(np.arange(n_runs), count))
+        ps, scales = update_p_alm(r_bars, gammas, m, s, runs=runs)
+        # one per-dimension log-det per run: an absolute 1e-12 on its log is
+        # a relative 1e-12 on the geometric mean of the eigenvalues
+        per_dim = np.concatenate([logdet_per_dim(p, sc)
+                                  for p, sc in zip(ps, scales)])
+        run = np.concatenate(runs)
+        for r in range(n_runs):
+            np.testing.assert_allclose(per_dim[run == r], per_dim[run == r][0],
+                                       rtol=0, atol=1e-12)
+        for p, sc, r_bar, gam in zip(ps, scales, r_bars, gammas):
+            u = p.shape[-1]
+            np.testing.assert_array_equal(p, p.conj().swapaxes(-1, -2))
+            np.testing.assert_array_equal(np.diagonal(p, axis1=-2, axis2=-1), 1.0)
+            assert np.linalg.eigvalsh(p).min() >= s / ((1 - s) * u + s) - 1e-12
+            # the factor is A up to one positive scalar per block
+            for p_k, sc_k, r_k, gam_k in zip(p, sc, r_bar, gam):
+                a = shrunk(r_k, gam_k, s)
+                factor = prior_factor(p_k, sc_k)
+                np.testing.assert_allclose(
+                    factor, a * (factor[0, 0] / a[0, 0]).real, rtol=1e-10,
+                    atol=1e-12 * np.abs(factor).max())
+        # runs share nothing: each run's blocks alone give the same scales
+        for r in range(n_runs):
+            mine = [labels == r for labels in runs]
+            _, alone = update_p_alm([rb[k] for rb, k in zip(r_bars, mine)],
+                                    [gm[k] for gm, k in zip(gammas, mine)], m, s)
+            for sc, sc_r, k in zip(scales, alone, mine, strict=True):
+                np.testing.assert_allclose(sc[k], sc_r, rtol=1e-12)
+        # a block alone is its run's mean: den = M
+        (_,), (alone,) = update_p_alm([r_bars[0][0]], [gammas[0][0]], m, s)
+        np.testing.assert_allclose(
+            alone * m, np.diag(shrunk(r_bars[0][0], gammas[0][0], s)).real,
+            rtol=1e-12)
 
 
 def hermitian_stack(rng, g, u, eigvals):
     """(g, u, u) Hermitian matrices with the given (g, u) eigenvalues."""
     q, _ = np.linalg.qr(crandn(rng, g, u, u))
     return (q * eigvals[:, None, :]) @ q.conj().swapaxes(-1, -2)
-
-
-def exactly_hermitian(p):
-    """p's Hermitian part, equal to its conjugate transpose bit for bit."""
-    return 0.5 * (p + p.conj().swapaxes(-1, -2))
-
-
-def alm_five_steps(r_bars, gammas, p_blocks, lambdas, m_count, cfg, runs=None):
-    """The ALM-P step as alm_iters full matrix steps, each with its own
-    log-dets and floor: the oracle for `update_p_alm`'s scalar recursion."""
-    m = float(m_count)
-    raws = []
-    for r_bar, gam in zip(r_bars, gammas):
-        qi = 1.0 / np.maximum(np.sqrt(np.maximum(gam, 0.0)), 1e-150)
-        raws.append(qi[..., :, None] * r_bar * qi[..., None, :])
-    ps = list(p_blocks)
-    lams = [np.asarray(lam, dtype=float) for lam in lambdas]
-    dims = [np.shape(p)[-1] for p in ps]
-    if runs is None:
-        runs = [np.zeros(lam.shape, dtype=int) for lam in lams]
-    n_runs = 1 + max(int(np.max(run, initial=0)) for run in runs)
-    bounds = [np.searchsorted(np.ravel(run), np.arange(n_runs + 1)).tolist()
-              for run in runs]
-    run_dim = np.array([sum(u * (b[r + 1] - b[r]) for b, u in zip(bounds, dims))
-                        for r in range(n_runs)])
-    for _ in range(cfg.alm_iters):
-        logdets = [np.linalg.slogdet(p)[1] for p in ps]
-        bar = np.array([sum(float(ld.reshape(-1)[b[r]:b[r + 1]].sum())
-                            for ld, b in zip(logdets, bounds))
-                        for r in range(n_runs)]) / run_dim
-        terms = [m * (ld - u * bar[run])
-                 for ld, u, run in zip(logdets, dims, runs)]
-        new_ps = []
-        for raw, term, lam, u_len in zip(raws, terms, lams, dims):
-            c_eff = cfg.alm_c / (4.0 * m * u_len)
-            denom = m * np.maximum(1.0 + 2.0 * lam + 2.0 * c_eff * term, 1e-2)
-            p_new = raw / denom[..., None, None]
-            p_new += p_new.conj().swapaxes(-1, -2)
-            p_new *= 0.5
-            if cfg.p_shrink > 0:
-                scale = p_new.trace(axis1=-2, axis2=-1).real / u_len
-                p_new *= 1.0 - cfg.p_shrink
-                p_new += cfg.p_shrink * scale[..., None, None] * np.eye(u_len)
-            new_ps.append(mod._floor_pd(p_new, cfg.eps_pd))
-        lams = [lam + cfg.alm_alpha / (4.0 * m * u) * term
-                for lam, term, u in zip(lams, terms, dims)]
-        ps = new_ps
-    return ps, lams
-
-
-class AlmCase(NamedTuple):
-    args: tuple        # r_bars, gammas, p_blocks, lambdas
-    runs: list
-    cfg: EstimatorConfig
-
-
-def alm_case(rng, n_runs, g, u_last, kind, p_shrink=0.0, alm_iters=5, m=3):
-    """ALM-P inputs: R runs, each with g blocks of length 8 and one of
-    length u_last (even), labelled run-major.
-
-    kind "free": full-rank statistics, so the floor never binds.
-    kind "every": every block's statistics have rank U/2 and p_shrink is 0,
-    so the eps_pd = 1e-6 floor binds at every step. (Blocks of different
-    rank fractions make the recursion amplify rounding by about the inverse
-    of its bracket per step, in either form, so they are kept equal here.)
-    kind "intermediate": the first block's input P is scaled by 1e100, so
-    step 0 gives it a large denominator, and eps_pd sits at twice the
-    smallest eigenvalue of its A over that denominator: the floor binds
-    after step 0 and not at the last step.
-    """
-    r_bars, gammas, ps, lams, runs = [], [], [], [], []
-    for count, u in ((g, 8), (1, u_last)):
-        n = count * n_runs
-        rank = u // 2 if kind == "every" else 2 * u
-        z = crandn(rng, n, u, rank)
-        r_bar = z @ z.conj().swapaxes(-1, -2)
-        if kind == "intermediate":
-            r_bar += 2 * u * np.eye(u)
-        r_bars.append(r_bar)
-        gammas.append(rng.uniform(0.2, 3.0, (n, u)))
-        ps.append(exactly_hermitian(
-            hermitian_stack(rng, n, u, rng.uniform(0.5, 2.0, (n, u)))))
-        lams.append(rng.uniform(-0.1, 0.1, n))
-        runs.append(np.repeat(np.arange(n_runs), count))
-    cfg = EstimatorConfig(p_shrink=p_shrink, alm_iters=alm_iters, eps_pd=1e-6)
-    if kind != "free":
-        cfg = replace(cfg, p_shrink=0.0)
-    if kind == "intermediate":
-        ps[0][0] *= 1e100
-        # step 0's denominator of the first block, from the inputs alone
-        lds = [np.linalg.slogdet(p)[1] for p in ps]
-        run_ld = sum(np.bincount(r, ld, n_runs) for r, ld in zip(runs, lds))
-        term = m * (lds[0][0] - 8 * run_ld[0] / (g * 8 + u_last))
-        den = m * max(1.0 + 2.0 * lams[0][0]
-                      + 2.0 * cfg.alm_c / (4.0 * m * 8) * term, 1e-2)
-        qi = 1.0 / np.sqrt(gammas[0][0])
-        a = qi[:, None] * r_bars[0][0] * qi[None, :]
-        low = np.linalg.eigvalsh(exactly_hermitian(a))[0]
-        cfg = replace(cfg, eps_pd=2.0 * low / den)
-    return AlmCase((r_bars, gammas, ps, lams), runs, cfg)
-
-
-def floor_binds(run_oracle, eps_pd):
-    """Whether any block fell below eps_pd, for each floor call the oracle
-    made, in order."""
-    calls = []
-    floor = mod._floor_pd
-
-    def spy(p_in, eps):
-        calls.append(bool(np.linalg.eigvalsh(p_in)[..., 0].min() < eps_pd))
-        return floor(p_in, eps)
-
-    with mock.patch.object(mod, "_floor_pd", spy):
-        run_oracle()
-    return calls
 
 
 class TestBatchedHelpers:
@@ -376,171 +322,27 @@ class TestBatchedHelpers:
                                      prior_weight=prior) for k in range(g)])
         np.testing.assert_allclose(out, ref, rtol=1e-12)
 
-    @given(hst.integers(2, 6), hst.integers(1, 8), hst.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_floor_pd_stack_equals_per_block(self, g, u, seed):
-        rng = np.random.default_rng(seed)
-        eps = 1e-6
-        vals = rng.uniform(0.5, 2.0, (g, u))
-        # the first block needs the floor and the last one does not, so both
-        # branches of the eigvalsh shortcut run
-        need = rng.random(g) < 0.5
-        need[0], need[-1] = True, False
-        vals[need, 0] = rng.choice([-0.3, 1e-9, 0.0], need.sum())
-        p = exactly_hermitian(hermitian_stack(rng, g, u, vals))
-        out = mod._floor_pd(p.copy(), eps)
-        ref = np.stack([mod._floor_pd(p[k].copy(), eps) for k in range(g)])
-        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-15)
-        # and both equal the floor taken through every block's eigh
-        w, v = np.linalg.eigh(p)
-        full = (v * np.maximum(w, eps)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-        np.testing.assert_allclose(out, full, rtol=0, atol=1e-12)
-        assert np.linalg.eigvalsh(out).min() >= eps - 1e-12
-
-    @staticmethod
-    def _eigh_floor(p, eps):
-        """The floor taken through every block's eigh: the reference."""
-        w, v = np.linalg.eigh(p)
-        return (v * np.maximum(w, eps)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-    @given(hst.integers(1, 6), hst.integers(1, 8), hst.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_floor_pd_certificate_skips_eigvalsh(self, g, u, seed):
-        # no block below the floor: the Cholesky factor of P - eps I exists,
-        # so the stack is returned as it is without eigvalsh
-        rng = np.random.default_rng(seed)
-        eps = 1e-6
-        p = exactly_hermitian(hermitian_stack(rng, g, u, rng.uniform(0.5, 2.0, (g, u))))
-        with mock.patch.object(np.linalg, "eigvalsh",
-                               wraps=np.linalg.eigvalsh) as spy:
-            out = mod._floor_pd(p.copy(), eps)
-        assert spy.call_count == 0
-        np.testing.assert_array_equal(out, p)
-        np.testing.assert_allclose(out, self._eigh_floor(p, eps), rtol=0, atol=1e-12)
-
-    @given(hst.integers(1, 6), hst.integers(1, 8), hst.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_floor_pd_at_the_floor_equals_eigh(self, g, u, seed):
-        # smallest eigenvalues a relative 1e-6 above or below eps_pd: the
-        # certificate and the eigvalsh test may disagree there, but the
-        # result is the eigh floor either way
-        rng = np.random.default_rng(seed)
-        eps = 1e-6
-        vals = rng.uniform(0.5, 2.0, (g, u))
-        vals[:, 0] = eps * (1.0 + rng.choice([-1e-6, 1e-6], g))
-        p = exactly_hermitian(hermitian_stack(rng, g, u, vals))
-        out = mod._floor_pd(p.copy(), eps)
-        np.testing.assert_allclose(out, self._eigh_floor(p, eps), rtol=0, atol=1e-12)
-        assert np.linalg.eigvalsh(out).min() >= eps - 1e-12
-
-    @given(hst.integers(1, 4), hst.integers(1, 6), hst.integers(0, 2**32 - 1),
-           hst.sampled_from(["free", "every", "intermediate"]))
-    @settings(max_examples=25, deadline=None)
-    def test_update_p_alm_floors_each_stack_at_most_once(self, g, u, seed, kind):
-        # the inner steps share one matrix up to a scalar, so the floor runs
-        # at most once per stack, on the final step's exactly Hermitian
-        # matrix, and not at all where no block ever reaches it
-        case = alm_case(np.random.default_rng(seed), 2, g, 2 * ((u + 1) // 2),
-                        kind)
-        seen = []
-
-        def spy(p_in, eps_pd):
-            seen.append(p_in.copy())
-            return floor(p_in, eps_pd)
-
-        floor = mod._floor_pd
-        with mock.patch.object(mod, "_floor_pd", spy):
-            update_p_alm(*case.args, 3, case.cfg, runs=case.runs)
-        assert len(seen) <= 2
-        if kind == "free":
-            assert not seen
-        elif kind == "every":
-            assert len(seen) == 2
-        for p_in in seen:
-            np.testing.assert_array_equal(p_in, p_in.conj().swapaxes(-1, -2))
-
-    @given(hst.integers(1, 5), hst.integers(1, 3), hst.sampled_from([2, 4, 6]),
-           hst.integers(0, 2**32 - 1),
-           hst.sampled_from(["free", "every", "intermediate"]),
-           hst.sampled_from([0.0, 0.9]), hst.sampled_from([0, 1, 5]))
-    @settings(max_examples=80, deadline=None)
-    def test_update_p_alm_matches_five_step_oracle(self, n_runs, g, u_last, seed,
-                                                   kind, shrink, iters):
-        case = alm_case(np.random.default_rng(seed), n_runs, g, u_last, kind,
-                        shrink, iters)
-        eps = case.cfg.eps_pd
-        ref = []
-        binds = floor_binds(lambda: ref.extend(alm_five_steps(
-            *case.args, 3, case.cfg, runs=case.runs)), eps)
-        ref_ps, ref_lams = ref
-        # the oracle floors both stacks at every step
-        steps = [binds[k:k + 2] for k in range(0, len(binds), 2)]
-        if kind == "free":
-            assert not any(binds)
-        elif kind == "every":
-            assert all(all(step) for step in steps)
-        elif iters == 5:
-            assert any(steps[0]) and not any(steps[-1])
-        ps, lams = update_p_alm(*case.args, 3, case.cfg, runs=case.runs)
-        for mine, want in zip(ps, ref_ps, strict=True):
-            np.testing.assert_allclose(mine, want, rtol=1e-10,
-                                       atol=1e-10 * np.abs(want).max())
-            np.testing.assert_array_equal(mine, mine.conj().swapaxes(-1, -2))
-            assert np.linalg.eigvalsh(mine).min() >= eps - 1e-12
-        for mine, want in zip(lams, ref_lams, strict=True):
-            np.testing.assert_allclose(mine, want, rtol=1e-10, atol=1e-12)
-        if iters == 0:
-            for mine, given_p in zip(ps, case.args[2]):
-                np.testing.assert_array_equal(mine, given_p)
-            for mine, given_lam in zip(lams, case.args[3]):
-                np.testing.assert_array_equal(mine, given_lam)
-
     @given(hst.integers(1, 4), hst.integers(2, 6), hst.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_update_p_alm_stacks_equal_single_blocks(self, g, u, seed):
         # a full stack plus a shorter final block, against one single-block
-        # stack per block; the log-det target couples all of them
+        # stack per block; the log-det constraint couples all of them
         rng = np.random.default_rng(seed)
-        m = 3
-        cfg = EstimatorConfig()
+        m, s = 3, 0.9
         sizes = [(g, u), (1, u - 1)]
-        r_bars, gammas, ps, lams = [], [], [], []
+        r_bars, gammas = [], []
         for n, v in sizes:
             z = crandn(rng, n, v, 2 * v)
             r_bars.append(z @ z.conj().swapaxes(-1, -2))
             gammas.append(rng.uniform(0.2, 3.0, (n, v)))
-            ps.append(hermitian_stack(rng, n, v, rng.uniform(0.5, 2.0, (n, v))))
-            lams.append(rng.uniform(-0.1, 0.1, n))
-        out_ps, out_lams = update_p_alm(r_bars, gammas, ps, lams, m, cfg)
+        out_ps, out_scales = update_p_alm(r_bars, gammas, m, s)
         singles = [[block for stack in arg for block in stack]
-                   for arg in (r_bars, gammas, ps, lams)]
-        ref_ps, ref_lams = update_p_alm(*singles, m, cfg)
-        out_blocks = [block for stack in out_ps for block in stack]
-        for mine, ref in zip(out_blocks, ref_ps, strict=True):
-            np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(np.concatenate(out_lams), ref_lams,
-                                   rtol=1e-12, atol=1e-14)
-
-
-@pytest.mark.parametrize("doc", [
-    {"experiment": "nmse_vs_snr", "sweep": [0.0, 20.0],
-     "algorithms": ["ss_absbl_mmv", "ss_absbl", "ss_bsbl", "ss_og_absbl_mmv"],
-     "overrides": {"N": 64, "SI_min": 16, "P": 16}},
-    {"experiment": "nmse_vs_distance", "sweep": [3.0, 20.0],
-     "overrides": {"N": 64, "SI_min": 16}},
-], ids=["nmse_vs_snr", "nmse_vs_distance"])
-def test_alm_recursion_keeps_every_trial_value(doc):
-    # every per-trial NMSE and bound, with the five-step oracle in the EM
-    # loop and with the scalar recursion, agree to a relative 1e-9
-    spec = ExperimentSpec.from_dict({**doc, "trials": 1, "seed": 3})
-    cells = [(i, t) for i in range(len(spec.sweep)) for t in range(spec.trials)]
-    with mock.patch.object(mod, "update_p_alm", alm_five_steps):
-        want = [run_single_trial(spec, i, t) for i, t in cells]
-    got = [run_single_trial(spec, i, t) for i, t in cells]
-    for mine, ref in zip(got, want, strict=True):
-        assert [r[:2] for r in mine] == [r[:2] for r in ref]
-        np.testing.assert_allclose([r[2] for r in mine], [r[2] for r in ref],
-                                   rtol=1e-9, atol=0)
+                   for arg in (r_bars, gammas)]
+        ref_ps, ref_scales = update_p_alm(*singles, m, s)
+        for outs, refs in ((out_ps, ref_ps), (out_scales, ref_scales)):
+            blocks = [block for stack in outs for block in stack]
+            for mine, ref in zip(blocks, refs, strict=True):
+                np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=1e-14)
 
 
 class TestUpdateNoise:
@@ -668,7 +470,7 @@ class TestAbsblCore:
         stacks = mod._block_stacks(n_sub, u, n_runs)
         blocks, covs = [], []                    # covs[g][r]
         for s in stacks:
-            for g in range(s.lam.shape[1]):
+            for g in range(s.gamma.shape[1]):
                 u_g = s.gamma.shape[-1]
                 start = s.start + g * u_g
                 blocks.append(slice(start, start + u_g))
@@ -683,7 +485,7 @@ class TestAbsblCore:
                                     * np.sqrt(s.gamma[r, g])[None, :])
         for r, g in enumerate(pruned):
             if g is not None:
-                s = next(s for s in stacks if g - s.first < s.lam.shape[1])
+                s = next(s for s in stacks if g - s.first < s.gamma.shape[1])
                 s.active[r, g - s.first] = False
                 covs[g][r] = np.zeros_like(covs[g][r])
         cholesky_calls = []
