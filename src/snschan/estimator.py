@@ -4,9 +4,10 @@ The on-grid estimator is a block-sparse Bayesian learner over a DFT
 codebook, run jointly across subcarriers (multiple measurement vectors with
 a shared block prior). Each length-U block g carries a diagonal factor Q_g =
 diag(sqrt(gamma_{g,u})) for per-entry variances and a Hermitian factor P_g
-for intra-block correlation; hyperparameters are learned by EM. P_g is the
-correlation matrix of the shrunk block statistics, and the P step rescales
-gamma so that a run's blocks share one per-dimension log-det
+for intra-block correlation; both are learned by EM. The noise variance
+sigma2 is the receiver's known noise floor, an input no step updates. P_g
+is the correlation matrix of the shrunk block statistics, and the P step
+rescales gamma so that a run's blocks share one per-dimension log-det
 (`update_p_alm`). An off-grid module then refines the selected grid angles
 by alternating least squares with backtracking gradient descent.
 
@@ -31,16 +32,16 @@ the full blocks and a shorter final block. Each group keeps gamma as
 (R, G, U), P as (R, G, U, U) and the active set as (R, G), where R counts
 independent runs that share Psi: one run for the joint learner
 (`absbl_mmv`), one run per column of Y for the per-subcarrier learners
-(`absbl_per_column`), which the same loop fits in one call. Each run has
-its own noise variance, pruning cut and delta1 stop; a run that stops
+(`absbl_per_column`), which the same loop fits in one call. The runs share
+sigma2; each has its own pruning cut and delta1 stop, and a run that stops
 keeps its last iterate while the others go on. Groups are not padded to
 one length, because the pooled variance, the log-det constraint and the
 shrinkage of P read the true U; the gamma and P steps take each group's
 active (run, block) pairs as one stack. Each E-step builds every run's K
 with one batched product over the columns active in some run (a block a
 run has pruned enters it with a zero prior), takes one Cholesky factor
-K = L L^H per run, and reads every block's posterior mean, covariance and
-trace term from batched products of the Gram blocks of L^-1 Psi.
+K = L L^H per run, and reads every block's posterior mean and covariance
+from batched products of the Gram blocks of L^-1 Psi.
 
 The E-step keeps its operands block-major: each fit copies Psi^T once
 (again only when the union of active blocks shrinks), so a block's atoms
@@ -69,6 +70,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 # complex triangular solve, called directly: the E-step makes two per run
 _trtrs, = get_lapack_funcs(("trtrs",), (np.zeros(1, dtype=complex),))
+_SIGMA2_FLOOR = 1e-12   # keeps K = sigma2 I + Psi C Psi^H PD at sigma2 = 0
 
 
 class EstimatorDivergenceError(RuntimeError):
@@ -116,13 +118,8 @@ class EstimatorConfig:
     t_ite: int = 30
     delta1: float = 1e-6
     prune_threshold: float = 1e-3     # relative to the running max mean diag(Q)
-    p_shrink: float = 0.9             # identity shrinkage of P, in (0, 1]
-    # EM can shrink an overestimated noise variance but cannot escape an
-    # underestimate once the residual is interpolated to zero, so start high
-    sigma2_init_scale: float = 0.5
-    sigma2_floor: float = 1e-12
+    p_shrink: float = 0.9             # identity shrinkage of P, in [1e-6, 1]
     learn_p: bool = True              # False freezes P_g at identity
-    learn_noise: bool = True
     scalar_gamma: bool = False        # True reduces to conventional BSBL
     # off-grid module
     r_ite: int = 50
@@ -157,14 +154,13 @@ _CONFIG_RULES = (
      "an integer >= 0"),
     (("delta1", "prune_threshold", "delta2"),
      lambda v: _is_real(v) and v >= 0, "a number >= 0"),
-    (("sigma2_init_scale", "sigma2_floor"),
-     lambda v: _is_real(v) and v > 0, "a number > 0"),
-    (("p_shrink",), lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"),
+    # below 1e-6, rounding can break the P step's Cholesky factor on Y = 0
+    (("p_shrink",), lambda v: _is_real(v) and 1e-6 <= v <= 1, "a number in [1e-6, 1]"),
     (("support_fraction",), lambda v: _is_real(v) and 0 <= v <= 1,
      "a number in [0, 1]"),
     (("armijo_shrink",), lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)"),
     (("armijo_slope",), lambda v: _is_real(v) and 0 <= v < 1, "a number in [0, 1)"),
-    (("learn_p", "learn_noise", "scalar_gamma"), lambda v: isinstance(v, bool),
+    (("learn_p", "scalar_gamma"), lambda v: isinstance(v, bool),
      "true or false"),
 )
 
@@ -174,7 +170,6 @@ class PosteriorState:
     """Converged posterior and hyperparameters of one estimator run."""
 
     mu: np.ndarray                        # (N_sub, M) posterior mean
-    sigma_blocks: dict[int, np.ndarray]   # per active block, (U_g, U_g)
     gamma: list[np.ndarray]
     p_blocks: list[np.ndarray]
     sigma2: float
@@ -265,13 +260,11 @@ def _active_atoms(psi_rows: np.ndarray, stacks: list[_BlockStack],
 
 
 def _posterior(
-    Y: np.ndarray, atoms: _Atoms, stacks: list[_BlockStack],
-    sigma2: np.ndarray,
-) -> tuple[list[_Part], np.ndarray]:
-    """E-step of every run (Y is (R, P, M), sigma2 is (R,)) with its
-    shared covariance K_r.
+    Y: np.ndarray, atoms: _Atoms, stacks: list[_BlockStack], sigma2: float,
+) -> list[_Part]:
+    """E-step of every run (Y is (R, P, M)) with its shared covariance K_r.
 
-    K_r = sigma2_r I + sum_g Psi_g C_rg Psi_g^H is one batched product over
+    K_r = sigma2 I + sum_g Psi_g C_rg Psi_g^H is one batched product over
     the columns active in some run; C_rg is zero where run r has pruned
     block g. With K_r = L_r L_r^H and W_r = L_r^-1 Psi, every block's
     Psi_g^H K_r^-1 Psi_g is a Gram block W_rg^H W_rg and Psi^H K_r^-1 Y_r is
@@ -284,8 +277,7 @@ def _posterior(
     Fortran-ordered view of its run's rows. The results are bit-identical
     to the column-major products.
 
-    Returns one part per stack with an active block, and each run's trace
-    term sum_g M tr(Sigma_rg C_rg^-1) over its active blocks.
+    Returns one part per stack with an active block.
     """
     r_count, p_eff, m_count = Y.shape
     n_act = atoms.rows.shape[0]
@@ -314,7 +306,7 @@ def _posterior(
             slabs(atoms.rows, i).swapaxes(-1, -2) @ c).swapaxes(-1, -2)
     k_mat = psi_c.swapaxes(-1, -2) @ atoms.rows_conj
     del psi_c
-    k_mat.reshape(r_count, -1)[:, ::p_eff + 1] += sigma2[:, None]   # the diagonals
+    k_mat.reshape(r_count, -1)[:, ::p_eff + 1] += sigma2   # the diagonals
     # W^T and (L^-1 Y)^T per run: the transposes are Fortran-ordered
     # (P, .) matrices, which the solves overwrite in place
     w_rows = np.empty((r_count, n_act, p_eff), dtype=complex)
@@ -342,7 +334,6 @@ def _posterior(
     proj = left_h @ y_rows.swapaxes(-1, -2)               # Psi^H K^-1 Y
 
     parts = []
-    trace_term = np.zeros(r_count)
     for i, ((s, idx, act), c) in enumerate(zip(live, cs)):
         n, u = idx.size, c.shape[-1]
         gram = slabs(left_h, i) @ slabs(w_rows, i).swapaxes(-1, -2)
@@ -350,16 +341,9 @@ def _posterior(
         sig_g = c - c @ gram @ c
         sig_g += sig_g.conj().swapaxes(-1, -2)
         sig_g *= 0.5
-        # tr(Sigma_g C_g^-1) = U_g - tr(C_g Psi_g^H K^-1 Psi_g), C-inverse free
-        prod = c * gram.swapaxes(-1, -2)
-        for r, (prod_r, act_r) in enumerate(zip(prod, act)):
-            trace_term[r] += m_count * (
-                np.count_nonzero(act_r) * u
-                - float(np.real(np.sum(prod_r[act_r])))
-            )
         run, pos = np.nonzero(act)
         parts.append(_Part(s, run, idx[pos], mu_g[act], sig_g[act]))
-    return parts, trace_term
+    return parts
 
 
 def _inverse_weighted(r_bar: np.ndarray, p_g: np.ndarray) -> np.ndarray:
@@ -474,25 +458,6 @@ def update_p_alm(
                 for d, den, gam in zip(diags, dens, gammas)]
 
 
-def update_noise(
-    residual_sq: float,
-    sigma2_prev: float,
-    trace_term: float,
-    n_active_coeff: int,
-    m_count: int,
-    p_eff: int,
-    floor: float = 1e-12,
-) -> float:
-    """Noise variance update (||y - Psi mu||^2 + s_prev [NM - tr(Sigma V^-1)]) / (M P).
-
-    n_active_coeff counts atoms in surviving blocks; pruned blocks contribute
-    their gamma -> 0 limit of zero to the bracket.
-    """
-    bracket = n_active_coeff * m_count - trace_term
-    sigma2 = (residual_sq + sigma2_prev * max(bracket, 0.0)) / (m_count * p_eff)
-    return max(float(sigma2), floor)
-
-
 def _checked(Y: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Y = np.asarray(Y, dtype=complex)
     Psi = np.asarray(Psi, dtype=complex)
@@ -503,50 +468,40 @@ def _checked(Y: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Y, Psi
 
 
-def _run_state(r: int, stacks: list[_BlockStack], parts: list[_Part],
-               mu: np.ndarray, sigma2: float, iterations: int,
-               converged: bool, history: list[np.ndarray]) -> PosteriorState:
+def _run_state(r: int, stacks: list[_BlockStack], mu: np.ndarray,
+               sigma2: float, iterations: int, converged: bool,
+               history: list[np.ndarray]) -> PosteriorState:
     """The posterior of run r after its last iteration."""
-    sigma_blocks = {}
-    for part in parts:
-        mine = (part.run == r) & part.stack.active[r, part.block]
-        sigma_blocks.update({int(part.stack.first + g): sig for g, sig
-                             in zip(part.block[mine], part.sigma[mine])})
     return PosteriorState(
-        mu=mu[r], sigma_blocks=sigma_blocks,
+        mu=mu[r],
         gamma=[gam for s in stacks for gam in s.gamma[r]],
         p_blocks=[p for s in stacks for p in s.p[r]],
-        sigma2=float(sigma2), iterations=iterations, converged=converged,
+        sigma2=sigma2, iterations=iterations, converged=converged,
         active=[int(s.first + g) for s in stacks
                 for g in np.flatnonzero(s.active[r])],
         history=history,
     )
 
 
-def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, cfg: EstimatorConfig,
-              sigma2: float | None) -> list[PosteriorState]:
+def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
+              cfg: EstimatorConfig) -> list[PosteriorState]:
     """Independent block-sparse learners, one per Y[r] (R, P, M), that
-    share Psi, fitted in one batched EM loop; see `absbl_mmv`.
+    share Psi and sigma2, fitted in one batched EM loop; see `absbl_mmv`.
 
-    Each run has its own hyperparameters, noise variance, pruning scale and
-    delta1 stop. A run that stops leaves the stacks, so every step works
-    only on the runs still going.
+    Each run has its own hyperparameters, pruning scale and delta1 stop. A
+    run that stops leaves the stacks, so every step works only on the runs
+    still going.
     """
-    r_count, p_eff, m_count = Y.shape
+    r_count, _, m_count = Y.shape
     n_sub = Psi.shape[1]
+    sigma2 = max(float(sigma2), _SIGMA2_FLOOR)
     stacks = _block_stacks(n_sub, cfg.block_size, r_count)
-    if sigma2 is None:
-        sigma2s = np.array([max(float(np.var(y)) * cfg.sigma2_init_scale,
-                                cfg.sigma2_floor) for y in Y])
-    else:
-        sigma2s = np.full(r_count, max(float(sigma2), cfg.sigma2_floor))
 
     states: list[PosteriorState | None] = [None] * r_count
     order = np.arange(r_count)           # the original index of each run
     histories: list[list[np.ndarray]] = [[] for _ in range(r_count)]
     running_max_q = np.zeros(r_count)
     mu = np.zeros((r_count, n_sub, m_count), dtype=complex)
-    parts: list[_Part] = []
     stop = np.zeros(r_count, dtype=bool)     # runs that stopped this step
     psi_rows = np.ascontiguousarray(Psi.T)
     atoms = None
@@ -557,12 +512,12 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, cfg: EstimatorConfig,
             break
         if stop.any():
             keep = ~stop
-            order, Y, sigma2s = order[keep], Y[keep], sigma2s[keep]
+            order, Y = order[keep], Y[keep]
             running_max_q, stop = running_max_q[keep], stop[keep]
             for s in stacks:
                 s.keep_runs(keep)
         atoms = _active_atoms(psi_rows, stacks, atoms)
-        parts, trace_term = _posterior(Y, atoms, stacks, sigma2s)
+        parts = _posterior(Y, atoms, stacks, sigma2)
         mu = np.zeros((order.size, n_sub, m_count), dtype=complex)
         r_bars = []
         for part in parts:
@@ -571,9 +526,9 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, cfg: EstimatorConfig,
             r_bar += m_count * part.sigma
             r_bars.append(r_bar)
 
-        # M-step: gamma, P, noise; gamma and P both read the pre-update
-        # iterate, so the P update inverts the old Q (keeping gamma's
-        # shrinkage effective in the composite prior Q P Q)
+        # M-step: gamma and P both read the pre-update iterate, so the P
+        # update inverts the old Q (keeping gamma's shrinkage effective in
+        # the composite prior Q P Q)
         gammas_old = [part.stack.gamma[part.run, part.block] for part in parts]
         ps_old = [part.stack.p[part.run, part.block] for part in parts]
         gammas_new = []
@@ -594,22 +549,11 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, cfg: EstimatorConfig,
                 gam *= scale.mean(axis=-1, keepdims=True) if cfg.scalar_gamma else scale
         for part, gam in zip(parts, gammas_new):
             part.stack.gamma[part.run, part.block] = gam
-        if cfg.learn_noise:
-            for r in range(order.size):
-                residual_sq = float(np.linalg.norm(Y[r] - Psi @ mu[r]) ** 2)
-                n_active_coeff = sum(np.count_nonzero(part.run == r)
-                                     * part.stack.gamma.shape[-1]
-                                     for part in parts)
-                sigma2s[r] = update_noise(residual_sq, sigma2s[r], trace_term[r],
-                                          n_active_coeff, m_count, p_eff,
-                                          cfg.sigma2_floor)
 
         if not (np.all(np.isfinite(mu))
                 and all(np.all(np.isfinite(gam)) for gam in gammas_new)):
             raise EstimatorDivergenceError(
-                f"non-finite update at iteration {it} "
-                f"(sigma2={', '.join(f'{v:.3g}' for v in sigma2s)})"
-            )
+                f"non-finite update at iteration {it} (sigma2={sigma2:.3g})")
 
         # permanent pruning against each run's running scale
         mean_q = [np.sqrt(np.maximum(gam, 0.0)).sum(axis=-1) / gam.shape[-1]
@@ -629,75 +573,72 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, cfg: EstimatorConfig,
                        < cfg.delta1) or not any(s.active[r].any() for s in stacks)
             history.append(mu[r])
             if stop[r]:
-                states[orig] = _run_state(r, stacks, parts, mu, sigma2s[r], it,
-                                          True, history)
+                states[orig] = _run_state(r, stacks, mu, sigma2, it, True,
+                                          history)
 
     for r in np.flatnonzero(~stop):
-        states[order[r]] = _run_state(r, stacks, parts, mu, sigma2s[r], it,
-                                      False, histories[order[r]])
+        states[order[r]] = _run_state(r, stacks, mu, sigma2, it, False,
+                                      histories[order[r]])
     return states
 
 
 def absbl_mmv(
     Y: np.ndarray,
     Psi: np.ndarray,
+    sigma2: float,
     cfg: EstimatorConfig | None = None,
-    sigma2: float | None = None,
 ) -> tuple[np.ndarray, PosteriorState]:
     """Block-sparse Bayesian recovery of X from Y = Psi X + N, jointly over
-    the columns of Y (subcarriers sharing one block prior).
+    the columns of Y (subcarriers sharing one block prior), where N has the
+    known per-entry variance sigma2 (floored at 1e-12).
 
     Each iteration computes the per-subcarrier posterior with the current
-    prior, then updates gamma, P (which rescales gamma per entry, see
-    `update_p_alm`) and the noise variance, and finally prunes blocks whose
+    prior, then updates gamma and P (which rescales gamma per entry, see
+    `update_p_alm`) with sigma2 held fixed, and finally prunes blocks whose
     mean diag(Q) has fallen below the relative threshold. Stops on T_ite or
     when the posterior mean moves less than delta1 in relative Frobenius
     norm.
-
-    sigma2, when given, seeds the noise variance (e.g. the receiver's known
-    noise floor); otherwise it starts at var(Y) * cfg.sigma2_init_scale.
-    Set cfg.learn_noise = False to keep it fixed.
     """
     Y, Psi = _checked(Y, Psi)
     cfg = EstimatorConfig() if cfg is None else cfg
-    state, = _sbl_runs(Y[None], Psi, cfg, sigma2)
+    state, = _sbl_runs(Y[None], Psi, sigma2, cfg)
     return state.mu, state
 
 
 def absbl_per_column(
     Y: np.ndarray,
     Psi: np.ndarray,
+    sigma2: float,
     cfg: EstimatorConfig | None = None,
-    sigma2: float | None = None,
 ) -> tuple[np.ndarray, list[PosteriorState]]:
     """Each column of Y fitted on its own (one subcarrier, no prior shared
-    across subcarriers), all in one batched run.
+    across subcarriers), all in one batched run with the known noise
+    variance sigma2.
 
-    Equals one `absbl_mmv` call per column, up to rounding; sigma2, when
-    not given, starts from each column's own variance. Returns the
+    Equals one `absbl_mmv` call per column, up to rounding. Returns the
     estimates side by side and each column's posterior.
     """
     Y, Psi = _checked(Y, Psi)
     cfg = EstimatorConfig() if cfg is None else cfg
-    states = _sbl_runs(Y.T[:, :, None], Psi, cfg, sigma2)
+    states = _sbl_runs(Y.T[:, :, None], Psi, sigma2, cfg)
     x_hat = np.zeros((Psi.shape[1], Y.shape[1]), dtype=complex)
     for m, state in enumerate(states):
         x_hat[:, m:m + 1] = state.mu
     return x_hat, states
 
 
-def bsbl_baseline(Y: np.ndarray, Psi: np.ndarray,
-                  cfg: EstimatorConfig | None = None,
-                  sigma2: float | None = None
+def bsbl_baseline(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
+                  cfg: EstimatorConfig | None = None
                   ) -> tuple[np.ndarray, PosteriorState]:
-    """Conventional BSBL: one variance scalar per block (Q_g = sqrt(gamma_g) I).
+    """Conventional BSBL: one variance scalar per block (Q_g = sqrt(gamma_g) I),
+    with the known noise variance sigma2, as in `absbl_mmv`.
 
     gamma_g is the block's pooled type-II ML variance and carries no
     hyperprior. With cfg.learn_p, P_g is learned as in ABSBL and gamma_g
     takes the mean of ABSBL's per-entry gamma scale.
     """
     cfg = EstimatorConfig() if cfg is None else cfg
-    return absbl_mmv(Y, Psi, replace(cfg, scalar_gamma=True), sigma2=sigma2)
+    return absbl_mmv(Y, Psi, sigma2, replace(cfg, scalar_gamma=True))
 
 
 def somp_baseline(

@@ -168,19 +168,19 @@ def measure_scene(
                             sigma2=sigma2)
 
 
-def _absbl(y, psi, cfg, sigma2):
-    return absbl_mmv(y, psi, cfg, sigma2=sigma2)
+def _absbl(y, psi, sigma2, cfg):
+    return absbl_mmv(y, psi, sigma2, cfg)
 
 
-def _absbl_per_subcarrier(y, psi, cfg, sigma2):
-    return absbl_per_column(y, psi, cfg, sigma2=sigma2)[0], None
+def _absbl_per_subcarrier(y, psi, sigma2, cfg):
+    return absbl_per_column(y, psi, sigma2, cfg)[0], None
 
 
-def _bsbl_per_subcarrier(y, psi, cfg, sigma2):
-    return _absbl_per_subcarrier(y, psi, replace(cfg, scalar_gamma=True), sigma2)
+def _bsbl_per_subcarrier(y, psi, sigma2, cfg):
+    return _absbl_per_subcarrier(y, psi, sigma2, replace(cfg, scalar_gamma=True))
 
 
-def _somp(y, psi, cfg, sigma2):
+def _somp(y, psi, sigma2, cfg):
     """SOMP stopped once the residual reaches the noise floor; no posterior."""
     rel_noise = np.sqrt(y.size * sigma2) / max(np.linalg.norm(y), 1e-300)
     x_hat = somp_baseline(y, psi, max_atoms=min(y.shape[0], psi.shape[1]),
@@ -191,7 +191,7 @@ def _somp(y, psi, cfg, sigma2):
 class _Algorithm(NamedTuple):
     """How an estimator name maps onto a learner.
 
-    learner(Y, Psi, cfg, sigma2) -> (X, PosteriorState | None) is one call
+    learner(Y, Psi, sigma2, cfg) -> (X, PosteriorState | None) is one call
     over all subcarriers of a subarray. Only the joint learner returns its
     posterior; the per-subcarrier learners fit every subcarrier on its own,
     as one batched run, and return None. off_grid refines the selected grid
@@ -225,9 +225,8 @@ def _estimate_subarray(
     """Channel block estimate (N_sub, M) for subarray k, and the posterior
     of a joint learner (None otherwise).
 
-    The receiver knows its own noise floor, so the Bayesian learners run
-    with the true sigma2 fixed; EM noise learning stays available on the
-    estimator's standalone surface.
+    The receiver knows its own noise floor, so every learner takes the true
+    sigma2 as a fixed input.
     """
     obs = meas.observations[k]
     n_sub = obs.elements.size
@@ -235,8 +234,7 @@ def _estimate_subarray(
     if obs.y.shape[0] == 0 or n_sub == 0:
         return np.zeros((n_sub, m_count), dtype=complex), None
     book, psi = meas.dictionary(k)
-    x_hat, state = algo.learner(obs.y, psi, replace(est_cfg, learn_noise=False),
-                                meas.sigma2)
+    x_hat, state = algo.learner(obs.y, psi, meas.sigma2, est_cfg)
     if algo.off_grid:
         _, x_hat, h_hat = offgrid_refine(obs.y, obs.phi, book, x_hat, est_cfg)
         return h_hat, state

@@ -70,6 +70,11 @@ def test_seed_report(tmp_path, capsys):
     dict(TINY_ABLATION, params={"estimator_config": {"t_ite": 0}}),
     dict(TINY_ABLATION, params={"estimator_config": {"p_shrink": 1.5}}),
     dict(TINY_ABLATION, params={"estimator_config": {"p_shrink": 0}}),
+    dict(TINY_ABLATION, params={"estimator_config": {"p_shrink": 1e-10}}),
+    # the noise variance is the receiver's, not a learner's knob
+    dict(TINY_ABLATION, params={"estimator_config": {"learn_noise": True}}),
+    dict(TINY_ABLATION, params={"estimator_config": {"sigma2_init_scale": 0.5}}),
+    dict(TINY_ABLATION, params={"estimator_config": {"sigma2_floor": 1e-12}}),
     # overrides every trial would fail on: PASS's window W = SI_min must be
     # >= 8 and divisible by 4, and MEF-GAA needs an RF chain
     dict(TINY_AUC, overrides=dict(TINY_AUC["overrides"], SI_min=10)),
@@ -78,6 +83,8 @@ def test_seed_report(tmp_path, capsys):
         "unknown-architecture", "unknown-estimator", "unknown-estimator-config",
         "estimator-config-block_size", "estimator-config-t_ite",
         "estimator-config-p_shrink", "estimator-config-p_shrink-zero",
+        "estimator-config-p_shrink-tiny", "estimator-config-learn_noise",
+        "estimator-config-sigma2_init_scale", "estimator-config-sigma2_floor",
         "pass-window-SI_min", "no-rf-chain"])
 def test_config_errors(tmp_path, capsys, doc):
     path = str(tmp_path / "missing.json") if doc is None else write_spec(tmp_path, doc)

@@ -17,7 +17,6 @@ from snschan.estimator import (
     offgrid_refine,
     somp_baseline,
     update_gamma,
-    update_noise,
     update_p_alm,
 )
 
@@ -39,24 +38,18 @@ def diverse_block_instances(count, noise_std):
         yield phi, x, y
 
 
-def scalar_sbl_em(y, phi, sigma2_init, iters):
-    """Independent textbook scalar SBL-EM (posterior, gamma, noise updates)."""
-    n = phi.shape[1]
-    gamma = np.ones(n)
-    s2 = sigma2_init
+def scalar_sbl_em(y, phi, sigma2, iters):
+    """Independent textbook scalar SBL-EM (posterior and gamma updates) with
+    the noise variance held fixed."""
+    gamma = np.ones(phi.shape[1])
     mus = []
     for _ in range(iters):
         c = np.diag(gamma).astype(complex)
-        k = s2 * np.eye(phi.shape[0]) + phi @ c @ phi.conj().T
+        k = sigma2 * np.eye(phi.shape[0]) + phi @ c @ phi.conj().T
         kinv = np.linalg.inv(k)
         mu = c @ phi.conj().T @ kinv @ y
         sig = c - c @ phi.conj().T @ kinv @ phi @ c
-        resid = np.linalg.norm(y - phi @ mu) ** 2
-        ratio = np.real(np.diag(sig)) / gamma
-        gamma_new = np.abs(mu[:, 0]) ** 2 + np.real(np.diag(sig))
-        s2 = (resid + s2 * (n - ratio.sum())) / phi.shape[0]
-        s2 = max(float(np.real(s2)), 1e-12)
-        gamma = gamma_new
+        gamma = np.abs(mu[:, 0]) ** 2 + np.real(np.diag(sig))
         mus.append(mu.copy())
     return mus
 
@@ -67,11 +60,10 @@ INVALID_CONFIG_VALUES = {
     "t_ite": (0,),               # returned the zero estimate
     "delta1": (-1e-6,),
     "prune_threshold": (-0.1,),
-    "p_shrink": (1.5, 0.0),      # s = 0 can leave the shrunk statistics singular
-    "sigma2_init_scale": (0.0,),
-    "sigma2_floor": (0.0,),
+    # s = 0 can leave the shrunk statistics singular; below 1e-6, rounding
+    # can on Y = 0
+    "p_shrink": (1.5, 0.0, 1e-10),
     "learn_p": ("yes",),
-    "learn_noise": (1,),
     "scalar_gamma": (None,),
     "r_ite": (-1,),
     "delta2": (-1.0,),
@@ -345,44 +337,24 @@ class TestBatchedHelpers:
                 np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=1e-14)
 
 
-class TestUpdateNoise:
-    def test_exact_fit_floors(self):
-        # residual zero and no shrinkage (trace term = full NM)
-        out = update_noise(0.0, 0.5, trace_term=40.0, n_active_coeff=10,
-                           m_count=4, p_eff=8)
-        assert out == 1e-12
-
-    def test_empty_model(self):
-        y_norm2 = 3.7
-        out = update_noise(y_norm2, 0.5, trace_term=0.0, n_active_coeff=0,
-                           m_count=4, p_eff=8)
-        assert out == pytest.approx(y_norm2 / (4 * 8))
-
-    def test_monte_carlo_calibration(self):
-        # overdetermined instance where EM noise learning is well posed
-        rng = np.random.default_rng(6)
-        sigma2_true = 0.01
-        estimates = []
-        for _ in range(100):
-            phi = crandn(rng, 48, 16)
-            x = np.zeros((16, 2), dtype=complex)
-            x[4:8] = crandn(rng, 4, 2) * 3
-            y = phi @ x + np.sqrt(sigma2_true) * crandn(rng, 48, 2)
-            _, st = absbl_mmv(y, phi, EstimatorConfig(
-                block_size=4, t_ite=40, sigma2_init_scale=1e-2))
-            estimates.append(st.sigma2)
-        med = float(np.median(estimates))
-        assert sigma2_true / 2 <= med <= sigma2_true * 2
-
-
 class TestAbsblCore:
     def test_zero_observations_give_zero_and_prune(self):
         rng = np.random.default_rng(7)
         phi = crandn(rng, 16, 32)
         y = np.zeros((16, 2), dtype=complex)
-        x, st = absbl_mmv(y, phi, EstimatorConfig(block_size=8, t_ite=60))
+        x, st = absbl_mmv(y, phi, 0.0, EstimatorConfig(block_size=8, t_ite=60))
         assert np.all(x == 0)
         assert st.active == []
+
+    def test_smallest_p_shrink_fits_zero_observations(self):
+        # at p_shrink's lower bound the P step keeps the Cholesky factor of
+        # all-zero statistics, which rounding removes at 1e-10
+        rng = np.random.default_rng(36)
+        phi = crandn(rng, 12, 20)
+        y = np.zeros((12, 3), dtype=complex)
+        cfg = EstimatorConfig(p_shrink=1e-6)
+        assert np.all(absbl_mmv(y, phi, 0.0, cfg)[0] == 0)
+        assert np.all(absbl_per_column(y, phi, 0.0, cfg)[0] == 0)
 
     def test_noiseless_block_sparse_recovery(self):
         rng = np.random.default_rng(8)
@@ -393,7 +365,7 @@ class TestAbsblCore:
         for g in (1, 5):
             x[g * u:(g + 1) * u] = crandn(rng, u, 4)
         y = psi @ x
-        x_hat, st = absbl_mmv(y, psi, EstimatorConfig(block_size=u, t_ite=30))
+        x_hat, st = absbl_mmv(y, psi, 0.0, EstimatorConfig(block_size=u, t_ite=30))
         assert nmse(x_hat, x) < 1e-4
         assert st.iterations <= 30
 
@@ -405,24 +377,33 @@ class TestAbsblCore:
         x[[2, 5]] = crandn(rng, 2, 1)
         y = phi @ x + 0.05 * crandn(rng, p_eff, 1)
         iters = 12
-        s2_init = float(np.var(y)) * 1e-2
         cfg = EstimatorConfig(block_size=1, t_ite=iters, delta1=0.0,
-                              prune_threshold=0.0, learn_p=False,
-                              sigma2_init_scale=1e-2)
-        _, st = absbl_mmv(y, phi, cfg)
-        oracle = scalar_sbl_em(y, phi, s2_init, iters)
+                              prune_threshold=0.0, learn_p=False)
+        _, st = absbl_mmv(y, phi, 0.05**2, cfg)
+        oracle = scalar_sbl_em(y, phi, 0.05**2, iters)
         assert len(st.history) == iters
         for mine, ref in zip(st.history, oracle):
             assert np.max(np.abs(mine - ref)) < 1e-8
 
-    def test_posterior_blocks_hermitian_psd(self):
+    def test_posterior_blocks_hermitian_psd(self, monkeypatch):
+        # every block covariance of every E-step of a fit
         rng = np.random.default_rng(10)
         phi = crandn(rng, 20, 32)
         x = np.zeros((32, 3), dtype=complex)
         x[8:16] = crandn(rng, 8, 3)
         y = phi @ x + 0.1 * crandn(rng, 20, 3)
-        _, st = absbl_mmv(y, phi, EstimatorConfig(block_size=8))
-        for g, sig in st.sigma_blocks.items():
+        sigmas = []
+        orig = mod._posterior
+
+        def spy(*args):
+            parts = orig(*args)
+            sigmas.extend(sig for part in parts for sig in part.sigma)
+            return parts
+
+        monkeypatch.setattr(mod, "_posterior", spy)
+        _, st = absbl_mmv(y, phi, 0.1**2, EstimatorConfig(block_size=8))
+        assert len(sigmas) >= st.iterations
+        for sig in sigmas:
             np.testing.assert_allclose(sig, sig.conj().T, atol=1e-10)
             vals = np.linalg.eigvalsh(sig)
             assert vals.min() >= -1e-10 * max(vals.max(), 1e-30)
@@ -439,7 +420,7 @@ class TestAbsblCore:
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(mod, "update_gamma", spy)
-        _, st = absbl_mmv(y, phi, EstimatorConfig(block_size=8, t_ite=300))
+        _, st = absbl_mmv(y, phi, 0.05**2, EstimatorConfig(block_size=8, t_ite=300))
         assert len(counts) == st.iterations
         assert all(b <= a for a, b in zip(counts, counts[1:]))
         assert counts[-1] == len(st.active)
@@ -466,7 +447,7 @@ class TestAbsblCore:
         n_runs = len(pruned)
         psi = crandn(rng, p_eff, n_sub)
         y = crandn(rng, n_runs, p_eff, m_count)
-        sigma2 = np.array([0.3, 0.5, 0.2])[:n_runs]
+        sigma2 = 0.3
         stacks = mod._block_stacks(n_sub, u, n_runs)
         blocks, covs = [], []                    # covs[g][r]
         for s in stacks:
@@ -500,8 +481,7 @@ class TestAbsblCore:
 
             monkeypatch.setattr(sla, "cholesky", fail_once)
 
-        parts, trace_term = mod._posterior(
-            y, mod._active_atoms(psi.T, stacks), stacks, sigma2)
+        parts = mod._posterior(y, mod._active_atoms(psi.T, stacks), stacks, sigma2)
         assert len(cholesky_calls) == (n_runs if fail_cholesky else 0)
         mu_structured = np.zeros((n_runs, n_sub, m_count), complex)
         sig_structured = [{} for _ in range(n_runs)]
@@ -520,7 +500,7 @@ class TestAbsblCore:
                 idx = np.arange(b.start * m_count, b.stop * m_count)
                 v_big[np.ix_(idx, idx)] = np.kron(c[r], np.eye(m_count))
             y_big = y[r].flatten()               # vec(Y^T): measurement-major
-            k_big = (sigma2[r] * np.eye(p_eff * m_count)
+            k_big = (sigma2 * np.eye(p_eff * m_count)
                      + psi_big @ v_big @ psi_big.conj().T)
             mu_big = v_big @ psi_big.conj().T @ np.linalg.solve(k_big, y_big)
             sig_big = (v_big - v_big @ psi_big.conj().T
@@ -528,17 +508,11 @@ class TestAbsblCore:
 
             np.testing.assert_allclose(mu_structured[r].flatten(), mu_big,
                                        atol=1e-10)
-            dense_trace = 0.0
             for g in active:
                 idx = np.arange(blocks[g].start * m_count, blocks[g].stop * m_count)
-                dense_block = sig_big[np.ix_(idx, idx)]
                 np.testing.assert_allclose(
-                    dense_block, np.kron(sig_structured[r][g], np.eye(m_count)),
-                    atol=1e-10)
-                c_inv = np.kron(np.linalg.inv(covs[g][r]), np.eye(m_count))
-                dense_trace += np.real(np.trace(dense_block @ c_inv))
-            # sum_g M tr(Sigma_g C_g^-1), read by the noise update
-            assert trace_term[r] == pytest.approx(dense_trace, rel=1e-9)
+                    sig_big[np.ix_(idx, idx)],
+                    np.kron(sig_structured[r][g], np.eye(m_count)), atol=1e-10)
 
     @pytest.mark.parametrize("short", range(8))
     @pytest.mark.parametrize("pruned", [False, True], ids=["all-active", "pruned"])
@@ -550,7 +524,7 @@ class TestAbsblCore:
         n_sub, n_runs, p_eff, m_count = 32 + short, 2, 20, 3
         psi = crandn(rng, p_eff, n_sub)
         y = crandn(rng, n_runs, p_eff, m_count)
-        sigma2 = np.array([0.3, 0.5])
+        sigma2 = 0.3
         stacks = mod._block_stacks(n_sub, 8, n_runs)
         for s in stacks:
             s.gamma[...] = rng.uniform(0.2, 2.0, s.gamma.shape)
@@ -559,7 +533,7 @@ class TestAbsblCore:
         if pruned:
             stacks[0].active[:, 1] = False         # out of the union
             stacks[0].active[0, 2] = False         # pruned by run 0 only
-        parts, trace_term = mod._posterior(
+        parts = mod._posterior(
             y, mod._active_atoms(np.ascontiguousarray(psi.T), stacks), stacks,
             sigma2)
 
@@ -577,7 +551,7 @@ class TestAbsblCore:
             n, u = c.shape[1], c.shape[-1]
             psi_c[:, :, a:b] = (psi_act[:, a:b].reshape(p_eff, n, u).swapaxes(0, 1)
                                 @ c).swapaxes(1, 2).reshape(n_runs, p_eff, b - a)
-        k_mat = psi_c @ psi_act.conj().T + sigma2[:, None, None] * np.eye(p_eff)
+        k_mat = psi_c @ psi_act.conj().T + sigma2 * np.eye(p_eff)
         for r in range(n_runs):
             chol = sla.cholesky(k_mat[r], lower=True, check_finite=False)
             w = sla.solve_triangular(chol, psi_act, lower=True, check_finite=False)
@@ -594,15 +568,16 @@ class TestAbsblCore:
                 act = part.stack.active[r, np.flatnonzero(part.stack.active.any(axis=0))]
                 np.testing.assert_array_equal(part.mu[mine], mu[act])
                 np.testing.assert_array_equal(part.sigma[mine], sig[act])
-        assert np.all(np.isfinite(trace_term))
 
     def test_longer_runs_prune_empty_blocks_not_absorb_noise(self):
         # untied per-entry variances let a few noise-level entries hold an
         # empty block open; running longer then fits noise and gets worse
         nmse_30, nmse_300 = [], []
         for phi, x, y in diverse_block_instances(20, 0.05):
-            x30, _ = absbl_mmv(y, phi, EstimatorConfig(block_size=8, t_ite=30))
-            x300, st = absbl_mmv(y, phi, EstimatorConfig(block_size=8, t_ite=300))
+            x30, _ = absbl_mmv(y, phi, 0.05**2,
+                               EstimatorConfig(block_size=8, t_ite=30))
+            x300, st = absbl_mmv(y, phi, 0.05**2,
+                                 EstimatorConfig(block_size=8, t_ite=300))
             nmse_30.append(nmse(x30, x))
             nmse_300.append(nmse(x300, x))
             assert 1 in st.active
@@ -617,14 +592,15 @@ class TestAbsblCore:
         x = np.zeros((32, 5), dtype=complex)
         x[8:16] = crandn(rng, 8, 5)
         y = phi @ x + 0.05 * crandn(rng, 24, 5)
-        _, st = absbl_mmv(y, phi, EstimatorConfig(block_size=8))
+        _, st = absbl_mmv(y, phi, 0.05**2, EstimatorConfig(block_size=8))
         for g in st.active:
             assert st.gamma[g].shape == (8,)
             assert st.p_blocks[g].shape == (8, 8)
 
 
 def distinct_support_instance(n_sub, seed=28, noise_std=0.01):
-    """(Phi, Y) with M=3 columns, each with its own active block of 8."""
+    """(Phi, Y) with M=3 columns, each with its own active block of 8; the
+    noise variance is noise_std**2."""
     rng = np.random.default_rng(seed)
     phi = crandn(rng, 20, n_sub)
     x = np.zeros((n_sub, 3), dtype=complex)
@@ -656,8 +632,8 @@ class TestPerColumn:
         # iteration, so the runs leave the batch at different steps
         phi, y = distinct_support_instance(n_sub)
         cfg = EstimatorConfig(block_size=8, t_ite=300, scalar_gamma=scalar_gamma)
-        batched = absbl_per_column(y, phi, cfg)
-        separate = [absbl_mmv(y[:, m:m + 1], phi, cfg) for m in range(3)]
+        batched = absbl_per_column(y, phi, 0.01**2, cfg)
+        separate = [absbl_mmv(y[:, m:m + 1], phi, 0.01**2, cfg) for m in range(3)]
         assert_runs_match(batched, separate)
         states = batched[1]
         assert len({tuple(st.active) for st in states}) == 3
@@ -665,17 +641,13 @@ class TestPerColumn:
         assert len({st.iterations for st in states}) == 3
         assert all(st.converged for st in states)
 
-    @pytest.mark.parametrize("sigma2, learn_noise", [(None, True), (1e-4, False)],
-                             ids=["learned-noise", "known-noise"])
-    def test_empty_column_prunes_every_block_alone(self, sigma2, learn_noise):
-        # an empty column prunes every block and stops at its own step; the
-        # known-noise case is the pipeline's setting
+    def test_empty_column_prunes_every_block_alone(self):
+        # an empty column prunes every block and stops at its own step
         phi, y = distinct_support_instance(32)
         y[:, 1] = 0.0
-        cfg = EstimatorConfig(block_size=8, t_ite=300, learn_noise=learn_noise)
-        batched = absbl_per_column(y, phi, cfg, sigma2=sigma2)
-        separate = [absbl_mmv(y[:, m:m + 1], phi, cfg, sigma2=sigma2)
-                    for m in range(3)]
+        cfg = EstimatorConfig(block_size=8, t_ite=300)
+        batched = absbl_per_column(y, phi, 0.01**2, cfg)
+        separate = [absbl_mmv(y[:, m:m + 1], phi, 0.01**2, cfg) for m in range(3)]
         assert_runs_match(batched, separate)
         states = batched[1]
         assert states[1].active == [] and states[1].converged
@@ -702,26 +674,26 @@ class TestPerColumn:
 
         with monkeypatch.context() as patch:
             patch.setattr(sla, "cholesky", fail_run_1)
-            batched = absbl_per_column(y, phi, cfg)
+            batched = absbl_per_column(y, phi, 0.01**2, cfg)
         separate = []
         for m in range(3):
             with monkeypatch.context() as patch:
                 if m == 1:
                     patch.setattr(sla, "cholesky", fail_always)
-                separate.append(absbl_mmv(y[:, m:m + 1], phi, cfg))
+                separate.append(absbl_mmv(y[:, m:m + 1], phi, 0.01**2, cfg))
         assert [st.iterations for st in batched[1]] == [8, 8, 8]
         assert len(calls) == 3 * 8
         assert_runs_match(batched, separate)
         # the fallback is not a no-op, so run 1 really took it
-        plain = absbl_mmv(y[:, 1:2], phi, cfg)[0]
+        plain = absbl_mmv(y[:, 1:2], phi, 0.01**2, cfg)[0]
         assert not np.array_equal(batched[0][:, 1:2], plain)
 
     def test_columns_share_nothing(self):
         # a column's estimate does not depend on the other columns
         phi, y = distinct_support_instance(32, seed=31)
         cfg = EstimatorConfig(block_size=8)
-        both, _ = absbl_per_column(y, phi, cfg)
-        alone, _ = absbl_per_column(y[:, :1], phi, cfg)
+        both, _ = absbl_per_column(y, phi, 0.01**2, cfg)
+        alone, _ = absbl_per_column(y[:, :1], phi, 0.01**2, cfg)
         np.testing.assert_allclose(both[:, :1], alone, rtol=1e-12,
                                    atol=1e-12 * np.abs(alone).max())
 
@@ -730,7 +702,7 @@ class TestBsblBaseline:
     def test_zero_input(self):
         rng = np.random.default_rng(14)
         phi = crandn(rng, 12, 24)
-        x, st = bsbl_baseline(np.zeros((12, 2), complex), phi)
+        x, st = bsbl_baseline(np.zeros((12, 2), complex), phi, 0.0)
         assert np.all(x == 0)
 
     def test_uniform_blocks_match_absbl(self):
@@ -742,8 +714,8 @@ class TestBsblBaseline:
         x[6:12] = crandn(rng, 6, 3)
         y = phi @ x + 0.01 * crandn(rng, 64, 3)
         cfg = EstimatorConfig(block_size=6)
-        xa, _ = absbl_mmv(y, phi, cfg)
-        xb, _ = bsbl_baseline(y, phi, cfg)
+        xa, _ = absbl_mmv(y, phi, 0.01**2, cfg)
+        xb, _ = bsbl_baseline(y, phi, 0.01**2, cfg)
         assert abs(nmse(xa, x) - nmse(xb, x)) < 1e-3
 
     @staticmethod
@@ -751,8 +723,8 @@ class TestBsblBaseline:
         diffs = []
         for phi, x, y in diverse_block_instances(100, noise_std):
             cfg = EstimatorConfig(block_size=8)
-            xa, _ = absbl_mmv(y, phi, cfg)
-            xb, _ = bsbl_baseline(y, phi, cfg)
+            xa, _ = absbl_mmv(y, phi, noise_std**2, cfg)
+            xb, _ = bsbl_baseline(y, phi, noise_std**2, cfg)
             diffs.append(nmse(xb, x) - nmse(xa, x))
         return diffs
 
@@ -778,10 +750,10 @@ def test_absbl_kernel_benchmark(benchmark):
     for g in (3, 4, 17):
         x[g * 8:(g + 1) * 8] = crandn(rng, 8, m_count)
     y = psi @ x + 0.05 * crandn(rng, p_eff, m_count)
-    x_hat, _ = benchmark.pedantic(absbl_mmv, args=(y, psi), rounds=3,
+    x_hat, _ = benchmark.pedantic(absbl_mmv, args=(y, psi, 0.05**2), rounds=3,
                                   iterations=1)
     assert np.all(np.isfinite(x_hat))
-    np.testing.assert_array_equal(x_hat, absbl_mmv(y, psi)[0])
+    np.testing.assert_array_equal(x_hat, absbl_mmv(y, psi, 0.05**2)[0])
 
 
 def test_per_column_kernel_benchmark(benchmark):
@@ -795,10 +767,10 @@ def test_per_column_kernel_benchmark(benchmark):
     for g in (2, 9):
         x[g * 8:(g + 1) * 8] = crandn(rng, 8, m_count)
     y = psi @ x + 0.05 * crandn(rng, p_eff, m_count)
-    x_hat, _ = benchmark.pedantic(absbl_per_column, args=(y, psi), rounds=3,
-                                  iterations=1)
+    x_hat, _ = benchmark.pedantic(absbl_per_column, args=(y, psi, 0.05**2),
+                                  rounds=3, iterations=1)
     assert np.all(np.isfinite(x_hat))
-    separate = np.concatenate([absbl_mmv(y[:, m:m + 1], psi)[0]
+    separate = np.concatenate([absbl_mmv(y[:, m:m + 1], psi, 0.05**2)[0]
                                for m in range(m_count)], axis=1)
     np.testing.assert_allclose(x_hat, separate, rtol=1e-12,
                                atol=1e-12 * np.abs(separate).max())
@@ -816,12 +788,11 @@ def test_ragged_small_fit_kernel_benchmark(benchmark):
     x[8:16] = crandn(rng, 8, m_count)
     x[56:58] = crandn(rng, 2, m_count)
     y = psi @ x + 0.05 * crandn(rng, p_eff, m_count)
-    cfg = EstimatorConfig(learn_noise=False)
-    x_hat, state = benchmark.pedantic(absbl_mmv, args=(y, psi, cfg, 0.0025),
+    x_hat, state = benchmark.pedantic(absbl_mmv, args=(y, psi, 0.05**2),
                                       rounds=3, iterations=1)
     assert np.all(np.isfinite(x_hat))
     assert len(state.gamma) == 8 and state.gamma[-1].shape == (2,)
-    np.testing.assert_array_equal(x_hat, absbl_mmv(y, psi, cfg, 0.0025)[0])
+    np.testing.assert_array_equal(x_hat, absbl_mmv(y, psi, 0.05**2)[0])
 
 
 class TestSomp:
@@ -1097,7 +1068,7 @@ class TestOffGrid:
         z_true = book.grid[10] + 1.0 / n     # midway between grid points
         phi, y, h_true = self._instance([z_true], n=n, seed=23)
         cfg = EstimatorConfig()
-        x_on, _ = absbl_mmv(y, phi @ book.D,
+        x_on, _ = absbl_mmv(y, phi @ book.D, 0.0,
                             EstimatorConfig(block_size=4, t_ite=40))
         h_on = book.D @ x_on
         _, _, h_off = offgrid_refine(y, phi, book, x_on, cfg)

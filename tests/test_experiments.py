@@ -10,10 +10,12 @@ numbers, and say so in the change.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ import pytest
 
 from snschan.config import SystemConfig
 from snschan.estimator import PosteriorState, dft_codebook
-from snschan import experiments
+from snschan import experiments, pipeline
 from snschan.experiments import ExperimentSpec, run_experiment, run_single_trial
 from snschan.pipeline import bcrb_nmse_bound, estimate_channel, measure_scene
 from snschan.scenario import ScenarioOptions, generate_scenario
@@ -134,6 +136,35 @@ def test_one_posterior_per_subarray_and_only_from_joint_fits():
         assert none_states == [None]
         with pytest.raises(ValueError, match="posterior"):
             bcrb_nmse_bound(meas, none_states)
+
+
+def test_learners_take_the_spec_estimator_config_unchanged(monkeypatch):
+    # the learner each algorithm reaches gets the spec's config as it is;
+    # only conventional BSBL swaps in one variance per block
+    spec = ExperimentSpec(**dict(
+        SPECS["nmse_vs_snr"],
+        params={"estimator_config": {"t_ite": 3, "block_size": 4}}))
+    cfg = SystemConfig(N=32, SI_min=8, K=1, P=16)
+    rng = np.random.default_rng(0)
+    chan = generate_scenario(cfg, rng, ScenarioOptions.full_visibility())
+    meas = measure_scene(chan, cfg, rng, 10.0, architecture="fully_connected")
+    received = []
+    for name in ("absbl_mmv", "absbl_per_column", "somp_baseline"):
+        real = getattr(pipeline, name)
+
+        def spy(*args, _real=real, **kwargs):
+            bound = inspect.signature(_real).bind(*args, **kwargs)
+            received.append(bound.arguments.get("cfg"))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, spy)
+    for algo in pipeline._ALGORITHMS:
+        received.clear()
+        estimate_channel(meas, algo, spec.estimator_config)
+        expected = (None if algo == "ss_somp"
+                    else replace(spec.estimator_config, scalar_gamma=True)
+                    if algo == "ss_bsbl" else spec.estimator_config)
+        assert received == [expected], algo
 
 
 class _RecordingParams(dict):
