@@ -15,9 +15,6 @@ from .channel import (
     PathParams,
     VisibilityMask,
     assemble_channel,
-    ideal_mask,
-    nonideal_mask,
-    sample_vr,
 )
 from .diffraction import Obstacle, diffraction_gain, diffraction_geometry, fresnel_cs
 from .segmentation import (
@@ -52,7 +49,7 @@ from .experiments import ExperimentSpec, ResultTable, run_experiment
 
 __all__ = [
     "SystemConfig", "ChannelRealization", "PathParams", "VisibilityMask",
-    "assemble_channel", "ideal_mask", "nonideal_mask", "sample_vr",
+    "assemble_channel",
     "Obstacle", "diffraction_gain", "diffraction_geometry", "fresnel_cs",
     "SegmentationResult", "afm_segment", "auc_score", "pass_segment",
     "rfem_segment",

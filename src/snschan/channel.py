@@ -10,28 +10,22 @@ Synthesis does only the work its output needs. A path's contribution is
 evaluated on its VR alone: outside it the mask is zero, so the contribution
 is +-0 and adding it would leave every bit of H unchanged. The scenario
 sampler computes each path's element distances once and hands them, and an
-obstructed path's diffraction gains, to both the mask and the assembly;
-the element offsets and subcarrier grid are built once per `SystemConfig`.
+obstructed path's diffraction gains, to `mask_weights` (the one mask
+formula), to its VR draw `scenario.sample_vr` and to the assembly; the
+element offsets and subcarrier grid are built once per `SystemConfig`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SystemConfig
-from .diffraction import (
-    Obstacle,
-    diffraction_gain,
-    diffraction_geometry,
-    max_diffraction_intensity,
-)
+from .diffraction import Obstacle, max_diffraction_intensity
 
 IDEAL = "ideal"
 NONIDEAL = "nonideal"
-_MAX_RESAMPLE = 100   # Markov redraws before one visible block is forced
 
 
 class MaskConfigurationError(ValueError):
@@ -106,83 +100,6 @@ def mask_weights(path: PathParams, r_n: np.ndarray,
             f"t_d = {path.t_d:.4g} violates the positivity bound {bound:.4g}"
         )
     return taper * (path.t_d * (np.sqrt(a_n) - 1.0) + 1.0)
-
-
-def ideal_mask(path: PathParams, cfg: SystemConfig) -> np.ndarray:
-    """Spherical-wave amplitude taper r / r_n for an unobstructed path."""
-    if path.kind != IDEAL:
-        raise ValueError("ideal_mask requires an ideal path")
-    return mask_weights(path, element_distances(path.r, path.theta, cfg))
-
-
-def nonideal_mask(path: PathParams, cfg: SystemConfig) -> np.ndarray:
-    """Mask of a knife-edge-obstructed path: (r / r_n) [t_d (sqrt(A_n)-1) + 1],
-    see `mask_weights`."""
-    if path.kind != NONIDEAL or path.obstacle is None:
-        raise ValueError("nonideal_mask requires a non-ideal path with an obstacle")
-    _, _, _, nu = diffraction_geometry(path.obstacle, path.theta, cfg)
-    return mask_weights(path, element_distances(path.r, path.theta, cfg),
-                        diffraction_gain(nu))
-
-
-def _expand_blocks(states: list[bool], cfg: SystemConfig) -> np.ndarray:
-    """Repeat block states to element resolution (last block may be short)."""
-    return np.repeat(states, cfg.SI_min)[: cfg.N]
-
-
-def sample_vr(
-    path: PathParams,
-    cfg: SystemConfig,
-    rng: np.random.Generator,
-    p_stay_visible: float = 0.8,
-    p_stay_blocked: float = 0.8,
-    p_init_visible: float | None = None,
-    power_threshold: float = 0.1,
-    weights: np.ndarray | None = None,
-) -> VisibilityMask:
-    """Draw the path's visibility region and build its mask.
-
-    Ideal paths: block-level first-order Markov chain over ceil(N / SI_min)
-    blocks of SI_min elements, redrawn until at least one block is visible.
-    Non-ideal paths: the VR is the set of elements whose mask exceeds
-    power_threshold times the mask maximum (no stochastic birth-death).
-    weights is the path's mask before the VR is applied (`ideal_mask` or
-    `nonideal_mask`); it is computed here when the caller does not have it.
-    """
-    if not (0.0 <= p_stay_visible <= 1.0 and 0.0 <= p_stay_blocked <= 1.0):
-        raise ValueError("Markov probabilities must lie in [0, 1]")
-    if weights is None:
-        weights = (nonideal_mask if path.kind == NONIDEAL else ideal_mask)(path, cfg)
-
-    if path.kind == NONIDEAL:
-        support = weights > power_threshold * np.max(weights)
-        return VisibilityMask(s=np.where(support, weights, 0.0), support=support)
-
-    b_si = cfg.n_blocks_si
-    p_vb = 1.0 - p_stay_visible
-    p_bv = 1.0 - p_stay_blocked
-    if p_init_visible is None:
-        p_init_visible = 0.5 if p_vb + p_bv == 0 else p_bv / (p_vb + p_bv)
-
-    # one uniform per block, in block order: one rng.random(b_si) call per
-    # attempt draws the same stream as one scalar call per block
-    stay = (1.0 - p_stay_blocked, p_stay_visible)   # by the previous state
-    for _ in range(_MAX_RESAMPLE):
-        u = rng.random(b_si).tolist()
-        states = [u[0] < p_init_visible]
-        for u_b in u[1:]:
-            states.append(u_b < stay[states[-1]])
-        if any(states):
-            break
-    else:
-        warnings.warn(
-            "visibility chain produced only blocked states; forcing one "
-            "visible block", RuntimeWarning, stacklevel=2,
-        )
-        states[rng.integers(b_si)] = True
-
-    support = _expand_blocks(states, cfg)
-    return VisibilityMask(s=np.where(support, weights, 0.0), support=support)
 
 
 def breakpoints_from_masks(paths: list[PathParams], cfg: SystemConfig) -> np.ndarray:

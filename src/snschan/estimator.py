@@ -9,7 +9,7 @@ sigma2 is the receiver's known noise floor, an input no step updates. P_g
 is the correlation matrix of the shrunk block statistics, and the P step
 rescales gamma so that a run's blocks share one per-dimension log-det
 (`update_p_alm`). An off-grid module then refines the selected grid angles
-by alternating least squares with backtracking gradient descent.
+by alternating least squares with a fixed Armijo backtracking line search.
 
 The per-entry variances are tied to their block: each gamma_{g,u} has an
 inverse-gamma hyperprior whose mode is the block's pooled variance
@@ -19,7 +19,7 @@ from a handful of snapshots let a few entries of an empty block settle at
 the noise level, so the block is never pruned and absorbs noise, and the
 fit worsens the longer EM runs. Conventional BSBL (`bsbl_baseline`) keeps
 one variance per block, gamma_g = gamma_bar_g, with P_g a correlation
-matrix.
+matrix; the entry point, not the configuration, chooses it.
 
 Because the prior is shared across subcarriers and the sensing matrix is
 common, the joint posterior factorizes per subcarrier with one shared
@@ -60,7 +60,7 @@ it, and fits the coefficients by least squares once, on the final support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -71,6 +71,9 @@ from scipy.linalg.lapack import get_lapack_funcs
 # complex triangular solve, called directly: the E-step makes two per run
 _trtrs, = get_lapack_funcs(("trtrs",), (np.zeros(1, dtype=complex),))
 _SIGMA2_FLOOR = 1e-12   # keeps K = sigma2 I + Psi C Psi^H PD at sigma2 = 0
+_ARMIJO_SHRINK = 0.5    # off-grid line search: step shrink per backtrack,
+_ARMIJO_SLOPE = 1e-4    # sufficient-decrease slope
+_MAX_BACKTRACKS = 40    # and backtracks per iteration
 
 
 class EstimatorDivergenceError(RuntimeError):
@@ -107,9 +110,10 @@ def dft_codebook(n_sub: int) -> Codebook:
 class EstimatorConfig:
     """Hyperparameters of the block-sparse learner and the off-grid module.
 
-    The weight of the per-entry variances' hyperprior is not a field: it is
-    the snapshot count M of the run (see `update_gamma`), so the block's
-    pooled variance weighs as much as each entry's own statistics.
+    Neither the BSBL switch (the entry point's choice) nor the weight of the
+    per-entry variances' hyperprior is a field. The weight is the snapshot
+    count M of the run (see `update_gamma`), so the block's pooled variance
+    weighs as much as each entry's own statistics.
     """
 
     # 8 bins per block: at desk-scale subarray sizes (tens of atoms) larger
@@ -120,16 +124,12 @@ class EstimatorConfig:
     prune_threshold: float = 1e-3     # relative to the running max mean diag(Q)
     p_shrink: float = 0.9             # identity shrinkage of P, in [1e-6, 1]
     learn_p: bool = True              # False freezes P_g at identity
-    scalar_gamma: bool = False        # True reduces to conventional BSBL
     # off-grid module
     r_ite: int = 50
     delta2: float = 1e-6
     # of the max row energy; selecting too permissively leaves an
     # overcomplete support whose refinement valley is degenerate
     support_fraction: float = 0.15
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-    max_backtracks: int = 40
 
     def __post_init__(self) -> None:
         for names, ok, rule in _CONFIG_RULES:
@@ -150,18 +150,14 @@ def _is_real(v) -> bool:
 # (fields, test, rule) of every EstimatorConfig field; NaN fails every rule
 _CONFIG_RULES = (
     (("block_size", "t_ite"), lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    (("r_ite", "max_backtracks"), lambda v: _is_int(v) and v >= 0,
-     "an integer >= 0"),
+    (("r_ite",), lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     (("delta1", "prune_threshold", "delta2"),
      lambda v: _is_real(v) and v >= 0, "a number >= 0"),
     # below 1e-6, rounding can break the P step's Cholesky factor on Y = 0
     (("p_shrink",), lambda v: _is_real(v) and 1e-6 <= v <= 1, "a number in [1e-6, 1]"),
     (("support_fraction",), lambda v: _is_real(v) and 0 <= v <= 1,
      "a number in [0, 1]"),
-    (("armijo_shrink",), lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)"),
-    (("armijo_slope",), lambda v: _is_real(v) and 0 <= v < 1, "a number in [0, 1)"),
-    (("learn_p", "scalar_gamma"), lambda v: isinstance(v, bool),
-     "true or false"),
+    (("learn_p",), lambda v: isinstance(v, bool), "true or false"),
 )
 
 
@@ -484,9 +480,10 @@ def _run_state(r: int, stacks: list[_BlockStack], mu: np.ndarray,
 
 
 def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
-              cfg: EstimatorConfig) -> list[PosteriorState]:
+              cfg: EstimatorConfig, scalar_gamma: bool) -> list[PosteriorState]:
     """Independent block-sparse learners, one per Y[r] (R, P, M), that
     share Psi and sigma2, fitted in one batched EM loop; see `absbl_mmv`.
+    scalar_gamma makes every run conventional BSBL (see `bsbl_baseline`).
 
     Each run has its own hyperparameters, pruning scale and delta1 stop. A
     run that stops leaves the stacks, so every step works only on the runs
@@ -533,7 +530,7 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
         ps_old = [part.stack.p[part.run, part.block] for part in parts]
         gammas_new = []
         for r_bar, p_g, gam in zip(r_bars, ps_old, gammas_old):
-            if cfg.scalar_gamma:
+            if scalar_gamma:
                 pooled = _pooled_variance(_inverse_weighted(r_bar, p_g), m_count)
                 gammas_new.append(np.repeat(pooled[:, None], gam.shape[1], axis=1))
             else:
@@ -546,7 +543,7 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
             for part, p_new, scale, gam in zip(parts, new_ps, scales, gammas_new):
                 # conventional BSBL's single gamma takes the mean scale
                 part.stack.p[part.run, part.block] = p_new
-                gam *= scale.mean(axis=-1, keepdims=True) if cfg.scalar_gamma else scale
+                gam *= scale.mean(axis=-1, keepdims=True) if scalar_gamma else scale
         for part, gam in zip(parts, gammas_new):
             part.stack.gamma[part.run, part.block] = gam
 
@@ -601,7 +598,7 @@ def absbl_mmv(
     """
     Y, Psi = _checked(Y, Psi)
     cfg = EstimatorConfig() if cfg is None else cfg
-    state, = _sbl_runs(Y[None], Psi, sigma2, cfg)
+    state, = _sbl_runs(Y[None], Psi, sigma2, cfg, scalar_gamma=False)
     return state.mu, state
 
 
@@ -610,17 +607,19 @@ def absbl_per_column(
     Psi: np.ndarray,
     sigma2: float,
     cfg: EstimatorConfig | None = None,
+    *,
+    scalar_gamma: bool = False,
 ) -> tuple[np.ndarray, list[PosteriorState]]:
     """Each column of Y fitted on its own (one subcarrier, no prior shared
     across subcarriers), all in one batched run with the known noise
     variance sigma2.
 
-    Equals one `absbl_mmv` call per column, up to rounding. Returns the
-    estimates side by side and each column's posterior.
+    Equals one `absbl_mmv` (with scalar_gamma, `bsbl_baseline`) call per
+    column, up to rounding. Returns the estimates and each one's posterior.
     """
     Y, Psi = _checked(Y, Psi)
     cfg = EstimatorConfig() if cfg is None else cfg
-    states = _sbl_runs(Y.T[:, :, None], Psi, sigma2, cfg)
+    states = _sbl_runs(Y.T[:, :, None], Psi, sigma2, cfg, scalar_gamma)
     x_hat = np.zeros((Psi.shape[1], Y.shape[1]), dtype=complex)
     for m, state in enumerate(states):
         x_hat[:, m:m + 1] = state.mu
@@ -631,14 +630,17 @@ def bsbl_baseline(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
                   cfg: EstimatorConfig | None = None
                   ) -> tuple[np.ndarray, PosteriorState]:
     """Conventional BSBL: one variance scalar per block (Q_g = sqrt(gamma_g) I),
-    with the known noise variance sigma2, as in `absbl_mmv`.
+    jointly over the columns of Y with the known noise variance sigma2, by
+    the EM loop of `absbl_mmv` run with its BSBL switch on.
 
     gamma_g is the block's pooled type-II ML variance and carries no
     hyperprior. With cfg.learn_p, P_g is learned as in ABSBL and gamma_g
     takes the mean of ABSBL's per-entry gamma scale.
     """
+    Y, Psi = _checked(Y, Psi)
     cfg = EstimatorConfig() if cfg is None else cfg
-    return absbl_mmv(Y, Psi, sigma2, replace(cfg, scalar_gamma=True))
+    state, = _sbl_runs(Y[None], Psi, sigma2, cfg, scalar_gamma=True)
+    return state.mu, state
 
 
 def somp_baseline(
@@ -788,18 +790,18 @@ def offgrid_refine(
         if slope > 0:
             accepted = False
             step = min(rho, 1.0)
-            for _ in range(cfg.max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 z_try = np.clip(z - step * direction, -1.0, 1.0)
                 d_try, a_try = _offgrid_atoms(Phi, n_sub, z_try)
                 f_try = float(np.linalg.norm(Y - a_try @ x_s) ** 2)
-                if f_try <= f0 - cfg.armijo_slope * step * slope:
+                if f_try <= f0 - _ARMIJO_SLOPE * step * slope:
                     z, d, a = z_try, d_try, a_try
                     rho = step * 2.0
                     accepted = True
                     break
-                step *= cfg.armijo_shrink
+                step *= _ARMIJO_SHRINK
             if not accepted:
-                rho = max(rho * cfg.armijo_shrink, 1e-16)
+                rho = max(rho * _ARMIJO_SHRINK, 1e-16)
 
     x_s, *_ = np.linalg.lstsq(a, Y, rcond=None)
     d_refined = codebook.D.copy()

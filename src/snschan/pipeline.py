@@ -4,7 +4,7 @@ receive, decouple, estimate, score."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -177,7 +177,7 @@ def _absbl_per_subcarrier(y, psi, sigma2, cfg):
 
 
 def _bsbl_per_subcarrier(y, psi, sigma2, cfg):
-    return _absbl_per_subcarrier(y, psi, sigma2, replace(cfg, scalar_gamma=True))
+    return absbl_per_column(y, psi, sigma2, cfg, scalar_gamma=True)[0], None
 
 
 def _somp(y, psi, sigma2, cfg):
@@ -220,7 +220,7 @@ def _estimate_subarray(
     meas: TrialMeasurement,
     k: int,
     algo: _Algorithm,
-    est_cfg: EstimatorConfig,
+    est_cfg: EstimatorConfig | None,
 ) -> tuple[np.ndarray, PosteriorState | None]:
     """Channel block estimate (N_sub, M) for subarray k, and the posterior
     of a joint learner (None otherwise).
@@ -229,10 +229,6 @@ def _estimate_subarray(
     sigma2 as a fixed input.
     """
     obs = meas.observations[k]
-    n_sub = obs.elements.size
-    m_count = obs.y.shape[1]
-    if obs.y.shape[0] == 0 or n_sub == 0:
-        return np.zeros((n_sub, m_count), dtype=complex), None
     book, psi = meas.dictionary(k)
     x_hat, state = algo.learner(obs.y, psi, meas.sigma2, est_cfg)
     if algo.off_grid:
@@ -249,14 +245,12 @@ def estimate_channel(
     """Assemble the full-array estimate from per-subarray runs.
 
     Also returns, per subarray, the posterior of the joint learner's single
-    run (None for empty subarrays and for SOMP and the per-subcarrier
-    learners), from which the convergence trace and the BCRB are read.
+    run (None for SOMP and the per-subcarrier learners), from which the
+    convergence trace and the BCRB are read.
     """
     algo = _ALGORITHMS.get(algorithm)
     if algo is None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if est_cfg is None:
-        est_cfg = EstimatorConfig()
     h_hat = np.zeros_like(meas.chan.H)
     states = []
     for k, obs in enumerate(meas.observations):
@@ -273,13 +267,10 @@ def bcrb_nmse_bound(meas: TrialMeasurement,
     summed and normalized by the realized channel energy."""
     total = 0.0
     for k, (obs, state) in enumerate(zip(meas.observations, states, strict=True)):
-        n_sub = obs.elements.size
-        if obs.y.shape[0] == 0 or n_sub == 0:
-            continue
         if state is None:
             raise ValueError("the bound needs the joint learner's posterior")
         _, psi = meas.dictionary(k)
-        v_s = np.zeros((n_sub, n_sub), dtype=complex)
+        v_s = np.zeros((obs.elements.size,) * 2, dtype=complex)
         edges = np.cumsum([0] + [g.size for g in state.gamma])
         for g, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
             q = np.sqrt(np.maximum(state.gamma[g], 0.0))

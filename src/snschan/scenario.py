@@ -1,8 +1,13 @@
-"""Random scenario sampling and bit-exact JSON serialization."""
+"""Random scenario sampling and bit-exact JSON serialization.
+
+Every random draw of a scene lives here, visibility regions included
+(`sample_vr`), and reads its distribution from one checked `ScenarioOptions`.
+"""
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +21,6 @@ from .channel import (
     assemble_channel,
     element_distances,
     mask_weights,
-    sample_vr,
 )
 from .config import SystemConfig
 from .diffraction import (
@@ -31,6 +35,7 @@ from .diffraction import (
 _THETA_RANGE = (-2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0)
 _D1_FRAC_RANGE = (0.3, 0.7)   # edge plane at d1 = U(0.3, 0.7) r from the array
 _H_REF_LAMBDAS = 5.0          # h_ref ~ U(-5 lambda, 5 lambda)
+_MAX_RESAMPLE = 100   # Markov redraws before one visible block is forced
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,17 @@ class ScenarioOptions:
     p_stay_blocked: float = 0.8
     p_init_visible: float | None = None   # None = stationary distribution
     power_threshold: float = 0.1   # the VR threshold of obstructed paths
+
+    def __post_init__(self) -> None:
+        for name in ("p_nonideal", "p_stay_visible", "p_stay_blocked",
+                     "p_init_visible"):
+            value = getattr(self, name)
+            if not (value is None and name == "p_init_visible"
+                    or 0.0 <= value <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        if not 0.0 <= self.power_threshold < 1.0:
+            raise ValueError("power_threshold must lie in [0, 1), "
+                             f"got {self.power_threshold!r}")
 
     @classmethod
     def full_visibility(cls, **kwargs) -> "ScenarioOptions":
@@ -67,8 +83,52 @@ def _sample_obstacle(r: float, theta: float, cfg: SystemConfig,
     raise GeometryInfeasibleError("could not place a knife edge on the path")
 
 
+def sample_vr(path: PathParams, weights: np.ndarray, cfg: SystemConfig,
+              rng: np.random.Generator, opts: ScenarioOptions) -> VisibilityMask:
+    """Draw the path's visibility region and apply it to weights, the path's
+    mask before its VR (`channel.mask_weights`).
+
+    Ideal paths: block-level first-order Markov chain over ceil(N / SI_min)
+    blocks of SI_min elements, with the stay and initial probabilities of
+    opts, redrawn until at least one block is visible. Non-ideal paths: the
+    VR is the set of elements whose mask exceeds opts.power_threshold times
+    the mask maximum (no stochastic birth-death).
+    """
+    if path.kind == NONIDEAL:
+        support = weights > opts.power_threshold * np.max(weights)
+        return VisibilityMask(s=np.where(support, weights, 0.0), support=support)
+
+    b_si = cfg.n_blocks_si
+    p_vb = 1.0 - opts.p_stay_visible
+    p_bv = 1.0 - opts.p_stay_blocked
+    p_init_visible = opts.p_init_visible
+    if p_init_visible is None:
+        p_init_visible = 0.5 if p_vb + p_bv == 0 else p_bv / (p_vb + p_bv)
+
+    # one uniform per block, in block order: one rng.random(b_si) call per
+    # attempt draws the same stream as one scalar call per block
+    stay = (p_bv, opts.p_stay_visible)   # by the previous state
+    for _ in range(_MAX_RESAMPLE):
+        u = rng.random(b_si).tolist()
+        states = [u[0] < p_init_visible]
+        for u_b in u[1:]:
+            states.append(u_b < stay[states[-1]])
+        if any(states):
+            break
+    else:
+        warnings.warn(
+            "visibility chain produced only blocked states; forcing one "
+            "visible block", RuntimeWarning, stacklevel=2,
+        )
+        states[rng.integers(b_si)] = True
+
+    # block states to element resolution (the last block may be short)
+    support = np.repeat(states, cfg.SI_min)[: cfg.N]
+    return VisibilityMask(s=np.where(support, weights, 0.0), support=support)
+
+
 def sample_paths(cfg: SystemConfig, rng: np.random.Generator,
-                 opts: ScenarioOptions | None = None,
+                 opts: ScenarioOptions = ScenarioOptions(),
                  ) -> tuple[list[PathParams], list[np.ndarray]]:
     """Draw K x L paths with gains CN(0,1) and sampled visibility regions;
     returns them with each one's element distances r_n.
@@ -76,8 +136,6 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator,
     At most one path per UE is non-ideal; its diffraction intensity is
     min(opts.t_d, cap) with cap just below the geometry's positivity bound.
     """
-    if opts is None:
-        opts = ScenarioOptions()
     paths: list[PathParams] = []
     distances: list[np.ndarray] = []
     for _ in range(cfg.K):
@@ -100,21 +158,16 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator,
             else:
                 path = PathParams(g=g, r=r, theta=theta, kind=IDEAL)
             r_n = element_distances(r, theta, cfg)
-            path.mask = sample_vr(
-                path, cfg, rng,
-                p_stay_visible=opts.p_stay_visible,
-                p_stay_blocked=opts.p_stay_blocked,
-                p_init_visible=opts.p_init_visible,
-                power_threshold=opts.power_threshold,
-                weights=mask_weights(path, r_n, a_n),
-            )
+            path.mask = sample_vr(path, mask_weights(path, r_n, a_n), cfg,
+                                  rng, opts)
             paths.append(path)
             distances.append(r_n)
     return paths, distances
 
 
 def generate_scenario(cfg: SystemConfig, rng: np.random.Generator,
-                      opts: ScenarioOptions | None = None) -> ChannelRealization:
+                      opts: ScenarioOptions = ScenarioOptions(),
+                      ) -> ChannelRealization:
     """Sample paths and assemble the channel realization."""
     return assemble_channel(cfg, *sample_paths(cfg, rng, opts))
 

@@ -8,12 +8,23 @@ from snschan.channel import (
     assemble_channel,
     breakpoints_from_masks,
     element_distances,
-    ideal_mask,
-    nonideal_mask,
-    sample_vr,
+    mask_weights,
 )
 from snschan.config import SystemConfig
-from snschan.diffraction import Obstacle
+from snschan.diffraction import Obstacle, diffraction_gain, diffraction_geometry
+from snschan.scenario import ScenarioOptions, sample_vr
+
+
+def ideal_mask(path, cfg):
+    """The unobstructed path's mask before its VR: the taper r / r_n."""
+    return mask_weights(path, element_distances(path.r, path.theta, cfg))
+
+
+def nonideal_mask(path, cfg):
+    """The knife-edge-obstructed path's mask before its VR."""
+    _, _, _, nu = diffraction_geometry(path.obstacle, path.theta, cfg)
+    return mask_weights(path, element_distances(path.r, path.theta, cfg),
+                        diffraction_gain(nu))
 
 
 def euclidean_distance_oracle(r, theta, cfg):
@@ -135,7 +146,6 @@ class TestNonidealMask:
 
     def test_grazing_element_factor(self):
         # with t_d = 1 the factor is sqrt(A_n); A(0) = 1/4 makes it exactly 0.5
-        from snschan.diffraction import diffraction_gain, diffraction_geometry
         cfg = SystemConfig(N=64, SI_min=8)
         path = PathParams(g=1.0, r=30.0, theta=0.0, kind="nonideal",
                           obstacle=Obstacle(h_ref=0.0, d1_ref=12.0, d2_ref=18.0),
@@ -170,8 +180,9 @@ class TestSampleVr:
         cfg = SystemConfig(N=64, SI_min=8)
         path = PathParams(g=1.0, r=20.0, theta=0.0)
         rng = np.random.default_rng(0)
-        mask = sample_vr(path, cfg, rng, p_stay_visible=1.0,
-                         p_stay_blocked=0.0, p_init_visible=1.0)
+        opts = ScenarioOptions(p_stay_visible=1.0, p_stay_blocked=0.0,
+                               p_init_visible=1.0)
+        mask = sample_vr(path, ideal_mask(path, cfg), cfg, rng, opts)
         assert mask.support.all()
         assert np.all(mask.s > 0)
 
@@ -179,9 +190,10 @@ class TestSampleVr:
         cfg = SystemConfig(N=64, SI_min=8)
         path = PathParams(g=1.0, r=20.0, theta=0.0)
         rng = np.random.default_rng(0)
+        opts = ScenarioOptions(p_stay_visible=1.0, p_stay_blocked=1.0,
+                               p_init_visible=0.0)
         with pytest.warns(RuntimeWarning):
-            mask = sample_vr(path, cfg, rng, p_stay_visible=1.0,
-                             p_stay_blocked=1.0, p_init_visible=0.0)
+            mask = sample_vr(path, ideal_mask(path, cfg), cfg, rng, opts)
         assert mask.support.any()
 
     def test_mean_run_length(self):
@@ -189,10 +201,11 @@ class TestSampleVr:
         cfg = SystemConfig(N=4 * 200, SI_min=4)
         path = PathParams(g=1.0, r=20.0, theta=0.0)
         rng = np.random.default_rng(7)
+        weights = ideal_mask(path, cfg)
+        opts = ScenarioOptions(p_stay_visible=0.8, p_stay_blocked=0.8)
         runs = []
         for _ in range(500):
-            mask = sample_vr(path, cfg, rng, p_stay_visible=0.8,
-                             p_stay_blocked=0.8)
+            mask = sample_vr(path, weights, cfg, rng, opts)
             s = mask.support.astype(int)
             edges = np.flatnonzero(np.diff(np.concatenate([[0], s, [0]])))
             starts, ends = edges[::2], edges[1::2]
@@ -207,8 +220,8 @@ class TestSampleVr:
                           obstacle=Obstacle(h_ref=0.02, d1_ref=12.0, d2_ref=18.0),
                           t_d=0.9)
         rng = np.random.default_rng(0)
-        mask = sample_vr(path, cfg, rng, power_threshold=0.3)
         full = nonideal_mask(path, cfg)
+        mask = sample_vr(path, full, cfg, rng, ScenarioOptions(power_threshold=0.3))
         np.testing.assert_array_equal(mask.support, full > 0.3 * full.max())
 
 

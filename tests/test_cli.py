@@ -39,6 +39,19 @@ def test_run_writes_results(tmp_path, capsys):
     assert "wrote 3 rows" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("timing", [False, True], ids=["default", "timing"])
+def test_run_timing_fills_runtime_column(tmp_path, capsys, timing):
+    # results.csv is deterministic unless --timing asks for measured runtimes
+    out = tmp_path / "out"
+    argv = ["run", write_spec(tmp_path, TINY_AUC), "--out", str(out)]
+    assert cli.main(argv + ["--timing"] * timing) == cli.EXIT_OK
+    header, *rows = (out / "results.csv").read_text().splitlines()
+    column = header.split(",").index("runtime_ms")
+    runtimes = [float(row.split(",")[column]) for row in rows]
+    assert len(runtimes) == 3
+    assert all(t > 0 for t in runtimes) if timing else runtimes == [0.0] * 3
+
+
 def test_validate(tmp_path, capsys):
     assert cli.main(["validate", write_spec(tmp_path, TINY_AUC)]) == cli.EXIT_OK
     assert capsys.readouterr().out.startswith("ok: auc_vs_snr")
@@ -75,6 +88,12 @@ def test_seed_report(tmp_path, capsys):
     dict(TINY_ABLATION, params={"estimator_config": {"learn_noise": True}}),
     dict(TINY_ABLATION, params={"estimator_config": {"sigma2_init_scale": 0.5}}),
     dict(TINY_ABLATION, params={"estimator_config": {"sigma2_floor": 1e-12}}),
+    # retired keys: BSBL is chosen by the algorithm name, the line search
+    # settings are constants
+    dict(TINY_ABLATION, params={"estimator_config": {"scalar_gamma": True}}),
+    dict(TINY_ABLATION, params={"estimator_config": {"armijo_shrink": 0.5}}),
+    dict(TINY_ABLATION, params={"estimator_config": {"armijo_slope": 1e-4}}),
+    dict(TINY_ABLATION, params={"estimator_config": {"max_backtracks": 40}}),
     # overrides every trial would fail on: PASS's window W = SI_min must be
     # >= 8 and divisible by 4, and MEF-GAA needs an RF chain
     dict(TINY_AUC, overrides=dict(TINY_AUC["overrides"], SI_min=10)),
@@ -85,6 +104,8 @@ def test_seed_report(tmp_path, capsys):
         "estimator-config-p_shrink", "estimator-config-p_shrink-zero",
         "estimator-config-p_shrink-tiny", "estimator-config-learn_noise",
         "estimator-config-sigma2_init_scale", "estimator-config-sigma2_floor",
+        "estimator-config-scalar_gamma", "estimator-config-armijo_shrink",
+        "estimator-config-armijo_slope", "estimator-config-max_backtracks",
         "pass-window-SI_min", "no-rf-chain"])
 def test_config_errors(tmp_path, capsys, doc):
     path = str(tmp_path / "missing.json") if doc is None else write_spec(tmp_path, doc)

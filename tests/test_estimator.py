@@ -64,13 +64,9 @@ INVALID_CONFIG_VALUES = {
     # can on Y = 0
     "p_shrink": (1.5, 0.0, 1e-10),
     "learn_p": ("yes",),
-    "scalar_gamma": (None,),
     "r_ite": (-1,),
     "delta2": (-1.0,),
     "support_fraction": (1.5,),
-    "armijo_shrink": (1.0,),
-    "armijo_slope": (-1e-4,),
-    "max_backtracks": (True,),
 }
 
 
@@ -83,8 +79,7 @@ def test_estimator_config_rejects_invalid_value(name):
 
 def test_every_estimator_config_field_is_checked():
     assert set(INVALID_CONFIG_VALUES) == set(EstimatorConfig.__dataclass_fields__)
-    EstimatorConfig(p_shrink=1.0, r_ite=0, support_fraction=1.0, delta1=0.0,
-                    max_backtracks=0)
+    EstimatorConfig(p_shrink=1.0, r_ite=0, support_fraction=1.0, delta1=0.0)
 
 
 class TestCodebook:
@@ -631,9 +626,10 @@ class TestPerColumn:
         # each column prunes its own blocks and stops on delta1 at its own
         # iteration, so the runs leave the batch at different steps
         phi, y = distinct_support_instance(n_sub)
-        cfg = EstimatorConfig(block_size=8, t_ite=300, scalar_gamma=scalar_gamma)
-        batched = absbl_per_column(y, phi, 0.01**2, cfg)
-        separate = [absbl_mmv(y[:, m:m + 1], phi, 0.01**2, cfg) for m in range(3)]
+        cfg = EstimatorConfig(block_size=8, t_ite=300)
+        batched = absbl_per_column(y, phi, 0.01**2, cfg, scalar_gamma=scalar_gamma)
+        joint = bsbl_baseline if scalar_gamma else absbl_mmv
+        separate = [joint(y[:, m:m + 1], phi, 0.01**2, cfg) for m in range(3)]
         assert_runs_match(batched, separate)
         states = batched[1]
         assert len({tuple(st.active) for st in states}) == 3
@@ -995,18 +991,18 @@ def offgrid_refine_recomputing(Y, Phi, codebook, x_on_grid, cfg):
         if slope > 0:
             accepted = False
             step = min(rho, 1.0)
-            for _ in range(cfg.max_backtracks):
+            for _ in range(mod._MAX_BACKTRACKS):
                 z_try = np.clip(z - step * direction, -1.0, 1.0)
                 f_try = float(np.linalg.norm(
                     Y - Phi @ atom_response(n_sub, z_try) @ x_s) ** 2)
-                if f_try <= f0 - cfg.armijo_slope * step * slope:
+                if f_try <= f0 - mod._ARMIJO_SLOPE * step * slope:
                     z = z_try
                     rho = step * 2.0
                     accepted = True
                     break
-                step *= cfg.armijo_shrink
+                step *= mod._ARMIJO_SHRINK
             if not accepted:
-                rho = max(rho * cfg.armijo_shrink, 1e-16)
+                rho = max(rho * mod._ARMIJO_SHRINK, 1e-16)
     a = Phi @ atom_response(n_sub, z)
     x_s, *_ = np.linalg.lstsq(a, Y, rcond=None)
     d_refined = codebook.D.copy()

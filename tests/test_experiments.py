@@ -15,13 +15,15 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snschan.config import SystemConfig
+from snschan.dhbf import InfeasiblePilotError
 from snschan.estimator import PosteriorState, dft_codebook
 from snschan import experiments, pipeline
 from snschan.experiments import ExperimentSpec, run_experiment, run_single_trial
@@ -140,7 +142,7 @@ def test_one_posterior_per_subarray_and_only_from_joint_fits():
 
 def test_learners_take_the_spec_estimator_config_unchanged(monkeypatch):
     # the learner each algorithm reaches gets the spec's config as it is;
-    # only conventional BSBL swaps in one variance per block
+    # conventional BSBL is chosen by the call, not by a changed config
     spec = ExperimentSpec(**dict(
         SPECS["nmse_vs_snr"],
         params={"estimator_config": {"t_ite": 3, "block_size": 4}}))
@@ -154,16 +156,16 @@ def test_learners_take_the_spec_estimator_config_unchanged(monkeypatch):
 
         def spy(*args, _real=real, **kwargs):
             bound = inspect.signature(_real).bind(*args, **kwargs)
-            received.append(bound.arguments.get("cfg"))
+            received.append((bound.arguments.get("cfg"),
+                             bound.arguments.get("scalar_gamma", False)))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, spy)
     for algo in pipeline._ALGORITHMS:
         received.clear()
         estimate_channel(meas, algo, spec.estimator_config)
-        expected = (None if algo == "ss_somp"
-                    else replace(spec.estimator_config, scalar_gamma=True)
-                    if algo == "ss_bsbl" else spec.estimator_config)
+        expected = (None if algo == "ss_somp" else spec.estimator_config,
+                    algo == "ss_bsbl")
         assert received == [expected], algo
 
 
@@ -228,6 +230,31 @@ def test_measure_scene_rejects_an_unknown_architecture():
     chan = generate_scenario(cfg, rng, ScenarioOptions.full_visibility())
     with pytest.raises(ValueError, match="architecture"):
         measure_scene(chan, cfg, rng, 10.0, architecture="fully-connected")
+
+
+@given(st.sampled_from(pipeline.ARCHITECTURES),
+       st.sampled_from(pipeline.SEGMENTATION_VARIANTS),
+       st.sampled_from([32, 48, 64, 100]), st.sampled_from([8, 16]),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+       st.sampled_from([8, 16, 32]), st.sampled_from([0.0, 0.5, 1.5]),
+       st.floats(-5.0, 25.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_every_observation_has_a_row_and_an_element(
+        architecture, variant, n, si_min, k, m, n_rf, p, t_d, snr_db, seed):
+    # the estimators and the bound take every observation as it comes:
+    # segmentations have no empty segment and every on-mode subarray gets
+    # a pilot row, or build_combiners raises
+    cfg = SystemConfig(N=n, SI_min=si_min, K=k, M=m, N_RF=n_rf, P=p)
+    rng = np.random.default_rng(seed)
+    chan = generate_scenario(cfg, rng, ScenarioOptions(t_d=t_d))
+    try:
+        meas = measure_scene(chan, cfg, rng, snr_db, architecture, variant)
+    except InfeasiblePilotError:
+        return
+    assert meas.observations
+    for obs in meas.observations:
+        assert obs.y.shape[0] >= 1 and obs.elements.size >= 1
+        assert obs.phi.shape == (obs.y.shape[0], obs.elements.size)
 
 
 def test_auc_detectors_are_timed_one_by_one():

@@ -65,6 +65,31 @@ class TestScenarioSampling:
         assert all(p.r == pytest.approx(17.5) for p in chan.paths)
 
 
+class TestScenarioOptions:
+    # every value is checked once, when the options are built, instead of
+    # running unchecked (p_init_visible, p_nonideal) or once per path
+    INVALID = {
+        "p_nonideal": (-1.0, 1.5, float("nan")),
+        "p_stay_visible": (-0.1, 1.1, float("nan")),
+        "p_stay_blocked": (-0.1, 1.1, float("nan")),
+        "p_init_visible": (-0.5, 1.5, float("nan")),
+        "power_threshold": (-0.1, 1.0, float("nan")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INVALID))
+    def test_rejects_out_of_range_value(self, name):
+        for value in self.INVALID[name]:
+            with pytest.raises(ValueError, match=f"^{name} must lie in"):
+                ScenarioOptions(**{name: value})
+
+    def test_accepts_the_range_ends(self):
+        for value in (0.0, 1.0):
+            ScenarioOptions(p_nonideal=value, p_stay_visible=value,
+                            p_stay_blocked=value, p_init_visible=value)
+        ScenarioOptions(p_init_visible=None, power_threshold=0.0)
+        ScenarioOptions(power_threshold=0.999)
+
+
 class TestSerialization:
     def _scenario(self, seed=0):
         cfg = SystemConfig(N=48, M=3, K=2, L=2, SI_min=8)
