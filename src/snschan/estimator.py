@@ -167,8 +167,6 @@ class PosteriorState:
 
     mu: np.ndarray                        # (N_sub, M) posterior mean
     gamma: list[np.ndarray]
-    p_blocks: list[np.ndarray]
-    sigma2: float
     active: list[int]
     iterations: int
     converged: bool
@@ -465,14 +463,13 @@ def _checked(Y: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_state(r: int, stacks: list[_BlockStack], mu: np.ndarray,
-               sigma2: float, iterations: int, converged: bool,
+               iterations: int, converged: bool,
                history: list[np.ndarray]) -> PosteriorState:
     """The posterior of run r after its last iteration."""
     return PosteriorState(
         mu=mu[r],
         gamma=[gam for s in stacks for gam in s.gamma[r]],
-        p_blocks=[p for s in stacks for p in s.p[r]],
-        sigma2=sigma2, iterations=iterations, converged=converged,
+        iterations=iterations, converged=converged,
         active=[int(s.first + g) for s in stacks
                 for g in np.flatnonzero(s.active[r])],
         history=history,
@@ -570,11 +567,10 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
                        < cfg.delta1) or not any(s.active[r].any() for s in stacks)
             history.append(mu[r])
             if stop[r]:
-                states[orig] = _run_state(r, stacks, mu, sigma2, it, True,
-                                          history)
+                states[orig] = _run_state(r, stacks, mu, it, True, history)
 
     for r in np.flatnonzero(~stop):
-        states[order[r]] = _run_state(r, stacks, mu, sigma2, it, False,
+        states[order[r]] = _run_state(r, stacks, mu, it, False,
                                       histories[order[r]])
     return states
 

@@ -77,29 +77,18 @@ def _scene(c: _Cell) -> ChannelRealization:
 
 
 def _nmse_rows(c: _Cell, chan: ChannelRealization, architecture: str) -> list[Record]:
-    """NMSE per estimator and the BCRB row, all on one measurement.
-
-    The bound reads the posteriors of the joint ABSBL fit that
-    ss_absbl_mmv or ss_og_absbl_mmv already made (both make the same
-    absbl_mmv call), so it comes last and fits its own only when neither
-    was requested.
-    """
+    """NMSE per estimator and the BCRB row, all on one measurement."""
     meas = measure_scene(chan, c.cfg, c.rng, c.params["snr_db"],
                          architecture=c.params.get("architecture", architecture))
     records = []
-    states = None
-    for algo in sorted(c.spec.algorithms, key=lambda a: a == "bcrb"):
+    for algo in c.spec.algorithms:
         t0 = time.perf_counter()
         if algo == "bcrb":
-            if states is None:
-                _, states = estimate_channel(meas, "ss_absbl_mmv", c.est_cfg)
-            records.append((algo, "nmse_bound", bcrb_nmse_bound(meas, states),
+            records.append((algo, "nmse_bound", bcrb_nmse_bound(meas),
                             _ms_since(t0)))
-            continue
-        h_hat, fit = estimate_channel(meas, algo, c.est_cfg)
-        if algo in ("ss_absbl_mmv", "ss_og_absbl_mmv"):
-            states = fit
-        records.append((algo, "nmse", nmse(h_hat, chan.H), _ms_since(t0)))
+        else:
+            h_hat, _ = estimate_channel(meas, algo, c.est_cfg)
+            records.append((algo, "nmse", nmse(h_hat, chan.H), _ms_since(t0)))
     return records
 
 

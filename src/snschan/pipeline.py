@@ -3,7 +3,6 @@ receive, decouple, estimate, score."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -125,8 +124,8 @@ class TrialMeasurement:
 
     def dictionary(self, k: int) -> tuple[Codebook, np.ndarray]:
         """Subarray k's DFT codebook and its sensing matrix Psi = Phi D,
-        built on first use and then shared by every algorithm and the bound
-        that read this measurement."""
+        built on first use and then shared by every algorithm and by the
+        genie-aided bound, which reads the codebook and Psi but no fit."""
         if k not in self._dictionaries:
             obs = self.observations[k]
             book = dft_codebook(obs.elements.size)
@@ -246,7 +245,7 @@ def estimate_channel(
 
     Also returns, per subarray, the posterior of the joint learner's single
     run (None for SOMP and the per-subcarrier learners), from which the
-    convergence trace and the BCRB are read.
+    convergence trace is read.
     """
     algo = _ALGORITHMS.get(algorithm)
     if algo is None:
@@ -260,24 +259,30 @@ def estimate_channel(
     return h_hat, states
 
 
-def bcrb_nmse_bound(meas: TrialMeasurement,
-                    states: list[PosteriorState | None]) -> float:
-    """BCRB on the NMSE: per-subarray bounds with the learned prior of the
-    joint learner's posteriors `states` (as `estimate_channel` returns them),
-    summed and normalized by the realized channel energy."""
+def bcrb_nmse_bound(meas: TrialMeasurement) -> float:
+    """Genie-aided BCRB on the NMSE of this measurement; it fits nothing.
+
+    Subarray k's true angular coefficients X_k = D^H H[elements_k] set its
+    prior V_k = diag(mean_m |X_k|^2): the per-atom variances a block-sparse
+    learner that knew its prior would hold. Each observed subarray adds M
+    times the trace of its posterior covariance under that prior
+    (`bcrb_bound`). Elements no subarray observes (pruned subarrays) add
+    their full energy ||H[e]||^2, since the BCRB of a coefficient no
+    measurement reaches is its prior variance, and D is unitary. The sum is
+    normalized by ||H||^2.
+
+    The prior is drawn from this realization, so the bound holds for the
+    mean NMSE over trials, not for every trial.
+    """
+    H = meas.chan.H
+    unobserved = np.ones(H.shape[0], dtype=bool)
     total = 0.0
-    for k, (obs, state) in enumerate(zip(meas.observations, states, strict=True)):
-        if state is None:
-            raise ValueError("the bound needs the joint learner's posterior")
-        _, psi = meas.dictionary(k)
-        v_s = np.zeros((obs.elements.size,) * 2, dtype=complex)
-        edges = np.cumsum([0] + [g.size for g in state.gamma])
-        for g, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            q = np.sqrt(np.maximum(state.gamma[g], 0.0))
-            v_s[a:b, a:b] = q[:, None] * state.p_blocks[g] * q[None, :]
-        # pruned blocks leave zero prior rows; bcrb_bound floors them
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            total += bcrb_bound(psi, v_s, state.sigma2, m_count=obs.y.shape[1])
-    denom = float(np.linalg.norm(meas.chan.H) ** 2)
+    for k, obs in enumerate(meas.observations):
+        book, psi = meas.dictionary(k)
+        x = book.D.conj().T @ H[obs.elements]
+        v_s = np.diag(np.mean(np.abs(x) ** 2, axis=1))
+        total += bcrb_bound(psi, v_s, meas.sigma2, m_count=H.shape[1])
+        unobserved[obs.elements] = False
+    total += float(np.sum(np.abs(H[unobserved]) ** 2))
+    denom = float(np.linalg.norm(H) ** 2)
     return total / denom if denom > 0 else float("nan")

@@ -49,13 +49,14 @@ class TestBcrbBound:
         b = bcrb_bound(q @ psi, v, 0.3)
         assert a == pytest.approx(b, rel=1e-10)
 
-    def test_singular_prior_floored_with_warning(self):
+    def test_zero_prior_variance_drops_the_column_exactly(self):
+        # a coefficient with zero prior variance is known: no floor, no
+        # warning, the bound of the remaining columns alone
         rng = np.random.default_rng(4)
         psi = crandn(rng, 10, 4)
         v = np.diag([1.0, 0.5, 0.0, 0.0]).astype(complex)
-        with pytest.warns(RuntimeWarning):
-            out = bcrb_bound(psi, v, 0.1)
-        assert np.isfinite(out) and out > 0
+        reduced = bcrb_bound(psi[:, :2], v[:2, :2], 0.1, m_count=3)
+        assert bcrb_bound(psi, v, 0.1, m_count=3) == pytest.approx(reduced, rel=1e-12)
 
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValueError):

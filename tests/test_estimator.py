@@ -590,7 +590,6 @@ class TestAbsblCore:
         _, st = absbl_mmv(y, phi, 0.05**2, EstimatorConfig(block_size=8))
         for g in st.active:
             assert st.gamma[g].shape == (8,)
-            assert st.p_blocks[g].shape == (8, 8)
 
 
 def distinct_support_instance(n_sub, seed=28, noise_std=0.01):
@@ -614,7 +613,6 @@ def assert_runs_match(batched, separate):
         assert mine.active == ref.active
         assert mine.iterations == ref.iterations
         assert mine.converged == ref.converged
-        assert mine.sigma2 == pytest.approx(ref.sigma2, rel=1e-12)
 
 
 class TestPerColumn:

@@ -132,12 +132,47 @@ def test_one_posterior_per_subarray_and_only_from_joint_fits():
     assert len(state.history) == state.iterations
     # the estimate is the last iterate of the history the trace reads
     np.testing.assert_array_equal(h_hat, dft_codebook(32).D @ state.history[-1])
-    assert np.isfinite(bcrb_nmse_bound(meas, states))
     for algo in ("ss_absbl", "ss_bsbl", "ss_somp"):
         _, none_states = estimate_channel(meas, algo)
         assert none_states == [None]
-        with pytest.raises(ValueError, match="posterior"):
-            bcrb_nmse_bound(meas, none_states)
+
+
+def test_the_bound_alone_fits_nothing(monkeypatch):
+    calls = []
+    for name in ("absbl_mmv", "absbl_per_column"):
+        monkeypatch.setattr(pipeline, name,
+                            lambda *a, _name=name, **k: calls.append(_name))
+    spec = ExperimentSpec(**SPECS["nmse_vs_distance_bcrb_only"])
+    table = run_experiment(spec, workers=1)
+    assert table.meta["trials_errored"] == 0
+    assert calls == []
+
+
+def _mean_by_sweep_and_algorithm(table) -> dict[tuple[float, str], float]:
+    assert table.meta["trials_errored"] == 0
+    return {(float(r["sweep_value"]), r["algorithm"]): r["mean"]
+            for r in table.rows}
+
+
+def test_bound_lies_below_every_estimators_mean_nmse():
+    # the genie-aided bound holds for the mean over trials, not per trial
+    algos = ["ss_absbl_mmv", "ss_absbl", "ss_bsbl", "ss_somp",
+             "ss_og_absbl_mmv", "bcrb"]
+    spec = ExperimentSpec(experiment="nmse_vs_distance", sweep=[3.0, 20.0],
+                          trials=6, seed=7, algorithms=algos)
+    means = _mean_by_sweep_and_algorithm(run_experiment(spec, workers=1))
+    for distance in (3.0, 20.0):
+        bound = means[distance, "bcrb"]
+        for algo in algos[:-1]:
+            assert bound <= means[distance, algo], (distance, algo)
+
+
+def test_mef_gaa_beats_random_allocation():
+    spec = ExperimentSpec(experiment="architecture_compare", sweep=[32],
+                          trials=10, seed=7,
+                          algorithms=["dhbf_mef_gaa", "dhbf_random"])
+    means = _mean_by_sweep_and_algorithm(run_experiment(spec, workers=1))
+    assert means[32.0, "dhbf_mef_gaa"] < means[32.0, "dhbf_random"]
 
 
 def test_learners_take_the_spec_estimator_config_unchanged(monkeypatch):
@@ -255,6 +290,12 @@ def test_every_observation_has_a_row_and_an_element(
     for obs in meas.observations:
         assert obs.y.shape[0] >= 1 and obs.elements.size >= 1
         assert obs.phi.shape == (obs.y.shape[0], obs.elements.size)
+    # D is unitary, so each observed subarray adds at most its energy and
+    # the elements no subarray observes add exactly theirs
+    observed = np.concatenate([obs.elements for obs in meas.observations])
+    unobserved = np.delete(chan.H, observed, axis=0)
+    floor = np.linalg.norm(unobserved) ** 2 / np.linalg.norm(chan.H) ** 2
+    assert floor < bcrb_nmse_bound(meas) <= 1
 
 
 def test_auc_detectors_are_timed_one_by_one():
