@@ -26,6 +26,14 @@ common, the joint posterior factorizes per subcarrier with one shared
 covariance; no MN x MN system is ever formed (this equals the naive
 Kronecker-structured computation, which the tests check).
 
+Each run stops on the change of its log marginal likelihood (the log
+evidence of Y) l = -M ln|K| - tr(Y^H K^-1 Y), without the constant
+-P M ln pi: once one iteration moves l by less than delta1 nats per
+observed scalar, |l_t - l_(t-1)| < delta1 P M, or once the run has pruned
+every block. The rule is scale-free: Y -> cY with sigma2 -> c^2 and the
+prior -> c^2 shifts l by -2 P M ln c and leaves its steps as they were.
+The E-step reads l from the Cholesky factor of K it already holds.
+
 The learner holds its blocks stacked, not one by one. Every block but the
 last has length block_size, so the blocks form at most two size groups:
 the full blocks and a shorter final block. Each group keeps gamma as
@@ -33,9 +41,9 @@ the full blocks and a shorter final block. Each group keeps gamma as
 independent runs that share Psi: one run for the joint learner
 (`absbl_mmv`), one run per column of Y for the per-subcarrier learners
 (`absbl_per_column`), which the same loop fits in one call. The runs share
-sigma2; each has its own pruning cut and delta1 stop, and a run that stops
-keeps its last iterate while the others go on. Groups are not padded to
-one length, because the pooled variance, the log-det constraint and the
+sigma2; each has its own pruning cut and objective stop, and a run that
+stops keeps its last iterate while the others go on. Groups are not padded
+to one length, because the pooled variance, the log-det constraint and the
 shrinkage of P read the true U; the gamma and P steps take each group's
 active (run, block) pairs as one stack. Each E-step builds every run's K
 with one batched product over the columns active in some run (a block a
@@ -48,10 +56,10 @@ The E-step keeps its operands block-major: each fit copies Psi^T once
 are one contiguous (U, P) slab. The block products Psi_g C_g run on those
 slabs and land in rows of the same layout, K reads those rows as a
 transposed GEMM operand without a copy back to (P, N), and LAPACK's
-triangular solve (trtrs, called directly) overwrites each run's rows in
-place. Every product has the bits of its column-major form; the block
-products keep the Psi_g C_g orientation because BLAS rounds C_g^T Psi_g^T
-differently for some block lengths.
+triangular solve (trtrs, called directly like the Cholesky factor potrf)
+overwrites each run's rows in place. Every product has the bits of its
+column-major form; the block products keep the Psi_g C_g orientation
+because BLAS rounds C_g^T Psi_g^T differently for some block lengths.
 
 SOMP (`somp_baseline`) keeps its residual orthogonal to the support by
 projecting out each new atom's component off the span of the atoms before
@@ -65,11 +73,11 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg as sla
 from scipy.linalg.lapack import get_lapack_funcs
 
-# complex triangular solve, called directly: the E-step makes two per run
-_trtrs, = get_lapack_funcs(("trtrs",), (np.zeros(1, dtype=complex),))
+# complex Cholesky factor and triangular solve, called directly: the E-step
+# makes one factor and two solves per run
+_potrf, _trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.zeros(1, dtype=complex),))
 _SIGMA2_FLOOR = 1e-12   # keeps K = sigma2 I + Psi C Psi^H PD at sigma2 = 0
 _ARMIJO_SHRINK = 0.5    # off-grid line search: step shrink per backtrack,
 _ARMIJO_SLOPE = 1e-4    # sufficient-decrease slope
@@ -120,7 +128,9 @@ class EstimatorConfig:
     # blocks span much of the grid and handicap every block learner
     block_size: int = 8
     t_ite: int = 30
-    delta1: float = 1e-6
+    # stop once the log marginal likelihood changes by less than delta1 nats
+    # per observed scalar (P M of them) in one iteration; 0 runs all t_ite
+    delta1: float = 3e-3
     prune_threshold: float = 1e-3     # relative to the running max mean diag(Q)
     p_shrink: float = 0.9             # identity shrinkage of P, in [1e-6, 1]
     learn_p: bool = True              # False freezes P_g at identity
@@ -171,6 +181,8 @@ class PosteriorState:
     iterations: int
     converged: bool
     history: list[np.ndarray] = field(default_factory=list)  # mu per iteration
+    # log marginal likelihood -M ln|K| - tr(Y^H K^-1 Y) of each E-step
+    objective: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -255,7 +267,7 @@ def _active_atoms(psi_rows: np.ndarray, stacks: list[_BlockStack],
 
 def _posterior(
     Y: np.ndarray, atoms: _Atoms, stacks: list[_BlockStack], sigma2: float,
-) -> list[_Part]:
+) -> tuple[list[_Part], np.ndarray]:
     """E-step of every run (Y is (R, P, M)) with its shared covariance K_r.
 
     K_r = sigma2 I + sum_g Psi_g C_rg Psi_g^H is one batched product over
@@ -271,7 +283,12 @@ def _posterior(
     Fortran-ordered view of its run's rows. The results are bit-identical
     to the column-major products.
 
-    Returns one part per stack with an active block.
+    The factors also give each run's log marginal likelihood (up to the
+    constant -P M ln pi) l_r = -M ln|K_r| - ||L_r^-1 Y_r||_F^2: one sum of
+    log-diagonals and one squared norm. A ridged run takes ln|K_r| from
+    slogdet and tr(Y_r^H K_r^-1 Y_r) from its solve.
+
+    Returns one part per stack with an active block, and l (R,).
     """
     r_count, p_eff, m_count = Y.shape
     n_act = atoms.rows.shape[0]
@@ -306,22 +323,27 @@ def _posterior(
     w_rows = np.empty((r_count, n_act, p_eff), dtype=complex)
     w_rows[:] = atoms.rows
     y_rows = np.array(Y.swapaxes(-1, -2), order="C")
+    objective = np.empty(r_count)
     ridged = []
     for r, k_r in enumerate(k_mat):
-        try:
-            chol = sla.cholesky(k_r, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        chol, info = _potrf(k_r, lower=1, clean=1)
+        if info:
             # ridge fallback for a numerically singular posterior system; the
             # products below then pair Psi with K^-1 Psi instead of W with W
             k_r += (1e-12 * np.trace(k_r).real / p_eff) * np.eye(p_eff)
             w_rows[r] = np.linalg.solve(k_r, atoms.rows.T).T
             y_rows[r] = np.linalg.solve(k_r, Y[r]).T
+            log_det = np.linalg.slogdet(k_r)[1]
+            quad = np.vdot(Y[r].T, y_rows[r]).real           # tr Y^H K^-1 Y
             ridged.append(r)
         else:
             for rhs in (w_rows[r].T, y_rows[r].T):
                 _, info = _trtrs(chol, rhs, lower=1, overwrite_b=1)
                 if info:
                     raise np.linalg.LinAlgError("singular Cholesky factor")
+            log_det = 2.0 * np.log(chol.diagonal().real).sum()
+            quad = np.vdot(y_rows[r], y_rows[r]).real        # ||L^-1 Y||_F^2
+        objective[r] = -m_count * log_det - quad
     left_h = w_rows.conj()
     if ridged:
         left_h[ridged] = atoms.rows_conj
@@ -337,7 +359,7 @@ def _posterior(
         sig_g *= 0.5
         run, pos = np.nonzero(act)
         parts.append(_Part(s, run, idx[pos], mu_g[act], sig_g[act]))
-    return parts
+    return parts, objective
 
 
 def _inverse_weighted(r_bar: np.ndarray, p_g: np.ndarray) -> np.ndarray:
@@ -463,8 +485,8 @@ def _checked(Y: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_state(r: int, stacks: list[_BlockStack], mu: np.ndarray,
-               iterations: int, converged: bool,
-               history: list[np.ndarray]) -> PosteriorState:
+               iterations: int, converged: bool, history: list[np.ndarray],
+               objective: list[float]) -> PosteriorState:
     """The posterior of run r after its last iteration."""
     return PosteriorState(
         mu=mu[r],
@@ -472,7 +494,7 @@ def _run_state(r: int, stacks: list[_BlockStack], mu: np.ndarray,
         iterations=iterations, converged=converged,
         active=[int(s.first + g) for s in stacks
                 for g in np.flatnonzero(s.active[r])],
-        history=history,
+        history=history, objective=objective,
     )
 
 
@@ -482,11 +504,11 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
     share Psi and sigma2, fitted in one batched EM loop; see `absbl_mmv`.
     scalar_gamma makes every run conventional BSBL (see `bsbl_baseline`).
 
-    Each run has its own hyperparameters, pruning scale and delta1 stop. A
-    run that stops leaves the stacks, so every step works only on the runs
+    Each run has its own hyperparameters, pruning scale and objective stop.
+    A run that stops leaves the stacks, so every step works only on the runs
     still going.
     """
-    r_count, _, m_count = Y.shape
+    r_count, p_eff, m_count = Y.shape
     n_sub = Psi.shape[1]
     sigma2 = max(float(sigma2), _SIGMA2_FLOOR)
     stacks = _block_stacks(n_sub, cfg.block_size, r_count)
@@ -494,6 +516,9 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
     states: list[PosteriorState | None] = [None] * r_count
     order = np.arange(r_count)           # the original index of each run
     histories: list[list[np.ndarray]] = [[] for _ in range(r_count)]
+    objectives: list[list[float]] = [[] for _ in range(r_count)]
+    # the stop's tolerance on the objective's change, in nats
+    tol = cfg.delta1 * p_eff * m_count
     running_max_q = np.zeros(r_count)
     mu = np.zeros((r_count, n_sub, m_count), dtype=complex)
     stop = np.zeros(r_count, dtype=bool)     # runs that stopped this step
@@ -511,7 +536,7 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
             for s in stacks:
                 s.keep_runs(keep)
         atoms = _active_atoms(psi_rows, stacks, atoms)
-        parts = _posterior(Y, atoms, stacks, sigma2)
+        parts, objective = _posterior(Y, atoms, stacks, sigma2)
         mu = np.zeros((order.size, n_sub, m_count), dtype=complex)
         r_bars = []
         for part in parts:
@@ -561,17 +586,19 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
                 part.stack.rows(mu)[part.run[drop], part.block[drop]] = 0.0
 
         for r, orig in enumerate(order):
-            history = histories[orig]
-            denom = np.linalg.norm(history[-1]) if history else 0.0
-            stop[r] = (denom > 0 and np.linalg.norm(mu[r] - history[-1]) / denom
-                       < cfg.delta1) or not any(s.active[r].any() for s in stacks)
-            history.append(mu[r])
+            obj = objectives[orig]
+            obj.append(float(objective[r]))
+            flat = len(obj) > 1 and abs(obj[-1] - obj[-2]) < tol
+            stop[r] = flat or not any(s.active[r].any() for s in stacks)
+            histories[orig].append(mu[r])
             if stop[r]:
-                states[orig] = _run_state(r, stacks, mu, it, True, history)
+                states[orig] = _run_state(r, stacks, mu, it, True,
+                                          histories[orig], obj)
 
     for r in np.flatnonzero(~stop):
-        states[order[r]] = _run_state(r, stacks, mu, it, False,
-                                      histories[order[r]])
+        orig = order[r]
+        states[orig] = _run_state(r, stacks, mu, it, False, histories[orig],
+                                  objectives[orig])
     return states
 
 
@@ -588,9 +615,11 @@ def absbl_mmv(
     Each iteration computes the per-subcarrier posterior with the current
     prior, then updates gamma and P (which rescales gamma per entry, see
     `update_p_alm`) with sigma2 held fixed, and finally prunes blocks whose
-    mean diag(Q) has fallen below the relative threshold. Stops on T_ite or
-    when the posterior mean moves less than delta1 in relative Frobenius
-    norm.
+    mean diag(Q) has fallen below the relative threshold. Stops after t_ite
+    iterations, once every block is pruned, or when the log marginal
+    likelihood -M ln|K| - tr(Y^H K^-1 Y) of the E-step changes by less than
+    delta1 nats per observed scalar (delta1 P M in all); delta1 = 0 runs
+    every iteration. The state's objective logs it per iteration.
     """
     Y, Psi = _checked(Y, Psi)
     cfg = EstimatorConfig() if cfg is None else cfg

@@ -105,8 +105,9 @@ def _distance_cell(c: _Cell) -> list[Record]:
 
 
 def _convergence_cell(c: _Cell) -> list[Record]:
-    """NMSE of the full-array iterate after each EM iteration; subarrays
-    that stop early hold their final estimate in later iterations."""
+    """NMSE of the full-array iterate after each EM iteration of the budget
+    t_ite; subarrays that stop early hold their final estimate in later
+    iterations, so every trial reports every iteration."""
     chan = _scene(c)
     meas = measure_scene(chan, c.cfg, c.rng, c.params["snr_db"])
     records = []
@@ -118,7 +119,7 @@ def _convergence_cell(c: _Cell) -> list[Record]:
                 if state is not None]
         n_iter = max((len(hist) for _, _, hist in fits), default=0)
         traces = []
-        for t in range(n_iter):
+        for t in range(c.est_cfg.t_ite if fits else 0):
             h_hat = np.zeros_like(chan.H)
             for elements, d, hist in fits:
                 h_hat[elements] = d @ hist[min(t, len(hist) - 1)]

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -391,9 +393,9 @@ class TestAbsblCore:
         orig = mod._posterior
 
         def spy(*args):
-            parts = orig(*args)
+            parts, objective = orig(*args)
             sigmas.extend(sig for part in parts for sig in part.sigma)
-            return parts
+            return parts, objective
 
         monkeypatch.setattr(mod, "_posterior", spy)
         _, st = absbl_mmv(y, phi, 0.1**2, EstimatorConfig(block_size=8))
@@ -415,7 +417,9 @@ class TestAbsblCore:
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(mod, "update_gamma", spy)
-        _, st = absbl_mmv(y, phi, 0.05**2, EstimatorConfig(block_size=8, t_ite=300))
+        # delta1 = 0: the M-step's behaviour over the whole budget, not the stop
+        _, st = absbl_mmv(y, phi, 0.05**2,
+                          EstimatorConfig(block_size=8, t_ite=300, delta1=0.0))
         assert len(counts) == st.iterations
         assert all(b <= a for a, b in zip(counts, counts[1:]))
         assert counts[-1] == len(st.active)
@@ -466,17 +470,18 @@ class TestAbsblCore:
                 covs[g][r] = np.zeros_like(covs[g][r])
         cholesky_calls = []
         if fail_cholesky:
-            real_cholesky = sla.cholesky
+            real_potrf = mod._potrf
 
-            def fail_once(*args, **kwargs):
+            def fail_once(a, **kwargs):
                 cholesky_calls.append(1)
                 if len(cholesky_calls) == 1:
-                    raise np.linalg.LinAlgError("forced")
-                return real_cholesky(*args, **kwargs)
+                    return np.zeros_like(a), 1       # "not positive definite"
+                return real_potrf(a, **kwargs)
 
-            monkeypatch.setattr(sla, "cholesky", fail_once)
+            monkeypatch.setattr(mod, "_potrf", fail_once)
 
-        parts = mod._posterior(y, mod._active_atoms(psi.T, stacks), stacks, sigma2)
+        parts, objective = mod._posterior(y, mod._active_atoms(psi.T, stacks),
+                                          stacks, sigma2)
         assert len(cholesky_calls) == (n_runs if fail_cholesky else 0)
         mu_structured = np.zeros((n_runs, n_sub, m_count), complex)
         sig_structured = [{} for _ in range(n_runs)]
@@ -503,6 +508,11 @@ class TestAbsblCore:
 
             np.testing.assert_allclose(mu_structured[r].flatten(), mu_big,
                                        atol=1e-10)
+            # the log marginal likelihood -ln|K| - y^H K^-1 y (without the
+            # constant), which the ridged run reads from its ridged K
+            dense = -(np.linalg.slogdet(k_big)[1]
+                      + np.vdot(y_big, np.linalg.solve(k_big, y_big)).real)
+            np.testing.assert_allclose(objective[r], dense, rtol=1e-10)
             for g in active:
                 idx = np.arange(blocks[g].start * m_count, blocks[g].stop * m_count)
                 np.testing.assert_allclose(
@@ -528,7 +538,7 @@ class TestAbsblCore:
         if pruned:
             stacks[0].active[:, 1] = False         # out of the union
             stacks[0].active[0, 2] = False         # pruned by run 0 only
-        parts = mod._posterior(
+        parts, _ = mod._posterior(
             y, mod._active_atoms(np.ascontiguousarray(psi.T), stacks), stacks,
             sigma2)
 
@@ -567,12 +577,14 @@ class TestAbsblCore:
     def test_longer_runs_prune_empty_blocks_not_absorb_noise(self):
         # untied per-entry variances let a few noise-level entries hold an
         # empty block open; running longer then fits noise and gets worse
+        # (delta1 = 0: the budget, not the stop, ends both runs)
         nmse_30, nmse_300 = [], []
         for phi, x, y in diverse_block_instances(20, 0.05):
             x30, _ = absbl_mmv(y, phi, 0.05**2,
-                               EstimatorConfig(block_size=8, t_ite=30))
+                               EstimatorConfig(block_size=8, t_ite=30, delta1=0.0))
             x300, st = absbl_mmv(y, phi, 0.05**2,
-                                 EstimatorConfig(block_size=8, t_ite=300))
+                                 EstimatorConfig(block_size=8, t_ite=300,
+                                                 delta1=0.0))
             nmse_30.append(nmse(x30, x))
             nmse_300.append(nmse(x300, x))
             assert 1 in st.active
@@ -633,20 +645,39 @@ class TestPerColumn:
         assert len({tuple(st.active) for st in states}) == 3
         assert all(len(st.active) < len(st.gamma) for st in states)
         assert len({st.iterations for st in states}) == 3
+        if scalar_gamma:
+            # BSBL's P step rescales the pooled gamma, which is not an EM
+            # step: run 0 settles into a 2-cycle whose objective alternates
+            # by more than the stop's tolerance while its estimate settles
+            cycling, states = states[0], states[1:]
+            tol = cfg.delta1 * y.shape[0]
+            obj = np.array(cycling.objective[-20:])
+            assert not cycling.converged and cycling.iterations == cfg.t_ite
+            assert np.all(np.abs(np.diff(obj)) > tol)
+            assert np.all(np.abs(obj[2:] - obj[:-2]) < 1e-3 * tol)
+            mu = cycling.history
+            assert np.linalg.norm(mu[-1] - mu[-3]) < 1e-9 * np.linalg.norm(mu[-1])
         assert all(st.converged for st in states)
 
     def test_empty_column_prunes_every_block_alone(self):
-        # an empty column prunes every block and stops at its own step
+        # an empty column stops at its own step with the zero estimate: on
+        # its flat objective by default, and with delta1 = 0 once it has
+        # pruned every block, while the other columns run the whole budget
         phi, y = distinct_support_instance(32)
         y[:, 1] = 0.0
-        cfg = EstimatorConfig(block_size=8, t_ite=300)
-        batched = absbl_per_column(y, phi, 0.01**2, cfg)
-        separate = [absbl_mmv(y[:, m:m + 1], phi, 0.01**2, cfg) for m in range(3)]
-        assert_runs_match(batched, separate)
-        states = batched[1]
-        assert states[1].active == [] and states[1].converged
-        assert np.all(batched[0][:, 1] == 0)
-        assert len({st.iterations for st in states}) == 3
+        for delta1 in (EstimatorConfig.delta1, 0.0):
+            cfg = EstimatorConfig(block_size=8, t_ite=300, delta1=delta1)
+            batched = absbl_per_column(y, phi, 0.01**2, cfg)
+            separate = [absbl_mmv(y[:, m:m + 1], phi, 0.01**2, cfg)
+                        for m in range(3)]
+            assert_runs_match(batched, separate)
+            states = batched[1]
+            assert states[1].converged
+            assert np.all(batched[0][:, 1] == 0)
+            if delta1:
+                assert len({st.iterations for st in states}) == 3
+        assert states[1].active == [] and states[1].iterations < cfg.t_ite
+        assert [st.iterations for st in states[::2]] == [cfg.t_ite] * 2
 
     def test_ridge_fallback_stays_in_its_run(self, monkeypatch):
         # K's Cholesky factor fails for run 1 only; that run alone takes the
@@ -654,26 +685,26 @@ class TestPerColumn:
         # batched loop factors the runs in order 0, 1, 2
         phi, y = distinct_support_instance(32, seed=30)
         cfg = EstimatorConfig(block_size=8, t_ite=8)
-        real_cholesky = sla.cholesky
+        real_potrf = mod._potrf
         calls = []
 
-        def fail_run_1(*args, **kwargs):
+        def fail_run_1(a, **kwargs):
             calls.append(1)
             if len(calls) % 3 == 2:
-                raise np.linalg.LinAlgError("forced")
-            return real_cholesky(*args, **kwargs)
+                return np.zeros_like(a), 1       # "not positive definite"
+            return real_potrf(a, **kwargs)
 
-        def fail_always(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced")
+        def fail_always(a, **kwargs):
+            return np.zeros_like(a), 1
 
         with monkeypatch.context() as patch:
-            patch.setattr(sla, "cholesky", fail_run_1)
+            patch.setattr(mod, "_potrf", fail_run_1)
             batched = absbl_per_column(y, phi, 0.01**2, cfg)
         separate = []
         for m in range(3):
             with monkeypatch.context() as patch:
                 if m == 1:
-                    patch.setattr(sla, "cholesky", fail_always)
+                    patch.setattr(mod, "_potrf", fail_always)
                 separate.append(absbl_mmv(y[:, m:m + 1], phi, 0.01**2, cfg))
         assert [st.iterations for st in batched[1]] == [8, 8, 8]
         assert len(calls) == 3 * 8
@@ -690,6 +721,114 @@ class TestPerColumn:
         alone, _ = absbl_per_column(y[:, :1], phi, 0.01**2, cfg)
         np.testing.assert_allclose(both[:, :1], alone, rtol=1e-12,
                                    atol=1e-12 * np.abs(alone).max())
+
+
+def kronecker_log_likelihood(psi, y, sigma2, stacks, r):
+    """-ln|K| - y^H K^-1 y of run r (without the constant) from the naive
+    PM x PM system K = sigma2 I + (Psi (x) I_M) blockdiag(C_g (x) I_M)
+    (Psi (x) I_M)^H, y = vec(Y^T); a block the run has pruned has C_g = 0."""
+    p_eff, m_count = y.shape
+    n_sub = psi.shape[1]
+    v_big = np.zeros((n_sub * m_count, n_sub * m_count), complex)
+    for s in stacks:
+        u = s.gamma.shape[-1]
+        for g in np.flatnonzero(s.active[r]):
+            c = mod._prior_cov(s.gamma[r, g], s.p[r, g])
+            idx = np.arange((s.start + g * u) * m_count,
+                            (s.start + (g + 1) * u) * m_count)
+            v_big[np.ix_(idx, idx)] = np.kron(c, np.eye(m_count))
+    psi_big = np.kron(psi, np.eye(m_count))
+    k_big = sigma2 * np.eye(p_eff * m_count) + psi_big @ v_big @ psi_big.conj().T
+    y_big = y.flatten()
+    return -(np.linalg.slogdet(k_big)[1]
+             + np.vdot(y_big, np.linalg.solve(k_big, y_big)).real)
+
+
+class TestObjectiveStop:
+    """Each run stops when its log marginal likelihood changes by less than
+    delta1 nats per observed scalar."""
+
+    @pytest.mark.parametrize("learner", ["absbl_mmv", "bsbl_baseline",
+                                         "absbl_per_column"])
+    def test_logged_objective_is_final_e_steps_likelihood(self, monkeypatch,
+                                                          learner):
+        # the prior each E-step reads, copied as it enters _posterior; the
+        # last copy of a run is the prior of its final E-step
+        phi, y = distinct_support_instance(32)
+        sigma2 = 0.01**2
+        priors = []
+        orig = mod._posterior
+
+        def spy(y_runs, atoms, stacks, s2):
+            priors.append(([copy.deepcopy(s) for s in stacks], y_runs.copy()))
+            return orig(y_runs, atoms, stacks, s2)
+
+        monkeypatch.setattr(mod, "_posterior", spy)
+        cfg = EstimatorConfig(block_size=8)
+        _, states = getattr(mod, learner)(y, phi, sigma2, cfg)
+        states = states if isinstance(states, list) else [states]
+        columns = ([y[:, m:m + 1] for m in range(3)] if len(states) > 1 else [y])
+        for st, y_run in zip(states, columns, strict=True):
+            # the E-steps whose batch held this run (no two runs share Y)
+            steps = [(stacks, r) for stacks, y_runs in priors
+                     for r, y_r in enumerate(y_runs) if np.array_equal(y_r, y_run)]
+            assert len(st.objective) == len(steps) == st.iterations
+            stacks, r = steps[-1]
+            want = kronecker_log_likelihood(phi, y_run, sigma2, stacks, r)
+            np.testing.assert_allclose(st.objective[-1], want, rtol=1e-10)
+
+    def test_stop_rule_is_change_per_observation(self):
+        # the stop fires at the first iteration whose objective changed by
+        # less than delta1 P M, and delta1 = 0 runs the whole budget
+        phi, _, y = next(diverse_block_instances(1, 0.05))
+        _, st = absbl_mmv(y, phi, 0.05**2, EstimatorConfig(block_size=8))
+        steps = np.abs(np.diff(st.objective))
+        tol = EstimatorConfig.delta1 * y.size
+        assert st.converged and st.iterations < EstimatorConfig.t_ite
+        assert steps[-1] < tol and np.all(steps[:-1] >= tol)
+        _, full = absbl_mmv(y, phi, 0.05**2, EstimatorConfig(block_size=8,
+                                                             delta1=0.0))
+        assert not full.converged and full.iterations == EstimatorConfig.t_ite
+        assert full.objective[:st.iterations] == st.objective
+
+    @pytest.mark.parametrize("c", [1e-3, 1e3])
+    def test_stop_is_scale_free(self, monkeypatch, c):
+        # Y -> cY, sigma2 -> c^2 sigma2 and a start at gamma = c^2 scale every
+        # iterate's prior by c^2 and shift its objective by -2 P M ln c, so
+        # the objective's steps, and with them the stop, do not change. (The
+        # learners start at gamma = 1, so without the scaled start the runs
+        # themselves differ.)
+        phi, y = distinct_support_instance(32)
+        phi_diverse, _, y_diverse = next(diverse_block_instances(1, 0.05))
+        cases = [(absbl_mmv, phi_diverse, y_diverse, 0.05**2),
+                 (bsbl_baseline, phi_diverse, y_diverse, 0.05**2),
+                 (absbl_per_column, phi, y, 0.01**2)]
+        cfg = EstimatorConfig(block_size=8, t_ite=300)
+        unscaled_start = mod._block_stacks
+
+        def scaled_start(*args):
+            stacks = unscaled_start(*args)
+            for s in stacks:
+                s.gamma *= c**2
+            return stacks
+
+        for learner, psi, obs, sigma2 in cases:
+            x_ref, ref = learner(obs, psi, sigma2, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(mod, "_block_stacks", scaled_start)
+                x_c, scaled = learner(c * obs, psi, c**2 * sigma2, cfg)
+            ref = ref if isinstance(ref, list) else [ref]
+            scaled = scaled if isinstance(scaled, list) else [scaled]
+            for mine, want in zip(scaled, ref, strict=True):
+                assert want.converged and want.iterations < cfg.t_ite
+                assert (mine.iterations, mine.converged) == (want.iterations,
+                                                             want.converged)
+                shift = -2.0 * obs.shape[0] * want.mu.shape[1] * np.log(c)
+                np.testing.assert_allclose(mine.objective,
+                                           np.add(want.objective, shift),
+                                           rtol=1e-9)
+            np.testing.assert_allclose(x_c, c * x_ref, rtol=1e-9,
+                                       atol=1e-9 * c * np.abs(x_ref).max())
 
 
 class TestBsblBaseline:

@@ -148,6 +148,19 @@ def test_the_bound_alone_fits_nothing(monkeypatch):
     assert calls == []
 
 
+def test_convergence_trace_covers_every_trial_to_the_budget():
+    # fits that stop early hold their estimate, so each iteration's mean
+    # is over every trial, not over the trials still running
+    spec = ExperimentSpec(**SPECS["convergence"])
+    table = run_experiment(spec, workers=1)
+    assert table.meta["trials_errored"] == 0
+    rows = table.rows
+    assert [r["metric"] for r in rows] == [
+        f"nmse_iter_{t:03d}" for t in range(1, spec.estimator_config.t_ite + 1)]
+    assert all(r["trials"] == spec.trials for r in rows)
+    assert rows[-1]["mean"] == rows[-2]["mean"]      # every fit has stopped
+
+
 def _mean_by_sweep_and_algorithm(table) -> dict[tuple[float, str], float]:
     assert table.meta["trials_errored"] == 0
     return {(float(r["sweep_value"]), r["algorithm"]): r["mean"]
