@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -18,6 +18,9 @@ class SystemConfig:
     (1-based) sits at offset ``delta_n * d`` along the array axis with
     ``delta_n = (2n - N - 1) / 2``, so the array is symmetric about the
     reference point at its geometric center.
+
+    The config holds no seed: every random stream of an experiment derives
+    from its spec's seed alone (`ExperimentSpec.seed_sequence`).
     """
 
     N: int = 256                 # antenna elements at the BS
@@ -31,7 +34,6 @@ class SystemConfig:
     N_RF: int = 4                # RF chains
     P: int = 32                  # pilot symbols
     SI_min: int = 32             # minimum stationary-interval length [elements]
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.N < 2:
@@ -83,15 +85,15 @@ class SystemConfig:
         return (self.N - 1) * self.d
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N, "M": self.M, "K": self.K, "L": self.L,
-            "fc": self.fc, "B": self.B, "d": self.d, "c": self.c,
-            "N_RF": self.N_RF, "P": self.P, "SI_min": self.SI_min,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
+        """The config a to_dict document describes; a key that is not a
+        field (such as the retired seed) is a ValueError."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
         return cls(**data)
 
 

@@ -132,7 +132,9 @@ class EstimatorConfig:
     # per observed scalar (P M of them) in one iteration; 0 runs all t_ite
     delta1: float = 3e-3
     prune_threshold: float = 1e-3     # relative to the running max mean diag(Q)
-    p_shrink: float = 0.9             # identity shrinkage of P, in [1e-6, 1]
+    # identity shrinkage of P, in [1e-6, 1]; the bound narrows, but does
+    # not end, the P step's Cholesky failures on zero or tiny Y
+    p_shrink: float = 0.9
     learn_p: bool = True              # False freezes P_g at identity
     # off-grid module
     r_ite: int = 50
@@ -163,7 +165,9 @@ _CONFIG_RULES = (
     (("r_ite",), lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     (("delta1", "prune_threshold", "delta2"),
      lambda v: _is_real(v) and v >= 0, "a number >= 0"),
-    # below 1e-6, rounding can break the P step's Cholesky factor on Y = 0
+    # below 1e-6, rounding breaks the P step's Cholesky factor on Y = 0 for
+    # most Psi; at 1e-6 it still breaks for some Psi on zero or tiny Y
+    # (ROADMAP item 4 owns the fix)
     (("p_shrink",), lambda v: _is_real(v) and 1e-6 <= v <= 1, "a number in [1e-6, 1]"),
     (("support_fraction",), lambda v: _is_real(v) and 0 <= v <= 1,
      "a number in [0, 1]"),
@@ -782,8 +786,6 @@ def offgrid_refine(
     if energy.max() == 0:
         return codebook, x_on_grid.copy(), codebook.D @ x_on_grid
     support = np.flatnonzero(energy >= cfg.support_fraction * energy.max())
-    if support.size == 0:
-        return codebook, x_on_grid.copy(), codebook.D @ x_on_grid
     if support.size > Phi.shape[0]:
         order = np.argsort(energy[support])[::-1]
         support = np.sort(support[order[: Phi.shape[0]]])

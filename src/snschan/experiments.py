@@ -6,10 +6,16 @@ regardless of worker count or completion order. results.csv is the canonical
 deterministic artifact: its runtime_ms column is zero unless timing is
 explicitly enabled, since wall-clock values would break byte-level
 reproducibility; measured runtimes always go to results.json and meta.json.
+
+Each registered experiment names its kind (`_Kind`): the cell it runs, the
+rows (algorithms, detectors or variants) a spec may request of it, and the
+params keys the cell reads. The names of estimators, architectures,
+segmentation variants and detectors come from their tables in pipeline.py.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -17,9 +23,9 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -31,8 +37,7 @@ from .estimator import EstimatorConfig, nmse
 from .pipeline import (
     ARCHITECTURES,
     DETECTORS,
-    ON_GRID_ALGORITHMS,
-    OFF_GRID_ALGORITHMS,
+    ESTIMATORS,
     SEGMENTATION_VARIANTS,
     bcrb_nmse_bound,
     estimate_channel,
@@ -171,86 +176,78 @@ def _auc_cell(c: _Cell) -> list[Record]:
     return records
 
 
-@dataclass
-class ExperimentDef:
-    sweep_param: str
-    default_sweep: tuple
-    algorithms: tuple[str, ...]
-    allowed: tuple[str, ...]
-    overrides: dict
-    params: dict
+class _Kind(NamedTuple):
+    """What an experiment's cell computes: the cell, the rows a spec may
+    request of it, and the params keys it reads. A spec may set any of
+    those keys but the swept one, which the sweep value replaces."""
+
     cell: Callable[[_Cell], list[Record]]
-    # the params keys the cell reads; a spec may set any of them but the
-    # swept one, which the sweep value replaces
+    allowed: tuple[str, ...]
     reads: tuple[str, ...]
 
 
-_NMSE_ALGOS = ON_GRID_ALGORITHMS + OFF_GRID_ALGORITHMS
-_DETECTORS = tuple(DETECTORS)
+_VARIANT_READS = ("snr_db", "t_d", "estimator", "estimator_config")
+_NMSE = _Kind(_nmse_cell, ESTIMATORS, ("snr_db", "t_d", "architecture",
+                                       "estimator_config"))
+_DISTANCE = _Kind(_distance_cell, ESTIMATORS + ("bcrb",),
+                  ("distance_m", "snr_db", "architecture", "estimator_config"))
+_CONVERGENCE = _Kind(_convergence_cell, ("ss_absbl_mmv",),
+                     ("snr_db", "t_d", "estimator_config"))
+_AUC = _Kind(_auc_cell, tuple(DETECTORS), ("snr_db", "t_d"))
+_ARCHITECTURE = _Kind(_architecture_cell, ARCHITECTURES, _VARIANT_READS)
+_ABLATION = _Kind(_ablation_cell, SEGMENTATION_VARIANTS, _VARIANT_READS)
+
+
+@dataclass
+class ExperimentDef:
+    """One registered experiment: its sweep, its kind, the overrides and
+    params its specs start from, and the rows they request by default
+    (every row the kind allows, when empty)."""
+
+    sweep_param: str
+    default_sweep: tuple
+    kind: _Kind
+    overrides: dict
+    params: dict
+    algorithms: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        self.algorithms = self.algorithms or self.kind.allowed
+
+
 _DESK = {"N": 256, "M": 5, "K": 3, "L": 3, "SI_min": 32, "N_RF": 4, "P": 32}
 _SEG_SCENE = {"N": 512, "M": 5, "K": 6, "L": 3, "SI_min": 64, "N_RF": 4, "P": 32}
-
-# the params keys each cell reads
-_NMSE_READS = ("snr_db", "t_d", "architecture", "estimator_config")
-_VARIANT_READS = ("snr_db", "t_d", "estimator", "estimator_config")
-_AUC_READS = ("snr_db", "t_d")
+_DESK_ESTIMATORS = ("ss_absbl_mmv", "ss_absbl", "ss_bsbl", "ss_somp")
 
 EXPERIMENTS: dict[str, ExperimentDef] = {
     "nmse_vs_snr": ExperimentDef(
-        "snr_db", (0.0, 5.0, 10.0, 15.0, 20.0),
-        ("ss_absbl_mmv", "ss_absbl", "ss_bsbl", "ss_somp"), _NMSE_ALGOS,
-        dict(_DESK), {"t_d": 1.0}, _nmse_cell, _NMSE_READS,
-    ),
+        "snr_db", (0.0, 5.0, 10.0, 15.0, 20.0), _NMSE, dict(_DESK),
+        {"t_d": 1.0}, _DESK_ESTIMATORS),
     "nmse_vs_pilots": ExperimentDef(
-        "P", (16, 32, 64),
-        ("ss_absbl_mmv", "ss_absbl", "ss_bsbl", "ss_somp"), _NMSE_ALGOS,
-        dict(_DESK), {"snr_db": 10.0, "t_d": 1.0}, _nmse_cell, _NMSE_READS,
-    ),
+        "P", (16, 32, 64), _NMSE, dict(_DESK), {"snr_db": 10.0, "t_d": 1.0},
+        _DESK_ESTIMATORS),
     "nmse_vs_paths": ExperimentDef(
-        "L", (2, 4, 6, 8, 10),
-        ("ss_absbl_mmv", "ss_absbl", "ss_somp"), _NMSE_ALGOS,
-        dict(_DESK, P=64), {"snr_db": 15.0, "t_d": 1.0}, _nmse_cell, _NMSE_READS,
-    ),
+        "L", (2, 4, 6, 8, 10), _NMSE, dict(_DESK, P=64),
+        {"snr_db": 15.0, "t_d": 1.0}, ("ss_absbl_mmv", "ss_absbl", "ss_somp")),
     "nmse_vs_distance": ExperimentDef(
-        "distance_m", (1.5, 3.0, 6.0, 10.0, 20.0, 31.5),
-        ("ss_absbl_mmv", "ss_absbl", "ss_somp", "bcrb"),
-        _NMSE_ALGOS + ("bcrb",),
-        dict(_DESK, N=128, K=1, P=20), {"snr_db": 10.0}, _distance_cell,
-        ("distance_m", "snr_db", "architecture", "estimator_config"),
-    ),
+        "distance_m", (1.5, 3.0, 6.0, 10.0, 20.0, 31.5), _DISTANCE,
+        dict(_DESK, N=128, K=1, P=20), {"snr_db": 10.0},
+        ("ss_absbl_mmv", "ss_absbl", "ss_somp", "bcrb")),
     "convergence": ExperimentDef(
-        "snr_db", (10.0, 15.0),
-        ("ss_absbl_mmv",), ("ss_absbl_mmv",),
-        dict(_DESK, P=40), {"t_d": 1.0}, _convergence_cell,
-        ("snr_db", "t_d", "estimator_config"),
-    ),
+        "snr_db", (10.0, 15.0), _CONVERGENCE, dict(_DESK, P=40), {"t_d": 1.0}),
     "auc_vs_snr": ExperimentDef(
-        "snr_db", (-5.0, 0.0, 5.0, 10.0, 15.0),
-        _DETECTORS, _DETECTORS, dict(_SEG_SCENE), {"t_d": 1.5}, _auc_cell,
-        _AUC_READS,
-    ),
+        "snr_db", (-5.0, 0.0, 5.0, 10.0, 15.0), _AUC, dict(_SEG_SCENE),
+        {"t_d": 1.5}),
     "auc_vs_K": ExperimentDef(
-        "K", (2, 4, 6, 8),
-        _DETECTORS, _DETECTORS, dict(_SEG_SCENE), {"snr_db": 5.0, "t_d": 1.5},
-        _auc_cell, _AUC_READS,
-    ),
+        "K", (2, 4, 6, 8), _AUC, dict(_SEG_SCENE), {"snr_db": 5.0, "t_d": 1.5}),
     "auc_vs_td": ExperimentDef(
-        "t_d", (0.5, 1.0, 1.5, 2.0),
-        _DETECTORS, _DETECTORS, dict(_SEG_SCENE), {"snr_db": 5.0}, _auc_cell,
-        _AUC_READS,
-    ),
+        "t_d", (0.5, 1.0, 1.5, 2.0), _AUC, dict(_SEG_SCENE), {"snr_db": 5.0}),
     "architecture_compare": ExperimentDef(
-        "P", (16, 32),
-        ARCHITECTURES, ARCHITECTURES,
-        dict(_DESK), {"snr_db": 10.0, "estimator": "ss_absbl_mmv", "t_d": 1.0},
-        _architecture_cell, _VARIANT_READS,
-    ),
+        "P", (16, 32), _ARCHITECTURE, dict(_DESK),
+        {"snr_db": 10.0, "estimator": "ss_absbl_mmv", "t_d": 1.0}),
     "segmentation_ablation": ExperimentDef(
-        "snr_db", (10.0,),
-        SEGMENTATION_VARIANTS, SEGMENTATION_VARIANTS,
-        dict(_DESK), {"estimator": "ss_absbl_mmv", "t_d": 1.0}, _ablation_cell,
-        _VARIANT_READS,
-    ),
+        "snr_db", (10.0,), _ABLATION, dict(_DESK),
+        {"estimator": "ss_absbl_mmv", "t_d": 1.0}),
 }
 
 
@@ -259,12 +256,12 @@ def _check_params(params: dict, exp: ExperimentDef) -> EstimatorConfig:
     which the sweep value replaces), an architecture or estimator no cell
     knows, and an estimator_config with an unknown key or an invalid value;
     returns the estimator config."""
-    accepted = [key for key in exp.reads if key != exp.sweep_param]
+    accepted = [key for key in exp.kind.reads if key != exp.sweep_param]
     unread = sorted(set(params) - set(accepted))
     if unread:
         raise ConfigError(f"params {unread} are not read by this experiment; "
                           f"accepted: {accepted}")
-    for key, known in (("architecture", ARCHITECTURES), ("estimator", _NMSE_ALGOS)):
+    for key, known in (("architecture", ARCHITECTURES), ("estimator", ESTIMATORS)):
         if key in params and params[key] not in known:
             raise ConfigError(f"unknown {key} {params[key]!r}; known: {list(known)}")
     try:
@@ -295,38 +292,26 @@ class ExperimentSpec:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"known: {sorted(EXPERIMENTS)}")
         exp = EXPERIMENTS[self.experiment]
-        if not self.sweep:
-            self.sweep = list(exp.default_sweep)
-        if not self.algorithms:
-            self.algorithms = list(exp.algorithms)
+        self.sweep = self.sweep or list(exp.default_sweep)
+        self.algorithms = self.algorithms or list(exp.algorithms)
         if type(self.trials) is not int or self.trials < 1:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
-        unknown = [a for a in self.algorithms if a not in exp.allowed]
+        unknown = [a for a in self.algorithms if a not in exp.kind.allowed]
         if unknown:
             raise ConfigError(f"algorithms {unknown} not valid for "
-                              f"{self.experiment}; allowed: {list(exp.allowed)}")
-        merged_params = dict(exp.params)
-        merged_params.update(self.params)
-        self.params = merged_params
+                              f"{self.experiment}; allowed: {list(exp.kind.allowed)}")
+        self.params = {**exp.params, **self.params}
         self.estimator_config = _check_params(self.params, exp)
-        merged_over = dict(exp.overrides)
-        merged_over.update(self.overrides)
-        self.overrides = merged_over
+        self.overrides = {**exp.overrides, **self.overrides}
         self.configs = [_build_config(self, v) for v in self.sweep]
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment, "sweep": list(self.sweep),
-            "trials": self.trials, "algorithms": list(self.algorithms),
-            "overrides": dict(self.overrides), "params": dict(self.params),
-            "seed": self.seed,
-        }
+        """The spec document: every init field, copied."""
+        return {name: copy.copy(getattr(self, name)) for name in _SPEC_FIELDS}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentSpec":
-        known = {"experiment", "sweep", "trials", "algorithms", "overrides",
-                 "params", "seed"}
-        extra = set(doc) - known
+        extra = set(doc) - set(_SPEC_FIELDS)
         if extra:
             raise ConfigError(f"unknown spec fields: {sorted(extra)}")
         if "experiment" not in doc:
@@ -338,10 +323,18 @@ class ExperimentSpec:
                            separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
+    def seed_sequence(self, sweep_idx: int, trial: int) -> np.random.SeedSequence:
+        """The seed of one cell's stream: the spec seed, spawn key
+        (sweep_idx, trial)."""
+        return np.random.SeedSequence(entropy=self.seed,
+                                      spawn_key=(sweep_idx, trial))
+
     def child_rng(self, sweep_idx: int, trial: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed,
-                                    spawn_key=(sweep_idx, trial))
-        return np.random.default_rng(ss)
+        return np.random.default_rng(self.seed_sequence(sweep_idx, trial))
+
+
+# the spec document's fields
+_SPEC_FIELDS = tuple(f.name for f in fields(ExperimentSpec) if f.init)
 
 
 @dataclass
@@ -396,13 +389,12 @@ def _fmt(v) -> str:
 def _build_config(spec: ExperimentSpec, sweep_value) -> SystemConfig:
     """The sweep point's config. PASS segments with W = SI_min wherever it
     runs, so SI_min must satisfy PASS's window rule."""
-    fields = dict(spec.overrides)
+    values = dict(spec.overrides)
     exp = EXPERIMENTS[spec.experiment]
     if exp.sweep_param in SystemConfig.__dataclass_fields__:
-        fields[exp.sweep_param] = sweep_value
-    fields.setdefault("seed", spec.seed)
+        values[exp.sweep_param] = sweep_value
     try:
-        cfg = SystemConfig(**fields)
+        cfg = SystemConfig(**values)
         check_window(cfg.SI_min)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"sweep value {sweep_value!r}: {err}") from err
@@ -417,9 +409,9 @@ def run_single_trial(spec: ExperimentSpec, sweep_idx: int,
     params = dict(spec.params)
     if exp.sweep_param not in SystemConfig.__dataclass_fields__:
         params[exp.sweep_param] = float(spec.sweep[sweep_idx])
-    return exp.cell(_Cell(spec, params, spec.configs[sweep_idx],
-                          spec.child_rng(sweep_idx, trial),
-                          spec.estimator_config))
+    return exp.kind.cell(_Cell(spec, params, spec.configs[sweep_idx],
+                               spec.child_rng(sweep_idx, trial),
+                               spec.estimator_config))
 
 
 def _trial_worker(spec: ExperimentSpec, sweep_idx: int, trial: int):
@@ -526,10 +518,9 @@ def seed_report(spec: ExperimentSpec) -> list[dict]:
     out = []
     for i, v in enumerate(spec.sweep):
         for t in range(spec.trials):
-            ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(i, t))
             out.append({
                 "sweep_value": v, "trial": t,
                 "spawn_key": [i, t],
-                "state_word": int(ss.generate_state(1)[0]),
+                "state_word": int(spec.seed_sequence(i, t).generate_state(1)[0]),
             })
     return out

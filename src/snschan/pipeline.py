@@ -38,6 +38,14 @@ from .segmentation import (
     rfem_segment,
 )
 
+
+def lookup(table: dict, what: str, name: str):
+    """table[name], or a ValueError that lists the known names."""
+    if name not in table:
+        raise ValueError(f"unknown {what} {name!r}; known: {list(table)}")
+    return table[name]
+
+
 # architecture -> RF-chain allocation strategy; None: one fully connected array
 _ALLOCATION: dict[str, str | None] = {
     "dhbf_mef_gaa": "mef_gaa",
@@ -80,34 +88,24 @@ def _quartered(truth: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([truth, (truth[:-1, None] + quarters.astype(int)).ravel()])
 
 
-# fixed segmentation variant -> its candidate breakpoints from (truth, N)
-_FIXED_SPLITS: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
-    "oracle": lambda truth, n: truth,
-    "equal4": lambda truth, n: np.linspace(0, n, 5).round().astype(int) + 1,
-    "under": lambda truth, n: truth[2:-1:2],   # every other interior point
-    "over": _quartered,
+def _fixed(split: Callable[[np.ndarray, int], np.ndarray]) -> Callable:
+    """A variant that cuts the array at split(truth, N), whatever the profile."""
+    return lambda profile, chan, cfg: from_breakpoints(
+        split(chan.truth_breakpoints, cfg.N), cfg.N)
+
+
+# segmentation variant -> segmentation from (profile, chan, cfg). pass: the
+# detector's output; oracle: the ground-truth breakpoints; equal4: a uniform
+# 4-way split; under: oracle with every other interior point dropped; over:
+# oracle with each segment quartered.
+_SEGMENTATIONS: dict[str, Callable[..., SegmentationResult]] = {
+    "pass": lambda profile, chan, cfg: pass_segment(profile, cfg.SI_min),
+    "oracle": _fixed(lambda truth, n: truth),
+    "equal4": _fixed(lambda truth, n: np.linspace(0, n, 5).round().astype(int) + 1),
+    "under": _fixed(lambda truth, n: truth[2:-1:2]),
+    "over": _fixed(_quartered),
 }
-SEGMENTATION_VARIANTS = ("pass", *_FIXED_SPLITS)
-
-
-def segment_scene(
-    profile: np.ndarray,
-    chan: ChannelRealization,
-    cfg: SystemConfig,
-    variant: str = "pass",
-) -> SegmentationResult:
-    """Segmentation under one of the ablation variants.
-
-    pass: detector output; oracle: ground-truth breakpoints; equal4: uniform
-    4-way split; under: oracle with every other interior point dropped;
-    over: oracle with each segment quartered.
-    """
-    if variant == "pass":
-        return pass_segment(profile, cfg.SI_min)
-    split = _FIXED_SPLITS.get(variant)
-    if split is None:
-        raise ValueError(f"unknown segmentation variant {variant!r}")
-    return from_breakpoints(split(chan.truth_breakpoints, cfg.N), cfg.N)
+SEGMENTATION_VARIANTS = tuple(_SEGMENTATIONS)
 
 
 @dataclass
@@ -143,9 +141,8 @@ def measure_scene(
     profile: np.ndarray | None = None,
 ) -> TrialMeasurement:
     """Run power measurement, segmentation, allocation, reception, decoupling."""
-    if architecture not in _ALLOCATION:
-        raise ValueError(f"unknown architecture {architecture!r}")
-    strategy = _ALLOCATION[architecture]
+    strategy = lookup(_ALLOCATION, "architecture", architecture)
+    segment = lookup(_SEGMENTATIONS, "segmentation variant", seg_variant)
     sigma2 = measurement_noise_variance(chan.H, snr_db)
     if strategy is None:
         seg = from_breakpoints([], cfg.N)
@@ -153,7 +150,7 @@ def measure_scene(
     else:
         if profile is None:
             profile = measure_power(chan, rng, snr_db)
-        seg = segment_scene(profile, chan, cfg, seg_variant)
+        seg = segment(profile, chan, cfg)
         # twice the power-profile noise floor, capped so the strongest
         # subarray always survives at low SNR
         strongest = max(float(np.mean(profile[e])) for e in seg.subarrays)
@@ -211,8 +208,7 @@ _ALGORITHMS: dict[str, _Algorithm] = {
     "ss_og_absbl_mmv": _Algorithm(_absbl, off_grid=True),
     "ss_og_absbl": _Algorithm(_absbl_per_subcarrier, off_grid=True),
 }
-ON_GRID_ALGORITHMS = tuple(a for a, spec in _ALGORITHMS.items() if not spec.off_grid)
-OFF_GRID_ALGORITHMS = tuple(a for a, spec in _ALGORITHMS.items() if spec.off_grid)
+ESTIMATORS = tuple(_ALGORITHMS)
 
 
 def _estimate_subarray(
@@ -247,9 +243,7 @@ def estimate_channel(
     run (None for SOMP and the per-subcarrier learners), from which the
     convergence trace is read.
     """
-    algo = _ALGORITHMS.get(algorithm)
-    if algo is None:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    algo = lookup(_ALGORITHMS, "algorithm", algorithm)
     h_hat = np.zeros_like(meas.chan.H)
     states = []
     for k, obs in enumerate(meas.observations):

@@ -98,6 +98,8 @@ def test_seed_report(tmp_path, capsys):
     # >= 8 and divisible by 4, and MEF-GAA needs an RF chain
     dict(TINY_AUC, overrides=dict(TINY_AUC["overrides"], SI_min=10)),
     dict(TINY_NMSE, overrides=dict(TINY_NMSE["overrides"], N_RF=0)),
+    # the spec's seed is the only seed; the config has none to override
+    dict(TINY_AUC, overrides=dict(TINY_AUC["overrides"], seed=1)),
 ], ids=["unreadable", "unknown-experiment", "unknown-algorithm", "string-trials",
         "unknown-architecture", "unknown-estimator", "unknown-estimator-config",
         "estimator-config-block_size", "estimator-config-t_ite",
@@ -106,7 +108,7 @@ def test_seed_report(tmp_path, capsys):
         "estimator-config-sigma2_init_scale", "estimator-config-sigma2_floor",
         "estimator-config-scalar_gamma", "estimator-config-armijo_shrink",
         "estimator-config-armijo_slope", "estimator-config-max_backtracks",
-        "pass-window-SI_min", "no-rf-chain"])
+        "pass-window-SI_min", "no-rf-chain", "config-seed"])
 def test_config_errors(tmp_path, capsys, doc):
     path = str(tmp_path / "missing.json") if doc is None else write_spec(tmp_path, doc)
     assert cli.main(["validate", path]) == cli.EXIT_CONFIG

@@ -353,6 +353,22 @@ class TestAbsblCore:
         assert np.all(absbl_mmv(y, phi, 0.0, cfg)[0] == 0)
         assert np.all(absbl_per_column(y, phi, 0.0, cfg)[0] == 0)
 
+    @pytest.mark.xfail(strict=True, raises=mod.EstimatorDivergenceError,
+                       reason="the P step's Cholesky factor can still fail at "
+                              "p_shrink = 1e-6 (ROADMAP item 4)")
+    def test_smallest_p_shrink_fits_every_observation(self):
+        # the [1e-6, 1] rule narrows the P step's failure but does not end
+        # it: both learners still raise on these Psi, on zero or tiny Y
+        cfg = EstimatorConfig(p_shrink=1e-6)
+        rng = np.random.default_rng(16)
+        crandn(rng, 12, 3)
+        phi = crandn(rng, 12, 20)
+        for sigma2 in (0.0, 1e-12):
+            absbl_per_column(np.zeros((12, 3), dtype=complex), phi, sigma2, cfg)
+        phi = crandn(np.random.default_rng(17), 12, 20)
+        y = 1e-8 * crandn(np.random.default_rng(17), 12, 3)
+        absbl_mmv(y, phi, 0.0, cfg)
+
     def test_noiseless_block_sparse_recovery(self):
         rng = np.random.default_rng(8)
         n, u = 64, 8

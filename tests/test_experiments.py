@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from snschan.config import SystemConfig
 from snschan.dhbf import InfeasiblePilotError
-from snschan.estimator import PosteriorState, dft_codebook
+from snschan.estimator import PosteriorState, dft_codebook, nmse
 from snschan import experiments, pipeline
 from snschan.experiments import ExperimentSpec, run_experiment, run_single_trial
 from snschan.pipeline import bcrb_nmse_bound, estimate_channel, measure_scene
@@ -251,11 +251,11 @@ def test_each_experiment_names_the_params_its_cell_reads(monkeypatch, name):
         return real_estimate(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "estimate_channel", spy)
-    exp.cell(experiments._Cell(spec, params, spec.configs[0],
-                               spec.child_rng(0, 0),
-                               spec.estimator_config))
+    exp.kind.cell(experiments._Cell(spec, params, spec.configs[0],
+                                    spec.child_rng(0, 0),
+                                    spec.estimator_config))
     read = params.read | ({"estimator_config"} if estimated else set())
-    assert read == set(exp.reads)
+    assert read == set(exp.kind.reads)
 
 
 @pytest.mark.parametrize("name", ["K", "L", "N_RF", "P"])
@@ -271,34 +271,62 @@ def test_spec_builds_every_sweep_config_at_load():
         ExperimentSpec(**dict(SPECS["nmse_vs_pilots"], sweep=[16, 0]))
 
 
-def test_measure_scene_rejects_an_unknown_architecture():
-    # a misspelt architecture must not fall through to DHBF MEF-GAA
+@pytest.mark.parametrize("what,known,call", [
+    ("architecture", pipeline.ARCHITECTURES,
+     lambda chan, cfg, rng: measure_scene(chan, cfg, rng, 10.0,
+                                          architecture="fully-connected")),
+    ("segmentation variant", pipeline.SEGMENTATION_VARIANTS,
+     lambda chan, cfg, rng: measure_scene(chan, cfg, rng, 10.0,
+                                          seg_variant="oracel")),
+    ("algorithm", pipeline.ESTIMATORS,
+     lambda chan, cfg, rng: estimate_channel(
+         measure_scene(chan, cfg, rng, 10.0), "ss_absbl_mm")),
+], ids=["architecture", "segmentation-variant", "algorithm"])
+def test_measure_scene_rejects_an_unknown_architecture(what, known, call):
+    # a misspelt name must not fall through to a default, and the error
+    # lists the names that would have been accepted
     cfg = SystemConfig(N=32, SI_min=8, K=1, P=16)
     rng = np.random.default_rng(0)
     chan = generate_scenario(cfg, rng, ScenarioOptions.full_visibility())
-    with pytest.raises(ValueError, match="architecture"):
-        measure_scene(chan, cfg, rng, 10.0, architecture="fully-connected")
+    with pytest.raises(ValueError, match=f"unknown {what} ") as err:
+        call(chan, cfg, rng)
+    assert str(list(known)) in str(err.value)
 
 
-@given(st.sampled_from(pipeline.ARCHITECTURES),
-       st.sampled_from(pipeline.SEGMENTATION_VARIANTS),
-       st.sampled_from([32, 48, 64, 100]), st.sampled_from([8, 16]),
-       st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
-       st.sampled_from([8, 16, 32]), st.sampled_from([0.0, 0.5, 1.5]),
-       st.floats(-5.0, 25.0), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_every_observation_has_a_row_and_an_element(
-        architecture, variant, n, si_min, k, m, n_rf, p, t_d, snr_db, seed):
-    # the estimators and the bound take every observation as it comes:
-    # segmentations have no empty segment and every on-mode subarray gets
-    # a pilot row, or build_combiners raises
+def _scenes(sizes: list[int]):
+    """The arguments of _measured: any architecture and segmentation
+    variant, N from sizes and small K, M, N_RF and P."""
+    return st.tuples(
+        st.sampled_from(pipeline.ARCHITECTURES),
+        st.sampled_from(pipeline.SEGMENTATION_VARIANTS),
+        st.sampled_from(sizes), st.sampled_from([8, 16]),
+        st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+        st.sampled_from([8, 16, 32]), st.sampled_from([0.0, 0.5, 1.5]),
+        st.floats(-5.0, 25.0), st.integers(0, 2**32 - 1))
+
+
+def _measured(architecture, variant, n, si_min, k, m, n_rf, p, t_d, snr_db, seed):
+    """One drawn scene and its measurement, or None when its pilots cannot
+    reach every on-mode subarray."""
     cfg = SystemConfig(N=n, SI_min=si_min, K=k, M=m, N_RF=n_rf, P=p)
     rng = np.random.default_rng(seed)
     chan = generate_scenario(cfg, rng, ScenarioOptions(t_d=t_d))
     try:
-        meas = measure_scene(chan, cfg, rng, snr_db, architecture, variant)
+        return chan, measure_scene(chan, cfg, rng, snr_db, architecture, variant)
     except InfeasiblePilotError:
+        return None
+
+
+@given(_scenes([32, 48, 64, 100]))
+@settings(max_examples=60, deadline=None)
+def test_every_observation_has_a_row_and_an_element(scene):
+    # the estimators and the bound take every observation as it comes:
+    # segmentations have no empty segment and every on-mode subarray gets
+    # a pilot row, or build_combiners raises
+    measured = _measured(*scene)
+    if measured is None:
         return
+    chan, meas = measured
     assert meas.observations
     for obs in meas.observations:
         assert obs.y.shape[0] >= 1 and obs.elements.size >= 1
@@ -309,6 +337,20 @@ def test_every_observation_has_a_row_and_an_element(
     unobserved = np.delete(chan.H, observed, axis=0)
     floor = np.linalg.norm(unobserved) ** 2 / np.linalg.norm(chan.H) ** 2
     assert floor < bcrb_nmse_bound(meas) <= 1
+
+
+@given(_scenes([32, 48, 64]))
+@settings(max_examples=20, deadline=None)
+def test_every_estimator_gives_a_finite_nmse(scene):
+    # kept apart from the property above with fewer examples: running every
+    # estimator costs ~0.25 s a scene
+    measured = _measured(*scene)
+    if measured is None:
+        return
+    chan, meas = measured
+    for algo in pipeline.ESTIMATORS:
+        h_hat, _ = estimate_channel(meas, algo)
+        assert np.isfinite(nmse(h_hat, chan.H)), algo
 
 
 def test_auc_detectors_are_timed_one_by_one():

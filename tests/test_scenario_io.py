@@ -141,7 +141,7 @@ class TestSerialization:
             assert b.mask.s.tobytes() == a.mask.s.tobytes()
             assert b.mask.support.tobytes() == a.mask.support.tobytes()
 
-    @pytest.mark.parametrize("tamper", ["truth", "mask"])
+    @pytest.mark.parametrize("tamper", ["truth", "mask", "seed"])
     def test_tampered_document_is_rejected(self, tamper):
         cfg, chan = self._scenario(4)
         doc = json.loads(json.dumps(scenario_to_dict(cfg, chan)))
@@ -149,6 +149,10 @@ class TestSerialization:
             # a breakpoint the masks do not give must not overwrite theirs
             doc["truth_breakpoints"].insert(1, 2)
             match = "truth_breakpoints"
+        elif tamper == "seed":
+            # documents written while the config carried a seed
+            doc["config"]["seed"] = 0
+            match = "unknown config keys \\['seed'\\]"
         else:
             # a path without a mask must not be filled in with a default one
             doc["paths"][0]["mask_s"] = None
