@@ -26,13 +26,22 @@ common, the joint posterior factorizes per subcarrier with one shared
 covariance; no MN x MN system is ever formed (this equals the naive
 Kronecker-structured computation, which the tests check).
 
+Each run starts at its own data's scale: every per-entry variance of run r
+starts at gamma0_r = ||Y_r||_F^2 / (M ||Psi||_F^2), and every P_g at I. That
+is the one variance which, put on every atom, explains the observed energy
+per snapshot: its unit is that of |Y|^2 per unit of |Psi|^2. A run whose
+Y_r is all zero (or whose energy underflows) starts at gamma0 = 0 with every
+block pruned, so it stops at its first iteration with the zero estimate.
+
 Each run stops on the change of its log marginal likelihood (the log
 evidence of Y) l = -M ln|K| - tr(Y^H K^-1 Y), without the constant
 -P M ln pi: once one iteration moves l by less than delta1 nats per
 observed scalar, |l_t - l_(t-1)| < delta1 P M, or once the run has pruned
-every block. The rule is scale-free: Y -> cY with sigma2 -> c^2 and the
-prior -> c^2 shifts l by -2 P M ln c and leaves its steps as they were.
-The E-step reads l from the Cholesky factor of K it already holds.
+every block. The fit is scale-equivariant: Y -> cY with sigma2 -> c^2 sigma2
+(both sigma2 above the 1e-12 floor) scales the start, and with it every
+iterate's prior, by c^2 and shifts l by -2 P M ln c, so the run takes the
+same steps, stops at the same iteration and returns c times its estimate. The E-step reads l from the Cholesky
+factor of K it already holds.
 
 The learner holds its blocks stacked, not one by one. Every block but the
 last has length block_size, so the blocks form at most two size groups:
@@ -121,7 +130,9 @@ class EstimatorConfig:
     Neither the BSBL switch (the entry point's choice) nor the weight of the
     per-entry variances' hyperprior is a field. The weight is the snapshot
     count M of the run (see `update_gamma`), so the block's pooled variance
-    weighs as much as each entry's own statistics.
+    weighs as much as each entry's own statistics. Nor is the start: every
+    run starts at its data's scale, gamma0 = ||Y||_F^2 / (M ||Psi||_F^2) on
+    every entry (0, with every block pruned, for an all-zero Y), and P = I.
     """
 
     # 8 bins per block: at desk-scale subarray sizes (tens of atoms) larger
@@ -132,8 +143,7 @@ class EstimatorConfig:
     # per observed scalar (P M of them) in one iteration; 0 runs all t_ite
     delta1: float = 3e-3
     prune_threshold: float = 1e-3     # relative to the running max mean diag(Q)
-    # identity shrinkage of P, in [1e-6, 1]; the bound narrows, but does
-    # not end, the P step's Cholesky failures on zero or tiny Y
+    # identity shrinkage of P, in [1e-6, 1] (see _CONFIG_RULES)
     p_shrink: float = 0.9
     learn_p: bool = True              # False freezes P_g at identity
     # off-grid module
@@ -165,9 +175,11 @@ _CONFIG_RULES = (
     (("r_ite",), lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     (("delta1", "prune_threshold", "delta2"),
      lambda v: _is_real(v) and v >= 0, "a number >= 0"),
-    # below 1e-6, rounding breaks the P step's Cholesky factor on Y = 0 for
-    # most Psi; at 1e-6 it still breaks for some Psi on zero or tiny Y
-    # (ROADMAP item 4 owns the fix)
+    # s = 0 can leave a block's shrunk statistics singular; the lower bound
+    # keeps the shrink term s tr/U well above the rounding in the posterior
+    # covariance. With the data-scale start a zero Y never reaches the P
+    # step, and zero or tiny Y fits at 1e-6 (and at 1e-10) for every Psi
+    # probed
     (("p_shrink",), lambda v: _is_real(v) and 1e-6 <= v <= 1, "a number in [1e-6, 1]"),
     (("support_fraction",), lambda v: _is_real(v) and 0 <= v <= 1,
      "a number in [0, 1]"),
@@ -216,15 +228,16 @@ class _BlockStack:
             self.gamma[keep], self.p[keep], self.active[keep])
 
 
-def _block_stacks(n_sub: int, u: int, n_runs: int = 1) -> list[_BlockStack]:
+def _block_stacks(n_sub: int, u: int, gamma0: np.ndarray) -> list[_BlockStack]:
     """Contiguous blocks of length u, the final one possibly shorter, grouped
-    by length, with gamma = 1, P = I and every block active in every run."""
+    by length, with every entry of run r at gamma0[r] (R,), P = I, and every
+    block of run r active unless gamma0[r] = 0."""
     full, rest = divmod(n_sub, u)
     return [
         _BlockStack(first=first, start=first * u,
-                    gamma=np.ones((n_runs, count, length)),
-                    p=np.tile(np.eye(length, dtype=complex), (n_runs, count, 1, 1)),
-                    active=np.ones((n_runs, count), dtype=bool))
+                    gamma=np.tile(gamma0[:, None, None], (1, count, length)),
+                    p=np.tile(np.eye(length, dtype=complex), (gamma0.size, count, 1, 1)),
+                    active=np.tile((gamma0 > 0)[:, None], (1, count)))
         for first, count, length in ((0, full, u), (full, 1, rest))
         if count and length
     ]
@@ -472,8 +485,10 @@ def update_p_alm(
     u_vec = np.repeat([float(d.shape[-1]) for d in diags], sizes)
     run = (np.zeros(ld.size, dtype=int) if runs is None
            else np.concatenate([np.ravel(r) for r in runs]))
-    bar = np.bincount(run, weights=ld) / np.bincount(run, weights=u_vec)
-    dens = np.split(m_count * np.exp(ld / u_vec - bar[run]), np.cumsum(sizes)[:-1])
+    # each block's run mean, read per block: a run with no block here is
+    # never divided
+    bar = np.bincount(run, weights=ld)[run] / np.bincount(run, weights=u_vec)[run]
+    dens = np.split(m_count * np.exp(ld / u_vec - bar), np.cumsum(sizes)[:-1])
     return ps, [(d / den[:, None]).reshape(np.shape(gam))
                 for d, den, gam in zip(diags, dens, gammas)]
 
@@ -509,13 +524,23 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
     scalar_gamma makes every run conventional BSBL (see `bsbl_baseline`).
 
     Each run has its own hyperparameters, pruning scale and objective stop.
+    Run r starts with every per-entry variance at its data's scale,
+    gamma0_r = ||Y_r||_F^2 / (M ||Psi||_F^2) (the unit of |Y|^2 per unit of
+    |Psi|^2), and P = I; a run with gamma0_r = 0 (an all-zero Y_r) starts
+    with every block pruned and stops at its first iteration with mu = 0.
     A run that stops leaves the stacks, so every step works only on the runs
     still going.
     """
     r_count, p_eff, m_count = Y.shape
     n_sub = Psi.shape[1]
     sigma2 = max(float(sigma2), _SIGMA2_FLOOR)
-    stacks = _block_stacks(n_sub, cfg.block_size, r_count)
+    # the data-scale start: per snapshot, a prior of variance gamma0 on every
+    # entry puts gamma0 ||Psi||_F^2 into ||Y_r||_F^2 / M. A zero Psi sees
+    # nothing, so its runs start pruned like those of a zero Y
+    psi_energy = m_count * np.vdot(Psi, Psi).real
+    y_energy = np.einsum("rpm,rpm->r", Y.conj(), Y).real
+    gamma0 = y_energy / psi_energy if psi_energy > 0 else np.zeros(r_count)
+    stacks = _block_stacks(n_sub, cfg.block_size, gamma0)
 
     states: list[PosteriorState | None] = [None] * r_count
     order = np.arange(r_count)           # the original index of each run
@@ -562,7 +587,7 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
             else:
                 gammas_new.append(update_gamma(r_bar, p_g, gam, m_count,
                                                prior_weight=m_count))
-        if cfg.learn_p:
+        if cfg.learn_p and parts:
             new_ps, scales = update_p_alm(r_bars, gammas_old, m_count,
                                           cfg.p_shrink,
                                           runs=[part.run for part in parts])
@@ -615,6 +640,14 @@ def absbl_mmv(
     """Block-sparse Bayesian recovery of X from Y = Psi X + N, jointly over
     the columns of Y (subcarriers sharing one block prior), where N has the
     known per-entry variance sigma2 (floored at 1e-12).
+
+    The prior starts at the data's scale: every per-entry variance at
+    gamma0 = ||Y||_F^2 / (M ||Psi||_F^2), the variance that explains the
+    energy of Y per snapshot when put on every atom, and P = I. An all-zero
+    Y gives gamma0 = 0 and every block pruned from the start, so the fit
+    stops at its first iteration with X = 0. Y -> cY with sigma2 -> c^2
+    sigma2 (above the floor) therefore gives c X with the same iterations
+    and active blocks.
 
     Each iteration computes the per-subcarrier posterior with the current
     prior, then updates gamma and P (which rescales gamma per entry, see

@@ -20,10 +20,12 @@ import hashlib
 import json
 import os
 import time
+import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -49,6 +51,14 @@ from .segmentation import auc_score, check_window
 
 Record = tuple[str, str, float, float]   # (algorithm, metric, value, runtime_ms)
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the OpenBLAS that numpy's and scipy's wheels bundle, by package: the
+# library's file pattern in <package>.libs/ and its symbols' suffix
+_BUNDLED_OPENBLAS = {"numpy": ("libscipy_openblas64_*", "64_"),
+                     "scipy": ("libscipy_openblas-*", "")}
+# every run computes with one BLAS thread per process: the matrices are
+# small, the process pool is the only parallelism, and results.csv then
+# does not depend on the host's BLAS default
+_BLAS_THREADS = 1
 
 
 class ConfigError(ValueError):
@@ -302,6 +312,10 @@ class ExperimentSpec:
                               f"{self.experiment}; allowed: {list(exp.kind.allowed)}")
         self.params = {**exp.params, **self.params}
         self.estimator_config = _check_params(self.params, exp)
+        unknown = sorted(set(self.overrides) - set(SystemConfig.__dataclass_fields__))
+        if unknown:
+            raise ConfigError(f"overrides {unknown} are not SystemConfig fields; "
+                              f"known: {sorted(SystemConfig.__dataclass_fields__)}")
         self.overrides = {**exp.overrides, **self.overrides}
         self.configs = [_build_config(self, v) for v in self.sweep]
 
@@ -380,6 +394,43 @@ def _environment() -> dict:
     }
 
 
+@cache
+def _openblas_threads(package: str):
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    package, or None when its build bundles none (MKL or a system BLAS)."""
+    import ctypes    # here, so that importing the harness does not load it
+    pattern, suffix = _BUNDLED_OPENBLAS[package]
+    site = Path(__import__(package).__file__).parent.parent
+    for path in sorted((site / f"{package}.libs").glob(pattern)):
+        lib = ctypes.CDLL(str(path))
+        try:
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+def _set_blas_threads(counts: dict[str, int]) -> dict[str, int | None]:
+    """Set the thread count of each package's bundled OpenBLAS; returns the
+    counts they had, None (with a warning) for a package whose library was
+    not found, which stays at its own setting."""
+    before = {}
+    for package, count in counts.items():
+        funcs = _openblas_threads(package)
+        if funcs is None:
+            warnings.warn(f"no bundled OpenBLAS found for {package}; its BLAS "
+                          "thread count is not pinned", RuntimeWarning, stacklevel=2)
+            before[package] = None
+        else:
+            before[package] = funcs[0]()
+            funcs[1](count)
+    return before
+
+
 def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -429,8 +480,11 @@ _pool_spec: ExperimentSpec | None = None
 
 
 def _init_pool_worker(spec: ExperimentSpec) -> None:
+    """Hand the worker its spec and pin its BLAS, for the life of the
+    process, which ends with the pool."""
     global _pool_spec
     _pool_spec = spec
+    _set_blas_threads(dict.fromkeys(_BUNDLED_OPENBLAS, _BLAS_THREADS))
 
 
 def _pool_trial(task: tuple[int, int]):
@@ -445,6 +499,11 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     meta.json records the count used. Fails with ExperimentFailure when
     more than 10% of trials error; the surviving trials are aggregated
     either way.
+
+    This process and every pool worker compute with one thread of numpy's
+    and scipy's bundled OpenBLAS; this process gets its own settings back
+    when the run ends. meta.json records the pinned count per library,
+    null for a library that was not found.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -455,17 +514,22 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     results = {}
     errors: list[str] = []
     errors_by_type: Counter[str] = Counter()
-    with (ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker,
-                              initargs=(spec,)) if workers > 1
-          else nullcontext()) as pool:
-        outcomes = (pool.map(_pool_trial, tasks) if pool
-                    else (_trial_worker(spec, *task) for task in tasks))
-        for sweep_idx, trial, recs, err in outcomes:
-            results[(sweep_idx, trial)] = recs
-            if err:
-                errors_by_type[err[0]] += 1
-                errors.append(f"sweep={spec.sweep[sweep_idx]} trial={trial}: "
-                              f"{err[0]}: {err[1]}")
+    blas_before = _set_blas_threads(dict.fromkeys(_BUNDLED_OPENBLAS, _BLAS_THREADS))
+    try:
+        with (ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker,
+                                  initargs=(spec,)) if workers > 1
+              else nullcontext()) as pool:
+            outcomes = (pool.map(_pool_trial, tasks) if pool
+                        else (_trial_worker(spec, *task) for task in tasks))
+            for sweep_idx, trial, recs, err in outcomes:
+                results[(sweep_idx, trial)] = recs
+                if err:
+                    errors_by_type[err[0]] += 1
+                    errors.append(f"sweep={spec.sweep[sweep_idx]} trial={trial}: "
+                                  f"{err[0]}: {err[1]}")
+    finally:
+        _set_blas_threads({package: count for package, count in blas_before.items()
+                           if count is not None})
 
     agg: dict[tuple[int, str, str], list[tuple[float, float]]] = {}
     for (sweep_idx, _trial), recs in sorted(results.items()):
@@ -503,6 +567,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
         "errors_by_type": dict(sorted(errors_by_type.items())),
         "runtime_ms_total": wall_ms,
         "workers": workers,
+        "blas_threads": {package: None if count is None else _BLAS_THREADS
+                         for package, count in blas_before.items()},
     }
     table = ResultTable(rows=rows, meta=meta)
     if len(errors) > 0.1 * spec.trials * len(spec.sweep):

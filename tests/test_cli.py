@@ -137,6 +137,14 @@ def test_params_no_cell_reads_exit_2(tmp_path, capsys, doc):
     assert not (tmp_path / "out").exists()
 
 
+def test_unknown_override_key_is_named(tmp_path, capsys):
+    # the key is the fault, not the sweep point that first tried to use it
+    doc = dict(TINY_NMSE, sweep=[5.0], overrides={"seed": 1})
+    assert cli.main(["validate", write_spec(tmp_path, doc)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "overrides ['seed']" in err and "sweep value" not in err and "5.0" not in err
+
+
 def test_run_with_zero_workers_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", write_spec(tmp_path, TINY_AUC), "--out", str(out),

@@ -121,6 +121,54 @@ def test_worker_count_does_not_change_results(serial_csvs):
         assert pooled[name] == serial_csvs[name], name
 
 
+# reads a spec as JSON on stdin, prints [results.csv, the thread counts of
+# numpy's and scipy's OpenBLAS before the run, in every cell, after it and
+# after a pool worker's initializer, meta's blas_threads]
+_THREADS_RUNNER = """
+import json, sys
+from snschan import experiments
+from snschan.experiments import ExperimentSpec, run_experiment
+
+def counts():
+    return [experiments._openblas_threads(package)[0]()
+            for package in ("numpy", "scipy")]
+
+seen, real = [], experiments.run_single_trial
+def spy(*args):
+    seen.append(counts())
+    return real(*args)
+experiments.run_single_trial = spy
+spec = ExperimentSpec(**json.load(sys.stdin))
+before = counts()
+table = run_experiment(spec, 1)
+after = counts()
+experiments._init_pool_worker(spec)
+print(json.dumps([table.to_csv(), before, seen, after, counts(),
+                  table.meta["blas_threads"]]))
+"""
+
+
+@pytest.mark.parametrize("blas_env", [None, "1"], ids=["unset", "one"])
+def test_run_pins_blas_to_one_thread_whatever_the_env(blas_env):
+    # a fresh interpreter, so the env is read when numpy loads its OpenBLAS;
+    # the run pins both libraries and hands back the library default
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if blas_env:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, blas_env))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _THREADS_RUNNER],
+                          input=json.dumps(SPECS["nmse_vs_snr"]), capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    csv, before, seen, after, worker, pinned = json.loads(proc.stdout)
+    assert csv == (GOLDEN / "nmse_vs_snr.csv").read_text()
+    assert len(seen) == 4 and all(cell == [1, 1] for cell in seen)
+    assert pinned == {"numpy": 1, "scipy": 1}
+    assert after == before and (blas_env is None or before == [1, 1])
+    assert worker == [1, 1]
+
+
 def test_one_posterior_per_subarray_and_only_from_joint_fits():
     cfg = SystemConfig(N=32, SI_min=8, K=1, P=16)
     rng = np.random.default_rng(0)
@@ -388,6 +436,16 @@ def test_meta_counts_errors_by_type_and_records_environment(tmp_path, monkeypatc
     assert set(env["blas_thread_vars"]) == set(BLAS_THREAD_VARS)
     assert env["cpu_count"] == os.cpu_count()
     assert json.loads((tmp_path / "results.json").read_text())["meta"] == meta
+
+
+def test_blas_library_not_found_warns_and_is_recorded(monkeypatch):
+    # an MKL or system BLAS build bundles no OpenBLAS to pin
+    real = experiments._openblas_threads
+    monkeypatch.setattr(experiments, "_openblas_threads",
+                        lambda package: None if package == "scipy" else real(package))
+    with pytest.warns(RuntimeWarning, match="no bundled OpenBLAS found for scipy"):
+        table = run_experiment(ExperimentSpec(**SPECS["auc_vs_snr"]), workers=1)
+    assert table.meta["blas_threads"] == {"numpy": 1, "scipy": None}
 
 
 class RecordingPool:
