@@ -23,7 +23,6 @@ elements of pruned subarrays count at their full energy.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 def bcrb_bound(psi: np.ndarray, v_s: np.ndarray, sigma2: float,
@@ -33,6 +32,7 @@ def bcrb_bound(psi: np.ndarray, v_s: np.ndarray, sigma2: float,
     v_s is the (positive semi-definite) prior covariance of one
     measurement vector.
     """
+    from scipy.linalg import solve_triangular
     if sigma2 <= 0:
         raise ValueError("noise variance must be positive")
     psi = np.asarray(psi, dtype=complex)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .experiments import (
     EXPERIMENTS,
@@ -70,46 +71,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _list_experiments(args: argparse.Namespace) -> int:
+    for name, exp in EXPERIMENTS.items():
+        algos = ",".join(exp.algorithms)
+        print(f"{name}: sweep={exp.sweep_param} "
+              f"default={list(exp.default_sweep)} algorithms=[{algos}]")
+    return EXIT_OK
+
+
+def _validate(args: argparse.Namespace) -> int:
+    spec = _load_spec(args.spec, args)
+    print(f"ok: {spec.experiment} sweep={spec.sweep} "
+          f"trials={spec.trials} seed={spec.seed} "
+          f"hash={spec.config_hash()}")
+    return EXIT_OK
+
+
+def _seed_report(args: argparse.Namespace) -> int:
+    spec = _load_spec(args.spec, args)
+    for entry in seed_report(spec):
+        print(f"sweep_value={entry['sweep_value']} "
+              f"trial={entry['trial']} spawn_key={entry['spawn_key']} "
+              f"state_word={entry['state_word']}")
+    return EXIT_OK
+
+
+def _run(args: argparse.Namespace) -> int:
+    spec = _load_spec(args.spec, args)
+    try:
+        table = run_experiment(spec, workers=args.workers)
+    except ExperimentFailure as err:
+        print(f"experiment failed: {err}", file=sys.stderr)
+        return EXIT_FAILURE
+    table.write(args.out, include_runtime=args.timing)
+    print(f"wrote {len(table.rows)} rows to {args.out}/results.csv "
+          f"(hash {table.meta['config_hash']})")
+    return EXIT_OK
+
+
+# subcommand -> handler of its parsed arguments, returning the exit code
+COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
+    "run": _run,
+    "list-experiments": _list_experiments,
+    "validate": _validate,
+    "seed-report": _seed_report,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "list-experiments":
-            for name, exp in EXPERIMENTS.items():
-                algos = ",".join(exp.algorithms)
-                print(f"{name}: sweep={exp.sweep_param} "
-                      f"default={list(exp.default_sweep)} algorithms=[{algos}]")
-            return EXIT_OK
-
-        if args.command == "validate":
-            spec = _load_spec(args.spec, args)
-            print(f"ok: {spec.experiment} sweep={spec.sweep} "
-                  f"trials={spec.trials} seed={spec.seed} "
-                  f"hash={spec.config_hash()}")
-            return EXIT_OK
-
-        if args.command == "seed-report":
-            spec = _load_spec(args.spec, args)
-            for entry in seed_report(spec):
-                print(f"sweep_value={entry['sweep_value']} "
-                      f"trial={entry['trial']} spawn_key={entry['spawn_key']} "
-                      f"state_word={entry['state_word']}")
-            return EXIT_OK
-
-        if args.command == "run":
-            spec = _load_spec(args.spec, args)
-            try:
-                table = run_experiment(spec, workers=args.workers)
-            except ExperimentFailure as err:
-                print(f"experiment failed: {err}", file=sys.stderr)
-                return EXIT_FAILURE
-            table.write(args.out, include_runtime=args.timing)
-            print(f"wrote {len(table.rows)} rows to {args.out}/results.csv "
-                  f"(hash {table.meta['config_hash']})")
-            return EXIT_OK
+        return COMMANDS[args.command](args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""System-level configuration shared by all pipeline stages."""
+"""System-level configuration shared by all pipeline stages, and the one
+name lookup of their registries."""
 
 from __future__ import annotations
 
@@ -100,3 +101,10 @@ class SystemConfig:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def lookup(table: dict, what: str, name: str):
+    """table[name], or a ValueError that lists the known names."""
+    if name not in table:
+        raise ValueError(f"unknown {what} {name!r}; known: {list(table)}")
+    return table[name]

@@ -12,10 +12,11 @@ its channel block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, lookup
 from .segmentation import SegmentationResult
 
 
@@ -97,28 +98,30 @@ def mef_gaa(sizes: list[int] | np.ndarray, n_rf: int) -> list[list[int]]:
 
 
 def random_allocation(sizes: list[int] | np.ndarray, n_rf: int,
-                      rng: np.random.Generator) -> list[list[int]]:
+                      rng: np.random.Generator | None) -> list[list[int]]:
     """Assign every subarray to a uniformly random chain (chains may idle)."""
+    if rng is None:
+        raise ValueError("random allocation needs an rng")
     classes: list[list[int]] = [[] for _ in range(n_rf)]
     for j in range(len(sizes)):
         classes[int(rng.integers(n_rf))].append(j)
     return classes
 
 
+# allocation strategy -> per-chain classes of (sizes, n_rf, rng)
+_ALLOCATORS: dict[str, Callable[..., list[list[int]]]] = {
+    "mef_gaa": lambda sizes, n_rf, rng: mef_gaa(sizes, n_rf),
+    "random": random_allocation,
+}
+
+
 def make_allocation(seg: SegmentationResult, on_mode: list[int],
                     n_rf: int, strategy: str = "mef_gaa",
                     rng: np.random.Generator | None = None) -> RfAllocation:
     """Build an RfAllocation for the on-mode subarrays of a segmentation."""
+    allocate = lookup(_ALLOCATORS, "allocation strategy", strategy)
     subarrays = [seg.subarrays[i] for i in on_mode]
-    sizes = [len(s) for s in subarrays]
-    if strategy == "mef_gaa":
-        classes = mef_gaa(sizes, n_rf)
-    elif strategy == "random":
-        if rng is None:
-            raise ValueError("random allocation needs an rng")
-        classes = random_allocation(sizes, n_rf, rng)
-    else:
-        raise ValueError(f"unknown allocation strategy {strategy!r}")
+    classes = allocate([len(s) for s in subarrays], n_rf, rng)
     return RfAllocation(subarrays=subarrays, classes=classes)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .config import SystemConfig
 
@@ -21,9 +20,12 @@ def fresnel_cs(v: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
     """Fresnel cosine and sine integrals C(v), S(v).
 
     C(v) = int_0^v cos(pi t^2 / 2) dt, S(v) = int_0^v sin(pi t^2 / 2) dt.
-    Backed by the vectorized Cephes rational approximations (absolute error
-    well below 1e-9; validated against adaptive quadrature in the tests).
+    Backed by scipy.special's vectorized Cephes rational approximations
+    (absolute error well below 1e-9; validated against adaptive quadrature
+    in the tests). SciPy is imported on the first call, not with the
+    package: a scene without a knife edge never loads it.
     """
+    from scipy import special
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("fresnel_cs requires finite input")

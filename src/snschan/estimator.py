@@ -66,7 +66,9 @@ are one contiguous (U, P) slab. The block products Psi_g C_g run on those
 slabs and land in rows of the same layout, K reads those rows as a
 transposed GEMM operand without a copy back to (P, N), and LAPACK's
 triangular solve (trtrs, called directly like the Cholesky factor potrf)
-overwrites each run's rows in place. Every product has the bits of its
+overwrites each run's rows in place. Both come from scipy.linalg.lapack
+through `_lapack`, which imports SciPy on the first E-step, so importing
+the estimator loads numpy alone. Every product has the bits of its
 column-major form; the block products keep the Psi_g C_g orientation
 because BLAS rounds C_g^T Psi_g^T differently for some block lengths.
 
@@ -78,19 +80,25 @@ it, and fits the coefficients by least squares once, on the final support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
-# complex Cholesky factor and triangular solve, called directly: the E-step
-# makes one factor and two solves per run
-_potrf, _trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.zeros(1, dtype=complex),))
 _SIGMA2_FLOOR = 1e-12   # keeps K = sigma2 I + Psi C Psi^H PD at sigma2 = 0
 _ARMIJO_SHRINK = 0.5    # off-grid line search: step shrink per backtrack,
 _ARMIJO_SLOPE = 1e-4    # sufficient-decrease slope
 _MAX_BACKTRACKS = 40    # and backtracks per iteration
+
+
+@cache
+def _lapack():
+    """LAPACK's complex Cholesky factor and triangular solve (potrf, trtrs),
+    called directly: the E-step makes one factor and two solves per run.
+    SciPy is imported on the first E-step, not with the package."""
+    from scipy.linalg.lapack import get_lapack_funcs
+    return get_lapack_funcs(("potrf", "trtrs"), (np.zeros(1, dtype=complex),))
 
 
 class EstimatorDivergenceError(RuntimeError):
@@ -342,8 +350,9 @@ def _posterior(
     y_rows = np.array(Y.swapaxes(-1, -2), order="C")
     objective = np.empty(r_count)
     ridged = []
+    potrf, trtrs = _lapack()
     for r, k_r in enumerate(k_mat):
-        chol, info = _potrf(k_r, lower=1, clean=1)
+        chol, info = potrf(k_r, lower=1, clean=1)
         if info:
             # ridge fallback for a numerically singular posterior system; the
             # products below then pair Psi with K^-1 Psi instead of W with W
@@ -355,7 +364,7 @@ def _posterior(
             ridged.append(r)
         else:
             for rhs in (w_rows[r].T, y_rows[r].T):
-                _, info = _trtrs(chol, rhs, lower=1, overwrite_b=1)
+                _, info = trtrs(chol, rhs, lower=1, overwrite_b=1)
                 if info:
                     raise np.linalg.LinAlgError("singular Cholesky factor")
             log_det = 2.0 * np.log(chol.diagonal().real).sum()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import importlib
 import json
 import os
 import time
@@ -30,7 +31,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .channel import ChannelRealization
@@ -59,6 +59,20 @@ _BUNDLED_OPENBLAS = {"numpy": ("libscipy_openblas64_*", "64_"),
 # small, the process pool is the only parallelism, and results.csv then
 # does not depend on the host's BLAS default
 _BLAS_THREADS = 1
+# glibc malloc maps a block of M_MMAP_THRESHOLD bytes or more afresh, and
+# hands free memory beyond M_TRIM_THRESHOLD at the heap's top back to the OS.
+# Both start at 128 KiB and rise as mapped blocks are freed, so left alone a
+# cell's page faults depend on what the process freed before it (an import
+# of SciPy, for one, raises them). Every run fixes them at the ceiling of
+# that rise on 64-bit glibc, keyed by mallopt's parameter numbers; forked
+# pool workers inherit them
+_MALLOC_THRESHOLDS = {-3: 32 << 20,     # M_MMAP_THRESHOLD
+                      -1: 64 << 20}     # M_TRIM_THRESHOLD
+# the SciPy modules that cells import on first use: the E-step's LAPACK,
+# and the Fresnel integrals' and PASS's special functions. A run with a pool
+# imports them before it forks, so that the workers inherit them; a worker
+# that imports them itself pays about as much as a small round takes
+_CELL_SCIPY_MODULES = ("scipy.linalg.lapack", "scipy.special")
 
 
 class ConfigError(ValueError):
@@ -387,6 +401,7 @@ class ResultTable:
 
 def _environment() -> dict:
     """Library versions and the threading the results were computed with."""
+    import scipy    # here, so that importing the harness does not load it
     return {
         "numpy": np.__version__, "scipy": scipy.__version__,
         "blas_thread_vars": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
@@ -412,6 +427,19 @@ def _openblas_threads(package: str):
         put.argtypes, put.restype = [ctypes.c_int], None
         return get, put
     return None
+
+
+@cache
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc malloc's mmap and trim thresholds for the life of the
+    process; a C library without mallopt keeps its own policy."""
+    import ctypes
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for param, value in _MALLOC_THRESHOLDS.items():
+        mallopt(param, value)
 
 
 def _set_blas_threads(counts: dict[str, int]) -> dict[str, int | None]:
@@ -503,7 +531,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     This process and every pool worker compute with one thread of numpy's
     and scipy's bundled OpenBLAS; this process gets its own settings back
     when the run ends. meta.json records the pinned count per library,
-    null for a library that was not found.
+    null for a library that was not found. Under glibc, the run also fixes
+    malloc's mmap and trim thresholds for the rest of the process's life.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -515,6 +544,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     errors: list[str] = []
     errors_by_type: Counter[str] = Counter()
     blas_before = _set_blas_threads(dict.fromkeys(_BUNDLED_OPENBLAS, _BLAS_THREADS))
+    _fix_malloc_thresholds()
+    if workers > 1:
+        for module in _CELL_SCIPY_MODULES:
+            importlib.import_module(module)
     try:
         with (ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker,
                                   initargs=(spec,)) if workers > 1

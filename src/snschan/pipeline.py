@@ -10,7 +10,7 @@ import numpy as np
 
 from .bcrb import bcrb_bound
 from .channel import ChannelRealization
-from .config import SystemConfig
+from .config import SystemConfig, lookup
 from .dhbf import (
     MeasurementPlan,
     SubarrayObservations,
@@ -37,13 +37,6 @@ from .segmentation import (
     pass_segment,
     rfem_segment,
 )
-
-
-def lookup(table: dict, what: str, name: str):
-    """table[name], or a ValueError that lists the known names."""
-    if name not in table:
-        raise ValueError(f"unknown {what} {name!r}; known: {list(table)}")
-    return table[name]
 
 
 # architecture -> RF-chain allocation strategy; None: one fully connected array

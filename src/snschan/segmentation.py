@@ -17,17 +17,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-# The chi-square numbers come from scipy.special: importing SciPy's
-# statistics package would be the largest fixed cost of importing snschan. The
-# expressions are the ones SciPy's chi2 distribution evaluates (ppf(p, k) is
-# 2 * gammaincinv(k/2, p), cdf(x, k) is chdtr(k, x)), so every constant keeps
-# its bits. The closed forms (ndtri(...)**2, erf) are exact in theory but can
+# The chi-square numbers are float literals, so importing snschan loads no
+# part of SciPy. Each is the value of the scipy.special expression that
+# SciPy's chi2 distribution evaluates (ppf(p, k) is 2 * gammaincinv(k/2, p),
+# cdf(x, k) is chdtr(k, x)), and a test pins every literal to its expression
+# with ==. The closed forms (ndtri(...)**2, erf) are exact in theory but can
 # differ in the last ulp, which would move results.
-CHI2_975_1 = float(2 * special.gammaincinv(0.5, 0.975))  # chi2_1 0.975 quantile
-SCORE_THRESHOLD = float(np.sqrt(CHI2_975_1))             # c_SD ~= 2.2414
-_C1 = 0.975 / float(special.chdtr(3, CHI2_975_1))        # reweighted consistency
+# chi2_1 0.975 quantile, 2 * gammaincinv(0.5, 0.975)
+CHI2_975_1 = 5.023886187314888
+SCORE_THRESHOLD = float(np.sqrt(CHI2_975_1))  # c_SD ~= 2.2414
+# reweighted consistency factor, 0.975 / chdtr(3, CHI2_975_1)
+_C1 = 1.1747786415645665
 _VAR_FLOOR_REL = 1e-12
 _PEAK_REL = 0.5   # RFEM/AFM keep local maxima above this share of the peak
 
@@ -77,7 +78,9 @@ def mcd_consistency_c0(h: int, w: int) -> float:
     alpha = h / w
     if alpha >= 1.0:
         return 1.0
-    # same special functions as the module constants, for the same bits
+    # the expressions of the module constants, for the same bits; SciPy is
+    # imported on the first call, not with the package
+    from scipy import special
     return alpha / float(special.chdtr(3, 2 * special.gammaincinv(0.5, alpha)))
 
 

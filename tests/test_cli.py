@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
@@ -165,3 +166,9 @@ def test_failing_trials_exit_3(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_FAILURE
     assert "RuntimeError: boom" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_every_subcommand_has_one_handler():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(cli.COMMANDS)

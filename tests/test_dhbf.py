@@ -265,3 +265,10 @@ class TestReceptionAndDecoupling:
         classes = random_allocation([4, 4, 4, 4, 4], 3, rng)
         served = sorted(j for cls in classes for j in cls)
         assert served == [0, 1, 2, 3, 4]
+
+    def test_unknown_strategy_lists_the_known_ones(self):
+        seg = seg_with_breakpoints([1, 33, 65], 64)
+        with pytest.raises(ValueError, match=r"known: \['mef_gaa', 'random'\]"):
+            make_allocation(seg, [0, 1], 2, strategy="greedy")
+        with pytest.raises(ValueError, match="needs an rng"):
+            make_allocation(seg, [0, 1], 2, strategy="random")

@@ -487,7 +487,7 @@ class TestAbsblCore:
                 covs[g][r] = np.zeros_like(covs[g][r])
         cholesky_calls = []
         if fail_cholesky:
-            real_potrf = mod._potrf
+            real_potrf, real_trtrs = mod._lapack()
 
             def fail_once(a, **kwargs):
                 cholesky_calls.append(1)
@@ -495,7 +495,7 @@ class TestAbsblCore:
                     return np.zeros_like(a), 1       # "not positive definite"
                 return real_potrf(a, **kwargs)
 
-            monkeypatch.setattr(mod, "_potrf", fail_once)
+            monkeypatch.setattr(mod, "_lapack", lambda: (fail_once, real_trtrs))
 
         parts, objective = mod._posterior(y, mod._active_atoms(psi.T, stacks),
                                           stacks, sigma2)
@@ -539,57 +539,19 @@ class TestAbsblCore:
     @pytest.mark.parametrize("short", range(8))
     @pytest.mark.parametrize("pruned", [False, True], ids=["all-active", "pruned"])
     def test_block_major_e_step_keeps_column_major_bits(self, short, pruned):
-        # the block-major E-step against the same algebra on Psi's columns
-        # (block products Psi_g C_g, K = (Psi C) Psi^H, solve_triangular),
-        # bit for bit, for every length of the final block
-        rng = np.random.default_rng(35 + short)
-        n_sub, n_runs, p_eff, m_count = 32 + short, 2, 20, 3
-        psi = crandn(rng, p_eff, n_sub)
-        y = crandn(rng, n_runs, p_eff, m_count)
-        sigma2 = 0.3
-        stacks = mod._block_stacks(n_sub, 8, np.ones(n_runs))
-        for s in stacks:
-            s.gamma[...] = rng.uniform(0.2, 2.0, s.gamma.shape)
-            a = crandn(rng, *s.p.shape)
-            s.p[...] = a @ a.conj().swapaxes(-1, -2) + np.eye(s.p.shape[-1])
-        if pruned:
-            stacks[0].active[:, 1] = False         # out of the union
-            stacks[0].active[0, 2] = False         # pruned by run 0 only
-        parts, _ = mod._posterior(
-            y, mod._active_atoms(np.ascontiguousarray(psi.T), stacks), stacks,
-            sigma2)
+        # for every length of the final block
+        assert_block_major_bits(np.random.default_rng(35 + short), 32 + short,
+                                n_runs=2, m_count=3, pruned=pruned)
 
-        cols = np.concatenate([np.repeat(s.active.any(axis=0), s.gamma.shape[-1])
-                               for s in stacks])
-        psi_act = psi[:, cols]
-        live = [(s, np.flatnonzero(s.active.any(axis=0))) for s in stacks
-                if s.active.any()]
-        cs = [mod._prior_cov(s.gamma[:, idx], s.p[:, idx]) for s, idx in live]
-        for (s, idx), c in zip(live, cs):
-            c[~s.active[:, idx]] = 0.0
-        edges = np.cumsum([0] + [c.shape[1] * c.shape[-1] for c in cs])
-        psi_c = np.empty((n_runs, *psi_act.shape), dtype=complex)
-        for c, a, b in zip(cs, edges[:-1], edges[1:]):
-            n, u = c.shape[1], c.shape[-1]
-            psi_c[:, :, a:b] = (psi_act[:, a:b].reshape(p_eff, n, u).swapaxes(0, 1)
-                                @ c).swapaxes(1, 2).reshape(n_runs, p_eff, b - a)
-        k_mat = psi_c @ psi_act.conj().T + sigma2 * np.eye(p_eff)
-        for r in range(n_runs):
-            chol = sla.cholesky(k_mat[r], lower=True, check_finite=False)
-            w = sla.solve_triangular(chol, psi_act, lower=True, check_finite=False)
-            y_w = sla.solve_triangular(chol, y[r], lower=True, check_finite=False)
-            proj = w.conj().T @ y_w
-            for part, c, a, b in zip(parts, cs, edges[:-1], edges[1:]):
-                n, u = c.shape[1], c.shape[-1]
-                w_g = w[:, a:b].reshape(p_eff, n, u).swapaxes(0, 1)
-                gram = w_g.conj().swapaxes(-1, -2) @ w_g
-                mu = c[r] @ proj[a:b].reshape(n, u, m_count)
-                sig = c[r] - c[r] @ gram @ c[r]
-                sig = 0.5 * (sig + sig.conj().swapaxes(-1, -2))
-                mine = part.run == r
-                act = part.stack.active[r, np.flatnonzero(part.stack.active.any(axis=0))]
-                np.testing.assert_array_equal(part.mu[mine], mu[act])
-                np.testing.assert_array_equal(part.sigma[mine], sig[act])
+    @pytest.mark.parametrize("short", range(8))
+    @pytest.mark.parametrize("pruned", [False, True], ids=["all-active", "pruned"])
+    def test_block_major_e_step_keeps_column_major_bits_per_column(self, short,
+                                                                     pruned):
+        # the shape absbl_per_column fits on fc_smv_bcrb (128 atoms, 80
+        # measurements): one run per subcarrier (R = 5), each with a single
+        # snapshot (M = 1)
+        assert_block_major_bits(np.random.default_rng(45 + short), 128 + short,
+                                n_runs=5, m_count=1, pruned=pruned, p_eff=80)
 
     def test_longer_runs_prune_empty_blocks_not_absorb_noise(self):
         # untied per-entry variances let a few noise-level entries hold an
@@ -706,7 +668,7 @@ class TestPerColumn:
         # batched loop factors the runs in order 0, 1, 2
         phi, y = distinct_support_instance(32, seed=30)
         cfg = EstimatorConfig(block_size=8, t_ite=8)
-        real_potrf = mod._potrf
+        real_potrf, real_trtrs = mod._lapack()
         calls = []
 
         def fail_run_1(a, **kwargs):
@@ -719,13 +681,14 @@ class TestPerColumn:
             return np.zeros_like(a), 1
 
         with monkeypatch.context() as patch:
-            patch.setattr(mod, "_potrf", fail_run_1)
+            patch.setattr(mod, "_lapack", lambda: (fail_run_1, real_trtrs))
             batched = absbl_per_column(y, phi, 0.01**2, cfg)
         separate = []
         for m in range(3):
             with monkeypatch.context() as patch:
                 if m == 1:
-                    patch.setattr(mod, "_potrf", fail_always)
+                    patch.setattr(mod, "_lapack",
+                                  lambda: (fail_always, real_trtrs))
                 separate.append(absbl_mmv(y[:, m:m + 1], phi, 0.01**2, cfg))
         assert [st.iterations for st in batched[1]] == [8, 8, 8]
         assert len(calls) == 3 * 8
@@ -742,6 +705,59 @@ class TestPerColumn:
         alone, _ = absbl_per_column(y[:, :1], phi, 0.01**2, cfg)
         np.testing.assert_allclose(both[:, :1], alone, rtol=1e-12,
                                    atol=1e-12 * np.abs(alone).max())
+
+
+def assert_block_major_bits(rng, n_sub, n_runs, m_count, pruned, p_eff=20):
+    """`_posterior`'s block-major E-step against the same algebra on Psi's
+    columns (block products Psi_g C_g, K = (Psi C) Psi^H, solve_triangular),
+    bit for bit. Pruned: one block leaves the union, one more is pruned by
+    run 0 only."""
+    psi = crandn(rng, p_eff, n_sub)
+    y = crandn(rng, n_runs, p_eff, m_count)
+    sigma2 = 0.3
+    stacks = mod._block_stacks(n_sub, 8, np.ones(n_runs))
+    for s in stacks:
+        s.gamma[...] = rng.uniform(0.2, 2.0, s.gamma.shape)
+        a = crandn(rng, *s.p.shape)
+        s.p[...] = a @ a.conj().swapaxes(-1, -2) + np.eye(s.p.shape[-1])
+    if pruned:
+        stacks[0].active[:, 1] = False         # out of the union
+        stacks[0].active[0, 2] = False         # pruned by run 0 only
+    parts, _ = mod._posterior(
+        y, mod._active_atoms(np.ascontiguousarray(psi.T), stacks), stacks,
+        sigma2)
+
+    cols = np.concatenate([np.repeat(s.active.any(axis=0), s.gamma.shape[-1])
+                           for s in stacks])
+    psi_act = psi[:, cols]
+    live = [(s, np.flatnonzero(s.active.any(axis=0))) for s in stacks
+            if s.active.any()]
+    cs = [mod._prior_cov(s.gamma[:, idx], s.p[:, idx]) for s, idx in live]
+    for (s, idx), c in zip(live, cs):
+        c[~s.active[:, idx]] = 0.0
+    edges = np.cumsum([0] + [c.shape[1] * c.shape[-1] for c in cs])
+    psi_c = np.empty((n_runs, *psi_act.shape), dtype=complex)
+    for c, a, b in zip(cs, edges[:-1], edges[1:]):
+        n, u = c.shape[1], c.shape[-1]
+        psi_c[:, :, a:b] = (psi_act[:, a:b].reshape(p_eff, n, u).swapaxes(0, 1)
+                            @ c).swapaxes(1, 2).reshape(n_runs, p_eff, b - a)
+    k_mat = psi_c @ psi_act.conj().T + sigma2 * np.eye(p_eff)
+    for r in range(n_runs):
+        chol = sla.cholesky(k_mat[r], lower=True, check_finite=False)
+        w = sla.solve_triangular(chol, psi_act, lower=True, check_finite=False)
+        y_w = sla.solve_triangular(chol, y[r], lower=True, check_finite=False)
+        proj = w.conj().T @ y_w
+        for part, c, a, b in zip(parts, cs, edges[:-1], edges[1:]):
+            n, u = c.shape[1], c.shape[-1]
+            w_g = w[:, a:b].reshape(p_eff, n, u).swapaxes(0, 1)
+            gram = w_g.conj().swapaxes(-1, -2) @ w_g
+            mu = c[r] @ proj[a:b].reshape(n, u, m_count)
+            sig = c[r] - c[r] @ gram @ c[r]
+            sig = 0.5 * (sig + sig.conj().swapaxes(-1, -2))
+            mine = part.run == r
+            act = part.stack.active[r, np.flatnonzero(part.stack.active.any(axis=0))]
+            np.testing.assert_array_equal(part.mu[mine], mu[act])
+            np.testing.assert_array_equal(part.sigma[mine], sig[act])
 
 
 def kronecker_log_likelihood(psi, y, sigma2, stacks, r):

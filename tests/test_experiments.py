@@ -13,6 +13,7 @@ from __future__ import annotations
 import inspect
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -82,14 +83,19 @@ print(json.dumps({name: run_experiment(ExperimentSpec(**doc), workers).to_csv()
 """
 
 
-def run_specs(specs: dict[str, dict], workers: int) -> dict[str, str]:
-    """results.csv of each spec, from one interpreter at one BLAS thread."""
+def pinned_env() -> dict:
+    """This environment with src/ on the path and one BLAS thread."""
     env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def run_specs(specs: dict[str, dict], workers: int) -> dict[str, str]:
+    """results.csv of each spec, from one interpreter at one BLAS thread."""
     proc = subprocess.run(
         [sys.executable, "-c", _RUNNER], input=json.dumps([specs, workers]),
-        capture_output=True, text=True, env=env, timeout=600,
+        capture_output=True, text=True, env=pinned_env(), timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -167,6 +173,69 @@ def test_run_pins_blas_to_one_thread_whatever_the_env(blas_env):
     assert pinned == {"numpy": 1, "scipy": 1}
     assert after == before and (blas_env is None or before == [1, 1])
     assert worker == [1, 1]
+
+
+# runs a desk-scale PASS spec twice in one interpreter and prints the minor
+# page faults of the second run
+_FAULTS_RUNNER = """
+import resource
+from snschan.experiments import ExperimentSpec, run_experiment
+spec = ExperimentSpec(experiment="auc_vs_snr", sweep=[5.0], trials=3, seed=1,
+                      algorithms=["pass"])
+run_experiment(spec)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(spec)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_repeated_cells_reuse_their_memory():
+    # a fresh interpreter that has loaded no SciPy, so nothing but the run
+    # has moved glibc's malloc thresholds: at the defaults, PASS's window
+    # temporaries (N = 512) are mapped and unmapped or trimmed in every
+    # cell, about 200 page faults a cell, where a pinned heap takes none
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_RUNNER], capture_output=True,
+                          text=True, env=pinned_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
+
+
+# prints the scipy modules loaded after running the specs on stdin in this
+# interpreter (argv[1] "cells"), or after the imports a pool makes before
+# it forks ("preload")
+_SCIPY_RUNNER = """
+import importlib, json, sys
+from snschan import experiments
+if sys.argv[1] == "cells":
+    for doc in json.load(sys.stdin):
+        experiments.run_experiment(experiments.ExperimentSpec(**doc))
+else:
+    experiments._set_blas_threads({"scipy": 1})
+    for module in experiments._CELL_SCIPY_MODULES:
+        importlib.import_module(module)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_a_pool_preloads_every_scipy_module_its_cells_load():
+    # forked workers inherit what the parent loaded before the fork; a
+    # module a cell loads that the preload misses is imported again by
+    # every worker of every pool
+    cells = [dict(SPECS["nmse_vs_snr"], sweep=[10.0], trials=1,
+                  algorithms=["ss_absbl_mmv", "ss_og_absbl_mmv"]),
+             dict(SPECS["auc_vs_td"], sweep=[1.5], trials=1),
+             dict(SPECS["nmse_vs_distance_bcrb_only"], sweep=[3.0], trials=1)]
+    loaded = {}
+    for mode in ("cells", "preload"):
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_RUNNER, mode],
+                              input=json.dumps(cells), capture_output=True,
+                              text=True, env=pinned_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        loaded[mode] = set(json.loads(proc.stdout))
+    assert {"scipy.linalg.lapack", "scipy.special"} <= loaded["cells"]
+    assert loaded["cells"] <= loaded["preload"], sorted(
+        loaded["cells"] - loaded["preload"])
 
 
 def test_one_posterior_per_subarray_and_only_from_joint_fits():

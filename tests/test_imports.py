@@ -1,9 +1,13 @@
 """Import hygiene.
 
-The package's import path must not load scipy.stats. Importing scipy.stats
-would be the largest single cost of a cold `import snschan`, in time and in
-memory, and every CLI run and pool worker pays that cost. The check reads
-sys.modules in a fresh interpreter rather than a timing, so it cannot flake.
+Importing the package, and every subcommand but `run`, loads numpy and no
+part of SciPy. SciPy's modules would be about 60% of a cold `import
+snschan`, which every CLI command pays. Each is imported where it is first
+used: LAPACK on the first E-step, `solve_triangular` in
+the BCRB, `scipy.special` for Fresnel integrals and the MCD consistency
+factor. A `run` that fits does load `scipy.linalg` and still writes its
+golden's bytes, so the imports are deferred, not removed. The checks read
+sys.modules in fresh interpreters rather than timings, so they cannot flake.
 
 No module but `__init__` (which re-exports) imports a name it never uses.
 """
@@ -11,6 +15,7 @@ No module but `__init__` (which re-exports) imports a name it never uses.
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -19,19 +24,91 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+TINY_AUC = {"experiment": "auc_vs_snr", "sweep": [5.0], "trials": 2, "seed": 3,
+            "overrides": {"N": 64, "SI_min": 16, "K": 2}}
+# the spec of tests/golden/nmse_vs_distance_bcrb_only.csv
+GOLDEN_BCRB = {"experiment": "nmse_vs_distance", "sweep": [3.0, 20.0],
+               "algorithms": ["bcrb"], "overrides": {"N": 64, "SI_min": 16},
+               "trials": 2, "seed": 5}
+
+# runs `python -m snschan.cli <argv>` and, once it has exited, prints the
+# scipy modules it loaded as the last line of stderr
+_CLI = """
+import runpy, sys
+sys.argv = ["snschan", *sys.argv[1:]]
+try:
+    runpy.run_module("snschan.cli", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    code = done.code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def fresh_env() -> dict:
+    env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def run_cli(*argv: str) -> tuple[int, str, list[str]]:
+    """(exit code, stdout, scipy modules loaded) of one CLI command."""
+    proc = subprocess.run([sys.executable, "-c", _CLI, *argv], capture_output=True,
+                          text=True, env=fresh_env(), timeout=300)
+    lines = proc.stderr.splitlines()
+    assert lines and lines[-1].startswith("["), proc.stderr
+    return proc.returncode, proc.stdout, ast.literal_eval(lines[-1])
 
 
 @pytest.mark.parametrize("module", ["snschan", "snschan.cli"])
-def test_import_does_not_load_scipy_stats(module):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+def test_import_loads_no_scipy(module):
     code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=fresh_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def write_spec(tmp_path, doc) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_list_experiments_loads_no_scipy():
+    code, out, loaded = run_cli("list-experiments")
+    assert code == 0
+    assert out.splitlines()[0].startswith("nmse_vs_snr: sweep=snr_db")
+    assert loaded == []
+
+
+def test_validate_loads_no_scipy(tmp_path):
+    code, out, loaded = run_cli("validate", write_spec(tmp_path, TINY_AUC))
+    assert code == 0
+    assert out.startswith("ok: auc_vs_snr sweep=[5.0] trials=2 seed=3 hash=")
+    assert loaded == []
+
+
+def test_seed_report_loads_no_scipy(tmp_path):
+    code, out, loaded = run_cli("seed-report", write_spec(tmp_path, TINY_AUC))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 and "spawn_key=[0, 1]" in lines[1]
+    assert loaded == []
+
+
+def test_run_loads_scipy_linalg_and_writes_the_golden(tmp_path):
+    out = tmp_path / "out"
+    code, stdout, loaded = run_cli("run", write_spec(tmp_path, GOLDEN_BCRB),
+                                   "--out", str(out))
+    assert code == 0
+    assert stdout.startswith(f"wrote 2 rows to {out}/results.csv")
+    assert "scipy.linalg" in loaded
+    golden = ROOT / "tests" / "golden" / "nmse_vs_distance_bcrb_only.csv"
+    assert (out / "results.csv").read_text() == golden.read_text()
 
 
 def _unused_imports(source: str) -> list[str]:

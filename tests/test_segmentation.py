@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from snschan.config import SystemConfig
 from snschan.experiments import _SEG_SCENE
@@ -123,6 +123,12 @@ class TestScipyStatsPins:
         assert CHI2_975_1 == chi2
         assert SCORE_THRESHOLD == float(np.sqrt(chi2))
         assert _C1 == 0.975 / float(stats.chi2.cdf(chi2, 3))
+
+    def test_literals_equal_their_special_expressions(self):
+        # the module constants are float literals, so that importing
+        # snschan loads no SciPy; each is its scipy.special expression
+        assert CHI2_975_1 == float(2 * special.gammaincinv(0.5, 0.975))
+        assert _C1 == 0.975 / float(special.chdtr(3, CHI2_975_1))
 
     def test_consistency_factor_on_every_valid_h(self):
         for w in range(2, 65):
