@@ -44,7 +44,7 @@ from .estimator import (
     somp_baseline,
 )
 from .bcrb import bcrb_bound
-from .scenario import ScenarioOptions, generate_scenario, load_scenario, save_scenario
+from .scenario import ScenarioOptions, generate_scenario
 from .experiments import ExperimentSpec, ResultTable, run_experiment
 
 __all__ = [
@@ -58,6 +58,6 @@ __all__ = [
     "Codebook", "EstimatorConfig", "absbl_mmv", "bsbl_baseline",
     "dft_codebook", "nmse", "offgrid_refine", "somp_baseline",
     "bcrb_bound",
-    "ScenarioOptions", "generate_scenario", "load_scenario", "save_scenario",
+    "ScenarioOptions", "generate_scenario",
     "ExperimentSpec", "ResultTable", "run_experiment",
 ]

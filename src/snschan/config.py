@@ -3,7 +3,7 @@ name lookup of their registries."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,14 +37,16 @@ class SystemConfig:
     SI_min: int = 32             # minimum stationary-interval length [elements]
 
     def __post_init__(self) -> None:
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
-        for name in ("M", "K", "L", "N_RF", "P"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("N", 2), ("M", 1), ("K", 1), ("L", 1),
+                            ("N_RF", 1), ("P", 1), ("SI_min", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.fc <= 0 or self.B < 0 or self.c <= 0:
             raise ValueError("fc and c must be positive, B non-negative")
-        if not (1 <= self.SI_min <= self.N):
+        if self.SI_min > self.N:
             raise ValueError(f"SI_min must lie in [1, N], got {self.SI_min}")
         if self.d is None:
             object.__setattr__(self, "d", self.wavelength / 2.0)
@@ -69,33 +71,14 @@ class SystemConfig:
         m = np.arange(1, self.M + 1)
         return _read_only(self.fc + self.B * (2 * m - self.M - 1) / (2 * self.M))
 
-    def wavenumber(self, f: float | np.ndarray | None = None) -> float | np.ndarray:
-        """k_w = 2*pi*f/c (carrier frequency when f is omitted)."""
-        if f is None:
-            f = self.fc
+    def wavenumber(self, f: float | np.ndarray) -> float | np.ndarray:
+        """k_w = 2*pi*f/c."""
         return 2.0 * np.pi * np.asarray(f) / self.c
 
     @property
     def n_blocks_si(self) -> int:
         """Number of SI_min-sized blocks covering the array (last may be short)."""
         return int(np.ceil(self.N / self.SI_min))
-
-    @property
-    def aperture(self) -> float:
-        """Physical array length (N - 1) * d."""
-        return (self.N - 1) * self.d
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SystemConfig":
-        """The config a to_dict document describes; a key that is not a
-        field (such as the retired seed) is a ValueError."""
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}")
-        return cls(**data)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -40,8 +40,8 @@ observed scalar, |l_t - l_(t-1)| < delta1 P M, or once the run has pruned
 every block. The fit is scale-equivariant: Y -> cY with sigma2 -> c^2 sigma2
 (both sigma2 above the 1e-12 floor) scales the start, and with it every
 iterate's prior, by c^2 and shifts l by -2 P M ln c, so the run takes the
-same steps, stops at the same iteration and returns c times its estimate. The E-step reads l from the Cholesky
-factor of K it already holds.
+same steps, stops at the same iteration and returns c times its estimate.
+The E-step reads l from the Cholesky factor of K it already holds.
 
 The learner holds its blocks stacked, not one by one. Every block but the
 last has length block_size, so the blocks form at most two size groups:
@@ -781,24 +781,18 @@ def _offgrid_atoms(Phi: np.ndarray, n_sub: int,
 
 
 def _residual_gradient(Phi: np.ndarray, d: np.ndarray, resid: np.ndarray,
-                   X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The gradient of `offgrid_gradient` from the atoms d = D(z) and the
-    residual Y - Phi D X, and the ramped atoms L .* D it reads."""
-    ramped = np.arange(d.shape[0])[:, None] * d
-    inner = X @ resid.conj().T @ Phi @ ramped
-    return -2.0 * np.pi * np.real(1j * np.diag(inner)), ramped
-
-
-def offgrid_gradient(Y: np.ndarray, Phi: np.ndarray, n_sub: int,
-                     z: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Analytic gradient of ||Y - Phi D(z) X||_F^2 in the grid variables z.
+                       X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient of ||Y - Phi D(z) X||_F^2 in the grid variables z,
+    from the atoms d = D(z) and the residual Y - Phi D X, and the ramped
+    atoms L .* D it reads.
 
     With atom phases exp(+j pi n z), the k-th component is
     -2 Re{ j pi [X (Y - Phi D X)^H Phi (L .* D)]_kk } where the ramp matrix L
     has columns [0..N-1].
     """
-    d, phi_d = _offgrid_atoms(Phi, n_sub, z)
-    return _residual_gradient(Phi, d, Y - phi_d @ X, X)[0]
+    ramped = np.arange(d.shape[0])[:, None] * d
+    inner = X @ resid.conj().T @ Phi @ ramped
+    return -2.0 * np.pi * np.real(1j * np.diag(inner)), ramped
 
 
 def offgrid_refine(

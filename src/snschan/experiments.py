@@ -318,6 +318,13 @@ class ExperimentSpec:
         exp = EXPERIMENTS[self.experiment]
         self.sweep = self.sweep or list(exp.default_sweep)
         self.algorithms = self.algorithms or list(exp.algorithms)
+        if exp.sweep_param not in SystemConfig.__dataclass_fields__:
+            # a cell reads the value as a float; abs(v) < inf fails for NaN
+            bad = [v for v in self.sweep
+                   if type(v) not in (int, float) or not abs(v) < np.inf]
+            if bad:
+                raise ConfigError(f"sweep values of {exp.sweep_param} must be "
+                                  f"finite numbers, got {bad}")
         if type(self.trials) is not int or self.trials < 1:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         unknown = [a for a in self.algorithms if a not in exp.kind.allowed]

@@ -1,12 +1,13 @@
-"""Random scenario sampling and bit-exact JSON serialization.
+"""Random scenario sampling.
 
 Every random draw of a scene lives here, visibility regions included
 (`sample_vr`), and reads its distribution from one checked `ScenarioOptions`.
+A scene exists only in memory: the experiments synthesize each one from its
+cell's seed, so the same spec gives the same scenes without a stored copy.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -51,6 +52,10 @@ class ScenarioOptions:
     power_threshold: float = 0.1   # the VR threshold of obstructed paths
 
     def __post_init__(self) -> None:
+        # sample_paths obstructs no path unless t_d > 0: a negative t_d
+        # would run as t_d = 0 under its own label
+        if not self.t_d >= 0.0:
+            raise ValueError(f"t_d must lie in [0, inf), got {self.t_d!r}")
         for name in ("p_nonideal", "p_stay_visible", "p_stay_blocked",
                      "p_init_visible"):
             value = getattr(self, name)
@@ -170,72 +175,3 @@ def generate_scenario(cfg: SystemConfig, rng: np.random.Generator,
                       ) -> ChannelRealization:
     """Sample paths and assemble the channel realization."""
     return assemble_channel(cfg, *sample_paths(cfg, rng, opts))
-
-
-def _complex_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def scenario_to_dict(cfg: SystemConfig, chan: ChannelRealization) -> dict:
-    """JSON-ready scenario document (complex values as (re, im) pairs)."""
-    paths = []
-    for p in chan.paths:
-        entry = {
-            "g": _complex_pair(p.g),
-            "r": p.r,
-            "theta": p.theta,
-            "kind": p.kind,
-            "t_d": p.t_d,
-            "obstacle": None if p.obstacle is None else {
-                "h_ref": p.obstacle.h_ref,
-                "d1_ref": p.obstacle.d1_ref,
-                "d2_ref": p.obstacle.d2_ref,
-            },
-            "mask_s": [float(v) for v in p.mask.s],
-            "support": [int(v) for v in p.mask.support],
-        }
-        paths.append(entry)
-    return {
-        "config": cfg.to_dict(),
-        "paths": paths,
-        "truth_breakpoints": [int(b) for b in chan.truth_breakpoints],
-    }
-
-
-def scenario_from_dict(doc: dict) -> tuple[SystemConfig, ChannelRealization]:
-    """Rebuild the scenario; the channel matrix and the truth breakpoints are
-    re-derived from the paths and their masks.
-
-    Raises ValueError when a path has no mask or the document's
-    truth_breakpoints disagree with the ones its masks give.
-    """
-    cfg = SystemConfig.from_dict(doc["config"])
-    paths = []
-    for i, entry in enumerate(doc["paths"]):
-        if entry["mask_s"] is None:
-            raise ValueError(f"path {i} has no mask")
-        obstacle = entry["obstacle"]
-        paths.append(PathParams(
-            g=complex(entry["g"][0], entry["g"][1]),
-            r=entry["r"],
-            theta=entry["theta"],
-            kind=entry["kind"],
-            obstacle=None if obstacle is None else Obstacle(**obstacle),
-            t_d=entry["t_d"],
-            mask=VisibilityMask(s=np.array(entry["mask_s"], dtype=float),
-                                support=np.array(entry["support"], dtype=bool)),
-        ))
-    chan = assemble_channel(cfg, paths)
-    if chan.truth_breakpoints.tolist() != list(doc["truth_breakpoints"]):
-        raise ValueError("truth_breakpoints disagree with the paths' masks")
-    return cfg, chan
-
-
-def save_scenario(path: str, cfg: SystemConfig, chan: ChannelRealization) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(cfg, chan), fh, indent=1)
-
-
-def load_scenario(path: str) -> tuple[SystemConfig, ChannelRealization]:
-    with open(path, encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))

@@ -103,7 +103,7 @@ class TestIdealMask:
         r = 1e4
         path = PathParams(g=1.0, r=r, theta=0.2)
         mask = ideal_mask(path, cfg)
-        np.testing.assert_allclose(mask, 1.0, atol=2 * cfg.aperture / r)
+        np.testing.assert_allclose(mask, 1.0, atol=2 * (cfg.N - 1) * cfg.d / r)
 
     def test_matches_direct_formula(self):
         cfg = SystemConfig(N=8, SI_min=2)

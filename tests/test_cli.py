@@ -101,6 +101,11 @@ def test_seed_report(tmp_path, capsys):
     dict(TINY_NMSE, overrides=dict(TINY_NMSE["overrides"], N_RF=0)),
     # the spec's seed is the only seed; the config has none to override
     dict(TINY_AUC, overrides=dict(TINY_AUC["overrides"], seed=1)),
+    # a swept value every trial would fail to convert
+    dict(TINY_NMSE, sweep=["abc"]),
+    # counts must be integers, as overrides and as sweep values
+    dict(TINY_NMSE, overrides=dict(TINY_NMSE["overrides"], P=16.0)),
+    dict(TINY_NMSE, experiment="nmse_vs_pilots", sweep=[16.5]),
 ], ids=["unreadable", "unknown-experiment", "unknown-algorithm", "string-trials",
         "unknown-architecture", "unknown-estimator", "unknown-estimator-config",
         "estimator-config-block_size", "estimator-config-t_ite",
@@ -109,7 +114,8 @@ def test_seed_report(tmp_path, capsys):
         "estimator-config-sigma2_init_scale", "estimator-config-sigma2_floor",
         "estimator-config-scalar_gamma", "estimator-config-armijo_shrink",
         "estimator-config-armijo_slope", "estimator-config-max_backtracks",
-        "pass-window-SI_min", "no-rf-chain", "config-seed"])
+        "pass-window-SI_min", "no-rf-chain", "config-seed", "string-sweep-value",
+        "float-P-override", "float-P-sweep"])
 def test_config_errors(tmp_path, capsys, doc):
     path = str(tmp_path / "missing.json") if doc is None else write_spec(tmp_path, doc)
     assert cli.main(["validate", path]) == cli.EXIT_CONFIG
@@ -144,6 +150,19 @@ def test_unknown_override_key_is_named(tmp_path, capsys):
     assert cli.main(["validate", write_spec(tmp_path, doc)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "overrides ['seed']" in err and "sweep value" not in err and "5.0" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    dict(TINY_AUC, params={"t_d": -1.0}),
+    dict(TINY_AUC, experiment="auc_vs_td", sweep=[-1.0]),
+], ids=["params", "sweep"])
+def test_negative_t_d_fails_and_is_named(tmp_path, capsys, doc):
+    # sample_paths obstructs no path unless t_d > 0, so these runs used to
+    # exit 0 with unobstructed scenes in rows labelled t_d = -1
+    out = tmp_path / "out"
+    assert cli.main(["run", write_spec(tmp_path, doc), "--out", str(out)]) != cli.EXIT_OK
+    assert "t_d must lie in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_with_zero_workers_exits_2(tmp_path, capsys):
