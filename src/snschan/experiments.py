@@ -333,6 +333,15 @@ class ExperimentSpec:
                               f"{self.experiment}; allowed: {list(exp.kind.allowed)}")
         self.params = {**exp.params, **self.params}
         self.estimator_config = _check_params(self.params, exp)
+        # sample_paths obstructs no path unless t_d > 0, so a negative t_d
+        # would run every trial on unobstructed scenes under its own label
+        t_ds = (self.sweep if exp.sweep_param == "t_d"
+                else [self.params["t_d"]] if "t_d" in self.params else [])
+        for t_d in t_ds:
+            try:
+                ScenarioOptions(t_d=t_d)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"invalid t_d: {err}") from err
         unknown = sorted(set(self.overrides) - set(SystemConfig.__dataclass_fields__))
         if unknown:
             raise ConfigError(f"overrides {unknown} are not SystemConfig fields; "
@@ -477,13 +486,16 @@ def _build_config(spec: ExperimentSpec, sweep_value) -> SystemConfig:
     runs, so SI_min must satisfy PASS's window rule."""
     values = dict(spec.overrides)
     exp = EXPERIMENTS[spec.experiment]
+    # a sweep that is no SystemConfig field has no part in a fault here
+    source = "overrides"
     if exp.sweep_param in SystemConfig.__dataclass_fields__:
         values[exp.sweep_param] = sweep_value
+        source = f"sweep value {sweep_value!r}"
     try:
         cfg = SystemConfig(**values)
         check_window(cfg.SI_min)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"sweep value {sweep_value!r}: {err}") from err
+        raise ConfigError(f"{source}: {err}") from err
     return cfg
 
 

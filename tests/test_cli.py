@@ -106,6 +106,8 @@ def test_seed_report(tmp_path, capsys):
     # counts must be integers, as overrides and as sweep values
     dict(TINY_NMSE, overrides=dict(TINY_NMSE["overrides"], P=16.0)),
     dict(TINY_NMSE, experiment="nmse_vs_pilots", sweep=[16.5]),
+    # a t_d every trial's scene draw would fail to compare
+    dict(TINY_AUC, params={"t_d": "abc"}),
 ], ids=["unreadable", "unknown-experiment", "unknown-algorithm", "string-trials",
         "unknown-architecture", "unknown-estimator", "unknown-estimator-config",
         "estimator-config-block_size", "estimator-config-t_ite",
@@ -115,7 +117,7 @@ def test_seed_report(tmp_path, capsys):
         "estimator-config-scalar_gamma", "estimator-config-armijo_shrink",
         "estimator-config-armijo_slope", "estimator-config-max_backtracks",
         "pass-window-SI_min", "no-rf-chain", "config-seed", "string-sweep-value",
-        "float-P-override", "float-P-sweep"])
+        "float-P-override", "float-P-sweep", "string-t_d"])
 def test_config_errors(tmp_path, capsys, doc):
     path = str(tmp_path / "missing.json") if doc is None else write_spec(tmp_path, doc)
     assert cli.main(["validate", path]) == cli.EXIT_CONFIG
@@ -152,16 +154,29 @@ def test_unknown_override_key_is_named(tmp_path, capsys):
     assert "overrides ['seed']" in err and "sweep value" not in err and "5.0" not in err
 
 
+def test_override_fault_names_no_sweep_value(tmp_path, capsys):
+    # snr_db is no SystemConfig field, so no sweep point is at fault
+    doc = dict(TINY_NMSE, overrides=dict(TINY_NMSE["overrides"], P=16.0))
+    assert cli.main(["validate", write_spec(tmp_path, doc)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "overrides: P must be an integer" in err
+    assert "sweep value" not in err and "10.0" not in err
+
+
 @pytest.mark.parametrize("doc", [
     dict(TINY_AUC, params={"t_d": -1.0}),
     dict(TINY_AUC, experiment="auc_vs_td", sweep=[-1.0]),
 ], ids=["params", "sweep"])
 def test_negative_t_d_fails_and_is_named(tmp_path, capsys, doc):
     # sample_paths obstructs no path unless t_d > 0, so these runs used to
-    # exit 0 with unobstructed scenes in rows labelled t_d = -1
+    # exit 0 with unobstructed scenes in rows labelled t_d = -1; the spec
+    # is now rejected at load, before any trial runs
     out = tmp_path / "out"
-    assert cli.main(["run", write_spec(tmp_path, doc), "--out", str(out)]) != cli.EXIT_OK
-    assert "t_d must lie in" in capsys.readouterr().err
+    path = write_spec(tmp_path, doc)
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("config error: invalid t_d: t_d must lie in") == 2
     assert not out.exists()
 
 
