@@ -111,8 +111,7 @@ def breakpoints_from_masks(paths: list[PathParams], cfg: SystemConfig) -> np.nda
 
 
 def assemble_channel(cfg: SystemConfig, paths: list[PathParams],
-                     distances: list[np.ndarray] | None = None,
-                     ) -> ChannelRealization:
+                     distances: list[np.ndarray]) -> ChannelRealization:
     """Superpose the masked paths; column m of H is the channel at
     subcarrier f_m.
 
@@ -121,7 +120,7 @@ def assemble_channel(cfg: SystemConfig, paths: list[PathParams],
     exp(-j k_f (r_n - r)) / sqrt(N) is the unit-norm near-field array
     response at frequency f. The sum runs over the elements where s_n != 0
     only. Every path must carry its mask; distances holds each path's
-    element distances r_n when the caller has computed them.
+    element distances r_n (`element_distances`).
     """
     if not paths:
         raise ValueError("assemble_channel requires at least one path")
@@ -130,10 +129,8 @@ def assemble_channel(cfg: SystemConfig, paths: list[PathParams],
     for i, p in enumerate(paths):
         if p.mask is None:
             raise ValueError("path has no visibility mask; draw one with sample_vr")
-        r_n = (element_distances(p.r, p.theta, cfg) if distances is None
-               else distances[i])
         vis = np.flatnonzero(p.mask.s)
-        phases = np.exp(-1j * np.outer(r_n[vis], k_m))
+        phases = np.exp(-1j * np.outer(distances[i][vis], k_m))
         H[vis] += (p.g / np.sqrt(cfg.N)) * phases * p.mask.s[vis, None]
     return ChannelRealization(H=H, paths=paths,
                               truth_breakpoints=breakpoints_from_masks(paths, cfg))

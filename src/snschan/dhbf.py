@@ -44,7 +44,6 @@ class MeasurementPlan:
     schedule: np.ndarray         # (P, N_RF) int, active subarray or -1 (idle)
     alloc: RfAllocation
     noise_variance: float
-    effective_pilots: np.ndarray  # per subarray, total measurements
 
 
 @dataclass
@@ -132,7 +131,9 @@ def build_combiners(alloc: RfAllocation, cfg: SystemConfig,
 
     Within each chain, one unit-modulus base row with i.i.d. U(0, 2pi) phases
     is drawn per decoupling cycle; slot p masks it to the cyclically active
-    subarray and scales the row to unit l2 norm.
+    subarray and scales the row to unit l2 norm. A chain serving k subarrays
+    draws its ceil(P/k) base rows in one call, chain after chain: the same
+    stream as one draw per cycle.
     """
     p_total = cfg.P
     ks = [len(cls) for cls in alloc.classes]
@@ -145,20 +146,22 @@ def build_combiners(alloc: RfAllocation, cfg: SystemConfig,
     for c, cls in enumerate(alloc.classes):
         if not cls:
             continue
+        k = len(cls)
         elems = np.unique(np.concatenate([alloc.subarrays[j] for j in cls]))  # J_c
-        masks = [np.isin(elems, alloc.subarrays[j]) for j in cls]
-        for p in range(p_total):
-            j = p % len(cls)
-            if j == 0:
-                base = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=elems.size))
-            combiners[p, c, elems[masks[j]]] = base[masks[j]] / np.sqrt(masks[j].sum())
-            schedule[p, c] = cls[j]
+        base = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi,
+                                       size=(-(-p_total // k), elems.size)))
+        for i, j in enumerate(cls):
+            slots = np.arange(i, p_total, k)        # slots[t] is in cycle t
+            pos = np.flatnonzero(np.isin(elems, alloc.subarrays[j]))
+            combiners[slots[:, None], c, elems[pos]] = (
+                base[:slots.size, pos] / np.sqrt(pos.size))
+            schedule[slots, c] = j
     eff = np.bincount(schedule[schedule >= 0], minlength=len(alloc.subarrays))
     sizes = np.array([s.size for s in alloc.subarrays])
     if np.any(eff[sizes > 0] < 1):
         raise InfeasiblePilotError("some on-mode subarray receives no pilot")
     return MeasurementPlan(combiners=combiners, schedule=schedule, alloc=alloc,
-                           noise_variance=noise_variance, effective_pilots=eff)
+                           noise_variance=noise_variance)
 
 
 def simulate_reception(H: np.ndarray, plan: MeasurementPlan,
@@ -167,21 +170,23 @@ def simulate_reception(H: np.ndarray, plan: MeasurementPlan,
 
     Pilot symbols are all one; the additive noise is CN(0, sigma_n^2 I_N) per
     (subcarrier, slot), so each scalar measurement sees CN(0, sigma_n^2)
-    noise thanks to the unit-norm combiner rows.
+    noise thanks to the unit-norm combiner rows. The noise of every slot is
+    one draw of (P, 2, N, M) normals (slot by slot, real part before
+    imaginary: the same stream as one draw per slot), and every slot is
+    received in one batched product.
     """
     n, m = H.shape
     p_total, n_rf, n_cols = plan.combiners.shape
     if n_cols != n:
         raise ValueError("plan and channel dimensions disagree")
+    if plan.noise_variance > 0:
+        z = rng.standard_normal((p_total, 2, n, m))
+        noise = np.sqrt(plan.noise_variance / 2.0) * (z[:, 0] + 1j * z[:, 1])
+    else:
+        noise = 0.0
     y = np.empty((m, p_total, n_rf), dtype=complex)
-    sigma = np.sqrt(plan.noise_variance / 2.0)
-    for p in range(p_total):
-        if plan.noise_variance > 0:
-            noise = sigma * (rng.standard_normal((n, m))
-                             + 1j * rng.standard_normal((n, m)))
-        else:
-            noise = 0.0
-        y[:, p, :] = ((H + noise).T @ plan.combiners[p].T)
+    y.swapaxes(0, 1)[...] = ((H + noise).swapaxes(-1, -2)
+                             @ plan.combiners.swapaxes(-1, -2))
     return y
 
 

@@ -259,13 +259,16 @@ def _prior_cov(gamma: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 class _Part(NamedTuple):
     """The E-step's output for the active (run, block) pairs of one stack,
-    in run-major order."""
+    in run-major order, with the prior it read. When every pair is active,
+    gamma and p are views of the stack's arrays."""
 
     stack: _BlockStack
     run: np.ndarray       # (n,) run of each pair
     block: np.ndarray     # (n,) block of each pair within the stack
     mu: np.ndarray        # (n, U, M) posterior means
     sigma: np.ndarray     # (n, U, U) posterior covariances
+    gamma: np.ndarray     # (n, U) prior variances
+    p: np.ndarray         # (n, U, U) prior correlations
 
 
 class _Atoms(NamedTuple):
@@ -273,21 +276,17 @@ class _Atoms(NamedTuple):
     as the rows of a contiguous (n_act, P) array, so each block's atoms are
     one contiguous (U, P) slab."""
 
-    mask: np.ndarray      # (N_sub,) columns active in some run
-    rows: np.ndarray      # (n_act, P) Psi[:, mask]^T
+    rows: np.ndarray      # (n_act, P) the active columns of Psi, transposed
     rows_conj: np.ndarray
 
 
-def _active_atoms(psi_rows: np.ndarray, stacks: list[_BlockStack],
-                  prev: _Atoms | None = None) -> _Atoms:
+def _active_atoms(psi_rows: np.ndarray, stacks: list[_BlockStack]) -> _Atoms:
     """The atoms of the blocks active in some run, taken from the rows of
-    psi_rows = Psi^T; prev is returned unchanged while the union holds."""
+    psi_rows = Psi^T."""
     mask = np.concatenate([np.repeat(s.active.any(axis=0), s.gamma.shape[-1])
                            for s in stacks])
-    if prev is not None and np.array_equal(mask, prev.mask):
-        return prev
     rows = psi_rows[mask]
-    return _Atoms(mask, rows, rows.conj())
+    return _Atoms(rows, rows.conj())
 
 
 def _posterior(
@@ -319,12 +318,20 @@ def _posterior(
     n_act = atoms.rows.shape[0]
     live, cs = [], []
     for s in stacks:
-        idx = np.flatnonzero(s.active.any(axis=0))
-        if idx.size:
-            c = _prior_cov(s.gamma[:, idx], s.p[:, idx])  # (R, n, U, U)
-            c[~s.active[:, idx]] = 0.0
-            live.append((s, idx, s.active[:, idx]))
-            cs.append(c)
+        used = s.active.any(axis=0)
+        if used.all():
+            # every block: the stack's own arrays, not gathered copies
+            idx, act, gam, p = np.arange(used.size), s.active, s.gamma, s.p
+        elif used.any():
+            idx = np.flatnonzero(used)
+            act, gam, p = s.active[:, idx], s.gamma[:, idx], s.p[:, idx]
+        else:
+            continue
+        c = _prior_cov(gam, p)  # (R, n, U, U)
+        if not act.all():
+            c[~act] = 0.0
+        live.append((s, idx, act, gam, p))
+        cs.append(c)
     edges = [0, *accumulate(c.shape[1] * c.shape[-1] for c in cs)]
 
     def slabs(a: np.ndarray, i: int) -> np.ndarray:
@@ -376,15 +383,18 @@ def _posterior(
     proj = left_h @ y_rows.swapaxes(-1, -2)               # Psi^H K^-1 Y
 
     parts = []
-    for i, ((s, idx, act), c) in enumerate(zip(live, cs)):
+    for i, ((s, idx, act, gam, p), c) in enumerate(zip(live, cs)):
         n, u = idx.size, c.shape[-1]
         gram = slabs(left_h, i) @ slabs(w_rows, i).swapaxes(-1, -2)
         mu_g = c @ proj[:, edges[i]:edges[i + 1]].reshape(r_count, n, u, m_count)
         sig_g = c - c @ gram @ c
         sig_g += sig_g.conj().swapaxes(-1, -2)
         sig_g *= 0.5
+        every = act.all()   # then the pairs are views, not gathered copies
         run, pos = np.nonzero(act)
-        parts.append(_Part(s, run, idx[pos], mu_g[act], sig_g[act]))
+        parts.append(_Part(s, run, idx[pos], *(
+            a.reshape(-1, *a.shape[2:]) if every else a[act]
+            for a in (mu_g, sig_g, gam, p))))
     return parts, objective
 
 
@@ -561,7 +571,7 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
     mu = np.zeros((r_count, n_sub, m_count), dtype=complex)
     stop = np.zeros(r_count, dtype=bool)     # runs that stopped this step
     psi_rows = np.ascontiguousarray(Psi.T)
-    atoms = None
+    pruned = True        # the active atoms change only with a prune or a stop
     it = 0
 
     for it in range(1, cfg.t_ite + 1):
@@ -573,7 +583,10 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
             running_max_q, stop = running_max_q[keep], stop[keep]
             for s in stacks:
                 s.keep_runs(keep)
-        atoms = _active_atoms(psi_rows, stacks, atoms)
+            pruned = True
+        if pruned:
+            atoms = _active_atoms(psi_rows, stacks)
+            pruned = False
         parts, objective = _posterior(Y, atoms, stacks, sigma2)
         mu = np.zeros((order.size, n_sub, m_count), dtype=complex)
         r_bars = []
@@ -585,20 +598,20 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
 
         # M-step: gamma and P both read the pre-update iterate, so the P
         # update inverts the old Q (keeping gamma's shrinkage effective in
-        # the composite prior Q P Q)
-        gammas_old = [part.stack.gamma[part.run, part.block] for part in parts]
-        ps_old = [part.stack.p[part.run, part.block] for part in parts]
+        # the composite prior Q P Q). The parts' priors may be views of the
+        # stacks, so every read comes before the first write
         gammas_new = []
-        for r_bar, p_g, gam in zip(r_bars, ps_old, gammas_old):
+        for r_bar, part in zip(r_bars, parts):
             if scalar_gamma:
-                pooled = _pooled_variance(_inverse_weighted(r_bar, p_g), m_count)
-                gammas_new.append(np.repeat(pooled[:, None], gam.shape[1], axis=1))
+                pooled = _pooled_variance(_inverse_weighted(r_bar, part.p), m_count)
+                gammas_new.append(np.repeat(pooled[:, None], part.gamma.shape[1],
+                                            axis=1))
             else:
-                gammas_new.append(update_gamma(r_bar, p_g, gam, m_count,
+                gammas_new.append(update_gamma(r_bar, part.p, part.gamma, m_count,
                                                prior_weight=m_count))
         if cfg.learn_p and parts:
-            new_ps, scales = update_p_alm(r_bars, gammas_old, m_count,
-                                          cfg.p_shrink,
+            new_ps, scales = update_p_alm(r_bars, [part.gamma for part in parts],
+                                          m_count, cfg.p_shrink,
                                           runs=[part.run for part in parts])
             for part, p_new, scale, gam in zip(parts, new_ps, scales, gammas_new):
                 # conventional BSBL's single gamma takes the mean scale
@@ -622,6 +635,7 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
             if drop.any():
                 part.stack.active[part.run[drop], part.block[drop]] = False
                 part.stack.rows(mu)[part.run[drop], part.block[drop]] = 0.0
+                pruned = True
 
         for r, orig in enumerate(order):
             obj = objectives[orig]
@@ -748,6 +762,7 @@ def somp_baseline(
     psi_h = Psi.conj().T
     support: list[int] = []
     basis = np.zeros((max_atoms, p_eff), dtype=complex)   # orthonormal rows
+    basis_h = np.zeros_like(basis)                         # their conjugates
     residual = Y.copy()
     # an atom whose component off the support's span is at rounding level,
     # relative to the atom's own norm, joins the support but not the basis:
@@ -761,11 +776,12 @@ def somp_baseline(
         support.append(j)
         q = Psi[:, j].copy()
         for _ in range(2):
-            q -= basis[:k].T @ (basis[:k].conj() @ q)
+            q -= basis[:k].T @ (basis_h[:k] @ q)
         norm = np.linalg.norm(q)
         if norm > tiny * col_norms[j]:
             basis[k] = q / norm
-            residual -= np.outer(basis[k], basis[k].conj() @ residual)
+            basis_h[k] = basis[k].conj()
+            residual -= np.outer(basis[k], basis_h[k] @ residual)
         if residual_tol is not None and np.linalg.norm(residual) / y_norm <= residual_tol:
             break
     coef, *_ = np.linalg.lstsq(Psi[:, support], Y, rcond=None)

@@ -12,7 +12,6 @@ from .bcrb import bcrb_bound
 from .channel import ChannelRealization
 from .config import SystemConfig, lookup
 from .dhbf import (
-    MeasurementPlan,
     SubarrayObservations,
     build_combiners,
     decouple,
@@ -107,7 +106,6 @@ class TrialMeasurement:
 
     chan: ChannelRealization
     seg: SegmentationResult
-    plan: MeasurementPlan
     observations: list[SubarrayObservations]
     sigma2: float
     _dictionaries: dict[int, tuple[Codebook, np.ndarray]] = field(
@@ -153,8 +151,7 @@ def measure_scene(
     plan = build_combiners(alloc, cfg, rng, sigma2)
     y = simulate_reception(chan.H, plan, rng)
     obs = decouple(y, plan)
-    return TrialMeasurement(chan=chan, seg=seg, plan=plan, observations=obs,
-                            sigma2=sigma2)
+    return TrialMeasurement(chan=chan, seg=seg, observations=obs, sigma2=sigma2)
 
 
 def _absbl(y, psi, sigma2, cfg):

@@ -265,7 +265,7 @@ def auc_score(
     sequence) is threshold-swept; the rank-based AUC equals the Mann-Whitney
     statistic with midrank tie handling. Returns max(AUC, 1 - AUC) in
     [0.5, 1]; degenerate truth (no interior breakpoints) returns 0.5.
-    Raises ValueError if any score is not finite.
+    Raises ValueError if any score is not finite or match_tol < 0.
     """
     if isinstance(predicted, SegmentationResult):
         scores = predicted.auc_score_sequence()
@@ -273,6 +273,8 @@ def auc_score(
         scores = np.asarray(predicted, dtype=float)
     if not np.all(np.isfinite(scores)):
         raise ValueError("AUC scores must be finite")
+    if match_tol < 0:
+        raise ValueError(f"match_tol must be non-negative, got {match_tol}")
     n = scores.size
     truth_bp = np.asarray(truth_bp, dtype=int)
     interior = truth_bp[(truth_bp > 1) & (truth_bp <= n)]
@@ -280,8 +282,11 @@ def auc_score(
         warnings.warn("no interior truth breakpoints; AUC degenerates to 0.5",
                       RuntimeWarning, stacklevel=2)
         return 0.5
-    elements = np.arange(1, n + 1)
-    labels = np.any(np.abs(elements[:, None] - interior[None, :]) <= match_tol, axis=1)
+    # each breakpoint's +-match_tol window opens at one element and shuts
+    # past another; the running count of open windows marks the positives
+    opens = np.bincount(np.maximum(interior - match_tol - 1, 0), minlength=n + 1)
+    shuts = np.bincount(np.minimum(interior + match_tol, n), minlength=n + 1)
+    labels = np.cumsum(opens[:n] - shuts[:n]) > 0
     n_pos = int(labels.sum())
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:

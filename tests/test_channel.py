@@ -42,9 +42,15 @@ def unit_mask(cfg):
     return VisibilityMask(s=np.ones(cfg.N), support=np.ones(cfg.N, dtype=bool))
 
 
+def assemble(cfg, paths):
+    """assemble_channel with each path's element distances."""
+    return assemble_channel(
+        cfg, paths, [element_distances(p.r, p.theta, cfg) for p in paths])
+
+
 def single_path_channel(path, cfg):
     """(N, M) channel of one masked path."""
-    return assemble_channel(cfg, [path]).H
+    return assemble(cfg, [path]).H
 
 
 def array_response(r, theta, cfg):
@@ -234,7 +240,7 @@ class TestAssembleChannel:
         path = PathParams(g=1.0, r=20.0, theta=0.0)
         path.mask = VisibilityMask(s=np.zeros(cfg.N),
                                    support=np.zeros(cfg.N, dtype=bool))
-        chan = assemble_channel(cfg, [path])
+        chan = assemble(cfg, [path])
         assert np.all(chan.H == 0)
 
     def test_superposition_linearity(self):
@@ -244,7 +250,7 @@ class TestAssembleChannel:
                             r=rng.uniform(10, 50), theta=rng.uniform(-1, 1),
                             mask=unit_mask(cfg))
                  for _ in range(4)]
-        h_all = assemble_channel(cfg, paths).H
+        h_all = assemble(cfg, paths).H
         h_sum = sum(single_path_channel(p, cfg) for p in paths)
         np.testing.assert_allclose(h_all, h_sum, rtol=1e-12)
 
@@ -260,10 +266,10 @@ class TestAssembleChannel:
         cfg = self._cfg()
         bare = PathParams(g=1.0, r=20.0, theta=0.0)
         with pytest.raises(ValueError, match="mask"):
-            assemble_channel(cfg, [bare])
+            assemble(cfg, [bare])
         masked = PathParams(g=1.0, r=25.0, theta=0.2, mask=unit_mask(cfg))
         with pytest.raises(ValueError, match="mask"):
-            assemble_channel(cfg, [masked, bare])
+            assemble(cfg, [masked, bare])
         assert bare.mask is None
 
     def test_breakpoints_cover_support_edges(self):
@@ -272,7 +278,7 @@ class TestAssembleChannel:
         sup = np.zeros(cfg.N, dtype=bool)
         sup[8:24] = True
         p1.mask = VisibilityMask(s=np.where(sup, 1.0, 0.0), support=sup)
-        chan = assemble_channel(cfg, [p1])
+        chan = assemble(cfg, [p1])
         np.testing.assert_array_equal(chan.truth_breakpoints, [1, 9, 25, 33])
 
     def test_breakpoints_always_bracketed(self):
@@ -287,6 +293,6 @@ class TestAssembleChannel:
                 sup[rng.integers(cfg.N)] = True
                 p.mask = VisibilityMask(s=np.where(sup, 1.0, 0.0), support=sup)
                 paths.append(p)
-            bp = assemble_channel(cfg, paths).truth_breakpoints
+            bp = assemble(cfg, paths).truth_breakpoints
             assert bp[0] == 1 and bp[-1] == cfg.N + 1
             assert np.all(np.diff(bp) > 0)

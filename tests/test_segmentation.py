@@ -430,6 +430,22 @@ class TestAucScore:
         expected = max(expected, 1 - expected)
         assert auc_score(scores, truth, tol) == pytest.approx(expected)
 
+    @given(st.integers(2, 60), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_labels_mark_every_window(self, n, tol, seed):
+        # overlapping windows and windows cut at either end of the array
+        rng = np.random.default_rng(seed)
+        truth = np.r_[1, rng.integers(2, n + 1, size=rng.integers(1, 5)), n + 1]
+        scores = rng.integers(0, 4, size=n).astype(float)
+        labels = np.any(np.abs(np.arange(1, n + 1)[:, None] - truth[1:-1]) <= tol,
+                        axis=1)
+        if labels.all():
+            assert auc_score(scores, truth, tol) == 0.5
+            return
+        expected = pairwise_auc(scores, labels)
+        assert auc_score(scores, truth, tol) == pytest.approx(
+            max(expected, 1 - expected), rel=1e-12)
+
     def test_degenerate_truth_warns(self):
         with pytest.warns(RuntimeWarning):
             out = auc_score(np.arange(10.0), np.array([1, 11]), match_tol=1)
@@ -448,6 +464,10 @@ class TestAucScore:
     def test_nonfinite_scores_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             auc_score(np.r_[bad, np.zeros(63)], np.array([1, 20, 65]), 2)
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="match_tol"):
+            auc_score(np.arange(10.0), np.array([1, 5, 11]), match_tol=-1)
 
     def test_length_comes_from_the_scores(self):
         # a separate element count used to index past the scores
