@@ -13,7 +13,6 @@ from .config import SystemConfig
 from .channel import (
     ChannelRealization,
     PathParams,
-    VisibilityMask,
     assemble_channel,
 )
 from .diffraction import Obstacle, diffraction_gain, diffraction_geometry, fresnel_cs
@@ -48,7 +47,7 @@ from .scenario import ScenarioOptions, generate_scenario
 from .experiments import ExperimentSpec, ResultTable, run_experiment
 
 __all__ = [
-    "SystemConfig", "ChannelRealization", "PathParams", "VisibilityMask",
+    "SystemConfig", "ChannelRealization", "PathParams",
     "assemble_channel",
     "Obstacle", "diffraction_gain", "diffraction_geometry", "fresnel_cs",
     "SegmentationResult", "afm_segment", "auc_score", "pass_segment",

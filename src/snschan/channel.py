@@ -1,10 +1,12 @@
 """Spatially non-stationary near-field multi-carrier channel synthesis.
 
 A channel realization is a superposition of paths. Each path carries a
-complex gain, a reference (distance, angle) seen from the array center, and
-a non-negative per-element mask that is zero outside the path's visibility
-region (BS-VR) and encodes spherical-wave amplitude taper plus, for paths
-obstructed by a knife edge, diffraction ripple.
+complex gain, its reference distance from the array center, and its mask:
+an array of non-negative per-element weights that is zero outside the
+path's visibility region (BS-VR), so that the VR is where the mask is
+positive. The weights encode spherical-wave amplitude taper plus, for paths
+obstructed by a knife edge, diffraction ripple. The path's angle enters
+only through its element distances.
 
 Synthesis does only the work its output needs. A path's contribution is
 evaluated on its VR alone: outside it the mask is zero, so the contribution
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .diffraction import Obstacle, max_diffraction_intensity
+from .diffraction import max_diffraction_intensity
 
 IDEAL = "ideal"
 NONIDEAL = "nonideal"
@@ -33,42 +35,32 @@ class MaskConfigurationError(ValueError):
 
 
 @dataclass
-class VisibilityMask:
-    """Per-element mask of one path: its weights and their support (the VR)."""
-
-    s: np.ndarray         # non-negative weights, len N
-    support: np.ndarray   # bool, len N; s == 0 outside
-
-
-@dataclass
 class PathParams:
-    """One propagation path between a UE/scatterer and the array."""
+    """One propagation path between a UE/scatterer and the array.
+
+    mask is the path's mask: non-negative weights, one per element, zero
+    outside its VR (`scenario.sample_vr` draws it).
+    """
 
     g: complex
     r: float
-    theta: float
     kind: str = IDEAL
-    obstacle: Obstacle | None = None
     t_d: float = 0.0
-    mask: VisibilityMask | None = None
+    mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.r <= 0:
             raise ValueError(f"path distance must be positive, got {self.r}")
-        if not (-np.pi < self.theta < np.pi):
-            raise ValueError(f"theta must lie in (-pi, pi), got {self.theta}")
         if self.kind not in (IDEAL, NONIDEAL):
             raise ValueError(f"unknown path kind {self.kind!r}")
-        if (self.obstacle is not None) != (self.kind == NONIDEAL):
-            raise ValueError("obstacle must be present iff kind is non-ideal")
 
 
 @dataclass
 class ChannelRealization:
-    """Channel matrix, the paths it superposes and their VR breakpoints."""
+    """Channel matrix and its truth breakpoints: where the set of paths
+    whose mask is positive changes along the array."""
 
     H: np.ndarray                   # (N, M) complex, column m = subcarrier m
-    paths: list[PathParams]
     truth_breakpoints: np.ndarray   # 1-based, sorted, starts at 1, ends at N+1
 
 
@@ -104,7 +96,7 @@ def mask_weights(path: PathParams, r_n: np.ndarray,
 
 def breakpoints_from_masks(paths: list[PathParams], cfg: SystemConfig) -> np.ndarray:
     """1-based indices where the visible-path set changes, plus 1 and N+1."""
-    supports = np.stack([p.mask.support for p in paths])
+    supports = np.stack([p.mask for p in paths]) > 0
     changed = np.any(supports[:, 1:] != supports[:, :-1], axis=0)
     interior = np.flatnonzero(changed) + 2  # change between n-1 and n -> n
     return np.concatenate(([1], interior, [cfg.N + 1])).astype(int)
@@ -129,8 +121,7 @@ def assemble_channel(cfg: SystemConfig, paths: list[PathParams],
     for i, p in enumerate(paths):
         if p.mask is None:
             raise ValueError("path has no visibility mask; draw one with sample_vr")
-        vis = np.flatnonzero(p.mask.s)
+        vis = np.flatnonzero(p.mask)
         phases = np.exp(-1j * np.outer(distances[i][vis], k_m))
-        H[vis] += (p.g / np.sqrt(cfg.N)) * phases * p.mask.s[vis, None]
-    return ChannelRealization(H=H, paths=paths,
-                              truth_breakpoints=breakpoints_from_masks(paths, cfg))
+        H[vis] += (p.g / np.sqrt(cfg.N)) * phases * p.mask[vis, None]
+    return ChannelRealization(H=H, truth_breakpoints=breakpoints_from_masks(paths, cfg))

@@ -44,14 +44,19 @@ class SystemConfig:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        if self.fc <= 0 or self.B < 0 or self.c <= 0:
-            raise ValueError("fc and c must be positive, B non-negative")
+        # json.load accepts NaN and Infinity, and every stage needs finite values
+        for name, zero_ok in (("fc", False), ("B", True), ("c", False)):
+            value = getattr(self, name)
+            if not (0 < value < np.inf or zero_ok and value == 0):
+                raise ValueError(f"{name} must be finite and "
+                                 f"{'non-negative' if zero_ok else 'positive'}, "
+                                 f"got {value!r}")
         if self.SI_min > self.N:
             raise ValueError(f"SI_min must lie in [1, N], got {self.SI_min}")
         if self.d is None:
             object.__setattr__(self, "d", self.wavelength / 2.0)
-        if self.d <= 0:
-            raise ValueError(f"element spacing must be positive, got {self.d}")
+        if not 0 < self.d < np.inf:
+            raise ValueError(f"d must be finite and positive, got {self.d!r}")
 
     @property
     def wavelength(self) -> float:

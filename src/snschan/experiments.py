@@ -327,6 +327,9 @@ class ExperimentSpec:
                                   f"finite numbers, got {bad}")
         if type(self.trials) is not int or self.trials < 1:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
+        # SeedSequence takes only non-negative integers; a bool would run as 0 or 1
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         unknown = [a for a in self.algorithms if a not in exp.kind.allowed]
         if unknown:
             raise ConfigError(f"algorithms {unknown} not valid for "

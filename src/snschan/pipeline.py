@@ -169,8 +169,7 @@ def _bsbl_per_subcarrier(y, psi, sigma2, cfg):
 def _somp(y, psi, sigma2, cfg):
     """SOMP stopped once the residual reaches the noise floor; no posterior."""
     rel_noise = np.sqrt(y.size * sigma2) / max(np.linalg.norm(y), 1e-300)
-    x_hat = somp_baseline(y, psi, max_atoms=min(y.shape[0], psi.shape[1]),
-                          residual_tol=min(1.0, float(rel_noise)))
+    x_hat = somp_baseline(y, psi, residual_tol=min(1.0, float(rel_noise)))
     return x_hat, None
 
 
@@ -196,7 +195,6 @@ _ALGORITHMS: dict[str, _Algorithm] = {
     "ss_bsbl": _Algorithm(_bsbl_per_subcarrier, off_grid=False),
     "ss_somp": _Algorithm(_somp, off_grid=False),
     "ss_og_absbl_mmv": _Algorithm(_absbl, off_grid=True),
-    "ss_og_absbl": _Algorithm(_absbl_per_subcarrier, off_grid=True),
 }
 ESTIMATORS = tuple(_ALGORITHMS)
 

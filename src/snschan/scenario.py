@@ -18,7 +18,6 @@ from .channel import (
     NONIDEAL,
     ChannelRealization,
     PathParams,
-    VisibilityMask,
     assemble_channel,
     element_distances,
     mask_weights,
@@ -73,9 +72,9 @@ class ScenarioOptions:
 
 
 def _sample_obstacle(r: float, theta: float, cfg: SystemConfig,
-                     rng: np.random.Generator) -> tuple[Obstacle, np.ndarray]:
-    """Draw a knife edge on the path; returns it with its per-element
-    diffraction gains A_n."""
+                     rng: np.random.Generator) -> np.ndarray:
+    """Draw a knife edge on the path; returns its per-element diffraction
+    gains A_n."""
     for _ in range(50):
         d1 = rng.uniform(*_D1_FRAC_RANGE) * r
         h_ref = rng.uniform(-_H_REF_LAMBDAS, _H_REF_LAMBDAS) * cfg.wavelength
@@ -84,14 +83,15 @@ def _sample_obstacle(r: float, theta: float, cfg: SystemConfig,
             _, _, _, nu = diffraction_geometry(obstacle, theta, cfg)
         except GeometryInfeasibleError:
             continue
-        return obstacle, np.asarray(diffraction_gain(nu))
+        return np.asarray(diffraction_gain(nu))
     raise GeometryInfeasibleError("could not place a knife edge on the path")
 
 
 def sample_vr(path: PathParams, weights: np.ndarray, cfg: SystemConfig,
-              rng: np.random.Generator, opts: ScenarioOptions) -> VisibilityMask:
+              rng: np.random.Generator, opts: ScenarioOptions) -> np.ndarray:
     """Draw the path's visibility region and apply it to weights, the path's
-    mask before its VR (`channel.mask_weights`).
+    mask before its VR (`channel.mask_weights`): returns the mask, the
+    weights on the VR and zero elsewhere.
 
     Ideal paths: block-level first-order Markov chain over ceil(N / SI_min)
     blocks of SI_min elements, with the stay and initial probabilities of
@@ -101,7 +101,7 @@ def sample_vr(path: PathParams, weights: np.ndarray, cfg: SystemConfig,
     """
     if path.kind == NONIDEAL:
         support = weights > opts.power_threshold * np.max(weights)
-        return VisibilityMask(s=np.where(support, weights, 0.0), support=support)
+        return np.where(support, weights, 0.0)
 
     b_si = cfg.n_blocks_si
     p_vb = 1.0 - opts.p_stay_visible
@@ -129,7 +129,7 @@ def sample_vr(path: PathParams, weights: np.ndarray, cfg: SystemConfig,
 
     # block states to element resolution (the last block may be short)
     support = np.repeat(states, cfg.SI_min)[: cfg.N]
-    return VisibilityMask(s=np.where(support, weights, 0.0), support=support)
+    return np.where(support, weights, 0.0)
 
 
 def sample_paths(cfg: SystemConfig, rng: np.random.Generator,
@@ -152,16 +152,15 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator,
                         and rng.random() < opts.p_nonideal)
             a_n = None
             if nonideal:
-                obstacle, a_n = _sample_obstacle(r, theta, cfg, rng)
+                a_n = _sample_obstacle(r, theta, cfg, rng)
                 # random geometries often violate the positivity bound
                 # 1/(1 - min_n A_n) for t_d > 1, since the per-element
                 # clearance sweeps into deep shadow: cap just below it
                 t_cap = 0.99 * max_diffraction_intensity(a_n)
-                path = PathParams(g=g, r=r, theta=theta, kind=NONIDEAL,
-                                  obstacle=obstacle,
+                path = PathParams(g=g, r=r, kind=NONIDEAL,
                                   t_d=min(opts.t_d, t_cap))
             else:
-                path = PathParams(g=g, r=r, theta=theta, kind=IDEAL)
+                path = PathParams(g=g, r=r, kind=IDEAL)
             r_n = element_distances(r, theta, cfg)
             path.mask = sample_vr(path, mask_weights(path, r_n, a_n), cfg,
                                   rng, opts)

@@ -142,7 +142,7 @@ def check_window(w: int) -> None:
         raise ValueError(f"W must be >= 8 and divisible by 4, got {w}")
 
 
-def pass_segment(profile: np.ndarray, w: int, h: int | None = None) -> SegmentationResult:
+def pass_segment(profile: np.ndarray, w: int) -> SegmentationResult:
     """Power-adaptive subarray segmentation.
 
     The window covers elements n-W+1..n and tests element n, so elements
@@ -158,8 +158,7 @@ def pass_segment(profile: np.ndarray, w: int, h: int | None = None) -> Segmentat
     if w > n:
         raise ValueError(f"window W={w} exceeds profile length N={n}")
     check_window(w)
-    if h is None:
-        h = int(np.ceil(0.75 * w))
+    h = int(np.ceil(0.75 * w))   # MCD subset size
 
     windows = np.lib.stride_tricks.sliding_window_view(p, w)  # (N-W+1, W)
     mu0, sigma0 = _mcd_batch(windows, h)

@@ -4,7 +4,6 @@ import pytest
 from snschan.channel import (
     ChannelRealization,
     PathParams,
-    VisibilityMask,
     assemble_channel,
     breakpoints_from_masks,
     element_distances,
@@ -15,15 +14,17 @@ from snschan.diffraction import Obstacle, diffraction_gain, diffraction_geometry
 from snschan.scenario import ScenarioOptions, sample_vr
 
 
-def ideal_mask(path, cfg):
-    """The unobstructed path's mask before its VR: the taper r / r_n."""
-    return mask_weights(path, element_distances(path.r, path.theta, cfg))
+def ideal_mask(path, theta, cfg):
+    """The mask before its VR of an unobstructed path at angle theta: the
+    taper r / r_n."""
+    return mask_weights(path, element_distances(path.r, theta, cfg))
 
 
-def nonideal_mask(path, cfg):
-    """The knife-edge-obstructed path's mask before its VR."""
-    _, _, _, nu = diffraction_geometry(path.obstacle, path.theta, cfg)
-    return mask_weights(path, element_distances(path.r, path.theta, cfg),
+def nonideal_mask(path, theta, obstacle, cfg):
+    """The mask before its VR of a path at angle theta that the knife edge
+    obstacle obstructs."""
+    _, _, _, nu = diffraction_geometry(obstacle, theta, cfg)
+    return mask_weights(path, element_distances(path.r, theta, cfg),
                         diffraction_gain(nu))
 
 
@@ -39,25 +40,25 @@ def euclidean_distance_oracle(r, theta, cfg):
 
 def unit_mask(cfg):
     """Full visibility with unit weights."""
-    return VisibilityMask(s=np.ones(cfg.N), support=np.ones(cfg.N, dtype=bool))
+    return np.ones(cfg.N)
 
 
-def assemble(cfg, paths):
-    """assemble_channel with each path's element distances."""
+def assemble(cfg, paths, thetas):
+    """assemble_channel with the element distances of each path at its
+    angle in thetas."""
     return assemble_channel(
-        cfg, paths, [element_distances(p.r, p.theta, cfg) for p in paths])
+        cfg, paths, [element_distances(p.r, t, cfg) for p, t in zip(paths, thetas)])
 
 
-def single_path_channel(path, cfg):
-    """(N, M) channel of one masked path."""
-    return assemble(cfg, [path]).H
+def single_path_channel(path, theta, cfg):
+    """(N, M) channel of one masked path at angle theta."""
+    return assemble(cfg, [path], [theta]).H
 
 
 def array_response(r, theta, cfg):
     """(N, M) near-field array response b(r, theta; f_m), read off a unit-gain,
     fully visible path, whose channel is e^{-j k_m r} b(r, theta; f_m)."""
-    h = single_path_channel(
-        PathParams(g=1.0, r=r, theta=theta, mask=unit_mask(cfg)), cfg)
+    h = single_path_channel(PathParams(g=1.0, r=r, mask=unit_mask(cfg)), theta, cfg)
     return h * np.exp(1j * cfg.wavenumber(cfg.subcarrier_freqs) * r)
 
 
@@ -100,65 +101,65 @@ class TestSteeringVector:
 class TestIdealMask:
     def test_center_element_is_one(self):
         cfg = SystemConfig(N=9, SI_min=3)
-        path = PathParams(g=1.0, r=7.0, theta=0.9)
-        mask = ideal_mask(path, cfg)
+        path = PathParams(g=1.0, r=7.0)
+        mask = ideal_mask(path, 0.9, cfg)
         assert mask[4] == pytest.approx(1.0, abs=1e-14)
 
     def test_far_field_limit(self):
         cfg = SystemConfig(N=16, SI_min=4)
         r = 1e4
-        path = PathParams(g=1.0, r=r, theta=0.2)
-        mask = ideal_mask(path, cfg)
+        path = PathParams(g=1.0, r=r)
+        mask = ideal_mask(path, 0.2, cfg)
         np.testing.assert_allclose(mask, 1.0, atol=2 * (cfg.N - 1) * cfg.d / r)
 
     def test_matches_direct_formula(self):
         cfg = SystemConfig(N=8, SI_min=2)
         r, theta = 5.0, 0.5
-        path = PathParams(g=1.0, r=r, theta=theta)
+        path = PathParams(g=1.0, r=r)
         a = cfg.delta_n * cfg.d
         expected = r / np.sqrt(r**2 + a**2 - 2 * a * r * np.sin(theta))
-        np.testing.assert_allclose(ideal_mask(path, cfg), expected, rtol=1e-12)
+        np.testing.assert_allclose(ideal_mask(path, theta, cfg), expected,
+                                   rtol=1e-12)
 
     def test_mask_times_distance_recovers_r(self):
         cfg = SystemConfig(N=32, SI_min=4)
-        path = PathParams(g=1.0, r=22.0, theta=-0.8)
-        mask = ideal_mask(path, cfg)
-        r_n = element_distances(path.r, path.theta, cfg)
+        path = PathParams(g=1.0, r=22.0)
+        mask = ideal_mask(path, -0.8, cfg)
+        r_n = element_distances(path.r, -0.8, cfg)
         np.testing.assert_allclose(mask * r_n, path.r, rtol=1e-12)
 
 
 class TestNonidealMask:
-    def _path(self, t_d, cfg):
-        return PathParams(g=1.0, r=30.0, theta=0.1, kind="nonideal",
-                          obstacle=Obstacle(h_ref=0.01, d1_ref=12.0, d2_ref=18.0),
-                          t_d=t_d)
+    # a path at angle 0.1 past a knife edge just above it
+    THETA = 0.1
+    EDGE = Obstacle(h_ref=0.01, d1_ref=12.0, d2_ref=18.0)
+
+    def _path(self, t_d):
+        return PathParams(g=1.0, r=30.0, kind="nonideal", t_d=t_d)
 
     def test_zero_intensity_reduces_to_ideal(self):
         cfg = SystemConfig(N=16, SI_min=4)
-        path = self._path(0.0, cfg)
-        ideal = PathParams(g=1.0, r=30.0, theta=0.1)
-        np.testing.assert_allclose(nonideal_mask(path, cfg),
-                                   ideal_mask(ideal, cfg), rtol=1e-12)
+        ideal = PathParams(g=1.0, r=30.0)
+        np.testing.assert_allclose(
+            nonideal_mask(self._path(0.0), self.THETA, self.EDGE, cfg),
+            ideal_mask(ideal, self.THETA, cfg), rtol=1e-12)
 
     def test_unity_gain_reduces_to_ideal(self):
         # edge far below the path: A_n ~ 1 for every element
         cfg = SystemConfig(N=16, SI_min=4)
-        path = PathParams(g=1.0, r=30.0, theta=0.0, kind="nonideal",
-                          obstacle=Obstacle(h_ref=-10.0, d1_ref=15.0, d2_ref=15.0),
-                          t_d=0.9)
-        ideal = PathParams(g=1.0, r=30.0, theta=0.0)
-        np.testing.assert_allclose(nonideal_mask(path, cfg),
-                                   ideal_mask(ideal, cfg), rtol=2e-2)
+        edge = Obstacle(h_ref=-10.0, d1_ref=15.0, d2_ref=15.0)
+        ideal = PathParams(g=1.0, r=30.0)
+        np.testing.assert_allclose(nonideal_mask(self._path(0.9), 0.0, edge, cfg),
+                                   ideal_mask(ideal, 0.0, cfg), rtol=2e-2)
 
     def test_grazing_element_factor(self):
         # with t_d = 1 the factor is sqrt(A_n); A(0) = 1/4 makes it exactly 0.5
         cfg = SystemConfig(N=64, SI_min=8)
-        path = PathParams(g=1.0, r=30.0, theta=0.0, kind="nonideal",
-                          obstacle=Obstacle(h_ref=0.0, d1_ref=12.0, d2_ref=18.0),
-                          t_d=1.0)
-        mask = nonideal_mask(path, cfg)
-        _, _, _, nu = diffraction_geometry(path.obstacle, path.theta, cfg)
-        r_n = element_distances(path.r, path.theta, cfg)
+        path = self._path(1.0)
+        edge = Obstacle(h_ref=0.0, d1_ref=12.0, d2_ref=18.0)
+        mask = nonideal_mask(path, 0.0, edge, cfg)
+        _, _, _, nu = diffraction_geometry(edge, 0.0, cfg)
+        r_n = element_distances(path.r, 0.0, cfg)
         expected = (path.r / r_n) * np.sqrt(diffraction_gain(nu))
         np.testing.assert_allclose(mask, expected, rtol=1e-12)
         # nearest-to-grazing element: factor ~ sqrt(A(0)) = 0.5 up to the
@@ -169,50 +170,46 @@ class TestNonidealMask:
     def test_intensity_bound_enforced(self):
         from snschan.channel import MaskConfigurationError
         cfg = SystemConfig(N=256, SI_min=32)
-        path = PathParams(g=1.0, r=30.0, theta=0.1, kind="nonideal",
-                          obstacle=Obstacle(h_ref=0.05, d1_ref=12.0, d2_ref=18.0),
-                          t_d=50.0)
+        edge = Obstacle(h_ref=0.05, d1_ref=12.0, d2_ref=18.0)
         with pytest.raises(MaskConfigurationError):
-            nonideal_mask(path, cfg)
+            nonideal_mask(self._path(50.0), self.THETA, edge, cfg)
 
     def test_positive_within_bound(self):
         cfg = SystemConfig(N=128, SI_min=16)
-        path = self._path(0.99, cfg)
-        assert np.all(nonideal_mask(path, cfg) > 0)
+        assert np.all(nonideal_mask(self._path(0.99), self.THETA, self.EDGE, cfg) > 0)
 
 
 class TestSampleVr:
     def test_absorbing_visible_chain(self):
         cfg = SystemConfig(N=64, SI_min=8)
-        path = PathParams(g=1.0, r=20.0, theta=0.0)
+        path = PathParams(g=1.0, r=20.0)
         rng = np.random.default_rng(0)
         opts = ScenarioOptions(p_stay_visible=1.0, p_stay_blocked=0.0,
                                p_init_visible=1.0)
-        mask = sample_vr(path, ideal_mask(path, cfg), cfg, rng, opts)
-        assert mask.support.all()
-        assert np.all(mask.s > 0)
+        mask = sample_vr(path, ideal_mask(path, 0.0, cfg), cfg, rng, opts)
+        assert np.all(mask > 0)
 
     def test_degenerate_all_blocked_warns_and_forces(self):
         cfg = SystemConfig(N=64, SI_min=8)
-        path = PathParams(g=1.0, r=20.0, theta=0.0)
+        path = PathParams(g=1.0, r=20.0)
         rng = np.random.default_rng(0)
         opts = ScenarioOptions(p_stay_visible=1.0, p_stay_blocked=1.0,
                                p_init_visible=0.0)
         with pytest.warns(RuntimeWarning):
-            mask = sample_vr(path, ideal_mask(path, cfg), cfg, rng, opts)
-        assert mask.support.any()
+            mask = sample_vr(path, ideal_mask(path, 0.0, cfg), cfg, rng, opts)
+        assert np.any(mask > 0)
 
     def test_mean_run_length(self):
         # geometric block runs: mean visible run = SI_min / (1 - p_vv)
         cfg = SystemConfig(N=4 * 200, SI_min=4)
-        path = PathParams(g=1.0, r=20.0, theta=0.0)
+        path = PathParams(g=1.0, r=20.0)
         rng = np.random.default_rng(7)
-        weights = ideal_mask(path, cfg)
+        weights = ideal_mask(path, 0.0, cfg)
         opts = ScenarioOptions(p_stay_visible=0.8, p_stay_blocked=0.8)
         runs = []
         for _ in range(500):
             mask = sample_vr(path, weights, cfg, rng, opts)
-            s = mask.support.astype(int)
+            s = (mask > 0).astype(int)
             edges = np.flatnonzero(np.diff(np.concatenate([[0], s, [0]])))
             starts, ends = edges[::2], edges[1::2]
             for a, b in zip(starts, ends):
@@ -222,13 +219,13 @@ class TestSampleVr:
 
     def test_nonideal_support_is_thresholded(self):
         cfg = SystemConfig(N=128, SI_min=16)
-        path = PathParams(g=1.0, r=30.0, theta=0.1, kind="nonideal",
-                          obstacle=Obstacle(h_ref=0.02, d1_ref=12.0, d2_ref=18.0),
-                          t_d=0.9)
+        path = PathParams(g=1.0, r=30.0, kind="nonideal", t_d=0.9)
+        edge = Obstacle(h_ref=0.02, d1_ref=12.0, d2_ref=18.0)
         rng = np.random.default_rng(0)
-        full = nonideal_mask(path, cfg)
+        full = nonideal_mask(path, 0.1, edge, cfg)
         mask = sample_vr(path, full, cfg, rng, ScenarioOptions(power_threshold=0.3))
-        np.testing.assert_array_equal(mask.support, full > 0.3 * full.max())
+        np.testing.assert_array_equal(
+            mask, np.where(full > 0.3 * full.max(), full, 0.0))
 
 
 class TestAssembleChannel:
@@ -237,48 +234,44 @@ class TestAssembleChannel:
 
     def test_zero_masks_give_zero_channel(self):
         cfg = self._cfg()
-        path = PathParams(g=1.0, r=20.0, theta=0.0)
-        path.mask = VisibilityMask(s=np.zeros(cfg.N),
-                                   support=np.zeros(cfg.N, dtype=bool))
-        chan = assemble(cfg, [path])
+        path = PathParams(g=1.0, r=20.0, mask=np.zeros(cfg.N))
+        chan = assemble(cfg, [path], [0.0])
         assert np.all(chan.H == 0)
 
     def test_superposition_linearity(self):
         cfg = self._cfg()
         rng = np.random.default_rng(5)
         paths = [PathParams(g=complex(*rng.standard_normal(2)),
-                            r=rng.uniform(10, 50), theta=rng.uniform(-1, 1),
-                            mask=unit_mask(cfg))
+                            r=rng.uniform(10, 50), mask=unit_mask(cfg))
                  for _ in range(4)]
-        h_all = assemble(cfg, paths).H
-        h_sum = sum(single_path_channel(p, cfg) for p in paths)
+        thetas = rng.uniform(-1, 1, size=4)
+        h_all = assemble(cfg, paths, thetas).H
+        h_sum = sum(single_path_channel(p, t, cfg) for p, t in zip(paths, thetas))
         np.testing.assert_allclose(h_all, h_sum, rtol=1e-12)
 
     def test_gain_scaling_is_exact(self):
         cfg = self._cfg()
-        p1 = PathParams(g=0.3 + 0.1j, r=15.0, theta=0.4, mask=unit_mask(cfg))
-        p2 = PathParams(g=3 * (0.3 + 0.1j), r=15.0, theta=0.4, mask=unit_mask(cfg))
-        np.testing.assert_allclose(3 * single_path_channel(p1, cfg),
-                                   single_path_channel(p2, cfg), rtol=1e-12)
+        p1 = PathParams(g=0.3 + 0.1j, r=15.0, mask=unit_mask(cfg))
+        p2 = PathParams(g=3 * (0.3 + 0.1j), r=15.0, mask=unit_mask(cfg))
+        np.testing.assert_allclose(3 * single_path_channel(p1, 0.4, cfg),
+                                   single_path_channel(p2, 0.4, cfg), rtol=1e-12)
 
     def test_path_without_mask_is_rejected(self):
         # sample_vr is the one mask builder; no stage invents a default mask
         cfg = self._cfg()
-        bare = PathParams(g=1.0, r=20.0, theta=0.0)
+        bare = PathParams(g=1.0, r=20.0)
         with pytest.raises(ValueError, match="mask"):
-            assemble(cfg, [bare])
-        masked = PathParams(g=1.0, r=25.0, theta=0.2, mask=unit_mask(cfg))
+            assemble(cfg, [bare], [0.0])
+        masked = PathParams(g=1.0, r=25.0, mask=unit_mask(cfg))
         with pytest.raises(ValueError, match="mask"):
-            assemble(cfg, [masked, bare])
+            assemble(cfg, [masked, bare], [0.2, 0.0])
         assert bare.mask is None
 
     def test_breakpoints_cover_support_edges(self):
         cfg = self._cfg()
-        p1 = PathParams(g=1.0, r=20.0, theta=0.0)
-        sup = np.zeros(cfg.N, dtype=bool)
-        sup[8:24] = True
-        p1.mask = VisibilityMask(s=np.where(sup, 1.0, 0.0), support=sup)
-        chan = assemble(cfg, [p1])
+        mask = np.zeros(cfg.N)
+        mask[8:24] = 1.0
+        chan = assemble(cfg, [PathParams(g=1.0, r=20.0, mask=mask)], [0.0])
         np.testing.assert_array_equal(chan.truth_breakpoints, [1, 9, 25, 33])
 
     def test_breakpoints_always_bracketed(self):
@@ -287,12 +280,10 @@ class TestAssembleChannel:
         for _ in range(10):
             paths = []
             for _ in range(3):
-                p = PathParams(g=1.0, r=rng.uniform(10, 40),
-                               theta=rng.uniform(-1, 1))
                 sup = rng.random(cfg.N) < 0.5
                 sup[rng.integers(cfg.N)] = True
-                p.mask = VisibilityMask(s=np.where(sup, 1.0, 0.0), support=sup)
-                paths.append(p)
-            bp = assemble(cfg, paths).truth_breakpoints
+                paths.append(PathParams(g=1.0, r=rng.uniform(10, 40),
+                                        mask=sup.astype(float)))
+            bp = assemble(cfg, paths, rng.uniform(-1, 1, size=3)).truth_breakpoints
             assert bp[0] == 1 and bp[-1] == cfg.N + 1
             assert np.all(np.diff(bp) > 0)

@@ -108,6 +108,18 @@ def test_seed_report(tmp_path, capsys):
     dict(TINY_NMSE, experiment="nmse_vs_pilots", sweep=[16.5]),
     # a t_d every trial's scene draw would fail to compare
     dict(TINY_AUC, params={"t_d": "abc"}),
+    # json.load reads NaN and Infinity, which every trial would fail on
+    dict(TINY_NMSE, overrides=dict(TINY_NMSE["overrides"], fc=float("nan"))),
+    dict(TINY_DISTANCE, overrides=dict(TINY_DISTANCE["overrides"], B=float("inf"))),
+    dict(TINY_DISTANCE, overrides=dict(TINY_DISTANCE["overrides"], B=float("nan"))),
+    dict(TINY_NMSE, overrides=dict(TINY_NMSE["overrides"], c=float("nan"))),
+    dict(TINY_DISTANCE, overrides=dict(TINY_DISTANCE["overrides"], d=float("inf"))),
+    dict(TINY_DISTANCE, overrides=dict(TINY_DISTANCE["overrides"], d=float("nan"))),
+    # SeedSequence takes only non-negative integers; true would run as seed 1
+    dict(TINY_AUC, seed=-1),
+    dict(TINY_AUC, seed=1.5),
+    dict(TINY_AUC, seed="x"),
+    dict(TINY_AUC, seed=True),
 ], ids=["unreadable", "unknown-experiment", "unknown-algorithm", "string-trials",
         "unknown-architecture", "unknown-estimator", "unknown-estimator-config",
         "estimator-config-block_size", "estimator-config-t_ite",
@@ -117,12 +129,15 @@ def test_seed_report(tmp_path, capsys):
         "estimator-config-scalar_gamma", "estimator-config-armijo_shrink",
         "estimator-config-armijo_slope", "estimator-config-max_backtracks",
         "pass-window-SI_min", "no-rf-chain", "config-seed", "string-sweep-value",
-        "float-P-override", "float-P-sweep", "string-t_d"])
+        "float-P-override", "float-P-sweep", "string-t_d", "nan-fc", "inf-B",
+        "nan-B", "nan-c", "inf-d", "nan-d", "negative-seed", "float-seed",
+        "string-seed", "bool-seed"])
 def test_config_errors(tmp_path, capsys, doc):
     path = str(tmp_path / "missing.json") if doc is None else write_spec(tmp_path, doc)
     assert cli.main(["validate", path]) == cli.EXIT_CONFIG
     assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    assert cli.main(["seed-report", path]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("config error") == 3
     assert not (tmp_path / "out").exists()
 
 
@@ -178,6 +193,17 @@ def test_negative_t_d_fails_and_is_named(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert err.count("config error: invalid t_d: t_d must lie in") == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fc", float("nan")), ("B", float("inf")), ("c", float("inf")),
+    ("d", float("nan")),
+])
+def test_non_finite_override_is_named(tmp_path, capsys, field, value):
+    doc = dict(TINY_DISTANCE, overrides=dict(TINY_DISTANCE["overrides"],
+                                             **{field: value}))
+    assert cli.main(["validate", write_spec(tmp_path, doc)]) == cli.EXIT_CONFIG
+    assert f"overrides: {field} must be finite" in capsys.readouterr().err
 
 
 def test_run_with_zero_workers_exits_2(tmp_path, capsys):

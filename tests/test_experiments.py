@@ -43,7 +43,7 @@ SPECS: dict[str, dict] = {
     "nmse_vs_snr": {
         "experiment": "nmse_vs_snr", "sweep": [0.0, 20.0],
         "algorithms": ["ss_absbl_mmv", "ss_absbl", "ss_bsbl", "ss_somp",
-                       "ss_og_absbl_mmv", "ss_og_absbl"],
+                       "ss_og_absbl_mmv"],
         "overrides": _TINY,
     },
     "nmse_vs_pilots": {"experiment": "nmse_vs_pilots", "sweep": [16, 24],

@@ -1,12 +1,14 @@
 """Scene synthesis against the per-path oracle, bit for bit.
 
-`generate_scenario` evaluates each path on its visibility region only,
-computes each path's element distances and an obstructed path's
-diffraction gains once, and draws each visibility-chain attempt as one
-vector of uniforms. The oracle below does none of that: it draws one scalar
-per block, computes the knife-edge geometry twice, and adds every path's
-contribution over the whole array (`path_channel`). Both must give the same
-bytes and leave the generator in the same state.
+`generate_scenario` assembles the paths that `sample_paths` draws. Synthesis
+evaluates each path on its visibility region only, computes each path's
+element distances and an obstructed path's diffraction gains once, and
+draws each visibility-chain attempt as one vector of uniforms. The oracle
+below does none of that: it draws one scalar per block, computes the
+knife-edge geometry twice, and adds every path's contribution over the
+whole array (`path_channel`). Both must give the same bytes (the channel,
+every path, its mask and its element distances) and leave the generator in
+the same state.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from snschan.channel import IDEAL, NONIDEAL, PathParams, VisibilityMask
+from snschan.channel import IDEAL, NONIDEAL, PathParams, assemble_channel
 from snschan.config import SystemConfig
 from snschan.diffraction import (
     GeometryInfeasibleError,
@@ -28,7 +30,7 @@ from snschan.diffraction import (
     max_diffraction_intensity,
 )
 from snschan.experiments import _SEG_SCENE
-from snschan.scenario import ScenarioOptions, generate_scenario
+from snschan.scenario import ScenarioOptions, generate_scenario, sample_paths
 
 
 def oracle_distances(r, theta, cfg):
@@ -37,13 +39,12 @@ def oracle_distances(r, theta, cfg):
     return np.sqrt(r**2 + a**2 - 2.0 * a * r * np.sin(theta))
 
 
-def path_channel(path, cfg):
-    """(N, M) contribution of one path over the whole array:
-    g exp(-j k_m r_n) s_n / sqrt(N)."""
-    r_n = oracle_distances(path.r, path.theta, cfg)
+def path_channel(path, r_n, cfg):
+    """(N, M) contribution over the whole array of one path with element
+    distances r_n: g exp(-j k_m r_n) s_n / sqrt(N)."""
     k_m = np.asarray(cfg.wavenumber(cfg.subcarrier_freqs))
     phases = np.exp(-1j * np.outer(r_n, k_m))
-    return (path.g / np.sqrt(cfg.N)) * phases * path.mask.s[:, None]
+    return (path.g / np.sqrt(cfg.N)) * phases * path.mask[:, None]
 
 
 def oracle_obstacle(r, theta, cfg, rng):
@@ -60,14 +61,14 @@ def oracle_obstacle(r, theta, cfg, rng):
     raise GeometryInfeasibleError("could not place a knife edge on the path")
 
 
-def oracle_vr(path, cfg, rng, opts):
-    r_n = oracle_distances(path.r, path.theta, cfg)
+def oracle_vr(path, r_n, theta, obstacle, cfg, rng, opts):
+    """The mask of a path at angle theta with element distances r_n, which
+    obstacle obstructs if the path is non-ideal."""
     if path.kind == NONIDEAL:
-        _, _, _, nu = diffraction_geometry(path.obstacle, path.theta, cfg)
+        _, _, _, nu = diffraction_geometry(obstacle, theta, cfg)
         a_n = diffraction_gain(nu)
         s_full = (path.r / r_n) * (path.t_d * (np.sqrt(a_n) - 1.0) + 1.0)
-        support = s_full > opts.power_threshold * np.max(s_full)
-        return VisibilityMask(s=np.where(support, s_full, 0.0), support=support)
+        return np.where(s_full > opts.power_threshold * np.max(s_full), s_full, 0.0)
     b_si = cfg.n_blocks_si
     p_vb, p_bv = 1.0 - opts.p_stay_visible, 1.0 - opts.p_stay_blocked
     p_init = opts.p_init_visible
@@ -84,29 +85,39 @@ def oracle_vr(path, cfg, rng, opts):
     else:
         states[rng.integers(b_si)] = True
     support = np.repeat(states, cfg.SI_min)[: cfg.N]
-    return VisibilityMask(s=np.where(support, path.r / r_n, 0.0), support=support)
+    return np.where(support, path.r / r_n, 0.0)
 
 
 def oracle_scenario(cfg, rng, opts):
-    """(H, paths) drawn and summed path by path over the whole array."""
-    paths = []
+    """(H, paths, their element distances), drawn and summed path by path
+    over the whole array."""
+    paths, distances = [], []
     for _ in range(cfg.K):
         for l in range(cfg.L):
             g = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
             r = rng.uniform(*opts.r_range)
             theta = rng.uniform(-2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0)
+            obstacle = None
             if l == 0 and opts.t_d > 0 and rng.random() < opts.p_nonideal:
                 obstacle, t_cap = oracle_obstacle(r, theta, cfg, rng)
-                path = PathParams(g=g, r=r, theta=theta, kind=NONIDEAL,
-                                  obstacle=obstacle, t_d=min(opts.t_d, t_cap))
+                path = PathParams(g=g, r=r, kind=NONIDEAL, t_d=min(opts.t_d, t_cap))
             else:
-                path = PathParams(g=g, r=r, theta=theta, kind=IDEAL)
-            path.mask = oracle_vr(path, cfg, rng, opts)
+                path = PathParams(g=g, r=r, kind=IDEAL)
+            r_n = oracle_distances(r, theta, cfg)
+            path.mask = oracle_vr(path, r_n, theta, obstacle, cfg, rng, opts)
             paths.append(path)
+            distances.append(r_n)
     H = np.zeros((cfg.N, cfg.M), dtype=complex)
-    for p in paths:
-        H += path_channel(p, cfg)
-    return H, paths
+    for p, r_n in zip(paths, distances):
+        H += path_channel(p, r_n, cfg)
+    return H, paths, distances
+
+
+def synthesis(cfg, rng, opts):
+    """(chan, paths, their element distances): generate_scenario's
+    assembly of sample_paths's draw, with the draw kept."""
+    paths, distances = sample_paths(cfg, rng, opts)
+    return assemble_channel(cfg, paths, distances), paths, distances
 
 
 def outcome(make, cfg, seed, opts):
@@ -147,21 +158,23 @@ def scenes(draw):
 @settings(max_examples=150, deadline=None)
 def test_generate_scenario_equals_the_per_path_oracle_bit_for_bit(scene):
     cfg, opts, seed = scene
-    err, chan, state = outcome(generate_scenario, cfg, seed, opts)
+    err, got, state = outcome(synthesis, cfg, seed, opts)
     want_err, want, want_state = outcome(oracle_scenario, cfg, seed, opts)
     assert state == want_state
     assert err is want_err
     if err is not None:
         return
-    want_h, want_paths = want
+    chan, paths, distances = got
+    want_h, want_paths, want_distances = want
     assert chan.H.tobytes() == want_h.tobytes()
-    assert len(chan.paths) == len(want_paths)
-    for got, exp in zip(chan.paths, want_paths):
-        assert (got.g, got.r, got.theta, got.kind, got.obstacle, got.t_d) == (
-            exp.g, exp.r, exp.theta, exp.kind, exp.obstacle, exp.t_d)
-        assert got.mask.s.tobytes() == exp.mask.s.tobytes()
-        assert got.mask.support.tobytes() == exp.mask.support.tobytes()
-    supports = np.stack([p.mask.support for p in want_paths])
+    assert len(paths) == len(want_paths)
+    for got_path, exp, r_n, want_r_n in zip(paths, want_paths, distances,
+                                            want_distances):
+        assert (got_path.g, got_path.r, got_path.kind, got_path.t_d) == (
+            exp.g, exp.r, exp.kind, exp.t_d)
+        assert got_path.mask.tobytes() == exp.mask.tobytes()
+        assert r_n.tobytes() == want_r_n.tobytes()
+    supports = np.stack([p.mask > 0 for p in want_paths])
     edges = np.flatnonzero(np.any(supports[:, 1:] != supports[:, :-1], axis=0)) + 2
     want_truth = np.concatenate(([1], edges, [cfg.N + 1])).astype(int)
     assert chan.truth_breakpoints.tobytes() == want_truth.tobytes()
@@ -175,6 +188,6 @@ def test_seg_scene_kernel_benchmark(benchmark):
     chan = benchmark.pedantic(
         lambda: generate_scenario(cfg, np.random.default_rng(41), opts),
         rounds=20, iterations=1)
-    want_h, _ = oracle_scenario(cfg, np.random.default_rng(41), opts)
+    want_h, want_paths, _ = oracle_scenario(cfg, np.random.default_rng(41), opts)
+    assert len(want_paths) == 18
     assert chan.H.tobytes() == want_h.tobytes()
-    assert len(chan.paths) == 18
