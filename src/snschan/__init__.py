@@ -33,7 +33,6 @@ from .dhbf import (
     simulate_reception,
 )
 from .estimator import (
-    Codebook,
     EstimatorConfig,
     absbl_mmv,
     bsbl_baseline,
@@ -54,7 +53,7 @@ __all__ = [
     "rfem_segment",
     "MeasurementPlan", "RfAllocation", "build_combiners", "decouple",
     "mef_gaa", "prune_subarrays", "simulate_reception",
-    "Codebook", "EstimatorConfig", "absbl_mmv", "bsbl_baseline",
+    "EstimatorConfig", "absbl_mmv", "bsbl_baseline",
     "dft_codebook", "nmse", "offgrid_refine", "somp_baseline",
     "bcrb_bound",
     "ScenarioOptions", "generate_scenario",

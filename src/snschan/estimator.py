@@ -105,30 +105,20 @@ class EstimatorDivergenceError(RuntimeError):
     """A hyperparameter update produced non-finite or indefinite values."""
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """Far-field DFT dictionary on a uniform sin-angle grid.
-
-    Columns have unit norm and are mutually orthogonal: D^H D = I under the
-    1/sqrt(N) normalization used here.
-    """
-
-    D: np.ndarray      # (N_sub, N_sub)
-    grid: np.ndarray   # z_k = sin(theta_k)
-
-
 def atom_response(n_sub: int, z: np.ndarray) -> np.ndarray:
     """Array response columns exp(j pi n z) / sqrt(N) for half-wavelength spacing."""
     n = np.arange(n_sub)[:, None]
     return np.exp(1j * np.pi * n * np.atleast_1d(z)[None, :]) / np.sqrt(n_sub)
 
 
-def dft_codebook(n_sub: int) -> Codebook:
-    """Codebook with grid z_k = 2k/N - 1, k = 0..N-1."""
+def dft_codebook(n_sub: int) -> np.ndarray:
+    """The far-field DFT dictionary D (N_sub, N_sub): the atoms
+    `atom_response` at the uniform sin-angle grid z_k = 2k/N - 1,
+    k = 0..N-1. Its columns have unit norm and are mutually orthogonal,
+    D^H D = I."""
     if n_sub < 1:
         raise ValueError("codebook needs at least one atom")
-    z = 2.0 * np.arange(n_sub) / n_sub - 1.0
-    return Codebook(D=atom_response(n_sub, z), grid=z)
+    return atom_response(n_sub, 2.0 * np.arange(n_sub) / n_sub - 1.0)
 
 
 @dataclass
@@ -731,28 +721,23 @@ def bsbl_baseline(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
 def somp_baseline(
     Y: np.ndarray,
     Psi: np.ndarray,
-    max_atoms: int | None = None,
     residual_tol: float | None = None,
 ) -> np.ndarray:
     """Simultaneous OMP over the measurement vectors (columns of Y).
 
-    Greedy selection by aggregate correlation, stopping on the atom budget
-    (1 <= max_atoms <= min(P, N_sub), by default min(P, N_sub)) or the
-    relative residual norm. The residual is kept orthogonal to the support by
-    projecting out each new atom's component orthogonal to the atoms before
-    it (Gram-Schmidt, applied twice), so one least-squares fit on the final
-    support gives the coefficients.
+    Greedy selection by aggregate correlation, stopping once the relative
+    residual norm reaches residual_tol or after min(P, N_sub) atoms. The
+    residual is kept orthogonal to the support by projecting out each new
+    atom's component orthogonal to the atoms before it (Gram-Schmidt,
+    applied twice), so one least-squares fit on the final support gives the
+    coefficients.
     """
     Y = np.asarray(Y, dtype=complex)
     Psi = np.asarray(Psi, dtype=complex)
     p_eff, n_sub = Psi.shape
     # past P atoms the support spans the whole space and the residual is
     # rounding noise, so no further atom could be chosen by its correlation
-    if max_atoms is None:
-        max_atoms = min(p_eff, n_sub)
-    if not 1 <= max_atoms <= min(p_eff, n_sub):
-        raise ValueError(f"max_atoms must lie in [1, {min(p_eff, n_sub)}], "
-                         f"got {max_atoms}")
+    max_atoms = min(p_eff, n_sub)
     col_norms = np.linalg.norm(Psi, axis=0)
     col_norms[col_norms == 0] = 1.0
     y_norm = np.linalg.norm(Y)
@@ -814,17 +799,18 @@ def _residual_gradient(Phi: np.ndarray, d: np.ndarray, resid: np.ndarray,
 def offgrid_refine(
     Y: np.ndarray,
     Phi: np.ndarray,
-    codebook: Codebook,
+    D: np.ndarray,
     x_on_grid: np.ndarray,
     cfg: EstimatorConfig | None = None,
-) -> tuple[Codebook, np.ndarray, np.ndarray]:
-    """Refine the grid angles of the significant atoms.
+) -> np.ndarray:
+    """Refine the grid angles of the significant atoms of the on-grid
+    coefficients x_on_grid under the DFT dictionary D (`dft_codebook`).
 
     Alternates a least-squares coefficient fit on the selected atoms with a
     backtracking (Armijo) gradient step on their sin-angle positions, so the
-    residual never increases on an accepted step. Returns the refined
-    codebook, the refined coefficients on the full grid, and the channel
-    estimate D X.
+    residual never increases on an accepted step. Returns the channel
+    estimate D' X': D with the selected atoms moved, times the refitted
+    coefficients, which are zero off the selected atoms.
 
     Each iteration builds the atoms, their measurements and the residual
     once, for the fit, the objective, the gradient and the curvature; an
@@ -833,16 +819,17 @@ def offgrid_refine(
     if cfg is None:
         cfg = EstimatorConfig()
     Y = np.asarray(Y, dtype=complex)
-    n_sub = codebook.D.shape[0]
+    n_sub = D.shape[0]
     energy = np.sum(np.abs(x_on_grid) ** 2, axis=1)
     if energy.max() == 0:
-        return codebook, x_on_grid.copy(), codebook.D @ x_on_grid
+        return D @ x_on_grid
     support = np.flatnonzero(energy >= cfg.support_fraction * energy.max())
     if support.size > Phi.shape[0]:
         order = np.argsort(energy[support])[::-1]
         support = np.sort(support[order[: Phi.shape[0]]])
 
-    z = codebook.grid[support].astype(float).copy()
+    # the grid angles z_k = 2k/N - 1 of `dft_codebook`
+    z = 2.0 * support / n_sub - 1.0
     d, a = _offgrid_atoms(Phi, n_sub, z)
     x_prev = None
     rho = 1.0
@@ -883,14 +870,11 @@ def offgrid_refine(
                 rho = max(rho * _ARMIJO_SHRINK, 1e-16)
 
     x_s, *_ = np.linalg.lstsq(a, Y, rcond=None)
-    d_refined = codebook.D.copy()
+    d_refined = D.copy()
     d_refined[:, support] = d
-    grid = codebook.grid.copy().astype(float)
-    grid[support] = z
     x_full = np.zeros_like(x_on_grid, dtype=complex)
     x_full[support] = x_s
-    refined = Codebook(D=d_refined, grid=grid)
-    return refined, x_full, d_refined @ x_full
+    return d_refined @ x_full
 
 
 def nmse(h_hat: np.ndarray, h_true: np.ndarray) -> float:

@@ -93,16 +93,23 @@ class _Cell:
     params: dict
     cfg: SystemConfig
     rng: np.random.Generator
-    est_cfg: EstimatorConfig
 
 
 def _ms_since(t0: float) -> float:
     return (time.perf_counter() - t0) * 1e3
 
 
+# params key -> the scenario options a cell draws its scene from, given the
+# key's value; a spec builds them all at load
+_SCENE_OPTIONS: dict[str, Callable[[float], ScenarioOptions]] = {
+    "t_d": lambda t_d: ScenarioOptions(t_d=t_d),
+    "distance_m": lambda r: ScenarioOptions.full_visibility(r_range=(r, r)),
+}
+
+
 def _scene(c: _Cell) -> ChannelRealization:
     """The cell's scene, with the swept or configured t_d."""
-    return generate_scenario(c.cfg, c.rng, ScenarioOptions(t_d=c.params["t_d"]))
+    return generate_scenario(c.cfg, c.rng, _SCENE_OPTIONS["t_d"](c.params["t_d"]))
 
 
 def _nmse_rows(c: _Cell, chan: ChannelRealization, architecture: str) -> list[Record]:
@@ -116,7 +123,7 @@ def _nmse_rows(c: _Cell, chan: ChannelRealization, architecture: str) -> list[Re
             records.append((algo, "nmse_bound", bcrb_nmse_bound(meas),
                             _ms_since(t0)))
         else:
-            h_hat, _ = estimate_channel(meas, algo, c.est_cfg)
+            h_hat, _ = estimate_channel(meas, algo, c.spec.estimator_config)
             records.append((algo, "nmse", nmse(h_hat, chan.H), _ms_since(t0)))
     return records
 
@@ -128,8 +135,7 @@ def _nmse_cell(c: _Cell) -> list[Record]:
 def _distance_cell(c: _Cell) -> list[Record]:
     """A fully visible scene at the swept distance, fully connected by
     default."""
-    r = c.params["distance_m"]
-    opts = ScenarioOptions.full_visibility(r_range=(r, r))
+    opts = _SCENE_OPTIONS["distance_m"](c.params["distance_m"])
     return _nmse_rows(c, generate_scenario(c.cfg, c.rng, opts), "fully_connected")
 
 
@@ -139,16 +145,18 @@ def _convergence_cell(c: _Cell) -> list[Record]:
     iterations, so every trial reports every iteration."""
     chan = _scene(c)
     meas = measure_scene(chan, c.cfg, c.rng, c.params["snr_db"])
+    est_cfg = c.spec.estimator_config
     records = []
     for algo in c.spec.algorithms:
         t0 = time.perf_counter()
-        _, states = estimate_channel(meas, algo, c.est_cfg)
-        fits = [(obs.elements, meas.dictionary(k)[0].D, state.history)
-                for k, (obs, state) in enumerate(zip(meas.observations, states))
+        _, states = estimate_channel(meas, algo, est_cfg)
+        fits = [(obs.elements, d, state.history)
+                for obs, (d, _), state in zip(meas.observations,
+                                              meas.dictionaries, states)
                 if state is not None]
         n_iter = max((len(hist) for _, _, hist in fits), default=0)
         traces = []
-        for t in range(c.est_cfg.t_ite if fits else 0):
+        for t in range(est_cfg.t_ite if fits else 0):
             h_hat = np.zeros_like(chan.H)
             for elements, d, hist in fits:
                 h_hat[elements] = d @ hist[min(t, len(hist) - 1)]
@@ -170,7 +178,7 @@ def _variant_rows(c: _Cell, chan: ChannelRealization, option: str,
         t0 = time.perf_counter()
         meas = measure_scene(chan, c.cfg, sub_rng, c.params["snr_db"], **fixed,
                              **{option: variant})
-        h_hat, _ = estimate_channel(meas, estimator, c.est_cfg)
+        h_hat, _ = estimate_channel(meas, estimator, c.spec.estimator_config)
         records.append((variant, "nmse", nmse(h_hat, chan.H), _ms_since(t0)))
     return records
 
@@ -194,8 +202,8 @@ def _auc_cell(c: _Cell) -> list[Record]:
     records = []
     for det in c.spec.algorithms:
         t0 = time.perf_counter()
-        auc = auc_score(DETECTORS[det](profile, w), chan.truth_breakpoints,
-                        max(1, w // 8))
+        auc = auc_score(DETECTORS[det](profile, w).auc_score_sequence(),
+                        chan.truth_breakpoints, max(1, w // 8))
         records.append((det, "auc", auc, _ms_since(t0)))
     return records
 
@@ -275,11 +283,17 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
 }
 
 
+def _finite_number(value) -> bool:
+    """An int or float (not a bool) other than NaN or an infinity; abs(v) <
+    inf fails for NaN."""
+    return type(value) in (int, float) and abs(value) < np.inf
+
+
 def _check_params(params: dict, exp: ExperimentDef) -> EstimatorConfig:
     """Reject a key the experiment's cell does not read (or the swept one,
     which the sweep value replaces), an architecture or estimator no cell
-    knows, and an estimator_config with an unknown key or an invalid value;
-    returns the estimator config."""
+    knows, an snr_db that is no finite number, and an estimator_config with
+    an unknown key or an invalid value; returns the estimator config."""
     accepted = [key for key in exp.kind.reads if key != exp.sweep_param]
     unread = sorted(set(params) - set(accepted))
     if unread:
@@ -288,6 +302,10 @@ def _check_params(params: dict, exp: ExperimentDef) -> EstimatorConfig:
     for key, known in (("architecture", ARCHITECTURES), ("estimator", ESTIMATORS)):
         if key in params and params[key] not in known:
             raise ConfigError(f"unknown {key} {params[key]!r}; known: {list(known)}")
+    # a string or NaN would fail every trial's noise draw
+    if "snr_db" in params and not _finite_number(params["snr_db"]):
+        raise ConfigError(f"params snr_db must be a finite number, "
+                          f"got {params['snr_db']!r}")
     try:
         return EstimatorConfig(**params.get("estimator_config", {}))
     except (TypeError, ValueError) as err:
@@ -312,6 +330,14 @@ class ExperimentSpec:
                                               compare=False)
 
     def __post_init__(self) -> None:
+        # the containers of the spec document: a value of another JSON type
+        # would raise a TypeError below, or be read character by character
+        for name, kind in (("experiment", str), ("sweep", list),
+                           ("algorithms", list), ("overrides", dict),
+                           ("params", dict)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, "
+                                  f"got {getattr(self, name)!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"known: {sorted(EXPERIMENTS)}")
@@ -319,9 +345,8 @@ class ExperimentSpec:
         self.sweep = self.sweep or list(exp.default_sweep)
         self.algorithms = self.algorithms or list(exp.algorithms)
         if exp.sweep_param not in SystemConfig.__dataclass_fields__:
-            # a cell reads the value as a float; abs(v) < inf fails for NaN
-            bad = [v for v in self.sweep
-                   if type(v) not in (int, float) or not abs(v) < np.inf]
+            # a cell reads the value as a float
+            bad = [v for v in self.sweep if not _finite_number(v)]
             if bad:
                 raise ConfigError(f"sweep values of {exp.sweep_param} must be "
                                   f"finite numbers, got {bad}")
@@ -336,15 +361,15 @@ class ExperimentSpec:
                               f"{self.experiment}; allowed: {list(exp.kind.allowed)}")
         self.params = {**exp.params, **self.params}
         self.estimator_config = _check_params(self.params, exp)
-        # sample_paths obstructs no path unless t_d > 0, so a negative t_d
-        # would run every trial on unobstructed scenes under its own label
-        t_ds = (self.sweep if exp.sweep_param == "t_d"
-                else [self.params["t_d"]] if "t_d" in self.params else [])
-        for t_d in t_ds:
-            try:
-                ScenarioOptions(t_d=t_d)
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"invalid t_d: {err}") from err
+        # a value the scenario options reject fails the spec, not every trial
+        for key, options in _SCENE_OPTIONS.items():
+            values = (self.sweep if exp.sweep_param == key
+                      else [self.params[key]] if key in self.params else [])
+            for value in values:
+                try:
+                    options(value)
+                except (TypeError, ValueError) as err:
+                    raise ConfigError(f"invalid {key}: {err}") from err
         unknown = sorted(set(self.overrides) - set(SystemConfig.__dataclass_fields__))
         if unknown:
             raise ConfigError(f"overrides {unknown} are not SystemConfig fields; "
@@ -511,8 +536,7 @@ def run_single_trial(spec: ExperimentSpec, sweep_idx: int,
     if exp.sweep_param not in SystemConfig.__dataclass_fields__:
         params[exp.sweep_param] = float(spec.sweep[sweep_idx])
     return exp.kind.cell(_Cell(spec, params, spec.configs[sweep_idx],
-                               spec.child_rng(sweep_idx, trial),
-                               spec.estimator_config))
+                               spec.child_rng(sweep_idx, trial)))
 
 
 def _trial_worker(spec: ExperimentSpec, sweep_idx: int, trial: int):

@@ -3,7 +3,7 @@ receive, decouple, estimate, score."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -20,7 +20,6 @@ from .dhbf import (
     simulate_reception,
 )
 from .estimator import (
-    Codebook,
     EstimatorConfig,
     PosteriorState,
     absbl_mmv,
@@ -102,24 +101,16 @@ SEGMENTATION_VARIANTS = tuple(_SEGMENTATIONS)
 
 @dataclass
 class TrialMeasurement:
-    """Everything the estimators need for one pilot-phase trial."""
+    """Everything the estimators need for one pilot-phase trial: the scene,
+    each subarray's decoupled observations, the noise variance, and, per
+    subarray, its DFT dictionary D (`dft_codebook`) and sensing matrix
+    Psi = Phi D. The pairs are built once, with the measurement, and shared
+    by every algorithm, the convergence trace and the genie-aided bound."""
 
     chan: ChannelRealization
-    seg: SegmentationResult
     observations: list[SubarrayObservations]
     sigma2: float
-    _dictionaries: dict[int, tuple[Codebook, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def dictionary(self, k: int) -> tuple[Codebook, np.ndarray]:
-        """Subarray k's DFT codebook and its sensing matrix Psi = Phi D,
-        built on first use and then shared by every algorithm and by the
-        genie-aided bound, which reads the codebook and Psi but no fit."""
-        if k not in self._dictionaries:
-            obs = self.observations[k]
-            book = dft_codebook(obs.elements.size)
-            self._dictionaries[k] = (book, obs.phi @ book.D)
-        return self._dictionaries[k]
+    dictionaries: list[tuple[np.ndarray, np.ndarray]]
 
 
 def measure_scene(
@@ -151,7 +142,9 @@ def measure_scene(
     plan = build_combiners(alloc, cfg, rng, sigma2)
     y = simulate_reception(chan.H, plan, rng)
     obs = decouple(y, plan)
-    return TrialMeasurement(chan=chan, seg=seg, observations=obs, sigma2=sigma2)
+    books = [dft_codebook(o.elements.size) for o in obs]
+    return TrialMeasurement(chan=chan, observations=obs, sigma2=sigma2,
+                            dictionaries=[(d, o.phi @ d) for o, d in zip(obs, books)])
 
 
 def _absbl(y, psi, sigma2, cfg):
@@ -199,27 +192,6 @@ _ALGORITHMS: dict[str, _Algorithm] = {
 ESTIMATORS = tuple(_ALGORITHMS)
 
 
-def _estimate_subarray(
-    meas: TrialMeasurement,
-    k: int,
-    algo: _Algorithm,
-    est_cfg: EstimatorConfig | None,
-) -> tuple[np.ndarray, PosteriorState | None]:
-    """Channel block estimate (N_sub, M) for subarray k, and the posterior
-    of a joint learner (None otherwise).
-
-    The receiver knows its own noise floor, so every learner takes the true
-    sigma2 as a fixed input.
-    """
-    obs = meas.observations[k]
-    book, psi = meas.dictionary(k)
-    x_hat, state = algo.learner(obs.y, psi, meas.sigma2, est_cfg)
-    if algo.off_grid:
-        _, x_hat, h_hat = offgrid_refine(obs.y, obs.phi, book, x_hat, est_cfg)
-        return h_hat, state
-    return book.D @ x_hat, state
-
-
 def estimate_channel(
     meas: TrialMeasurement,
     algorithm: str,
@@ -229,14 +201,16 @@ def estimate_channel(
 
     Also returns, per subarray, the posterior of the joint learner's single
     run (None for SOMP and the per-subcarrier learners), from which the
-    convergence trace is read.
+    convergence trace is read. The receiver knows its own noise floor, so
+    every learner takes the true sigma2 as a fixed input.
     """
     algo = lookup(_ALGORITHMS, "algorithm", algorithm)
     h_hat = np.zeros_like(meas.chan.H)
     states = []
-    for k, obs in enumerate(meas.observations):
-        block, state = _estimate_subarray(meas, k, algo, est_cfg)
-        h_hat[obs.elements] = block
+    for obs, (d, psi) in zip(meas.observations, meas.dictionaries):
+        x_hat, state = algo.learner(obs.y, psi, meas.sigma2, est_cfg)
+        h_hat[obs.elements] = (offgrid_refine(obs.y, obs.phi, d, x_hat, est_cfg)
+                               if algo.off_grid else d @ x_hat)
         states.append(state)
     return h_hat, states
 
@@ -259,9 +233,8 @@ def bcrb_nmse_bound(meas: TrialMeasurement) -> float:
     H = meas.chan.H
     unobserved = np.ones(H.shape[0], dtype=bool)
     total = 0.0
-    for k, obs in enumerate(meas.observations):
-        book, psi = meas.dictionary(k)
-        x = book.D.conj().T @ H[obs.elements]
+    for obs, (d, psi) in zip(meas.observations, meas.dictionaries):
+        x = d.conj().T @ H[obs.elements]
         v_s = np.diag(np.mean(np.abs(x) ** 2, axis=1))
         total += bcrb_bound(psi, v_s, meas.sigma2, m_count=H.shape[1])
         unobserved[obs.elements] = False

@@ -51,9 +51,13 @@ class ScenarioOptions:
     power_threshold: float = 0.1   # the VR threshold of obstructed paths
 
     def __post_init__(self) -> None:
+        r_min, r_max = self.r_range
+        if not 0.0 < r_min <= r_max < np.inf:
+            raise ValueError("r_range must lie in (0, inf) with r_min <= r_max, "
+                             f"got {self.r_range!r}")
         # sample_paths obstructs no path unless t_d > 0: a negative t_d
-        # would run as t_d = 0 under its own label
-        if not self.t_d >= 0.0:
+        # would run as t_d = 0 under its own label, and true as t_d = 1
+        if isinstance(self.t_d, bool) or not self.t_d >= 0.0:
             raise ValueError(f"t_d must lie in [0, inf), got {self.t_d!r}")
         for name in ("p_nonideal", "p_stay_visible", "p_stay_blocked",
                      "p_init_visible"):

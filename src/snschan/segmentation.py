@@ -252,24 +252,18 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def auc_score(
-    predicted: SegmentationResult | np.ndarray,
-    truth_bp: np.ndarray,
-    match_tol: int,
-) -> float:
-    """AUC of the per-element score against the true breakpoint labels.
+def auc_score(scores: np.ndarray, truth_bp: np.ndarray, match_tol: int) -> float:
+    """AUC of the per-element scores (N,) against the true breakpoint labels.
 
     Elements within +-match_tol of an interior true breakpoint are positives.
-    The continuous score (outlier sum when available, otherwise the score
-    sequence) is threshold-swept; the rank-based AUC equals the Mann-Whitney
-    statistic with midrank tie handling. Returns max(AUC, 1 - AUC) in
-    [0.5, 1]; degenerate truth (no interior breakpoints) returns 0.5.
-    Raises ValueError if any score is not finite or match_tol < 0.
+    The scores (for a detector's segmentation, its
+    `SegmentationResult.auc_score_sequence`) are threshold-swept; the
+    rank-based AUC equals the Mann-Whitney statistic with midrank tie
+    handling. Returns max(AUC, 1 - AUC) in [0.5, 1]; degenerate truth (no
+    interior breakpoints) returns 0.5. Raises ValueError if any score is
+    not finite or match_tol < 0.
     """
-    if isinstance(predicted, SegmentationResult):
-        scores = predicted.auc_score_sequence()
-    else:
-        scores = np.asarray(predicted, dtype=float)
+    scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
         raise ValueError("AUC scores must be finite")
     if match_tol < 0:

@@ -195,6 +195,38 @@ def test_negative_t_d_fails_and_is_named(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    # a container of another JSON type raised a TypeError (exit 1), or, for
+    # algorithms, was rejected once per character
+    (dict(TINY_NMSE, sweep=5), "sweep must be a list, got 5"),
+    (dict(TINY_NMSE, params=[1]), "params must be a dict, got [1]"),
+    (dict(TINY_NMSE, overrides=["N"]), "overrides must be a dict, got ['N']"),
+    (dict(TINY_NMSE, experiment=["x"]), "experiment must be a str, got ['x']"),
+    (dict(TINY_NMSE, algorithms="ss_somp"),
+     "algorithms must be a list, got 'ss_somp'"),
+    # values that validate accepted and every trial then failed on (exit 3)
+    (dict(TINY_DISTANCE, params={"snr_db": "10"}),
+     "params snr_db must be a finite number, got '10'"),
+    (dict(TINY_DISTANCE, params={"snr_db": float("nan")}),
+     "params snr_db must be a finite number, got nan"),
+    (dict(TINY_DISTANCE, sweep=[0.0]), "invalid distance_m: r_range must lie in"),
+    (dict(TINY_DISTANCE, sweep=[-1.0]), "invalid distance_m: r_range must lie in"),
+    # true ran as t_d = 1
+    (dict(TINY_AUC, params={"t_d": True}), "invalid t_d: t_d must lie in"),
+], ids=["int-sweep", "list-params", "list-overrides", "list-experiment",
+        "string-algorithms", "string-snr_db", "nan-snr_db", "zero-distance",
+        "negative-distance", "bool-t_d"])
+def test_spec_fault_is_named_at_load(tmp_path, capsys, doc, message):
+    out = tmp_path / "out"
+    path = write_spec(tmp_path, doc)
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert cli.main(["seed-report", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {message}") == 3, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("fc", float("nan")), ("B", float("inf")), ("c", float("inf")),
     ("d", float("nan")),

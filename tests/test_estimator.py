@@ -86,21 +86,21 @@ def test_every_estimator_config_field_is_checked():
 
 class TestCodebook:
     def test_single_atom(self):
-        book = dft_codebook(1)
-        assert book.D.shape == (1, 1)
-        assert book.D[0, 0] == pytest.approx(1.0)
+        D = dft_codebook(1)
+        assert D.shape == (1, 1)
+        assert D[0, 0] == pytest.approx(1.0)
 
     def test_columns_orthonormal(self):
-        book = dft_codebook(32)
-        gram = book.D.conj().T @ book.D
+        D = dft_codebook(32)
+        gram = D.conj().T @ D
         np.testing.assert_allclose(gram, np.eye(32), atol=1e-12)
 
     def test_on_grid_path_projects_to_single_atom(self):
         n = 64
-        book = dft_codebook(n)
+        D = dft_codebook(n)
         k = 17
-        h = atom_response(n, np.array([book.grid[k]]))[:, 0]
-        proj = np.abs(book.D.conj().T @ h)
+        h = atom_response(n, np.array([2.0 * k / n - 1.0]))[:, 0]
+        proj = np.abs(D.conj().T @ h)
         assert np.argmax(proj) == k
         assert proj[k] == pytest.approx(1.0)
         mask = np.ones(n, dtype=bool)
@@ -917,7 +917,7 @@ def test_absbl_kernel_benchmark(benchmark):
     # by pytest-benchmark; the test asserts results, never timings
     rng = np.random.default_rng(27)
     p_eff, n_sub, m_count = 128, 256, 5
-    psi = crandn(rng, p_eff, n_sub) @ dft_codebook(n_sub).D
+    psi = crandn(rng, p_eff, n_sub) @ dft_codebook(n_sub)
     x = np.zeros((n_sub, m_count), dtype=complex)
     for g in (3, 4, 17):
         x[g * 8:(g + 1) * 8] = crandn(rng, 8, m_count)
@@ -934,7 +934,7 @@ def test_per_column_kernel_benchmark(benchmark):
     # test asserts results, never timings
     rng = np.random.default_rng(32)
     p_eff, n_sub, m_count = 80, 128, 5
-    psi = crandn(rng, p_eff, n_sub) @ dft_codebook(n_sub).D
+    psi = crandn(rng, p_eff, n_sub) @ dft_codebook(n_sub)
     x = np.zeros((n_sub, m_count), dtype=complex)
     for g in (2, 9):
         x[g * 8:(g + 1) * 8] = crandn(rng, 8, m_count)
@@ -955,7 +955,7 @@ def test_ragged_small_fit_kernel_benchmark(benchmark):
     # results, never timings
     rng = np.random.default_rng(34)
     p_eff, n_sub, m_count = 32, 58, 5
-    psi = crandn(rng, p_eff, n_sub) @ dft_codebook(n_sub).D
+    psi = crandn(rng, p_eff, n_sub) @ dft_codebook(n_sub)
     x = np.zeros((n_sub, m_count), dtype=complex)
     x[8:16] = crandn(rng, 8, m_count)
     x[56:58] = crandn(rng, 2, m_count)
@@ -970,11 +970,11 @@ def test_ragged_small_fit_kernel_benchmark(benchmark):
 class TestSomp:
     def test_single_on_grid_atom(self):
         rng = np.random.default_rng(17)
-        book = dft_codebook(32)
+        D = dft_codebook(32)
         x = np.zeros((32, 2), dtype=complex)
         x[7] = [1.0, 2.0]
-        y = book.D @ x
-        x_hat = somp_baseline(y, book.D, max_atoms=1)
+        y = D @ x
+        x_hat = somp_baseline(y, D, residual_tol=1e-9)
         np.testing.assert_allclose(x_hat, x, atol=1e-10)
 
     def test_orthonormal_exact_support(self):
@@ -986,7 +986,7 @@ class TestSomp:
         x = np.zeros((n, 3), dtype=complex)
         x[support] = crandn(rng, k, 3)
         y = psi @ x
-        x_hat = somp_baseline(y, psi, max_atoms=k)
+        x_hat = somp_baseline(y, psi, residual_tol=1e-9)
         np.testing.assert_array_equal(np.sort(np.flatnonzero(
             np.linalg.norm(x_hat, axis=1) > 1e-9)), np.sort(support))
 
@@ -1013,9 +1013,8 @@ class TestSomp:
         x = np.zeros((128, 4), dtype=complex)
         support = rng.choice(128, size=4, replace=False)
         x[support] = crandn(rng, 4, 4) * 3
-        noise = crandn(rng, 64, 4) * 10 ** (-20 / 20)
-        y = psi @ x + noise
-        mine = somp_baseline(y, psi, max_atoms=4)
+        y = psi @ x
+        mine = somp_baseline(y, psi, residual_tol=1e-9)
         mine_support = set(np.flatnonzero(np.linalg.norm(mine, axis=1) > 0))
         assert mine_support == reference_somp(y, psi, 4)
 
@@ -1025,25 +1024,6 @@ class TestSomp:
         out = somp_baseline(np.zeros((8, 2), complex), psi)
         assert np.all(out == 0)
 
-    @pytest.mark.parametrize("shape,max_atoms", [
-        ((8, 6), 0), ((8, 6), -1), ((8, 6), 7), ((8, 6), 9),
-        ((4, 6), 5), ((4, 6), 6)])
-    def test_atom_budget_outside_one_to_min_p_n_rejected(self, shape, max_atoms):
-        # no atom leaves no coefficients to fit, more atoms than columns
-        # would select a column twice, and past P atoms the residual is
-        # rounding noise
-        rng = np.random.default_rng(21)
-        psi = crandn(rng, *shape)
-        with pytest.raises(ValueError, match="max_atoms"):
-            somp_baseline(crandn(rng, shape[0], 2), psi, max_atoms=max_atoms)
-
-    @pytest.mark.parametrize("shape,max_atoms", [
-        ((8, 6), 1), ((8, 6), 6), ((4, 6), 4)])
-    def test_atom_budget_bounds_accepted(self, shape, max_atoms):
-        rng = np.random.default_rng(22)
-        psi = crandn(rng, *shape)
-        x_hat = somp_baseline(crandn(rng, shape[0], 2), psi, max_atoms=max_atoms)
-        assert np.count_nonzero(np.linalg.norm(x_hat, axis=1)) == max_atoms
 
 
 def somp_refit_every_atom(y, psi, max_atoms, residual_tol=None):
@@ -1067,33 +1047,33 @@ def somp_refit_every_atom(y, psi, max_atoms, residual_tol=None):
 
 
 def somp_oracle_instances():
-    """60 seeded noisy instances: random and DFT-based Psi, P above and
-    below N, and stops on the atom budget and on the residual."""
+    """60 seeded k-sparse instances (k = 1..6): random and DFT-based Psi, P
+    above and below N. Half are noisy and stop on the residual at the noise
+    level; half are noiseless and stop once the residual is rounding noise.
+    Yields (Psi, Y, residual_tol, k)."""
     rng = np.random.default_rng(33)
     for i in range(60):
         p_eff, n_sub = [(24, 40), (40, 24), (16, 64), (64, 48)][i % 4]
         psi = crandn(rng, p_eff, n_sub)
         if i % 3 == 0:
-            psi = psi @ dft_codebook(n_sub).D
+            psi = psi @ dft_codebook(n_sub)
         k = int(rng.integers(1, 7))
         x = np.zeros((n_sub, 3), dtype=complex)
         x[rng.choice(n_sub, size=k, replace=False)] = crandn(rng, k, 3) * 3
-        y = psi @ x + 0.05 * crandn(rng, p_eff, 3)
         if i % 2:
-            yield psi, y, min(p_eff, n_sub), 0.05    # stops on the residual
+            yield psi, psi @ x + 0.05 * crandn(rng, p_eff, 3), 0.05, k
         else:
-            yield psi, y, int(rng.integers(1, min(p_eff, n_sub) + 1)), None
+            yield psi, psi @ x, 1e-9, k
 
 
 def test_somp_single_refit_equals_refit_every_atom():
-    stops = {"residual": 0, "budget": 0}
-    for psi, y, max_atoms, tol in somp_oracle_instances():
-        expected, picked = somp_refit_every_atom(y, psi, max_atoms, tol)
-        np.testing.assert_array_equal(somp_baseline(y, psi, max_atoms, tol),
-                                      expected)
-        stops["budget" if picked == max_atoms else "residual"] += 1
-    # both stops are exercised
-    assert min(stops.values()) >= 10
+    exact = 0
+    for psi, y, tol, k in somp_oracle_instances():
+        expected, picked = somp_refit_every_atom(y, psi, min(psi.shape), tol)
+        np.testing.assert_array_equal(somp_baseline(y, psi, tol), expected)
+        exact += tol < 0.05 and picked == k
+    # every noiseless instance stops on its k-th atom, short of the budget
+    assert exact == 30
 
 
 
@@ -1107,7 +1087,7 @@ def test_somp_single_refit_equals_refit_every_atom_on_dependent_columns():
         p_eff, n_sub = [(8, 12), (12, 8), (6, 16), (16, 10)][i % 4]
         psi = crandn(rng, p_eff, n_sub)
         if i % 3 == 0:
-            psi = psi @ dft_codebook(n_sub).D
+            psi = psi @ dft_codebook(n_sub)
         a, b, z = rng.choice(n_sub, 3, replace=False)
         psi[:, b] = psi[:, a] * (1.0 if i % 2 else 2.0)
         psi[:, z] = 0.0
@@ -1117,16 +1097,16 @@ def test_somp_single_refit_equals_refit_every_atom_on_dependent_columns():
         y = psi @ x + 0.05 * crandn(rng, p_eff, 3)
         for tol in (None, 0.05):
             expected, _ = somp_refit_every_atom(y, psi, min(p_eff, n_sub), tol)
-            np.testing.assert_array_equal(
-                somp_baseline(y, psi, min(p_eff, n_sub), tol), expected)
+            np.testing.assert_array_equal(somp_baseline(y, psi, tol), expected)
             support = set(np.flatnonzero(np.linalg.norm(expected, axis=1) > 0))
             dependent += {a, b} <= support or z in support
     assert dependent >= 10
 
 
-def offgrid_refine_recomputing(Y, Phi, codebook, x_on_grid, cfg):
+def offgrid_refine_recomputing(Y, Phi, D, x_on_grid, cfg):
     """`offgrid_refine` as it built the atoms three times and the residual
-    twice per iteration: the oracle for the shared builds."""
+    twice per iteration, and read the start angles from the whole grid: the
+    oracle for the shared builds."""
 
     def gradient(z, X):
         d = atom_response(n_sub, z)
@@ -1136,13 +1116,13 @@ def offgrid_refine_recomputing(Y, Phi, codebook, x_on_grid, cfg):
         return -2.0 * np.pi * np.real(1j * np.diag(inner))
 
     Y = np.asarray(Y, dtype=complex)
-    n_sub = codebook.D.shape[0]
+    n_sub = D.shape[0]
     energy = np.sum(np.abs(x_on_grid) ** 2, axis=1)
     support = np.flatnonzero(energy >= cfg.support_fraction * energy.max())
     if support.size > Phi.shape[0]:
         order = np.argsort(energy[support])[::-1]
         support = np.sort(support[order[: Phi.shape[0]]])
-    z = codebook.grid[support].astype(float).copy()
+    z = (2.0 * np.arange(n_sub) / n_sub - 1.0)[support]
     x_prev = None
     rho = 1.0
     ramp = np.arange(n_sub)
@@ -1181,13 +1161,11 @@ def offgrid_refine_recomputing(Y, Phi, codebook, x_on_grid, cfg):
                 rho = max(rho * mod._ARMIJO_SHRINK, 1e-16)
     a = Phi @ atom_response(n_sub, z)
     x_s, *_ = np.linalg.lstsq(a, Y, rcond=None)
-    d_refined = codebook.D.copy()
+    d_refined = D.copy()
     d_refined[:, support] = atom_response(n_sub, z)
-    grid = codebook.grid.copy().astype(float)
-    grid[support] = z
     x_full = np.zeros_like(x_on_grid, dtype=complex)
     x_full[support] = x_s
-    return mod.Codebook(D=d_refined, grid=grid), x_full, d_refined @ x_full
+    return d_refined @ x_full
 
 
 class TestOffGrid:
@@ -1223,33 +1201,32 @@ class TestOffGrid:
             assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
 
     def test_on_grid_truth_is_stationary(self):
+        # the atom keeps its angle, so the estimate is the on-grid truth
         n = 32
-        book = dft_codebook(n)
+        D = dft_codebook(n)
         k = 9
         phi = crandn(np.random.default_rng(22), 24, n)
         x = np.zeros((n, 2), dtype=complex)
         x[k] = [1.0, 1.5]
-        y = phi @ book.D @ x
-        refined, x_out, h_hat = offgrid_refine(y, phi, book, x,
-                                               EstimatorConfig())
-        assert abs(refined.grid[k] - book.grid[k]) < 1e-6
-        assert nmse(h_hat, book.D @ x) < 1e-8
+        y = phi @ D @ x
+        h_hat = offgrid_refine(y, phi, D, x, EstimatorConfig())
+        assert nmse(h_hat, D @ x) < 1e-8
 
     def test_half_bin_offset_improves(self):
         n = 32
-        book = dft_codebook(n)
-        z_true = book.grid[10] + 1.0 / n     # midway between grid points
+        D = dft_codebook(n)
+        z_true = 2.0 * 10 / n - 1.0 + 1.0 / n     # midway between grid points
         phi, y, h_true = self._instance([z_true], n=n, seed=23)
         cfg = EstimatorConfig()
-        x_on, _ = absbl_mmv(y, phi @ book.D, 0.0,
+        x_on, _ = absbl_mmv(y, phi @ D, 0.0,
                             EstimatorConfig(block_size=4, t_ite=40))
-        h_on = book.D @ x_on
-        _, _, h_off = offgrid_refine(y, phi, book, x_on, cfg)
+        h_on = D @ x_on
+        h_off = offgrid_refine(y, phi, D, x_on, cfg)
         # residual shrinks by >10x relative to the refinement's own start
         # (the LS fit on the selected support at the on-grid angles)
         energy = np.sum(np.abs(x_on) ** 2, axis=1)
         sup = np.flatnonzero(energy >= cfg.support_fraction * energy.max())
-        a0 = phi @ book.D[:, sup]
+        a0 = phi @ D[:, sup]
         x0, *_ = np.linalg.lstsq(a0, y, rcond=None)
         resid_start = np.linalg.norm(y - a0 @ x0)
         resid_off = np.linalg.norm(y - phi @ h_off)
@@ -1264,31 +1241,26 @@ class TestOffGrid:
         for i in range(24):
             n = int(rng.choice([16, 32, 64]))
             p_eff = int(rng.integers(n // 4, n))
-            book = dft_codebook(n)
+            D = dft_codebook(n)
             paths = int(rng.integers(1, 5))
             z_true = rng.uniform(-0.95, 0.95, paths)
             phi = crandn(rng, p_eff, n)
             y = (phi @ atom_response(n, z_true) @ crandn(rng, paths, 2)
                  + 0.05 * crandn(rng, p_eff, 2))
-            x_on = np.linalg.lstsq(phi @ book.D, y, rcond=None)[0]
+            x_on = np.linalg.lstsq(phi @ D, y, rcond=None)[0]
             cfg = EstimatorConfig(r_ite=int(rng.choice([3, 50])),
                                   support_fraction=float(rng.choice([0.01, 0.15])))
-            got = offgrid_refine(y, phi, book, x_on, cfg)
-            want = offgrid_refine_recomputing(y, phi, book, x_on, cfg)
-            np.testing.assert_array_equal(got[0].D, want[0].D)
-            np.testing.assert_array_equal(got[0].grid, want[0].grid)
-            np.testing.assert_array_equal(got[1], want[1])
-            np.testing.assert_array_equal(got[2], want[2])
+            np.testing.assert_array_equal(
+                offgrid_refine(y, phi, D, x_on, cfg),
+                offgrid_refine_recomputing(y, phi, D, x_on, cfg))
 
     def test_empty_support_passthrough(self):
         n = 16
-        book = dft_codebook(n)
+        D = dft_codebook(n)
         phi = crandn(np.random.default_rng(24), 8, n)
         x = np.zeros((n, 2), dtype=complex)
         y = np.zeros((8, 2), dtype=complex)
-        refined, x_out, h_hat = offgrid_refine(y, phi, book, x)
-        np.testing.assert_array_equal(x_out, x)
-        np.testing.assert_array_equal(refined.grid, book.grid)
+        np.testing.assert_array_equal(offgrid_refine(y, phi, D, x), D @ x)
 
 
 class TestNmse:

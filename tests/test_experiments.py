@@ -27,13 +27,17 @@ from snschan.config import SystemConfig
 from snschan.dhbf import InfeasiblePilotError
 from snschan.estimator import PosteriorState, dft_codebook, nmse
 from snschan import experiments, pipeline
-from snschan.experiments import ExperimentSpec, run_experiment, run_single_trial
+from snschan.experiments import (
+    _BLAS_THREAD_VARS as BLAS_THREAD_VARS,
+    ExperimentSpec,
+    run_experiment,
+    run_single_trial,
+)
 from snschan.pipeline import bcrb_nmse_bound, estimate_channel, measure_scene
 from snschan.scenario import ScenarioOptions, generate_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _TINY = {"N": 64, "SI_min": 16, "P": 16}
 _TINY_SEG = {"N": 64, "SI_min": 16, "K": 2}
@@ -248,7 +252,7 @@ def test_one_posterior_per_subarray_and_only_from_joint_fits():
     assert isinstance(state, PosteriorState)
     assert len(state.history) == state.iterations
     # the estimate is the last iterate of the history the trace reads
-    np.testing.assert_array_equal(h_hat, dft_codebook(32).D @ state.history[-1])
+    np.testing.assert_array_equal(h_hat, dft_codebook(32) @ state.history[-1])
     for algo in ("ss_absbl", "ss_bsbl", "ss_somp"):
         _, none_states = estimate_channel(meas, algo)
         assert none_states == [None]
@@ -369,8 +373,7 @@ def test_each_experiment_names_the_params_its_cell_reads(monkeypatch, name):
 
     monkeypatch.setattr(experiments, "estimate_channel", spy)
     exp.kind.cell(experiments._Cell(spec, params, spec.configs[0],
-                                    spec.child_rng(0, 0),
-                                    spec.estimator_config))
+                                    spec.child_rng(0, 0)))
     read = params.read | ({"estimator_config"} if estimated else set())
     assert read == set(exp.kind.reads)
 

@@ -23,8 +23,9 @@ from pathlib import Path
 
 import pytest
 
+from snschan.experiments import _BLAS_THREAD_VARS as BLAS_THREAD_VARS
+
 ROOT = Path(__file__).resolve().parents[1]
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TINY_AUC = {"experiment": "auc_vs_snr", "sweep": [5.0], "trials": 2, "seed": 3,
             "overrides": {"N": 64, "SI_min": 16, "K": 2}}
 # the spec of tests/golden/nmse_vs_distance_bcrb_only.csv

@@ -11,8 +11,12 @@ so an attribute of the same name on another class counts as a use.
 
 Every field of a dataclass or NamedTuple in the package must be read: an
 attribute load of its name in the package's source outside its class's
-`__post_init__`, or a use in a bench script, where any string constant
-counts. A field that only its own validation reads is stored for nothing.
+`__post_init__`, or in a bench script. A field that only its own validation
+reads is stored for nothing.
+
+Every defaulted parameter of a function in the package must be passed by
+some call in the package or a bench script, by keyword or by position, to a
+function of its name. An option that only tests set is dead surface.
 
 Every name in the estimator, detector, architecture, segmentation-variant
 and allocation-strategy registries must be reachable without a test: a
@@ -112,9 +116,13 @@ def _attribute_loads(node: ast.AST) -> Counter:
                    and isinstance(sub.ctx, ast.Load))
 
 
+def _bench_trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "bench").glob("*.py"))]
+
+
 def _bench_strings() -> set[str]:
-    return {sub.value for path in (ROOT / "bench").glob("*.py")
-            for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    return {sub.value for tree in _bench_trees() for sub in ast.walk(tree)
             if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
 
 
@@ -122,7 +130,7 @@ def unread_fields() -> list[str]:
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     loads = sum((_attribute_loads(tree) for tree in trees.values()), Counter())
-    bench_uses = _bench_uses() | _bench_strings()
+    bench_loads = set().union(*map(_attribute_loads, _bench_trees()))
     unread = []
     for module, tree in trees.items():
         for cls in _record_classes(tree):
@@ -135,7 +143,7 @@ def unread_fields() -> list[str]:
                         and isinstance(item.target, ast.Name)):
                     continue
                 name = item.target.id
-                if loads[name] - in_checks[name] <= 0 and name not in bench_uses:
+                if loads[name] - in_checks[name] <= 0 and name not in bench_loads:
                     unread.append(f"{module}.{cls.name}.{name}")
     return sorted(unread)
 
@@ -164,3 +172,81 @@ def unreachable_registry_names() -> list[str]:
 
 def test_every_registry_name_is_reachable():
     assert unreachable_registry_names() == []
+
+
+# the defaulted parameters that no call in the package or a bench script
+# passes, each with the reason
+_UNPASSED_PARAMS = {
+    # tests run the CLI in-process with their own argument lists
+    "cli.main.argv",
+    # ROADMAP item 14 decides whether bsbl_baseline stays, and how it is
+    # configured if it does
+    "estimator.bsbl_baseline.cfg",
+}
+
+
+def _functions(tree: ast.Module, module: str):
+    """(qualified name, node, whether a call binds its first parameter) of
+    each function defined in tree, nested ones included; a method's calls
+    bind self or cls."""
+    def visit(node, prefix, in_class):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                yield from visit(item, f"{prefix}{item.name}.", True)
+            elif isinstance(item, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in item.decorator_list)
+                yield f"{prefix}{item.name}", item, in_class and not static
+                yield from visit(item, f"{prefix}{item.name}.", False)
+            else:
+                yield from visit(item, prefix, in_class)
+    yield from visit(tree, f"{module}.", False)
+
+
+def _calls(trees) -> dict[str, list[ast.Call]]:
+    """The calls in trees, keyed by the name of the called function."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether call passes param (at that position, None if keyword-only);
+    an unpacked *args or **kwargs counts as passing it."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or len(call.args) > position)
+
+
+def unpassed_params() -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    calls = _calls([*trees.values(), *_bench_trees()])
+    unpassed = []
+    for module, tree in trees.items():
+        for qualname, fn, bound in _functions(tree, module):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(a.arg, i - bound) for i, a in enumerate(positional)
+                      if i >= first]
+            params += [(a.arg, None) for a, d in
+                       zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for param, position in params:
+                if not any(_passes(call, param, position)
+                           for call in calls.get(fn.name, [])):
+                    unpassed.append(f"{qualname}.{param}")
+    return sorted(unpassed)
+
+
+def test_every_defaulted_parameter_is_passed():
+    # also fails when an excepted parameter gains a caller or goes
+    assert unpassed_params() == sorted(_UNPASSED_PARAMS)

@@ -64,7 +64,9 @@ class TestScenarioOptions:
     # every value is checked once, when the options are built, instead of
     # running unchecked (p_init_visible, p_nonideal) or once per path
     INVALID = {
-        "t_d": (-1.0, -1e-300, float("nan")),
+        "r_range": ((0.0, 10.0), (-1.0, -1.0), (20.0, 10.0), (1.0, float("inf")),
+                    (float("nan"), float("nan"))),
+        "t_d": (-1.0, -1e-300, float("nan"), True),
         "p_nonideal": (-1.0, 1.5, float("nan")),
         "p_stay_visible": (-0.1, 1.1, float("nan")),
         "p_stay_blocked": (-0.1, 1.1, float("nan")),

@@ -458,7 +458,8 @@ class TestAucScore:
             scores=np.zeros(10),
             outlier_sums=np.array([0, 0, 0, 0, 3, 3, 1, 0, 0, 0.0]),
         )
-        assert auc_score(res, np.array([1, 6, 11]), match_tol=1) == 1.0
+        assert auc_score(res.auc_score_sequence(), np.array([1, 6, 11]),
+                         match_tol=1) == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_scores_rejected(self, bad):
