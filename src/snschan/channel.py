@@ -8,13 +8,17 @@ positive. The weights encode spherical-wave amplitude taper plus, for paths
 obstructed by a knife edge, diffraction ripple. The path's angle enters
 only through its element distances.
 
-Synthesis does only the work its output needs. A path's contribution is
-evaluated on its VR alone: outside it the mask is zero, so the contribution
-is +-0 and adding it would leave every bit of H unchanged. The scenario
-sampler computes each path's element distances once and hands them, and an
-obstructed path's diffraction gains, to `mask_weights` (the one mask
-formula), to its VR draw `scenario.sample_vr` and to the assembly; the
-element offsets and subcarrier grid are built once per `SystemConfig`.
+Synthesis evaluates each path on its VR alone, where its mask is positive,
+and all paths in one pass: the visible (path, element) pairs are gathered
+from the stacked masks, and each element's contributions are added in path
+order. Across the uniform subcarrier grid each contribution's phase is a
+geometric sequence, so every pair takes two complex exponentials, the first
+subcarrier's and the step between subcarriers, whatever M is
+(`assemble_channel`). The scenario sampler computes each path's element
+distances once and hands them, and an obstructed path's diffraction gains,
+to `mask_weights` (the one mask formula), to its VR draw
+`scenario.sample_vr` and to the assembly; the element offsets and
+subcarrier grid are built once per `SystemConfig`.
 """
 
 from __future__ import annotations
@@ -113,15 +117,34 @@ def assemble_channel(cfg: SystemConfig, paths: list[PathParams],
     response at frequency f. The sum runs over the elements where s_n != 0
     only. Every path must carry its mask; distances holds each path's
     element distances r_n (`element_distances`).
+
+    The phases come from their subcarrier recurrence: the grid
+    `SystemConfig.subcarrier_freqs` is uniform, f_m = f_1 + (m - 1) B / M,
+    so exp(-j k_m r_n) = exp(-j k_1 r_n) w^(m - 1) with the step
+    w = exp(-j Delta_k r_n), Delta_k = 2 pi (B / M) / c. Subcarrier 1 is the
+    direct formula; each next one takes one complex multiplication per
+    contribution (with B = 0 the step is exactly 1). H lies within
+    1e-10 max|H| of the per-subcarrier exponentials exp(-j k_m r_n): both
+    are limited by the rounding of the arguments k_m r_n (about 6e4 rad at
+    28 GHz and 100 m), which the recurrence incurs once and the direct
+    formula once per subcarrier.
     """
     if not paths:
         raise ValueError("assemble_channel requires at least one path")
-    H = np.zeros((cfg.N, cfg.M), dtype=complex)
-    k_m = cfg.wavenumber(cfg.subcarrier_freqs)
-    for i, p in enumerate(paths):
-        if p.mask is None:
-            raise ValueError("path has no visibility mask; draw one with sample_vr")
-        vis = np.flatnonzero(p.mask)
-        phases = np.exp(-1j * np.outer(distances[i][vis], k_m))
-        H[vis] += (p.g / np.sqrt(cfg.N)) * phases * p.mask[vis, None]
+    if any(p.mask is None for p in paths):
+        raise ValueError("path has no visibility mask; draw one with sample_vr")
+    masks = np.stack([p.mask for p in paths])
+    path, elem = np.nonzero(masks)     # path-major: each element's paths in order
+    r_n = np.stack(distances)[path, elem]
+    gains = np.array([p.g for p in paths]) / np.sqrt(cfg.N)
+    k_1 = cfg.wavenumber(cfg.subcarrier_freqs[0])
+    z = gains[path] * np.exp(-1j * (r_n * k_1)) * masks[path, elem]
+    step = np.exp(-1j * (r_n * cfg.wavenumber(cfg.B / cfg.M))) if cfg.M > 1 else None
+    H = np.empty((cfg.N, cfg.M), dtype=complex)
+    for m in range(cfg.M):
+        if m:
+            z *= step
+        # bincount adds each bin's weights in input order: path order
+        H.real[:, m] = np.bincount(elem, z.real, cfg.N)
+        H.imag[:, m] = np.bincount(elem, z.imag, cfg.N)
     return ChannelRealization(H=H, truth_breakpoints=breakpoints_from_masks(paths, cfg))

@@ -72,7 +72,10 @@ class SystemConfig:
 
     @cached_property
     def subcarrier_freqs(self) -> np.ndarray:
-        """Uniform symmetric grid f_m = fc + B(2m - M - 1)/(2M), m = 1..M."""
+        """Uniform symmetric grid f_m = fc + B(2m - M - 1)/(2M), m = 1..M.
+
+        Channel synthesis relies on the uniform spacing B/M: it steps each
+        phase from subcarrier to subcarrier (`channel.assemble_channel`)."""
         m = np.arange(1, self.M + 1)
         return _read_only(self.fc + self.B * (2 * m - self.M - 1) / (2 * self.M))
 

@@ -118,7 +118,13 @@ def dft_codebook(n_sub: int) -> np.ndarray:
     D^H D = I."""
     if n_sub < 1:
         raise ValueError("codebook needs at least one atom")
-    return atom_response(n_sub, 2.0 * np.arange(n_sub) / n_sub - 1.0)
+    # exp(j pi i z_k) = (-1)^i w^(i k mod N) with w = exp(j 2 pi / N): N
+    # exponentials instead of N^2, each of an argument below 2 pi
+    i = np.arange(n_sub)
+    roots = np.exp(2j * np.pi * i / n_sub) / np.sqrt(n_sub)
+    d = roots[np.outer(i, i) % n_sub]
+    d[1::2] *= -1
+    return d
 
 
 @dataclass
@@ -171,8 +177,10 @@ def _is_real(v) -> bool:
 _CONFIG_RULES = (
     (("block_size", "t_ite"), lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     (("r_ite",), lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    # json.load accepts Infinity: an infinite delta1 stopped every fit at
+    # its second iteration, and an infinite prune_threshold pruned every block
     (("delta1", "prune_threshold", "delta2"),
-     lambda v: _is_real(v) and v >= 0, "a number >= 0"),
+     lambda v: _is_real(v) and 0 <= v < np.inf, "a finite number >= 0"),
     # s = 0 can leave a block's shrunk statistics singular; the lower bound
     # keeps the shrink term s tr/U well above the rounding in the posterior
     # covariance. With the data-scale start a zero Y never reaches the P

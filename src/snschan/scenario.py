@@ -57,7 +57,7 @@ class ScenarioOptions:
                              f"got {self.r_range!r}")
         # sample_paths obstructs no path unless t_d > 0: a negative t_d
         # would run as t_d = 0 under its own label, and true as t_d = 1
-        if isinstance(self.t_d, bool) or not self.t_d >= 0.0:
+        if isinstance(self.t_d, bool) or not 0.0 <= self.t_d < np.inf:
             raise ValueError(f"t_d must lie in [0, inf), got {self.t_d!r}")
         for name in ("p_nonideal", "p_stay_visible", "p_stay_blocked",
                      "p_init_visible"):

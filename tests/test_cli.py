@@ -211,11 +211,16 @@ def test_negative_t_d_fails_and_is_named(tmp_path, capsys, doc):
      "params snr_db must be a finite number, got nan"),
     (dict(TINY_DISTANCE, sweep=[0.0]), "invalid distance_m: r_range must lie in"),
     (dict(TINY_DISTANCE, sweep=[-1.0]), "invalid distance_m: r_range must lie in"),
-    # true ran as t_d = 1
+    # true ran as t_d = 1, and Infinity at sample_paths' cap on t_d
     (dict(TINY_AUC, params={"t_d": True}), "invalid t_d: t_d must lie in"),
+    (dict(TINY_AUC, params={"t_d": float("inf")}),
+     "invalid t_d: t_d must lie in [0, inf), got inf"),
+    # every block was pruned: run exited 0 with NMSE 1
+    (dict(TINY_NMSE, params={"estimator_config": {"prune_threshold": float("inf")}}),
+     "invalid estimator_config: prune_threshold must be a finite number >= 0"),
 ], ids=["int-sweep", "list-params", "list-overrides", "list-experiment",
         "string-algorithms", "string-snr_db", "nan-snr_db", "zero-distance",
-        "negative-distance", "bool-t_d"])
+        "negative-distance", "bool-t_d", "inf-t_d", "inf-prune_threshold"])
 def test_spec_fault_is_named_at_load(tmp_path, capsys, doc, message):
     out = tmp_path / "out"
     path = write_spec(tmp_path, doc)

@@ -61,13 +61,15 @@ def scalar_sbl_em(y, phi, sigma2, iters):
 INVALID_CONFIG_VALUES = {
     "block_size": (0,),          # every trial divided by zero
     "t_ite": (0,),               # returned the zero estimate
-    "delta1": (-1e-6,),
-    "prune_threshold": (-0.1,),
+    # an infinite delta1 stopped every fit at its second iteration, and an
+    # infinite prune_threshold pruned every block
+    "delta1": (-1e-6, float("inf")),
+    "prune_threshold": (-0.1, float("inf")),
     # s = 0 can leave the shrunk statistics singular
     "p_shrink": (1.5, 0.0, 1e-10),
     "learn_p": ("yes",),
     "r_ite": (-1,),
-    "delta2": (-1.0,),
+    "delta2": (-1.0, float("inf")),
     "support_fraction": (1.5,),
 }
 
@@ -94,6 +96,12 @@ class TestCodebook:
         D = dft_codebook(32)
         gram = D.conj().T @ D
         np.testing.assert_allclose(gram, np.eye(32), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 127, 256])
+    def test_equals_the_atoms_on_the_grid(self, n):
+        np.testing.assert_allclose(
+            dft_codebook(n), atom_response(n, 2.0 * np.arange(n) / n - 1.0),
+            rtol=0, atol=1e-13)
 
     def test_on_grid_path_projects_to_single_atom(self):
         n = 64

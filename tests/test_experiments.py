@@ -5,7 +5,8 @@ to one BLAS thread (results.csv depends on the BLAS thread count, and the
 thread count can only be set before numpy is imported). Its results.csv
 must equal the file recorded under tests/golden/. Re-record the files with
 `python tests/test_experiments.py` only when a change is meant to move the
-numbers, and say so in the change.
+numbers, and say so in the change: it prints, per golden, "unchanged" or
+each moved row with its largest relative change in mean or stderr.
 """
 
 from __future__ import annotations
@@ -593,8 +594,57 @@ def test_fewer_than_one_worker_is_a_config_error(monkeypatch, workers):
     assert RecordingPool.made == []
 
 
+def golden_moves(old: str, new: str) -> list[str]:
+    """One line per row of results.csv that differs between old and new,
+    keyed by (sweep_param, sweep_value, algorithm, metric): the largest
+    relative change in mean or stderr, or that the row was added or
+    removed."""
+    def rows(csv: str) -> dict:
+        lines = [line.split(",") for line in csv.splitlines()[1:]]
+        return {tuple(f[:4]): f[4:] for f in lines}
+
+    before, after = rows(old), rows(new)
+    moves = []
+    for key in sorted(before.keys() | after.keys()):
+        a, b = before.get(key), after.get(key)
+        if a == b:
+            continue
+        if a is None or b is None:
+            moves.append(f"{','.join(key)}: {'added' if a is None else 'removed'}")
+            continue
+        # mean and stderr; trials and runtime_ms are compared as text
+        rel = max(abs(float(y) - float(x)) / max(abs(float(x)), 1e-300)
+                  for x, y in zip(a[:2], b[:2]))
+        moves.append(f"{','.join(key)}: {','.join(a)} -> {','.join(b)} "
+                     f"(largest relative change in mean/stderr {rel:.3g})")
+    return moves
+
+
+def test_golden_moves_names_each_moved_row():
+    header = "sweep_param,sweep_value,algorithm,metric,mean,stderr,trials,runtime_ms\n"
+    old = header + "snr_db,0,a,nmse,0.5,0.1,2,0\nsnr_db,0,b,nmse,0.25,0.5,2,0\n"
+    assert golden_moves(old, old) == []
+    new = header + "snr_db,0,a,nmse,0.5,0.1,2,0\nsnr_db,0,b,nmse,0.25,0.50001,2,0\n"
+    (line,) = golden_moves(old, new)
+    assert line.startswith("snr_db,0,b,nmse: 0.25,0.5,2,0 -> 0.25,0.50001,2,0")
+    assert line.endswith("mean/stderr 2e-05)")
+    assert golden_moves(old, header + "snr_db,0,a,nmse,0.5,0.1,2,0\n") == [
+        "snr_db,0,b,nmse: removed"]
+    assert golden_moves(header, old) == ["snr_db,0,a,nmse: added",
+                                         "snr_db,0,b,nmse: added"]
+
+
 if __name__ == "__main__":
+    # re-record every golden and report, per golden, what moved
     GOLDEN.mkdir(exist_ok=True)
     for name, csv in run_specs(SPECS, workers=1).items():
-        (GOLDEN / f"{name}.csv").write_text(csv)
-        print(f"wrote {GOLDEN / name}.csv")
+        path = GOLDEN / f"{name}.csv"
+        old = path.read_text() if path.exists() else ""
+        if csv == old:
+            print(f"{name}: unchanged")
+            continue
+        path.write_text(csv)
+        moves = golden_moves(old, csv)
+        print(f"{name}: rewrote {path}, {len(moves)} rows moved")
+        for line in moves:
+            print(f"  {line}")
