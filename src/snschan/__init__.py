@@ -10,11 +10,7 @@ benchmark experiments at desk scale.
 __version__ = "0.1.0"
 
 from .config import SystemConfig
-from .channel import (
-    ChannelRealization,
-    PathParams,
-    assemble_channel,
-)
+from .channel import ChannelRealization, assemble_channel
 from .diffraction import Obstacle, diffraction_gain, diffraction_geometry, fresnel_cs
 from .segmentation import (
     SegmentationResult,
@@ -46,8 +42,7 @@ from .scenario import ScenarioOptions, generate_scenario
 from .experiments import ExperimentSpec, ResultTable, run_experiment
 
 __all__ = [
-    "SystemConfig", "ChannelRealization", "PathParams",
-    "assemble_channel",
+    "SystemConfig", "ChannelRealization", "assemble_channel",
     "Obstacle", "diffraction_gain", "diffraction_geometry", "fresnel_cs",
     "SegmentationResult", "afm_segment", "auc_score", "pass_segment",
     "rfem_segment",

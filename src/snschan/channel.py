@@ -1,17 +1,18 @@
 """Spatially non-stationary near-field multi-carrier channel synthesis.
 
-A channel realization is a superposition of paths. Each path carries a
-complex gain, its reference distance from the array center, and its mask:
-an array of non-negative per-element weights that is zero outside the
-path's visibility region (BS-VR), so that the VR is where the mask is
-positive. The weights encode spherical-wave amplitude taper plus, for paths
-obstructed by a knife edge, diffraction ripple. The path's angle enters
-only through its element distances.
+A channel realization is a superposition of paths, and a drawn scene is
+three arrays over its paths: gains (one complex gain per path), masks and
+distances (one row of N per path). A path's mask holds non-negative
+per-element weights that are zero outside the path's visibility region
+(BS-VR), so that the VR is where the mask is positive. The weights encode
+spherical-wave amplitude taper plus, for paths obstructed by a knife edge,
+diffraction ripple. The path's distance row holds its element distances
+r_n, through which alone its angle enters.
 
 Synthesis evaluates each path on its VR alone, where its mask is positive,
 and all paths in one pass: the visible (path, element) pairs are gathered
-from the stacked masks, and each element's contributions are added in path
-order. Across the uniform subcarrier grid each contribution's phase is a
+from the masks, and each element's contributions are added in path order.
+Across the uniform subcarrier grid each contribution's phase is a
 geometric sequence, so every pair takes two complex exponentials, the first
 subcarrier's and the step between subcarriers, whatever M is
 (`assemble_channel`). The scenario sampler computes each path's element
@@ -30,33 +31,9 @@ import numpy as np
 from .config import SystemConfig
 from .diffraction import max_diffraction_intensity
 
-IDEAL = "ideal"
-NONIDEAL = "nonideal"
-
 
 class MaskConfigurationError(ValueError):
     """Diffraction intensity violates the mask positivity bound."""
-
-
-@dataclass
-class PathParams:
-    """One propagation path between a UE/scatterer and the array.
-
-    mask is the path's mask: non-negative weights, one per element, zero
-    outside its VR (`scenario.sample_vr` draws it).
-    """
-
-    g: complex
-    r: float
-    kind: str = IDEAL
-    t_d: float = 0.0
-    mask: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ValueError(f"path distance must be positive, got {self.r}")
-        if self.kind not in (IDEAL, NONIDEAL):
-            raise ValueError(f"unknown path kind {self.kind!r}")
 
 
 @dataclass
@@ -77,37 +54,38 @@ def element_distances(r: float, theta: float, cfg: SystemConfig) -> np.ndarray:
     return np.sqrt(r**2 + a**2 - 2.0 * a * r * np.sin(theta))
 
 
-def mask_weights(path: PathParams, r_n: np.ndarray,
+def mask_weights(r: float, r_n: np.ndarray, t_d: float = 0.0,
                  a_n: np.ndarray | None = None) -> np.ndarray:
-    """The path's mask before its VR is applied, from its element distances
-    r_n: the spherical-wave taper r / r_n of an ideal path, and
-    (r / r_n) [t_d (sqrt(A_n) - 1) + 1] for a knife-edge-obstructed path
-    with per-element diffraction gains a_n.
+    """The mask before its VR of a path at reference distance r with element
+    distances r_n: the spherical-wave taper r / r_n, and
+    (r / r_n) [t_d (sqrt(A_n) - 1) + 1] for a path that a knife edge
+    obstructs, which is a path with per-element diffraction gains a_n.
 
     t_d scales the diffraction ripple and must satisfy
     t_d < 1 / (1 - min_n A_n) so the mask stays positive.
     """
-    taper = path.r / r_n
-    if path.kind == IDEAL:
+    taper = r / r_n
+    if a_n is None:
         return taper
     bound = max_diffraction_intensity(a_n)
-    if path.t_d >= bound:
+    if t_d >= bound:
         raise MaskConfigurationError(
-            f"t_d = {path.t_d:.4g} violates the positivity bound {bound:.4g}"
+            f"t_d = {t_d:.4g} violates the positivity bound {bound:.4g}"
         )
-    return taper * (path.t_d * (np.sqrt(a_n) - 1.0) + 1.0)
+    return taper * (t_d * (np.sqrt(a_n) - 1.0) + 1.0)
 
 
-def breakpoints_from_masks(paths: list[PathParams], cfg: SystemConfig) -> np.ndarray:
-    """1-based indices where the visible-path set changes, plus 1 and N+1."""
-    supports = np.stack([p.mask for p in paths]) > 0
+def breakpoints_from_masks(masks: np.ndarray) -> np.ndarray:
+    """1-based indices where the visible-path set of the (paths, N) masks
+    changes, plus 1 and N+1."""
+    supports = masks > 0
     changed = np.any(supports[:, 1:] != supports[:, :-1], axis=0)
     interior = np.flatnonzero(changed) + 2  # change between n-1 and n -> n
-    return np.concatenate(([1], interior, [cfg.N + 1])).astype(int)
+    return np.concatenate(([1], interior, [masks.shape[1] + 1])).astype(int)
 
 
-def assemble_channel(cfg: SystemConfig, paths: list[PathParams],
-                     distances: list[np.ndarray]) -> ChannelRealization:
+def assemble_channel(cfg: SystemConfig, gains: np.ndarray, masks: np.ndarray,
+                     distances: np.ndarray) -> ChannelRealization:
     """Superpose the masked paths; column m of H is the channel at
     subcarrier f_m.
 
@@ -115,8 +93,8 @@ def assemble_channel(cfg: SystemConfig, paths: list[PathParams],
     g exp(-j k_m r_n) s_n / sqrt(N), where b(r, theta; f) =
     exp(-j k_f (r_n - r)) / sqrt(N) is the unit-norm near-field array
     response at frequency f. The sum runs over the elements where s_n != 0
-    only. Every path must carry its mask; distances holds each path's
-    element distances r_n (`element_distances`).
+    only. Row p of masks is path p's mask s and row p of distances its
+    element distances r_n (`element_distances`); gains[p] is its g.
 
     The phases come from their subcarrier recurrence: the grid
     `SystemConfig.subcarrier_freqs` is uniform, f_m = f_1 + (m - 1) B / M,
@@ -129,16 +107,10 @@ def assemble_channel(cfg: SystemConfig, paths: list[PathParams],
     28 GHz and 100 m), which the recurrence incurs once and the direct
     formula once per subcarrier.
     """
-    if not paths:
-        raise ValueError("assemble_channel requires at least one path")
-    if any(p.mask is None for p in paths):
-        raise ValueError("path has no visibility mask; draw one with sample_vr")
-    masks = np.stack([p.mask for p in paths])
     path, elem = np.nonzero(masks)     # path-major: each element's paths in order
-    r_n = np.stack(distances)[path, elem]
-    gains = np.array([p.g for p in paths]) / np.sqrt(cfg.N)
+    r_n = distances[path, elem]
     k_1 = cfg.wavenumber(cfg.subcarrier_freqs[0])
-    z = gains[path] * np.exp(-1j * (r_n * k_1)) * masks[path, elem]
+    z = gains[path] / np.sqrt(cfg.N) * np.exp(-1j * (r_n * k_1)) * masks[path, elem]
     step = np.exp(-1j * (r_n * cfg.wavenumber(cfg.B / cfg.M))) if cfg.M > 1 else None
     H = np.empty((cfg.N, cfg.M), dtype=complex)
     for m in range(cfg.M):
@@ -147,4 +119,4 @@ def assemble_channel(cfg: SystemConfig, paths: list[PathParams],
         # bincount adds each bin's weights in input order: path order
         H.real[:, m] = np.bincount(elem, z.real, cfg.N)
         H.imag[:, m] = np.bincount(elem, z.imag, cfg.N)
-    return ChannelRealization(H=H, truth_breakpoints=breakpoints_from_masks(paths, cfg))
+    return ChannelRealization(H=H, truth_breakpoints=breakpoints_from_masks(masks))

@@ -2,8 +2,10 @@
 
 Every random draw of a scene lives here, visibility regions included
 (`sample_vr`), and reads its distribution from one checked `ScenarioOptions`.
-A scene exists only in memory: the experiments synthesize each one from its
-cell's seed, so the same spec gives the same scenes without a stored copy.
+A drawn scene is three arrays over its K L paths: gains, masks and element
+distances (`sample_paths`), which `channel.assemble_channel` reads as they
+are. A scene exists only in memory: the experiments synthesize each one from
+its cell's seed, so the same spec gives the same scenes without a stored copy.
 """
 
 from __future__ import annotations
@@ -14,10 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    IDEAL,
-    NONIDEAL,
     ChannelRealization,
-    PathParams,
     assemble_channel,
     element_distances,
     mask_weights,
@@ -91,19 +90,20 @@ def _sample_obstacle(r: float, theta: float, cfg: SystemConfig,
     raise GeometryInfeasibleError("could not place a knife edge on the path")
 
 
-def sample_vr(path: PathParams, weights: np.ndarray, cfg: SystemConfig,
+def sample_vr(weights: np.ndarray, obstructed: bool, cfg: SystemConfig,
               rng: np.random.Generator, opts: ScenarioOptions) -> np.ndarray:
-    """Draw the path's visibility region and apply it to weights, the path's
+    """Draw a path's visibility region and apply it to weights, the path's
     mask before its VR (`channel.mask_weights`): returns the mask, the
     weights on the VR and zero elsewhere.
 
-    Ideal paths: block-level first-order Markov chain over ceil(N / SI_min)
-    blocks of SI_min elements, with the stay and initial probabilities of
-    opts, redrawn until at least one block is visible. Non-ideal paths: the
-    VR is the set of elements whose mask exceeds opts.power_threshold times
-    the mask maximum (no stochastic birth-death).
+    Unobstructed paths: block-level first-order Markov chain over
+    ceil(N / SI_min) blocks of SI_min elements, with the stay and initial
+    probabilities of opts, redrawn until at least one block is visible.
+    Paths that a knife edge obstructs: the VR is the set of elements whose
+    mask exceeds opts.power_threshold times the mask maximum (no stochastic
+    birth-death).
     """
-    if path.kind == NONIDEAL:
+    if obstructed:
         support = weights > opts.power_threshold * np.max(weights)
         return np.where(support, weights, 0.0)
 
@@ -138,39 +138,33 @@ def sample_vr(path: PathParams, weights: np.ndarray, cfg: SystemConfig,
 
 def sample_paths(cfg: SystemConfig, rng: np.random.Generator,
                  opts: ScenarioOptions = ScenarioOptions(),
-                 ) -> tuple[list[PathParams], list[np.ndarray]]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw K x L paths with gains CN(0,1) and sampled visibility regions;
-    returns them with each one's element distances r_n.
+    returns their gains (K L,), masks (K L, N) and element distances r_n
+    (K L, N), UE by UE.
 
-    At most one path per UE is non-ideal; its diffraction intensity is
-    min(opts.t_d, cap) with cap just below the geometry's positivity bound.
+    At most one path per UE, its first, is obstructed by a knife edge; its
+    diffraction intensity is min(opts.t_d, cap) with cap just below the
+    geometry's positivity bound.
     """
-    paths: list[PathParams] = []
-    distances: list[np.ndarray] = []
-    for _ in range(cfg.K):
-        for l in range(cfg.L):
-            g = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
-            r = rng.uniform(*opts.r_range)
-            theta = rng.uniform(*_THETA_RANGE)
-            nonideal = (l == 0 and opts.t_d > 0
-                        and rng.random() < opts.p_nonideal)
-            a_n = None
-            if nonideal:
-                a_n = _sample_obstacle(r, theta, cfg, rng)
-                # random geometries often violate the positivity bound
-                # 1/(1 - min_n A_n) for t_d > 1, since the per-element
-                # clearance sweeps into deep shadow: cap just below it
-                t_cap = 0.99 * max_diffraction_intensity(a_n)
-                path = PathParams(g=g, r=r, kind=NONIDEAL,
-                                  t_d=min(opts.t_d, t_cap))
-            else:
-                path = PathParams(g=g, r=r, kind=IDEAL)
-            r_n = element_distances(r, theta, cfg)
-            path.mask = sample_vr(path, mask_weights(path, r_n, a_n), cfg,
-                                  rng, opts)
-            paths.append(path)
-            distances.append(r_n)
-    return paths, distances
+    gains = np.empty(cfg.K * cfg.L, dtype=complex)
+    masks = np.empty((cfg.K * cfg.L, cfg.N))
+    distances = np.empty_like(masks)
+    for i in range(cfg.K * cfg.L):
+        gains[i] = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
+        r = rng.uniform(*opts.r_range)
+        theta = rng.uniform(*_THETA_RANGE)
+        t_d, a_n = 0.0, None
+        if i % cfg.L == 0 and opts.t_d > 0 and rng.random() < opts.p_nonideal:
+            a_n = _sample_obstacle(r, theta, cfg, rng)
+            # random geometries often violate the positivity bound
+            # 1/(1 - min_n A_n) for t_d > 1, since the per-element
+            # clearance sweeps into deep shadow: cap just below it
+            t_d = min(opts.t_d, 0.99 * max_diffraction_intensity(a_n))
+        distances[i] = element_distances(r, theta, cfg)
+        masks[i] = sample_vr(mask_weights(r, distances[i], t_d, a_n),
+                             a_n is not None, cfg, rng, opts)
+    return gains, masks, distances
 
 
 def generate_scenario(cfg: SystemConfig, rng: np.random.Generator,

@@ -10,23 +10,35 @@ from snschan.scenario import (
 )
 
 
+def spy(monkeypatch, name):
+    """Record the arguments of each call of scenario.<name> in the list it
+    returns; the calls still go through."""
+    calls = []
+    real = getattr(scenario, name)
+    monkeypatch.setattr(scenario, name,
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 class TestScenarioSampling:
-    def test_path_counts_and_kinds(self):
+    def test_path_counts_and_kinds(self, monkeypatch):
         cfg = SystemConfig(N=64, M=3, K=3, L=2, SI_min=8)
         rng = np.random.default_rng(0)
-        paths, _ = sample_paths(cfg, rng, ScenarioOptions(p_nonideal=1.0))
-        assert len(paths) == cfg.K * cfg.L
-        nonideal = [p for p in paths if p.kind == "nonideal"]
-        # exactly one non-ideal path per UE when p_nonideal = 1
-        assert len(nonideal) == cfg.K
+        vr_draws = spy(monkeypatch, "sample_vr")
+        gains, masks, distances = sample_paths(cfg, rng,
+                                               ScenarioOptions(p_nonideal=1.0))
+        assert gains.shape == (cfg.K * cfg.L,)
+        assert masks.shape == distances.shape == (cfg.K * cfg.L, cfg.N)
+        # exactly one obstructed path per UE, its first, when p_nonideal = 1
+        assert [obstructed for _, obstructed, *_ in vr_draws] == [True, False] * cfg.K
 
     def test_masks_attached_and_valid(self):
         cfg = SystemConfig(N=64, M=3, K=2, L=2, SI_min=8)
         rng = np.random.default_rng(1)
-        for p in sample_paths(cfg, rng)[0]:
-            assert p.mask.shape == (cfg.N,)
-            assert np.any(p.mask > 0)
-            assert np.all(p.mask >= 0)
+        for mask in sample_paths(cfg, rng)[1]:
+            assert mask.shape == (cfg.N,)
+            assert np.any(mask > 0)
+            assert np.all(mask >= 0)
 
     def test_intensity_cap_respected(self, monkeypatch):
         # t_d = 1.5 frequently exceeds the geometry bound; sampled paths must
@@ -35,16 +47,18 @@ class TestScenarioSampling:
         draw = scenario._sample_obstacle
         monkeypatch.setattr(scenario, "_sample_obstacle",
                             lambda *args: gains.append(draw(*args)) or gains[-1])
+        weights = spy(monkeypatch, "mask_weights")
         cfg = SystemConfig(N=256, M=3, K=4, L=2, SI_min=32)
         rng = np.random.default_rng(2)
-        paths, _ = sample_paths(cfg, rng, ScenarioOptions(t_d=1.5, p_nonideal=1.0))
-        obstructed = [p for p in paths if p.kind == "nonideal"]
+        sample_paths(cfg, rng, ScenarioOptions(t_d=1.5, p_nonideal=1.0))
+        obstructed = [(t_d, a_n) for _, _, t_d, a_n in weights if a_n is not None]
         assert len(obstructed) == len(gains) == cfg.K
-        for p, a_n in zip(obstructed, gains):
+        for (t_d, a_n), drawn in zip(obstructed, gains):
+            assert a_n is drawn
             a_min = float(np.min(a_n))
-            assert p.t_d <= 1.5
+            assert t_d <= 1.5
             if a_min < 1:
-                assert p.t_d < 1.0 / (1.0 - a_min)
+                assert t_d < 1.0 / (1.0 - a_min)
 
     def test_full_visibility_options(self):
         cfg = SystemConfig(N=64, M=3, K=2, L=2, SI_min=8)
@@ -53,11 +67,12 @@ class TestScenarioSampling:
         np.testing.assert_array_equal(chan.truth_breakpoints, [1, cfg.N + 1])
 
     def test_distance_pinning(self):
+        # fully visible unobstructed masks are the taper r / r_n: r is 17.5
         cfg = SystemConfig(N=32, M=2, K=1, L=3, SI_min=4)
         rng = np.random.default_rng(4)
         opts = ScenarioOptions.full_visibility(r_range=(17.5, 17.5))
-        paths, _ = sample_paths(cfg, rng, opts)
-        assert all(p.r == pytest.approx(17.5) for p in paths)
+        _, masks, distances = sample_paths(cfg, rng, opts)
+        np.testing.assert_allclose(masks * distances, 17.5, rtol=1e-12)
 
 
 class TestScenarioOptions:

@@ -1,6 +1,7 @@
 """Scene synthesis against the per-path oracle.
 
-`generate_scenario` assembles the paths that `sample_paths` draws. Synthesis
+`generate_scenario` assembles the scene that `sample_paths` draws: the
+paths' gains, masks and element distances, three arrays. Synthesis
 evaluates each path on its visibility region only, computes each path's
 element distances and an obstructed path's diffraction gains once, draws
 each visibility-chain attempt as one vector of uniforms, and takes each
@@ -10,8 +11,8 @@ geometry twice, and adds every path's contribution over the whole array
 with one complex exponential per subcarrier (`path_channel`, the direct
 formula).
 
-The draws stay byte-exact: every path, its mask and its element distances,
-the truth breakpoints and the generator state equal the oracle's bytes. The
+The draws stay byte-exact: the gains, masks and element distances, the
+truth breakpoints and the generator state equal the oracle's bytes. The
 channel H is the one bounded check: it lies within 1e-10 max|H| of the
 oracle's, since the recurrence and the direct formula round the phase
 arguments k_m r_n (about 6e4 rad) differently. An extended-precision
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from snschan.channel import IDEAL, NONIDEAL, PathParams, assemble_channel
+from snschan.channel import assemble_channel
 from snschan.config import SystemConfig
 from snschan.diffraction import (
     GeometryInfeasibleError,
@@ -47,12 +48,12 @@ def oracle_distances(r, theta, cfg):
     return np.sqrt(r**2 + a**2 - 2.0 * a * r * np.sin(theta))
 
 
-def path_channel(path, r_n, cfg):
-    """(N, M) contribution over the whole array of one path with element
-    distances r_n: g exp(-j k_m r_n) s_n / sqrt(N)."""
+def path_channel(g, mask, r_n, cfg):
+    """(N, M) contribution over the whole array of one path with gain g,
+    mask s and element distances r_n: g exp(-j k_m r_n) s_n / sqrt(N)."""
     k_m = np.asarray(cfg.wavenumber(cfg.subcarrier_freqs))
     phases = np.exp(-1j * np.outer(r_n, k_m))
-    return (path.g / np.sqrt(cfg.N)) * phases * path.mask[:, None]
+    return (g / np.sqrt(cfg.N)) * phases * mask[:, None]
 
 
 def assert_h_near(got, want):
@@ -75,13 +76,13 @@ def oracle_obstacle(r, theta, cfg, rng):
     raise GeometryInfeasibleError("could not place a knife edge on the path")
 
 
-def oracle_vr(path, r_n, theta, obstacle, cfg, rng, opts):
-    """The mask of a path at angle theta with element distances r_n, which
-    obstacle obstructs if the path is non-ideal."""
-    if path.kind == NONIDEAL:
+def oracle_vr(r, theta, r_n, obstacle, t_d, cfg, rng, opts):
+    """The mask of a path at (r, theta) with element distances r_n, which
+    obstacle obstructs with diffraction intensity t_d unless it is None."""
+    if obstacle is not None:
         _, _, _, nu = diffraction_geometry(obstacle, theta, cfg)
         a_n = diffraction_gain(nu)
-        s_full = (path.r / r_n) * (path.t_d * (np.sqrt(a_n) - 1.0) + 1.0)
+        s_full = (r / r_n) * (t_d * (np.sqrt(a_n) - 1.0) + 1.0)
         return np.where(s_full > opts.power_threshold * np.max(s_full), s_full, 0.0)
     b_si = cfg.n_blocks_si
     p_vb, p_bv = 1.0 - opts.p_stay_visible, 1.0 - opts.p_stay_blocked
@@ -99,39 +100,37 @@ def oracle_vr(path, r_n, theta, obstacle, cfg, rng, opts):
     else:
         states[rng.integers(b_si)] = True
     support = np.repeat(states, cfg.SI_min)[: cfg.N]
-    return np.where(support, path.r / r_n, 0.0)
+    return np.where(support, r / r_n, 0.0)
 
 
 def oracle_scenario(cfg, rng, opts):
-    """(H, paths, their element distances), drawn and summed path by path
-    over the whole array."""
-    paths, distances = [], []
+    """(H, gains, masks, element distances), drawn path by path as lists
+    and summed path by path over the whole array."""
+    gains, masks, distances = [], [], []
     for _ in range(cfg.K):
         for l in range(cfg.L):
             g = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
             r = rng.uniform(*opts.r_range)
             theta = rng.uniform(-2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0)
-            obstacle = None
+            obstacle = t_d = None
             if l == 0 and opts.t_d > 0 and rng.random() < opts.p_nonideal:
                 obstacle, t_cap = oracle_obstacle(r, theta, cfg, rng)
-                path = PathParams(g=g, r=r, kind=NONIDEAL, t_d=min(opts.t_d, t_cap))
-            else:
-                path = PathParams(g=g, r=r, kind=IDEAL)
+                t_d = min(opts.t_d, t_cap)
             r_n = oracle_distances(r, theta, cfg)
-            path.mask = oracle_vr(path, r_n, theta, obstacle, cfg, rng, opts)
-            paths.append(path)
+            gains.append(g)
+            masks.append(oracle_vr(r, theta, r_n, obstacle, t_d, cfg, rng, opts))
             distances.append(r_n)
     H = np.zeros((cfg.N, cfg.M), dtype=complex)
-    for p, r_n in zip(paths, distances):
-        H += path_channel(p, r_n, cfg)
-    return H, paths, distances
+    for g, mask, r_n in zip(gains, masks, distances):
+        H += path_channel(g, mask, r_n, cfg)
+    return H, np.array(gains), np.stack(masks), np.stack(distances)
 
 
 def synthesis(cfg, rng, opts):
-    """(chan, paths, their element distances): generate_scenario's
+    """(chan, gains, masks, element distances): generate_scenario's
     assembly of sample_paths's draw, with the draw kept."""
-    paths, distances = sample_paths(cfg, rng, opts)
-    return assemble_channel(cfg, paths, distances), paths, distances
+    scene = sample_paths(cfg, rng, opts)
+    return (assemble_channel(cfg, *scene), *scene)
 
 
 def outcome(make, cfg, seed, opts):
@@ -179,17 +178,14 @@ def test_generate_scenario_equals_the_per_path_oracle(scene):
     assert err is want_err
     if err is not None:
         return
-    chan, paths, distances = got
-    want_h, want_paths, want_distances = want
+    chan, *scene = got
+    want_h, *want_scene = want
     assert_h_near(chan.H, want_h)
-    assert len(paths) == len(want_paths)
-    for got_path, exp, r_n, want_r_n in zip(paths, want_paths, distances,
-                                            want_distances):
-        assert (got_path.g, got_path.r, got_path.kind, got_path.t_d) == (
-            exp.g, exp.r, exp.kind, exp.t_d)
-        assert got_path.mask.tobytes() == exp.mask.tobytes()
-        assert r_n.tobytes() == want_r_n.tobytes()
-    supports = np.stack([p.mask > 0 for p in want_paths])
+    for array, want_array in zip(scene, want_scene):   # gains, masks, distances
+        assert array.dtype == want_array.dtype
+        assert array.shape == want_array.shape
+        assert array.tobytes() == want_array.tobytes()
+    supports = want_scene[1] > 0
     edges = np.flatnonzero(np.any(supports[:, 1:] != supports[:, :-1], axis=0)) + 2
     want_truth = np.concatenate(([1], edges, [cfg.N + 1])).astype(int)
     assert chan.truth_breakpoints.tobytes() == want_truth.tobytes()
@@ -203,12 +199,12 @@ def test_seg_scene_kernel_benchmark(benchmark):
     chan = benchmark.pedantic(
         lambda: generate_scenario(cfg, np.random.default_rng(41), opts),
         rounds=20, iterations=1)
-    want_h, want_paths, _ = oracle_scenario(cfg, np.random.default_rng(41), opts)
-    assert len(want_paths) == 18
+    want_h, want_gains, _, _ = oracle_scenario(cfg, np.random.default_rng(41), opts)
+    assert len(want_gains) == 18
     assert_h_near(chan.H, want_h)
 
 
-def extended_channel(cfg, paths, distances):
+def extended_channel(cfg, gains, masks, distances):
     """H from the float64 inputs (the config, gains, masks and element
     distances), with the grid, the wavenumbers and the phases evaluated in
     extended precision."""
@@ -217,9 +213,9 @@ def extended_channel(cfg, paths, distances):
     f_m = ld(cfg.fc) + ld(cfg.B) * (2 * m - cfg.M - 1) / (2 * ld(cfg.M))
     k_m = 2 * np.arccos(ld(-1)) * f_m / ld(cfg.c)
     H = np.zeros((cfg.N, cfg.M), dtype=np.clongdouble)
-    for p, r_n in zip(paths, distances):
+    for g, mask, r_n in zip(gains, masks, distances):
         phases = np.exp(-1j * np.outer(r_n.astype(ld), k_m).astype(np.clongdouble))
-        H += (np.clongdouble(p.g) / np.sqrt(ld(cfg.N))) * phases * p.mask[:, None]
+        H += (np.clongdouble(g) / np.sqrt(ld(cfg.N))) * phases * mask[:, None]
     return H
 
 
@@ -232,11 +228,11 @@ def test_recurrence_is_as_accurate_as_the_direct_formula(overrides):
     # 1e-12 of max|H|; the recurrence's stays within 2x the direct one's
     cfg = SystemConfig(**dict(_SEG_SCENE, **overrides))
     for seed in range(4):
-        paths, distances = sample_paths(cfg, np.random.default_rng(seed),
-                                        ScenarioOptions(t_d=1.5))
-        exact = extended_channel(cfg, paths, distances)
-        direct = sum(path_channel(p, r_n, cfg) for p, r_n in zip(paths, distances))
-        h = assemble_channel(cfg, paths, distances).H
+        scene = sample_paths(cfg, np.random.default_rng(seed),
+                             ScenarioOptions(t_d=1.5))
+        exact = extended_channel(cfg, *scene)
+        direct = sum(path_channel(g, mask, r_n, cfg) for g, mask, r_n in zip(*scene))
+        h = assemble_channel(cfg, *scene).H
         scale = np.max(np.abs(exact))
         err = np.max(np.abs(h - exact)) / scale
         direct_err = np.max(np.abs(direct - exact)) / scale
