@@ -66,15 +66,15 @@ def diffraction_geometry(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-element knife-edge parameters (h_n, d1_n, d2_n, nu_n).
 
-    theta is the angle of the UE seen from the reference point. Uses the
-    closed forms with delta_n = ((N - 2n - 1)/2) d and
-    q_n = d1_ref + d2_ref + delta_n sin(theta); d1_n carries a second-order
-    expansion of the element-to-UE distance. nu_n is the Fresnel-Kirchhoff
-    parameter h_n * sqrt(2 (d1_n + d2_n) / (lambda d1_n d2_n)).
+    theta is the angle of the UE seen from the reference point. Element n
+    sits where the channel puts it, at `SystemConfig.delta_n` d along the
+    array axis. The closed forms read its mirror offset delta = -delta_n d
+    and q_n = d1_ref + d2_ref + delta sin(theta); d1_n carries a
+    second-order expansion of the element-to-UE distance. nu_n is the
+    Fresnel-Kirchhoff parameter h_n * sqrt(2 (d1_n + d2_n) / (lambda d1_n d2_n)).
     """
     h_ref, d1_ref, d2_ref = obstacle.h_ref, obstacle.d1_ref, obstacle.d2_ref
-    n = np.arange(1, cfg.N + 1)
-    delta = (cfg.N - 2 * n - 1) / 2.0 * cfg.d
+    delta = -cfg.delta_n * cfg.d
     dsin = delta * np.sin(theta)
     q = d1_ref + d2_ref + dsin
     dcos = delta * np.cos(theta)

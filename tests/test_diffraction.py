@@ -82,12 +82,10 @@ class TestDiffractionGain:
 def knife_edge_oracle(obstacle, theta, cfg):
     """nu_n from explicit 2-D coordinates of element, edge, and UE.
 
-    The element coordinate follows the delta_n convention of the closed
-    forms: element n sits at -delta_n along the array axis.
+    Element n sits where the channel puts it, at delta_n d along the array
+    axis (`SystemConfig.delta_n`).
     """
-    n = np.arange(1, cfg.N + 1)
-    delta = (cfg.N - 2 * n - 1) / 2.0 * cfg.d
-    x_elem = -delta
+    x_elem = cfg.delta_n * cfg.d
     r_total = obstacle.d1_ref + obstacle.d2_ref
     ue = r_total * np.array([np.sin(theta), np.cos(theta)])
     u_los = np.array([np.sin(theta), np.cos(theta)])
@@ -112,8 +110,8 @@ class TestDiffractionGeometry:
         cfg = SystemConfig(N=17, SI_min=1)
         obstacle = Obstacle(h_ref=0.04, d1_ref=20.0, d2_ref=10.0)
         h, d1, d2, _ = diffraction_geometry(obstacle, 0.0, cfg)
-        # delta_n = 0 at n = (N-1)/2 for odd N
-        k = (cfg.N - 1) // 2 - 1
+        # delta_n = 0 at the centre element, index (N-1)/2 for odd N
+        k = (cfg.N - 1) // 2
         assert h[k] == pytest.approx(obstacle.h_ref, rel=1e-12)
         assert d2[k] == pytest.approx(obstacle.d2_ref, rel=1e-12)
 
