@@ -30,8 +30,10 @@ def _load_spec(path: str, args: argparse.Namespace) -> ExperimentSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:    # ValueError: bad JSON or not UTF-8
         raise ConfigError(f"cannot read spec {path}: {err}") from err
+    if not isinstance(doc, dict):
+        raise ConfigError(f"spec must be a JSON object, got {doc!r}")
     if getattr(args, "trials", None) is not None:
         doc["trials"] = args.trials
     if getattr(args, "seed", None) is not None:

@@ -570,9 +570,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
 
     workers >= 1 is an upper bound: the pool never has more processes than
     there are cells, one worker runs the cells in this process, and
-    meta.json records the count used. Fails with ExperimentFailure when
-    more than 10% of trials error; the surviving trials are aggregated
-    either way.
+    meta.json records the count used. When more than 10% of trials error,
+    the run raises ExperimentFailure and returns no table; otherwise the
+    trials that did not error are aggregated.
 
     This process and every pool worker compute with one thread of numpy's
     and scipy's bundled OpenBLAS; this process gets its own settings back
@@ -609,6 +609,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     finally:
         _set_blas_threads({package: count for package, count in blas_before.items()
                            if count is not None})
+    if len(errors) > 0.1 * len(tasks):
+        raise ExperimentFailure(
+            f"{len(errors)} of {len(tasks)} trials failed; first: {errors[0]}")
 
     agg: dict[tuple[int, str, str], list[tuple[float, float]]] = {}
     for (sweep_idx, _trial), recs in sorted(results.items()):
@@ -649,13 +652,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
         "blas_threads": {package: None if count is None else _BLAS_THREADS
                          for package, count in blas_before.items()},
     }
-    table = ResultTable(rows=rows, meta=meta)
-    if len(errors) > 0.1 * spec.trials * len(spec.sweep):
-        raise ExperimentFailure(
-            f"{len(errors)} of {spec.trials * len(spec.sweep)} trials failed; "
-            f"first: {errors[0]}"
-        )
-    return table
+    return ResultTable(rows=rows, meta=meta)
 
 
 def seed_report(spec: ExperimentSpec) -> list[dict]:

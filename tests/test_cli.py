@@ -232,6 +232,30 @@ def test_spec_fault_is_named_at_load(tmp_path, capsys, doc, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    # each of these raised a TypeError or UnicodeDecodeError (exit 1), and
+    # "abc" was rejected once per character as unknown spec fields
+    (b"null", "spec must be a JSON object, got None"),
+    (b"3", "spec must be a JSON object, got 3"),
+    (b"[1, 2]", "spec must be a JSON object, got [1, 2]"),
+    (b'"abc"', "spec must be a JSON object, got 'abc'"),
+    (b"\xff{}", "cannot read spec"),
+], ids=["null", "number", "list", "string", "not-utf-8"])
+def test_spec_that_is_no_json_object_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    # --trials, --seed and --algorithms are applied to the document after
+    # the check, so they cannot turn the fault into a crash
+    assert cli.main(["validate", str(path)]) == cli.EXIT_CONFIG
+    assert cli.main(["run", str(path), "--out", str(out), "--trials", "2",
+                     "--seed", "1", "--algorithms", "pass"]) == cli.EXIT_CONFIG
+    assert cli.main(["seed-report", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {message}") == 3, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("fc", float("nan")), ("B", float("inf")), ("c", float("inf")),
     ("d", float("nan")),
