@@ -54,12 +54,13 @@ def element_distances(r: float, theta: float, cfg: SystemConfig) -> np.ndarray:
     return np.sqrt(r**2 + a**2 - 2.0 * a * r * np.sin(theta))
 
 
-def mask_weights(r: float, r_n: np.ndarray, t_d: float = 0.0,
-                 a_n: np.ndarray | None = None) -> np.ndarray:
+def mask_weights(r: float, r_n: np.ndarray, t_d: float,
+                 a_n: np.ndarray | None) -> np.ndarray:
     """The mask before its VR of a path at reference distance r with element
     distances r_n: the spherical-wave taper r / r_n, and
     (r / r_n) [t_d (sqrt(A_n) - 1) + 1] for a path that a knife edge
-    obstructs, which is a path with per-element diffraction gains a_n.
+    obstructs, which is a path with per-element diffraction gains a_n
+    (None for an unobstructed path, whose t_d is not read).
 
     t_d scales the diffraction ripple and must satisfy
     t_d < 1 / (1 - min_n A_n) so the mask stays positive.

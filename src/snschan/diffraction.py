@@ -93,7 +93,7 @@ def diffraction_geometry(
 
 
 def max_diffraction_intensity(a_n: np.ndarray) -> float:
-    """Largest t_d keeping the non-ideal mask positive: 1 / (1 - min A_n)."""
+    """Largest t_d keeping an obstructed path's mask positive: 1 / (1 - min A_n)."""
     a_min = float(np.min(a_n))
     if a_min >= 1.0:
         return np.inf

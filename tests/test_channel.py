@@ -16,7 +16,7 @@ from snschan.scenario import ScenarioOptions, sample_vr
 def ideal_mask(r, theta, cfg):
     """The mask before its VR of an unobstructed path at (r, theta): the
     taper r / r_n."""
-    return mask_weights(r, element_distances(r, theta, cfg))
+    return mask_weights(r, element_distances(r, theta, cfg), 0.0, None)
 
 
 def nonideal_mask(r, t_d, theta, obstacle, cfg):
