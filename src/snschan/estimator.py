@@ -16,10 +16,10 @@ inverse-gamma hyperprior whose mode is the block's pooled variance
 gamma_bar_g = tr(P_g^-1 R_g) / (M U_g), weighted as M pseudo-snapshots, and
 the gamma step is the exact MAP (EM) step under it. Untied type-II ML steps
 from a handful of snapshots let a few entries of an empty block settle at
-the noise level, so the block is never pruned and absorbs noise, and the
-fit worsens the longer EM runs. Conventional BSBL (`bsbl_baseline`) keeps
-one variance per block, gamma_g = gamma_bar_g, with P_g a correlation
-matrix; the entry point, not the configuration, chooses it.
+the noise level, so the block absorbs noise, and the fit worsens the longer
+EM runs. Conventional BSBL (`bsbl_baseline`) keeps one variance per block,
+gamma_g = gamma_bar_g, with P_g a correlation matrix; the entry point, not
+the configuration, chooses it.
 
 Because the prior is shared across subcarriers and the sensing matrix is
 common, the joint posterior factorizes per subcarrier with one shared
@@ -30,14 +30,17 @@ Each run starts at its own data's scale: every per-entry variance of run r
 starts at gamma0_r = ||Y_r||_F^2 / (M ||Psi||_F^2), and every P_g at I. That
 is the one variance which, put on every atom, explains the observed energy
 per snapshot: its unit is that of |Y|^2 per unit of |Psi|^2. A run whose
-Y_r is all zero (or whose energy underflows) starts at gamma0 = 0 with every
-block pruned, so it stops at its first iteration with the zero estimate.
+Y_r is all zero (or whose energy underflows), or whose Psi is zero, starts
+at gamma0 = 0, where K = sigma2 I and the P step has no statistics to
+factor. It never enters the EM loop: it returns the zero estimate,
+converged at its first iteration, with the log marginal likelihood of that
+K as its one objective entry.
 
 Each run stops on the change of its log marginal likelihood (the log
 evidence of Y) l = -M ln|K| - tr(Y^H K^-1 Y), without the constant
 -P M ln pi: once one iteration moves l by less than delta1 nats per
-observed scalar, |l_t - l_(t-1)| < delta1 P M, or once the run has pruned
-every block. The fit is scale-equivariant: Y -> cY with sigma2 -> c^2 sigma2
+observed scalar, |l_t - l_(t-1)| < delta1 P M, or after t_ite iterations.
+The fit is scale-equivariant: Y -> cY with sigma2 -> c^2 sigma2
 (both sigma2 above the 1e-12 floor) scales the start, and with it every
 iterate's prior, by c^2 and shifts l by -2 P M ln c, so the run takes the
 same steps, stops at the same iteration and returns c times its estimate.
@@ -46,29 +49,29 @@ The E-step reads l from the Cholesky factor of K it already holds.
 The learner holds its blocks stacked, not one by one. Every block but the
 last has length block_size, so the blocks form at most two size groups:
 the full blocks and a shorter final block. Each group keeps gamma as
-(R, G, U), P as (R, G, U, U) and the active set as (R, G), where R counts
-independent runs that share Psi: one run for the joint learner
-(`absbl_mmv`), one run per column of Y for the per-subcarrier learners
-(`absbl_per_column`), which the same loop fits in one call. The runs share
-sigma2; each has its own pruning cut and objective stop, and a run that
-stops keeps its last iterate while the others go on. Groups are not padded
-to one length, because the pooled variance, the log-det constraint and the
-shrinkage of P read the true U; the gamma and P steps take each group's
-active (run, block) pairs as one stack. Each E-step builds every run's K
-with one batched product over the columns active in some run (a block a
-run has pruned enters it with a zero prior), takes one Cholesky factor
-K = L L^H per run, and reads every block's posterior mean and covariance
-from batched products of the Gram blocks of L^-1 Psi.
+(R, G, U) and P as (R, G, U, U), where R counts independent runs that
+share Psi: one run for the joint learner (`absbl_mmv`), one run per column
+of Y for the per-subcarrier learners (`absbl_per_column`), which the same
+loop fits in one call. The runs share sigma2; each has its own objective
+stop, and a run that stops keeps its last iterate while the others go on.
+Groups are not padded to one length, because the pooled variance, the
+log-det constraint and the shrinkage of P read the true U; the gamma and P
+steps take each group's (run, block) pairs as one stack. No block is ever
+dropped: the objective stop ends a fit long before any block's variance
+falls decades below the largest, so every run keeps every block. Each
+E-step builds every run's K with one batched product over the columns of
+Psi, takes one Cholesky factor K = L L^H per run, and reads every block's
+posterior mean and covariance from batched products of the Gram blocks of
+L^-1 Psi.
 
-The E-step keeps its operands block-major: each fit copies Psi^T once
-(again only when the union of active blocks shrinks), so a block's atoms
-are one contiguous (U, P) slab. The block products Psi_g C_g run on those
-slabs and land in rows of the same layout, K reads those rows as a
-transposed GEMM operand without a copy back to (P, N), and LAPACK's
-triangular solve (trtrs, called directly like the Cholesky factor potrf)
-overwrites each run's rows in place. Both come from scipy.linalg.lapack
-through `_lapack`, which imports SciPy on the first E-step, so importing
-the estimator loads numpy alone. Every product has the bits of its
+The E-step keeps its operands block-major: each fit copies Psi^T and its
+conjugate once, so a block's atoms are one contiguous (U, P) slab. The
+block products Psi_g C_g run on those slabs and land in rows of the same
+layout, K reads those rows as a transposed GEMM operand without a copy
+back to (P, N), and LAPACK's triangular solve (trtrs, called directly like
+the Cholesky factor potrf) overwrites each run's rows in place. Both come
+from scipy.linalg.lapack through `_lapack`, which imports SciPy on the
+first E-step, so importing the estimator loads numpy alone. Every product has the bits of its
 column-major form; the block products keep the Psi_g C_g orientation
 because BLAS rounds C_g^T Psi_g^T differently for some block lengths.
 
@@ -81,7 +84,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -136,7 +138,8 @@ class EstimatorConfig:
     count M of the run (see `update_gamma`), so the block's pooled variance
     weighs as much as each entry's own statistics. Nor is the start: every
     run starts at its data's scale, gamma0 = ||Y||_F^2 / (M ||Psi||_F^2) on
-    every entry (0, with every block pruned, for an all-zero Y), and P = I.
+    every entry (0 for an all-zero Y or Psi, which returns the zero
+    estimate at once), and P = I.
     """
 
     # 8 bins per block: at desk-scale subarray sizes (tens of atoms) larger
@@ -146,7 +149,6 @@ class EstimatorConfig:
     # stop once the log marginal likelihood changes by less than delta1 nats
     # per observed scalar (P M of them) in one iteration; 0 runs all t_ite
     delta1: float = 3e-3
-    prune_threshold: float = 1e-3     # relative to the running max mean diag(Q)
     # identity shrinkage of P, in [1e-6, 1] (see _CONFIG_RULES)
     p_shrink: float = 0.9
     learn_p: bool = True              # False freezes P_g at identity
@@ -178,8 +180,8 @@ _CONFIG_RULES = (
     (("block_size", "t_ite"), lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     (("r_ite",), lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     # json.load accepts Infinity: an infinite delta1 stopped every fit at
-    # its second iteration, and an infinite prune_threshold pruned every block
-    (("delta1", "prune_threshold", "delta2"),
+    # its second iteration
+    (("delta1", "delta2"),
      lambda v: _is_real(v) and 0 <= v < np.inf, "a finite number >= 0"),
     # s = 0 can leave a block's shrunk statistics singular; the lower bound
     # keeps the shrink term s tr/U well above the rounding in the posterior
@@ -199,6 +201,8 @@ class PosteriorState:
 
     mu: np.ndarray                        # (N_sub, M) posterior mean
     gamma: list[np.ndarray]
+    # every block, or none for a zero start; bench/probe.py reads it for its
+    # active-block fraction
     active: list[int]
     iterations: int
     converged: bool
@@ -216,11 +220,9 @@ class _BlockStack:
     at most two stacks: the full blocks and the shorter final block.
     """
 
-    first: int            # index of the stack's first block
-    start: int            # its first column of Psi
+    start: int            # the stack's first column of Psi
     gamma: np.ndarray     # (R, G, U) per-entry variances
     p: np.ndarray         # (R, G, U, U) intra-block correlations
-    active: np.ndarray    # (R, G) False once the run has pruned the block
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """The stack's rows of x (R, N_sub, ...) as a (R, G, U, ...) view."""
@@ -230,20 +232,17 @@ class _BlockStack:
 
     def keep_runs(self, keep: np.ndarray) -> None:
         """Drop the runs where keep is False."""
-        self.gamma, self.p, self.active = (
-            self.gamma[keep], self.p[keep], self.active[keep])
+        self.gamma, self.p = self.gamma[keep], self.p[keep]
 
 
 def _block_stacks(n_sub: int, u: int, gamma0: np.ndarray) -> list[_BlockStack]:
     """Contiguous blocks of length u, the final one possibly shorter, grouped
-    by length, with every entry of run r at gamma0[r] (R,), P = I, and every
-    block of run r active unless gamma0[r] = 0."""
+    by length, with every entry of run r at gamma0[r] (R,) and P = I."""
     full, rest = divmod(n_sub, u)
     return [
-        _BlockStack(first=first, start=first * u,
+        _BlockStack(start=first * u,
                     gamma=np.tile(gamma0[:, None, None], (1, count, length)),
-                    p=np.tile(np.eye(length, dtype=complex), (gamma0.size, count, 1, 1)),
-                    active=np.tile((gamma0 > 0)[:, None], (1, count)))
+                    p=np.tile(np.eye(length, dtype=complex), (gamma0.size, count, 1, 1)))
         for first, count, length in ((0, full, u), (full, 1, rest))
         if count and length
     ]
@@ -256,48 +255,25 @@ def _prior_cov(gamma: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 class _Part(NamedTuple):
-    """The E-step's output for the active (run, block) pairs of one stack,
-    in run-major order, with the prior it read. When every pair is active,
-    gamma and p are views of the stack's arrays."""
+    """The E-step's output for one stack, over all its runs and blocks."""
 
-    stack: _BlockStack
-    run: np.ndarray       # (n,) run of each pair
-    block: np.ndarray     # (n,) block of each pair within the stack
-    mu: np.ndarray        # (n, U, M) posterior means
-    sigma: np.ndarray     # (n, U, U) posterior covariances
-    gamma: np.ndarray     # (n, U) prior variances
-    p: np.ndarray         # (n, U, U) prior correlations
-
-
-class _Atoms(NamedTuple):
-    """The columns of Psi that are active in some run, stored block-major:
-    as the rows of a contiguous (n_act, P) array, so each block's atoms are
-    one contiguous (U, P) slab."""
-
-    rows: np.ndarray      # (n_act, P) the active columns of Psi, transposed
-    rows_conj: np.ndarray
-
-
-def _active_atoms(psi_rows: np.ndarray, stacks: list[_BlockStack]) -> _Atoms:
-    """The atoms of the blocks active in some run, taken from the rows of
-    psi_rows = Psi^T."""
-    mask = np.concatenate([np.repeat(s.active.any(axis=0), s.gamma.shape[-1])
-                           for s in stacks])
-    rows = psi_rows[mask]
-    return _Atoms(rows, rows.conj())
+    mu: np.ndarray        # (R, G, U, M) posterior means
+    sigma: np.ndarray     # (R, G, U, U) posterior covariances
 
 
 def _posterior(
-    Y: np.ndarray, atoms: _Atoms, stacks: list[_BlockStack], sigma2: float,
+    Y: np.ndarray, psi_rows: np.ndarray, psi_rows_conj: np.ndarray,
+    stacks: list[_BlockStack], sigma2: float,
 ) -> tuple[list[_Part], np.ndarray]:
-    """E-step of every run (Y is (R, P, M)) with its shared covariance K_r.
+    """E-step of every run (Y is (R, P, M)) with its shared covariance K_r,
+    from the rows psi_rows = Psi^T (N_sub, P) and their conjugate.
 
     K_r = sigma2 I + sum_g Psi_g C_rg Psi_g^H is one batched product over
-    the columns active in some run; C_rg is zero where run r has pruned
-    block g. With K_r = L_r L_r^H and W_r = L_r^-1 Psi, every block's
-    Psi_g^H K_r^-1 Psi_g is a Gram block W_rg^H W_rg and Psi^H K_r^-1 Y_r is
-    W_r^H L_r^-1 Y_r, so mu_rg = C_rg Psi_g^H K_r^-1 Y_r and
-    Sigma_rg = C_rg - C_rg Psi_g^H K_r^-1 Psi_g C_rg are batched products.
+    the columns of Psi. With K_r = L_r L_r^H and W_r = L_r^-1 Psi, every
+    block's Psi_g^H K_r^-1 Psi_g is a Gram block W_rg^H W_rg and
+    Psi^H K_r^-1 Y_r is W_r^H L_r^-1 Y_r, so mu_rg = C_rg Psi_g^H K_r^-1 Y_r
+    and Sigma_rg = C_rg - C_rg Psi_g^H K_r^-1 Psi_g C_rg are batched
+    products.
 
     Every operand stays block-major (transposed, atoms as rows): the block
     products Psi_g C_rg run on contiguous slabs, K_r reads their rows as a
@@ -310,48 +286,25 @@ def _posterior(
     log-diagonals and one squared norm. A ridged run takes ln|K_r| from
     slogdet and tr(Y_r^H K_r^-1 Y_r) from its solve.
 
-    Returns one part per stack with an active block, and l (R,).
+    Returns one part per stack, in the order of stacks, and l (R,).
     """
     r_count, p_eff, m_count = Y.shape
-    n_act = atoms.rows.shape[0]
-    live, cs = [], []
-    for s in stacks:
-        used = s.active.any(axis=0)
-        if used.all():
-            # every block: the stack's own arrays, not gathered copies
-            idx, act, gam, p = np.arange(used.size), s.active, s.gamma, s.p
-        elif used.any():
-            idx = np.flatnonzero(used)
-            act, gam, p = s.active[:, idx], s.gamma[:, idx], s.p[:, idx]
-        else:
-            continue
-        c = _prior_cov(gam, p)  # (R, n, U, U)
-        if not act.all():
-            c[~act] = 0.0
-        live.append((s, idx, act, gam, p))
-        cs.append(c)
-    edges = [0, *accumulate(c.shape[1] * c.shape[-1] for c in cs)]
-
-    def slabs(a: np.ndarray, i: int) -> np.ndarray:
-        """The i-th live stack's rows of a (..., n_act, P) as (..., n, U, P)."""
-        _, n, _, u = cs[i].shape
-        return a[..., edges[i]:edges[i + 1], :].reshape(
-            *a.shape[:-2], n, u, a.shape[-1])
+    cs = [_prior_cov(s.gamma, s.p) for s in stacks]   # (R, G, U, U) each
 
     # rows (Psi C)^T of every run, then K = (Psi C) Psi^H. Each block
     # product is taken as Psi_g C_g on the transposed slab and copied into
     # the rows: C_g^T Psi_g^T rounds differently for some U (2, 3, 5, 6, 7)
-    psi_c = np.empty((r_count, n_act, p_eff), dtype=complex)
-    for i, c in enumerate(cs):
-        slabs(psi_c, i)[...] = (
-            slabs(atoms.rows, i).swapaxes(-1, -2) @ c).swapaxes(-1, -2)
-    k_mat = psi_c.swapaxes(-1, -2) @ atoms.rows_conj
+    psi_c = np.empty((r_count, *psi_rows.shape), dtype=complex)
+    for s, c in zip(stacks, cs):
+        s.rows(psi_c)[...] = (
+            s.rows(psi_rows[None]).swapaxes(-1, -2) @ c).swapaxes(-1, -2)
+    k_mat = psi_c.swapaxes(-1, -2) @ psi_rows_conj
     del psi_c
     k_mat.reshape(r_count, -1)[:, ::p_eff + 1] += sigma2   # the diagonals
     # W^T and (L^-1 Y)^T per run: the transposes are Fortran-ordered
     # (P, .) matrices, which the solves overwrite in place
-    w_rows = np.empty((r_count, n_act, p_eff), dtype=complex)
-    w_rows[:] = atoms.rows
+    w_rows = np.empty((r_count, *psi_rows.shape), dtype=complex)
+    w_rows[:] = psi_rows
     y_rows = np.array(Y.swapaxes(-1, -2), order="C")
     objective = np.empty(r_count)
     ridged = []
@@ -362,7 +315,7 @@ def _posterior(
             # ridge fallback for a numerically singular posterior system; the
             # products below then pair Psi with K^-1 Psi instead of W with W
             k_r += (1e-12 * np.trace(k_r).real / p_eff) * np.eye(p_eff)
-            w_rows[r] = np.linalg.solve(k_r, atoms.rows.T).T
+            w_rows[r] = np.linalg.solve(k_r, psi_rows.T).T
             y_rows[r] = np.linalg.solve(k_r, Y[r]).T
             log_det = np.linalg.slogdet(k_r)[1]
             quad = np.vdot(Y[r].T, y_rows[r]).real           # tr Y^H K^-1 Y
@@ -377,22 +330,16 @@ def _posterior(
         objective[r] = -m_count * log_det - quad
     left_h = w_rows.conj()
     if ridged:
-        left_h[ridged] = atoms.rows_conj
+        left_h[ridged] = psi_rows_conj
     proj = left_h @ y_rows.swapaxes(-1, -2)               # Psi^H K^-1 Y
 
     parts = []
-    for i, ((s, idx, act, gam, p), c) in enumerate(zip(live, cs)):
-        n, u = idx.size, c.shape[-1]
-        gram = slabs(left_h, i) @ slabs(w_rows, i).swapaxes(-1, -2)
-        mu_g = c @ proj[:, edges[i]:edges[i + 1]].reshape(r_count, n, u, m_count)
+    for s, c in zip(stacks, cs):
+        gram = s.rows(left_h) @ s.rows(w_rows).swapaxes(-1, -2)
         sig_g = c - c @ gram @ c
         sig_g += sig_g.conj().swapaxes(-1, -2)
         sig_g *= 0.5
-        every = act.all()   # then the pairs are views, not gathered copies
-        run, pos = np.nonzero(act)
-        parts.append(_Part(s, run, idx[pos], *(
-            a.reshape(-1, *a.shape[2:]) if every else a[act]
-            for a in (mu_g, sig_g, gam, p))))
+        parts.append(_Part(c @ s.rows(proj), sig_g))
     return parts, objective
 
 
@@ -432,7 +379,7 @@ def update_gamma(r_bar: np.ndarray, p_g: np.ndarray, gamma_g: np.ndarray,
     prior -a ln gamma_u - a gamma_bar / gamma_u adds a pseudo-snapshots
     of variance gamma_bar: M' = M + a and A'_u = A_u + a gamma_bar. The
     entries of a block then share strength, so a lone noise-level entry
-    cannot hold an otherwise empty block above the prune cut. For U = 1
+    cannot hold an otherwise empty block at the noise level. For U = 1
     the mode is the entry's own ML value and the step is unchanged.
     """
     terms = _inverse_weighted(r_bar, p_g)
@@ -458,7 +405,7 @@ def update_p_alm(
     p_shrink: float,
     runs: list[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Intra-block correlations P_g and per-entry gamma scales of the active
+    """Intra-block correlations P_g and per-entry gamma scales of the
     blocks, one stack per block length: r_bars[i] is (..., U_i, U_i),
     gammas[i] is (..., U_i) and runs[i] labels each block with its run (by
     default, one run); a single block is a stack with no batch axis.
@@ -524,12 +471,10 @@ def _run_state(r: int, stacks: list[_BlockStack], mu: np.ndarray,
                iterations: int, converged: bool, history: list[np.ndarray],
                objective: list[float]) -> PosteriorState:
     """The posterior of run r after its last iteration."""
+    gamma = [gam for s in stacks for gam in s.gamma[r]]
     return PosteriorState(
-        mu=mu[r],
-        gamma=[gam for s in stacks for gam in s.gamma[r]],
+        mu=mu[r], gamma=gamma, active=list(range(len(gamma))),
         iterations=iterations, converged=converged,
-        active=[int(s.first + g) for s in stacks
-                for g in np.flatnonzero(s.active[r])],
         history=history, objective=objective,
     )
 
@@ -540,36 +485,49 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
     share Psi and sigma2, fitted in one batched EM loop; see `absbl_mmv`.
     scalar_gamma makes every run conventional BSBL (see `bsbl_baseline`).
 
-    Each run has its own hyperparameters, pruning scale and objective stop.
-    Run r starts with every per-entry variance at its data's scale,
+    Each run has its own hyperparameters and objective stop. Run r starts
+    with every per-entry variance at its data's scale,
     gamma0_r = ||Y_r||_F^2 / (M ||Psi||_F^2) (the unit of |Y|^2 per unit of
-    |Psi|^2), and P = I; a run with gamma0_r = 0 (an all-zero Y_r) starts
-    with every block pruned and stops at its first iteration with mu = 0.
-    A run that stops leaves the stacks, so every step works only on the runs
-    still going.
+    |Psi|^2), and P = I; a run with gamma0_r = 0 (an all-zero Y_r, or a
+    zero Psi) returns mu = 0, converged at its first iteration, without
+    entering the loop. A run that stops leaves the stacks, so every step
+    works only on the runs still going.
     """
     r_count, p_eff, m_count = Y.shape
     n_sub = Psi.shape[1]
+    u = cfg.block_size
     sigma2 = max(float(sigma2), _SIGMA2_FLOOR)
     # the data-scale start: per snapshot, a prior of variance gamma0 on every
     # entry puts gamma0 ||Psi||_F^2 into ||Y_r||_F^2 / M. A zero Psi sees
-    # nothing, so its runs start pruned like those of a zero Y
+    # nothing, so its runs start at 0 like those of a zero Y
     psi_energy = m_count * np.vdot(Psi, Psi).real
     y_energy = np.einsum("rpm,rpm->r", Y.conj(), Y).real
     gamma0 = y_energy / psi_energy if psi_energy > 0 else np.zeros(r_count)
-    stacks = _block_stacks(n_sub, cfg.block_size, gamma0)
 
     states: list[PosteriorState | None] = [None] * r_count
-    order = np.arange(r_count)           # the original index of each run
+    # a zero start has K = sigma2 I and zero block statistics, which the P
+    # step's Cholesky factor cannot take: it keeps the zero estimate, with
+    # the log marginal likelihood of that K
+    for r in np.flatnonzero(gamma0 == 0):
+        zero = np.zeros((n_sub, m_count), dtype=complex)
+        states[r] = PosteriorState(
+            mu=zero, gamma=[gam for s in _block_stacks(n_sub, u, np.zeros(1))
+                            for gam in s.gamma[0]],
+            active=[], iterations=1, converged=True, history=[zero],
+            objective=[float(-m_count * p_eff * np.log(sigma2)
+                             - y_energy[r] / sigma2)])
+
+    order = np.flatnonzero(gamma0 > 0)   # the original index of each run
+    Y = Y[order]
+    stacks = _block_stacks(n_sub, u, gamma0[order])
     histories: list[list[np.ndarray]] = [[] for _ in range(r_count)]
     objectives: list[list[float]] = [[] for _ in range(r_count)]
     # the stop's tolerance on the objective's change, in nats
     tol = cfg.delta1 * p_eff * m_count
-    running_max_q = np.zeros(r_count)
-    mu = np.zeros((r_count, n_sub, m_count), dtype=complex)
-    stop = np.zeros(r_count, dtype=bool)     # runs that stopped this step
+    mu = np.zeros((order.size, n_sub, m_count), dtype=complex)
+    stop = np.zeros(order.size, dtype=bool)  # runs that stopped this step
     psi_rows = np.ascontiguousarray(Psi.T)
-    pruned = True        # the active atoms change only with a prune or a stop
+    psi_rows_conj = psi_rows.conj()
     it = 0
 
     for it in range(1, cfg.t_ite + 1):
@@ -577,69 +535,51 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
             break
         if stop.any():
             keep = ~stop
-            order, Y = order[keep], Y[keep]
-            running_max_q, stop = running_max_q[keep], stop[keep]
+            order, Y, stop = order[keep], Y[keep], stop[keep]
             for s in stacks:
                 s.keep_runs(keep)
-            pruned = True
-        if pruned:
-            atoms = _active_atoms(psi_rows, stacks)
-            pruned = False
-        parts, objective = _posterior(Y, atoms, stacks, sigma2)
-        mu = np.zeros((order.size, n_sub, m_count), dtype=complex)
+        parts, objective = _posterior(Y, psi_rows, psi_rows_conj, stacks, sigma2)
+        mu = np.concatenate([part.mu.reshape(order.size, -1, m_count)
+                             for part in parts], axis=1)
         r_bars = []
         for part in parts:
-            part.stack.rows(mu)[part.run, part.block] = part.mu
             r_bar = part.mu @ part.mu.conj().swapaxes(-1, -2)
             r_bar += m_count * part.sigma
             r_bars.append(r_bar)
 
         # M-step: gamma and P both read the pre-update iterate, so the P
         # update inverts the old Q (keeping gamma's shrinkage effective in
-        # the composite prior Q P Q). The parts' priors may be views of the
-        # stacks, so every read comes before the first write
+        # the composite prior Q P Q); the stacks take the new iterate last
         gammas_new = []
-        for r_bar, part in zip(r_bars, parts):
+        for r_bar, s in zip(r_bars, stacks):
             if scalar_gamma:
-                pooled = _pooled_variance(_inverse_weighted(r_bar, part.p), m_count)
-                gammas_new.append(np.repeat(pooled[:, None], part.gamma.shape[1],
-                                            axis=1))
+                pooled = _pooled_variance(_inverse_weighted(r_bar, s.p), m_count)
+                gammas_new.append(np.repeat(pooled[..., None], s.gamma.shape[-1],
+                                            axis=-1))
             else:
-                gammas_new.append(update_gamma(r_bar, part.p, part.gamma, m_count,
+                gammas_new.append(update_gamma(r_bar, s.p, s.gamma, m_count,
                                                prior_weight=m_count))
-        if cfg.learn_p and parts:
-            new_ps, scales = update_p_alm(r_bars, [part.gamma for part in parts],
-                                          m_count, cfg.p_shrink,
-                                          runs=[part.run for part in parts])
-            for part, p_new, scale, gam in zip(parts, new_ps, scales, gammas_new):
+        if cfg.learn_p:
+            run = np.arange(order.size)[:, None]
+            new_ps, scales = update_p_alm(
+                r_bars, [s.gamma for s in stacks], m_count, cfg.p_shrink,
+                runs=[np.broadcast_to(run, s.gamma.shape[:2]) for s in stacks])
+            for s, p_new, scale, gam in zip(stacks, new_ps, scales, gammas_new):
                 # conventional BSBL's single gamma takes the mean scale
-                part.stack.p[part.run, part.block] = p_new
+                s.p = p_new
                 gam *= scale.mean(axis=-1, keepdims=True) if scalar_gamma else scale
-        for part, gam in zip(parts, gammas_new):
-            part.stack.gamma[part.run, part.block] = gam
+        for s, gam in zip(stacks, gammas_new):
+            s.gamma = gam
 
         if not (np.all(np.isfinite(mu))
                 and all(np.all(np.isfinite(gam)) for gam in gammas_new)):
             raise EstimatorDivergenceError(
                 f"non-finite update at iteration {it} (sigma2={sigma2:.3g})")
 
-        # permanent pruning against each run's running scale
-        mean_q = [np.sqrt(np.maximum(gam, 0.0)).sum(axis=-1) / gam.shape[-1]
-                  for gam in gammas_new]
-        for part, q in zip(parts, mean_q):
-            np.maximum.at(running_max_q, part.run, q)
-        for part, q in zip(parts, mean_q):
-            drop = q < cfg.prune_threshold * running_max_q[part.run]
-            if drop.any():
-                part.stack.active[part.run[drop], part.block[drop]] = False
-                part.stack.rows(mu)[part.run[drop], part.block[drop]] = 0.0
-                pruned = True
-
         for r, orig in enumerate(order):
             obj = objectives[orig]
             obj.append(float(objective[r]))
-            flat = len(obj) > 1 and abs(obj[-1] - obj[-2]) < tol
-            stop[r] = flat or not any(s.active[r].any() for s in stacks)
+            stop[r] = len(obj) > 1 and abs(obj[-1] - obj[-2]) < tol
             histories[orig].append(mu[r])
             if stop[r]:
                 states[orig] = _run_state(r, stacks, mu, it, True,
@@ -665,19 +605,17 @@ def absbl_mmv(
     The prior starts at the data's scale: every per-entry variance at
     gamma0 = ||Y||_F^2 / (M ||Psi||_F^2), the variance that explains the
     energy of Y per snapshot when put on every atom, and P = I. An all-zero
-    Y gives gamma0 = 0 and every block pruned from the start, so the fit
-    stops at its first iteration with X = 0. Y -> cY with sigma2 -> c^2
-    sigma2 (above the floor) therefore gives c X with the same iterations
-    and active blocks.
+    Y (or Psi) gives gamma0 = 0, and the fit returns X = 0, converged at its
+    first iteration, without iterating. Y -> cY with sigma2 -> c^2 sigma2
+    (above the floor) therefore gives c X with the same iterations.
 
     Each iteration computes the per-subcarrier posterior with the current
     prior, then updates gamma and P (which rescales gamma per entry, see
-    `update_p_alm`) with sigma2 held fixed, and finally prunes blocks whose
-    mean diag(Q) has fallen below the relative threshold. Stops after t_ite
-    iterations, once every block is pruned, or when the log marginal
-    likelihood -M ln|K| - tr(Y^H K^-1 Y) of the E-step changes by less than
-    delta1 nats per observed scalar (delta1 P M in all); delta1 = 0 runs
-    every iteration. The state's objective logs it per iteration.
+    `update_p_alm`) with sigma2 held fixed. Every block stays in the fit.
+    Stops after t_ite iterations, or when the log marginal likelihood
+    -M ln|K| - tr(Y^H K^-1 Y) of the E-step changes by less than delta1 nats
+    per observed scalar (delta1 P M in all); delta1 = 0 runs every
+    iteration. The state's objective logs it per iteration.
     """
     Y, Psi = _checked(Y, Psi)
     cfg = EstimatorConfig() if cfg is None else cfg

@@ -215,12 +215,13 @@ def test_negative_t_d_fails_and_is_named(tmp_path, capsys, doc):
     (dict(TINY_AUC, params={"t_d": True}), "invalid t_d: t_d must lie in"),
     (dict(TINY_AUC, params={"t_d": float("inf")}),
      "invalid t_d: t_d must lie in [0, inf), got inf"),
-    # every block was pruned: run exited 0 with NMSE 1
-    (dict(TINY_NMSE, params={"estimator_config": {"prune_threshold": float("inf")}}),
-     "invalid estimator_config: prune_threshold must be a finite number >= 0"),
+    # a key EstimatorConfig has no field for
+    (dict(TINY_NMSE, params={"estimator_config": {"prune_threshold": 1e-3}}),
+     "invalid estimator_config: EstimatorConfig.__init__() got an unexpected "
+     "keyword argument 'prune_threshold'"),
 ], ids=["int-sweep", "list-params", "list-overrides", "list-experiment",
         "string-algorithms", "string-snr_db", "nan-snr_db", "zero-distance",
-        "negative-distance", "bool-t_d", "inf-t_d", "inf-prune_threshold"])
+        "negative-distance", "bool-t_d", "inf-t_d", "unknown-estimator_config-key"])
 def test_spec_fault_is_named_at_load(tmp_path, capsys, doc, message):
     out = tmp_path / "out"
     path = write_spec(tmp_path, doc)
