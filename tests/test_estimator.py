@@ -367,6 +367,18 @@ class TestAbsblCore:
                     want = -col.size * np.log(s2) - np.linalg.norm(col) ** 2 / s2
                     np.testing.assert_allclose(st.objective, [want], rtol=1e-12)
 
+    def test_active_lists_every_block(self):
+        # a fit from a non-zero start keeps every block to its end, the
+        # faint ones included, so its active set lists them all
+        phi, _, y = next(diverse_block_instances(1, 0.05))
+        cfg = EstimatorConfig(block_size=8, t_ite=300, delta1=0.0)
+        _, joint = absbl_mmv(y, phi, 0.05**2, cfg)
+        _, pooled = bsbl_baseline(y, phi, 0.05**2, cfg)
+        _, columns = absbl_per_column(y, phi, 0.05**2, cfg)
+        for st in [joint, pooled, *columns]:
+            assert len(st.gamma) == 4
+            assert st.active == [0, 1, 2, 3]
+
     def test_smallest_p_shrink_fits_zero_observations(self):
         # a zero Y starts at gamma0 = 0 and returns before the EM loop, so
         # neither learner reaches the P step
@@ -446,15 +458,18 @@ class TestAbsblCore:
             vals = np.linalg.eigvalsh(sig)
             assert vals.min() >= -1e-10 * max(vals.max(), 1e-30)
 
-    @pytest.mark.parametrize("n_sub, n_runs, fail_cholesky", [
-        (16, 1, False), (18, 1, False), (18, 1, True), (18, 3, False), (18, 3, True),
-    ], ids=["even", "ragged", "ridge-fallback", "three-runs",
+    @pytest.mark.parametrize("n_sub, n_runs, fail_cholesky, faint", [
+        (16, 1, False, None), (18, 1, False, None), (18, 1, False, 1),
+        (18, 1, True, None), (18, 3, False, None), (18, 3, True, None),
+    ], ids=["even", "ragged", "one-faint", "ridge-fallback", "three-runs",
             "three-runs-first-ridged"])
     def test_kronecker_structure_matches_dense_posterior(
-            self, monkeypatch, n_sub, n_runs, fail_cholesky):
+            self, monkeypatch, n_sub, n_runs, fail_cholesky, faint):
         # one E-step with fixed hyperparameters against the naive MN x MN
         # system built with Psi (x) I_M and blockdiag(C_g (x) I_M); n_sub=18
-        # with u=4 leaves a short final block of 2
+        # with u=4 leaves a short final block of 2. faint: the block whose
+        # variances sit six decades below the others, which the dense E-step
+        # keeps like any other
         rng = np.random.default_rng(12)
         m_count, u, p_eff = 4, 4, 12
         psi = crandn(rng, p_eff, n_sub)
@@ -470,6 +485,8 @@ class TestAbsblCore:
                 covs.append([])
                 for r in range(n_runs):
                     s.gamma[r, g] = rng.uniform(0.2, 2.0, u_g)
+                    if len(blocks) - 1 == faint:
+                        s.gamma[r, g] *= 1e-6
                     a = crandn(rng, u_g, u_g)
                     p = a @ a.conj().T + u_g * np.eye(u_g)
                     d = np.sqrt(np.real(np.diag(p)))
@@ -523,18 +540,21 @@ class TestAbsblCore:
                     np.kron(sig, np.eye(m_count)), atol=1e-10)
 
     @pytest.mark.parametrize("short", range(8))
-    def test_block_major_e_step_keeps_column_major_bits(self, short):
+    @pytest.mark.parametrize("faint", [False, True], ids=["all-active", "faint"])
+    def test_block_major_e_step_keeps_column_major_bits(self, short, faint):
         # for every length of the final block
         assert_block_major_bits(np.random.default_rng(35 + short), 32 + short,
-                                n_runs=2, m_count=3)
+                                n_runs=2, m_count=3, faint=faint)
 
     @pytest.mark.parametrize("short", range(8))
-    def test_block_major_e_step_keeps_column_major_bits_per_column(self, short):
+    @pytest.mark.parametrize("faint", [False, True], ids=["all-active", "faint"])
+    def test_block_major_e_step_keeps_column_major_bits_per_column(self, short,
+                                                                     faint):
         # the shape absbl_per_column fits on fc_smv_bcrb (128 atoms, 80
         # measurements): one run per subcarrier (R = 5), each with a single
         # snapshot (M = 1)
         assert_block_major_bits(np.random.default_rng(45 + short), 128 + short,
-                                n_runs=5, m_count=1, p_eff=80)
+                                n_runs=5, m_count=1, faint=faint, p_eff=80)
 
     def test_longer_runs_shrink_empty_blocks_not_absorb_noise(self):
         # untied per-entry variances let a few noise-level entries hold an
@@ -694,10 +714,11 @@ def e_step_rows(psi):
     return rows, rows.conj()
 
 
-def assert_block_major_bits(rng, n_sub, n_runs, m_count, p_eff=20):
+def assert_block_major_bits(rng, n_sub, n_runs, m_count, faint, p_eff=20):
     """`_posterior`'s block-major E-step against the same algebra on Psi's
     columns (block products Psi_g C_g, K = (Psi C) Psi^H, solve_triangular),
-    bit for bit."""
+    bit for bit. Faint: one block's variances sit six decades below the
+    others in every run, one more's in run 0 only."""
     psi = crandn(rng, p_eff, n_sub)
     y = crandn(rng, n_runs, p_eff, m_count)
     sigma2 = 0.3
@@ -706,6 +727,9 @@ def assert_block_major_bits(rng, n_sub, n_runs, m_count, p_eff=20):
         s.gamma[...] = rng.uniform(0.2, 2.0, s.gamma.shape)
         a = crandn(rng, *s.p.shape)
         s.p[...] = a @ a.conj().swapaxes(-1, -2) + np.eye(s.p.shape[-1])
+    if faint:
+        stacks[0].gamma[:, 1] *= 1e-6          # in every run
+        stacks[0].gamma[0, 2] *= 1e-6          # in run 0 only
     parts, _ = mod._posterior(y, *e_step_rows(psi), stacks, sigma2)
 
     cs = [mod._prior_cov(s.gamma, s.p) for s in stacks]
