@@ -38,8 +38,13 @@ def _load_spec(path: str, args: argparse.Namespace) -> ExperimentSpec:
         doc["trials"] = args.trials
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
-    if getattr(args, "algorithms", None):
-        doc["algorithms"] = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if getattr(args, "algorithms", None) is not None:
+        names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+        # an empty list in a spec means the defaults, which a flag meant to
+        # narrow the run must not select
+        if not names:
+            raise ConfigError(f"--algorithms names no algorithm: {args.algorithms!r}")
+        doc["algorithms"] = names
     return ExperimentSpec.from_dict(doc)
 
 

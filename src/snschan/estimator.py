@@ -59,21 +59,26 @@ log-det constraint and the shrinkage of P read the true U; the gamma and P
 steps take each group's (run, block) pairs as one stack. No block is ever
 dropped: the objective stop ends a fit long before any block's variance
 falls decades below the largest, so every run keeps every block. Each
-E-step builds every run's K with one batched product over the columns of
-Psi, takes one Cholesky factor K = L L^H per run, and reads every block's
-posterior mean and covariance from batched products of the Gram blocks of
-L^-1 Psi.
+E-step builds every run's K in square-root form, takes one Cholesky factor
+K = L L^H per run, and reads every block's posterior mean and covariance
+from batched products of the Gram blocks of L^-1 Psi.
 
-The E-step keeps its operands block-major: each fit copies Psi^T and its
-conjugate once, so a block's atoms are one contiguous (U, P) slab. The
-block products Psi_g C_g run on those slabs and land in rows of the same
-layout, K reads those rows as a transposed GEMM operand without a copy
-back to (P, N), and LAPACK's triangular solve (trtrs, called directly like
-the Cholesky factor potrf) overwrites each run's rows in place. Both come
-from scipy.linalg.lapack through `_lapack`, which imports SciPy on the
-first E-step, so importing the estimator loads numpy alone. Every product has the bits of its
-column-major form; the block products keep the Psi_g C_g orientation
-because BLAS rounds C_g^T Psi_g^T differently for some block lengths.
+The square-root form: the P step hands over the Cholesky factor Lp_g of
+each P_g with P_g itself (`update_p_alm`), so C_g = Q P Q = B'_g B'_g^H
+with B'_g = Q_g Lp_g, and K = sigma2 I + B B^H with B_g = Psi_g B'_g. The
+block products B_g cost what the products Psi_g C_g would. K comes from
+one Hermitian rank-k update (BLAS herk), which writes only the lower
+triangle that the Cholesky factor reads, and W = L^-1 Psi from one
+right-sided triangular solve (BLAS trsm) of X L^T = Psi^T on a row-major
+copy of Psi, which leaves W in place; a second one takes L^-1 Y. The
+posterior means and covariances keep their formulas with C = Q P Q. Each
+fit copies Psi^T once, so a block's atoms are one contiguous (U, P) slab
+on which the block products run. potrf, herk and trsm come from SciPy
+through `_lapack`, which imports SciPy on the first E-step, so importing
+the estimator loads numpy alone. This rounds differently from the
+covariance form (K = (Psi C) Psi^H by one GEMM, then left-sided solves):
+the tests hold the posterior means and covariances to that form within
+1e-12 of their largest entry.
 
 SOMP (`somp_baseline`) keeps its residual orthogonal to the support by
 projecting out each new atom's component off the span of the atoms before
@@ -96,11 +101,15 @@ _MAX_BACKTRACKS = 40    # and backtracks per iteration
 
 @cache
 def _lapack():
-    """LAPACK's complex Cholesky factor and triangular solve (potrf, trtrs),
-    called directly: the E-step makes one factor and two solves per run.
-    SciPy is imported on the first E-step, not with the package."""
+    """LAPACK's complex Cholesky factor (potrf) and BLAS's Hermitian rank-k
+    update (herk) and triangular solve (trsm), called directly: the E-step
+    makes one update, one factor and two solves per run. SciPy is imported
+    on the first E-step, not with the package."""
+    from scipy.linalg.blas import get_blas_funcs
     from scipy.linalg.lapack import get_lapack_funcs
-    return get_lapack_funcs(("potrf", "trtrs"), (np.zeros(1, dtype=complex),))
+    like = (np.zeros(1, dtype=complex),)
+    return (*get_lapack_funcs(("potrf",), like),
+            *get_blas_funcs(("herk", "trsm"), like))
 
 
 class EstimatorDivergenceError(RuntimeError):
@@ -223,6 +232,8 @@ class _BlockStack:
     start: int            # the stack's first column of Psi
     gamma: np.ndarray     # (R, G, U) per-entry variances
     p: np.ndarray         # (R, G, U, U) intra-block correlations
+    # (R, G, U, U) lower Cholesky factors of p, set with p (`_correlation`)
+    p_chol: np.ndarray
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """The stack's rows of x (R, N_sub, ...) as a (R, G, U, ...) view."""
@@ -230,22 +241,31 @@ class _BlockStack:
         return x[:, self.start:self.start + g_count * u].reshape(
             x.shape[0], g_count, u, *x.shape[2:])
 
+    def cols(self, x: np.ndarray) -> np.ndarray:
+        """The stack's columns of x (R, P, N_sub) as a (R, G, P, U) view."""
+        _, g_count, u = self.gamma.shape
+        return x[..., self.start:self.start + g_count * u].reshape(
+            *x.shape[:-1], g_count, u).swapaxes(-2, -3)
+
     def keep_runs(self, keep: np.ndarray) -> None:
         """Drop the runs where keep is False."""
-        self.gamma, self.p = self.gamma[keep], self.p[keep]
+        self.gamma, self.p, self.p_chol = (
+            self.gamma[keep], self.p[keep], self.p_chol[keep])
 
 
 def _block_stacks(n_sub: int, u: int, gamma0: np.ndarray) -> list[_BlockStack]:
     """Contiguous blocks of length u, the final one possibly shorter, grouped
-    by length, with every entry of run r at gamma0[r] (R,) and P = I."""
+    by length, with every entry of run r at gamma0[r] (R,) and P = I (whose
+    Cholesky factor is I)."""
     full, rest = divmod(n_sub, u)
-    return [
-        _BlockStack(start=first * u,
-                    gamma=np.tile(gamma0[:, None, None], (1, count, length)),
-                    p=np.tile(np.eye(length, dtype=complex), (gamma0.size, count, 1, 1)))
-        for first, count, length in ((0, full, u), (full, 1, rest))
-        if count and length
-    ]
+    stacks = []
+    for first, count, length in ((0, full, u), (full, 1, rest)):
+        if count and length:
+            eye = np.tile(np.eye(length, dtype=complex), (gamma0.size, count, 1, 1))
+            gamma = np.tile(gamma0[:, None, None], (1, count, length))
+            stacks.append(_BlockStack(start=first * u, gamma=gamma, p=eye,
+                                      p_chol=eye.copy()))
+    return stacks
 
 
 def _prior_cov(gamma: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -262,80 +282,90 @@ class _Part(NamedTuple):
 
 
 def _posterior(
-    Y: np.ndarray, psi_rows: np.ndarray, psi_rows_conj: np.ndarray,
+    Y: np.ndarray, psi: np.ndarray, psi_rows: np.ndarray,
     stacks: list[_BlockStack], sigma2: float,
 ) -> tuple[list[_Part], np.ndarray]:
     """E-step of every run (Y is (R, P, M)) with its shared covariance K_r,
-    from the rows psi_rows = Psi^T (N_sub, P) and their conjugate.
+    from Psi (P, N_sub) and its rows psi_rows = Psi^T, both C-ordered.
 
-    K_r = sigma2 I + sum_g Psi_g C_rg Psi_g^H is one batched product over
-    the columns of Psi. With K_r = L_r L_r^H and W_r = L_r^-1 Psi, every
-    block's Psi_g^H K_r^-1 Psi_g is a Gram block W_rg^H W_rg and
-    Psi^H K_r^-1 Y_r is W_r^H L_r^-1 Y_r, so mu_rg = C_rg Psi_g^H K_r^-1 Y_r
-    and Sigma_rg = C_rg - C_rg Psi_g^H K_r^-1 Psi_g C_rg are batched
-    products.
+    K_r is built in square-root form. With C_rg = Q P Q = B'_rg B'_rg^H,
+    B'_rg = diag(sqrt(gamma_rg)) Lp_rg (Lp the stack's Cholesky factor of
+    P), the block products B_rg = Psi_g B'_rg give
+    K_r = sigma2 I + B_r B_r^H in one Hermitian rank-k update (herk), which
+    writes the lower triangle alone: all that the Cholesky factor
+    K_r = L_r L_r^H reads. Right-sided triangular solves (trsm),
+    X L_r^T = Psi^T and X L_r^T = Y_r^T, give W_r = L_r^-1 Psi and
+    L_r^-1 Y_r. Every block's Psi_g^H K_r^-1 Psi_g is then a Gram block
+    W_rg^H W_rg and Psi^H K_r^-1 Y_r is W_r^H L_r^-1 Y_r, so
+    mu_rg = C_rg Psi_g^H K_r^-1 Y_r and
+    Sigma_rg = C_rg - C_rg Psi_g^H K_r^-1 Psi_g C_rg are batched products,
+    with C = Q P Q.
 
-    Every operand stays block-major (transposed, atoms as rows): the block
-    products Psi_g C_rg run on contiguous slabs, K_r reads their rows as a
-    transposed GEMM operand, and each triangular solve works in place on a
-    Fortran-ordered view of its run's rows. The results are bit-identical
-    to the column-major products.
+    The block products B_rg run on the contiguous (U, P) slabs of
+    psi_rows, and their rows B_r^T are the Fortran view of B_r that herk
+    reads. Psi and Y_r are copied row-major, so their Fortran views are
+    Psi^T and Y_r^T, which the solves overwrite in place with W_r^T and
+    (L_r^-1 Y_r)^T: W_r and L_r^-1 Y_r, row-major. This rounds differently
+    from the covariance form (one GEMM (Psi C) Psi^H, then left-sided
+    solves): mu and Sigma agree with it within 1e-12 of their largest
+    entry, which the tests check.
 
     The factors also give each run's log marginal likelihood (up to the
     constant -P M ln pi) l_r = -M ln|K_r| - ||L_r^-1 Y_r||_F^2: one sum of
-    log-diagonals and one squared norm. A ridged run takes ln|K_r| from
-    slogdet and tr(Y_r^H K_r^-1 Y_r) from its solve.
+    log-diagonals and one squared norm. A run whose K_r has no Cholesky
+    factor takes the ridge fallback: its K_r is made Hermitian from the
+    lower triangle and ridged, ln|K_r| comes from slogdet and
+    tr(Y_r^H K_r^-1 Y_r) from its solve.
 
     Returns one part per stack, in the order of stacks, and l (R,).
     """
     r_count, p_eff, m_count = Y.shape
     cs = [_prior_cov(s.gamma, s.p) for s in stacks]   # (R, G, U, U) each
 
-    # rows (Psi C)^T of every run, then K = (Psi C) Psi^H. Each block
-    # product is taken as Psi_g C_g on the transposed slab and copied into
-    # the rows: C_g^T Psi_g^T rounds differently for some U (2, 3, 5, 6, 7)
-    psi_c = np.empty((r_count, *psi_rows.shape), dtype=complex)
-    for s, c in zip(stacks, cs):
-        s.rows(psi_c)[...] = (
-            s.rows(psi_rows[None]).swapaxes(-1, -2) @ c).swapaxes(-1, -2)
-    k_mat = psi_c.swapaxes(-1, -2) @ psi_rows_conj
-    del psi_c
-    k_mat.reshape(r_count, -1)[:, ::p_eff + 1] += sigma2   # the diagonals
-    # W^T and (L^-1 Y)^T per run: the transposes are Fortran-ordered
-    # (P, .) matrices, which the solves overwrite in place
-    w_rows = np.empty((r_count, *psi_rows.shape), dtype=complex)
-    w_rows[:] = psi_rows
-    y_rows = np.array(Y.swapaxes(-1, -2), order="C")
+    # rows B^T of every run; each block product is taken as Psi_g B'_g on
+    # the transposed slab and copied into the rows
+    b_rows = np.empty((r_count, *psi_rows.shape), dtype=complex)
+    for s in stacks:
+        root = np.sqrt(s.gamma)[..., :, None] * s.p_chol
+        s.rows(b_rows)[...] = (
+            s.rows(psi_rows[None]).swapaxes(-1, -2) @ root).swapaxes(-1, -2)
+    # Psi and Y_r per run, row-major, which the solves turn into W_r and
+    # L_r^-1 Y_r
+    w = np.empty((r_count, *psi.shape), dtype=complex)
+    w[:] = psi
+    y_w = np.array(Y, order="C")
     objective = np.empty(r_count)
     ridged = []
-    potrf, trtrs = _lapack()
-    for r, k_r in enumerate(k_mat):
+    potrf, herk, trsm = _lapack()
+    for r in range(r_count):
+        k_r = herk(1.0, b_rows[r].T, lower=1)          # Fortran-ordered
+        k_r.ravel(order="F")[::p_eff + 1] += sigma2     # the diagonal
         chol, info = potrf(k_r, lower=1, clean=1)
         if info:
             # ridge fallback for a numerically singular posterior system; the
             # products below then pair Psi with K^-1 Psi instead of W with W
+            k_r = np.tril(k_r) + np.tril(k_r, -1).conj().T
             k_r += (1e-12 * np.trace(k_r).real / p_eff) * np.eye(p_eff)
-            w_rows[r] = np.linalg.solve(k_r, psi_rows.T).T
-            y_rows[r] = np.linalg.solve(k_r, Y[r]).T
+            w[r] = np.linalg.solve(k_r, psi)
+            y_w[r] = np.linalg.solve(k_r, Y[r])
             log_det = np.linalg.slogdet(k_r)[1]
-            quad = np.vdot(Y[r].T, y_rows[r]).real           # tr Y^H K^-1 Y
+            quad = np.vdot(Y[r], y_w[r]).real                 # tr Y^H K^-1 Y
             ridged.append(r)
         else:
-            for rhs in (w_rows[r].T, y_rows[r].T):
-                _, info = trtrs(chol, rhs, lower=1, overwrite_b=1)
-                if info:
-                    raise np.linalg.LinAlgError("singular Cholesky factor")
+            for rhs in (w[r], y_w[r]):
+                trsm(1.0, chol, rhs.T, side=1, lower=1, trans_a=1, overwrite_b=1)
             log_det = 2.0 * np.log(chol.diagonal().real).sum()
-            quad = np.vdot(y_rows[r], y_rows[r]).real        # ||L^-1 Y||_F^2
+            quad = np.vdot(y_w[r], y_w[r]).real               # ||L^-1 Y||_F^2
         objective[r] = -m_count * log_det - quad
-    left_h = w_rows.conj()
+    del b_rows      # before W's conjugate: one (R, N_sub, P) array less at peak
+    left = w.conj()
     if ridged:
-        left_h[ridged] = psi_rows_conj
-    proj = left_h @ y_rows.swapaxes(-1, -2)               # Psi^H K^-1 Y
+        left[ridged] = psi.conj()
+    proj = left.swapaxes(-1, -2) @ y_w                    # Psi^H K^-1 Y
 
     parts = []
     for s, c in zip(stacks, cs):
-        gram = s.rows(left_h) @ s.rows(w_rows).swapaxes(-1, -2)
+        gram = s.cols(left).swapaxes(-1, -2) @ s.cols(w)
         sig_g = c - c @ gram @ c
         sig_g += sig_g.conj().swapaxes(-1, -2)
         sig_g *= 0.5
@@ -398,17 +428,41 @@ def update_gamma(r_bar: np.ndarray, p_g: np.ndarray, gamma_g: np.ndarray,
     return (root + b_vec / (2.0 * m)) ** 2
 
 
+def _correlation(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                         np.ndarray]:
+    """P = corr(A) = D^-1/2 A D^-1/2, D = diag(A), of Hermitian positive
+    definite matrices a (..., U, U), with the lower Cholesky factor
+    D^-1/2 L_A of P, diag(A) and ln|A|, all from the one Cholesky factor
+    A = L_A L_A^H: P's factor costs one row scaling. This is how P and its
+    factor are set, always together. A without a Cholesky factor raises
+    EstimatorDivergenceError."""
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise EstimatorDivergenceError(
+            "shrunk block statistics are not positive definite") from None
+    log_a = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
+    diag = np.diagonal(a, axis1=-2, axis2=-1).real
+    inv = 1.0 / np.sqrt(diag)
+    u = a.shape[-1]
+    p = a * (inv[..., :, None] * inv[..., None, :])   # exactly Hermitian
+    p.reshape(-1, u * u)[:, ::u + 1] = 1.0
+    chol *= inv[..., :, None]
+    return p, chol, diag, log_a
+
+
 def update_p_alm(
     r_bars: list[np.ndarray],
     gammas: list[np.ndarray],
     m_count: int,
     p_shrink: float,
     runs: list[np.ndarray] | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Intra-block correlations P_g and per-entry gamma scales of the
-    blocks, one stack per block length: r_bars[i] is (..., U_i, U_i),
-    gammas[i] is (..., U_i) and runs[i] labels each block with its run (by
-    default, one run); a single block is a stack with no batch axis.
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Intra-block correlations P_g, per-entry gamma scales and the lower
+    Cholesky factors of P_g of the blocks, one stack per block length:
+    r_bars[i] is (..., U_i, U_i), gammas[i] is (..., U_i) and runs[i]
+    labels each block with its run (by default, one run); a single block is
+    a stack with no batch axis.
 
     The prior factor is A_g / den_g with the shrunk statistics
     A_g = (1 - s) herm(Q^-1 sum_m R_m Q^-1) + s (tr/U_g) I, s = p_shrink,
@@ -417,10 +471,14 @@ def update_p_alm(
     lone block gets den = M. Q P Q is invariant under a diagonal rescale of
     (Q, P), so the factor is returned as P_g = corr(A_g), whose lambda_min
     is at least s / ((1 - s) U + s), and the gamma scale diag(A_g) / den_g.
-    ln|A| comes from one Cholesky factor per stack; a stack without one
-    raises EstimatorDivergenceError.
+    One Cholesky factor A_g = L_A L_A^H per stack gives ln|A| and P_g's own
+    factor D^-1/2 L_A (D = diag(A_g); `_correlation`): lower-triangular with
+    a positive real diagonal, its product with its conjugate transpose is
+    P_g within rounding (1e-13 in the tests, also at s = 1e-6). The E-step
+    builds K from it. A stack without a factor raises
+    EstimatorDivergenceError.
     """
-    ps, diags, log_a = [], [], []
+    ps, chols, diags, log_a = [], [], [], []
     for r_bar, gam in zip(r_bars, gammas):
         u = r_bar.shape[-1]
         qi = 1.0 / np.maximum(np.sqrt(np.maximum(gam, 0.0)), 1e-150)
@@ -430,19 +488,11 @@ def update_p_alm(
         trace = a.trace(axis1=-2, axis2=-1).real
         a *= 1.0 - p_shrink
         a.reshape(-1, u * u)[:, ::u + 1] += p_shrink * (trace / u)[:, None]
-        try:
-            chol = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            raise EstimatorDivergenceError(
-                "shrunk block statistics are not positive definite") from None
-        log_a.append(2.0 * np.log(
-            np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1))
-        diag = np.diagonal(a, axis1=-2, axis2=-1).real
-        inv = 1.0 / np.sqrt(diag)
-        p = a * (inv[:, :, None] * inv[:, None, :])   # exactly Hermitian
-        p.reshape(-1, u * u)[:, ::u + 1] = 1.0
+        p, chol, diag, ld = _correlation(a)
         ps.append(p.reshape(r_bar.shape))
+        chols.append(chol.reshape(r_bar.shape))
         diags.append(diag)
+        log_a.append(ld)
     # every block of every stack in one flat vector, stack after stack
     ld = np.concatenate(log_a)
     sizes = [len(d) for d in diags]
@@ -454,7 +504,7 @@ def update_p_alm(
     bar = np.bincount(run, weights=ld)[run] / np.bincount(run, weights=u_vec)[run]
     dens = np.split(m_count * np.exp(ld / u_vec - bar), np.cumsum(sizes)[:-1])
     return ps, [(d / den[:, None]).reshape(np.shape(gam))
-                for d, den, gam in zip(diags, dens, gammas)]
+                for d, den, gam in zip(diags, dens, gammas)], chols
 
 
 def _checked(Y: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -526,8 +576,8 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
     tol = cfg.delta1 * p_eff * m_count
     mu = np.zeros((order.size, n_sub, m_count), dtype=complex)
     stop = np.zeros(order.size, dtype=bool)  # runs that stopped this step
+    psi = np.ascontiguousarray(Psi)
     psi_rows = np.ascontiguousarray(Psi.T)
-    psi_rows_conj = psi_rows.conj()
     it = 0
 
     for it in range(1, cfg.t_ite + 1):
@@ -538,7 +588,7 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
             order, Y, stop = order[keep], Y[keep], stop[keep]
             for s in stacks:
                 s.keep_runs(keep)
-        parts, objective = _posterior(Y, psi_rows, psi_rows_conj, stacks, sigma2)
+        parts, objective = _posterior(Y, psi, psi_rows, stacks, sigma2)
         mu = np.concatenate([part.mu.reshape(order.size, -1, m_count)
                              for part in parts], axis=1)
         r_bars = []
@@ -561,12 +611,13 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
                                                prior_weight=m_count))
         if cfg.learn_p:
             run = np.arange(order.size)[:, None]
-            new_ps, scales = update_p_alm(
+            new_ps, scales, new_chols = update_p_alm(
                 r_bars, [s.gamma for s in stacks], m_count, cfg.p_shrink,
                 runs=[np.broadcast_to(run, s.gamma.shape[:2]) for s in stacks])
-            for s, p_new, scale, gam in zip(stacks, new_ps, scales, gammas_new):
+            for s, p_new, chol, scale, gam in zip(stacks, new_ps, new_chols,
+                                                  scales, gammas_new):
                 # conventional BSBL's single gamma takes the mean scale
-                s.p = p_new
+                s.p, s.p_chol = p_new, chol
                 gam *= scale.mean(axis=-1, keepdims=True) if scalar_gamma else scale
         for s, gam in zip(stacks, gammas_new):
             s.gamma = gam

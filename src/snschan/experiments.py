@@ -68,11 +68,11 @@ _BLAS_THREADS = 1
 # pool workers inherit them
 _MALLOC_THRESHOLDS = {-3: 32 << 20,     # M_MMAP_THRESHOLD
                       -1: 64 << 20}     # M_TRIM_THRESHOLD
-# the SciPy modules that cells import on first use: the E-step's LAPACK,
-# and the Fresnel integrals' and PASS's special functions. A run with a pool
-# imports them before it forks, so that the workers inherit them; a worker
-# that imports them itself pays about as much as a small round takes
-_CELL_SCIPY_MODULES = ("scipy.linalg.lapack", "scipy.special")
+# the SciPy modules that cells import on first use: the E-step's LAPACK and
+# BLAS, and the Fresnel integrals' and PASS's special functions. A run with
+# a pool imports them before it forks, so that the workers inherit them; a
+# worker that imports them itself pays about as much as a small round takes
+_CELL_SCIPY_MODULES = ("scipy.linalg.blas", "scipy.linalg.lapack", "scipy.special")
 
 
 class ConfigError(ValueError):

@@ -257,6 +257,20 @@ def test_spec_that_is_no_json_object_exits_2(tmp_path, capsys, content, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [",", " ", "", " , "],
+                         ids=["comma", "space", "empty", "comma-spaces"])
+def test_algorithms_flag_naming_nothing_exits_2(tmp_path, capsys, value):
+    # the flag's empty list once reached the spec, which reads an empty list
+    # as "every default algorithm", and the run went ahead with all of them
+    out = tmp_path / "out"
+    path = write_spec(tmp_path, TINY_AUC)
+    assert cli.main(["run", path, "--out", str(out),
+                     "--algorithms", value]) == cli.EXIT_CONFIG
+    assert (f"config error: --algorithms names no algorithm: {value!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("fc", float("nan")), ("B", float("inf")), ("c", float("inf")),
     ("d", float("nan")),

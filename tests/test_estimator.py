@@ -200,7 +200,7 @@ class TestUpdatePAlm:
         a = crandn(rng, u, u)
         r_bar = a @ a.conj().T + np.eye(u)
         gamma = rng.uniform(0.5, 2.0, u)
-        (p,), (scale,) = update_p_alm([r_bar], [gamma], m, s)
+        (p,), (scale,), _ = update_p_alm([r_bar], [gamma], m, s)
         np.testing.assert_allclose(prior_factor(p, scale),
                                    shrunk(r_bar, gamma, s) / m, rtol=1e-12)
 
@@ -209,7 +209,7 @@ class TestUpdatePAlm:
         u, s = 4, 1e-9
         a = crandn(rng, u, u)
         r_bar = a @ a.conj().T + np.eye(u)
-        (p,), (scale,) = update_p_alm([r_bar], [np.ones(u)], 1, s)
+        (p,), (scale,), _ = update_p_alm([r_bar], [np.ones(u)], 1, s)
         np.testing.assert_allclose(prior_factor(p, scale), r_bar, rtol=1e-8,
                                    atol=1e-8 * np.abs(r_bar).max())
 
@@ -219,7 +219,7 @@ class TestUpdatePAlm:
         a = crandn(rng, u, u)
         r_bar = a @ a.conj().T + np.eye(u)
         gamma = np.ones(u)
-        ps, scales = update_p_alm([r_bar, r_bar], [gamma, gamma], m, 0.9)
+        ps, scales, _ = update_p_alm([r_bar, r_bar], [gamma, gamma], m, 0.9)
         np.testing.assert_array_equal(ps[0], ps[1])
         np.testing.assert_array_equal(scales[0], scales[1])
         # equal log-dets need no rescale: each block gets den = M
@@ -231,8 +231,35 @@ class TestUpdatePAlm:
         u, m, s = 5, 2, 0.3
         # rank-one statistics: the shrinkage alone keeps P positive definite
         v = crandn(rng, u, 1)
-        (p,), _ = update_p_alm([v @ v.conj().T], [np.ones(u)], m, s)
+        (p,), _, _ = update_p_alm([v @ v.conj().T], [np.ones(u)], m, s)
         assert np.linalg.eigvalsh(p).min() >= s / ((1 - s) * u + s) - 1e-12
+
+    @pytest.mark.parametrize("s", [0.9, 1e-6])
+    @pytest.mark.parametrize("faint", [False, True], ids=["plain", "faint"])
+    def test_returned_factor_is_cholesky_factor_of_p(self, s, faint):
+        # the factor the E-step builds K from: lower-triangular with a
+        # positive real diagonal, and Lp Lp^H = P. Rank-deficient statistics
+        # (2 snapshots of 8 entries) leave A near singular at s = 1e-6;
+        # faint: entries whose variances sit six decades below the others
+        rng = np.random.default_rng(36)
+        m, u = 2, 8
+        r_bars, gammas = [], []
+        for n, v in ((3, u), (1, 5)):
+            z = crandn(rng, n, v, m)
+            r_bars.append(z @ z.conj().swapaxes(-1, -2))
+            gam = rng.uniform(0.2, 3.0, (n, v))
+            if faint:
+                gam[:, ::2] *= 1e-6
+            gammas.append(gam)
+        ps, _, chols = update_p_alm(r_bars, gammas, m, s)
+        for p, chol in zip(ps, chols, strict=True):
+            assert chol.shape == p.shape
+            np.testing.assert_array_equal(np.triu(chol, 1), 0)
+            diag = np.diagonal(chol, axis1=-2, axis2=-1)
+            np.testing.assert_array_equal(diag.imag, 0)
+            assert np.all(diag.real > 0)
+            np.testing.assert_allclose(chol @ chol.conj().swapaxes(-1, -2), p,
+                                       rtol=0, atol=1e-13)
 
     def test_statistics_without_cholesky_factor_raise(self):
         # an all-zero block has a zero trace, so no shrinkage makes it
@@ -257,7 +284,7 @@ class TestUpdatePAlm:
             r_bars.append(z @ z.conj().swapaxes(-1, -2))
             gammas.append(rng.uniform(0.2, 3.0, (n, u)))
             runs.append(np.repeat(np.arange(n_runs), count))
-        ps, scales = update_p_alm(r_bars, gammas, m, s, runs=runs)
+        ps, scales, _ = update_p_alm(r_bars, gammas, m, s, runs=runs)
         # one per-dimension log-det per run: an absolute 1e-12 on its log is
         # a relative 1e-12 on the geometric mean of the eigenvalues
         per_dim = np.concatenate([logdet_per_dim(p, sc)
@@ -281,12 +308,13 @@ class TestUpdatePAlm:
         # runs share nothing: each run's blocks alone give the same scales
         for r in range(n_runs):
             mine = [labels == r for labels in runs]
-            _, alone = update_p_alm([rb[k] for rb, k in zip(r_bars, mine)],
-                                    [gm[k] for gm, k in zip(gammas, mine)], m, s)
+            _, alone, _ = update_p_alm([rb[k] for rb, k in zip(r_bars, mine)],
+                                       [gm[k] for gm, k in zip(gammas, mine)],
+                                       m, s)
             for sc, sc_r, k in zip(scales, alone, mine, strict=True):
                 np.testing.assert_allclose(sc[k], sc_r, rtol=1e-12)
         # a block alone is its run's mean: den = M
-        (_,), (alone,) = update_p_alm([r_bars[0][0]], [gammas[0][0]], m, s)
+        (_,), (alone,), _ = update_p_alm([r_bars[0][0]], [gammas[0][0]], m, s)
         np.testing.assert_allclose(
             alone * m, np.diag(shrunk(r_bars[0][0], gammas[0][0], s)).real,
             rtol=1e-12)
@@ -330,11 +358,12 @@ class TestBatchedHelpers:
             z = crandn(rng, n, v, 2 * v)
             r_bars.append(z @ z.conj().swapaxes(-1, -2))
             gammas.append(rng.uniform(0.2, 3.0, (n, v)))
-        out_ps, out_scales = update_p_alm(r_bars, gammas, m, s)
+        out_ps, out_scales, out_chols = update_p_alm(r_bars, gammas, m, s)
         singles = [[block for stack in arg for block in stack]
                    for arg in (r_bars, gammas)]
-        ref_ps, ref_scales = update_p_alm(*singles, m, s)
-        for outs, refs in ((out_ps, ref_ps), (out_scales, ref_scales)):
+        ref_ps, ref_scales, ref_chols = update_p_alm(*singles, m, s)
+        for outs, refs in ((out_ps, ref_ps), (out_scales, ref_scales),
+                           (out_chols, ref_chols)):
             blocks = [block for stack in outs for block in stack]
             for mine, ref in zip(blocks, refs, strict=True):
                 np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=1e-14)
@@ -488,14 +517,13 @@ class TestAbsblCore:
                     if len(blocks) - 1 == faint:
                         s.gamma[r, g] *= 1e-6
                     a = crandn(rng, u_g, u_g)
-                    p = a @ a.conj().T + u_g * np.eye(u_g)
-                    d = np.sqrt(np.real(np.diag(p)))
-                    s.p[r, g] = p / d[:, None] / d[None, :]
+                    s.p[r, g], s.p_chol[r, g], *_ = mod._correlation(
+                        a @ a.conj().T + u_g * np.eye(u_g))
                     covs[-1].append(np.sqrt(s.gamma[r, g])[:, None] * s.p[r, g]
                                     * np.sqrt(s.gamma[r, g])[None, :])
         cholesky_calls = []
         if fail_cholesky:
-            real_potrf, real_trtrs = mod._lapack()
+            real_potrf, *blas = mod._lapack()
 
             def fail_once(a, **kwargs):
                 cholesky_calls.append(1)
@@ -503,9 +531,9 @@ class TestAbsblCore:
                     return np.zeros_like(a), 1       # "not positive definite"
                 return real_potrf(a, **kwargs)
 
-            monkeypatch.setattr(mod, "_lapack", lambda: (fail_once, real_trtrs))
+            monkeypatch.setattr(mod, "_lapack", lambda: (fail_once, *blas))
 
-        parts, objective = mod._posterior(y, *e_step_rows(psi), stacks, sigma2)
+        parts, objective = mod._posterior(y, *e_step_operands(psi), stacks, sigma2)
         assert len(cholesky_calls) == (n_runs if fail_cholesky else 0)
         mu_structured = np.concatenate(
             [part.mu.reshape(n_runs, -1, m_count) for part in parts], axis=1)
@@ -541,20 +569,22 @@ class TestAbsblCore:
 
     @pytest.mark.parametrize("short", range(8))
     @pytest.mark.parametrize("faint", [False, True], ids=["all-active", "faint"])
-    def test_block_major_e_step_keeps_column_major_bits(self, short, faint):
+    def test_square_root_e_step_matches_covariance_form(self, short, faint):
         # for every length of the final block
-        assert_block_major_bits(np.random.default_rng(35 + short), 32 + short,
-                                n_runs=2, m_count=3, faint=faint)
+        assert_matches_covariance_form(np.random.default_rng(35 + short),
+                                       32 + short, n_runs=2, m_count=3,
+                                       faint=faint)
 
     @pytest.mark.parametrize("short", range(8))
     @pytest.mark.parametrize("faint", [False, True], ids=["all-active", "faint"])
-    def test_block_major_e_step_keeps_column_major_bits_per_column(self, short,
-                                                                     faint):
+    def test_square_root_e_step_matches_covariance_form_per_column(self, short,
+                                                                   faint):
         # the shape absbl_per_column fits on fc_smv_bcrb (128 atoms, 80
         # measurements): one run per subcarrier (R = 5), each with a single
         # snapshot (M = 1)
-        assert_block_major_bits(np.random.default_rng(45 + short), 128 + short,
-                                n_runs=5, m_count=1, faint=faint, p_eff=80)
+        assert_matches_covariance_form(np.random.default_rng(45 + short),
+                                       128 + short, n_runs=5, m_count=1,
+                                       faint=faint, p_eff=80)
 
     def test_longer_runs_shrink_empty_blocks_not_absorb_noise(self):
         # untied per-entry variances let a few noise-level entries hold an
@@ -669,7 +699,7 @@ class TestPerColumn:
         # batched loop factors the runs in order 0, 1, 2
         phi, y = distinct_support_instance(32, seed=30)
         cfg = EstimatorConfig(block_size=8, t_ite=8)
-        real_potrf, real_trtrs = mod._lapack()
+        real_potrf, *blas = mod._lapack()
         calls = []
 
         def fail_run_1(a, **kwargs):
@@ -682,14 +712,13 @@ class TestPerColumn:
             return np.zeros_like(a), 1
 
         with monkeypatch.context() as patch:
-            patch.setattr(mod, "_lapack", lambda: (fail_run_1, real_trtrs))
+            patch.setattr(mod, "_lapack", lambda: (fail_run_1, *blas))
             batched = absbl_per_column(y, phi, 0.01**2, cfg)
         separate = []
         for m in range(3):
             with monkeypatch.context() as patch:
                 if m == 1:
-                    patch.setattr(mod, "_lapack",
-                                  lambda: (fail_always, real_trtrs))
+                    patch.setattr(mod, "_lapack", lambda: (fail_always, *blas))
                 separate.append(absbl_mmv(y[:, m:m + 1], phi, 0.01**2, cfg))
         assert [st.iterations for st in batched[1]] == [8, 8, 8]
         assert len(calls) == 3 * 8
@@ -708,16 +737,17 @@ class TestPerColumn:
                                    atol=1e-12 * np.abs(alone).max())
 
 
-def e_step_rows(psi):
-    """The rows Psi^T and their conjugate that `_posterior` reads."""
-    rows = np.ascontiguousarray(psi.T)
-    return rows, rows.conj()
+def e_step_operands(psi):
+    """Psi and its rows Psi^T, both C-ordered, as `_posterior` reads them."""
+    return np.ascontiguousarray(psi), np.ascontiguousarray(psi.T)
 
 
-def assert_block_major_bits(rng, n_sub, n_runs, m_count, faint, p_eff=20):
-    """`_posterior`'s block-major E-step against the same algebra on Psi's
-    columns (block products Psi_g C_g, K = (Psi C) Psi^H, solve_triangular),
-    bit for bit. Faint: one block's variances sit six decades below the
+def assert_matches_covariance_form(rng, n_sub, n_runs, m_count, faint,
+                                   p_eff=20):
+    """`_posterior`'s square-root E-step against the covariance form on
+    Psi's columns (block products Psi_g C_g, K = (Psi C) Psi^H, left-sided
+    solve_triangular): each run's mu and Sigma agree within 1e-12 of their
+    largest entry. Faint: one block's variances sit six decades below the
     others in every run, one more's in run 0 only."""
     psi = crandn(rng, p_eff, n_sub)
     y = crandn(rng, n_runs, p_eff, m_count)
@@ -726,11 +756,12 @@ def assert_block_major_bits(rng, n_sub, n_runs, m_count, faint, p_eff=20):
     for s in stacks:
         s.gamma[...] = rng.uniform(0.2, 2.0, s.gamma.shape)
         a = crandn(rng, *s.p.shape)
-        s.p[...] = a @ a.conj().swapaxes(-1, -2) + np.eye(s.p.shape[-1])
+        s.p[...], s.p_chol[...], *_ = mod._correlation(
+            a @ a.conj().swapaxes(-1, -2) + np.eye(s.p.shape[-1]))
     if faint:
         stacks[0].gamma[:, 1] *= 1e-6          # in every run
         stacks[0].gamma[0, 2] *= 1e-6          # in run 0 only
-    parts, _ = mod._posterior(y, *e_step_rows(psi), stacks, sigma2)
+    parts, _ = mod._posterior(y, *e_step_operands(psi), stacks, sigma2)
 
     cs = [mod._prior_cov(s.gamma, s.p) for s in stacks]
     cols = [slice(s.start, s.start + s.gamma[0].size) for s in stacks]
@@ -745,15 +776,19 @@ def assert_block_major_bits(rng, n_sub, n_runs, m_count, faint, p_eff=20):
         w = sla.solve_triangular(chol, psi, lower=True, check_finite=False)
         y_w = sla.solve_triangular(chol, y[r], lower=True, check_finite=False)
         proj = w.conj().T @ y_w
+        mus, sigmas = [], []                     # (got, want) per stack
         for part, c, col in zip(parts, cs, cols):
             n, u = c.shape[1], c.shape[-1]
             w_g = w[:, col].reshape(p_eff, n, u).swapaxes(0, 1)
             gram = w_g.conj().swapaxes(-1, -2) @ w_g
-            mu = c[r] @ proj[col].reshape(n, u, m_count)
             sig = c[r] - c[r] @ gram @ c[r]
-            sig = 0.5 * (sig + sig.conj().swapaxes(-1, -2))
-            np.testing.assert_array_equal(part.mu[r], mu)
-            np.testing.assert_array_equal(part.sigma[r], sig)
+            mus.append((part.mu[r], c[r] @ proj[col].reshape(n, u, m_count)))
+            sigmas.append((part.sigma[r],
+                           0.5 * (sig + sig.conj().swapaxes(-1, -2))))
+        for pairs in (mus, sigmas):
+            scale = max(np.abs(want).max() for _, want in pairs)
+            for got, want in pairs:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
 def kronecker_log_likelihood(psi, y, sigma2, stacks, r):
@@ -792,9 +827,9 @@ class TestObjectiveStop:
         priors = []
         orig = mod._posterior
 
-        def spy(y_runs, psi_rows, psi_rows_conj, stacks, s2):
+        def spy(y_runs, psi, psi_rows, stacks, s2):
             priors.append(([copy.deepcopy(s) for s in stacks], y_runs.copy()))
-            return orig(y_runs, psi_rows, psi_rows_conj, stacks, s2)
+            return orig(y_runs, psi, psi_rows, stacks, s2)
 
         monkeypatch.setattr(mod, "_posterior", spy)
         cfg = EstimatorConfig(block_size=8)

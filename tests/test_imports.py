@@ -3,7 +3,7 @@
 Importing the package, and every subcommand but `run`, loads numpy and no
 part of SciPy. SciPy's modules would be about 60% of a cold `import
 snschan`, which every CLI command pays. Each is imported where it is first
-used: LAPACK on the first E-step, `solve_triangular` in
+used: LAPACK and BLAS on the first E-step, `solve_triangular` in
 the BCRB, `scipy.special` for Fresnel integrals and the MCD consistency
 factor. A `run` that fits does load `scipy.linalg` and still writes its
 golden's bytes, so the imports are deferred, not removed. The checks read
