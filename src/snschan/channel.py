@@ -15,11 +15,12 @@ from the masks, and each element's contributions are added in path order.
 Across the uniform subcarrier grid each contribution's phase is a
 geometric sequence, so every pair takes two complex exponentials, the first
 subcarrier's and the step between subcarriers, whatever M is
-(`assemble_channel`). The scenario sampler computes each path's element
-distances once and hands them, and an obstructed path's diffraction gains,
-to `mask_weights` (the one mask formula), to its VR draw
-`scenario.sample_vr` and to the assembly; the element offsets and
-subcarrier grid are built once per `SystemConfig`.
+(`assemble_channel`). The scenario sampler computes the element
+distances of all its paths as one array (`element_distances`) and hands
+them, and the obstructed paths' diffraction gains, to `mask_weights` (the
+one mask formula), whose rows `scenario.apply_vr` cuts to their VRs, and
+to the assembly; the element offsets and subcarrier grid are built once
+per `SystemConfig`.
 """
 
 from __future__ import annotations
@@ -45,34 +46,39 @@ class ChannelRealization:
     truth_breakpoints: np.ndarray   # 1-based, sorted, starts at 1, ends at N+1
 
 
-def element_distances(r: float, theta: float, cfg: SystemConfig) -> np.ndarray:
-    """Distance from the source at (r, theta) to every array element, by the
-    law of cosines sqrt(r^2 + (delta_n d)^2 - 2 delta_n d r sin(theta))."""
-    if r <= 0:
-        raise ValueError(f"distance must be positive, got {r}")
+def element_distances(r, theta, cfg: SystemConfig) -> np.ndarray:
+    """Distances from sources at (r, theta) to every array element, by the
+    law of cosines sqrt(r^2 + (delta_n d)^2 - 2 delta_n d r sin(theta)):
+    (N,) for one source, (P, N) for P-vectors r and theta."""
+    r = np.asarray(r, dtype=float)[..., None]
+    if np.any(r <= 0):
+        raise ValueError(f"distance must be positive, got {r.ravel()}")
+    # each r^2 is Python's float power of its own distance, as a per-path
+    # evaluation takes it; numpy's r * r differs in about 1 of 1,100 draws
+    r_sq = np.reshape([x**2 for x in r.ravel().tolist()], r.shape)
+    sin = np.sin(np.asarray(theta, dtype=float))[..., None]
     a = cfg.delta_n * cfg.d
-    return np.sqrt(r**2 + a**2 - 2.0 * a * r * np.sin(theta))
+    return np.sqrt(r_sq + a**2 - 2.0 * a * r * sin)
 
 
-def mask_weights(r: float, r_n: np.ndarray, t_d: float,
-                 a_n: np.ndarray | None) -> np.ndarray:
-    """The mask before its VR of a path at reference distance r with element
-    distances r_n: the spherical-wave taper r / r_n, and
-    (r / r_n) [t_d (sqrt(A_n) - 1) + 1] for a path that a knife edge
-    obstructs, which is a path with per-element diffraction gains a_n
-    (None for an unobstructed path, whose t_d is not read).
+def mask_weights(r, r_n: np.ndarray, t_d, a_n: np.ndarray | None) -> np.ndarray:
+    """The masks before their VR of paths at reference distances r with
+    element distances r_n (one path: floats and (N,) rows; P paths: (P, 1)
+    columns and (P, N) rows): the spherical-wave taper r / r_n, and
+    (r / r_n) [t_d (sqrt(A_n) - 1) + 1] for paths that a knife edge
+    obstructs, which are paths with per-element diffraction gains a_n
+    (None for unobstructed paths, whose t_d is not read).
 
     t_d scales the diffraction ripple and must satisfy
-    t_d < 1 / (1 - min_n A_n) so the mask stays positive.
+    t_d < 1 / (1 - min_n A_n) on every path so the mask stays positive.
     """
     taper = r / r_n
     if a_n is None:
         return taper
     bound = max_diffraction_intensity(a_n)
-    if t_d >= bound:
+    if np.any(np.ravel(t_d) >= bound):
         raise MaskConfigurationError(
-            f"t_d = {t_d:.4g} violates the positivity bound {bound:.4g}"
-        )
+            f"t_d = {np.ravel(t_d)} violates the positivity bound {bound}")
     return taper * (t_d * (np.sqrt(a_n) - 1.0) + 1.0)
 
 
@@ -108,10 +114,14 @@ def assemble_channel(cfg: SystemConfig, gains: np.ndarray, masks: np.ndarray,
     28 GHz and 100 m), which the recurrence incurs once and the direct
     formula once per subcarrier.
     """
-    path, elem = np.nonzero(masks)     # path-major: each element's paths in order
-    r_n = distances[path, elem]
+    # flat indices of the visible pairs, path-major: each element's paths
+    # in order, and each path's pairs in one run
+    pair = np.flatnonzero(masks)
+    elem = pair % cfg.N
+    r_n = distances.ravel()[pair]
     k_1 = cfg.wavenumber(cfg.subcarrier_freqs[0])
-    z = gains[path] / np.sqrt(cfg.N) * np.exp(-1j * (r_n * k_1)) * masks[path, elem]
+    z = (np.repeat(gains / np.sqrt(cfg.N), np.count_nonzero(masks, axis=1))
+         * np.exp(-1j * (r_n * k_1)) * masks.ravel()[pair])
     step = np.exp(-1j * (r_n * cfg.wavenumber(cfg.B / cfg.M))) if cfg.M > 1 else None
     H = np.empty((cfg.N, cfg.M), dtype=complex)
     for m in range(cfg.M):

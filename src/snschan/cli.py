@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: run <spec.json>, list-experiments, validate <spec.json>,
-seed-report <spec.json>. Exit codes: 0 success, 2 config error,
-3 experiment failure.
+seed-report <spec.json>; run them as ``snschan`` or ``python -m snschan``.
+Exit codes: 0 success, 2 config error (a bad spec, flag or output
+directory), 3 experiment failure.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Callable
 
 from .experiments import (
@@ -103,8 +105,21 @@ def _seed_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise ConfigError unless the directory path exists or can be made,
+    which needs its nearest existing ancestor (or itself) to be a directory.
+    Checked before a run, so that a path that cannot hold results.csv costs
+    no run; a run that fails leaves no directory."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{existing} is not a directory")
+
+
 def _run(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec, args)
+    _check_out_dir(args.out)
     try:
         table = run_experiment(spec, workers=args.workers)
     except ExperimentFailure as err:

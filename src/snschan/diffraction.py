@@ -92,9 +92,9 @@ def diffraction_geometry(
     return h, d1, d2, nu
 
 
-def max_diffraction_intensity(a_n: np.ndarray) -> float:
-    """Largest t_d keeping an obstructed path's mask positive: 1 / (1 - min A_n)."""
-    a_min = float(np.min(a_n))
-    if a_min >= 1.0:
-        return np.inf
-    return 1.0 / (1.0 - a_min)
+def max_diffraction_intensity(a_n: np.ndarray) -> np.ndarray | float:
+    """Largest t_d keeping an obstructed path's mask positive: 1 / (1 - min A_n)
+    over the last axis of a_n (one value per path), inf where min A_n >= 1."""
+    a_min = np.min(a_n, axis=-1)
+    with np.errstate(divide="ignore"):
+        return np.where(a_min < 1.0, 1.0 / (1.0 - a_min), np.inf)[()]

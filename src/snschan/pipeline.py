@@ -67,10 +67,14 @@ def measure_power(chan: ChannelRealization, rng: np.random.Generator,
                   snr_db: float) -> np.ndarray:
     """Per-element power profile |sum_m (h_nm + w_nm)|^2 at the given SNR."""
     sigma2 = measurement_noise_variance(chan.H, snr_db)
-    noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(chan.H.shape) + 1j * rng.standard_normal(chan.H.shape)
-    )
-    return np.abs((chan.H + noise).sum(axis=1)) ** 2
+    # one complex array takes both draws, the real parts first, and then
+    # the scaling and H in place
+    y = np.empty(chan.H.shape, dtype=complex)
+    y.real = rng.standard_normal(chan.H.shape)
+    y.imag = rng.standard_normal(chan.H.shape)
+    y *= np.sqrt(sigma2 / 2.0)
+    y += chan.H
+    return np.abs(y.sum(axis=1)) ** 2
 
 
 def _quartered(truth: np.ndarray, n: int) -> np.ndarray:

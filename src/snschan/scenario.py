@@ -76,37 +76,28 @@ class ScenarioOptions:
 
 def _sample_obstacle(r: float, theta: float, cfg: SystemConfig,
                      rng: np.random.Generator) -> np.ndarray:
-    """Draw a knife edge on the path; returns its per-element diffraction
-    gains A_n."""
+    """Draw a knife edge on the path; returns its per-element Fresnel-Kirchhoff
+    parameters nu_n, whose diffraction gains A_n the caller evaluates."""
     for _ in range(50):
         d1 = rng.uniform(*_D1_FRAC_RANGE) * r
         h_ref = rng.uniform(-_H_REF_LAMBDAS, _H_REF_LAMBDAS) * cfg.wavelength
         obstacle = Obstacle(h_ref=h_ref, d1_ref=d1, d2_ref=r - d1)
         try:
-            _, _, _, nu = diffraction_geometry(obstacle, theta, cfg)
+            return diffraction_geometry(obstacle, theta, cfg)[3]
         except GeometryInfeasibleError:
             continue
-        return np.asarray(diffraction_gain(nu))
     raise GeometryInfeasibleError("could not place a knife edge on the path")
 
 
-def sample_vr(weights: np.ndarray, obstructed: bool, cfg: SystemConfig,
-              rng: np.random.Generator, opts: ScenarioOptions) -> np.ndarray:
-    """Draw a path's visibility region and apply it to weights, the path's
-    mask before its VR (`channel.mask_weights`): returns the mask, the
-    weights on the VR and zero elsewhere.
+def sample_vr(cfg: SystemConfig, rng: np.random.Generator,
+              opts: ScenarioOptions) -> list[bool]:
+    """Draw the visibility region of a path no knife edge obstructs: the
+    visible states of its ceil(N / SI_min) blocks of SI_min elements, in
+    block order (`apply_vr` applies them).
 
-    Unobstructed paths: block-level first-order Markov chain over
-    ceil(N / SI_min) blocks of SI_min elements, with the stay and initial
+    A block-level first-order Markov chain with the stay and initial
     probabilities of opts, redrawn until at least one block is visible.
-    Paths that a knife edge obstructs: the VR is the set of elements whose
-    mask exceeds opts.power_threshold times the mask maximum (no stochastic
-    birth-death).
     """
-    if obstructed:
-        support = weights > opts.power_threshold * np.max(weights)
-        return np.where(support, weights, 0.0)
-
     b_si = cfg.n_blocks_si
     p_vb = 1.0 - opts.p_stay_visible
     p_bv = 1.0 - opts.p_stay_blocked
@@ -123,16 +114,34 @@ def sample_vr(weights: np.ndarray, obstructed: bool, cfg: SystemConfig,
         for u_b in u[1:]:
             states.append(u_b < stay[states[-1]])
         if any(states):
-            break
-    else:
-        warnings.warn(
-            "visibility chain produced only blocked states; forcing one "
-            "visible block", RuntimeWarning, stacklevel=2,
-        )
-        states[rng.integers(b_si)] = True
+            return states
+    warnings.warn(
+        "visibility chain produced only blocked states; forcing one "
+        "visible block", RuntimeWarning, stacklevel=2,
+    )
+    states[rng.integers(b_si)] = True
+    return states
 
+
+def apply_vr(weights: np.ndarray, obstructed: np.ndarray,
+             states: list[list[bool]], cfg: SystemConfig,
+             opts: ScenarioOptions) -> np.ndarray:
+    """The masks of P paths whose masks before their VR are the rows of
+    weights (P, N) (`channel.mask_weights`): each row's weights on its
+    path's visibility region and zero elsewhere.
+
+    obstructed (P,) marks the paths that a knife edge obstructs: their VR
+    is the set of elements whose weight exceeds opts.power_threshold times
+    the row maximum (no stochastic birth-death). The other rows take, in
+    order, the block states of `states` (one `sample_vr` draw each).
+    """
+    support = np.empty(weights.shape, dtype=bool)
+    shadowed = weights[obstructed]
+    support[obstructed] = shadowed > opts.power_threshold * np.max(
+        shadowed, axis=1, keepdims=True)
     # block states to element resolution (the last block may be short)
-    support = np.repeat(states, cfg.SI_min)[: cfg.N]
+    blocks = np.array(states, dtype=bool).reshape(-1, cfg.n_blocks_si)
+    support[~obstructed] = np.repeat(blocks, cfg.SI_min, axis=1)[:, : cfg.N]
     return np.where(support, weights, 0.0)
 
 
@@ -145,26 +154,35 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator,
 
     At most one path per UE, its first, is obstructed by a knife edge; its
     diffraction intensity is min(opts.t_d, cap) with cap just below the
-    geometry's positivity bound.
+    geometry's positivity bound. The loop over the paths only draws, in
+    path order; the per-element arrays of all paths, the knife edges'
+    diffraction gains among them, are computed after it.
     """
-    gains = np.empty(cfg.K * cfg.L, dtype=complex)
-    masks = np.empty((cfg.K * cfg.L, cfg.N))
-    distances = np.empty_like(masks)
-    for i in range(cfg.K * cfg.L):
+    n_paths = cfg.K * cfg.L
+    gains = np.empty(n_paths, dtype=complex)
+    r, theta = np.empty(n_paths), np.empty(n_paths)
+    obstructed = np.zeros(n_paths, dtype=bool)
+    nu, states = [], []   # one per obstructed path; one per other path
+    for i in range(n_paths):
         gains[i] = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
-        r = rng.uniform(*opts.r_range)
-        theta = rng.uniform(*_THETA_RANGE)
-        t_d, a_n = 0.0, None
+        r[i] = rng.uniform(*opts.r_range)
+        theta[i] = rng.uniform(*_THETA_RANGE)
         if i % cfg.L == 0 and opts.t_d > 0 and rng.random() < opts.p_nonideal:
-            a_n = _sample_obstacle(r, theta, cfg, rng)
-            # random geometries often violate the positivity bound
-            # 1/(1 - min_n A_n) for t_d > 1, since the per-element
-            # clearance sweeps into deep shadow: cap just below it
-            t_d = min(opts.t_d, 0.99 * max_diffraction_intensity(a_n))
-        distances[i] = element_distances(r, theta, cfg)
-        masks[i] = sample_vr(mask_weights(r, distances[i], t_d, a_n),
-                             a_n is not None, cfg, rng, opts)
-    return gains, masks, distances
+            obstructed[i] = True
+            nu.append(_sample_obstacle(r[i], theta[i], cfg, rng))
+        else:
+            states.append(sample_vr(cfg, rng, opts))
+    distances = element_distances(r, theta, cfg)
+    weights = mask_weights(r[:, None], distances, 0.0, None)
+    if nu:
+        a_n = diffraction_gain(np.stack(nu))
+        # random geometries often violate the positivity bound
+        # 1/(1 - min_n A_n) for t_d > 1, since the per-element clearance
+        # sweeps into deep shadow: cap just below it
+        t_d = np.minimum(opts.t_d, 0.99 * max_diffraction_intensity(a_n))
+        weights[obstructed] = mask_weights(r[obstructed, None], distances[obstructed],
+                                           t_d[:, None], a_n)
+    return gains, apply_vr(weights, obstructed, states, cfg, opts), distances
 
 
 def generate_scenario(cfg: SystemConfig, rng: np.random.Generator,

@@ -10,7 +10,7 @@ from snschan.channel import (
 )
 from snschan.config import SystemConfig
 from snschan.diffraction import Obstacle, diffraction_gain, diffraction_geometry
-from snschan.scenario import ScenarioOptions, sample_vr
+from snschan.scenario import ScenarioOptions, apply_vr, sample_vr
 
 
 def ideal_mask(r, theta, cfg):
@@ -25,6 +25,13 @@ def nonideal_mask(r, t_d, theta, obstacle, cfg):
     _, _, _, nu = diffraction_geometry(obstacle, theta, cfg)
     return mask_weights(r, element_distances(r, theta, cfg), t_d,
                         diffraction_gain(nu))
+
+
+def path_mask(weights, obstructed, cfg, rng, opts):
+    """The mask of one path with the given mask before its VR: its VR drawn
+    (none for an obstructed path) and applied."""
+    states = [] if obstructed else [sample_vr(cfg, rng, opts)]
+    return apply_vr(weights[None], np.array([obstructed]), states, cfg, opts)[0]
 
 
 def euclidean_distance_oracle(r, theta, cfg):
@@ -177,7 +184,7 @@ class TestSampleVr:
         rng = np.random.default_rng(0)
         opts = ScenarioOptions(p_stay_visible=1.0, p_stay_blocked=0.0,
                                p_init_visible=1.0)
-        mask = sample_vr(ideal_mask(20.0, 0.0, cfg), False, cfg, rng, opts)
+        mask = path_mask(ideal_mask(20.0, 0.0, cfg), False, cfg, rng, opts)
         assert np.all(mask > 0)
 
     def test_degenerate_all_blocked_warns_and_forces(self):
@@ -186,7 +193,7 @@ class TestSampleVr:
         opts = ScenarioOptions(p_stay_visible=1.0, p_stay_blocked=1.0,
                                p_init_visible=0.0)
         with pytest.warns(RuntimeWarning):
-            mask = sample_vr(ideal_mask(20.0, 0.0, cfg), False, cfg, rng, opts)
+            mask = path_mask(ideal_mask(20.0, 0.0, cfg), False, cfg, rng, opts)
         assert np.any(mask > 0)
 
     def test_mean_run_length(self):
@@ -197,7 +204,7 @@ class TestSampleVr:
         opts = ScenarioOptions(p_stay_visible=0.8, p_stay_blocked=0.8)
         runs = []
         for _ in range(500):
-            mask = sample_vr(weights, False, cfg, rng, opts)
+            mask = path_mask(weights, False, cfg, rng, opts)
             s = (mask > 0).astype(int)
             edges = np.flatnonzero(np.diff(np.concatenate([[0], s, [0]])))
             starts, ends = edges[::2], edges[1::2]
@@ -211,7 +218,7 @@ class TestSampleVr:
         edge = Obstacle(h_ref=0.02, d1_ref=12.0, d2_ref=18.0)
         rng = np.random.default_rng(0)
         full = nonideal_mask(30.0, 0.9, 0.1, edge, cfg)
-        mask = sample_vr(full, True, cfg, rng, ScenarioOptions(power_threshold=0.3))
+        mask = path_mask(full, True, cfg, rng, ScenarioOptions(power_threshold=0.3))
         np.testing.assert_array_equal(
             mask, np.where(full > 0.3 * full.max(), full, 0.0))
 

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from snschan import cli
 from snschan import experiments
 
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = sorted((ROOT / "examples").glob("*.json"))
 TINY_AUC = {"experiment": "auc_vs_snr", "sweep": [5.0], "trials": 2, "seed": 3,
             "overrides": {"N": 64, "SI_min": 16, "K": 2}}
 TINY_NMSE = {"experiment": "nmse_vs_snr", "sweep": [10.0], "trials": 1, "seed": 3,
@@ -51,6 +57,47 @@ def test_run_timing_fills_runtime_column(tmp_path, capsys, timing):
     runtimes = [float(row.split(",")[column]) for row in rows]
     assert len(runtimes) == 3
     assert all(t > 0 for t in runtimes) if timing else runtimes == [0.0] * 3
+
+
+@pytest.mark.parametrize("where", ["file", "under_file"])
+def test_out_that_cannot_be_a_directory_exits_2_before_the_run(
+        tmp_path, capsys, monkeypatch, where):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if where == "file" else taken / "out"
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: runs.append(a))
+    code = cli.main(["run", write_spec(tmp_path, TINY_AUC), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert runs == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory")
+    assert str(out) in err
+
+
+def test_python_m_snschan_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "snschan", "list-experiments"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    listed = [line.split(":")[0] for line in proc.stdout.splitlines()]
+    assert listed == list(experiments.EXPERIMENTS)
+
+
+def test_readme_example_is_the_example_spec():
+    assert "examples/auc_quick.json" in [p.relative_to(ROOT).as_posix()
+                                         for p in EXAMPLES]
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == json.loads((ROOT / "examples" / "auc_quick.json")
+                                           .read_text())
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_example_spec_validates(path, capsys):
+    assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("ok: ")
 
 
 def test_validate(tmp_path, capsys):

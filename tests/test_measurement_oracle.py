@@ -1,5 +1,5 @@
-"""SS-SM combiners and pilot reception against the per-slot oracle, bit for
-bit.
+"""SS-SM combiners, pilot reception and the power profile against their
+oracles, bit for bit.
 
 `build_combiners` draws each chain's base rows in one call and places them
 with slot-index arrays; `simulate_reception` draws the noise of every slot in
@@ -7,6 +7,10 @@ one call and receives all slots in one batched product. The oracle below
 walks the pilot slots one at a time: it draws a base row at the start of each
 decoupling cycle and one noise matrix per slot. Both must give the same
 bytes and leave the generator in the same state.
+
+`measure_power` writes its two noise draws into one complex array and
+scales it and adds H in place; its oracle is the formula with a fresh
+temporary per step.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from snschan.channel import ChannelRealization
 from snschan.config import SystemConfig
 from snschan.dhbf import (
     InfeasiblePilotError,
@@ -23,6 +28,7 @@ from snschan.dhbf import (
     build_combiners,
     simulate_reception,
 )
+from snschan.pipeline import measure_power, measurement_noise_variance
 
 
 def oracle_combiners(alloc, cfg, rng):
@@ -147,3 +153,25 @@ def test_every_cycle_length_with_an_idle_chain(k, noise_variance):
     assert got[0] is None
     assert_same(got, oracle(alloc, cfg, noise_variance, 5))
     assert np.all(got[2][:, 1] == -1)
+
+
+@given(hst.integers(1, 300), hst.integers(1, 8), hst.floats(-20.0, 60.0),
+       hst.sampled_from(["dense", "half_zero", "zero"]), hst.integers(0, 2**32 - 2))
+@settings(max_examples=200, deadline=None)
+def test_power_profile_equals_the_formula_bit_for_bit(n, m, snr_db, kind, seed):
+    H = channel(SystemConfig(N=max(n, 2), M=m, SI_min=1), seed)[:n]
+    if kind == "half_zero":
+        H[np.random.default_rng(seed).random(H.shape) < 0.5] = 0.0
+    elif kind == "zero":
+        H[:] = 0.0
+    chan = ChannelRealization(H=H, truth_breakpoints=np.array([1, n + 1]))
+    rng = np.random.default_rng(seed + 1)
+    got = measure_power(chan, rng, snr_db)
+    want_rng = np.random.default_rng(seed + 1)
+    s2 = measurement_noise_variance(H, snr_db)
+    a = want_rng.standard_normal(H.shape)
+    b = want_rng.standard_normal(H.shape)
+    want = np.abs((H + np.sqrt(s2 / 2) * (a + 1j * b)).sum(axis=1)) ** 2
+    assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == want_rng.bit_generator.state

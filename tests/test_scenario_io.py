@@ -3,6 +3,7 @@ import pytest
 
 from snschan import scenario
 from snschan.config import SystemConfig
+from snschan.diffraction import diffraction_gain
 from snschan.scenario import (
     ScenarioOptions,
     generate_scenario,
@@ -25,12 +26,16 @@ class TestScenarioSampling:
         cfg = SystemConfig(N=64, M=3, K=3, L=2, SI_min=8)
         rng = np.random.default_rng(0)
         vr_draws = spy(monkeypatch, "sample_vr")
+        applied = spy(monkeypatch, "apply_vr")
         gains, masks, distances = sample_paths(cfg, rng,
                                                ScenarioOptions(p_nonideal=1.0))
         assert gains.shape == (cfg.K * cfg.L,)
         assert masks.shape == distances.shape == (cfg.K * cfg.L, cfg.N)
-        # exactly one obstructed path per UE, its first, when p_nonideal = 1
-        assert [obstructed for _, obstructed, *_ in vr_draws] == [True, False] * cfg.K
+        # exactly one obstructed path per UE, its first, when p_nonideal = 1;
+        # only the others draw a Markov VR
+        [(_, obstructed, states, *_)] = applied
+        assert obstructed.tolist() == [True, False] * cfg.K
+        assert len(vr_draws) == len(states) == cfg.K
 
     def test_masks_attached_and_valid(self):
         cfg = SystemConfig(N=64, M=3, K=2, L=2, SI_min=8)
@@ -43,22 +48,23 @@ class TestScenarioSampling:
     def test_intensity_cap_respected(self, monkeypatch):
         # t_d = 1.5 frequently exceeds the geometry bound; sampled paths must
         # stay strictly below it, the bound of the gains their knife edge got
-        gains = []
+        nus = []
         draw = scenario._sample_obstacle
         monkeypatch.setattr(scenario, "_sample_obstacle",
-                            lambda *args: gains.append(draw(*args)) or gains[-1])
+                            lambda *args: nus.append(draw(*args)) or nus[-1])
         weights = spy(monkeypatch, "mask_weights")
         cfg = SystemConfig(N=256, M=3, K=4, L=2, SI_min=32)
         rng = np.random.default_rng(2)
         sample_paths(cfg, rng, ScenarioOptions(t_d=1.5, p_nonideal=1.0))
-        obstructed = [(t_d, a_n) for _, _, t_d, a_n in weights if a_n is not None]
-        assert len(obstructed) == len(gains) == cfg.K
-        for (t_d, a_n), drawn in zip(obstructed, gains):
-            assert a_n is drawn
-            a_min = float(np.min(a_n))
-            assert t_d <= 1.5
+        [(_, _, t_d, a_n)] = [args for args in weights if args[3] is not None]
+        assert t_d.shape == (cfg.K, 1)
+        assert len(a_n) == len(nus) == cfg.K
+        for t, gains, nu in zip(t_d.ravel(), a_n, nus):
+            assert gains.tobytes() == diffraction_gain(nu).tobytes()
+            a_min = float(np.min(gains))
+            assert t <= 1.5
             if a_min < 1:
-                assert t_d < 1.0 / (1.0 - a_min)
+                assert t < 1.0 / (1.0 - a_min)
 
     def test_full_visibility_options(self):
         cfg = SystemConfig(N=64, M=3, K=2, L=2, SI_min=8)

@@ -2,14 +2,16 @@
 
 `generate_scenario` assembles the scene that `sample_paths` draws: the
 paths' gains, masks and element distances, three arrays. Synthesis
-evaluates each path on its visibility region only, computes each path's
-element distances and an obstructed path's diffraction gains once, draws
-each visibility-chain attempt as one vector of uniforms, and takes each
-contribution's phases from their subcarrier recurrence. The oracle below
-does none of that: it draws one scalar per block, computes the knife-edge
-geometry twice, and adds every path's contribution over the whole array
-with one complex exponential per subcarrier (`path_channel`, the direct
-formula).
+draws path by path but computes the per-element arrays of all paths at
+once, after the draws: the element distances, the diffraction gains of the
+obstructed paths, the weights and the visibility regions. It draws each
+visibility-chain attempt as one vector of uniforms, evaluates each path on
+its visibility region only, and takes each contribution's phases from their
+subcarrier recurrence. The oracle below does none of that: it computes each
+path's arrays as it draws the path, draws one scalar per block, computes
+the knife-edge geometry twice, and adds every path's contribution over the
+whole array with one complex exponential per subcarrier (`path_channel`,
+the direct formula).
 
 The draws stay byte-exact: the gains, masks and element distances, the
 truth breakpoints and the generator state equal the oracle's bytes. The

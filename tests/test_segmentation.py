@@ -15,6 +15,7 @@ from snschan.segmentation import (
     CHI2_975_1,
     SCORE_THRESHOLD,
     SegmentationResult,
+    _chi2_keep,
     _mcd_batch,
     _midranks,
     _reweight_batch,
@@ -28,14 +29,17 @@ from snschan.segmentation import (
 
 def mcd_row(window, h):
     """Raw MCD (mu0, sigma0) of one window: a batch of one row."""
-    mu0, sigma0 = _mcd_batch(np.asarray(window, dtype=float)[None, :], h)
+    mu0, sigma0, _, _ = _mcd_batch(np.asarray(window, dtype=float)[None, :], h)
     return mu0[0], sigma0[0]
 
 
 def reweight_row(window, mu0, sigma0):
-    """Reweighted MCD (mu, var) of one window: a batch of one row."""
-    mu, var = _reweight_batch(np.asarray(window, dtype=float)[None, :],
-                              np.array([mu0]), np.array([sigma0]))
+    """Reweighted MCD (mu, var) of one window from raw estimates: a batch of
+    one row, read from the sorted row and running sums of `_mcd_batch`
+    (whatever h it takes, h = W here)."""
+    row = np.asarray(window, dtype=float)[None, :]
+    _, _, srt, cs = _mcd_batch(row, row.shape[1])
+    mu, var = _reweight_batch(row, np.array([mu0]), np.array([sigma0]), srt, cs)
     return mu[0], var[0]
 
 
@@ -88,30 +92,95 @@ def reference_pass(profile, w):
     return merged, scores, os_n.astype(float)
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([8, 12, 16, 32, 64]),
-       st.integers(0, 600), st.sampled_from(["smooth", "ties", "flat_half"]))
-@settings(max_examples=120, deadline=None)
-def test_pass_segment_equals_the_reference_bit_for_bit(seed, w, extra, kind):
+# scores of the reweighted moments against the window-order two-pass
+# reference: the tolerance that `_reweight_batch` states
+SCORE_RTOL = 1e-6
+
+
+def power_profile(seed, n, kind):
+    """A power profile of n elements: exponential values on piecewise levels,
+    rounded to one decimal (ties), half flat, or near flat (a few ulps)."""
     rng = np.random.default_rng(seed)
-    n = w + extra
     p = rng.exponential(size=n) * np.repeat(rng.uniform(0.1, 3.0, n // 8 + 1), 8)[:n]
     if kind == "ties":
         p = np.round(p, 1)
     elif kind == "flat_half":
         p[: n // 2] = 1.0
+    elif kind == "near_flat":
+        p = 1.0 + rng.integers(-3, 4, size=n) * np.finfo(float).eps
+    return p
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([8, 12, 16, 32, 64]),
+       st.integers(0, 600),
+       st.sampled_from(["smooth", "ties", "flat_half", "near_flat"]))
+@settings(max_examples=120, deadline=None)
+def test_pass_segment_matches_the_reference(seed, w, extra, kind):
+    # the raw MCD and its running sums keep every bit; the reweighted scores
+    # lie within SCORE_RTOL max(score, 1) of the reference, and the flags,
+    # outlier sums and breakpoints are the same
+    n = w + extra
+    p = power_profile(seed, n, kind)
     windows = np.lib.stride_tricks.sliding_window_view(p, w)
     h = int(np.ceil(0.75 * w))
-    raw = _mcd_batch(windows, h)
-    for got, want in zip(raw, reference_mcd(windows, h), strict=True):
+    mu0, sigma0, srt, cs = _mcd_batch(windows, h)
+    for got, want in zip((mu0, sigma0), reference_mcd(windows, h), strict=True):
         assert got.tobytes() == want.tobytes()
-    for got, want in zip(_reweight_batch(windows, *raw),
-                         reference_reweight(windows, *raw), strict=True):
-        assert got.tobytes() == want.tobytes()
+    assert srt.tobytes() == np.sort(windows, axis=1).tobytes()
+    assert cs[1:, 0].T.tobytes() == np.cumsum(srt, axis=1).tobytes()
+    assert cs[1:, 1].T.tobytes() == np.cumsum(srt**2, axis=1).tobytes()
+    assert not cs[0].any()
     merged, scores, os_n = reference_pass(p, w)
     res = pass_segment(p, w)
     assert res.breakpoints.tolist() == sorted({1, *merged, n + 1})
-    assert res.scores.tobytes() == scores.tobytes()
+    np.testing.assert_array_equal(res.scores > SCORE_THRESHOLD,
+                                  scores > SCORE_THRESHOLD)
+    assert np.all(np.abs(res.scores - scores)
+                  <= SCORE_RTOL * np.maximum(scores, 1.0))
     assert res.outlier_sums.tobytes() == os_n.tobytes()
+
+
+def assert_one_run(keep):
+    """Every row of the boolean (B, W) keep is one contiguous run of Trues
+    (possibly empty)."""
+    lo = np.argmax(keep, axis=1)
+    hi = lo + keep.sum(axis=1)
+    idx = np.arange(keep.shape[1])
+    run = (idx >= lo[:, None]) & (idx < hi[:, None])
+    np.testing.assert_array_equal(keep, run)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([8, 12, 16, 32, 64]),
+       st.sampled_from(["smooth", "ties", "flat_half", "near_flat"]))
+@settings(max_examples=80, deadline=None)
+def test_reweighting_set_is_one_run_of_each_sorted_window(seed, w, kind):
+    # PASS's own inputs: the raw estimates and floors of every window
+    p = power_profile(seed, w + 200, kind)
+    windows = np.lib.stride_tricks.sliding_window_view(p, w)
+    mu0, sigma0, srt, _ = _mcd_batch(windows, int(np.ceil(0.75 * w)))
+    floors = np.maximum(1e-12 * np.mean(windows, axis=1) ** 2, 1e-300)
+    keep = _chi2_keep(srt, mu0, np.maximum(sigma0, floors))
+    assert_one_run(keep)
+    assert np.all(keep.any(axis=1))
+
+
+@given(st.floats(-1e3, 1e3), st.floats(1e-9, 1e3), st.integers(0, 2**32 - 1),
+       st.integers(0, 3))
+@example(1.0, 1.0, 0, 0)
+@example(0.0, 1e-300, 0, 2)
+@settings(max_examples=200, deadline=None)
+def test_reweighting_set_is_one_run_with_ties_at_the_chi2_edge(mu0, sig, seed, reps):
+    # values on, and one ulp either side of, both ends of the chi2 interval
+    # mu0 -+ sqrt(chi2 sig), repeated, plus mu0 itself and random fill
+    rng = np.random.default_rng(seed)
+    edge = np.sqrt(CHI2_975_1 * sig)
+    ends = np.array([mu0 - edge, mu0 + edge])
+    ties = np.concatenate([ends, np.nextafter(ends, -np.inf),
+                           np.nextafter(ends, np.inf), [mu0]])
+    row = np.concatenate([np.repeat(ties, reps + 1),
+                          mu0 + edge * rng.uniform(-2, 2, size=8)])
+    srt = np.sort(row)[None, :]
+    assert_one_run(_chi2_keep(srt, np.array([mu0]), np.array([sig])))
 
 
 class TestScipyStatsPins:
