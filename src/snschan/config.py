@@ -3,6 +3,7 @@ name lookup of their registries."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,19 +45,15 @@ class SystemConfig:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        # json.load accepts NaN and Infinity, and every stage needs finite values
+        # json.load accepts NaN and Infinity, and every stage needs finite
+        # values; a bool would run as 0 or 1 (fc = true is 1 Hz)
         for name, zero_ok in (("fc", False), ("B", True), ("c", False)):
-            value = getattr(self, name)
-            if not (0 < value < np.inf or zero_ok and value == 0):
-                raise ValueError(f"{name} must be finite and "
-                                 f"{'non-negative' if zero_ok else 'positive'}, "
-                                 f"got {value!r}")
+            _check_real(name, getattr(self, name), zero_ok)
         if self.SI_min > self.N:
             raise ValueError(f"SI_min must lie in [1, N], got {self.SI_min}")
         if self.d is None:
             object.__setattr__(self, "d", self.wavelength / 2.0)
-        if not 0 < self.d < np.inf:
-            raise ValueError(f"d must be finite and positive, got {self.d!r}")
+        _check_real("d", self.d, False)
 
     @property
     def wavelength(self) -> float:
@@ -87,6 +84,16 @@ class SystemConfig:
     def n_blocks_si(self) -> int:
         """Number of SI_min-sized blocks covering the array (last may be short)."""
         return int(np.ceil(self.N / self.SI_min))
+
+
+def _check_real(name: str, value, zero_ok: bool) -> None:
+    """A ValueError naming the field unless value is a real number (not a
+    bool) that is finite and positive, or zero where zero_ok."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not (0 < value < np.inf or zero_ok and value == 0):
+        raise ValueError(f"{name} must be finite and "
+                         f"{'non-negative' if zero_ok else 'positive'}, got {value!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -56,9 +56,10 @@ loop fits in one call. The runs share sigma2; each has its own objective
 stop, and a run that stops keeps its last iterate while the others go on.
 Groups are not padded to one length, because the pooled variance, the
 log-det constraint and the shrinkage of P read the true U; the gamma and P
-steps take each group's (run, block) pairs as one stack. No block is ever
-dropped: the objective stop ends a fit long before any block's variance
-falls decades below the largest, so every run keeps every block. Each
+steps take each group's (R, G, ...) hyperparameters as one stack. No block
+is ever dropped: the objective stop ends a fit long before any block's
+variance falls decades below the largest, so every run keeps every block,
+and a run's log-det constraint spans every block of both groups. Each
 E-step builds every run's K in square-root form, takes one Cholesky factor
 K = L L^H per run, and reads every block's posterior mean and covariance
 from batched products of the Gram blocks of L^-1 Psi.
@@ -87,7 +88,7 @@ it, and fits the coefficients by least squares once, on the final support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -209,15 +210,23 @@ class PosteriorState:
     """Converged posterior and hyperparameters of one estimator run."""
 
     mu: np.ndarray                        # (N_sub, M) posterior mean
-    gamma: list[np.ndarray]
-    # every block, or none for a zero start; bench/probe.py reads it for its
-    # active-block fraction
-    active: list[int]
-    iterations: int
+    gamma: list[np.ndarray]               # per-entry variances of each block
     converged: bool
-    history: list[np.ndarray] = field(default_factory=list)  # mu per iteration
+    history: list[np.ndarray]             # mu per iteration
     # log marginal likelihood -M ln|K| - tr(Y^H K^-1 Y) of each E-step
-    objective: list[float] = field(default_factory=list)
+    objective: list[float]
+
+    @property
+    def iterations(self) -> int:
+        """EM iterations taken: one mean per iteration in history (the zero
+        start's one)."""
+        return len(self.history)
+
+    @property
+    def active(self) -> list[int]:
+        """Every block: no run drops one. bench/probe.py reads it for its
+        active-block fraction."""
+        return list(range(len(self.gamma)))
 
 
 @dataclass
@@ -313,9 +322,10 @@ def _posterior(
     The factors also give each run's log marginal likelihood (up to the
     constant -P M ln pi) l_r = -M ln|K_r| - ||L_r^-1 Y_r||_F^2: one sum of
     log-diagonals and one squared norm. A run whose K_r has no Cholesky
-    factor takes the ridge fallback: its K_r is made Hermitian from the
-    lower triangle and ridged, ln|K_r| comes from slogdet and
-    tr(Y_r^H K_r^-1 Y_r) from its solve.
+    factor is ridged, by 1e-12 tr(K_r) / P on the diagonal of the lower
+    triangle already held, and factored again; it then takes the same solves
+    and objective as every other run. A ridged K_r without a factor raises
+    EstimatorDivergenceError.
 
     Returns one part per stack, in the order of stacks, and l (R,).
     """
@@ -335,32 +345,27 @@ def _posterior(
     w[:] = psi
     y_w = np.array(Y, order="C")
     objective = np.empty(r_count)
-    ridged = []
     potrf, herk, trsm = _lapack()
     for r in range(r_count):
         k_r = herk(1.0, b_rows[r].T, lower=1)          # Fortran-ordered
-        k_r.ravel(order="F")[::p_eff + 1] += sigma2     # the diagonal
+        diagonal = k_r.ravel(order="F")[::p_eff + 1]
+        diagonal += sigma2
         chol, info = potrf(k_r, lower=1, clean=1)
         if info:
-            # ridge fallback for a numerically singular posterior system; the
-            # products below then pair Psi with K^-1 Psi instead of W with W
-            k_r = np.tril(k_r) + np.tril(k_r, -1).conj().T
-            k_r += (1e-12 * np.trace(k_r).real / p_eff) * np.eye(p_eff)
-            w[r] = np.linalg.solve(k_r, psi)
-            y_w[r] = np.linalg.solve(k_r, Y[r])
-            log_det = np.linalg.slogdet(k_r)[1]
-            quad = np.vdot(Y[r], y_w[r]).real                 # tr Y^H K^-1 Y
-            ridged.append(r)
-        else:
-            for rhs in (w[r], y_w[r]):
-                trsm(1.0, chol, rhs.T, side=1, lower=1, trans_a=1, overwrite_b=1)
-            log_det = 2.0 * np.log(chol.diagonal().real).sum()
-            quad = np.vdot(y_w[r], y_w[r]).real               # ||L^-1 Y||_F^2
+            # a numerically singular posterior system
+            diagonal += 1e-12 * diagonal.real.sum() / p_eff
+            chol, info = potrf(k_r, lower=1, clean=1)
+            if info:
+                raise EstimatorDivergenceError(
+                    f"K of run {r} of {r_count} in this E-step has no Cholesky "
+                    "factor, even ridged")
+        for rhs in (w[r], y_w[r]):
+            trsm(1.0, chol, rhs.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        log_det = 2.0 * np.log(chol.diagonal().real).sum()
+        quad = np.vdot(y_w[r], y_w[r]).real                   # ||L^-1 Y||_F^2
         objective[r] = -m_count * log_det - quad
     del b_rows      # before W's conjugate: one (R, N_sub, P) array less at peak
     left = w.conj()
-    if ridged:
-        left[ridged] = psi.conj()
     proj = left.swapaxes(-1, -2) @ y_w                    # Psi^H K^-1 Y
 
     parts = []
@@ -456,13 +461,12 @@ def update_p_alm(
     gammas: list[np.ndarray],
     m_count: int,
     p_shrink: float,
-    runs: list[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Intra-block correlations P_g, per-entry gamma scales and the lower
     Cholesky factors of P_g of the blocks, one stack per block length:
-    r_bars[i] is (..., U_i, U_i), gammas[i] is (..., U_i) and runs[i]
-    labels each block with its run (by default, one run); a single block is
-    a stack with no batch axis.
+    r_bars[i] is (..., G_i, U_i, U_i) and gammas[i] is (..., G_i, U_i),
+    where the leading axes index the runs and every run holds all G_i
+    blocks of every stack. A single block is a stack of one, (1, U, U).
 
     The prior factor is A_g / den_g with the shrunk statistics
     A_g = (1 - s) herm(Q^-1 sum_m R_m Q^-1) + s (tr/U_g) I, s = p_shrink,
@@ -478,33 +482,24 @@ def update_p_alm(
     builds K from it. A stack without a factor raises
     EstimatorDivergenceError.
     """
-    ps, chols, diags, log_a = [], [], [], []
+    factors = []   # (P, its factor, diag(A), ln|A|) of each stack
     for r_bar, gam in zip(r_bars, gammas):
         u = r_bar.shape[-1]
         qi = 1.0 / np.maximum(np.sqrt(np.maximum(gam, 0.0)), 1e-150)
-        a = (qi[..., :, None] * r_bar * qi[..., None, :]).reshape(-1, u, u)
+        a = qi[..., :, None] * r_bar * qi[..., None, :]
         a += a.conj().swapaxes(-1, -2)     # exactly Hermitian, real diagonal
         a *= 0.5
         trace = a.trace(axis1=-2, axis2=-1).real
         a *= 1.0 - p_shrink
-        a.reshape(-1, u * u)[:, ::u + 1] += p_shrink * (trace / u)[:, None]
-        p, chol, diag, ld = _correlation(a)
-        ps.append(p.reshape(r_bar.shape))
-        chols.append(chol.reshape(r_bar.shape))
-        diags.append(diag)
-        log_a.append(ld)
-    # every block of every stack in one flat vector, stack after stack
-    ld = np.concatenate(log_a)
-    sizes = [len(d) for d in diags]
-    u_vec = np.repeat([float(d.shape[-1]) for d in diags], sizes)
-    run = (np.zeros(ld.size, dtype=int) if runs is None
-           else np.concatenate([np.ravel(r) for r in runs]))
-    # each block's run mean, read per block: a run with no block here is
-    # never divided
-    bar = np.bincount(run, weights=ld)[run] / np.bincount(run, weights=u_vec)[run]
-    dens = np.split(m_count * np.exp(ld / u_vec - bar), np.cumsum(sizes)[:-1])
-    return ps, [(d / den[:, None]).reshape(np.shape(gam))
-                for d, den, gam in zip(diags, dens, gammas)], chols
+        np.einsum("...ii->...i", a)[...] += p_shrink * (trace / u)[..., None]
+        factors.append(_correlation(a))
+    ps, chols, diags, log_a = zip(*factors)
+    # each run's ln|A| summed over its blocks one after another, stack after
+    # stack: the last partial sum
+    total = np.cumsum(np.concatenate(log_a, axis=-1), axis=-1)[..., -1]
+    bar = (total / sum(d.shape[-2] * d.shape[-1] for d in diags))[..., None]
+    return list(ps), [d / (m_count * np.exp(ld / d.shape[-1] - bar))[..., None]
+                      for d, ld in zip(diags, log_a)], list(chols)
 
 
 def _checked(Y: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -517,16 +512,13 @@ def _checked(Y: np.ndarray, Psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Y, Psi
 
 
-def _run_state(r: int, stacks: list[_BlockStack], mu: np.ndarray,
-               iterations: int, converged: bool, history: list[np.ndarray],
-               objective: list[float]) -> PosteriorState:
-    """The posterior of run r after its last iteration."""
+def _run_state(stacks: list[_BlockStack], r: int, converged: bool,
+               history: list[np.ndarray], objective: list[float]) -> PosteriorState:
+    """The posterior of run r of stacks after its last iteration, whose mean
+    is the last entry of history."""
     gamma = [gam for s in stacks for gam in s.gamma[r]]
-    return PosteriorState(
-        mu=mu[r], gamma=gamma, active=list(range(len(gamma))),
-        iterations=iterations, converged=converged,
-        history=history, objective=objective,
-    )
+    return PosteriorState(mu=history[-1], gamma=gamma, converged=converged,
+                          history=history, objective=objective)
 
 
 def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
@@ -559,13 +551,10 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
     # step's Cholesky factor cannot take: it keeps the zero estimate, with
     # the log marginal likelihood of that K
     for r in np.flatnonzero(gamma0 == 0):
-        zero = np.zeros((n_sub, m_count), dtype=complex)
-        states[r] = PosteriorState(
-            mu=zero, gamma=[gam for s in _block_stacks(n_sub, u, np.zeros(1))
-                            for gam in s.gamma[0]],
-            active=[], iterations=1, converged=True, history=[zero],
-            objective=[float(-m_count * p_eff * np.log(sigma2)
-                             - y_energy[r] / sigma2)])
+        states[r] = _run_state(
+            _block_stacks(n_sub, u, np.zeros(1)), 0, True,
+            [np.zeros((n_sub, m_count), dtype=complex)],
+            [float(-m_count * p_eff * np.log(sigma2) - y_energy[r] / sigma2)])
 
     order = np.flatnonzero(gamma0 > 0)   # the original index of each run
     Y = Y[order]
@@ -574,11 +563,9 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
     objectives: list[list[float]] = [[] for _ in range(r_count)]
     # the stop's tolerance on the objective's change, in nats
     tol = cfg.delta1 * p_eff * m_count
-    mu = np.zeros((order.size, n_sub, m_count), dtype=complex)
     stop = np.zeros(order.size, dtype=bool)  # runs that stopped this step
     psi = np.ascontiguousarray(Psi)
     psi_rows = np.ascontiguousarray(Psi.T)
-    it = 0
 
     for it in range(1, cfg.t_ite + 1):
         if stop.all():
@@ -610,10 +597,8 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
                 gammas_new.append(update_gamma(r_bar, s.p, s.gamma, m_count,
                                                prior_weight=m_count))
         if cfg.learn_p:
-            run = np.arange(order.size)[:, None]
             new_ps, scales, new_chols = update_p_alm(
-                r_bars, [s.gamma for s in stacks], m_count, cfg.p_shrink,
-                runs=[np.broadcast_to(run, s.gamma.shape[:2]) for s in stacks])
+                r_bars, [s.gamma for s in stacks], m_count, cfg.p_shrink)
             for s, p_new, chol, scale, gam in zip(stacks, new_ps, new_chols,
                                                   scales, gammas_new):
                 # conventional BSBL's single gamma takes the mean scale
@@ -633,13 +618,11 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
             stop[r] = len(obj) > 1 and abs(obj[-1] - obj[-2]) < tol
             histories[orig].append(mu[r])
             if stop[r]:
-                states[orig] = _run_state(r, stacks, mu, it, True,
-                                          histories[orig], obj)
+                states[orig] = _run_state(stacks, r, True, histories[orig], obj)
 
     for r in np.flatnonzero(~stop):
-        orig = order[r]
-        states[orig] = _run_state(r, stacks, mu, it, False, histories[orig],
-                                  objectives[orig])
+        states[order[r]] = _run_state(stacks, r, False, histories[order[r]],
+                                      objectives[order[r]])
     return states
 
 

@@ -586,7 +586,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     t_start = time.perf_counter()
     tasks = [(i, t) for i in range(len(spec.sweep)) for t in range(spec.trials)]
     workers = min(workers, len(tasks))
-    results = {}
+    # (sweep_idx, algo, metric) -> (value, runtime) per trial; both outcome
+    # streams yield the cells in task order, (sweep, trial)
+    agg: dict[tuple[int, str, str], list[tuple[float, float]]] = {}
     errors: list[str] = []
     errors_by_type: Counter[str] = Counter()
     blas_before = _set_blas_threads(dict.fromkeys(_BUNDLED_OPENBLAS, _BLAS_THREADS))
@@ -601,24 +603,19 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
             outcomes = (pool.map(_pool_trial, tasks) if pool
                         else (_trial_worker(spec, *task) for task in tasks))
             for sweep_idx, trial, recs, err in outcomes:
-                results[(sweep_idx, trial)] = recs
                 if err:
                     errors_by_type[err[0]] += 1
                     errors.append(f"sweep={spec.sweep[sweep_idx]} trial={trial}: "
                                   f"{err[0]}: {err[1]}")
+                    continue
+                for algo, metric, value, dt in recs:
+                    agg.setdefault((sweep_idx, algo, metric), []).append((value, dt))
     finally:
         _set_blas_threads({package: count for package, count in blas_before.items()
                            if count is not None})
     if len(errors) > 0.1 * len(tasks):
         raise ExperimentFailure(
             f"{len(errors)} of {len(tasks)} trials failed; first: {errors[0]}")
-
-    agg: dict[tuple[int, str, str], list[tuple[float, float]]] = {}
-    for (sweep_idx, _trial), recs in sorted(results.items()):
-        if recs is None:
-            continue
-        for algo, metric, value, dt in recs:
-            agg.setdefault((sweep_idx, algo, metric), []).append((value, dt))
 
     rows = []
     for (sweep_idx, algo, metric) in sorted(agg):

@@ -329,6 +329,13 @@ def test_non_finite_override_is_named(tmp_path, capsys, field, value):
     assert f"overrides: {field} must be finite" in capsys.readouterr().err
 
 
+def test_bool_override_is_named(tmp_path, capsys):
+    # fc = true once validated and ran at 1 Hz
+    doc = dict(TINY_AUC, overrides=dict(TINY_AUC["overrides"], fc=True))
+    assert cli.main(["validate", write_spec(tmp_path, doc)]) == cli.EXIT_CONFIG
+    assert "overrides: fc must be a number, got True" in capsys.readouterr().err
+
+
 def test_run_with_zero_workers_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", write_spec(tmp_path, TINY_AUC), "--out", str(out),

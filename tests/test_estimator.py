@@ -200,7 +200,7 @@ class TestUpdatePAlm:
         a = crandn(rng, u, u)
         r_bar = a @ a.conj().T + np.eye(u)
         gamma = rng.uniform(0.5, 2.0, u)
-        (p,), (scale,), _ = update_p_alm([r_bar], [gamma], m, s)
+        ((p,),), ((scale,),), _ = update_p_alm([r_bar[None]], [gamma[None]], m, s)
         np.testing.assert_allclose(prior_factor(p, scale),
                                    shrunk(r_bar, gamma, s) / m, rtol=1e-12)
 
@@ -209,7 +209,8 @@ class TestUpdatePAlm:
         u, s = 4, 1e-9
         a = crandn(rng, u, u)
         r_bar = a @ a.conj().T + np.eye(u)
-        (p,), (scale,), _ = update_p_alm([r_bar], [np.ones(u)], 1, s)
+        ((p,),), ((scale,),), _ = update_p_alm([r_bar[None]], [np.ones((1, u))],
+                                              1, s)
         np.testing.assert_allclose(prior_factor(p, scale), r_bar, rtol=1e-8,
                                    atol=1e-8 * np.abs(r_bar).max())
 
@@ -219,7 +220,8 @@ class TestUpdatePAlm:
         a = crandn(rng, u, u)
         r_bar = a @ a.conj().T + np.eye(u)
         gamma = np.ones(u)
-        ps, scales, _ = update_p_alm([r_bar, r_bar], [gamma, gamma], m, 0.9)
+        ps, scales, _ = update_p_alm([r_bar[None]] * 2, [gamma[None]] * 2, m, 0.9)
+        ps, scales = [p for p, in ps], [scale for scale, in scales]
         np.testing.assert_array_equal(ps[0], ps[1])
         np.testing.assert_array_equal(scales[0], scales[1])
         # equal log-dets need no rescale: each block gets den = M
@@ -231,7 +233,7 @@ class TestUpdatePAlm:
         u, m, s = 5, 2, 0.3
         # rank-one statistics: the shrinkage alone keeps P positive definite
         v = crandn(rng, u, 1)
-        (p,), _, _ = update_p_alm([v @ v.conj().T], [np.ones(u)], m, s)
+        (p,), _, _ = update_p_alm([(v @ v.conj().T)[None]], [np.ones((1, u))], m, s)
         assert np.linalg.eigvalsh(p).min() >= s / ((1 - s) * u + s) - 1e-12
 
     @pytest.mark.parametrize("s", [0.9, 1e-6])
@@ -264,60 +266,107 @@ class TestUpdatePAlm:
     def test_statistics_without_cholesky_factor_raise(self):
         # an all-zero block has a zero trace, so no shrinkage makes it
         # positive definite, and the step raises
-        r_bars = [np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex)]
+        r_bars = [np.eye(4, dtype=complex)[None], np.zeros((1, 4, 4), dtype=complex)]
         with pytest.raises(mod.EstimatorDivergenceError):
-            update_p_alm(r_bars, [np.ones(4), np.ones(4)], 3, 0.9)
+            update_p_alm(r_bars, [np.ones((1, 4)), np.ones((1, 4))], 3, 0.9)
 
     @given(hst.integers(1, 4), hst.integers(1, 3), hst.integers(1, 8),
            hst.floats(0.0, 1.0, exclude_min=True), hst.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_closed_form_properties(self, n_runs, g, u_last, s, seed):
-        # R runs of g blocks of 8 and one (possibly short) block of u_last,
-        # labelled run-major, as the E-step lists them; full-rank statistics
-        # keep the log-dets well conditioned for any s
+        # R runs, each of g blocks of 8 and one (possibly short) block of
+        # u_last, stacked (R, G, U, U) as the E-step holds them; full-rank
+        # statistics keep the log-dets well conditioned for any s
         rng = np.random.default_rng(seed)
         m = 3
-        r_bars, gammas, runs = [], [], []
+        r_bars, gammas = [], []
         for count, u in ((g, 8), (1, u_last)):
-            n = count * n_runs
-            z = crandn(rng, n, u, 2 * u)
+            z = crandn(rng, n_runs, count, u, 2 * u)
             r_bars.append(z @ z.conj().swapaxes(-1, -2))
-            gammas.append(rng.uniform(0.2, 3.0, (n, u)))
-            runs.append(np.repeat(np.arange(n_runs), count))
-        ps, scales, _ = update_p_alm(r_bars, gammas, m, s, runs=runs)
+            gammas.append(rng.uniform(0.2, 3.0, (n_runs, count, u)))
+        ps, scales, _ = update_p_alm(r_bars, gammas, m, s)
         # one per-dimension log-det per run: an absolute 1e-12 on its log is
         # a relative 1e-12 on the geometric mean of the eigenvalues
         per_dim = np.concatenate([logdet_per_dim(p, sc)
-                                  for p, sc in zip(ps, scales)])
-        run = np.concatenate(runs)
-        for r in range(n_runs):
-            np.testing.assert_allclose(per_dim[run == r], per_dim[run == r][0],
-                                       rtol=0, atol=1e-12)
+                                  for p, sc in zip(ps, scales)], axis=-1)
+        np.testing.assert_allclose(
+            per_dim, np.broadcast_to(per_dim[:, :1], per_dim.shape),
+            rtol=0, atol=1e-12)
         for p, sc, r_bar, gam in zip(ps, scales, r_bars, gammas):
             u = p.shape[-1]
             np.testing.assert_array_equal(p, p.conj().swapaxes(-1, -2))
             np.testing.assert_array_equal(np.diagonal(p, axis1=-2, axis2=-1), 1.0)
             assert np.linalg.eigvalsh(p).min() >= s / ((1 - s) * u + s) - 1e-12
             # the factor is A up to one positive scalar per block
-            for p_k, sc_k, r_k, gam_k in zip(p, sc, r_bar, gam):
-                a = shrunk(r_k, gam_k, s)
-                factor = prior_factor(p_k, sc_k)
+            for k in np.ndindex(p.shape[:2]):
+                a = shrunk(r_bar[k], gam[k], s)
+                factor = prior_factor(p[k], sc[k])
                 np.testing.assert_allclose(
                     factor, a * (factor[0, 0] / a[0, 0]).real, rtol=1e-10,
                     atol=1e-12 * np.abs(factor).max())
         # runs share nothing: each run's blocks alone give the same scales
         for r in range(n_runs):
-            mine = [labels == r for labels in runs]
-            _, alone, _ = update_p_alm([rb[k] for rb, k in zip(r_bars, mine)],
-                                       [gm[k] for gm, k in zip(gammas, mine)],
-                                       m, s)
-            for sc, sc_r, k in zip(scales, alone, mine, strict=True):
-                np.testing.assert_allclose(sc[k], sc_r, rtol=1e-12)
+            _, alone, _ = update_p_alm([rb[r] for rb in r_bars],
+                                       [gm[r] for gm in gammas], m, s)
+            for sc, sc_r in zip(scales, alone, strict=True):
+                np.testing.assert_allclose(sc[r], sc_r, rtol=1e-12)
         # a block alone is its run's mean: den = M
-        (_,), (alone,), _ = update_p_alm([r_bars[0][0]], [gammas[0][0]], m, s)
+        (_,), ((alone,),), _ = update_p_alm([r_bars[0][0, :1]],
+                                            [gammas[0][0, :1]], m, s)
         np.testing.assert_allclose(
-            alone * m, np.diag(shrunk(r_bars[0][0], gammas[0][0], s)).real,
+            alone * m, np.diag(shrunk(r_bars[0][0, 0], gammas[0][0, 0], s)).real,
             rtol=1e-12)
+
+    @given(hst.integers(1, 5), hst.integers(1, 20), hst.integers(1, 10),
+           hst.integers(0, 9), hst.integers(1, 5), hst.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_run_label_form(self, n_runs, g, u, u_last, m, seed):
+        # the stacked step against the form that labels each block with its
+        # run and sums each run's ln|A| by np.bincount, in the same order:
+        # the same bytes, a ragged final block included
+        rng = np.random.default_rng(seed)
+        r_bars, gammas = [], []
+        for count, v in ((g, u), (1, u_last % u)):
+            if v:
+                z = crandn(rng, n_runs, count, v, m)
+                r_bars.append(z @ z.conj().swapaxes(-1, -2) + 0.1 * np.eye(v))
+                gammas.append(rng.uniform(0.01, 3.0, (n_runs, count, v))
+                              * 10.0 ** rng.integers(-8, 3))
+        out = update_p_alm(r_bars, gammas, m, 0.9)
+        ref = run_label_p_alm(r_bars, gammas, m, 0.9)
+        for outs, refs in zip(out, ref, strict=True):
+            for mine, want in zip(outs, refs, strict=True):
+                np.testing.assert_array_equal(mine, want)
+
+
+def run_label_p_alm(r_bars, gammas, m_count, p_shrink):
+    """update_p_alm with every (run, block) pair of every stack in one flat
+    vector, each labelled with its run, and each run's sum of ln|A| and of
+    U taken by np.bincount over the labels."""
+    ps, chols, diags, log_a, runs = [], [], [], [], []
+    for r_bar, gam in zip(r_bars, gammas):
+        u = r_bar.shape[-1]
+        qi = 1.0 / np.maximum(np.sqrt(np.maximum(gam, 0.0)), 1e-150)
+        a = (qi[..., :, None] * r_bar * qi[..., None, :]).reshape(-1, u, u)
+        a += a.conj().swapaxes(-1, -2)
+        a *= 0.5
+        trace = a.trace(axis1=-2, axis2=-1).real
+        a *= 1.0 - p_shrink
+        a.reshape(-1, u * u)[:, ::u + 1] += p_shrink * (trace / u)[:, None]
+        p, chol, diag, ld = mod._correlation(a)
+        ps.append(p.reshape(r_bar.shape))
+        chols.append(chol.reshape(r_bar.shape))
+        diags.append(diag)
+        log_a.append(ld)
+        runs.append(np.repeat(np.arange(r_bar.shape[0]), r_bar.shape[1]))
+    ld = np.concatenate(log_a)
+    sizes = [len(d) for d in diags]
+    u_vec = np.repeat([float(d.shape[-1]) for d in diags], sizes)
+    run = np.concatenate(runs)
+    bar = np.bincount(run, weights=ld)[run] / np.bincount(run, weights=u_vec)[run]
+    dens = np.split(m_count * np.exp(ld / u_vec - bar), np.cumsum(sizes)[:-1])
+    return ps, [(d / den[:, None]).reshape(np.shape(gam))
+                for d, den, gam in zip(diags, dens, gammas)], chols
 
 
 def hermitian_stack(rng, g, u, eigvals):
@@ -359,13 +408,13 @@ class TestBatchedHelpers:
             r_bars.append(z @ z.conj().swapaxes(-1, -2))
             gammas.append(rng.uniform(0.2, 3.0, (n, v)))
         out_ps, out_scales, out_chols = update_p_alm(r_bars, gammas, m, s)
-        singles = [[block for stack in arg for block in stack]
+        singles = [[block[None] for stack in arg for block in stack]
                    for arg in (r_bars, gammas)]
         ref_ps, ref_scales, ref_chols = update_p_alm(*singles, m, s)
         for outs, refs in ((out_ps, ref_ps), (out_scales, ref_scales),
                            (out_chols, ref_chols)):
             blocks = [block for stack in outs for block in stack]
-            for mine, ref in zip(blocks, refs, strict=True):
+            for mine, (ref,) in zip(blocks, refs, strict=True):
                 np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=1e-14)
 
 
@@ -376,7 +425,7 @@ class TestAbsblCore:
         # a zero Y, or a zero Psi under a non-zero Y, starts at gamma0 = 0:
         # K = sigma2 I, so the fit returns the zero estimate, converged at
         # its first iteration, with that K's log marginal likelihood as its
-        # one objective entry
+        # one objective entry; it keeps every block, like any other fit
         rng = np.random.default_rng(7)
         phi = crandn(rng, 16, 32)
         y = crandn(rng, 16, 2)
@@ -391,10 +440,21 @@ class TestAbsblCore:
                 s2 = max(sigma2, 1e-12)                  # the noise floor
                 for st, col in zip(states, columns, strict=True):
                     assert st.converged and st.iterations == 1
-                    assert st.active == []
+                    assert st.active == [0, 1, 2, 3]
                     assert len(st.history) == 1 and np.all(st.history[0] == 0)
                     want = -col.size * np.log(s2) - np.linalg.norm(col) ** 2 / s2
                     np.testing.assert_allclose(st.objective, [want], rtol=1e-12)
+
+    def test_ridged_system_without_factor_raises(self, monkeypatch):
+        # a K without a Cholesky factor is ridged and factored again; when
+        # the ridged K has none either, the fit raises instead of going on
+        phi, _, y = next(diverse_block_instances(1, 0.05))
+        _, *blas = mod._lapack()
+        monkeypatch.setattr(
+            mod, "_lapack", lambda: (lambda a, **kwargs: (np.zeros_like(a), 1), *blas))
+        for fit in (absbl_mmv, bsbl_baseline, absbl_per_column):
+            with pytest.raises(mod.EstimatorDivergenceError, match="even ridged"):
+                fit(y, phi, 0.05**2)
 
     def test_active_lists_every_block(self):
         # a fit from a non-zero start keeps every block to its end, the
@@ -526,6 +586,7 @@ class TestAbsblCore:
             real_potrf, *blas = mod._lapack()
 
             def fail_once(a, **kwargs):
+                # run 0's unridged K; its ridged K and every other run factor
                 cholesky_calls.append(1)
                 if len(cholesky_calls) == 1:
                     return np.zeros_like(a), 1       # "not positive definite"
@@ -534,7 +595,7 @@ class TestAbsblCore:
             monkeypatch.setattr(mod, "_lapack", lambda: (fail_once, *blas))
 
         parts, objective = mod._posterior(y, *e_step_operands(psi), stacks, sigma2)
-        assert len(cholesky_calls) == (n_runs if fail_cholesky else 0)
+        assert len(cholesky_calls) == (n_runs + 1 if fail_cholesky else 0)
         mu_structured = np.concatenate(
             [part.mu.reshape(n_runs, -1, m_count) for part in parts], axis=1)
 
@@ -557,7 +618,7 @@ class TestAbsblCore:
             np.testing.assert_allclose(mu_structured[r].flatten(), mu_big,
                                        atol=1e-10)
             # the log marginal likelihood -ln|K| - y^H K^-1 y (without the
-            # constant), which the ridged run reads from its ridged K
+            # constant); the ridged run reads it from its ridged K
             dense = -(np.linalg.slogdet(k_big)[1]
                       + np.vdot(y_big, np.linalg.solve(k_big, y_big)).real)
             np.testing.assert_allclose(objective[r], dense, rtol=1e-10)
@@ -688,15 +749,16 @@ class TestPerColumn:
             assert_runs_match(batched, separate)
             states = batched[1]
             assert states[1].converged and states[1].iterations == 1
-            assert states[1].active == [] and np.all(batched[0][:, 1] == 0)
+            assert states[1].active == [0, 1, 2, 3]
+            assert np.all(batched[0][:, 1] == 0)
             if delta1:
                 assert len({st.iterations for st in states}) == 3
         assert [st.iterations for st in states[::2]] == [cfg.t_ite] * 2
 
     def test_ridge_fallback_stays_in_its_run(self, monkeypatch):
-        # K's Cholesky factor fails for run 1 only; that run alone takes the
-        # ridge fallback. No run stops early, so within each E-step the
-        # batched loop factors the runs in order 0, 1, 2
+        # K's Cholesky factor fails for run 1's unridged K only; that run
+        # alone is ridged and factored again. No run stops early, so within
+        # each E-step the batched loop factors run 0, run 1 twice, then run 2
         phi, y = distinct_support_instance(32, seed=30)
         cfg = EstimatorConfig(block_size=8, t_ite=8)
         real_potrf, *blas = mod._lapack()
@@ -704,24 +766,30 @@ class TestPerColumn:
 
         def fail_run_1(a, **kwargs):
             calls.append(1)
-            if len(calls) % 3 == 2:
+            if len(calls) % 4 == 2:
                 return np.zeros_like(a), 1       # "not positive definite"
             return real_potrf(a, **kwargs)
 
-        def fail_always(a, **kwargs):
-            return np.zeros_like(a), 1
+        def fail_unridged(a, **kwargs):
+            # every E-step's first factor is of the unridged K
+            calls.append(1)
+            if len(calls) % 2 == 1:
+                return np.zeros_like(a), 1
+            return real_potrf(a, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(mod, "_lapack", lambda: (fail_run_1, *blas))
             batched = absbl_per_column(y, phi, 0.01**2, cfg)
+        assert [st.iterations for st in batched[1]] == [8, 8, 8]
+        assert len(calls) == 4 * 8
         separate = []
         for m in range(3):
             with monkeypatch.context() as patch:
                 if m == 1:
-                    patch.setattr(mod, "_lapack", lambda: (fail_always, *blas))
+                    calls.clear()
+                    patch.setattr(mod, "_lapack", lambda: (fail_unridged, *blas))
                 separate.append(absbl_mmv(y[:, m:m + 1], phi, 0.01**2, cfg))
-        assert [st.iterations for st in batched[1]] == [8, 8, 8]
-        assert len(calls) == 3 * 8
+        assert len(calls) == 2 * 8
         assert_runs_match(batched, separate)
         # the fallback is not a no-op, so run 1 really took it
         plain = absbl_mmv(y[:, 1:2], phi, 0.01**2, cfg)[0]

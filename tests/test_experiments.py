@@ -385,6 +385,19 @@ def test_system_config_rejects_counts_below_one(name):
         SystemConfig(**{name: 0})
 
 
+@pytest.mark.parametrize("name", ["fc", "B", "c", "d"])
+@pytest.mark.parametrize("value", [True, False, "28e9", None])
+def test_system_config_float_fields_take_only_numbers(name, value):
+    # a bool once ran as 0 or 1 (fc = True is 1 Hz), and a string or None
+    # failed on a comparison that named no field; d = None is half a
+    # wavelength
+    if name == "d" and value is None:
+        assert SystemConfig(d=None).d == SystemConfig().wavelength / 2.0
+        return
+    with pytest.raises(ValueError, match=f"{name} must be a number, got {value!r}"):
+        SystemConfig(**{name: value})
+
+
 def test_spec_builds_every_sweep_config_at_load():
     spec = ExperimentSpec(**SPECS["nmse_vs_pilots"])
     assert [cfg.P for cfg in spec.configs] == [16, 24]
