@@ -149,7 +149,8 @@ class EstimatorConfig:
     weighs as much as each entry's own statistics. Nor is the start: every
     run starts at its data's scale, gamma0 = ||Y||_F^2 / (M ||Psi||_F^2) on
     every entry (0 for an all-zero Y or Psi, which returns the zero
-    estimate at once), and P = I.
+    estimate at once), and P = I. Every run learns P_g: there is no
+    frozen-P mode.
     """
 
     # 8 bins per block: at desk-scale subarray sizes (tens of atoms) larger
@@ -161,7 +162,6 @@ class EstimatorConfig:
     delta1: float = 3e-3
     # identity shrinkage of P, in [1e-6, 1] (see _CONFIG_RULES)
     p_shrink: float = 0.9
-    learn_p: bool = True              # False freezes P_g at identity
     # off-grid module
     r_ite: int = 50
     delta2: float = 1e-6
@@ -201,7 +201,6 @@ _CONFIG_RULES = (
     (("p_shrink",), lambda v: _is_real(v) and 1e-6 <= v <= 1, "a number in [1e-6, 1]"),
     (("support_fraction",), lambda v: _is_real(v) and 0 <= v <= 1,
      "a number in [0, 1]"),
-    (("learn_p",), lambda v: isinstance(v, bool), "true or false"),
 )
 
 
@@ -596,14 +595,13 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
             else:
                 gammas_new.append(update_gamma(r_bar, s.p, s.gamma, m_count,
                                                prior_weight=m_count))
-        if cfg.learn_p:
-            new_ps, scales, new_chols = update_p_alm(
-                r_bars, [s.gamma for s in stacks], m_count, cfg.p_shrink)
-            for s, p_new, chol, scale, gam in zip(stacks, new_ps, new_chols,
-                                                  scales, gammas_new):
-                # conventional BSBL's single gamma takes the mean scale
-                s.p, s.p_chol = p_new, chol
-                gam *= scale.mean(axis=-1, keepdims=True) if scalar_gamma else scale
+        new_ps, scales, new_chols = update_p_alm(
+            r_bars, [s.gamma for s in stacks], m_count, cfg.p_shrink)
+        for s, p_new, chol, scale, gam in zip(stacks, new_ps, new_chols,
+                                              scales, gammas_new):
+            # conventional BSBL's single gamma takes the mean scale
+            s.p, s.p_chol = p_new, chol
+            gam *= scale.mean(axis=-1, keepdims=True) if scalar_gamma else scale
         for s, gam in zip(stacks, gammas_new):
             s.gamma = gam
 
@@ -689,8 +687,8 @@ def bsbl_baseline(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
     the EM loop of `absbl_mmv` run with its BSBL switch on.
 
     gamma_g is the block's pooled type-II ML variance and carries no
-    hyperprior. With cfg.learn_p, P_g is learned as in ABSBL and gamma_g
-    takes the mean of ABSBL's per-entry gamma scale.
+    hyperprior. P_g is learned as in ABSBL, and gamma_g takes the mean of
+    ABSBL's per-entry gamma scale.
     """
     Y, Psi = _checked(Y, Psi)
     cfg = EstimatorConfig() if cfg is None else cfg
@@ -710,10 +708,10 @@ def somp_baseline(
     residual is kept orthogonal to the support by projecting out each new
     atom's component orthogonal to the atoms before it (Gram-Schmidt,
     applied twice), so one least-squares fit on the final support gives the
-    coefficients.
+    coefficients. Y and Psi must be finite, as for the block-sparse
+    learners.
     """
-    Y = np.asarray(Y, dtype=complex)
-    Psi = np.asarray(Psi, dtype=complex)
+    Y, Psi = _checked(Y, Psi)
     p_eff, n_sub = Psi.shape
     # past P atoms the support spans the whole space and the residual is
     # rounding noise, so no further atom could be chosen by its correlation

@@ -11,6 +11,10 @@ Each registered experiment names its kind (`_Kind`): the cell it runs, the
 rows (algorithms, detectors or variants) a spec may request of it, and the
 params keys the cell reads. The names of estimators, architectures,
 segmentation variants and detectors come from their tables in pipeline.py.
+
+A spec builds each sweep point's inputs once, at load (`_Point`): its
+SystemConfig, its params and the options its scenes are drawn from. A cell
+reads its point and draws from its own stream.
 """
 
 from __future__ import annotations
@@ -83,15 +87,23 @@ class ExperimentFailure(RuntimeError):
     """More than 10% of the trials raised errors."""
 
 
-@dataclass
-class _Cell:
-    """The inputs of one (sweep value, trial) cell. params holds the spec's
-    params and, when it is not a SystemConfig field, the swept value (a
-    float) under its own name."""
+class _Point(NamedTuple):
+    """The inputs of one sweep point, built and checked at load: its config,
+    its params and the options its scenes are drawn from. params holds the
+    spec's params and, when it is not a SystemConfig field, the swept value
+    (a float) under its own name."""
+
+    cfg: SystemConfig
+    params: dict
+    options: ScenarioOptions
+
+
+class _Cell(NamedTuple):
+    """The inputs of one (sweep value, trial) cell: its spec, its sweep
+    point and its stream."""
 
     spec: ExperimentSpec
-    params: dict
-    cfg: SystemConfig
+    point: _Point
     rng: np.random.Generator
 
 
@@ -99,8 +111,8 @@ def _ms_since(t0: float) -> float:
     return (time.perf_counter() - t0) * 1e3
 
 
-# params key -> the scenario options a cell draws its scene from, given the
-# key's value; a spec builds them all at load
+# params key -> the scenario options a point's scenes are drawn from, given
+# the key's value; every experiment's params hold one of the keys
 _SCENE_OPTIONS: dict[str, Callable[[float], ScenarioOptions]] = {
     "t_d": lambda t_d: ScenarioOptions(t_d=t_d),
     "distance_m": lambda r: ScenarioOptions.full_visibility(r_range=(r, r)),
@@ -108,14 +120,14 @@ _SCENE_OPTIONS: dict[str, Callable[[float], ScenarioOptions]] = {
 
 
 def _scene(c: _Cell) -> ChannelRealization:
-    """The cell's scene, with the swept or configured t_d."""
-    return generate_scenario(c.cfg, c.rng, _SCENE_OPTIONS["t_d"](c.params["t_d"]))
+    """The cell's scene, drawn with its point's options."""
+    return generate_scenario(c.point.cfg, c.rng, c.point.options)
 
 
 def _nmse_rows(c: _Cell, chan: ChannelRealization, architecture: str) -> list[Record]:
     """NMSE per estimator and the BCRB row, all on one measurement."""
-    meas = measure_scene(chan, c.cfg, c.rng, c.params["snr_db"],
-                         architecture=c.params.get("architecture", architecture))
+    meas = measure_scene(chan, c.point.cfg, c.rng, c.point.params["snr_db"],
+                         architecture=c.point.params.get("architecture", architecture))
     records = []
     for algo in c.spec.algorithms:
         t0 = time.perf_counter()
@@ -135,8 +147,7 @@ def _nmse_cell(c: _Cell) -> list[Record]:
 def _distance_cell(c: _Cell) -> list[Record]:
     """A fully visible scene at the swept distance, fully connected by
     default."""
-    opts = _SCENE_OPTIONS["distance_m"](c.params["distance_m"])
-    return _nmse_rows(c, generate_scenario(c.cfg, c.rng, opts), "fully_connected")
+    return _nmse_rows(c, _scene(c), "fully_connected")
 
 
 def _convergence_cell(c: _Cell) -> list[Record]:
@@ -144,7 +155,7 @@ def _convergence_cell(c: _Cell) -> list[Record]:
     t_ite; subarrays that stop early hold their final estimate in later
     iterations, so every trial reports every iteration."""
     chan = _scene(c)
-    meas = measure_scene(chan, c.cfg, c.rng, c.params["snr_db"])
+    meas = measure_scene(chan, c.point.cfg, c.rng, c.point.params["snr_db"])
     est_cfg = c.spec.estimator_config
     records = []
     for algo in c.spec.algorithms:
@@ -152,16 +163,15 @@ def _convergence_cell(c: _Cell) -> list[Record]:
         _, states = estimate_channel(meas, algo, est_cfg)
         fits = [(obs.elements, d, state.history)
                 for obs, (d, _), state in zip(meas.observations,
-                                              meas.dictionaries, states)
-                if state is not None]
-        n_iter = max((len(hist) for _, _, hist in fits), default=0)
+                                              meas.dictionaries, states)]
+        n_iter = max(len(hist) for _, _, hist in fits)
         traces = []
-        for t in range(est_cfg.t_ite if fits else 0):
+        for t in range(est_cfg.t_ite):
             h_hat = np.zeros_like(chan.H)
             for elements, d, hist in fits:
                 h_hat[elements] = d @ hist[min(t, len(hist) - 1)]
             traces.append(h_hat)
-        dt = _ms_since(t0) / max(n_iter, 1)
+        dt = _ms_since(t0) / n_iter
         records += [(algo, f"nmse_iter_{t:03d}", nmse(h_hat, chan.H), dt)
                     for t, h_hat in enumerate(traces, start=1)]
     return records
@@ -171,13 +181,13 @@ def _variant_rows(c: _Cell, chan: ChannelRealization, option: str,
                   **fixed) -> list[Record]:
     """NMSE of one estimator with each requested value of a measure_scene
     option, each measured with its own RNG stream."""
-    estimator = c.params.get("estimator", "ss_absbl_mmv")
+    estimator = c.point.params["estimator"]
     records = []
     for variant in c.spec.algorithms:
         sub_rng = np.random.default_rng(c.rng.integers(2**63))
         t0 = time.perf_counter()
-        meas = measure_scene(chan, c.cfg, sub_rng, c.params["snr_db"], **fixed,
-                             **{option: variant})
+        meas = measure_scene(chan, c.point.cfg, sub_rng, c.point.params["snr_db"],
+                             **fixed, **{option: variant})
         h_hat, _ = estimate_channel(meas, estimator, c.spec.estimator_config)
         records.append((variant, "nmse", nmse(h_hat, chan.H), _ms_since(t0)))
     return records
@@ -191,14 +201,14 @@ def _ablation_cell(c: _Cell) -> list[Record]:
     """Segmentation variants of one power profile."""
     chan = _scene(c)
     return _variant_rows(c, chan, "seg_variant",
-                         profile=measure_power(chan, c.rng, c.params["snr_db"]))
+                         profile=measure_power(chan, c.rng, c.point.params["snr_db"]))
 
 
 def _auc_cell(c: _Cell) -> list[Record]:
     """AUC of each detector against the truth, timed on its own."""
     chan = _scene(c)
-    profile = measure_power(chan, c.rng, c.params["snr_db"])
-    w = c.cfg.SI_min
+    profile = measure_power(chan, c.rng, c.point.params["snr_db"])
+    w = c.point.cfg.SI_min
     records = []
     for det in c.spec.algorithms:
         t0 = time.perf_counter()
@@ -210,8 +220,9 @@ def _auc_cell(c: _Cell) -> list[Record]:
 
 class _Kind(NamedTuple):
     """What an experiment's cell computes: the cell, the rows a spec may
-    request of it, and the params keys it reads. A spec may set any of
-    those keys but the swept one, which the sweep value replaces."""
+    request of it, and the params keys it reads (t_d and distance_m through
+    its point's scene options). A spec may set any of those keys but the
+    swept one, which the sweep value replaces."""
 
     cell: Callable[[_Cell], list[Record]]
     allowed: tuple[str, ...]
@@ -312,6 +323,44 @@ def _check_params(params: dict, exp: ExperimentDef) -> EstimatorConfig:
         raise ConfigError(f"invalid estimator_config: {err}") from err
 
 
+def _point(spec: ExperimentSpec, exp: ExperimentDef, value) -> _Point:
+    """The inputs of the sweep point at value. The swept key goes into the
+    config when it is a SystemConfig field, and into the params as a float
+    otherwise. PASS segments with W = SI_min wherever it runs, so SI_min
+    must satisfy PASS's window rule."""
+    values, params = dict(spec.overrides), dict(spec.params)
+    # a sweep that is no SystemConfig field has no part in a config fault
+    source = "overrides"
+    if exp.sweep_param in SystemConfig.__dataclass_fields__:
+        values[exp.sweep_param] = value
+        source = f"sweep value {value!r}"
+    elif _finite_number(value):
+        params[exp.sweep_param] = float(value)
+    else:
+        raise ConfigError(f"sweep values of {exp.sweep_param} must be "
+                          f"finite numbers, got {[value]}")
+    # a value the scenario options reject fails the spec, not every trial
+    key = next(key for key in _SCENE_OPTIONS if key in params)
+    try:
+        options = _SCENE_OPTIONS[key](params[key])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid {key}: {err}") from err
+    try:
+        cfg = SystemConfig(**values)
+        check_window(cfg.SI_min)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{source}: {err}") from err
+    return _Point(cfg, params, options)
+
+
+def _check_distinct(name: str, values: list) -> None:
+    """Reject a repeated row or sweep value, which would merge two rows'
+    trials or write two rows of one key; 5 and 5.0 are one value."""
+    repeated = [value for value, n in Counter(values).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"{name} lists {repeated} more than once")
+
+
 @dataclass
 class ExperimentSpec:
     """One experiment request: what to sweep, how many trials, which seed."""
@@ -323,9 +372,9 @@ class ExperimentSpec:
     overrides: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     seed: int = 0
-    # one SystemConfig per sweep point and the estimator config, built and
+    # the inputs of each sweep point and the estimator config, built and
     # checked at load time
-    configs: list[SystemConfig] = field(init=False, repr=False, compare=False)
+    points: list[_Point] = field(init=False, repr=False, compare=False)
     estimator_config: EstimatorConfig = field(init=False, repr=False,
                                               compare=False)
 
@@ -344,12 +393,6 @@ class ExperimentSpec:
         exp = EXPERIMENTS[self.experiment]
         self.sweep = self.sweep or list(exp.default_sweep)
         self.algorithms = self.algorithms or list(exp.algorithms)
-        if exp.sweep_param not in SystemConfig.__dataclass_fields__:
-            # a cell reads the value as a float
-            bad = [v for v in self.sweep if not _finite_number(v)]
-            if bad:
-                raise ConfigError(f"sweep values of {exp.sweep_param} must be "
-                                  f"finite numbers, got {bad}")
         if type(self.trials) is not int or self.trials < 1:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         # SeedSequence takes only non-negative integers; a bool would run as 0 or 1
@@ -359,23 +402,16 @@ class ExperimentSpec:
         if unknown:
             raise ConfigError(f"algorithms {unknown} not valid for "
                               f"{self.experiment}; allowed: {list(exp.kind.allowed)}")
+        _check_distinct("algorithms", self.algorithms)
         self.params = {**exp.params, **self.params}
         self.estimator_config = _check_params(self.params, exp)
-        # a value the scenario options reject fails the spec, not every trial
-        for key, options in _SCENE_OPTIONS.items():
-            values = (self.sweep if exp.sweep_param == key
-                      else [self.params[key]] if key in self.params else [])
-            for value in values:
-                try:
-                    options(value)
-                except (TypeError, ValueError) as err:
-                    raise ConfigError(f"invalid {key}: {err}") from err
         unknown = sorted(set(self.overrides) - set(SystemConfig.__dataclass_fields__))
         if unknown:
             raise ConfigError(f"overrides {unknown} are not SystemConfig fields; "
                               f"known: {sorted(SystemConfig.__dataclass_fields__)}")
         self.overrides = {**exp.overrides, **self.overrides}
-        self.configs = [_build_config(self, v) for v in self.sweep]
+        self.points = [_point(self, exp, v) for v in self.sweep]
+        _check_distinct("sweep", self.sweep)
 
     def to_dict(self) -> dict:
         """The spec document: every init field, copied."""
@@ -509,34 +545,12 @@ def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
-def _build_config(spec: ExperimentSpec, sweep_value) -> SystemConfig:
-    """The sweep point's config. PASS segments with W = SI_min wherever it
-    runs, so SI_min must satisfy PASS's window rule."""
-    values = dict(spec.overrides)
-    exp = EXPERIMENTS[spec.experiment]
-    # a sweep that is no SystemConfig field has no part in a fault here
-    source = "overrides"
-    if exp.sweep_param in SystemConfig.__dataclass_fields__:
-        values[exp.sweep_param] = sweep_value
-        source = f"sweep value {sweep_value!r}"
-    try:
-        cfg = SystemConfig(**values)
-        check_window(cfg.SI_min)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{source}: {err}") from err
-    return cfg
-
-
 def run_single_trial(spec: ExperimentSpec, sweep_idx: int,
                      trial: int) -> list[Record]:
     """Execute one (sweep value, trial) cell; returns (algo, metric, value,
     runtime_ms) records."""
-    exp = EXPERIMENTS[spec.experiment]
-    params = dict(spec.params)
-    if exp.sweep_param not in SystemConfig.__dataclass_fields__:
-        params[exp.sweep_param] = float(spec.sweep[sweep_idx])
-    return exp.kind.cell(_Cell(spec, params, spec.configs[sweep_idx],
-                               spec.child_rng(sweep_idx, trial)))
+    return EXPERIMENTS[spec.experiment].kind.cell(
+        _Cell(spec, spec.points[sweep_idx], spec.child_rng(sweep_idx, trial)))
 
 
 def _trial_worker(spec: ExperimentSpec, sweep_idx: int, trial: int):

@@ -266,9 +266,14 @@ def test_negative_t_d_fails_and_is_named(tmp_path, capsys, doc):
     (dict(TINY_NMSE, params={"estimator_config": {"prune_threshold": 1e-3}}),
      "invalid estimator_config: EstimatorConfig.__init__() got an unexpected "
      "keyword argument 'prune_threshold'"),
+    # every run learns P; there is no frozen-P mode to select
+    (dict(TINY_NMSE, params={"estimator_config": {"learn_p": False}}),
+     "invalid estimator_config: EstimatorConfig.__init__() got an unexpected "
+     "keyword argument 'learn_p'"),
 ], ids=["int-sweep", "list-params", "list-overrides", "list-experiment",
         "string-algorithms", "string-snr_db", "nan-snr_db", "zero-distance",
-        "negative-distance", "bool-t_d", "inf-t_d", "unknown-estimator_config-key"])
+        "negative-distance", "bool-t_d", "inf-t_d", "unknown-estimator_config-key",
+        "learn_p-estimator_config-key"])
 def test_spec_fault_is_named_at_load(tmp_path, capsys, doc, message):
     out = tmp_path / "out"
     path = write_spec(tmp_path, doc)
@@ -277,6 +282,31 @@ def test_spec_fault_is_named_at_load(tmp_path, capsys, doc, message):
     assert cli.main(["seed-report", path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count(f"config error: {message}") == 3, err
+    assert not out.exists()
+
+
+def test_repeated_sweep_value_exits_2(tmp_path, capsys):
+    # this spec validated and then wrote two snr_db = 5 rows of different
+    # means; 5 and 5.0 are one sweep value
+    out = tmp_path / "out"
+    path = write_spec(tmp_path, dict(TINY_AUC, sweep=[5.0, 5]))
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("config error: sweep lists [5.0] more than once") == 2, err
+    assert not out.exists()
+
+
+def test_repeated_algorithm_exits_2(tmp_path, capsys):
+    # --algorithms pass,pass ran, and merged both copies' trials into one
+    # row that counted each trial twice; a spec may not repeat one either
+    out = tmp_path / "out"
+    path = write_spec(tmp_path, dict(TINY_AUC, algorithms=["pass", "afm", "pass"]))
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    argv = ["run", write_spec(tmp_path, TINY_AUC), "--out", str(out)]
+    assert cli.main(argv + ["--algorithms", "pass,pass"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("config error: algorithms lists ['pass'] more than once") == 2, err
     assert not out.exists()
 
 

@@ -42,7 +42,9 @@ def diverse_block_instances(count, noise_std):
 def scalar_sbl_em(y, phi, sigma2, iters):
     """Independent textbook scalar SBL-EM (posterior and gamma updates) with
     the noise variance held fixed, started at the data's scale
-    ||Y||_F^2 / (M ||Phi||_F^2) on every entry."""
+    ||Y||_F^2 / (M ||Phi||_F^2) on every entry. With one-entry blocks the
+    learned P step leaves P = 1 and scales every new gamma by the geometric
+    mean of new over old gamma, which the last line of each step applies."""
     gamma = np.full(phi.shape[1], np.linalg.norm(y) ** 2
                     / (y.shape[1] * np.linalg.norm(phi) ** 2))
     mus = []
@@ -52,7 +54,8 @@ def scalar_sbl_em(y, phi, sigma2, iters):
         kinv = np.linalg.inv(k)
         mu = c @ phi.conj().T @ kinv @ y
         sig = c - c @ phi.conj().T @ kinv @ phi @ c
-        gamma = np.abs(mu[:, 0]) ** 2 + np.real(np.diag(sig))
+        new = np.abs(mu[:, 0]) ** 2 + np.real(np.diag(sig))
+        gamma = new * np.exp(np.mean(np.log(new / gamma)))
         mus.append(mu.copy())
     return mus
 
@@ -65,7 +68,6 @@ INVALID_CONFIG_VALUES = {
     "delta1": (-1e-6, float("inf")),
     # s = 0 can leave the shrunk statistics singular
     "p_shrink": (1.5, 0.0, 1e-10),
-    "learn_p": ("yes",),
     "r_ite": (-1,),
     "delta2": (-1.0, float("inf")),
     "support_fraction": (1.5,),
@@ -515,8 +517,7 @@ class TestAbsblCore:
         x[[2, 5]] = crandn(rng, 2, 1)
         y = phi @ x + 0.05 * crandn(rng, p_eff, 1)
         iters = 12
-        cfg = EstimatorConfig(block_size=1, t_ite=iters, delta1=0.0,
-                              learn_p=False)
+        cfg = EstimatorConfig(block_size=1, t_ite=iters, delta1=0.0)
         _, st = absbl_mmv(y, phi, 0.05**2, cfg)
         oracle = scalar_sbl_em(y, phi, 0.05**2, iters)
         assert len(st.history) == iters
@@ -1123,6 +1124,20 @@ class TestSomp:
         psi = crandn(rng, 8, 16)
         out = somp_baseline(np.zeros((8, 2), complex), psi)
         assert np.all(out == 0)
+
+    def test_non_finite_input_raises(self):
+        # a NaN in Y returned an estimate with NaN rows, where the
+        # block-sparse learners reject the same input
+        rng = np.random.default_rng(21)
+        psi = crandn(rng, 4, 6)
+        y = crandn(rng, 4, 2)
+        y[1, 0] = np.nan
+        bad_psi = psi.copy()
+        bad_psi[0, 3] = np.inf
+        for args in ((y, psi), (crandn(rng, 4, 2), bad_psi)):
+            for fit in (somp_baseline, lambda y, psi: absbl_mmv(y, psi, 0.1)):
+                with pytest.raises(ValueError, match="must be finite"):
+                    fit(*args)
 
 
 

@@ -357,25 +357,34 @@ class _RecordingParams(dict):
 
 @pytest.mark.parametrize("name", sorted(experiments.EXPERIMENTS))
 def test_each_experiment_names_the_params_its_cell_reads(monkeypatch, name):
-    # run one tiny cell the way run_single_trial does, recording the params
-    # keys it reads; estimator_config is read through the estimator config,
-    # so it counts as read when the cell estimates a channel
+    # run one tiny cell of the first sweep point the way run_single_trial
+    # does, recording the params keys it reads. estimator_config is read
+    # through the estimator config, so it counts as read when the cell
+    # estimates a channel; the key the point's scene options were built
+    # from counts as read when the cell draws its scene with them
     exp = experiments.EXPERIMENTS[name]
     spec = ExperimentSpec(**SPECS[name])
-    params = _RecordingParams(spec.params)
-    if exp.sweep_param not in SystemConfig.__dataclass_fields__:
-        params[exp.sweep_param] = float(spec.sweep[0])
-    estimated = []
+    point = spec.points[0]
+    params = _RecordingParams(point.params)
+    estimated, drawn = [], []
     real_estimate = experiments.estimate_channel
+    real_draw = experiments.generate_scenario
 
     def spy(*args, **kwargs):
         estimated.append(1)
         return real_estimate(*args, **kwargs)
 
+    def draw(cfg, rng, options):
+        drawn.append(options)
+        return real_draw(cfg, rng, options)
+
     monkeypatch.setattr(experiments, "estimate_channel", spy)
-    exp.kind.cell(experiments._Cell(spec, params, spec.configs[0],
+    monkeypatch.setattr(experiments, "generate_scenario", draw)
+    exp.kind.cell(experiments._Cell(spec, point._replace(params=params),
                                     spec.child_rng(0, 0)))
-    read = params.read | ({"estimator_config"} if estimated else set())
+    assert drawn == [point.options]
+    scene_key = {key for key in experiments._SCENE_OPTIONS if key in point.params}
+    read = params.read | scene_key | ({"estimator_config"} if estimated else set())
     assert read == set(exp.kind.reads)
 
 
@@ -399,10 +408,19 @@ def test_system_config_float_fields_take_only_numbers(name, value):
 
 
 def test_spec_builds_every_sweep_config_at_load():
+    # a swept SystemConfig field goes into each point's config; any other
+    # swept key goes into its params, as a float, and may set its scene
     spec = ExperimentSpec(**SPECS["nmse_vs_pilots"])
-    assert [cfg.P for cfg in spec.configs] == [16, 24]
+    assert [point.cfg.P for point in spec.points] == [16, 24]
+    assert [point.params for point in spec.points] == [spec.params] * 2
+    assert [point.options for point in spec.points] == [ScenarioOptions(t_d=1.0)] * 2
     with pytest.raises(experiments.ConfigError, match="sweep value 0"):
         ExperimentSpec(**dict(SPECS["nmse_vs_pilots"], sweep=[16, 0]))
+    spec = ExperimentSpec(**dict(SPECS["nmse_vs_distance"], sweep=[3, 6.0]))
+    assert [point.params["distance_m"] for point in spec.points] == [3.0, 6.0]
+    assert type(spec.points[0].params["distance_m"]) is float
+    assert [point.options.r_range for point in spec.points] == [(3.0, 3.0), (6.0, 6.0)]
+    assert "distance_m" not in spec.params
 
 
 @pytest.mark.parametrize("what,known,call", [
@@ -575,8 +593,8 @@ def test_pool_never_outnumbers_the_cells(monkeypatch, workers, sweep, trials, po
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cells_reuse_the_loaded_spec(monkeypatch, workers):
     # a pool worker gets the spec once, from the pool's initializer, and the
-    # serial path hands it over as is: no cell rebuilds the spec, its
-    # SystemConfigs or its EstimatorConfig
+    # serial path hands it over as is: no cell rebuilds the spec, its sweep
+    # points (their SystemConfigs and scene options) or its EstimatorConfig
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "made", [])
     monkeypatch.setattr(experiments, "_pool_spec", None)
@@ -589,7 +607,7 @@ def test_cells_reuse_the_loaded_spec(monkeypatch, workers):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("_build_config", "EstimatorConfig"):
+    for name in ("_point", "ScenarioOptions", "EstimatorConfig"):
         monkeypatch.setattr(experiments, name, counting(getattr(experiments, name)))
     monkeypatch.setattr(ExperimentSpec, "from_dict",
                         counting(ExperimentSpec.from_dict))
