@@ -173,17 +173,15 @@ def simulate_reception(H: np.ndarray, plan: MeasurementPlan,
     noise thanks to the unit-norm combiner rows. The noise of every slot is
     one draw of (P, 2, N, M) normals (slot by slot, real part before
     imaginary: the same stream as one draw per slot), and every slot is
-    received in one batched product.
+    received in one batched product. At sigma_n^2 = 0 the draw is taken
+    too, and its noise of +-0 leaves every bit of H.
     """
     n, m = H.shape
     p_total, n_rf, n_cols = plan.combiners.shape
     if n_cols != n:
         raise ValueError("plan and channel dimensions disagree")
-    if plan.noise_variance > 0:
-        z = rng.standard_normal((p_total, 2, n, m))
-        noise = np.sqrt(plan.noise_variance / 2.0) * (z[:, 0] + 1j * z[:, 1])
-    else:
-        noise = 0.0
+    z = rng.standard_normal((p_total, 2, n, m))
+    noise = np.sqrt(plan.noise_variance / 2.0) * (z[:, 0] + 1j * z[:, 1])
     y = np.empty((m, p_total, n_rf), dtype=complex)
     y.swapaxes(0, 1)[...] = ((H + noise).swapaxes(-1, -2)
                              @ plan.combiners.swapaxes(-1, -2))

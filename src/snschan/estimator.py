@@ -40,10 +40,12 @@ Each run stops on the change of its log marginal likelihood (the log
 evidence of Y) l = -M ln|K| - tr(Y^H K^-1 Y), without the constant
 -P M ln pi: once one iteration moves l by less than delta1 nats per
 observed scalar, |l_t - l_(t-1)| < delta1 P M, or after t_ite iterations.
-The fit is scale-equivariant: Y -> cY with sigma2 -> c^2 sigma2
-(both sigma2 above the 1e-12 floor) scales the start, and with it every
-iterate's prior, by c^2 and shifts l by -2 P M ln c, so the run takes the
-same steps, stops at the same iteration and returns c times its estimate.
+The fit is scale-equivariant: Y -> cY with sigma2 -> c^2 sigma2 scales
+the start, and with it every iterate's prior, by c^2 and shifts l by
+-2 P M ln c, so the run takes the same steps, stops at the same iteration
+and returns c times its estimate. A noiseless fit (sigma2 = 0) runs at a
+noise floor relative to the data, 1e-12 of the energy per observed scalar
+of its largest Y_r, which scales with them.
 The E-step reads l from the Cholesky factor of K it already holds.
 
 The learner holds its blocks stacked, not one by one. Every block but the
@@ -94,7 +96,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-_SIGMA2_FLOOR = 1e-12   # keeps K = sigma2 I + Psi C Psi^H PD at sigma2 = 0
 _ARMIJO_SHRINK = 0.5    # off-grid line search: step shrink per backtrack,
 _ARMIJO_SLOPE = 1e-4    # sufficient-decrease slope
 _MAX_BACKTRACKS = 40    # and backtracks per iteration
@@ -537,13 +538,17 @@ def _sbl_runs(Y: np.ndarray, Psi: np.ndarray, sigma2: float,
     r_count, p_eff, m_count = Y.shape
     n_sub = Psi.shape[1]
     u = cfg.block_size
-    sigma2 = max(float(sigma2), _SIGMA2_FLOOR)
     # the data-scale start: per snapshot, a prior of variance gamma0 on every
     # entry puts gamma0 ||Psi||_F^2 into ||Y_r||_F^2 / M. A zero Psi sees
     # nothing, so its runs start at 0 like those of a zero Y
     psi_energy = m_count * np.vdot(Psi, Psi).real
     y_energy = np.einsum("rpm,rpm->r", Y.conj(), Y).real
     gamma0 = y_energy / psi_energy if psi_energy > 0 else np.zeros(r_count)
+    # at sigma2 = 0 a floor relative to the data keeps K positive definite
+    # and the fit scale-free; the least normal double keeps a zero Y's
+    # objective finite. Y may have no column
+    per_scalar = y_energy.max(initial=0.0) / max(p_eff * m_count, 1)
+    sigma2 = max(float(sigma2), 1e-12 * per_scalar, np.finfo(float).tiny)
 
     states: list[PosteriorState | None] = [None] * r_count
     # a zero start has K = sigma2 I and zero block statistics, which the P
@@ -632,14 +637,14 @@ def absbl_mmv(
 ) -> tuple[np.ndarray, PosteriorState]:
     """Block-sparse Bayesian recovery of X from Y = Psi X + N, jointly over
     the columns of Y (subcarriers sharing one block prior), where N has the
-    known per-entry variance sigma2 (floored at 1e-12).
+    known per-entry variance sigma2.
 
     The prior starts at the data's scale: every per-entry variance at
     gamma0 = ||Y||_F^2 / (M ||Psi||_F^2), the variance that explains the
     energy of Y per snapshot when put on every atom, and P = I. An all-zero
     Y (or Psi) gives gamma0 = 0, and the fit returns X = 0, converged at its
     first iteration, without iterating. Y -> cY with sigma2 -> c^2 sigma2
-    (above the floor) therefore gives c X with the same iterations.
+    therefore gives c X with the same iterations.
 
     Each iteration computes the per-subcarrier posterior with the current
     prior, then updates gamma and P (which rescales gamma per entry, see

@@ -540,8 +540,7 @@ def _set_blas_threads(counts: dict[str, int]) -> dict[str, int | None]:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    """A CSV number; an integer below 10^12 reads as its digits."""
     return format(float(v), ".12g")
 
 

@@ -74,10 +74,9 @@ def from_breakpoints(candidates: np.ndarray | list[int], n: int,
 
 
 def mcd_consistency_c0(h: int, w: int) -> float:
-    """Raw MCD consistency factor (h/W) / P[chi2(3) < chi2_{h/W}(1)]."""
+    """Raw MCD consistency factor (h/W) / P[chi2(3) < chi2_{h/W}(1)]; at
+    h = W the quantile is infinite and the factor exactly 1."""
     alpha = h / w
-    if alpha >= 1.0:
-        return 1.0
     # the expressions of the module constants, for the same bits; SciPy is
     # imported on the first call, not with the package
     from scipy import special

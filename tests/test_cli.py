@@ -46,6 +46,22 @@ def test_run_writes_results(tmp_path, capsys):
     assert "wrote 3 rows" in capsys.readouterr().out
 
 
+def test_run_applies_trials_and_seed_flags(tmp_path):
+    # the flags override the spec's trials (2) and seed (3): the run equals
+    # one of a spec that names the flags' values
+    flagged, named = tmp_path / "flagged", tmp_path / "named"
+    assert cli.main(["run", write_spec(tmp_path, TINY_AUC), "--out", str(flagged),
+                     "--trials", "3", "--seed", "4"]) == cli.EXIT_OK
+    header, *rows = (flagged / "results.csv").read_text().splitlines()
+    column = header.split(",").index("trials")
+    assert [row.split(",")[column] for row in rows] == ["3"] * 3
+    assert json.loads((flagged / "meta.json").read_text())["seed"] == 4
+    spec = write_spec(tmp_path, dict(TINY_AUC, trials=3, seed=4))
+    assert cli.main(["run", spec, "--out", str(named)]) == cli.EXIT_OK
+    assert ((flagged / "results.csv").read_bytes()
+            == (named / "results.csv").read_bytes())
+
+
 @pytest.mark.parametrize("timing", [False, True], ids=["default", "timing"])
 def test_run_timing_fills_runtime_column(tmp_path, capsys, timing):
     # results.csv is deterministic unless --timing asks for measured runtimes

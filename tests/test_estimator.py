@@ -439,13 +439,39 @@ class TestAbsblCore:
                 states = states if isinstance(states, list) else [states]
                 columns = ([obs[:, m:m + 1] for m in range(2)] if len(states) > 1
                            else [obs])
-                s2 = max(sigma2, 1e-12)                  # the noise floor
+                # the noise floor: 1e-12 of the largest run's energy per
+                # observed scalar, or the least normal double for a zero Y
+                s2 = max(sigma2, np.finfo(float).tiny,
+                         *(1e-12 * np.linalg.norm(col) ** 2 / col.size
+                           for col in columns))
                 for st, col in zip(states, columns, strict=True):
                     assert st.converged and st.iterations == 1
                     assert st.active == [0, 1, 2, 3]
                     assert len(st.history) == 1 and np.all(st.history[0] == 0)
                     want = -col.size * np.log(s2) - np.linalg.norm(col) ** 2 / s2
                     np.testing.assert_allclose(st.objective, [want], rtol=1e-12)
+
+    @given(hst.integers(4, 24), hst.integers(4, 40), hst.integers(2, 6),
+           hst.integers(1, 8), hst.floats(1e-4, 1.0), hst.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_subcarrier_permutation_is_equivariant(self, p_eff, n_sub, m_count,
+                                                   block_size, noise_std, seed):
+        # the subcarriers share one prior and enter every step symmetrically,
+        # so permuting the columns of Y permutes those of X and leaves the
+        # iteration count. The order changes only the rounding of the sums
+        # over subcarriers, which a nearly noiseless fit with a poorly
+        # conditioned K lifts to ~1e-11 of the largest entry
+        rng = np.random.default_rng(seed)
+        psi = crandn(rng, p_eff, n_sub)
+        x = crandn(rng, n_sub, m_count) * (rng.random(n_sub) < 0.3)[:, None]
+        y = psi @ x + noise_std * crandn(rng, p_eff, m_count)
+        perm = rng.permutation(m_count)
+        cfg = EstimatorConfig(block_size=block_size)
+        x_hat, state = absbl_mmv(y, psi, noise_std**2, cfg)
+        x_perm, state_perm = absbl_mmv(y[:, perm], psi, noise_std**2, cfg)
+        assert state_perm.iterations == state.iterations
+        np.testing.assert_allclose(x_perm, x_hat[:, perm], rtol=0,
+                                   atol=1e-9 * np.abs(x_hat).max())
 
     def test_ridged_system_without_factor_raises(self, monkeypatch):
         # a K without a Cholesky factor is ridged and factored again; when

@@ -505,6 +505,32 @@ def test_every_estimator_gives_a_finite_nmse(scene):
         assert np.isfinite(nmse(h_hat, chan.H)), algo
 
 
+def _scaled_trial_rows(scale: float) -> dict[str, float]:
+    """Every estimator's NMSE and the BCRB of trial 0 of a 20 dB
+    nmse_vs_snr point at desk scale, with the scene's H scaled by scale (so
+    the noise variance scales by scale^2)."""
+    spec = ExperimentSpec(experiment="nmse_vs_snr", sweep=[20.0], trials=1,
+                          seed=11)
+    (point,) = spec.points
+    rng = spec.child_rng(0, 0)
+    chan = generate_scenario(point.cfg, rng, point.options)
+    chan.H *= scale
+    meas = measure_scene(chan, point.cfg, rng, point.params["snr_db"])
+    rows = {algo: nmse(estimate_channel(meas, algo, spec.estimator_config)[0],
+                       chan.H) for algo in pipeline.ESTIMATORS}
+    return rows | {"bcrb": bcrb_nmse_bound(meas)}
+
+
+def test_a_trial_is_unchanged_by_the_channels_scale():
+    # the learners, the bound and every stage before them are scale-free:
+    # no threshold or floor that this trial reaches is absolute
+    want = _scaled_trial_rows(1.0)
+    for scale in (1e3, 1e-6):
+        got = _scaled_trial_rows(scale)
+        for algo, value in want.items():
+            assert got[algo] == pytest.approx(value, rel=1e-9), (scale, algo)
+
+
 def test_auc_detectors_are_timed_one_by_one():
     spec = ExperimentSpec(**SPECS["auc_vs_snr"])
     records = run_single_trial(spec, 0, 0)

@@ -62,11 +62,9 @@ def oracle_reception(H, combiners, noise_variance, rng):
     y = np.empty((m, p_total, n_rf), dtype=complex)
     sigma = np.sqrt(noise_variance / 2.0)
     for p in range(p_total):
-        if noise_variance > 0:
-            noise = sigma * (rng.standard_normal((n, m))
-                             + 1j * rng.standard_normal((n, m)))
-        else:
-            noise = 0.0
+        # drawn at noise_variance = 0 too, where it adds +-0
+        noise = sigma * (rng.standard_normal((n, m))
+                         + 1j * rng.standard_normal((n, m)))
         y[:, p, :] = (H + noise).T @ combiners[p].T
     return y
 

@@ -402,6 +402,24 @@ class TestBaselines:
         with pytest.raises(ValueError):
             rfem_segment(np.ones(2))
 
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 600), st.integers(2, 64),
+           st.sampled_from(["smooth", "flat_half"]))
+    @settings(max_examples=200, deadline=None)
+    def test_reversed_profile_gives_mirrored_breakpoints(self, seed, n,
+                                                         fit_width, kind):
+        # breakpoint b of the reversed profile is N + 2 - b of the profile
+        # itself, on continuous profiles (as every measured one is), with or
+        # without a flat half, at every fit_width >= 2 (the pipeline's is
+        # W // 2 >= 4). Not tested, since it does not hold: at fit_width 1
+        # AFM can break after the first element but not before the last,
+        # and on profiles rounded to one decimal its secant slopes round
+        # differently in the two directions and split tied peaks
+        p = power_profile(seed, n, kind)
+        for segment in (rfem_segment,
+                        lambda q: afm_segment(q, min(fit_width, n // 2))):
+            mirrored = n + 2 - segment(p[::-1]).breakpoints[::-1]
+            np.testing.assert_array_equal(segment(p).breakpoints, mirrored)
+
     @pytest.mark.parametrize("fit_width", [0, -3])
     def test_afm_rejects_a_width_below_one(self, fit_width):
         # SI_min = 1 reaches fit_width = 0 through the detector's w // 2
