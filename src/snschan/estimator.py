@@ -76,9 +76,13 @@ right-sided triangular solve (BLAS trsm) of X L^T = Psi^T on a row-major
 copy of Psi, which leaves W in place; a second one takes L^-1 Y. The
 posterior means and covariances keep their formulas with C = Q P Q. Each
 fit copies Psi^T once, so a block's atoms are one contiguous (U, P) slab
-on which the block products run. potrf, herk and trsm come from SciPy
-through `_lapack`, which imports SciPy on the first E-step, so importing
-the estimator loads numpy alone. This rounds differently from the
+on which the block products run. herk, potrf and trsm are called
+through `_lapack` on the OpenBLAS bundled with SciPy, through ctypes, with
+the arguments SciPy's f2py wrappers pass, so no fit imports scipy.linalg
+and importing the estimator loads numpy alone. One K buffer serves every
+run of an E-step, and is factored in place. Where no bundled OpenBLAS is
+found, `_lapack` hands out those f2py wrappers instead, on the same
+buffers and with the same bytes. This rounds differently from the
 covariance form (K = (Psi C) Psi^H by one GEMM, then left-sided solves):
 the tests hold the posterior means and covariances to that form within
 1e-12 of their largest entry.
@@ -90,11 +94,14 @@ it, and fits the coefficients by least squares once, on the final support.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
+
+from . import _openblas
 
 _ARMIJO_SHRINK = 0.5    # off-grid line search: step shrink per backtrack,
 _ARMIJO_SLOPE = 1e-4    # sufficient-decrease slope
@@ -103,15 +110,75 @@ _MAX_BACKTRACKS = 40    # and backtracks per iteration
 
 @cache
 def _lapack():
-    """LAPACK's complex Cholesky factor (potrf) and BLAS's Hermitian rank-k
-    update (herk) and triangular solve (trsm), called directly: the E-step
-    makes one update, one factor and two solves per run. SciPy is imported
-    on the first E-step, not with the package."""
+    """The E-step's kernels, as bind(k, b_rows, w, y_w) -> (herk, potrf,
+    solve) on one E-step's buffers: K (P, P) Fortran-ordered, the rows B^T
+    (N_sub, P) of one run, and Psi (R, P, N_sub) and Y (R, P, M) per run,
+    row-major. herk() writes the lower triangle of K = B B^H (BLAS herk),
+    potrf() factors K = L L^H in place, in that triangle (LAPACK potrf),
+    and returns LAPACK's info, nonzero for a K without a factor, and
+    solve(r) overwrites w[r] and y_w[r] with L^-1 Psi and L^-1 Y_r by
+    right-sided triangular solves X L^T = Psi^T and X L^T = Y_r^T (BLAS
+    trsm) on their Fortran views.
+
+    They call the OpenBLAS bundled with SciPy (`_openblas`) through ctypes,
+    with every argument built and every buffer's address taken once per
+    bind, or, when no bundled OpenBLAS is found, SciPy's f2py wrappers of
+    the same routines on the same arguments."""
+    lib = _openblas.library("scipy")
+    return _f2py_kernels() if lib is None else _openblas_kernels(lib)
+
+
+def _openblas_kernels(lib):
+    """`_lapack`'s kernels on the OpenBLAS lib, called as SciPy's f2py
+    wrappers call them."""
+    ptr = ctypes.c_void_p      # Fortran passes every argument by reference
+    herk = _openblas.function(lib, "zherk_", [ptr] * 10, None)
+    potrf = _openblas.function(lib, "zpotrf_", [ptr] * 5, None)
+    trsm = _openblas.function(lib, "ztrsm_", [ptr] * 11, None)
+    byref = ctypes.byref
+    one, zero = byref(ctypes.c_double(1.0)), byref(ctypes.c_double(0.0))
+    one_c = byref((ctypes.c_double * 2)(1.0, 0.0))      # trsm's complex alpha
+
+    def bind(k, b_rows, w, y_w):
+        n_sub, p_eff = b_rows.shape
+        # P, N_sub and M, by reference like every argument
+        p_, n_, m_ = (byref(ctypes.c_int(d)) for d in (p_eff, n_sub, y_w.shape[-1]))
+        info = ctypes.c_int()
+        k_at = k.ctypes.data
+        potrf_args = (b"L", p_, k_at, p_, byref(info))
+        w_at, w_step = w.ctypes.data, w.strides[0]
+        y_at, y_step = y_w.ctypes.data, y_w.strides[0]
+
+        def factor():
+            potrf(*potrf_args)
+            return info.value
+
+        def solve(r):
+            trsm(b"R", b"L", b"T", b"N", n_, p_, one_c, k_at, p_,
+                 w_at + r * w_step, n_)
+            trsm(b"R", b"L", b"T", b"N", m_, p_, one_c, k_at, p_,
+                 y_at + r * y_step, m_)
+        return (partial(herk, b"L", b"N", p_, n_, one, b_rows.ctypes.data, p_,
+                        zero, k_at, p_), factor, solve)
+    return bind
+
+
+def _f2py_kernels():
+    """`_lapack`'s kernels from SciPy's f2py wrappers, which import
+    scipy.linalg."""
     from scipy.linalg.blas import get_blas_funcs
     from scipy.linalg.lapack import get_lapack_funcs
     like = (np.zeros(1, dtype=complex),)
-    return (*get_lapack_funcs(("potrf",), like),
-            *get_blas_funcs(("herk", "trsm"), like))
+    potrf, = get_lapack_funcs(("potrf",), like)
+    herk, trsm = get_blas_funcs(("herk", "trsm"), like)
+
+    def bind(k, b_rows, w, y_w):
+        def solve(r):
+            for rhs in (w[r], y_w[r]):
+                trsm(1.0, k, rhs.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        return (partial(herk, 1.0, b_rows.T, c=k, lower=1, overwrite_c=1),
+                lambda: potrf(k, lower=1, clean=0, overwrite_a=1)[1], solve)
+    return bind
 
 
 class EstimatorDivergenceError(RuntimeError):
@@ -311,60 +378,61 @@ def _posterior(
     with C = Q P Q.
 
     The block products B_rg run on the contiguous (U, P) slabs of
-    psi_rows, and their rows B_r^T are the Fortran view of B_r that herk
-    reads. Psi and Y_r are copied row-major, so their Fortran views are
-    Psi^T and Y_r^T, which the solves overwrite in place with W_r^T and
-    (L_r^-1 Y_r)^T: W_r and L_r^-1 Y_r, row-major. This rounds differently
+    psi_rows, and their rows B_r^T, one run at a time in one (N_sub, P)
+    buffer, are the Fortran view of B_r that herk reads. Psi and Y_r are
+    copied row-major, so their Fortran views are Psi^T and Y_r^T, which
+    the solves overwrite in place with W_r^T and (L_r^-1 Y_r)^T: W_r and
+    L_r^-1 Y_r, row-major. This rounds differently
     from the covariance form (one GEMM (Psi C) Psi^H, then left-sided
     solves): mu and Sigma agree with it within 1e-12 of their largest
     entry, which the tests check.
 
     The factors also give each run's log marginal likelihood (up to the
     constant -P M ln pi) l_r = -M ln|K_r| - ||L_r^-1 Y_r||_F^2: one sum of
-    log-diagonals and one squared norm. A run whose K_r has no Cholesky
-    factor is ridged, by 1e-12 tr(K_r) / P on the diagonal of the lower
-    triangle already held, and factored again; it then takes the same solves
-    and objective as every other run. A ridged K_r without a factor raises
-    EstimatorDivergenceError.
+    log-diagonals and one squared norm. Every run's K_r is built and
+    factored in the one K buffer. A run whose K_r has no Cholesky factor
+    builds K_r again, since the failed factor overwrote part of it, ridges
+    it by 1e-12 tr(K_r) / P on the diagonal, and factors it again; it then
+    takes the same solves and objective as every other run. A ridged K_r
+    without a factor raises EstimatorDivergenceError.
 
     Returns one part per stack, in the order of stacks, and l (R,).
     """
     r_count, p_eff, m_count = Y.shape
     cs = [_prior_cov(s.gamma, s.p) for s in stacks]   # (R, G, U, U) each
 
-    # rows B^T of every run; each block product is taken as Psi_g B'_g on
-    # the transposed slab and copied into the rows
-    b_rows = np.empty((r_count, *psi_rows.shape), dtype=complex)
-    for s in stacks:
-        root = np.sqrt(s.gamma)[..., :, None] * s.p_chol
-        s.rows(b_rows)[...] = (
-            s.rows(psi_rows[None]).swapaxes(-1, -2) @ root).swapaxes(-1, -2)
+    # the rows B_r^T of one run at a time; each block product is taken as
+    # Psi_g B'_g on the transposed slab and copied into the rows
+    b_rows = np.empty(psi_rows.shape, dtype=complex)
+    blocks = [(s.rows(b_rows[None])[0], s.rows(psi_rows[None])[0].swapaxes(-1, -2),
+               np.sqrt(s.gamma)[..., :, None] * s.p_chol) for s in stacks]
     # Psi and Y_r per run, row-major, which the solves turn into W_r and
-    # L_r^-1 Y_r
+    # L_r^-1 Y_r, and one K for every run, factored in place
     w = np.empty((r_count, *psi.shape), dtype=complex)
     w[:] = psi
     y_w = np.array(Y, order="C")
+    k = np.empty((p_eff, p_eff), dtype=complex, order="F")
+    diagonal = k.ravel(order="F")[::p_eff + 1]
+    herk, potrf, solve = _lapack()(k, b_rows, w, y_w)
     objective = np.empty(r_count)
-    potrf, herk, trsm = _lapack()
     for r in range(r_count):
-        k_r = herk(1.0, b_rows[r].T, lower=1)          # Fortran-ordered
-        diagonal = k_r.ravel(order="F")[::p_eff + 1]
+        for rows, slab, root in blocks:
+            rows[...] = (slab @ root[r]).swapaxes(-1, -2)
+        herk()
         diagonal += sigma2
-        chol, info = potrf(k_r, lower=1, clean=1)
-        if info:
-            # a numerically singular posterior system
+        if potrf():
+            # a numerically singular posterior system: K again, ridged
+            herk()
+            diagonal += sigma2
             diagonal += 1e-12 * diagonal.real.sum() / p_eff
-            chol, info = potrf(k_r, lower=1, clean=1)
-            if info:
+            if potrf():
                 raise EstimatorDivergenceError(
                     f"K of run {r} of {r_count} in this E-step has no Cholesky "
                     "factor, even ridged")
-        for rhs in (w[r], y_w[r]):
-            trsm(1.0, chol, rhs.T, side=1, lower=1, trans_a=1, overwrite_b=1)
-        log_det = 2.0 * np.log(chol.diagonal().real).sum()
+        solve(r)
+        log_det = 2.0 * np.log(diagonal.real).sum()
         quad = np.vdot(y_w[r], y_w[r]).real                   # ||L^-1 Y||_F^2
         objective[r] = -m_count * log_det - quad
-    del b_rows      # before W's conjugate: one (R, N_sub, P) array less at peak
     left = w.conj()
     proj = left.swapaxes(-1, -2) @ y_w                    # Psi^H K^-1 Y
 
@@ -833,7 +901,9 @@ def offgrid_refine(
         curv = (2.0 * np.pi**2
                 * np.sum(np.abs(x_s) ** 2, axis=1)
                 * np.sum(np.abs(Phi @ ramped) ** 2, axis=0))
-        curv = np.maximum(curv, 1e-12 * max(curv.max(), 1.0))
+        # a floor relative to the largest curvature keeps the step
+        # scale-free; the least normal double keeps an all-zero one finite
+        curv = np.maximum(curv, max(1e-12 * curv.max(), np.finfo(float).tiny))
         direction = grad / curv
         slope = float(np.dot(grad, direction))
         if slope > 0:

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _openblas
 from .channel import ChannelRealization
 from .config import SystemConfig
 from .estimator import EstimatorConfig, nmse
@@ -55,10 +55,6 @@ from .segmentation import auc_score, check_window
 
 Record = tuple[str, str, float, float]   # (algorithm, metric, value, runtime_ms)
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# the OpenBLAS that numpy's and scipy's wheels bundle, by package: the
-# library's file pattern in <package>.libs/ and its symbols' suffix
-_BUNDLED_OPENBLAS = {"numpy": ("libscipy_openblas64_*", "64_"),
-                     "scipy": ("libscipy_openblas-*", "")}
 # every run computes with one BLAS thread per process: the matrices are
 # small, the process pool is the only parallelism, and results.csv then
 # does not depend on the host's BLAS default
@@ -72,11 +68,12 @@ _BLAS_THREADS = 1
 # pool workers inherit them
 _MALLOC_THRESHOLDS = {-3: 32 << 20,     # M_MMAP_THRESHOLD
                       -1: 64 << 20}     # M_TRIM_THRESHOLD
-# the SciPy modules that cells import on first use: the E-step's LAPACK and
-# BLAS, and the Fresnel integrals' and PASS's special functions. A run with
-# a pool imports them before it forks, so that the workers inherit them; a
-# worker that imports them itself pays about as much as a small round takes
-_CELL_SCIPY_MODULES = ("scipy.linalg.blas", "scipy.linalg.lapack", "scipy.special")
+# the SciPy modules that cells import on first use: the Fresnel integrals'
+# and PASS's special functions (the E-step and the bound call SciPy's
+# OpenBLAS directly, `_openblas`). A run with a pool imports them before it
+# forks, so that the workers inherit them; a worker that imports them itself
+# pays about as much as a small round takes
+_CELL_SCIPY_MODULES = ("scipy.special",)
 
 
 class ConfigError(ValueError):
@@ -490,26 +487,6 @@ def _environment() -> dict:
 
 
 @cache
-def _openblas_threads(package: str):
-    """The (get, set) thread-count functions of the OpenBLAS bundled with
-    package, or None when its build bundles none (MKL or a system BLAS)."""
-    import ctypes    # here, so that importing the harness does not load it
-    pattern, suffix = _BUNDLED_OPENBLAS[package]
-    site = Path(__import__(package).__file__).parent.parent
-    for path in sorted((site / f"{package}.libs").glob(pattern)):
-        lib = ctypes.CDLL(str(path))
-        try:
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-@cache
 def _fix_malloc_thresholds() -> None:
     """Fix glibc malloc's mmap and trim thresholds for the life of the
     process; a C library without mallopt keeps its own policy."""
@@ -528,7 +505,7 @@ def _set_blas_threads(counts: dict[str, int]) -> dict[str, int | None]:
     not found, which stays at its own setting."""
     before = {}
     for package, count in counts.items():
-        funcs = _openblas_threads(package)
+        funcs = _openblas.threads(package)
         if funcs is None:
             warnings.warn(f"no bundled OpenBLAS found for {package}; its BLAS "
                           "thread count is not pinned", RuntimeWarning, stacklevel=2)
@@ -571,7 +548,7 @@ def _init_pool_worker(spec: ExperimentSpec) -> None:
     process, which ends with the pool."""
     global _pool_spec
     _pool_spec = spec
-    _set_blas_threads(dict.fromkeys(_BUNDLED_OPENBLAS, _BLAS_THREADS))
+    _set_blas_threads(dict.fromkeys(_openblas.BUNDLED, _BLAS_THREADS))
 
 
 def _pool_trial(task: tuple[int, int]):
@@ -604,7 +581,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     agg: dict[tuple[int, str, str], list[tuple[float, float]]] = {}
     errors: list[str] = []
     errors_by_type: Counter[str] = Counter()
-    blas_before = _set_blas_threads(dict.fromkeys(_BUNDLED_OPENBLAS, _BLAS_THREADS))
+    blas_before = _set_blas_threads(dict.fromkeys(_openblas.BUNDLED, _BLAS_THREADS))
     _fix_malloc_thresholds()
     if workers > 1:
         for module in _CELL_SCIPY_MODULES:

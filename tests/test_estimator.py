@@ -477,9 +477,7 @@ class TestAbsblCore:
         # a K without a Cholesky factor is ridged and factored again; when
         # the ridged K has none either, the fit raises instead of going on
         phi, _, y = next(diverse_block_instances(1, 0.05))
-        _, *blas = mod._lapack()
-        monkeypatch.setattr(
-            mod, "_lapack", lambda: (lambda a, **kwargs: (np.zeros_like(a), 1), *blas))
+        patch_potrf(monkeypatch, lambda potrf: 1)    # "not positive definite"
         for fit in (absbl_mmv, bsbl_baseline, absbl_per_column):
             with pytest.raises(mod.EstimatorDivergenceError, match="even ridged"):
                 fit(y, phi, 0.05**2)
@@ -610,16 +608,14 @@ class TestAbsblCore:
                                     * np.sqrt(s.gamma[r, g])[None, :])
         cholesky_calls = []
         if fail_cholesky:
-            real_potrf, *blas = mod._lapack()
-
-            def fail_once(a, **kwargs):
+            def fail_once(potrf):
                 # run 0's unridged K; its ridged K and every other run factor
                 cholesky_calls.append(1)
                 if len(cholesky_calls) == 1:
-                    return np.zeros_like(a), 1       # "not positive definite"
-                return real_potrf(a, **kwargs)
+                    return 1                         # "not positive definite"
+                return potrf()
 
-            monkeypatch.setattr(mod, "_lapack", lambda: (fail_once, *blas))
+            patch_potrf(monkeypatch, fail_once)
 
         parts, objective = mod._posterior(y, *e_step_operands(psi), stacks, sigma2)
         assert len(cholesky_calls) == (n_runs + 1 if fail_cholesky else 0)
@@ -788,24 +784,23 @@ class TestPerColumn:
         # each E-step the batched loop factors run 0, run 1 twice, then run 2
         phi, y = distinct_support_instance(32, seed=30)
         cfg = EstimatorConfig(block_size=8, t_ite=8)
-        real_potrf, *blas = mod._lapack()
         calls = []
 
-        def fail_run_1(a, **kwargs):
+        def fail_run_1(potrf):
             calls.append(1)
             if len(calls) % 4 == 2:
-                return np.zeros_like(a), 1       # "not positive definite"
-            return real_potrf(a, **kwargs)
+                return 1                         # "not positive definite"
+            return potrf()
 
-        def fail_unridged(a, **kwargs):
+        def fail_unridged(potrf):
             # every E-step's first factor is of the unridged K
             calls.append(1)
             if len(calls) % 2 == 1:
-                return np.zeros_like(a), 1
-            return real_potrf(a, **kwargs)
+                return 1
+            return potrf()
 
         with monkeypatch.context() as patch:
-            patch.setattr(mod, "_lapack", lambda: (fail_run_1, *blas))
+            patch_potrf(patch, fail_run_1)
             batched = absbl_per_column(y, phi, 0.01**2, cfg)
         assert [st.iterations for st in batched[1]] == [8, 8, 8]
         assert len(calls) == 4 * 8
@@ -814,7 +809,7 @@ class TestPerColumn:
             with monkeypatch.context() as patch:
                 if m == 1:
                     calls.clear()
-                    patch.setattr(mod, "_lapack", lambda: (fail_unridged, *blas))
+                    patch_potrf(patch, fail_unridged)
                 separate.append(absbl_mmv(y[:, m:m + 1], phi, 0.01**2, cfg))
         assert len(calls) == 2 * 8
         assert_runs_match(batched, separate)
@@ -830,6 +825,17 @@ class TestPerColumn:
         alone, _ = absbl_per_column(y[:, :1], phi, 0.01**2, cfg)
         np.testing.assert_allclose(both[:, :1], alone, rtol=1e-12,
                                    atol=1e-12 * np.abs(alone).max())
+
+
+def patch_potrf(patch, fake):
+    """Make every E-step factor K by fake(potrf), where potrf() is the real
+    in-place factor and returns its info."""
+    bind = mod._lapack()
+
+    def patched(*buffers):
+        herk, potrf, solve = bind(*buffers)
+        return herk, lambda: fake(potrf), solve
+    patch.setattr(mod, "_lapack", lambda: patched)
 
 
 def e_step_operands(psi):

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from snschan.config import SystemConfig
 from snschan.dhbf import InfeasiblePilotError
 from snschan.estimator import PosteriorState, dft_codebook, nmse
-from snschan import experiments, pipeline
+from snschan import _openblas, experiments, pipeline
 from snschan.experiments import (
     _BLAS_THREAD_VARS as BLAS_THREAD_VARS,
     ExperimentSpec,
@@ -137,11 +137,11 @@ def test_worker_count_does_not_change_results(serial_csvs):
 # after a pool worker's initializer, meta's blas_threads]
 _THREADS_RUNNER = """
 import json, sys
-from snschan import experiments
+from snschan import _openblas, experiments
 from snschan.experiments import ExperimentSpec, run_experiment
 
 def counts():
-    return [experiments._openblas_threads(package)[0]()
+    return [_openblas.threads(package)[0]()
             for package in ("numpy", "scipy")]
 
 seen, real = [], experiments.run_single_trial
@@ -238,7 +238,8 @@ def test_a_pool_preloads_every_scipy_module_its_cells_load():
                               text=True, env=pinned_env(), timeout=300)
         assert proc.returncode == 0, proc.stderr
         loaded[mode] = set(json.loads(proc.stdout))
-    assert {"scipy.linalg.lapack", "scipy.special"} <= loaded["cells"]
+    assert "scipy.special" in loaded["cells"]
+    assert not [m for m in loaded["cells"] if m.startswith("scipy.linalg")]
     assert loaded["cells"] <= loaded["preload"], sorted(
         loaded["cells"] - loaded["preload"])
 
@@ -525,7 +526,7 @@ def test_a_trial_is_unchanged_by_the_channels_scale():
     # the learners, the bound and every stage before them are scale-free:
     # no threshold or floor that this trial reaches is absolute
     want = _scaled_trial_rows(1.0)
-    for scale in (1e3, 1e-6):
+    for scale in (1e3, 1e-6, 1e-9):
         got = _scaled_trial_rows(scale)
         for algo, value in want.items():
             assert got[algo] == pytest.approx(value, rel=1e-9), (scale, algo)
@@ -570,8 +571,8 @@ def test_meta_counts_errors_by_type_and_records_environment(tmp_path, monkeypatc
 
 def test_blas_library_not_found_warns_and_is_recorded(monkeypatch):
     # an MKL or system BLAS build bundles no OpenBLAS to pin
-    real = experiments._openblas_threads
-    monkeypatch.setattr(experiments, "_openblas_threads",
+    real = _openblas.library
+    monkeypatch.setattr(_openblas, "library",
                         lambda package: None if package == "scipy" else real(package))
     with pytest.warns(RuntimeWarning, match="no bundled OpenBLAS found for scipy"):
         table = run_experiment(ExperimentSpec(**SPECS["auc_vs_snr"]), workers=1)

@@ -2,12 +2,15 @@
 
 Importing the package, and every subcommand but `run`, loads numpy and no
 part of SciPy. SciPy's modules would be about 60% of a cold `import
-snschan`, which every CLI command pays. Each is imported where it is first
-used: LAPACK and BLAS on the first E-step, `solve_triangular` in
-the BCRB, `scipy.special` for Fresnel integrals and the MCD consistency
-factor. A `run` that fits does load `scipy.linalg` and still writes its
-golden's bytes, so the imports are deferred, not removed. The checks read
-sys.modules in fresh interpreters rather than timings, so they cannot flake.
+snschan`, which every CLI command pays. No run loads `scipy.linalg`: the
+E-step and the BCRB call LAPACK and BLAS on the OpenBLAS bundled with
+SciPy through ctypes, and fall back to `scipy.linalg`'s wrappers only
+where no bundled OpenBLAS is found. `scipy.special` is imported where it is
+first used, for the knife edge's Fresnel integrals and PASS's MCD
+consistency factor. So a fully connected run, which needs neither, loads
+neither and still writes its goldens' bytes, and a DHBF run loads
+`scipy.special` alone. The checks read sys.modules in fresh interpreters
+rather than timings, so they cannot flake.
 
 No module but `__init__` (which re-exports) imports a name it never uses.
 """
@@ -28,10 +31,13 @@ from snschan.experiments import _BLAS_THREAD_VARS as BLAS_THREAD_VARS
 ROOT = Path(__file__).resolve().parents[1]
 TINY_AUC = {"experiment": "auc_vs_snr", "sweep": [5.0], "trials": 2, "seed": 3,
             "overrides": {"N": 64, "SI_min": 16, "K": 2}}
-# the spec of tests/golden/nmse_vs_distance_bcrb_only.csv
-GOLDEN_BCRB = {"experiment": "nmse_vs_distance", "sweep": [3.0, 20.0],
-               "algorithms": ["bcrb"], "overrides": {"N": 64, "SI_min": 16},
-               "trials": 2, "seed": 5}
+# the specs of tests/golden/nmse_vs_distance{,_bcrb_only}.csv: fully
+# connected, fully visible scenes
+DISTANCE = {"experiment": "nmse_vs_distance", "sweep": [3.0, 20.0],
+            "overrides": {"N": 64, "SI_min": 16}, "trials": 2, "seed": 5}
+GOLDEN_FULLY_CONNECTED = {"nmse_vs_distance": DISTANCE,
+                          "nmse_vs_distance_bcrb_only": dict(DISTANCE,
+                                                             algorithms=["bcrb"])}
 
 # runs `python -m snschan.cli <argv>` and, once it has exited, prints the
 # scipy modules it loaded as the last line of stderr
@@ -101,15 +107,31 @@ def test_seed_report_loads_no_scipy(tmp_path):
     assert loaded == []
 
 
-def test_run_loads_scipy_linalg_and_writes_the_golden(tmp_path):
+def loads(loaded: list[str], package: str) -> bool:
+    return any(m == package or m.startswith(package + ".") for m in loaded)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FULLY_CONNECTED))
+def test_a_fully_connected_run_loads_no_scipy_linalg_or_special(tmp_path, name):
     out = tmp_path / "out"
-    code, stdout, loaded = run_cli("run", write_spec(tmp_path, GOLDEN_BCRB),
-                                   "--out", str(out))
+    code, stdout, loaded = run_cli(
+        "run", write_spec(tmp_path, GOLDEN_FULLY_CONNECTED[name]), "--out", str(out))
     assert code == 0
-    assert stdout.startswith(f"wrote 2 rows to {out}/results.csv")
-    assert "scipy.linalg" in loaded
-    golden = ROOT / "tests" / "golden" / "nmse_vs_distance_bcrb_only.csv"
+    assert stdout.startswith("wrote ") and f"{out}/results.csv" in stdout
+    assert not loads(loaded, "scipy.linalg") and not loads(loaded, "scipy.special")
+    golden = ROOT / "tests" / "golden" / f"{name}.csv"
     assert (out / "results.csv").read_text() == golden.read_text()
+
+
+def test_a_dhbf_run_loads_scipy_special_but_no_scipy_linalg(tmp_path):
+    # PASS's MCD factor and the knife edge's Fresnel integrals
+    spec = {"experiment": "nmse_vs_snr", "sweep": [10.0], "trials": 1, "seed": 5,
+            "algorithms": ["ss_absbl_mmv"],
+            "overrides": {"N": 64, "SI_min": 16, "P": 16}}
+    code, _, loaded = run_cli("run", write_spec(tmp_path, spec),
+                              "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert loads(loaded, "scipy.special") and not loads(loaded, "scipy.linalg")
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -115,14 +115,35 @@ _KEPT = {
     "the pool workers' bodies, which run in forked processes": [
         ("experiments._init_pool_worker", "_pool_spec = spec"),
         ("experiments._init_pool_worker",
-         "_set_blas_threads(dict.fromkeys(_BUNDLED_OPENBLAS, _BLAS_THREADS))"),
+         "_set_blas_threads(dict.fromkeys(_openblas.BUNDLED, _BLAS_THREADS))"),
         ("experiments._pool_trial", "return _trial_worker(_pool_spec, *task)"),
     ],
     "a numpy or SciPy without a bundled OpenBLAS, or a C library without "
     "mallopt": [
-        ("experiments._openblas_threads", "except AttributeError:"),
-        ("experiments._openblas_threads", "continue"),
-        ("experiments._openblas_threads", "return None"),
+        ("_openblas.library", "return None"),
+        ("_openblas.threads", "return None"),
+        ("bcrb._lower_solve", "from scipy.linalg.lapack import get_lapack_funcs"),
+        ("bcrb._lower_solve",
+         'trtrs, = get_lapack_funcs(("trtrs",), (np.zeros(1, dtype=complex),))'),
+        ("bcrb._lower_solve.<locals>.<lambda>",
+         "return lambda chol, b: trtrs(chol.T, b, lower=0, trans=1, overwrite_b=1)"),
+        ("estimator._f2py_kernels", "from scipy.linalg.blas import get_blas_funcs"),
+        ("estimator._f2py_kernels", "from scipy.linalg.lapack import get_lapack_funcs"),
+        ("estimator._f2py_kernels", "like = (np.zeros(1, dtype=complex),)"),
+        ("estimator._f2py_kernels", 'potrf, = get_lapack_funcs(("potrf",), like)'),
+        ("estimator._f2py_kernels",
+         'herk, trsm = get_blas_funcs(("herk", "trsm"), like)'),
+        ("estimator._f2py_kernels", "return bind"),
+        ("estimator._f2py_kernels.<locals>.bind", "def bind(k, b_rows, w, y_w):"),
+        ("estimator._f2py_kernels.<locals>.bind",
+         "return (partial(herk, 1.0, b_rows.T, c=k, lower=1, overwrite_c=1),"),
+        ("estimator._f2py_kernels.<locals>.bind.<locals>.<lambda>",
+         "lambda: potrf(k, lower=1, clean=0, overwrite_a=1)[1], solve)"),
+        ("estimator._f2py_kernels.<locals>.bind.<locals>.solve", "def solve(r):"),
+        ("estimator._f2py_kernels.<locals>.bind.<locals>.solve",
+         "for rhs in (w[r], y_w[r]):"),
+        ("estimator._f2py_kernels.<locals>.bind.<locals>.solve",
+         "trsm(1.0, k, rhs.T, side=1, lower=1, trans_a=1, overwrite_b=1)"),
         ("experiments._fix_malloc_thresholds", "return"),
         ("experiments._set_blas_threads",
          'warnings.warn(f"no bundled OpenBLAS found for {package}; its BLAS "'),
@@ -144,9 +165,11 @@ _KEPT = {
          "state, = _sbl_runs(Y[None], Psi, sigma2, cfg, scalar_gamma=True)"),
         ("estimator.bsbl_baseline", "return state.mu, state"),
     ],
-    "the E-step's ridge fallback for a K without a Cholesky factor": [
-        ("estimator._posterior", "chol, info = potrf(k_r, lower=1, clean=1)"),
-        ("estimator._posterior", "if info:"),
+    "the E-step's ridge fallback for a K without a Cholesky factor, which "
+    "builds K again": [
+        ("estimator._posterior", "herk()"),
+        ("estimator._posterior", "diagonal += sigma2"),
+        ("estimator._posterior", "if potrf():"),
         ("estimator._posterior", "diagonal += 1e-12 * diagonal.real.sum() / p_eff"),
     ],
     "the zero start: an all-zero Y or Psi returns the zero estimate": [
